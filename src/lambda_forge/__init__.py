@@ -33,7 +33,7 @@ from .stabilizer import (
 )
 from .clifford import CliffordTableau, enumerate_action, operator_orbit
 from .polytope import FacetCertificate, decompose, enumerate_vertices_n1, is_vertex, membership
-from .cnc import CncSet, UpdateNotClosedForm, cnc_vertices, is_cnc, is_maximal_cnc
+from .cnc import CncSet, cnc_vertices, is_cnc, is_maximal_cnc
 from .lifting import LiftParams, lift, lift_tensor, make_params, tail_overlap, unlift
 from .orbit import OrbitVertex, alpha0_vertex, enumerate_family
 from .reduction import ReductionEngine, reduced_distribution

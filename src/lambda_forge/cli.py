@@ -208,12 +208,10 @@ def cmd_simulate(args) -> int:
     n = doc.get("n", state_qubits(init[0][1]))
     steps = steps_from_json(doc["steps"], n)
     if args.exact:
-        dist = exact_distribution(init, steps, oracle_fallback=args.fallback)
+        dist = exact_distribution(init, steps)
         payload = {"mode": "exact", "distribution": distribution_to_json(dist)}
         return _emit("ok", payload, "", args.float)
-    transcripts = sample(
-        init, steps, seed=args.seed, shots=args.shots, oracle_fallback=args.fallback
-    )
+    transcripts = sample(init, steps, seed=args.seed, shots=args.shots)
     counts: dict[str, int] = {}
     for t in transcripts:
         key = ",".join("-" if v is None else str(v) for v in t)
@@ -368,8 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exact", action="store_true")
     p.add_argument("--shots", type=int, default=1024)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--fallback", action="store_true",
-                   help="allow exact projection fallback for updates without closed form")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("poset", help="isotropic-subspace containment poset")

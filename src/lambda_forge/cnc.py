@@ -10,16 +10,19 @@ pairs.  The associated operator
 has trace 1; for maximal such sets it is an extremal point of the
 stabilizer-overlap polytope.
 
-Measurement updates have closed forms in two regimes:
+Every Pauli measurement update of a cnc operator has a closed form (the
+cnc update theorem of Raussendorf, Bermejo-Vega, Tyhurst, Okay and
+Zurel, Phys. Rev. A 101, 012350 (2020), arXiv:1905.05374):
 
-* a in Omega: the outcome is deterministic and the set shrinks to
-  Omega intersect a-perp (unchanged whenever Omega already lies in
-  a-perp, e.g. for isotropic subspaces).
-* a not in Omega with Omega an isotropic subspace I: weight 1/2 on the
-  isotropic I x a = (I cap a-perp) + <a>, with the assignment carried
-  across and gamma(a) = s.
+* a in Omega: the outcome is deterministic, s = gamma(a), and the set
+  shrinks to Omega intersect a-perp with gamma restricted.
+* a not in Omega: weight 1/2 on the cnc set
 
-Everything else is routed to the operator-level projection oracle.
+      Omega x a = (Omega cap a-perp) union (a + Omega cap a-perp),
+      gamma'(p) = gamma(p),  gamma'(p + a) = gamma(p) + s + beta(p, a),
+
+  for every cnc set, isotropic or not.  The two halves are disjoint
+  because a is not in the closed set Omega.
 """
 
 from __future__ import annotations
@@ -38,10 +41,6 @@ from .gf2 import (
 )
 from .pauli import QOperator, beta
 from .stabilizer import Assignment
-
-
-class UpdateNotClosedForm(ValueError):
-    """Raised when no closed-form measurement update applies."""
 
 
 def closure_extend(values: Mapping[PauliPoint, int]) -> dict[PauliPoint, int]:
@@ -221,33 +220,27 @@ class CncSet:
             {p: (ONE if self.gamma[p] == 0 else -ONE) for p in self.omega},
         )
 
-    def is_isotropic_subspace(self) -> bool:
-        sub = span([p for p in self.omega if not p.is_zero()], self.n)
-        return sub.size() == len(self.omega) and sub.is_isotropic()
-
     def measure_update(self, a: PauliPoint, s: int) -> list[tuple[Fraction, "CncSet"]]:
         """Closed-form update pieces for measuring T_a with outcome s.
 
-        Returned weights are unnormalized: they sum to the outcome
-        probability and satisfy sum(w_i * piece_i.operator()) equal to
-        project(operator(), a, s) exactly.
+        The cnc update theorem (see the module docstring): at most one
+        piece, weight 1 when a is in Omega and the outcome matches
+        gamma(a), weight 1/2 on Omega x a when a is outside Omega.
+        Weights are unnormalized: they sum to the outcome probability
+        and sum(w_i * piece_i.operator()) equals
+        operator().project(a, s) exactly.
         """
         if a.is_zero():
             raise ValueError("measurement axis must be nonzero")
         if a.n != self.n:
             raise ValueError("qubit count mismatch")
         s &= 1
-        if a in self.omega:
-            if s != self.gamma[a]:
-                return []
-            keep = [p for p in self.omega if symplectic_form(p, a) == 0]
-            return [(Fraction(1), CncSet(keep, self.gamma, check=False))]
-        sub = span([p for p in self.omega if not p.is_zero()], self.n)
-        if not (sub.size() == len(self.omega) and sub.is_isotropic()):
-            raise UpdateNotClosedForm(
-                "no closed-form update: axis outside a non-isotropic cnc set"
-            )
+        inside = a in self.omega
+        if inside and s != self.gamma[a]:
+            return []
         kept = [p for p in self.omega if symplectic_form(p, a) == 0]
+        if inside:
+            return [(Fraction(1), CncSet(kept, self.gamma, check=False))]
         vals = {p: self.gamma[p] for p in kept}
         for p in kept:
             vals[p ^ a] = (self.gamma[p] + s + beta(p, a)) & 1

@@ -158,5 +158,6 @@ class FieldElem:
 
 ZERO = FieldElem(0)
 ONE = FieldElem(1)
+HALF = FieldElem(Fraction(1, 2))
 SQRT2 = FieldElem(0, 1)
 INV_SQRT2 = FieldElem(0, Fraction(1, 2))

@@ -334,6 +334,8 @@ def enumerate_maximal_isotropics(n: int, bound: int = ENUMERATION_BOUND) -> list
     Exhaustive breadth-first growth; fine for n <= bound.  The counts are
     prod_{k=1}^{n} (2^k + 1): 3, 15, 135, 2295 for n = 1..4.
     """
+    if n < 1:
+        raise ValueError("qubit count must be positive")
     if n > bound:
         raise ValueError(f"maximal-isotropic enumeration capped at n={bound}")
     level: set[Subspace] = {Subspace(n, ())}
@@ -347,10 +349,6 @@ def enumerate_maximal_isotropics(n: int, bound: int = ENUMERATION_BOUND) -> list
                 nxt.add(Subspace(n, sub.rows + (p.key(),)))
         level = nxt
     return sorted(level, key=lambda s: s.rows)
-
-
-def maximal_isotropics_through(point: PauliPoint, bound: int = ENUMERATION_BOUND) -> list[Subspace]:
-    return [I for I in enumerate_maximal_isotropics(point.n, bound) if I.contains(point)]
 
 
 def closure_under_inference(points: Iterable[PauliPoint]) -> frozenset[PauliPoint]:

@@ -3,10 +3,14 @@
 A simulation starts from a convex decomposition of the initial state
 over descriptors with closed-form measurement updates:
 
-* cnc sets (including all stabilizer states),
-* two-qubit orbit vertices,
+* cnc sets (including all stabilizer states), by the cnc update
+  theorem, which covers every axis and every cnc set;
+* two-qubit orbit vertices, by the family's update rules;
 * lifted descriptors U (inner (x) Pi_sigma) U^dagger, handled by
   rewriting the measurement sequence down to the inner register.
+
+No update goes through exact projection: ``QOperator.project`` appears
+here only in ``born_distribution``.
 
 ``exact_distribution`` expands the full branch tree with exact rational
 or Q(sqrt(2)) weights; ``sample`` draws one trajectory per shot,
@@ -15,8 +19,9 @@ independent operator-level ground truth used by the test suite.
 
 Sequences are lists of steps; a step is a Pauli point, or a
 ``(point, condition)`` pair where the condition maps earlier step
-indices to required outcomes (a decision table); unmet conditions skip
-the step, recorded as None in the transcript.
+indices to required outcomes 0 or 1 (a decision table); unmet
+conditions skip the step, recorded as None in the transcript.  A
+condition naming the step itself or a later one is rejected.
 """
 
 from __future__ import annotations
@@ -27,10 +32,10 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .field import FieldElem, ONE, ZERO
+from .field import HALF, FieldElem, ONE, ZERO
 from .clifford import CliffordTableau
-from .cnc import CncSet, UpdateNotClosedForm, consistent_assignments
-from .gf2 import PauliPoint, span
+from .cnc import CncSet
+from .gf2 import PauliPoint
 from .orbit import OrbitVertex, classify_operator, measure_update as orbit_update
 from .pauli import QOperator
 from .polytope import decompose
@@ -80,14 +85,12 @@ def state_operator(state: State) -> QOperator:
     )
 
 
-def update_state(
-    state: State, a: PauliPoint, s: int, oracle_fallback: bool = False
-) -> list[tuple[FieldElem, State]]:
+def update_state(state: State, a: PauliPoint, s: int) -> list[tuple[FieldElem, State]]:
     """Pieces (weight, new state) with weights summing to the outcome
     probability; exact at every branch."""
     if isinstance(state, (CncSet, OrbitVertex)):
         # memoized: branch trees revisit the same (state, axis) pairs
-        return list(_cached_update(state, a, s, oracle_fallback))
+        return list(_cached_update(state, a, s))
     if isinstance(state, LiftState):
         step, engine = state.engine.process(a)
         if isinstance(step, FixedStep):
@@ -95,85 +98,61 @@ def update_state(
                 return []
             return [(ONE, LiftState(engine, state.inner))]
         if isinstance(step, CoinStep):
-            half = FieldElem(Fraction(1, 2))
             return [
-                (half, LiftState(engine.resolve_coin(s & 1), state.inner))
+                (HALF, LiftState(engine.resolve_coin(s & 1), state.inner))
             ]
-        pieces = update_state(
-            state.inner, step.point, (s ^ step.flip) & 1, oracle_fallback
-        )
+        pieces = update_state(state.inner, step.point, (s ^ step.flip) & 1)
         return [(w, LiftState(engine, inner)) for w, inner in pieces]
     raise UnsupportedDescriptor(f"unknown descriptor {type(state).__name__}")
 
 
 @lru_cache(maxsize=1 << 16)
 def _cached_update(
-    state: Union[CncSet, OrbitVertex], a: PauliPoint, s: int, oracle_fallback: bool
+    state: Union[CncSet, OrbitVertex], a: PauliPoint, s: int
 ) -> tuple[tuple[FieldElem, State], ...]:
     if isinstance(state, CncSet):
-        try:
-            return tuple(
-                (FieldElem(w), piece) for w, piece in state.measure_update(a, s)
-            )
-        except UpdateNotClosedForm:
-            if not oracle_fallback:
-                raise UnsupportedDescriptor(
-                    "cnc set with measurement axis outside a non-isotropic set; "
-                    "pass oracle_fallback=True to use exact projection + "
-                    "convex re-decomposition"
-                )
-            return tuple(_slice_decompose(state.operator(), a, s))
-    return tuple((FieldElem(w), piece) for w, piece in orbit_update(state, a, s))
-
-
-def _slice_decompose(
-    op: QOperator, a: PauliPoint, s: int
-) -> list[tuple[FieldElem, State]]:
-    """Exact fallback: project, then re-decompose over the cnc sets that
-    fill the commutant of the measured axis with the matching sign."""
-    projected = op.project(a, s)
-    p = projected.trace()
-    if p.sign() == 0:
-        return []
-    pool_sets = []
-    commutant = frozenset(span([a]).perp().points())
-    for vals in consistent_assignments(commutant):
-        if vals[a] == (s & 1):
-            pool_sets.append(CncSet(commutant, vals, check=False))
-    weights = decompose(projected.scale(ONE / p), [c.operator() for c in pool_sets])
-    if weights is None:
-        raise UnsupportedDescriptor("projected state left the cnc hull")
-    return [(w * p, pool_sets[i]) for i, w in weights.items()]
+        pieces = state.measure_update(a, s)
+    else:
+        pieces = orbit_update(state, a, s)
+    return tuple((FieldElem(w), piece) for w, piece in pieces)
 
 
 # -- sequences ----------------------------------------------------------------
 
 
 def normalize_steps(steps: Sequence) -> list[tuple[PauliPoint, Optional[dict]]]:
+    """(point, condition) pairs; raises ValueError unless every condition
+    maps indices of earlier steps to outcomes 0 or 1."""
     out = []
-    for step in steps:
+    for i, step in enumerate(steps):
         if isinstance(step, PauliPoint):
             out.append((step, None))
-        else:
-            point, cond = step
-            out.append((point, dict(cond) if cond else None))
+            continue
+        point, cond = step
+        for idx, want in (cond or {}).items():
+            if not (isinstance(idx, int) and 0 <= idx < i):
+                raise ValueError(
+                    f"step {i}: condition on {idx!r} does not name an earlier step"
+                )
+            if want not in (0, 1):
+                raise ValueError(
+                    f"step {i}: condition outcome must be 0 or 1, got {want!r}"
+                )
+        out.append((point, dict(cond) if cond else None))
     return out
 
 
 def _condition_met(cond: Optional[dict], acc: Sequence[Optional[int]]) -> bool:
-    if not cond:
-        return True
-    for idx, want in cond.items():
-        idx = int(idx)
-        if idx >= len(acc) or acc[idx] != (want & 1):
-            return False
+    if cond:
+        for idx, want in cond.items():
+            if acc[idx] != want:
+                return False
     return True
 
 
 def exact_distribution(
     initial: Iterable[tuple[FieldElem, State]],
     steps: Sequence,
-    oracle_fallback: bool = False,
 ) -> dict[tuple, FieldElem]:
     """Exact joint outcome distribution (None marks skipped steps)."""
     steps = normalize_steps(steps)
@@ -189,7 +168,7 @@ def exact_distribution(
             walk(i + 1, state, prob, acc + [None])
             return
         for s in (0, 1):
-            for w, piece in update_state(state, point, s, oracle_fallback):
+            for w, piece in update_state(state, point, s):
                 if w.sign() > 0:
                     walk(i + 1, piece, prob * w, acc + [s])
 
@@ -225,14 +204,13 @@ def born_distribution(rho: QOperator, steps: Sequence) -> dict[tuple, FieldElem]
 
 
 def outcome_probability(
-    initial: Iterable[tuple[FieldElem, State]], a: PauliPoint, s: int,
-    oracle_fallback: bool = False,
+    initial: Iterable[tuple[FieldElem, State]], a: PauliPoint, s: int
 ) -> FieldElem:
     """sum_alpha p(alpha) * (total update weight at outcome s)."""
     total = ZERO
     for weight, state in initial:
         q = ZERO
-        for w, _ in update_state(state, a, s, oracle_fallback):
+        for w, _ in update_state(state, a, s):
             q = q + w
         total = total + FieldElem.coerce(weight) * q
     return total
@@ -262,9 +240,10 @@ def sample(
     steps: Sequence,
     seed: int,
     shots: int = 1,
-    oracle_fallback: bool = False,
 ) -> list[tuple]:
     """Sampled transcripts; deterministic for a fixed seed."""
+    if shots < 1:
+        raise ValueError(f"shots must be a positive count, got {shots}")
     rng = random.Random(seed)
     steps = normalize_steps(steps)
     transcripts = []
@@ -278,7 +257,7 @@ def sample(
                 continue
             branches = []
             for s in (0, 1):
-                for w, piece in update_state(state, point, s, oracle_fallback):
+                for w, piece in update_state(state, point, s):
                     if w.sign() > 0:
                         branches.append((w, (s, piece)))
             s, state = _draw(rng, branches)
@@ -337,10 +316,16 @@ def descriptor_from_json(obj: Mapping) -> list[tuple[FieldElem, State]]:
         return [(w, LiftState(engine, st)) for w, st in inner]
     if kind == "mixture":
         out = []
+        total = ZERO
         for term in obj["terms"]:
             w = FieldElem.from_json(term["weight"])
+            if w.sign() < 0:
+                raise ValueError(f"mixture weight {w} is negative")
+            total = total + w
             for w2, st in descriptor_from_json(term["state"]):
                 out.append((w * w2, st))
+        if total != ONE:
+            raise ValueError(f"mixture weights sum to {total}, not 1")
         return out
     if kind == "operator":
         op = QOperator.from_json(obj)
@@ -388,8 +373,10 @@ def steps_from_json(steps: Sequence[Mapping], n: int) -> list:
         if point.n != n:
             raise ValueError("step qubit count mismatch")
         cond = st.get("if")
-        out.append((point, {int(k): int(v) for k, v in cond.items()} if cond else None))
-    return out
+        if cond is not None and not isinstance(cond, Mapping):
+            raise ValueError("a step condition must be an object")
+        out.append((point, {int(k): v for k, v in cond.items()} if cond else None))
+    return normalize_steps(out)
 
 
 def distribution_to_json(dist: Mapping[tuple, FieldElem]) -> list[dict]:

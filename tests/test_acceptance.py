@@ -345,7 +345,7 @@ def test_criterion_11_simulator_vs_born():
     for c in cnc_vertices(2):
         op = c.operator()
         for a in pts2:
-            lhs = exact_distribution([(ONE, c)], [a], oracle_fallback=True)
+            lhs = exact_distribution([(ONE, c)], [a])
             ok &= lhs == _memo_born(op, [a], cache)
     reps = [cnc_vertices(2)[0], cnc_vertices(2)[-1]]
     seqs2 = [[a] for a in pts2] + [list(t) for t in itertools.product(pts2, repeat=2)]
@@ -354,7 +354,7 @@ def test_criterion_11_simulator_vs_born():
         op = c.operator()
         cache = {}
         for seq in seqs2:
-            lhs = exact_distribution([(ONE, c)], seq, oracle_fallback=True)
+            lhs = exact_distribution([(ONE, c)], seq)
             ok &= lhs == _memo_born(op, seq, cache)
     # (b) the magic-state fixture: exact single-measurement probabilities
     t_state = QOperator(

@@ -182,3 +182,52 @@ def test_emitted_operator_json_round_trips(tmp_path, capsys):
     for v in doc["payload"]["facet_values"].values():
         if isinstance(v, str):
             Fraction(v)
+
+
+def test_nonpositive_counts_rejected(tmp_path, capsys):
+    circ = {"n": 1, "initial": {"type": "operator", **T_STATE},
+            "steps": [{"measure": "X"}]}
+    path = write_json(tmp_path / "circ.json", circ)
+    for shots in ("-5", "0"):
+        code, out = run(capsys, "simulate", path, "--shots", shots)
+        doc = json.loads(out)
+        assert code == 1 and doc["status"] == "error"
+        assert "shots" in doc["diagnostics"]
+    code, out = run(capsys, "enumerate-stabilizers", "0", "--counts-only")
+    doc = json.loads(out)
+    assert code == 1 and doc["status"] == "error" and doc["diagnostics"]
+
+
+def test_simulate_rejects_bad_conditions(tmp_path, capsys):
+    stab = {"type": "stabilizer", "generators": ["+Z"]}
+    for cond in ({"5": 1}, {"0": 1}, {"-1": 0}, {"x": 0}):
+        circ = {"n": 1, "initial": stab,
+                "steps": [{"measure": "X", "if": cond}, {"measure": "Z"}]}
+        path = write_json(tmp_path / "circ.json", circ)
+        code, out = run(capsys, "simulate", path, "--exact")
+        assert code == 1 and json.loads(out)["status"] == "error"
+    circ = {"n": 1, "initial": stab,
+            "steps": [{"measure": "X"}, {"measure": "Z", "if": {"0": 2}}]}
+    path = write_json(tmp_path / "circ.json", circ)
+    code, out = run(capsys, "simulate", path, "--exact")
+    assert code == 1 and "0 or 1" in json.loads(out)["diagnostics"]
+
+
+def test_simulate_rejects_bad_mixture(tmp_path, capsys):
+    plus = {"type": "stabilizer", "generators": ["+Z"]}
+    minus = {"type": "stabilizer", "generators": ["-Z"]}
+    for weights in (("2", "-1"), ("1/4", "1/4"), ("1", "1/2")):
+        circ = {
+            "n": 1,
+            "initial": {
+                "type": "mixture",
+                "terms": [{"weight": w, "state": st}
+                          for w, st in zip(weights, (plus, minus))],
+            },
+            "steps": [{"measure": "Z"}],
+        }
+        path = write_json(tmp_path / "mix.json", circ)
+        for mode in (["--exact"], ["--shots", "16"]):
+            code, out = run(capsys, "simulate", path, *mode)
+            doc = json.loads(out)
+            assert code == 1 and "mixture weight" in doc["diagnostics"]

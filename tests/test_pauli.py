@@ -158,15 +158,30 @@ def test_bell_overlap_value():
     assert np.allclose(dense @ dense, dense)
 
 
+def product_projection(A, a, s):
+    """Pi A Pi by two complex-coefficient products: the independent oracle
+    for the closed-form ``project`` (Pi A alone need not be Hermitian, so
+    ``product`` cannot build it)."""
+    proj = pauli_projector(a, s)._complex_coeffs()
+    mid = QOperator._complex_product(A.n, proj, A._complex_coeffs())
+    out = QOperator._complex_product(A.n, mid, proj)
+    assert all(im.is_zero() for _, im in out.values())
+    return QOperator(A.n, {p: re for p, (re, _) in out.items()})
+
+
 def test_project_matches_dense_and_idempotent():
-    for _ in range(8):
-        A = rand_op(2, sqrt2=True)
-        a = rng.choice(all_points(2, include_zero=False))
-        s = rng.randint(0, 1)
-        P = A.project(a, s)
-        assert P == P.project(a, s)
-        Pd = pauli_projector(a, s).dense_matrix()
-        assert np.allclose(P.dense_matrix(), Pd @ A.dense_matrix() @ Pd, atol=1e-12)
+    for n, ops in ((1, 3), (2, 4), (3, 1)):
+        for _ in range(ops):
+            A = rand_op(n, terms=4 * n, sqrt2=True)
+            for a in all_points(n, include_zero=False):
+                for s in (0, 1):
+                    P = A.project(a, s)
+                    assert P == product_projection(A, a, s)
+                    assert P == P.project(a, s)
+                    Pd = pauli_projector(a, s).dense_matrix()
+                    assert np.allclose(
+                        P.dense_matrix(), Pd @ A.dense_matrix() @ Pd, atol=1e-12
+                    )
     with pytest.raises(ValueError):
         rand_op(2).project(PauliPoint.zero(2), 0)
 

@@ -12,7 +12,6 @@ from lambda_forge.pauli import QOperator
 from lambda_forge.reduction import ReductionEngine, embed_tail_assignment
 from lambda_forge.simulate import (
     LiftState,
-    UnsupportedDescriptor,
     born_distribution,
     decompose_known,
     descriptor_from_json,
@@ -59,7 +58,7 @@ def test_cnc_point_masses_match_born():
         seqs = [[a] for a in pts]
         seqs += [[rng.choice(pts), rng.choice(pts)] for _ in range(6)]
         for seq in seqs:
-            lhs = exact_distribution([(ONE, c)], seq, oracle_fallback=True)
+            lhs = exact_distribution([(ONE, c)], seq)
             rhs = born_distribution(c.operator(), seq)
             assert lhs == rhs
             assert total(lhs) == ONE
@@ -72,22 +71,24 @@ def test_orbit_point_mass_matches_born():
         [rng.choice(pts) for _ in range(3)] for _ in range(6)
     ]
     for seq in seqs:
-        lhs = exact_distribution([(ONE, V)], seq, oracle_fallback=True)
+        lhs = exact_distribution([(ONE, V)], seq)
         rhs = born_distribution(V.operator(), seq)
         assert lhs == rhs
 
 
-def test_unsupported_without_fallback():
-    pentagon = cnc_vertices(2)[-1]
-    outside = next(
-        a
-        for a in all_points(2, include_zero=False)
-        if a not in pentagon.omega
-    )
-    with pytest.raises(UnsupportedDescriptor):
-        exact_distribution([(ONE, pentagon)], [outside])
-    ok = exact_distribution([(ONE, pentagon)], [outside], oracle_fallback=True)
-    assert ok == born_distribution(pentagon.operator(), [outside])
+def test_cnc_update_exhaustive_n2():
+    # every two-qubit cnc vertex x every axis x both outcomes: isotropic
+    # or not, axis inside or outside Omega
+    for c in cnc_vertices(2):
+        op = c.operator()
+        for a in all_points(2, include_zero=False):
+            for s in (0, 1):
+                rebuilt = QOperator.zero(2)
+                for w, piece in c.measure_update(a, s):
+                    CncSet(piece.omega, piece.gamma, check=True)
+                    rebuilt = rebuilt + piece.operator().scale(w)
+                assert rebuilt == op.project(a, s)
+            assert exact_distribution([(ONE, c)], [a]) == born_distribution(op, [a])
 
 
 def test_magic_state_probabilities():
@@ -152,6 +153,9 @@ def test_sampling_deterministic_branch():
     c = CncSet.from_assignment(asg)
     for t in sample([(ONE, c)], [z_point(1, 1)], seed=3, shots=25):
         assert t == (1,)
+    for shots in (0, -5):
+        with pytest.raises(ValueError):
+            sample([(ONE, c)], [z_point(1, 1)], seed=3, shots=shots)
 
 
 def test_mixture_initial():
@@ -186,6 +190,21 @@ def test_descriptor_json_round_trips():
     )
     dist = exact_distribution(init, [z_point(1, 1)])
     assert dist[(0,)] == dist[(1,)] == FieldElem(Fraction(1, 2))
+    # mixture weights are nonnegative and sum exactly to 1
+    for weights, ok in ((("1", "0"), True), (("2", "-1"), False),
+                        (("1/2",), False), (("1", "1"), False)):
+        doc = {
+            "type": "mixture",
+            "terms": [
+                {"weight": w, "state": {"type": "stabilizer", "generators": [g]}}
+                for w, g in zip(weights, ("+Z", "-Z"))
+            ],
+        }
+        if ok:
+            assert len(descriptor_from_json(doc)) == 2
+        else:
+            with pytest.raises(ValueError):
+                descriptor_from_json(doc)
 
 
 def test_operator_descriptor_decomposes():
@@ -210,6 +229,12 @@ def test_steps_from_json():
     assert steps[1][1] == {0: 1}
     with pytest.raises(ValueError):
         steps_from_json([{"measure": "X"}], 2)
+    # a condition names an earlier step and asks for outcome 0 or 1
+    for cond in ({"1": 0}, {"2": 0}, {"-1": 0}, {"0": 2}, {"0": "1"}):
+        with pytest.raises(ValueError):
+            steps_from_json([{"measure": "XI"}, {"measure": "IZ", "if": cond}], 2)
+    with pytest.raises(ValueError):
+        exact_distribution([(ONE, cnc_vertices(1)[0])], [(z_point(1, 1), {0: 1})])
 
 
 def test_distribution_json_sorted_and_exact():
