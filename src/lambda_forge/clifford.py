@@ -11,15 +11,17 @@ sign for each generator image.  The group of such actions has order
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .gf2 import (
     PauliPoint,
     Subspace,
-    solve_gf2,
-    span,
+    rref,
+    solve_affine,
+    swap_halves,
     symplectic_form,
     x_point,
+    xor_sums,
     z_point,
     zx_overlap,
 )
@@ -146,17 +148,18 @@ class CliffordTableau:
 
     def invert(self) -> "CliffordTableau":
         n = self.n
-        # Invert the symplectic matrix: solve for preimages of each basis
-        # point, using the identity [S v, S w] = [v, w].
-        cols = [p.key() for p, _ in self.images]
-        basis = [x_point(n, q) for q in range(1, n + 1)]
-        basis += [z_point(n, q) for q in range(1, n + 1)]
+        # Invert the symplectic matrix by the identity [S v, S w] = [v, w]:
+        # the preimage v of g has z bit q = [v, x_q] = [g, S x_q] and
+        # x bit q = [v, z_q] = [g, S z_q].
         imgs = []
-        for g in basis:
-            pre_key = _solve_linear_combination(cols, g.key())
-            pre = PauliPoint.from_key(n, _combine(cols_basis=basis, mask=pre_key))
+        for g, _ in CliffordTableau.identity(n).images:
+            pairs = [symplectic_form(g, p) for p, _ in self.images]
+            z = sum(bit << q for q, bit in enumerate(pairs[:n]))
+            x = sum(bit << q for q, bit in enumerate(pairs[n:]))
+            pre = PauliPoint(n, z, x)
             fwd = self.apply_point(pre)
-            assert fwd.point == g
+            if fwd.point != g:
+                raise ValueError("images do not define a symplectic action")
             imgs.append((pre, fwd.phase >> 1))
         return CliffordTableau(n, imgs)
 
@@ -170,7 +173,7 @@ class CliffordTableau:
                     basis[i], basis[j]
                 ):
                     return False
-        return _rank([p.key() for p, _ in self.images]) == 2 * n
+        return len(rref(p.key() for p, _ in self.images)) == 2 * n
 
     def __eq__(self, other):
         return (
@@ -219,66 +222,6 @@ class CliffordTableau:
         if not t.is_valid():
             raise ValueError("images do not define a symplectic action")
         return t
-
-
-def _rank(rows: Iterable[int]) -> int:
-    basis = []
-    for r in rows:
-        for b in basis:
-            if r >> (b.bit_length() - 1) & 1:
-                r ^= b
-        if r:
-            basis.append(r)
-            basis.sort(reverse=True)
-    return len(basis)
-
-
-def _solve_linear_combination(cols: Sequence[int], target: int) -> int:
-    """Mask m with xor of cols[i] over set bits of m equal to target."""
-    rows = []
-    width = max((c.bit_length() for c in cols), default=0)
-    width = max(width, target.bit_length())
-    # Row-reduce the transposed system.
-    aug = []
-    for bit in range(width):
-        row = 0
-        for i, c in enumerate(cols):
-            row |= ((c >> bit) & 1) << i
-        aug.append((row, (target >> bit) & 1))
-    pivots: dict[int, tuple[int, int]] = {}
-    for mask, b in aug:
-        while mask:
-            p = mask.bit_length() - 1
-            if p in pivots:
-                pm, pb = pivots[p]
-                mask ^= pm
-                b ^= pb
-            else:
-                pivots[p] = (mask, b)
-                break
-        if mask == 0 and b:
-            raise ValueError("target is outside the span")
-    sol = 0
-    for p in sorted(pivots):
-        mask, b = pivots[p]
-        acc = b
-        rest = mask & ~(1 << p)
-        while rest:
-            q = rest & -rest
-            if sol >> (q.bit_length() - 1) & 1:
-                acc ^= 1
-            rest ^= q
-        if acc:
-            sol |= 1 << p
-    return sol
-
-
-def _combine(cols_basis: Sequence[PauliPoint], mask: int) -> int:
-    key = 0
-    for i, p in enumerate(cols_basis):
-        if (mask >> i) & 1:
-            key ^= p.key()
-    return key
 
 
 def generator_tableaux(n: int) -> list[CliffordTableau]:
@@ -337,7 +280,7 @@ def complete_symplectic_map(
     prescribed source -> destination pairs.
 
     The pairs must preserve the symplectic form pairwise and be linearly
-    independent on the source side.
+    independent on each side.
     """
     srcs: list[PauliPoint] = []
     dsts: list[PauliPoint] = []
@@ -347,34 +290,25 @@ def complete_symplectic_map(
                 raise ValueError("prescribed pairs do not preserve the form")
         srcs.append(sp)
         dsts.append(dp)
-    if _rank([p.key() for p in srcs]) != len(srcs):
-        raise ValueError("prescribed source points must be independent")
+    for side in (srcs, dsts):
+        if len(rref(p.key() for p in side)) != len(side):
+            raise ValueError("prescribed points must be independent on each side")
 
-    basis = [x_point(n, q) for q in range(1, n + 1)]
-    basis += [z_point(n, q) for q in range(1, n + 1)]
+    basis = [g for g, _ in CliffordTableau.identity(n).images]
     for g in basis:
-        if _in_span([p.key() for p in srcs], g.key()):
+        if Subspace(n, [p.key() for p in srcs]).contains(g):
             continue
-        w = _extension_image(n, srcs, dsts, g)
+        dsts.append(_extension_image(n, srcs, dsts, g))
         srcs.append(g)
-        dsts.append(w)
-
-    src_keys = [p.key() for p in srcs]
+    # With 2n independent destinations the pairings fix each image.
+    rows = [swap_halves(d.key(), n) for d in dsts]
     imgs = []
     for g in basis:
-        mask = _solve_linear_combination(src_keys, g.key())
-        key = 0
-        for i in range(len(srcs)):
-            if (mask >> i) & 1:
-                key ^= dsts[i].key()
-        imgs.append((PauliPoint.from_key(n, key), 0))
+        image, _ = solve_affine(rows, [symplectic_form(s, g) for s in srcs], 2 * n)
+        imgs.append((PauliPoint.from_key(n, image), 0))
     t = CliffordTableau(n, imgs)
     assert t.is_valid()
     return t
-
-
-def _in_span(rows: Sequence[int], key: int) -> bool:
-    return _rank(list(rows) + [key]) == _rank(rows)
 
 
 def _extension_image(
@@ -383,39 +317,20 @@ def _extension_image(
     dsts: Sequence[PauliPoint],
     g: PauliPoint,
 ) -> PauliPoint:
-    """Any point w with [dst_i, w] = [src_i, g] for all i, chosen outside
-    the destination span so the extended map stays invertible."""
-    from .gf2 import _swap_halves  # packed symplectic pairing
-
-    rows = [_swap_halves(d.key(), n) for d in dsts]
+    """The first point w, walking the solutions of [dst_i, w] = [src_i, g]
+    for all i, outside the destination span, so the extended map stays
+    invertible."""
+    rows = [swap_halves(d.key(), n) for d in dsts]
     rhs = [symplectic_form(s, g) for s in srcs]
-    particular = solve_gf2(rows, rhs, 2 * n)
-    if particular is None:
+    solved = solve_affine(rows, rhs, 2 * n)
+    if solved is None:
         raise AssertionError("nondegenerate form must make the system solvable")
-    dst_keys = [d.key() for d in dsts]
-    if not _in_span(dst_keys, particular):
-        return PauliPoint.from_key(n, particular)
-    # Walk the homogeneous solutions until one leaves the span.
-    from .gf2 import _nullspace
-
-    for h in _iterate_null_combinations(_nullspace(rows, 2 * n)):
-        cand = particular ^ h
-        if not _in_span(dst_keys, cand):
-            return PauliPoint.from_key(n, cand)
+    particular, null_basis = solved
+    dst_span = Subspace(n, [d.key() for d in dsts])
+    for h in xor_sums(null_basis):
+        if dst_span.reduce_key(particular ^ h):
+            return PauliPoint.from_key(n, particular ^ h)
     raise AssertionError("no invertible extension found")
-
-
-def _iterate_null_combinations(null_basis: Sequence[int]):
-    for mask in range(1, 1 << len(null_basis)):
-        h = 0
-        m = mask
-        i = 0
-        while m:
-            if m & 1:
-                h ^= null_basis[i]
-            m >>= 1
-            i += 1
-        yield h
 
 
 def tableau_for_projector_pair(
@@ -442,11 +357,9 @@ def tableau_for_projector_pair(
         c = moved.coeff(p)
         got = 0 if c.a > 0 else 1
         delta.append(got ^ r.value(p))
-    from .gf2 import _swap_halves
-
-    u_key = solve_gf2([_swap_halves(p.key(), n) for p in rows], delta, 2 * n)
-    assert u_key is not None
-    fix = CliffordTableau.pauli(n, PauliPoint.from_key(n, u_key))
+    solved = solve_affine([swap_halves(p.key(), n) for p in rows], delta, 2 * n)
+    assert solved is not None
+    fix = CliffordTableau.pauli(n, PauliPoint.from_key(n, solved[0]))
     result = fix.compose(base)
     assert result.conjugate(stabilizer_projector(J0, r0)) == stabilizer_projector(J, r)
     return result

@@ -28,7 +28,7 @@ Zurel, Phys. Rev. A 101, 012350 (2020), arXiv:1905.05374):
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from .field import ONE
@@ -36,8 +36,10 @@ from .gf2 import (
     PauliPoint,
     all_points,
     closure_under_inference,
+    solve_affine,
     span,
     symplectic_form,
+    xor_sums,
 )
 from .pauli import QOperator, beta
 from .stabilizer import Assignment
@@ -97,49 +99,23 @@ def consistent_assignments(omega: Iterable[PauliPoint]) -> list[dict[PauliPoint,
         raise ValueError("a closed set must contain 0")
     nz = [p for p in pts if not p.is_zero()]
     index = {p: i for i, p in enumerate(nz)}
-    eqs = []
+    rows, rhs = [], []
     for u, v in combinations(nz, 2):
         if symplectic_form(u, v) == 0:
             w = u ^ v
             if w.is_zero():
                 continue
-            row = 0
-            for p in (u, v, w):
-                row ^= 1 << index[p]
-            eqs.append((row, beta(u, v)))
-    pivots: dict[int, tuple[int, int]] = {}
-    for mask, b in eqs:
-        while mask:
-            p = mask.bit_length() - 1
-            if p in pivots:
-                pm, pb = pivots[p]
-                mask ^= pm
-                b ^= pb
-            else:
-                pivots[p] = (mask, b)
-                break
-        if mask == 0 and b:
-            return []
-    free = [i for i in range(len(nz)) if i not in pivots]
-    out = []
-    for bits in product((0, 1), repeat=len(free)):
-        sol = [0] * len(nz)
-        for i, b in zip(free, bits):
-            sol[i] = b
-        for p in sorted(pivots):
-            mask, b = pivots[p]
-            acc = b
-            rest = mask & ~(1 << p)
-            while rest:
-                q = rest & -rest
-                acc ^= sol[q.bit_length() - 1]
-                rest ^= q
-            sol[p] = acc
-        vals = {zero: 0}
-        for p, b in zip(nz, sol):
-            vals[p] = b
-        out.append(vals)
-    return out
+            rows.append((1 << index[u]) ^ (1 << index[v]) ^ (1 << index[w]))
+            rhs.append(beta(u, v))
+    solved = solve_affine(rows, rhs, len(nz))
+    if solved is None:
+        return []
+    particular, null_basis = solved
+    # reversed: the lowest free column changes slowest
+    return [
+        {zero: 0, **{p: sol >> i & 1 for i, p in enumerate(nz)}}
+        for sol in (particular ^ h for h in xor_sums(null_basis[::-1]))
+    ]
 
 
 def is_cnc(omega: Iterable[PauliPoint]) -> bool:

@@ -139,9 +139,10 @@ def zx_overlap(v: PauliPoint) -> int:
 # -- packed-row helpers (rows are 2n-bit ints, z half high) -----------
 
 
-def _rref(rows: Iterable[int]) -> tuple[int, ...]:
+def rref(rows: Iterable[int]) -> tuple[int, ...]:
     """Reduced row echelon form of a list of packed rows, pivots high to
-    low, rows sorted by pivot descending.  Canonical per subspace."""
+    low, rows sorted by pivot descending.  Canonical per subspace; its
+    length is the rank."""
     basis: list[int] = []
     for row in rows:
         r = row
@@ -159,48 +160,53 @@ def _rref(rows: Iterable[int]) -> tuple[int, ...]:
     return tuple(basis)
 
 
-def _swap_halves(row: int, n: int) -> int:
+def swap_halves(row: int, n: int) -> int:
+    """Exchange the z and x halves, so that parity(v & swap_halves(w, n))
+    is the symplectic form [v, w] of packed points."""
     mask = (1 << n) - 1
     return ((row & mask) << n) | (row >> n)
 
 
-def _nullspace(rows: Sequence[int], width: int) -> list[int]:
-    """Basis of {v : parity(v & row) = 0 for all rows}, vectors of the
-    given bit width."""
-    reduced = list(_rref(rows))
-    pivots = [r.bit_length() - 1 for r in reduced]
-    pivot_set = set(pivots)
-    basis = []
+def solve_affine(
+    rows: Sequence[int], rhs: Sequence[int], width: int
+) -> Optional[tuple[int, list[int]]]:
+    """All v of the given bit width with parity(rows[i] & v) = rhs[i].
+
+    Returns None when the system is inconsistent, else (particular,
+    null_basis): the solution with every free (non-pivot) column 0, and
+    one null vector per free column in ascending column order, with a 1
+    at that column and 0 at the other free columns.  Pivots are the
+    highest set bits of the reduced rows, so the free columns depend only
+    on the row space.
+    """
+    reduced = rref((row << 1) | (b & 1) for row, b in zip(rows, rhs))
+    if reduced and reduced[-1] == 1:
+        return None  # a 0 = 1 row
+    particular = 0
+    pivots = []
+    for r in reduced:
+        pivot = r.bit_length() - 2
+        pivots.append(pivot)
+        particular |= (r & 1) << pivot
+    null_basis = []
     for free in range(width):
-        if free in pivot_set:
+        if free in pivots:
             continue
         v = 1 << free
         for r, p in zip(reduced, pivots):
-            if _popcount(r & v) & 1:
+            if r >> (free + 1) & 1:
                 v |= 1 << p
-        basis.append(v)
-    return basis
+        null_basis.append(v)
+    return particular, null_basis
 
 
-def solve_gf2(rows: Sequence[int], rhs: Sequence[int], width: int) -> Optional[int]:
-    """One solution v (as packed int) of parity(rows[i] & v) = rhs[i], or
-    None when the system is inconsistent."""
-    aug = []
-    for row, b in zip(rows, rhs):
-        aug.append((row << 1) | (b & 1))
-    reduced = _rref(aug)
-    sol = 0
-    for r in reduced:
-        if r == 1:
-            return None  # 0 = 1 row
-        pivot = r.bit_length() - 1
-        # pivot bit position in the unshifted row is pivot-1
-        rhs_bit = r & 1
-        rest = (r >> 1) & ~(1 << (pivot - 1))
-        acc = rhs_bit ^ (_popcount(rest & sol) & 1)
-        if acc:
-            sol |= 1 << (pivot - 1)
-    return sol
+def xor_sums(vectors: Sequence[int]) -> list[int]:
+    """The xor of every subset of vectors, indexed by subset mask: 0
+    first, vectors[0] toggling fastest."""
+    sums = [0]
+    for v in vectors:
+        sums += [s ^ v for s in sums]
+    return sums
 
 
 class Subspace:
@@ -210,7 +216,7 @@ class Subspace:
 
     def __init__(self, n: int, rows: Iterable[int]):
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "rows", _rref(rows))
+        object.__setattr__(self, "rows", rref(rows))
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -265,16 +271,7 @@ class Subspace:
 
     def points(self) -> Iterator[PauliPoint]:
         """All 2^dim points, zero first, in a deterministic order."""
-        d = self.dim
-        for mask in range(1 << d):
-            key = 0
-            m = mask
-            i = 0
-            while m:
-                if m & 1:
-                    key ^= self.rows[i]
-                m >>= 1
-                i += 1
+        for key in xor_sums(self.rows):
             yield PauliPoint.from_key(self.n, key)
 
     def is_isotropic(self) -> bool:
@@ -287,11 +284,9 @@ class Subspace:
 
     def perp(self) -> "Subspace":
         """The symplectic complement {v : [v, w] = 0 for all w here}."""
-        swapped = [_swap_halves(r, self.n) for r in self.rows]
-        if not swapped:
-            full = [1 << i for i in range(2 * self.n)]
-            return Subspace(self.n, full)
-        return Subspace(self.n, _nullspace(swapped, 2 * self.n))
+        swapped = [swap_halves(r, self.n) for r in self.rows]
+        _, null_basis = solve_affine(swapped, [0] * len(swapped), 2 * self.n)
+        return Subspace(self.n, null_basis)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         if self.n != other.n:

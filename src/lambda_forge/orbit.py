@@ -41,8 +41,10 @@ from .gf2 import (
     Subspace,
     all_points,
     enumerate_maximal_isotropics,
+    solve_affine,
     span,
     symplectic_form,
+    xor_sums,
 )
 from .pauli import QOperator, beta, pauli_projector
 from .polytope import is_vertex, membership
@@ -175,50 +177,24 @@ def assignment_solutions(
     zero = PauliPoint.zero(2)
     pts = sorted((p for p in omega if not p.is_zero()), key=lambda p: p.key())
     index = {p: i for i, p in enumerate(pts)}
-    eqs: list[tuple[int, int]] = []
+    rows, rhs = [], []
     for v, w in combinations(pts, 2):
         if symplectic_form(v, w) != 0:
             continue
         u = v ^ w
         if u.is_zero() or not I.contains(u):
             continue
-        eqs.append((
-            (1 << index[v]) | (1 << index[w]),
-            (gamma.value(u) + beta(v, w)) & 1,
-        ))
-    pivots: dict[int, tuple[int, int]] = {}
-    for mask, b in eqs:
-        while mask:
-            p = mask.bit_length() - 1
-            if p in pivots:
-                pm, pb = pivots[p]
-                mask ^= pm
-                b ^= pb
-            else:
-                pivots[p] = (mask, b)
-                break
-        if mask == 0 and b:
-            return []
-    free = [i for i in range(len(pts)) if i not in pivots]
-    out = []
-    for bits in product((0, 1), repeat=len(free)):
-        sol = [0] * len(pts)
-        for i, bit in zip(free, bits):
-            sol[i] = bit
-        for p in sorted(pivots):
-            mask, b = pivots[p]
-            acc = b
-            rest = mask & ~(1 << p)
-            while rest:
-                q = rest & -rest
-                acc ^= sol[q.bit_length() - 1]
-                rest ^= q
-            sol[p] = acc
-        vals = {zero: 0}
-        for p, bit in zip(pts, sol):
-            vals[p] = bit
-        out.append(vals)
-    return out
+        rows.append((1 << index[v]) | (1 << index[w]))
+        rhs.append((gamma.value(u) + beta(v, w)) & 1)
+    solved = solve_affine(rows, rhs, len(pts))
+    if solved is None:
+        return []
+    particular, null_basis = solved
+    # reversed: the lowest free column changes slowest
+    return [
+        {zero: 0, **{p: sol >> i & 1 for i, p in enumerate(pts)}}
+        for sol in (particular ^ h for h in xor_sums(null_basis[::-1]))
+    ]
 
 
 def derive_assignments(

@@ -13,6 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import gcd
 from typing import Optional, Sequence
 
 from .field import FieldElem, ONE, ZERO
@@ -89,62 +90,18 @@ def is_vertex(X: QOperator, cert: Optional[FacetCertificate] = None) -> tuple[bo
     """(extremal?, active-constraint rank).  X must be a member."""
     if cert is None:
         cert = membership(X)
-    if not cert.is_member:
-        raise ValueError("vertex test requires a polytope member")
-    n = X.n
-    nz_points = all_points(n, include_zero=False)
-    index = {p: i for i, p in enumerate(nz_points)}
-    rows = []
-    active = set(cert.active)
-    for _, s, label, pairs in facet_table(n):
-        if label not in active:
-            continue
-        row = [0] * len(nz_points)
-        for p, sgn in pairs:
-            if not p.is_zero():
-                row[index[p]] = sgn
-        rows.append(row)
-    rank = _int_rank(rows)
+    rows, nz_points = _active_rows(X.n, cert)
+    rank = len(_int_rref(rows, len(nz_points))[1])
     return rank == len(nz_points), rank
 
 
-def _int_rank(rows: list[list[int]]) -> int:
-    """Rank over Q of an integer matrix (fraction-free elimination)."""
-    mat = [row[:] for row in rows]
-    rank = 0
-    ncols = len(mat[0]) if mat else 0
-    for col in range(ncols):
-        piv = None
-        for i in range(rank, len(mat)):
-            if mat[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        prow = mat[rank]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col] != 0:
-                f = Fraction(mat[i][col], prow[col])
-                mat[i] = [a - f * b for a, b in zip(mat[i], prow)]
-        rank += 1
-        if rank == ncols:
-            break
-    return rank
-
-
-def extremality_refuter(X: QOperator, cert: Optional[FacetCertificate] = None) -> Optional[QOperator]:
-    """A traceless direction Y with X+Y and X-Y both members, if one exists.
-
-    Searches the null space of the active constraints scaled small enough
-    to stay inside; returns None when X is extremal.
-    """
-    if cert is None:
-        cert = membership(X)
-    extremal, _ = is_vertex(X, cert)
-    if extremal:
-        return None
-    n = X.n
+def _active_rows(
+    n: int, cert: FacetCertificate
+) -> tuple[list[list[int]], list[PauliPoint]]:
+    """Normals of the active facets over the nonzero points, and those
+    points.  The certificate must be a member's."""
+    if not cert.is_member:
+        raise ValueError("vertex test requires a polytope member")
     nz_points = all_points(n, include_zero=False)
     index = {p: i for i, p in enumerate(nz_points)}
     rows = []
@@ -157,12 +114,58 @@ def extremality_refuter(X: QOperator, cert: Optional[FacetCertificate] = None) -
             if not p.is_zero():
                 row[index[p]] = sgn
         rows.append(row)
-    direction = _rational_nullvector(rows, len(nz_points))
-    if direction is None:
-        return None
+    return rows, nz_points
+
+
+def _int_rref(rows: list[list[int]], width: int) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan reduction over the integers.
+
+    Returns the nonzero reduced rows and their pivot columns: row i has
+    a nonzero entry at pivots[i] and zeros at every other pivot column.
+    Each eliminated row is divided by the gcd of its entries, so the
+    numbers stay small and no Fraction is built.
+    """
+    mat = [list(row) for row in rows]
+    pivots: list[int] = []
+    for col in range(width):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(mat)) if mat[i][col]), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        prow = mat[r]
+        p = prow[col]
+        for i, row in enumerate(mat):
+            f = row[col]
+            if i != r and f:
+                row = [p * a - f * b for a, b in zip(row, prow)]
+                g = gcd(*row)
+                mat[i] = [a // g for a in row] if g > 1 else row
+        pivots.append(col)
+    return mat[: len(pivots)], pivots
+
+
+def extremality_refuter(X: QOperator, cert: Optional[FacetCertificate] = None) -> Optional[QOperator]:
+    """A traceless direction Y with X+Y and X-Y both members, if one exists.
+
+    Searches the null space of the active constraints scaled small enough
+    to stay inside; returns None when X is extremal.
+    """
+    if cert is None:
+        cert = membership(X)
+    rows, nz_points = _active_rows(X.n, cert)
+    reduced, pivots = _int_rref(rows, len(nz_points))
+    free = [c for c in range(len(nz_points)) if c not in pivots]
+    if not free:
+        return None  # extremal
+    # the null vector with a 1 at the first free column, 0 at the others
+    direction = [Fraction(0)] * len(nz_points)
+    direction[free[0]] = Fraction(1)
+    for row, c in zip(reduced, pivots):
+        direction[c] = -Fraction(row[free[0]], row[c])
     for denom in (1, 2, 4, 8, 16, 64, 256):
         Y = QOperator(
-            n,
+            X.n,
             {
                 p: FieldElem(Fraction(direction[i], denom))
                 for i, p in enumerate(nz_points)
@@ -172,38 +175,6 @@ def extremality_refuter(X: QOperator, cert: Optional[FacetCertificate] = None) -
         if membership(X + Y).is_member and membership(X - Y).is_member:
             return Y
     return None
-
-
-def _rational_nullvector(rows: list[list[int]], width: int) -> Optional[list[Fraction]]:
-    mat = [[Fraction(v) for v in row] for row in rows]
-    pivots = {}
-    r = 0
-    for col in range(width):
-        piv = None
-        for i in range(r, len(mat)):
-            if mat[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        prow = [v / mat[r][col] for v in mat[r]]
-        mat[r] = prow
-        for i in range(len(mat)):
-            if i != r and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], prow)]
-        pivots[col] = r
-        r += 1
-    free = [c for c in range(width) if c not in pivots]
-    if not free:
-        return None
-    f0 = free[0]
-    vec = [Fraction(0)] * width
-    vec[f0] = Fraction(1)
-    for col, ri in pivots.items():
-        vec[col] = -mat[ri][f0]
-    return vec
 
 
 def enumerate_vertices_n1() -> list[QOperator]:
@@ -224,12 +195,10 @@ def enumerate_vertices_n1() -> list[QOperator]:
         facets.append(normal)
     found = {}
     for trio in combinations(range(len(facets)), 3):
-        rows = [facets[i] for i in trio]
-        if _int_rank([r[:] for r in rows]) < 3:
+        reduced, pivots = _int_rref([facets[i] + [-1] for i in trio], 4)
+        if pivots != [0, 1, 2]:
             continue
-        sol = _solve_3x3(rows, [-1, -1, -1])
-        if sol is None:
-            continue
+        sol = [Fraction(row[3], row[i]) for i, row in enumerate(reduced)]
         cand = QOperator(
             1,
             {
@@ -242,22 +211,6 @@ def enumerate_vertices_n1() -> list[QOperator]:
             found[cand.key()] = cand
     return sorted(found.values(), key=lambda
         A: tuple(sorted((p.key(), c.a) for p, c in A.coeffs.items())))
-
-
-def _solve_3x3(rows, rhs) -> Optional[list[Fraction]]:
-    mat = [[Fraction(v) for v in row] + [Fraction(r)] for row, r in zip(rows, rhs)]
-    nrow = 3
-    for col in range(3):
-        piv = next((i for i in range(col, nrow) if mat[i][col] != 0), None)
-        if piv is None:
-            return None
-        mat[col], mat[piv] = mat[piv], mat[col]
-        mat[col] = [v / mat[col][col] for v in mat[col]]
-        for i in range(nrow):
-            if i != col and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[col])]
-    return [mat[i][3] for i in range(3)]
 
 
 def decompose(

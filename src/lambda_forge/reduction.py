@@ -25,8 +25,8 @@ from typing import Optional, Sequence, Union
 
 from .field import FieldElem, ONE
 from .clifford import CliffordTableau, complete_symplectic_map
-from .gf2 import PauliPoint, solve_gf2, symplectic_form, x_point, z_point
-from .gf2 import _swap_halves
+from .gf2 import PauliPoint, solve_affine, swap_halves, symplectic_form, x_point, z_point
+from .lifting import lift_tensor
 from .pauli import QOperator
 from .stabilizer import Assignment
 
@@ -160,15 +160,15 @@ class ReductionEngine:
             target = x_point(n, m + 1 + i)
             got = base.apply_point(rows[i])
             assert got.point == target
-            funs.append(_swap_halves(target.key(), n))
+            funs.append(swap_halves(target.key(), n))
             rhs.append(((got.phase >> 1) ^ vals[i]) & 1)
         got = base.apply_point(b)
         assert got.point == z_point(n, m + 1)
-        funs.append(_swap_halves(z_point(n, m + 1).key(), n))
+        funs.append(swap_halves(z_point(n, m + 1).key(), n))
         rhs.append(((got.phase >> 1) ^ eps) & 1)
-        u_key = solve_gf2(funs, rhs, 2 * n)
-        assert u_key is not None
-        v_tab = CliffordTableau.pauli(n, PauliPoint.from_key(n, u_key)).compose(base)
+        solved = solve_affine(funs, rhs, 2 * n)
+        assert solved is not None
+        v_tab = CliffordTableau.pauli(n, PauliPoint.from_key(n, solved[0])).compose(base)
         # correction K = V^dagger X^c H V on the first tail qubit; fold
         # K^dagger into the observable conjugator
         k_dag = v_tab.invert().compose(
@@ -185,18 +185,9 @@ def _power_of_x(n: int, qubit: int, c: int) -> CliffordTableau:
     return CliffordTableau.identity(n)
 
 
-def lifted_operator(
-    X: QOperator, sigma: Assignment, unitary: Optional[CliffordTableau] = None
-) -> QOperator:
-    """U (X (x) Pi_sigma) U^dagger built explicitly, for oracle checks."""
-    from .lifting import lift_tensor
-
-    n = sigma.subspace.n
-    m = n - sigma.subspace.dim
-    base = lift_tensor(X, sigma.subspace, sigma)
-    if unitary is None:
-        return base
-    return unitary.conjugate(base)
+def lifted_operator(X: QOperator, sigma: Assignment) -> QOperator:
+    """X (x) Pi_sigma built explicitly, for oracle checks."""
+    return lift_tensor(X, sigma.subspace, sigma)
 
 
 def reduce_static(

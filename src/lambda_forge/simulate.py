@@ -150,11 +150,27 @@ def _condition_met(cond: Optional[dict], acc: Sequence[Optional[int]]) -> bool:
     return True
 
 
+def check_weights(weighted: Iterable[tuple]) -> list[tuple]:
+    """The (weight, item) pairs with each weight as a field element;
+    raises ValueError unless the weights are nonnegative and sum exactly
+    to 1."""
+    out = [(FieldElem.coerce(w), item) for w, item in weighted]
+    for w, _ in out:
+        if w.sign() < 0:
+            raise ValueError(f"mixture weight {w} is negative")
+    total = sum((w for w, _ in out), ZERO)
+    if total != ONE:
+        raise ValueError(f"mixture weights sum to {total}, not 1")
+    return out
+
+
 def exact_distribution(
     initial: Iterable[tuple[FieldElem, State]],
     steps: Sequence,
 ) -> dict[tuple, FieldElem]:
-    """Exact joint outcome distribution (None marks skipped steps)."""
+    """Exact joint outcome distribution (None marks skipped steps).  The
+    initial weights must pass ``check_weights``."""
+    initial = check_weights(initial)
     steps = normalize_steps(steps)
     out: dict[tuple, FieldElem] = {}
 
@@ -173,7 +189,6 @@ def exact_distribution(
                     walk(i + 1, piece, prob * w, acc + [s])
 
     for weight, state in initial:
-        weight = FieldElem.coerce(weight)
         if weight.sign() > 0:
             walk(0, state, weight, [])
     return out
@@ -206,13 +221,14 @@ def born_distribution(rho: QOperator, steps: Sequence) -> dict[tuple, FieldElem]
 def outcome_probability(
     initial: Iterable[tuple[FieldElem, State]], a: PauliPoint, s: int
 ) -> FieldElem:
-    """sum_alpha p(alpha) * (total update weight at outcome s)."""
+    """sum_alpha p(alpha) * (total update weight at outcome s).  The
+    initial weights must pass ``check_weights``."""
     total = ZERO
-    for weight, state in initial:
+    for weight, state in check_weights(initial):
         q = ZERO
         for w, _ in update_state(state, a, s):
             q = q + w
-        total = total + FieldElem.coerce(weight) * q
+        total = total + weight * q
     return total
 
 
@@ -241,13 +257,14 @@ def sample(
     seed: int,
     shots: int = 1,
 ) -> list[tuple]:
-    """Sampled transcripts; deterministic for a fixed seed."""
+    """Sampled transcripts; deterministic for a fixed seed.  The initial
+    weights must pass ``check_weights``."""
     if shots < 1:
         raise ValueError(f"shots must be a positive count, got {shots}")
+    init = check_weights(initial)
     rng = random.Random(seed)
     steps = normalize_steps(steps)
     transcripts = []
-    init = [(FieldElem.coerce(w), st) for w, st in initial]
     for _ in range(shots):
         state = _draw(rng, init)
         acc: list[Optional[int]] = []
@@ -292,6 +309,8 @@ def state_to_descriptor_json(state: State) -> dict:
 
 def descriptor_from_json(obj: Mapping) -> list[tuple[FieldElem, State]]:
     """Decode an initial-state descriptor into a weighted state list."""
+    if not isinstance(obj, Mapping):
+        raise ValueError(f"an initial-state descriptor must be an object, got {obj!r}")
     kind = obj.get("type")
     if kind == "cnc":
         return [(ONE, CncSet.from_json(obj))]
@@ -315,17 +334,13 @@ def descriptor_from_json(obj: Mapping) -> list[tuple[FieldElem, State]]:
         engine = ReductionEngine(n, m, sigma, unitary)
         return [(w, LiftState(engine, st)) for w, st in inner]
     if kind == "mixture":
+        terms = obj["terms"]
+        if not isinstance(terms, list) or not all(isinstance(t, Mapping) for t in terms):
+            raise ValueError("mixture terms must be a list of objects")
         out = []
-        total = ZERO
-        for term in obj["terms"]:
-            w = FieldElem.from_json(term["weight"])
-            if w.sign() < 0:
-                raise ValueError(f"mixture weight {w} is negative")
-            total = total + w
+        for w, term in check_weights((FieldElem.from_json(t["weight"]), t) for t in terms):
             for w2, st in descriptor_from_json(term["state"]):
                 out.append((w * w2, st))
-        if total != ONE:
-            raise ValueError(f"mixture weights sum to {total}, not 1")
         return out
     if kind == "operator":
         op = QOperator.from_json(obj)
@@ -367,8 +382,12 @@ def decompose_known(op: QOperator) -> list[tuple[FieldElem, State]]:
 
 
 def steps_from_json(steps: Sequence[Mapping], n: int) -> list:
+    if not isinstance(steps, list):
+        raise ValueError(f"steps must be a list, got {steps!r}")
     out = []
     for st in steps:
+        if not isinstance(st, Mapping) or not isinstance(st.get("measure"), str):
+            raise ValueError(f"a step must be an object with a 'measure' label, got {st!r}")
         point = PauliPoint.from_label(st["measure"])
         if point.n != n:
             raise ValueError("step qubit count mismatch")

@@ -22,6 +22,7 @@ from .gf2 import (
     PauliPoint,
     Subspace,
     enumerate_maximal_isotropics,
+    solve_affine,
     span,
 )
 from .pauli import PhasedPauli, QOperator, beta
@@ -61,10 +62,6 @@ class Assignment:
         """
         pairs = list(pairs)
         sub = span([p for p, _ in pairs], n)
-        values = []
-        for row_point in sub.basis_points():
-            values.append(0)
-        cand = Assignment(sub, values)
         # Solve for row values: each given pair yields a linear condition
         # on the row bits, with the beta fold as affine offset.
         rows = sub.basis_points()
@@ -74,12 +71,12 @@ class Assignment:
             coords = sub.coordinates(p)
             if coords is None:
                 raise AssertionError("span member lookup failed")
-            eqs.append(coords)
+            eqs.append(sum(bit << i for i, bit in enumerate(coords)))
             rhs.append((val ^ _fold_offset(rows, coords)) & 1)
-        solved = _solve_bits(eqs, rhs, sub.dim)
+        solved = solve_affine(eqs, rhs, sub.dim)
         if solved is None:
             raise ValueError("inconsistent value assignment")
-        return Assignment(sub, solved)
+        return Assignment(sub, [solved[0] >> i & 1 for i in range(sub.dim)])
 
     def value(self, p: PauliPoint) -> int:
         coords = self.subspace.coordinates(p)
@@ -138,35 +135,6 @@ def _fold_offset(rows: Sequence[PauliPoint], coords: Sequence[int]) -> int:
             offset ^= beta(acc, row)
             acc = acc ^ row
     return offset
-
-
-def _solve_bits(
-    eqs: Sequence[Sequence[int]], rhs: Sequence[int], width: int
-) -> Optional[list[int]]:
-    rows = [(sum(bit << i for i, bit in enumerate(eq)), b) for eq, b in zip(eqs, rhs)]
-    # Gaussian elimination over GF(2) on (mask, rhs) pairs.
-    pivots: dict[int, tuple[int, int]] = {}
-    for mask, b in rows:
-        while mask:
-            p = mask.bit_length() - 1
-            if p in pivots:
-                pm, pb = pivots[p]
-                mask ^= pm
-                b ^= pb
-            else:
-                pivots[p] = (mask, b)
-                break
-        if mask == 0 and b:
-            return None
-    sol = [0] * width
-    for p in sorted(pivots):
-        mask, b = pivots[p]
-        acc = b
-        for q in range(width):
-            if q != p and (mask >> q) & 1:
-                acc ^= sol[q]
-        sol[p] = acc
-    return sol
 
 
 def all_assignments(subspace: Subspace) -> Iterator[Assignment]:

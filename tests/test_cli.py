@@ -211,6 +211,10 @@ def test_simulate_rejects_bad_conditions(tmp_path, capsys):
     path = write_json(tmp_path / "circ.json", circ)
     code, out = run(capsys, "simulate", path, "--exact")
     assert code == 1 and "0 or 1" in json.loads(out)["diagnostics"]
+    for steps in (5, ["X"], [{"measure": 3}]):
+        path = write_json(tmp_path / "circ.json", {"n": 1, "initial": stab, "steps": steps})
+        code, out = run(capsys, "simulate", path, "--exact")
+        assert code == 1 and "ValueError" in json.loads(out)["diagnostics"]
 
 
 def test_simulate_rejects_bad_mixture(tmp_path, capsys):
@@ -231,3 +235,9 @@ def test_simulate_rejects_bad_mixture(tmp_path, capsys):
             code, out = run(capsys, "simulate", path, *mode)
             doc = json.loads(out)
             assert code == 1 and "mixture weight" in doc["diagnostics"]
+    for terms in ([{"weight": "1", "state": "plus"}], "plus", ["plus"]):
+        circ = {"n": 1, "initial": {"type": "mixture", "terms": terms},
+                "steps": [{"measure": "Z"}]}
+        path = write_json(tmp_path / "mix.json", circ)
+        code, out = run(capsys, "simulate", path, "--exact")
+        assert code == 1 and "ValueError" in json.loads(out)["diagnostics"]

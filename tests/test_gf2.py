@@ -6,9 +6,11 @@ from lambda_forge.gf2 import (
     all_points,
     closure_under_inference,
     enumerate_maximal_isotropics,
+    solve_affine,
     span,
     symplectic_form,
     x_point,
+    xor_sums,
     y_point,
     z_point,
 )
@@ -130,3 +132,39 @@ def test_subspace_points_and_coordinates():
                 rebuilt = rebuilt ^ b
         assert rebuilt == p
     assert iso.coordinates(y_point(2, 1)) is None
+
+
+@st.composite
+def affine_systems(draw):
+    width = draw(st.integers(1, 6))
+    eqs = draw(st.lists(st.tuples(st.integers(0, (1 << width) - 1), st.integers(0, 1)), max_size=7))
+    return width, [r for r, _ in eqs], [b for _, b in eqs]
+
+
+@given(affine_systems())
+def test_solve_affine_against_brute_force(system):
+    width, rows, rhs = system
+    solutions = [
+        v for v in range(1 << width)
+        if all((r & v).bit_count() & 1 == b for r, b in zip(rows, rhs))
+    ]
+    got = solve_affine(rows, rhs, width)
+    if not solutions:
+        assert got is None
+        return
+    particular, null_basis = got
+    # pivots are the highest bits of the row space; the rest are free
+    pivots = {v.bit_length() - 1 for v in xor_sums(rows) if v}
+    free = [c for c in range(width) if c not in pivots]
+    assert all(not particular >> c & 1 for c in free)
+    assert len(null_basis) == len(free)
+    for c, h in zip(free, null_basis):
+        assert [h >> f & 1 for f in free] == [int(f == c) for f in free]
+        assert all(not (r & h).bit_count() & 1 for r in rows)
+    assert sorted(particular ^ h for h in xor_sums(null_basis)) == solutions
+
+
+def test_xor_sums_mask_order():
+    assert xor_sums([]) == [0]
+    assert xor_sums([1, 2, 4]) == list(range(8))
+    assert xor_sums([3, 5]) == [0, 3, 5, 6]

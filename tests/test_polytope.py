@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from lambda_forge.clifford import enumerate_action, generator_tableaux
 from lambda_forge.field import FieldElem, INV_SQRT2, ONE
 from lambda_forge.gf2 import PauliPoint, span, x_point, y_point, z_point
 from lambda_forge.pauli import QOperator
 from lambda_forge.polytope import (
+    _int_rref,
     decompose,
     enumerate_vertices_n1,
     extremality_refuter,
@@ -162,3 +164,13 @@ def test_certificate_json():
     assert doc["member"] is True
     assert set(doc["facet_values"]) == {k for k in cert.values}
     assert len(doc["facet_values"]) == 6
+
+
+@given(st.lists(st.lists(st.integers(-3, 3), min_size=5, max_size=5), max_size=6))
+def test_int_rref_rank_matches_numpy(rows):
+    reduced, pivots = _int_rref(rows, 5)
+    want = int(np.linalg.matrix_rank(np.array(rows, dtype=float))) if rows else 0
+    assert len(pivots) == len(reduced) == want
+    assert pivots == sorted(pivots)
+    for i, row in enumerate(reduced):
+        assert [row[c] != 0 for c in pivots] == [j == i for j in range(len(pivots))]

@@ -242,3 +242,17 @@ def test_distribution_json_sorted_and_exact():
     rows = distribution_to_json(exact_distribution(init, [x_point(1, 1)]))
     assert rows[0]["outcomes"] == [0]
     assert rows[0]["probability"] == {"a": "1/2", "b": "1/4"}
+
+
+def test_initial_weights_checked():
+    c0, c1 = cnc_vertices(1)[0:2]
+    z = z_point(1, 1)
+    for init in ([(2, c0), (-1, c1)], [(Fraction(1, 4), c0), (Fraction(1, 4), c1)]):
+        with pytest.raises(ValueError, match="mixture weight"):
+            exact_distribution(init, [z])
+        with pytest.raises(ValueError, match="mixture weight"):
+            sample(init, [z], seed=1)
+        with pytest.raises(ValueError, match="mixture weight"):
+            outcome_probability(init, z, 0)
+    init = [(Fraction(1, 2), c0), (Fraction(1, 2), c1), (0, c1)]
+    assert total(exact_distribution(init, [z])) == ONE
