@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -69,9 +68,12 @@ def _floatify(obj):
     return obj
 
 
-def _load_json(path: str):
+def _load_json(path: str) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: top-level JSON must be an object")
+    return doc
 
 
 def _load_operator(path: str) -> QOperator:
@@ -142,7 +144,7 @@ def cmd_orbit(args) -> int:
         payload = {"count": len(fam), "matches_clifford_orbit": same}
         return _emit("ok" if same else "violation", payload, "", args.float)
     if args.verify_updates:
-        stats = verify_update_rules(jobs=args.jobs)
+        stats = verify_update_rules()
         stats["weight_profiles"] = {
             "+".join(str(w) for w in k): v for k, v in stats["weight_profiles"].items()
         }
@@ -317,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact polytope membership, vertex construction, and "
         "measurement simulation for stabilizer-overlap polytopes",
     )
-    default_jobs = int(os.environ.get("LAMBDA_FORGE_JOBS", "1"))
     parser.add_argument("--float", action="store_true", help="render decimals")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -345,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", action="store_true")
     p.add_argument("--out")
     p.add_argument("--verify-updates", action="store_true")
-    p.add_argument("--jobs", type=int, default=default_jobs)
     p.set_defaults(func=cmd_orbit)
 
     p = sub.add_parser("phi", help="lift an operator through a stabilizer tail")

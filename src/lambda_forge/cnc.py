@@ -45,41 +45,6 @@ from .pauli import QOperator, beta
 from .stabilizer import Assignment
 
 
-def closure_extend(values: Mapping[PauliPoint, int]) -> dict[PauliPoint, int]:
-    """Extend a value map along closure under inference.
-
-    Repeatedly assigns val(u+v) = val(u) + val(v) + beta(u, v) for
-    commuting pairs; raises ValueError when two derivations disagree.
-    """
-    vals = {p: b & 1 for p, b in values.items()}
-    if not vals:
-        raise ValueError("cannot extend an empty value map")
-    n = next(iter(vals)).n
-    vals.setdefault(PauliPoint.zero(n), 0)
-    if vals[PauliPoint.zero(n)] != 0:
-        raise ValueError("the zero point must carry value 0")
-    changed = True
-    while changed:
-        changed = False
-        pts = list(vals)
-        for i in range(len(pts)):
-            u = pts[i]
-            bu = vals[u]
-            for j in range(i + 1, len(pts)):
-                v = pts[j]
-                if symplectic_form(u, v) != 0:
-                    continue
-                w = u ^ v
-                val = (bu + vals[v] + beta(u, v)) & 1
-                known = vals.get(w)
-                if known is None:
-                    vals[w] = val
-                    changed = True
-                elif known != val:
-                    raise ValueError("conflicting inferred values during extension")
-    return vals
-
-
 def is_closed(omega: Iterable[PauliPoint]) -> bool:
     pts = set(omega)
     return all(

@@ -82,9 +82,6 @@ class FieldElem:
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 
-    def is_rational(self) -> bool:
-        return self.b == 0
-
     def sign(self) -> int:
         """Exact sign of the real number a + b*sqrt(2)."""
         a, b = self.a, self.b

@@ -12,17 +12,24 @@ signs (-1)^{gamma'} on Omega, zero elsewhere.  Exactly 1920 distinct
 extremal points arise this way, and the set coincides with the Clifford
 orbit of the flagship operator ``alpha0_vertex()``.
 
-Parameter counting (established computationally, see the test suite):
-each I admits 16 rule-satisfying collections, of which the four
-six-member ones give |Omega| = 7 and extremal operators; the sign
-system solved by ``assignment_solutions`` then has exactly eight
+The family is built by that rule: each I admits 16 rule-satisfying
+collections, of which the four six-member ones give |Omega| = 7, and the
+sign system solved by ``assignment_solutions`` has exactly eight
 solutions per (I, gamma, collection), every one extremal:
-15 * 4 * 4 * 8 = 1920.
+15 * 4 * 4 * 8 = 1920.  The test suite checks the count against the
+Clifford orbit and checks that every candidate from the 8- and
+10-member collections fails membership or extremality.
 
-Measurement updates resolve into mixtures of at most three cnc operators
-supported on the full commutant a-perp of the measured axis; the update
-weights (before normalization) are (1/2,1/4,1/4), (1/2,1/4), (1/4), or
-(1/4,1/4) depending on the position of the axis relative to I and Omega.
+A Pauli measurement of T_a with outcome s maps any two-qubit polytope
+member into the cube whose eight corners are the cnc sets on the
+commutant a-perp with gamma(a) = s (a copy of the single-qubit polytope
+Lambda_1): the three cube coordinates are the normalized coefficients
+on the three cosets of <a> in a-perp, and |x| <= 1 on each is a pair
+of stabilizer facets of the isotropic plane that coset spans with a.
+``measure_update`` writes the projected member as the Freudenthal
+(Kuhn) chain decomposition of that cube point: at most four corners,
+ordered by ascending |x|.  On the family the weights (before
+normalization) are (1/2,1/4,1/4), (1/2,1/4), (1/4) or (1/4,1/4).
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .field import FieldElem, ONE
 from .clifford import operator_orbit
-from .cnc import CncSet, closure_extend
+from .cnc import CncSet
 from .gf2 import (
     PauliPoint,
     Subspace,
@@ -47,7 +54,6 @@ from .gf2 import (
     xor_sums,
 )
 from .pauli import QOperator, beta, pauli_projector
-from .polytope import is_vertex, membership
 from .stabilizer import Assignment, all_assignments
 
 HALF = FieldElem(Fraction(1, 2))
@@ -331,22 +337,15 @@ def _collection_for_omega(I: Subspace, omega: frozenset[PauliPoint]) -> frozense
 
 @lru_cache(maxsize=1)
 def enumerate_family() -> tuple[OrbitVertex, ...]:
-    """All 1920 members: every (I, gamma, collection, sign solution) whose
-    operator passes the exact extremality test."""
+    """All 1920 members: every (I, gamma, six-member collection, sign
+    solution), in that nesting order."""
     out = []
     for I in enumerate_maximal_isotropics(2):
-        collections = enumerate_collections(I)
+        collections = [C for C in enumerate_collections(I) if len(C) == 6]
         for gamma in all_assignments(I):
             for C in collections:
                 for gp, _ in derive_assignments(I, gamma, C):
-                    try:
-                        vert = OrbitVertex.build(I, gamma, C, gp)
-                    except ValueError:
-                        continue
-                    op = vert.operator()
-                    cert = membership(op)
-                    if cert.is_member and is_vertex(op, cert)[0]:
-                        out.append(vert)
+                    out.append(OrbitVertex.build(I, gamma, C, gp))
     return tuple(out)
 
 
@@ -364,135 +363,69 @@ def clifford_orbit_keys() -> frozenset:
 # -- measurement updates -----------------------------------------------------
 
 
-def _aperp_assignment(a: PauliPoint, pins: Mapping[PauliPoint, int]) -> CncSet:
-    vals = closure_extend({PauliPoint.zero(2): 0, **pins})
-    expect = frozenset(span([a]).perp().points())
-    assert frozenset(vals) == expect, "pinned values must fill the commutant"
-    return CncSet(vals.keys(), vals, check=False)
-
-
 def measure_update(
     vertex: OrbitVertex, a: PauliPoint, s: int
 ) -> list[tuple[Fraction, CncSet]]:
     """Closed-form update pieces for measuring T_a with outcome s.
 
-    Weights are unnormalized: they sum to the outcome probability, and
-    sum(w_i * piece_i.operator()) equals project(operator(), a, s)
-    exactly.  Every piece is a cnc set filling the commutant of a.
+    With A = (1/4) sum_v alpha_v T_v, the outcome has probability
+    p = (1 + (-1)^s alpha_a) / 2.  The points of a-perp other than 0 and
+    a form three cosets {r, r + a}; with r the smaller key of each, the
+    normalized projection has coordinates
+
+        x_r = (alpha_r + (-1)^{s + beta(r, a)} alpha_{r+a}) / (2 p)
+
+    in the cube whose eight corners are the cnc sets on a-perp with
+    gamma(a) = s, gamma(r) = g_r, gamma(r + a) = g_r + s + beta(r, a).
+    |x_r| <= 1 is a pair of stabilizer facets of <a, r>, so the point
+    lies in the cube and its Freudenthal chain decomposition is exact
+    with nonnegative weights: start at the corner g_r = [x_r < 0], flip
+    the r one at a time in ascending order of z_r = |x_r| (ties by key),
+    and weight the four corners p (1 + z_1)/2, p (z_2 - z_1)/2,
+    p (z_3 - z_2)/2, p (1 - z_3)/2.
+
+    Weights are unnormalized: they sum to p (no pieces when p = 0), zero
+    weights are dropped, and sum(w_i * piece_i.operator()) equals
+    project(operator(), a, s) exactly.
     """
     if a.is_zero():
         raise ValueError("measurement axis must be nonzero")
+    if a.n != 2:
+        raise ValueError("qubit count mismatch")
     s &= 1
-    I, gamma = vertex.I, vertex.gamma
-    omega = vertex.omega
-    gp = vertex.gamma_p_map
-    in_I = I.contains(a)
-    in_omega = a in omega
-    assert not (in_I and in_omega), "Omega meets I only at 0"
-
-    om_commuting = {p: gp[p] for p in omega if symplectic_form(p, a) == 0}
-    gt = closure_extend({PauliPoint.zero(2): 0, **om_commuting})
-    gpp_commuting = {
-        p: (b + (0 if p.is_zero() else 1)) & 1 for p, b in om_commuting.items()
-    }
-    gtt = closure_extend({PauliPoint.zero(2): 0, **gpp_commuting})
-
-    if in_I:
-        # Deterministic outcome; the remainder splits as a (2,1,1)/4 mixture.
-        if s != gamma.value(a):
-            return []
-        tilde_omega = span(list(gt), 2)
-        assert tilde_omega.dim == 2 and tilde_omega.contains(a)
-        vt = min(
-            (p for p in I.points() if not p.is_zero() and p != a),
-            key=lambda p: p.key(),
-        )
-        wt = min(
-            (p for p in gt if not p.is_zero() and not I.contains(p)),
-            key=lambda p: p.key(),
-        )
-        sv, sw = gamma.value(vt), gt[wt]
-        vw = vt ^ wt
-        a0 = _aperp_assignment(a, {a: s, vt: sv, wt: sw, vw: 0})
-        a1 = _aperp_assignment(a, {a: s, vt: sv, wt: sw, vw: 1})
-        a2 = _aperp_assignment(a, {a: s, vt: sv, wt: (sw + 1) & 1, vw: 1})
-        return [(Fraction(1, 2), a0), (Fraction(1, 4), a1), (Fraction(1, 4), a2)]
-
-    # I x a data, shared by the remaining cases.
-    vt = next(
-        p for p in I.points() if not p.is_zero() and symplectic_form(p, a) == 0
-    )
-    i_cross_a = span([vt, a], 2)
-    aperp_pts = list(span([a]).perp().points())
-
-    if in_omega:
-        assert len(gt) == 8, "the closure fills the commutant when a is in Omega"
-        wt = min(
-            (p for p in aperp_pts if not p.is_zero() and not i_cross_a.contains(p)),
-            key=lambda p: p.key(),
-        )
-        vw = vt ^ wt
-        if s != gt[a]:
-            piece = _aperp_assignment(
-                a,
-                {a: s, vt: gtt[vt], wt: (gtt[wt] + 1) & 1, vw: (gtt[vw] + 1) & 1},
-            )
-            return [(Fraction(1, 4), piece)]
-        main = CncSet(gt.keys(), gt, check=False)
-        flipped = _aperp_assignment(
-            a, {a: s, vt: gt[vt], wt: (gt[wt] + 1) & 1, vw: (gt[vw] + 1) & 1}
-        )
-        return [(Fraction(1, 2), main), (Fraction(1, 4), flipped)]
-
-    # a outside both I and Omega: balanced two-piece mixtures.
-    tilde_omega = span(list(gt), 2)
-    assert tilde_omega.dim == 2 and tilde_omega.contains(a)
-    sv = gamma.value(vt)
-    if s != gt[a]:
-        wt = min(
-            (p for p in aperp_pts if not p.is_zero() and not i_cross_a.contains(p)),
-            key=lambda p: p.key(),
-        )
-        vw = vt ^ wt
-        a0 = _aperp_assignment(a, {a: s, vt: sv, wt: 0, vw: 0})
-        a1 = _aperp_assignment(a, {a: s, vt: sv, wt: 1, vw: 1})
-    else:
-        wt = min(
-            (p for p in gt if not p.is_zero() and p != a),
-            key=lambda p: p.key(),
-        )
-        sw = gt[wt]
-        vw = vt ^ wt
-        a0 = _aperp_assignment(a, {a: s, vt: sv, wt: sw, vw: 0})
-        a1 = _aperp_assignment(a, {a: s, vt: sv, wt: sw, vw: 1})
-    return [(Fraction(1, 4), a0), (Fraction(1, 4), a1)]
+    alpha = {v: c.a for v, c in vertex.operator().coeffs.items()}
+    p = Fraction(1 + (-1) ** s * alpha.get(a, 0), 2)
+    if p == 0:
+        return []
+    chain = []
+    for r in span([a]).perp().points():
+        u = r ^ a
+        if r.key() < u.key() and not r.is_zero():
+            t = (s + beta(r, a)) & 1
+            x = (alpha.get(r, 0) + (-1) ** t * alpha.get(u, 0)) / (2 * p)
+            chain.append((abs(x), r.key(), r, t, int(x < 0)))
+    chain.sort(key=lambda c: c[:2])
+    zs = [Fraction(-1)] + [z for z, *_ in chain] + [Fraction(1)]
+    bits = [g for *_, g in chain]
+    out = []
+    for i in range(4):
+        if i:
+            bits[i - 1] ^= 1
+        w = p * (zs[i + 1] - zs[i]) / 2
+        if w:
+            gamma = {PauliPoint.zero(2): 0, a: s}
+            for (_, _, r, t, _), g in zip(chain, bits):
+                gamma[r] = g
+                gamma[r ^ a] = g ^ t
+            out.append((w, CncSet(gamma.keys(), gamma, check=False)))
+    return out
 
 
-def verify_update_rules(
-    vertices: Optional[Sequence[OrbitVertex]] = None, jobs: int = 1
-) -> dict:
+def verify_update_rules(vertices: Optional[Sequence[OrbitVertex]] = None) -> dict:
     """Exhaustive oracle sweep: every vertex, axis, and outcome; compares
     the closed-form mixture against exact operator projection."""
     if vertices is None:
         vertices = enumerate_family()
-    if jobs > 1:
-        import multiprocessing as mp
-
-        chunks = [list(vertices[i::jobs]) for i in range(jobs)]
-        with mp.Pool(jobs) as pool:
-            partials = pool.map(_sweep_chunk, chunks)
-        stats = {"cases": 0, "mismatches": 0, "zero_cases": 0, "weight_profiles": {}}
-        for part in partials:
-            stats["cases"] += part["cases"]
-            stats["mismatches"] += part["mismatches"]
-            stats["zero_cases"] += part["zero_cases"]
-            for k, v in part["weight_profiles"].items():
-                stats["weight_profiles"][k] = stats["weight_profiles"].get(k, 0) + v
-        return stats
-    return _sweep_chunk(list(vertices))
-
-
-def _sweep_chunk(vertices: Sequence[OrbitVertex]) -> dict:
     cases = mismatches = zero_cases = 0
     profiles: dict[tuple, int] = {}
     axes = all_points(2, include_zero=False)

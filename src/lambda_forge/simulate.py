@@ -5,7 +5,8 @@ over descriptors with closed-form measurement updates:
 
 * cnc sets (including all stabilizer states), by the cnc update
   theorem, which covers every axis and every cnc set;
-* two-qubit orbit vertices, by the family's update rules;
+* two-qubit orbit vertices, by the chain decomposition of the projected
+  vertex over the cnc sets on the commutant of the axis;
 * lifted descriptors U (inner (x) Pi_sigma) U^dagger, handled by
   rewriting the measurement sequence down to the inner register.
 
@@ -346,19 +347,6 @@ def descriptor_from_json(obj: Mapping) -> list[tuple[FieldElem, State]]:
         op = QOperator.from_json(obj)
         return decompose_known(op)
     raise ValueError(f"unknown initial-state descriptor type {kind!r}")
-
-
-def known_vertex_states(n: int) -> list[State]:
-    """Closed-form-updatable extremal states for n <= 2."""
-    from .cnc import cnc_vertices
-
-    if n == 1:
-        return list(cnc_vertices(1))
-    if n == 2:
-        from .orbit import enumerate_family
-
-        return list(cnc_vertices(2)) + list(enumerate_family())
-    raise ValueError("known vertex pools are enumerated for n <= 2")
 
 
 def decompose_known(op: QOperator) -> list[tuple[FieldElem, State]]:

@@ -94,11 +94,6 @@ class Assignment:
     def as_dict(self) -> dict[PauliPoint, int]:
         return dict(self.items())
 
-    def signed_paulis(self) -> list[PhasedPauli]:
-        return [
-            PhasedPauli(p, 2 * self.value(p)) for p in self.subspace.basis_points()
-        ]
-
     def restrict(self, sub: Subspace) -> "Assignment":
         if any(not self.subspace.contains(p) for p in sub.basis_points()):
             raise ValueError("restriction target is not contained in the domain")

@@ -59,8 +59,6 @@ from lambda_forge.lifting import (
     tail_subspace,
 )
 
-JOBS = 2
-
 
 def report(number: int, ok: bool, elapsed: float, budget: float, detail: str):
     status = "PASS" if ok and elapsed < budget else "FAIL"
@@ -243,7 +241,7 @@ def test_criterion_07_overlap_identities():
 
 def test_criterion_08_update_rule_sweep():
     t0 = time.perf_counter()
-    stats = verify_update_rules(jobs=JOBS)
+    stats = verify_update_rules()
     profiles = {k: v for k, v in stats["weight_profiles"].items()}
     expected_profiles = {
         (): 1920 * 3,  # the vanishing outcome of the deterministic case

@@ -54,6 +54,12 @@ def test_malformed_input(tmp_path, capsys):
     bad.write_text("{broken")
     code, out = run(capsys, "membership", str(bad))
     assert code == 1 and json.loads(out)["status"] == "error"
+    path = write_json(tmp_path / "list.json", [1])
+    for argv in (("simulate", path, "--exact"), ("membership", path)):
+        code, out = run(capsys, *argv)
+        doc = json.loads(out)
+        assert code == 1 and doc["status"] == "error"
+        assert "ValueError" in doc["diagnostics"] and "object" in doc["diagnostics"]
 
 
 def test_missing_file(capsys):

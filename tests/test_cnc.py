@@ -6,7 +6,6 @@ import pytest
 from lambda_forge.cnc import (
     CncSet,
     anticommuting_sets,
-    closure_extend,
     cnc_vertices,
     consistent_assignments,
     is_closed,
@@ -145,15 +144,6 @@ def test_update_weight_normalization():
         for out in (0, 1):
             total += sum((w for w, _ in c.measure_update(a, out)), Fraction(0))
         assert total == 1
-
-
-def test_closure_extend_conflict():
-    x1, z1 = x_point(2, 1), z_point(2, 1)
-    x2, z2 = x_point(2, 2), z_point(2, 2)
-    # pin a 4-cycle of inferences that cannot close consistently
-    vals = {x1: 0, z2: 0, (x1 ^ z2): 1}
-    with pytest.raises(ValueError):
-        closure_extend(vals)
 
 
 def test_consistent_assignment_counts():

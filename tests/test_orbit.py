@@ -7,6 +7,7 @@ from lambda_forge.cnc import CncSet
 from lambda_forge.gf2 import (
     PauliPoint,
     all_points,
+    enumerate_maximal_isotropics,
     span,
     x_point,
     y_point,
@@ -21,6 +22,7 @@ from lambda_forge.orbit import (
     classify_operator,
     derive_assignments,
     enumerate_collections,
+    enumerate_family,
     isotropic_poset,
     measure_update,
     mixture_identities_report,
@@ -149,13 +151,35 @@ def test_update_weight_profiles():
 
 
 def test_update_pieces_are_commutant_cnc():
-    V = classify_operator(alpha0_vertex())
-    for a in all_points(2, include_zero=False):
-        for s in (0, 1):
-            for w, piece in measure_update(V, a, s):
-                assert isinstance(piece, CncSet)
-                assert piece.omega == frozenset(span([a]).perp().points())
-                assert piece.gamma[a] == s
+    members = random.Random(4).sample(enumerate_family(), 64)
+    for V in members:
+        for a in all_points(2, include_zero=False):
+            for s in (0, 1):
+                for w, piece in measure_update(V, a, s):
+                    assert isinstance(piece, CncSet)
+                    assert w > 0
+                    assert piece.omega == frozenset(span([a]).perp().points())
+                    assert piece.gamma[a] == s
+                    CncSet(piece.omega, piece.gamma, check=True)
+    for a in (PauliPoint.zero(2), x_point(3, 1)):
+        with pytest.raises(ValueError):
+            measure_update(members[0], a, 0)
+
+
+def test_dropped_collections_give_no_vertices():
+    """The family keeps only six-member collections; every candidate from
+    the 8- and 10-member collections fails membership or extremality."""
+    sizes = {}
+    for I in enumerate_maximal_isotropics(2):
+        dropped = [C for C in enumerate_collections(I) if len(C) != 6]
+        for gamma in all_assignments(I):
+            for C in dropped:
+                for gp, _ in derive_assignments(I, gamma, C):
+                    sizes[len(C)] = sizes.get(len(C), 0) + 1
+                    op = OrbitVertex.build(I, gamma, C, gp).operator()
+                    cert = membership(op)
+                    assert not (cert.is_member and is_vertex(op, cert)[0])
+    assert sizes == {8: 3840, 10: 240}
 
 
 def test_update_oracle_sampled():
