@@ -1,10 +1,11 @@
-"""Golden digests of outputs that depend on elimination order.
+"""Golden digests of outputs that depend on elimination order or draw order.
 
 Free-variable order decides which solution of a sign system comes first
 and which witness tableau a symplectic completion picks, so a change to
 the linear algebra can reorder or replace outputs while every property
-test still passes.  These digests pin the exact outputs.  Run this file
-as a script to print the current digests.
+test still passes.  Likewise a sampler can keep the right law while
+drawing different shots from one seed.  These digests pin the exact
+outputs.  Run this file as a script to print the current digests.
 """
 
 import hashlib
@@ -14,14 +15,16 @@ from fractions import Fraction
 
 import pytest
 
-from lambda_forge.clifford import enumerate_action
+from lambda_forge.clifford import CliffordTableau, enumerate_action
 from lambda_forge.cnc import cnc_vertices
-from lambda_forge.gf2 import enumerate_maximal_isotropics, span
+from lambda_forge.field import INV_SQRT2, ONE
+from lambda_forge.gf2 import PauliPoint, enumerate_maximal_isotropics, span
 from lambda_forge.lifting import make_params
-from lambda_forge.orbit import enumerate_family
+from lambda_forge.orbit import alpha0_vertex, classify_operator, enumerate_family
 from lambda_forge.pauli import QOperator
-from lambda_forge.polytope import enumerate_vertices_n1, extremality_refuter
-from lambda_forge.reduction import embed_tail_assignment
+from lambda_forge.polytope import decompose, enumerate_vertices_n1, extremality_refuter
+from lambda_forge.reduction import ReductionEngine, embed_tail_assignment, reduce_static
+from lambda_forge.simulate import LiftState, decompose_known, sample
 from lambda_forge.stabilizer import enumerate_stabilizer_states, stabilizer_projector
 
 
@@ -78,6 +81,33 @@ def perps_n3():
     return out
 
 
+def sample_transcripts():
+    """Seeded shots: T, T (x) T over the cnc vertices, an orbit vertex, and
+    an adaptive lifted n = 3 circuit whose first step is a coin."""
+    P = PauliPoint.from_label
+    t = QOperator(1, {P("I"): ONE, P("X"): INV_SQRT2, P("Y"): INV_SQRT2})
+    t_pieces = decompose_known(t)
+    pool = cnc_vertices(2)
+    weights = decompose(t.tensor(t), [c.operator() for c in pool])
+    tt_pieces = [(w, pool[i]) for i, w in sorted(weights.items())]
+    sigma = embed_tail_assignment(enumerate_stabilizer_states(2)[9][1], 3, 1)
+    u = CliffordTableau.cnot(3, 1, 2).compose(CliffordTableau.hadamard(3, 3))
+    engine = ReductionEngine(3, 1, sigma, u)
+    lifted = [(w, LiftState(engine, st)) for w, st in t_pieces]
+    lift_steps = [(P("IXZ"), None), (P("XZI"), None), (P("YIX"), {0: 1}),
+                  (P("ZZZ"), {1: 0}), (P("XII"), None)]
+    assert reduce_static(engine, [p for p, _ in lift_steps[:1]])["coins"]
+    circuits = [
+        (t_pieces, [(P("X"), None), (P("Z"), {0: 0}), (P("Y"), None)], 11, 400),
+        (tt_pieces, [(P("XX"), None), (P("ZI"), {0: 1}), (P("YZ"), None)], 12, 300),
+        ([(ONE, classify_operator(alpha0_vertex()))],
+         [(P("XZ"), None), (P("ZY"), None), (P("YY"), {1: 0})], 13, 300),
+        (lifted, lift_steps, 14, 60),
+    ]
+    return [sample(init, steps, seed=seed, shots=shots)
+            for init, steps, seed, shots in circuits]
+
+
 BUILDERS = {
     "cnc_vertices": cnc_vertex_list,
     "family_keys": family_keys,
@@ -85,6 +115,7 @@ BUILDERS = {
     "lift_tableaux": lift_tableaux,
     "polytope_n1": polytope_n1_and_refuters,
     "perp_n3": perps_n3,
+    "sample_transcripts": sample_transcripts,
 }
 
 GOLDEN = {
@@ -94,6 +125,7 @@ GOLDEN = {
     "lift_tableaux": "101f5dc9ecff800ccc960cb1908d89795d36f8971fca42cc4451fb40674c00ec",
     "polytope_n1": "4fb4777b88da46d1e89c8839c1030d26df75c34d347dd752f8b1373e84752196",
     "perp_n3": "5be1bf5db5a6fe3435da588bb3b50c9e9b2a844cb94d430d44458ea8f4e7e488",
+    "sample_transcripts": "37c4b0dee7c0e41f6fe844d532fc38c4b8e073012ceaca05622a018265e38653",
 }
 
 
