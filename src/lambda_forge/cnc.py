@@ -109,7 +109,7 @@ def is_maximal_cnc(omega: Iterable[PauliPoint], bound: int = 2) -> bool:
 class CncSet:
     """A closed noncontextual set with a consistent value assignment."""
 
-    __slots__ = ("n", "omega", "gamma")
+    __slots__ = ("n", "omega", "gamma", "_hash")
 
     def __init__(
         self,
@@ -134,6 +134,7 @@ class CncSet:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "omega", pts)
         object.__setattr__(self, "gamma", vals)
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("CncSet is immutable")
@@ -195,7 +196,11 @@ class CncSet:
         )
 
     def __hash__(self):
-        return hash((self.omega, tuple(sorted((p.key(), b) for p, b in self.gamma.items()))))
+        # cached: sorting gamma dominates a memo lookup otherwise
+        if self._hash is None:
+            key = tuple(sorted((p.key(), b) for p, b in self.gamma.items()))
+            object.__setattr__(self, "_hash", hash((self.omega, key)))
+        return self._hash
 
     def __repr__(self):
         body = " ".join(

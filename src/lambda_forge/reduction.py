@@ -14,7 +14,8 @@ accumulated Clifford into the observable, either
   observables, so the step costs no measurement at all.
 
 The engine below performs one such rewriting pass; it is immutable, so
-branching over coin outcomes is cheap.
+branching over coin outcomes is cheap, and it compares and hashes by
+value, so equal frames reached along different paths share memo entries.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ class ReductionEngine:
     engine returned by ``resolve_coin``.
     """
 
-    __slots__ = ("n", "m", "sigma", "conj", "_pending")
+    __slots__ = ("n", "m", "sigma", "conj", "_pending", "_hash")
 
     def __init__(
         self,
@@ -96,6 +97,7 @@ class ReductionEngine:
             )
         object.__setattr__(self, "conj", _conj)
         object.__setattr__(self, "_pending", None)
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ReductionEngine is immutable; use the returned copies")
@@ -107,7 +109,20 @@ class ReductionEngine:
         object.__setattr__(eng, "sigma", self.sigma)
         object.__setattr__(eng, "conj", conj)
         object.__setattr__(eng, "_pending", pending)
+        object.__setattr__(eng, "_hash", None)
         return eng
+
+    def _key(self) -> tuple:
+        return (self.n, self.m, self.sigma, self.conj, self._pending)
+
+    def __eq__(self, other):
+        return isinstance(other, ReductionEngine) and self._key() == other._key()
+
+    def __hash__(self):
+        # cached: the engine keys the update memo of every lifted state
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash(self._key()))
+        return self._hash
 
     # -- classification ----------------------------------------------------
 

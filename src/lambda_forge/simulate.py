@@ -11,11 +11,17 @@ over descriptors with closed-form measurement updates:
   rewriting the measurement sequence down to the inner register.
 
 No update goes through exact projection: ``QOperator.project`` appears
-here only in ``born_distribution``.
+here only in ``born_distribution``.  Updates of all three descriptor
+kinds are memoized on (state, axis, outcome); lifted states compare and
+hash by value (engine frame and inner state), so they share entries.
 
 ``exact_distribution`` expands the full branch tree with exact rational
 or Q(sqrt(2)) weights; ``sample`` draws one trajectory per shot,
-deterministic for a fixed seed.  ``born_distribution`` is the
+deterministic for a fixed seed.  A draw is one 64-bit integer u compared
+against integer thresholds ceil(2**64 * c_i / total) over the cumulative
+weights c_i; u < ceil(x) exactly when u < x, and the ceiling is computed
+exactly (floor(r*sqrt(2)) = isqrt(2 r**2)), so every draw is the exact
+comparison in Q(sqrt(2)) with no float.  ``born_distribution`` is the
 independent operator-level ground truth used by the test suite.
 
 Sequences are lists of steps; a step is a Pauli point, or a
@@ -28,9 +34,10 @@ condition naming the step itself or a later one is rejected.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from math import isqrt, lcm
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .field import HALF, FieldElem, ONE, ZERO
@@ -89,33 +96,30 @@ def state_operator(state: State) -> QOperator:
 def update_state(state: State, a: PauliPoint, s: int) -> list[tuple[FieldElem, State]]:
     """Pieces (weight, new state) with weights summing to the outcome
     probability; exact at every branch."""
-    if isinstance(state, (CncSet, OrbitVertex)):
-        # memoized: branch trees revisit the same (state, axis) pairs
-        return list(_cached_update(state, a, s))
-    if isinstance(state, LiftState):
-        step, engine = state.engine.process(a)
-        if isinstance(step, FixedStep):
-            if step.outcome != (s & 1):
-                return []
-            return [(ONE, LiftState(engine, state.inner))]
-        if isinstance(step, CoinStep):
-            return [
-                (HALF, LiftState(engine.resolve_coin(s & 1), state.inner))
-            ]
-        pieces = update_state(state.inner, step.point, (s ^ step.flip) & 1)
-        return [(w, LiftState(engine, inner)) for w, inner in pieces]
-    raise UnsupportedDescriptor(f"unknown descriptor {type(state).__name__}")
+    if not isinstance(state, (CncSet, OrbitVertex, LiftState)):
+        raise UnsupportedDescriptor(f"unknown descriptor {type(state).__name__}")
+    # memoized: branch trees and shots revisit the same (state, axis) pairs
+    return list(_cached_update(state, a, s))
 
 
 @lru_cache(maxsize=1 << 16)
-def _cached_update(
-    state: Union[CncSet, OrbitVertex], a: PauliPoint, s: int
-) -> tuple[tuple[FieldElem, State], ...]:
+def _cached_update(state: State, a: PauliPoint, s: int) -> tuple[tuple[FieldElem, State], ...]:
     if isinstance(state, CncSet):
         pieces = state.measure_update(a, s)
-    else:
+    elif isinstance(state, OrbitVertex):
         pieces = orbit_update(state, a, s)
-    return tuple((FieldElem(w), piece) for w, piece in pieces)
+    else:
+        step, engine = state.engine.process(a)
+        if isinstance(step, FixedStep):
+            pieces = [] if step.outcome != (s & 1) else [(ONE, LiftState(engine, state.inner))]
+        elif isinstance(step, CoinStep):
+            pieces = [(HALF, LiftState(engine.resolve_coin(s & 1), state.inner))]
+        else:
+            pieces = [
+                (w, LiftState(engine, inner))
+                for w, inner in update_state(state.inner, step.point, (s ^ step.flip) & 1)
+            ]
+    return tuple((FieldElem.coerce(w), piece) for w, piece in pieces)
 
 
 # -- sequences ----------------------------------------------------------------
@@ -235,21 +239,38 @@ def outcome_probability(
 
 # -- sampling -----------------------------------------------------------------
 
+_SCALE = 1 << 64
 
-def _draw(rng: random.Random, weighted: Sequence[tuple[FieldElem, object]]):
-    """Exact-threshold draw from nonnegative weights (need not sum to 1)."""
-    total = ZERO
-    for w, _ in weighted:
-        total = total + w
+
+def _threshold(x: FieldElem) -> int:
+    """ceil(2**64 * x), exactly, for x = a + b*sqrt(2) in Q(sqrt(2))."""
+    a, b = x.a * _SCALE, x.b * _SCALE
+    d = lcm(a.denominator, b.denominator)
+    num_a = a.numerator * (d // a.denominator)
+    num_b = b.numerator * (d // b.denominator)
+    if num_b == 0:
+        return -(-num_a // d)
+    # floor(num_b * sqrt(2)); never an integer, since sqrt(2) is irrational
+    root = isqrt(2 * num_b * num_b)
+    floor_b = root if num_b > 0 else -root - 1
+    # floor((num_a + y) / d) = (num_a + floor(y)) // d when 0 < y - floor(y) < 1
+    return (num_a + floor_b) // d + 1
+
+
+def _table(weighted: Iterable[tuple[FieldElem, object]]) -> tuple[list, list[int]]:
+    """Items and integer thresholds t_i = ceil(2**64 * c_i / total), c_i the
+    cumulative weight, from nonnegative weights (need not sum to 1)."""
+    weighted = list(weighted)
+    total = sum((w for w, _ in weighted), ZERO)
     if total.sign() <= 0:
         raise ValueError("cannot sample from an empty distribution")
-    r = FieldElem(Fraction(rng.getrandbits(64), 1 << 64)) * total
+    items, thresholds = [], []
     acc = ZERO
     for w, item in weighted:
         acc = acc + w
-        if r < acc:
-            return item
-    return weighted[-1][1]
+        items.append(item)
+        thresholds.append(_threshold(acc / total))
+    return items, thresholds
 
 
 def sample(
@@ -259,26 +280,39 @@ def sample(
     shots: int = 1,
 ) -> list[tuple]:
     """Sampled transcripts; deterministic for a fixed seed.  The initial
-    weights must pass ``check_weights``."""
-    if shots < 1:
-        raise ValueError(f"shots must be a positive count, got {shots}")
-    init = check_weights(initial)
+    weights must pass ``check_weights``; ``shots`` is a positive int.
+
+    A draw takes u = ``rng.getrandbits(64)`` and returns the first item
+    whose threshold ``ceil(2**64 * c_i / total)`` exceeds u.  For an
+    integer u, u < ceil(x) exactly when u < x, so this is the exact
+    comparison u / 2**64 * total < c_i made on integers only.  Tables
+    are built once per call: one for the initial mixture and one per
+    (state, step) pair reached, from the memoized ``update_state``.
+    """
+    if not isinstance(shots, int) or isinstance(shots, bool) or shots < 1:
+        raise ValueError(f"shots must be a positive int, got {shots!r}")
+    init_items, init_thresholds = _table(check_weights(initial))
     rng = random.Random(seed)
     steps = normalize_steps(steps)
+    tables: list[dict] = [{} for _ in steps]
     transcripts = []
     for _ in range(shots):
-        state = _draw(rng, init)
+        state = init_items[bisect_right(init_thresholds, rng.getrandbits(64))]
         acc: list[Optional[int]] = []
-        for point, cond in steps:
+        for (point, cond), memo in zip(steps, tables):
             if not _condition_met(cond, acc):
                 acc.append(None)
                 continue
-            branches = []
-            for s in (0, 1):
-                for w, piece in update_state(state, point, s):
-                    if w.sign() > 0:
-                        branches.append((w, (s, piece)))
-            s, state = _draw(rng, branches)
+            table = memo.get(state)
+            if table is None:
+                table = memo[state] = _table(
+                    (w, (s, piece))
+                    for s in (0, 1)
+                    for w, piece in update_state(state, point, s)
+                    if w.sign() > 0
+                )
+            items, thresholds = table
+            s, state = items[bisect_right(thresholds, rng.getrandbits(64))]
             acc.append(s)
         transcripts.append(tuple(acc))
     return transcripts

@@ -17,7 +17,8 @@ from lambda_forge.reduction import (
     reduce_static,
     reduced_distribution,
 )
-from lambda_forge.simulate import born_distribution
+from lambda_forge.cnc import cnc_vertices
+from lambda_forge.simulate import LiftState, born_distribution, update_state
 from lambda_forge.stabilizer import Assignment, enumerate_stabilizer_states
 
 rng = random.Random(37)
@@ -54,6 +55,34 @@ def test_case_two_coin():
         assert nxt.conj.is_valid()
     with pytest.raises(ValueError):
         eng.process(x_point(2, 2) ^ x_point(2, 2))  # zero point
+
+
+def test_engines_compare_by_value():
+    tail = Assignment.from_pairs([(z_point(2, 1), 0), (z_point(2, 2), 1)])
+    sig = embed_tail_assignment(tail, 3, 1)
+    u = CliffordTableau.cnot(3, 1, 2)
+    coin, head = x_point(3, 2), x_point(3, 1) ^ z_point(3, 3)
+
+    def walk():
+        step, eng = ReductionEngine(3, 1, sig, u).process(coin)
+        assert isinstance(step, CoinStep)
+        return eng
+
+    e1, e2 = walk(), walk()
+    assert e1 is not e2 and e1 == e2 and hash(e1) == hash(e2)
+    # a pending coin is part of the value
+    assert e1 != ReductionEngine(3, 1, sig, u)
+    r1, r2 = e1.resolve_coin(1), e2.resolve_coin(1)
+    assert r1 == r2 and hash(r1) == hash(r2)
+    assert r1 != e1.resolve_coin(0)
+    # lifted states over equal engines share their updates
+    inner = cnc_vertices(1)[3]
+    L1, L2 = LiftState(r1, inner), LiftState(r2, inner)
+    assert L1 == L2 and hash(L1) == hash(L2)
+    for a in (coin, head):
+        for s in (0, 1):
+            assert update_state(L1, a, s) == update_state(L2, a, s)
+            assert update_state(L1, a, s) == update_state(L1, a, s)
 
 
 def test_resolve_without_pending():

@@ -1,17 +1,21 @@
 import random
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from lambda_forge.clifford import CliffordTableau, generator_tableaux
 from lambda_forge.cnc import CncSet, cnc_vertices
-from lambda_forge.field import FieldElem, INV_SQRT2, ONE
+from lambda_forge.field import FieldElem, HALF, INV_SQRT2, ONE, ZERO
 from lambda_forge.gf2 import PauliPoint, all_points, x_point, y_point, z_point
 from lambda_forge.orbit import alpha0_vertex, classify_operator
 from lambda_forge.pauli import QOperator
 from lambda_forge.reduction import ReductionEngine, embed_tail_assignment
 from lambda_forge.simulate import (
     LiftState,
+    _table,
+    _threshold,
     born_distribution,
     decompose_known,
     descriptor_from_json,
@@ -153,9 +157,44 @@ def test_sampling_deterministic_branch():
     c = CncSet.from_assignment(asg)
     for t in sample([(ONE, c)], [z_point(1, 1)], seed=3, shots=25):
         assert t == (1,)
-    for shots in (0, -5):
+    for shots in (0, -5, 2.5, "3", True, False, None):
         with pytest.raises(ValueError):
             sample([(ONE, c)], [z_point(1, 1)], seed=3, shots=shots)
+
+
+SCALE = 1 << 64
+coords = st.fractions(min_value=-2, max_value=2, max_denominator=64)
+unit_values = st.one_of(
+    st.sampled_from([ZERO, HALF, ONE, INV_SQRT2, FieldElem(Fraction(3, 2), -1)]),
+    st.integers(0, SCALE).map(lambda k: FieldElem(Fraction(k, SCALE))),
+    st.builds(FieldElem, coords, coords).filter(lambda x: ZERO <= x <= ONE),
+)
+
+
+@given(x=unit_values, r=st.integers(0, SCALE - 1))
+def test_threshold_matches_exact_comparison(x, r):
+    # u < ceil(2^64 x) exactly when u / 2^64 < x; at u = t - 1 and u = t
+    # this pins t to the ceiling
+    t = _threshold(x)
+    for u in (t - 1, t, r):
+        if 0 <= u < SCALE:
+            assert (u < t) == (FieldElem(Fraction(u, SCALE)) < x)
+
+
+@given(
+    weights=st.lists(st.one_of(st.just(ZERO), unit_values), min_size=1, max_size=6),
+    r=st.integers(0, SCALE - 1),
+)
+def test_table_never_draws_zero_weight(weights, r):
+    indexed = [(w, i) for i, w in enumerate(weights)]
+    if all(w.is_zero() for w in weights):
+        with pytest.raises(ValueError):
+            _table(indexed)
+        return
+    items, thresholds = _table(indexed)
+    assert thresholds[-1] == SCALE
+    for u in {0, r, SCALE - 1, *(t for t in thresholds if t < SCALE)}:
+        assert weights[items[bisect_right(thresholds, u)]].sign() > 0
 
 
 def test_mixture_initial():
