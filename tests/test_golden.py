@@ -17,14 +17,19 @@ import pytest
 
 from lambda_forge.clifford import CliffordTableau, enumerate_action
 from lambda_forge.cnc import cnc_vertices
-from lambda_forge.field import INV_SQRT2, ONE
+from lambda_forge.field import HALF, INV_SQRT2, ONE
 from lambda_forge.gf2 import PauliPoint, enumerate_maximal_isotropics, span
 from lambda_forge.lifting import make_params
 from lambda_forge.orbit import alpha0_vertex, classify_operator, enumerate_family
 from lambda_forge.pauli import QOperator
 from lambda_forge.polytope import decompose, enumerate_vertices_n1, extremality_refuter
 from lambda_forge.reduction import ReductionEngine, embed_tail_assignment, reduce_static
-from lambda_forge.simulate import LiftState, decompose_known, sample
+from lambda_forge.simulate import (
+    LiftState,
+    decompose_known,
+    sample,
+    state_to_descriptor_json,
+)
 from lambda_forge.stabilizer import enumerate_stabilizer_states, stabilizer_projector
 
 
@@ -81,11 +86,40 @@ def perps_n3():
     return out
 
 
+def _t_state():
+    P = PauliPoint.from_label
+    return QOperator(1, {P("I"): ONE, P("X"): INV_SQRT2, P("Y"): INV_SQRT2})
+
+
+def decompose_weights():
+    """Simplex solutions: T over the n = 1 vertices, T (x) T over the cnc
+    vertices, the cnc + family pool of `decompose_known` (the alpha0 orbit
+    vertex and a 1/2-1/2 mixture outside the cnc hull), and an infeasible
+    system (T over the stabilizer states)."""
+    def weights(rho, pool):
+        w = decompose(rho, pool)
+        return None if w is None else sorted((i, v.to_json()) for i, v in w.items())
+
+    def known(op):
+        return [(w.to_json(), state_to_descriptor_json(s)) for w, s in decompose_known(op)]
+
+    t = _t_state()
+    family = enumerate_family()
+    mixture = (family[0].operator() + family[260].operator()).scale(HALF)
+    return [
+        weights(t, enumerate_vertices_n1()),
+        weights(t.tensor(t), [c.operator() for c in cnc_vertices(2)]),
+        known(alpha0_vertex()),
+        known(mixture),
+        weights(t, [stabilizer_projector(*s) for s in enumerate_stabilizer_states(1)]),
+    ]
+
+
 def sample_transcripts():
     """Seeded shots: T, T (x) T over the cnc vertices, an orbit vertex, and
     an adaptive lifted n = 3 circuit whose first step is a coin."""
     P = PauliPoint.from_label
-    t = QOperator(1, {P("I"): ONE, P("X"): INV_SQRT2, P("Y"): INV_SQRT2})
+    t = _t_state()
     t_pieces = decompose_known(t)
     pool = cnc_vertices(2)
     weights = decompose(t.tensor(t), [c.operator() for c in pool])
@@ -112,6 +146,7 @@ BUILDERS = {
     "cnc_vertices": cnc_vertex_list,
     "family_keys": family_keys,
     "clifford_inverses": clifford_inverses,
+    "decompose_weights": decompose_weights,
     "lift_tableaux": lift_tableaux,
     "polytope_n1": polytope_n1_and_refuters,
     "perp_n3": perps_n3,
@@ -122,6 +157,7 @@ GOLDEN = {
     "cnc_vertices": "7c276927b641a823b4ce63ff288f7348a7bc12b5ca6c90fdce3f61c1e0c11269",
     "family_keys": "74af6fc8de732e08910f036525118add476ebd9b343abb520796dde9d59d6c2f",
     "clifford_inverses": "84984529105df9127be3e15c2e1671461b9c37e9b4b699bac07570e8574ca7f0",
+    "decompose_weights": "609198e94afbd7634ff7db3cf2257867165f200ed9fa8e7ed16185c62c6a329e",
     "lift_tableaux": "101f5dc9ecff800ccc960cb1908d89795d36f8971fca42cc4451fb40674c00ec",
     "polytope_n1": "4fb4777b88da46d1e89c8839c1030d26df75c34d347dd752f8b1373e84752196",
     "perp_n3": "5be1bf5db5a6fe3435da588bb3b50c9e9b2a844cb94d430d44458ea8f4e7e488",
