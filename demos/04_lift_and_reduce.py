@@ -14,6 +14,7 @@ from lambda_forge import (
     enumerate_vertices_n1,
     is_vertex,
     lift,
+    lift_tensor,
     make_params,
     membership,
     span,
@@ -24,7 +25,6 @@ from lambda_forge.gf2 import all_points, x_point, z_point
 from lambda_forge.reduction import (
     ReductionEngine,
     embed_tail_assignment,
-    lifted_operator,
     reduce_static,
     reduced_distribution,
 )
@@ -58,7 +58,7 @@ plan = reduce_static(ReductionEngine(n, m, sigma, U), seq, coins=[0, 1])
 for step in plan["steps"]:
     print("  ", step)
 
-full = born_distribution(U.conjugate(lifted_operator(X, sigma)), seq)
+full = born_distribution(U.conjugate(lift_tensor(X, sigma.subspace, sigma)), seq)
 red = reduced_distribution(X, ReductionEngine(n, m, sigma, U), seq)
 print("\nreduced joint law equals the full three-qubit law:", full == red)
 print("outcome probabilities:")

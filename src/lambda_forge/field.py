@@ -12,6 +12,22 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+def sqrt2_sign(a, b) -> int:
+    """Exact sign of a + b*sqrt(2) for integers (or Fractions) a, b."""
+    if b == 0:
+        return (a > 0) - (a < 0)
+    if a == 0:
+        return 1 if b > 0 else -1
+    if a > 0 and b > 0:
+        return 1
+    if a < 0 and b < 0:
+        return -1
+    # Opposite signs: compare a^2 against 2 b^2.  Equality cannot occur
+    # for nonzero components since sqrt(2) is irrational.
+    cmp = a * a - 2 * b * b
+    return 1 if (a > 0) == (cmp > 0) else -1
+
+
 class FieldElem:
     """An element a + b*sqrt(2) with Fraction components a, b.
 
@@ -84,19 +100,7 @@ class FieldElem:
 
     def sign(self) -> int:
         """Exact sign of the real number a + b*sqrt(2)."""
-        a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # Opposite signs: compare a^2 against 2 b^2.  Equality cannot
-        # occur for nonzero components since sqrt(2) is irrational.
-        cmp = a * a - 2 * b * b
-        return 1 if (a > 0) == (cmp > 0) else -1
+        return sqrt2_sign(self.a, self.b)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

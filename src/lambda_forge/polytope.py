@@ -13,13 +13,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import gcd
 from typing import Optional, Sequence
 
 from .field import FieldElem, ONE, ZERO
 from .gf2 import ENUMERATION_BOUND, PauliPoint, all_points
 from .pauli import QOperator
-from .simplex import solve_feasibility
+from .simplex import eliminate, solve_feasibility
 from .stabilizer import enumerate_stabilizer_states, state_label
 
 
@@ -122,8 +121,7 @@ def _int_rref(rows: list[list[int]], width: int) -> tuple[list[list[int]], list[
 
     Returns the nonzero reduced rows and their pivot columns: row i has
     a nonzero entry at pivots[i] and zeros at every other pivot column.
-    Each eliminated row is divided by the gcd of its entries, so the
-    numbers stay small and no Fraction is built.
+    The pivot step is the simplex's `eliminate`.
     """
     mat = [list(row) for row in rows]
     pivots: list[int] = []
@@ -133,14 +131,7 @@ def _int_rref(rows: list[list[int]], width: int) -> tuple[list[list[int]], list[
         if piv is None:
             continue
         mat[r], mat[piv] = mat[piv], mat[r]
-        prow = mat[r]
-        p = prow[col]
-        for i, row in enumerate(mat):
-            f = row[col]
-            if i != r and f:
-                row = [p * a - f * b for a, b in zip(row, prow)]
-                g = gcd(*row)
-                mat[i] = [a // g for a in row] if g > 1 else row
+        eliminate(mat, r, col)
         pivots.append(col)
     return mat[: len(pivots)], pivots
 
@@ -218,9 +209,10 @@ def decompose(
 ) -> Optional[dict[int, FieldElem]]:
     """Exact weights p >= 0 with sum(p) = 1 and sum p_i pool[i] = rho.
 
-    Weights live in Q(sqrt(2)) (nonnegative as real numbers).  Returns a
-    sparse index->weight map, or None when rho is not in the convex hull
-    of the pool.
+    The pool operators must have rational coefficients (ValueError
+    otherwise); rho may lie in Q(sqrt(2)), and so may the weights
+    (nonnegative as real numbers).  Returns a sparse index->weight map,
+    or None when rho is not in the convex hull of the pool.
     """
     n = rho.n
     points = all_points(n)

@@ -27,7 +27,6 @@ from typing import Optional, Sequence, Union
 from .field import FieldElem, ONE
 from .clifford import CliffordTableau, complete_symplectic_map
 from .gf2 import PauliPoint, solve_affine, swap_halves, symplectic_form, x_point, z_point
-from .lifting import lift_tensor
 from .pauli import QOperator
 from .stabilizer import Assignment
 
@@ -198,11 +197,6 @@ def _power_of_x(n: int, qubit: int, c: int) -> CliffordTableau:
     if c & 1:
         return CliffordTableau.pauli(n, x_point(n, qubit))
     return CliffordTableau.identity(n)
-
-
-def lifted_operator(X: QOperator, sigma: Assignment) -> QOperator:
-    """X (x) Pi_sigma built explicitly, for oracle checks."""
-    return lift_tensor(X, sigma.subspace, sigma)
 
 
 def reduce_static(

@@ -1,118 +1,116 @@
-"""Exact phase-1 simplex over an ordered exact field (Fraction or FieldElem).
+"""Exact phase-1 simplex on a fraction-free integer tableau.
 
-Solves A x = b, x >= 0 feasibility by minimizing the sum of artificial
-variables with Bland's anti-cycling rule.  Dense tableau; intended for
-desk-scale systems (tens of rows, a few thousand columns).
+Solves A x = b, x >= 0 feasibility for a rational A and a right-hand side
+b in Q(sqrt(2)) by minimizing the sum of artificial variables with
+Bland's anti-cycling rule.  With A rational every tableau entry B^-1 A is
+rational, so a row is a list of integers: the columns of A, one
+artificial per row, then b as two columns (x, y) meaning
+(x + y*sqrt(2)) / scale, where the scale is the row's entry in its basic
+column, kept positive.  The phase-1 reduced costs are one more row, known
+up to a positive factor, which is all their signs need.  Dense tableau;
+intended for desk-scale systems (tens of rows, a few thousand columns).
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional, Sequence
 
-from .field import FieldElem, ZERO, ONE
+from .field import FieldElem, ZERO, sqrt2_sign
+
+
+def eliminate(mat: list[list[int]], r: int, col: int) -> None:
+    """Clear column col from every row of mat but row r, in place.
+
+    Each such row becomes p*row - f*mat[r] (p the pivot, f the row's entry
+    in col), divided by the gcd of its entries, so the numbers stay small
+    and no Fraction is built.  With p > 0 each new row is a positive
+    multiple of the exact elimination, so its signs keep their meaning.
+    """
+    prow = mat[r]
+    p = prow[col]
+    for i, row in enumerate(mat):
+        f = row[col]
+        if i != r and f:
+            row = [p * a - f * b for a, b in zip(row, prow)]
+            g = gcd(*row)
+            mat[i] = [a // g for a in row] if g > 1 else row
 
 
 def solve_feasibility(
     columns: Sequence[Sequence[FieldElem]], rhs: Sequence[FieldElem]
 ) -> Optional[list[FieldElem]]:
-    """A nonnegative solution x of sum_j x_j * columns[j] = rhs, or None."""
+    """A nonnegative solution x of sum_j x_j * columns[j] = rhs, or None.
+
+    The column entries must be rational (ValueError otherwise); rhs may
+    lie in Q(sqrt(2)).
+    """
     m = len(rhs)
     ncols = len(columns)
-    rows = []
-    b = []
+    width = ncols + m  # b is held in columns width (x) and width + 1 (y)
+    tab = []
     for i in range(m):
-        bi = FieldElem.coerce(rhs[i])
-        row = [FieldElem.coerce(columns[j][i]) for j in range(ncols)]
-        if bi.sign() < 0:
-            bi = -bi
-            row = [-v for v in row]
-        rows.append(row)
-        b.append(bi)
+        b = FieldElem.coerce(rhs[i])
+        entries = [FieldElem.coerce(col[i]) for col in columns]
+        if any(v.b for v in entries):
+            raise ValueError(f"simplex columns must be rational; row {i} has a sqrt(2) part")
+        entries = [v.a for v in entries] + [b.a, b.b]
+        scale = lcm(*(v.denominator for v in entries))
+        sgn = -1 if sqrt2_sign(b.a, b.b) < 0 else 1  # make b >= 0
+        ints = [sgn * v.numerator * (scale // v.denominator) for v in entries]
+        tab.append(ints[:ncols] + [scale if k == i else 0 for k in range(m)] + ints[ncols:])
+    basis = list(range(ncols, width))
 
-    # Tableau columns: original variables, then one artificial per row.
-    for i in range(m):
-        for k in range(m):
-            rows[i].append(ONE if k == i else ZERO)
-    basis = [ncols + i for i in range(m)]
-
-    def objective_row():
-        # reduced costs for minimizing the artificial sum
-        art_rows = [i for i in range(m) if basis[i] >= ncols]
-        cost = []
-        for j in range(ncols + m):
-            s = ZERO
-            for i in art_rows:
-                aij = rows[i][j]
-                if aij.sign() != 0:
-                    s = s + aij
-            cost.append((ONE if j >= ncols else ZERO) - s)
-        val = ZERO
-        for i in art_rows:
-            val = val + b[i]
-        return cost, val
+    # Reduced costs of "minimize the artificial sum", times the lcm of the
+    # row scales: an artificial column costs 1 and sums to 1 over the rows.
+    total = lcm(*(row[ncols + i] for i, row in enumerate(tab)))
+    weights = [total // row[ncols + i] for i, row in enumerate(tab)]
+    cost = [-sum(w * v for w, v in zip(weights, column)) for column in zip(*tab)]
+    cost[ncols:width] = [0] * m
+    tab.append(cost)
 
     while True:
-        cost, val = objective_row()
-        enter = -1
-        for j in range(ncols + m):
-            if j in basis:
-                continue
-            if cost[j].sign() < 0:
-                enter = j
-                break  # Bland: smallest index
-        if enter < 0:
+        # Bland: the smallest column with a negative reduced cost enters
+        # (a basic column's reduced cost is 0), and the smallest basic
+        # index leaves among the rows tied on b_i / a_i.
+        enter = next((j for j in range(width) if tab[m][j] < 0), None)
+        if enter is None:
             break
         leave = -1
-        best = None
-        for i in range(m):
-            a = rows[i][enter]
-            if a.sign() > 0:
-                ratio = b[i] / a
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[leave]
-                ):
-                    best = ratio
-                    leave = i
+        for i, row in enumerate(tab[:m]):
+            a = row[enter]
+            if a <= 0:
+                continue
+            if leave >= 0:
+                # the sign of b_i / a - b_leave / c, from integers (a, c > 0)
+                (x, y), best = row[width:], tab[leave]
+                c = best[enter]
+                order = sqrt2_sign(x * c - best[width] * a, y * c - best[width + 1] * a)
+                if order > 0 or (order == 0 and basis[i] > basis[leave]):
+                    continue
+            leave = i
         if leave < 0:
-            return None  # unbounded phase-1 cannot happen; defensive
-        _pivot(rows, b, leave, enter)
+            raise RuntimeError("phase-1 simplex found an unbounded column")
+        eliminate(tab, leave, enter)
         basis[leave] = enter
 
-    _, val = objective_row()
-    if val.sign() != 0:
-        return None  # infeasible
+    if any(tab.pop()[width:]):
+        return None  # infeasible: the artificial sum stays positive
 
     # Drive any artificial variables still basic (at value 0) out.
     for i in range(m):
         if basis[i] >= ncols:
-            pivot_col = -1
-            for j in range(ncols):
-                if rows[i][j].sign() != 0:
-                    pivot_col = j
-                    break
-            if pivot_col >= 0:
-                _pivot(rows, b, i, pivot_col)
+            pivot_col = next((j for j in range(ncols) if tab[i][j]), None)
+            if pivot_col is not None:
+                if tab[i][pivot_col] < 0:
+                    tab[i] = [-v for v in tab[i]]  # b_i = 0, so only the scale flips
+                eliminate(tab, i, pivot_col)
                 basis[i] = pivot_col
             # else: redundant row; harmless, artificial stays at zero
 
     x = [ZERO] * ncols
-    for i in range(m):
-        if basis[i] < ncols:
-            x[basis[i]] = b[i]
+    for row, j in zip(tab, basis):
+        if j < ncols:
+            x[j] = FieldElem(Fraction(row[width], row[j]), Fraction(row[width + 1], row[j]))
     return x
-
-
-def _pivot(rows, b, pi, pj):
-    m = len(rows)
-    piv = rows[pi][pj]
-    inv = ONE / piv
-    rows[pi] = [v * inv for v in rows[pi]]
-    b[pi] = b[pi] * inv
-    for i in range(m):
-        if i == pi:
-            continue
-        f = rows[i][pj]
-        if f.sign() == 0:
-            continue
-        rows[i] = [v - f * w for v, w in zip(rows[i], rows[pi])]
-        b[i] = b[i] - f * b[pi]

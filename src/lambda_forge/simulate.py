@@ -44,6 +44,7 @@ from .field import HALF, FieldElem, ONE, ZERO
 from .clifford import CliffordTableau
 from .cnc import CncSet
 from .gf2 import PauliPoint
+from .lifting import lift_tensor
 from .orbit import OrbitVertex, classify_operator, measure_update as orbit_update
 from .pauli import QOperator
 from .polytope import decompose
@@ -83,13 +84,10 @@ def state_operator(state: State) -> QOperator:
         return state.operator()
     if isinstance(state, OrbitVertex):
         return state.operator()
-    from .reduction import lifted_operator
-
-    inner_op = state_operator(state.inner)
     sig = state.engine.sigma
     # the engine's conjugator is the inverse of the preparing unitary
     return state.engine.conj.invert().conjugate(
-        lifted_operator(inner_op, sig)
+        lift_tensor(state_operator(state.inner), sig.subspace, sig)
     )
 
 

@@ -37,7 +37,6 @@ from lambda_forge.polytope import enumerate_vertices_n1, is_vertex, membership
 from lambda_forge.reduction import (
     ReductionEngine,
     embed_tail_assignment,
-    lifted_operator,
     reduced_distribution,
 )
 from lambda_forge.simulate import (
@@ -288,7 +287,7 @@ def test_criterion_10_reduction_soundness():
             rng.choice(all_points(n, include_zero=False))
             for _ in range(rng.randint(1, 5))
         ]
-        full = born_distribution(U.conjugate(lifted_operator(X, sig)), seq)
+        full = born_distribution(U.conjugate(lift_tensor(X, sig.subspace, sig)), seq)
         red = reduced_distribution(X, ReductionEngine(n, m, sig, U), seq)
         ok &= full == red
     report(10, ok, time.perf_counter() - t0, 300.0,

@@ -173,6 +173,16 @@ def test_decompose_command(tmp_path, capsys):
     assert weights
 
 
+def test_decompose_command_two_qubits(tmp_path, capsys):
+    path = write_json(tmp_path / "a.json", ALPHA0)
+    code, out = run(capsys, "decompose", path)
+    doc = json.loads(out)
+    assert code == 0 and doc["status"] == "ok"
+    terms = doc["payload"]["terms"]
+    assert sum(Fraction(t["weight"]) for t in terms) == 1
+    assert all(t["state"]["type"] in ("cnc", "orbit") for t in terms)
+
+
 def test_decompose_nonmember_exit(tmp_path, capsys):
     outside = {"n": 1, "coeffs": {"I": "1", "X": "3"}}
     path = write_json(tmp_path / "o.json", outside)

@@ -1,9 +1,10 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from lambda_forge.field import FieldElem, INV_SQRT2, ONE, SQRT2, ZERO
+from lambda_forge.field import FieldElem, INV_SQRT2, ONE, SQRT2, ZERO, sqrt2_sign
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=16)
 elems = st.builds(FieldElem, rationals, rationals)
@@ -62,6 +63,16 @@ def test_sign_consistency(x, y):
     diff = x - y
     assert (diff.sign() > 0) == (x > y)
     assert (diff.sign() == 0) == (x == y)
+
+
+@given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6), st.integers(1, 10**40))
+def test_sqrt2_sign_on_integers(a, b, k):
+    # |a + b sqrt2| >= 1 / (|a| + 2|b|) > 1e-7 unless a = b = 0, far above
+    # the float error here, so the float sign is a safe oracle
+    assert sqrt2_sign(a, b) == (a + b * math.sqrt(2) > 0) - (a + b * math.sqrt(2) < 0)
+    # big integers, as in the simplex tableau: a positive scale keeps the sign
+    assert sqrt2_sign(k * a, k * b) == sqrt2_sign(a, b)
+    assert FieldElem(a, b).sign() == sqrt2_sign(a, b)
 
 
 @given(elems)

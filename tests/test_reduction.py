@@ -5,7 +5,7 @@ import pytest
 from lambda_forge.clifford import CliffordTableau, generator_tableaux
 from lambda_forge.field import ONE
 from lambda_forge.gf2 import all_points, span, x_point, z_point
-from lambda_forge.lifting import lift, make_params
+from lambda_forge.lifting import lift, lift_tensor, make_params
 from lambda_forge.polytope import enumerate_vertices_n1
 from lambda_forge.reduction import (
     CoinStep,
@@ -13,7 +13,6 @@ from lambda_forge.reduction import (
     MeasureStep,
     ReductionEngine,
     embed_tail_assignment,
-    lifted_operator,
     reduce_static,
     reduced_distribution,
 )
@@ -124,7 +123,7 @@ def test_distribution_equality_random_instances():
                 rng.choice(all_points(n, include_zero=False))
                 for _ in range(rng.randint(1, 5))
             ]
-            full = born_distribution(U.conjugate(lifted_operator(X, sig)), seq)
+            full = born_distribution(U.conjugate(lift_tensor(X, sig.subspace, sig)), seq)
             red = reduced_distribution(X, ReductionEngine(n, m, sig, U), seq)
             assert full == red
 

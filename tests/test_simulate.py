@@ -9,8 +9,9 @@ from lambda_forge.clifford import CliffordTableau, generator_tableaux
 from lambda_forge.cnc import CncSet, cnc_vertices
 from lambda_forge.field import FieldElem, HALF, INV_SQRT2, ONE, ZERO
 from lambda_forge.gf2 import PauliPoint, all_points, x_point, y_point, z_point
-from lambda_forge.orbit import alpha0_vertex, classify_operator
+from lambda_forge.orbit import OrbitVertex, alpha0_vertex, classify_operator, enumerate_family
 from lambda_forge.pauli import QOperator
+from lambda_forge.polytope import decompose
 from lambda_forge.reduction import ReductionEngine, embed_tail_assignment
 from lambda_forge.simulate import (
     LiftState,
@@ -105,6 +106,24 @@ def test_magic_state_probabilities():
     assert dist[(0,)] == FieldElem(Fraction(1, 2), Fraction(1, 4))
     assert dist[(1,)] == FieldElem(Fraction(1, 2), Fraction(-1, 4))
     assert dist == born_distribution(T_STATE, [x_point(1, 1)])
+
+
+def test_decompose_known_family_pool():
+    """Two-qubit operators outside the cnc hull go to the cnc + family pool
+    and come back as an exact convex combination."""
+    family = enumerate_family()
+    mixture = (family[0].operator() + family[260].operator()).scale(HALF)
+    cnc_pool = [c.operator() for c in cnc_vertices(2)]
+    for op in (alpha0_vertex(), mixture):
+        assert decompose(op, cnc_pool) is None
+        terms = decompose_known(op)
+        assert all(w.sign() > 0 for w, _ in terms)
+        assert sum((w for w, _ in terms), ZERO) == ONE
+        assert any(isinstance(st, OrbitVertex) for _, st in terms)
+        rebuilt = QOperator.zero(2)
+        for w, st in terms:
+            rebuilt = rebuilt + state_operator(st).scale(w)
+        assert rebuilt == op
 
 
 def test_born_rule_aggregation():
