@@ -56,7 +56,7 @@ def _emit(status: str, payload, diagnostics: str = "", as_float: bool = False) -
 def _floatify(obj):
     if isinstance(obj, dict):
         if set(obj) == {"a", "b"}:
-            return float(FieldElem(Fraction(obj["a"]), Fraction(obj["b"])))
+            return float(FieldElem.from_json(obj))
         return {k: _floatify(v) for k, v in obj.items()}
     if isinstance(obj, list):
         return [_floatify(v) for v in obj]

@@ -28,6 +28,9 @@ from .gf2 import (
 from .pauli import PhasedPauli, QOperator, pauli_mul
 from .stabilizer import Assignment, stabilizer_projector
 
+#: Largest qubit count ``enumerate_action`` enumerates (11 520 actions at n = 2).
+ACTION_BOUND = 2
+
 
 class CliffordTableau:
     """Signed Pauli action of a Clifford unitary."""
@@ -239,10 +242,10 @@ def generator_tableaux(n: int) -> list[CliffordTableau]:
     return gens
 
 
-def enumerate_action(n: int, bound: int = 2) -> list[CliffordTableau]:
-    """All signed Pauli actions of the n-qubit Clifford group (n <= bound)."""
-    if n > bound:
-        raise ValueError(f"Clifford enumeration capped at n={bound}")
+def enumerate_action(n: int) -> list[CliffordTableau]:
+    """All signed Pauli actions of the n-qubit Clifford group (n <= ACTION_BOUND)."""
+    if n > ACTION_BOUND:
+        raise ValueError(f"Clifford enumeration capped at n={ACTION_BOUND}")
     gens = generator_tableaux(n)
     start = CliffordTableau.identity(n)
     seen = {start}

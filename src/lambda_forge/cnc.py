@@ -44,6 +44,9 @@ from .gf2 import (
 from .pauli import QOperator, beta
 from .stabilizer import Assignment
 
+#: Largest qubit count ``is_maximal_cnc`` searches exhaustively.
+MAXIMALITY_BOUND = 2
+
 
 def is_closed(omega: Iterable[PauliPoint]) -> bool:
     pts = set(omega)
@@ -89,12 +92,12 @@ def is_cnc(omega: Iterable[PauliPoint]) -> bool:
     return is_closed(pts) and bool(consistent_assignments(pts))
 
 
-def is_maximal_cnc(omega: Iterable[PauliPoint], bound: int = 2) -> bool:
+def is_maximal_cnc(omega: Iterable[PauliPoint]) -> bool:
     """cnc with no strict cnc superset, by brute-force extension search."""
     pts = set(omega)
     n = next(iter(pts)).n
-    if n > bound:
-        raise ValueError(f"maximality search capped at n={bound}")
+    if n > MAXIMALITY_BOUND:
+        raise ValueError(f"maximality search capped at n={MAXIMALITY_BOUND}")
     if not is_cnc(pts):
         return False
     for p in all_points(n, include_zero=False):

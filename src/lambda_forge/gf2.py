@@ -15,8 +15,9 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Optional, Sequence
 
-#: Default cap for the maximal-isotropic enumeration; everything in this
-#: package is desk-scale and exhaustive below this bound.
+#: Cap for the maximal-isotropic enumeration, and so for the stabilizer
+#: states and polytope membership; everything in this package is
+#: desk-scale and exhaustive below this bound.
 ENUMERATION_BOUND = 4
 
 _PAULI_CHARS = {(0, 0): "I", (0, 1): "X", (1, 0): "Z", (1, 1): "Y"}
@@ -323,16 +324,16 @@ def all_points(n: int, include_zero: bool = True) -> list[PauliPoint]:
     return pts if include_zero else pts[1:]
 
 
-def enumerate_maximal_isotropics(n: int, bound: int = ENUMERATION_BOUND) -> list[Subspace]:
+def enumerate_maximal_isotropics(n: int) -> list[Subspace]:
     """All n-dimensional isotropic subspaces of E_n, canonically ordered.
 
-    Exhaustive breadth-first growth; fine for n <= bound.  The counts are
-    prod_{k=1}^{n} (2^k + 1): 3, 15, 135, 2295 for n = 1..4.
+    Exhaustive breadth-first growth; fine for n <= ENUMERATION_BOUND.  The
+    counts are prod_{k=1}^{n} (2^k + 1): 3, 15, 135, 2295 for n = 1..4.
     """
     if n < 1:
         raise ValueError("qubit count must be positive")
-    if n > bound:
-        raise ValueError(f"maximal-isotropic enumeration capped at n={bound}")
+    if n > ENUMERATION_BOUND:
+        raise ValueError(f"maximal-isotropic enumeration capped at n={ENUMERATION_BOUND}")
     level: set[Subspace] = {Subspace(n, ())}
     for _ in range(n):
         nxt: set[Subspace] = set()

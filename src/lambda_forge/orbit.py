@@ -40,7 +40,7 @@ from functools import lru_cache
 from itertools import combinations, product
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .field import FieldElem, ONE
+from .field import HALF, FieldElem, ONE
 from .clifford import operator_orbit
 from .cnc import CncSet
 from .gf2 import (
@@ -55,8 +55,6 @@ from .gf2 import (
 )
 from .pauli import QOperator, beta, pauli_projector
 from .stabilizer import Assignment, all_assignments
-
-HALF = FieldElem(Fraction(1, 2))
 
 #: Pauli expectations of the flagship vertex, row order II..YY.
 ALPHA0_TABLE = {

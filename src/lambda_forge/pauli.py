@@ -356,11 +356,7 @@ class QOperator:
         n = int(obj["n"])
         coeffs = {}
         for label, val in obj.get("coeffs", {}).items():
-            if isinstance(val, dict):
-                c = FieldElem(Fraction(val.get("a", 0)), Fraction(val.get("b", 0)))
-            else:
-                c = FieldElem(Fraction(val))
-            coeffs[PauliPoint.from_label(label)] = c
+            coeffs[PauliPoint.from_label(label)] = FieldElem.from_json(val)
         return QOperator(n, coeffs)
 
 

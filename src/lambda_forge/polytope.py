@@ -59,10 +59,12 @@ class FacetCertificate:
         }
 
 
-def membership(X: QOperator, bound: int = ENUMERATION_BOUND) -> FacetCertificate:
+def membership(X: QOperator) -> FacetCertificate:
     """Exact facet certificate of X; requires trace(X) = 1."""
-    if X.n > bound:
-        raise ValueError(f"membership is evaluated exhaustively only for n<={bound}")
+    if X.n > ENUMERATION_BOUND:
+        raise ValueError(
+            f"membership is evaluated exhaustively only for n<={ENUMERATION_BOUND}"
+        )
     if X.trace() != ONE:
         raise ValueError("membership requires a trace-1 operator")
     scale = Fraction(1, 1 << X.n)

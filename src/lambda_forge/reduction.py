@@ -9,9 +9,11 @@ accumulated Clifford into the observable, either
 * the tail part sits inside sigma's stabilizer group: it contributes a
   fixed sign, so the step becomes a (possibly trivial) head measurement
   with a sign flip, or
-* it does not: the outcome is a fair coin, and a Clifford correction
-  (built from a symplectic completion) is folded into all later
-  observables, so the step costs no measurement at all.
+* it does not: the outcome is a fair coin, and the measurement acts on
+  the frame state as conjugation by the Clifford W = (g' + b') / sqrt(2),
+  with b' the signed observable and g' a signed stabilizer of sigma that
+  anticommutes with it.  W is folded into all later observables in
+  closed form, so the step costs no measurement at all.
 
 The engine below performs one such rewriting pass; it is immutable, so
 branching over coin outcomes is cheap, and it compares and hashes by
@@ -21,13 +23,13 @@ value, so equal frames reached along different paths share memo entries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .field import FieldElem, ONE
-from .clifford import CliffordTableau, complete_symplectic_map
-from .gf2 import PauliPoint, solve_affine, swap_halves, symplectic_form, x_point, z_point
-from .pauli import QOperator
+from .field import HALF, ONE, ZERO, FieldElem
+from .clifford import CliffordTableau
+from .gf2 import PauliPoint, symplectic_form
+from .lifting import embed_tail, head_point, is_tail_supported, tail_point
+from .pauli import PhasedPauli, QOperator, pauli_mul
 from .stabilizer import Assignment
 
 
@@ -56,11 +58,9 @@ Step = Union[FixedStep, MeasureStep, CoinStep]
 
 def embed_tail_assignment(sigma: Assignment, n: int, m: int) -> Assignment:
     """Re-situate a stabilizer assignment on n-m qubits at the tail of n."""
-    pairs = []
-    for p in sigma.subspace.points():
-        emb = PauliPoint(n, p.z << m, p.x << m)
-        pairs.append((emb, sigma.value(p)))
-    return Assignment.from_pairs(pairs, n)
+    return Assignment.from_pairs(
+        [(embed_tail(p, n, m), sigma.value(p)) for p in sigma.subspace.points()], n
+    )
 
 
 class ReductionEngine:
@@ -74,27 +74,17 @@ class ReductionEngine:
     __slots__ = ("n", "m", "sigma", "conj", "_pending", "_hash")
 
     def __init__(
-        self,
-        n: int,
-        m: int,
-        sigma: Assignment,
-        unitary: Optional[CliffordTableau] = None,
-        _conj: Optional[CliffordTableau] = None,
+        self, n: int, m: int, sigma: Assignment, unitary: Optional[CliffordTableau] = None
     ):
         if sigma.subspace.n != n or sigma.subspace.dim != n - m:
             raise ValueError("sigma must be a maximal tail stabilizer embedded in n")
-        mask = (1 << m) - 1
-        for r in sigma.subspace.rows:
-            if (r >> n) & mask or r & mask:
-                raise ValueError("sigma must be supported on the tail qubits")
+        if not is_tail_supported(sigma.subspace, m):
+            raise ValueError("sigma must be supported on the tail qubits")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "sigma", sigma)
-        if _conj is None:
-            _conj = (
-                CliffordTableau.identity(n) if unitary is None else unitary.invert()
-            )
-        object.__setattr__(self, "conj", _conj)
+        conj = CliffordTableau.identity(n) if unitary is None else unitary.invert()
+        object.__setattr__(self, "conj", conj)
         object.__setattr__(self, "_pending", None)
         object.__setattr__(self, "_hash", None)
 
@@ -136,67 +126,46 @@ class ReductionEngine:
             raise ValueError("observable must be a nonzero n-qubit point")
         img = self.conj.apply_point(a)
         b, eps = img.point, img.phase >> 1
-        m = self.m
-        head_mask = (1 << m) - 1
-        tail = PauliPoint(self.n, b.z & ~head_mask, b.x & ~head_mask)
-        head = PauliPoint(m, b.z & head_mask, b.x & head_mask)
+        tail = embed_tail(tail_point(b, self.m), self.n, self.m)
         if self.sigma.subspace.contains(tail):
             lam = (self.sigma.value(tail) + eps) & 1
+            head = head_point(b, self.m)
             if head.is_zero():
                 return FixedStep(lam), self
             return MeasureStep(head, lam), self
         return CoinStep(), self._with(self.conj, pending=(b, eps))
 
     def resolve_coin(self, c: int) -> "ReductionEngine":
-        """Fold the correction for a coin step with outcome c."""
+        """Fold the correction for a coin step with outcome c.
+
+        With (b, eps) the pending image, the frame state rho is measured
+        along b' = (-1)^{c+eps} T_b.  The first basis row g of sigma with
+        [g, b] = 1 (one exists, as the tail of b lies outside sigma) gives a
+        stabilizer g' = (-1)^{sigma(g)} T_g of rho that anticommutes with
+        b', and then 2 Pi_{b'} rho Pi_{b'} = W rho W for
+        the Hermitian unitary W = (g' + b') / sqrt(2): expanding both sides
+        with g' rho = rho g' = rho leaves the same four terms.  Measuring
+        T_a afterwards is measuring W conj(T_a) W on rho, so each image e
+        of the conjugator becomes W e W: e when it commutes with g and b,
+        -e when it anticommutes with both, and (-1)^{[e,g]} e g' b'
+        otherwise.
+        """
         if self._pending is None:
             raise ValueError("no coin step awaiting resolution")
         b, eps = self._pending
-        n, m = self.n, self.m
-        rows = list(self.sigma.subspace.basis_points())
-        vals = [self.sigma.value(p) for p in rows]
-        # regenerate so only the first generator anticommutes with b
-        first = next(i for i, j in enumerate(rows) if symplectic_form(b, j) == 1)
-        rows[0], rows[first] = rows[first], rows[0]
-        vals[0], vals[first] = vals[first], vals[0]
-        for i in range(1, len(rows)):
-            if symplectic_form(b, rows[i]) == 1:
-                rows[i] = rows[i] ^ rows[0]
-                vals[i] = self.sigma.value(rows[i])
-        prescribed = [(rows[i], x_point(n, m + 1 + i)) for i in range(len(rows))]
-        prescribed.append((b, z_point(n, m + 1)))
-        base = complete_symplectic_map(n, prescribed)
-        # sign fix: send the signed generators to +X and the signed
-        # observable to +Z on the first tail qubit
-        funs = []
-        rhs = []
-        for i in range(len(rows)):
-            target = x_point(n, m + 1 + i)
-            got = base.apply_point(rows[i])
-            assert got.point == target
-            funs.append(swap_halves(target.key(), n))
-            rhs.append(((got.phase >> 1) ^ vals[i]) & 1)
-        got = base.apply_point(b)
-        assert got.point == z_point(n, m + 1)
-        funs.append(swap_halves(z_point(n, m + 1).key(), n))
-        rhs.append(((got.phase >> 1) ^ eps) & 1)
-        solved = solve_affine(funs, rhs, 2 * n)
-        assert solved is not None
-        v_tab = CliffordTableau.pauli(n, PauliPoint.from_key(n, solved[0])).compose(base)
-        # correction K = V^dagger X^c H V on the first tail qubit; fold
-        # K^dagger into the observable conjugator
-        k_dag = v_tab.invert().compose(
-            CliffordTableau.hadamard(n, m + 1).compose(
-                _power_of_x(n, m + 1, c).compose(v_tab)
-            )
+        g = next(p for p in self.sigma.subspace.basis_points() if symplectic_form(p, b))
+        gb = pauli_mul(
+            PhasedPauli(g, 2 * self.sigma.value(g)), PhasedPauli(b, 2 * (c + eps))
         )
-        return self._with(k_dag.compose(self.conj))
-
-
-def _power_of_x(n: int, qubit: int, c: int) -> CliffordTableau:
-    if c & 1:
-        return CliffordTableau.pauli(n, x_point(n, qubit))
-    return CliffordTableau.identity(n)
+        images = []
+        for e, s in self.conj.images:
+            fg = symplectic_form(e, g)
+            if fg == symplectic_form(e, b):
+                images.append((e, s ^ fg))
+            else:
+                img = pauli_mul(PhasedPauli(e, 2 * (s + fg)), gb)
+                images.append((img.point, img.phase >> 1))
+        return self._with(CliffordTableau(self.n, images))
 
 
 def reduce_static(
@@ -216,24 +185,15 @@ def reduce_static(
     for idx, a in enumerate(sequence):
         step, engine = engine.process(a)
         if isinstance(step, CoinStep):
-            try:
-                c = next(it) & 1
-            except StopIteration:
-                c = 0
+            c = next(it, 0) & 1
             used.append({"step": idx, "outcome": c})
             engine = engine.resolve_coin(c)
             steps.append({"kind": "coin", "step": idx, "outcome": c})
         elif isinstance(step, FixedStep):
             steps.append({"kind": "fixed", "step": idx, "outcome": step.outcome})
         else:
-            steps.append(
-                {
-                    "kind": "measure",
-                    "step": idx,
-                    "observable": step.point.label(),
-                    "flip": step.flip,
-                }
-            )
+            steps.append({"kind": "measure", "step": idx,
+                          "observable": step.point.label(), "flip": step.flip})
     return {"m": engine.m, "steps": steps, "coins": used}
 
 
@@ -249,32 +209,26 @@ def reduced_distribution(
     distribution of the full lifted run, exactly.
     """
     out: dict[tuple[int, ...], FieldElem] = {}
-    half = FieldElem(Fraction(1, 2))
 
     def walk(i: int, eng: ReductionEngine, state: QOperator, prob: FieldElem, acc):
         if i == len(sequence):
             key = tuple(acc)
-            out[key] = out.get(key, FieldElem(0)) + prob
+            out[key] = out.get(key, ZERO) + prob
             return
         step, eng2 = eng.process(sequence[i])
         if isinstance(step, FixedStep):
             walk(i + 1, eng2, state, prob, acc + [step.outcome])
         elif isinstance(step, CoinStep):
             for c in (0, 1):
-                walk(i + 1, eng2.resolve_coin(c), state, prob * half, acc + [c])
+                walk(i + 1, eng2.resolve_coin(c), state, prob * HALF, acc + [c])
         else:
             for s_head in (0, 1):
                 projected = state.project(step.point, s_head)
                 p = projected.trace()
                 if p.sign() <= 0:
                     continue
-                walk(
-                    i + 1,
-                    eng2,
-                    projected.scale(ONE / p),
-                    prob * p,
-                    acc + [s_head ^ step.flip],
-                )
+                walk(i + 1, eng2, projected.scale(ONE / p), prob * p,
+                     acc + [s_head ^ step.flip])
 
     walk(0, engine, X, ONE, [])
     return out

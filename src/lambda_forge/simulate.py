@@ -42,13 +42,18 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .field import HALF, FieldElem, ONE, ZERO
 from .clifford import CliffordTableau
-from .cnc import CncSet
+from .cnc import CncSet, cnc_vertices
 from .gf2 import PauliPoint
-from .lifting import lift_tensor
-from .orbit import OrbitVertex, classify_operator, measure_update as orbit_update
+from .lifting import lift_tensor, tail_point
+from .orbit import (
+    OrbitVertex,
+    classify_operator,
+    enumerate_family,
+    measure_update as orbit_update,
+)
 from .pauli import QOperator
 from .polytope import decompose
-from .reduction import CoinStep, FixedStep, ReductionEngine
+from .reduction import CoinStep, FixedStep, ReductionEngine, embed_tail_assignment
 from .stabilizer import Assignment, state_from_json, state_to_json
 
 
@@ -326,12 +331,9 @@ def state_to_descriptor_json(state: State) -> dict:
         return {"type": "orbit", "coeffs": state.operator().to_json()["coeffs"]}
     sig = state.engine.sigma
     m = state.engine.m
-    tail_pairs = []
-    for p in sig.subspace.basis_points():
-        from .lifting import tail_point
-
-        tail_pairs.append((tail_point(p, m), sig.value(p)))
-    tail_asg = Assignment.from_pairs(tail_pairs)
+    tail_asg = Assignment.from_pairs(
+        [(tail_point(p, m), sig.value(p)) for p in sig.subspace.basis_points()]
+    )
     return {
         "type": "lift",
         "u": state.engine.conj.invert().to_json(),
@@ -358,8 +360,6 @@ def descriptor_from_json(obj: Mapping) -> list[tuple[FieldElem, State]]:
         _, tail_asg = state_from_json(obj["sigma"])
         m = state_qubits(inner[0][1])
         n = m + tail_asg.subspace.n
-        from .reduction import embed_tail_assignment
-
         sigma = embed_tail_assignment(tail_asg, n, m)
         unitary = (
             CliffordTableau.from_json(obj["u"]) if "u" in obj else None
@@ -387,18 +387,25 @@ def decompose_known(op: QOperator) -> list[tuple[FieldElem, State]]:
         raise UnsupportedDescriptor(
             "operator initial states are decomposed only for n <= 2"
         )
-    from .cnc import cnc_vertices
-
-    pools: list[list[State]] = [list(cnc_vertices(op.n))]
-    if op.n == 2:
-        from .orbit import enumerate_family
-
-        pools.append(pools[0] + list(enumerate_family()))
-    for pool in pools:
-        weights = decompose(op, [state_operator(s) for s in pool])
+    for pool, operators in _known_pools(op.n):
+        weights = decompose(op, operators)
         if weights is not None:
             return [(w, pool[i]) for i, w in weights.items()]
     raise UnsupportedDescriptor("operator is outside the known updatable hull")
+
+
+@lru_cache(maxsize=None)
+def _known_pools(n: int) -> tuple[tuple[tuple[State, ...], tuple[QOperator, ...]], ...]:
+    """The pools ``decompose_known`` tries in order, each as its states and
+    their operators: the cnc vertices, then for n = 2 the cnc vertices
+    followed by the family, sharing the cnc operators."""
+    cnc = tuple(cnc_vertices(n))
+    pools = [(cnc, tuple(state_operator(s) for s in cnc))]
+    if n == 2:
+        family = enumerate_family()
+        ops = pools[0][1] + tuple(state_operator(s) for s in family)
+        pools.append((cnc + family, ops))
+    return tuple(pools)
 
 
 def steps_from_json(steps: Sequence[Mapping], n: int) -> list:

@@ -18,7 +18,6 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .field import FieldElem
 from .gf2 import (
-    ENUMERATION_BOUND,
     PauliPoint,
     Subspace,
     enumerate_maximal_isotropics,
@@ -150,13 +149,11 @@ def stabilizer_projector(J: Subspace, s: Assignment | Sequence[int]) -> QOperato
     return QOperator(J.n, coeffs)
 
 
-def enumerate_stabilizer_states(
-    n: int, bound: int = ENUMERATION_BOUND
-) -> list[tuple[Subspace, Assignment]]:
+def enumerate_stabilizer_states(n: int) -> list[tuple[Subspace, Assignment]]:
     """Every (maximal isotropic, consistent assignment) pair; these are in
     bijection with the pure n-qubit stabilizer states (6, 60, 1080, ...)."""
     out = []
-    for I in enumerate_maximal_isotropics(n, bound):
+    for I in enumerate_maximal_isotropics(n):
         for s in all_assignments(I):
             out.append((I, s))
     return out

@@ -14,6 +14,7 @@ from lambda_forge.gf2 import (
     y_point,
     z_point,
 )
+from lambda_forge.stabilizer import enumerate_stabilizer_states
 
 
 def points_st(n):
@@ -78,6 +79,8 @@ def test_maximal_isotropic_counts():
     assert len(enumerate_maximal_isotropics(3)) == 135
     with pytest.raises(ValueError):
         enumerate_maximal_isotropics(5)
+    with pytest.raises(ValueError, match="capped at n=4"):
+        enumerate_stabilizer_states(5)
 
 
 def test_maximal_isotropics_self_dual_and_distinct():

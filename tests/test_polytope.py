@@ -42,6 +42,8 @@ def test_interior_point():
 def test_trace_precondition():
     with pytest.raises(ValueError):
         membership(QOperator.zero(1))
+    with pytest.raises(ValueError, match="only for n<=4"):
+        membership(QOperator.maximally_mixed(5))
 
 
 def test_single_qubit_vertex():

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from lambda_forge.clifford import CliffordTableau, generator_tableaux
-from lambda_forge.field import ONE
+from lambda_forge.field import HALF, ONE
 from lambda_forge.gf2 import all_points, span, x_point, z_point
 from lambda_forge.lifting import lift, lift_tensor, make_params
 from lambda_forge.polytope import enumerate_vertices_n1
@@ -16,8 +16,13 @@ from lambda_forge.reduction import (
     reduce_static,
     reduced_distribution,
 )
-from lambda_forge.cnc import cnc_vertices
-from lambda_forge.simulate import LiftState, born_distribution, update_state
+from lambda_forge.cnc import CncSet, cnc_vertices
+from lambda_forge.simulate import (
+    LiftState,
+    born_distribution,
+    state_operator,
+    update_state,
+)
 from lambda_forge.stabilizer import Assignment, enumerate_stabilizer_states
 
 rng = random.Random(37)
@@ -151,3 +156,35 @@ def test_output_never_longer():
     plan = reduce_static(eng, seq, coins=[0, 0, 0, 0, 0])
     measured = [s for s in plan["steps"] if s["kind"] == "measure"]
     assert len(measured) <= len(seq)
+
+
+def test_coin_frame_is_the_projected_state():
+    """After a coin step with outcome c on axis a, the resolved frame holds
+    exactly the normalised projection of the lifted state, and the outcome
+    has probability exactly 1/2."""
+    local = random.Random(11)
+    for n in (2, 3, 4):
+        gens = generator_tableaux(n)
+        points = all_points(n, include_zero=False)
+        for m in range(1, n):
+            states = enumerate_stabilizer_states(n - m)
+            for _ in range(3):
+                sig = embed_tail_assignment(local.choice(states)[1], n, m)
+                U = CliffordTableau.identity(n)
+                for _ in range(8):
+                    U = local.choice(gens).compose(U)
+                eng = ReductionEngine(n, m, sig, U)
+                if m <= 2:
+                    inner = local.choice(cnc_vertices(m))
+                else:
+                    _, s = local.choice(enumerate_stabilizer_states(m))
+                    inner = CncSet.from_assignment(s)
+                rho = state_operator(LiftState(eng, inner))
+                a = next(p for p in local.sample(points, len(points))
+                         if isinstance(eng.process(p)[0], CoinStep))
+                pending = eng.process(a)[1]
+                for c in (0, 1):
+                    projected = rho.project(a, c)
+                    assert projected.trace() == HALF
+                    after = state_operator(LiftState(pending.resolve_coin(c), inner))
+                    assert after == projected.scale(ONE / HALF)
