@@ -15,14 +15,20 @@ from fractions import Fraction
 
 import pytest
 
-from lambda_forge.clifford import CliffordTableau, enumerate_action
+from lambda_forge.clifford import CliffordTableau, enumerate_action, generator_tableaux
 from lambda_forge.cnc import cnc_vertices
-from lambda_forge.field import HALF, INV_SQRT2, ONE
+from lambda_forge.field import HALF, INV_SQRT2, ONE, FieldElem
 from lambda_forge.gf2 import PauliPoint, enumerate_maximal_isotropics, span
-from lambda_forge.lifting import make_params
+from lambda_forge.lifting import lift, make_params, tail_subspace
 from lambda_forge.orbit import alpha0_vertex, classify_operator, enumerate_family
 from lambda_forge.pauli import QOperator
-from lambda_forge.polytope import decompose, enumerate_vertices_n1, extremality_refuter
+from lambda_forge.polytope import (
+    decompose,
+    enumerate_vertices_n1,
+    extremality_refuter,
+    is_vertex,
+    membership,
+)
 from lambda_forge.reduction import ReductionEngine, embed_tail_assignment, reduce_static
 from lambda_forge.simulate import (
     LiftState,
@@ -30,7 +36,11 @@ from lambda_forge.simulate import (
     sample,
     state_to_descriptor_json,
 )
-from lambda_forge.stabilizer import enumerate_stabilizer_states, stabilizer_projector
+from lambda_forge.stabilizer import (
+    Assignment,
+    enumerate_stabilizer_states,
+    stabilizer_projector,
+)
 
 
 def _digest(obj) -> str:
@@ -115,6 +125,50 @@ def decompose_weights():
     ]
 
 
+def _random_clifford(rng, n, length=24):
+    u = CliffordTableau.identity(n)
+    for _ in range(length):
+        u = rng.choice(generator_tableaux(n)).compose(u)
+    return u
+
+
+def _lift_to_three(rng, head):
+    """A random-tail lift to three qubits, then a random Clifford image."""
+    u = _random_clifford(rng, 3)
+    J = span([u.point_map(p) for p in tail_subspace(3, head.n).basis_points()], 3)
+    r = Assignment(J, [rng.randint(0, 1) for _ in range(J.dim)])
+    return _random_clifford(rng, 3).conjugate(lift(head, make_params(3, J, r)))
+
+
+def certificates():
+    """Facet certificates and vertex ranks: A0 (x) A0 and two Clifford
+    images of it, family members, k/8 two-member mixtures, T (x) T, and
+    lifted three-qubit vertices and non-members."""
+    rng = random.Random(808)
+    a0 = enumerate_vertices_n1()[0]
+    bad = a0.tensor(a0)
+    family = enumerate_family()
+    members = [v.operator() for v in rng.sample(family, 8)]
+    mixtures = []
+    for _ in range(8):
+        a, b = (v.operator() for v in rng.sample(family, 2))
+        w = FieldElem(Fraction(rng.randint(1, 7), 8))
+        mixtures.append(a.scale(w) + b.scale(ONE - w))
+    t = _t_state()
+    heads = [rng.choice(family).operator(), enumerate_vertices_n1()[5]] * 2
+    ops = (
+        [bad] + [_random_clifford(rng, 2).conjugate(bad) for _ in range(2)]
+        + members + mixtures + [t.tensor(t)]
+        + [_lift_to_three(rng, h) for h in heads]
+        + [_lift_to_three(rng, _random_clifford(rng, 2).conjugate(bad)) for _ in range(4)]
+    )
+    out = []
+    for X in ops:
+        cert = membership(X)
+        out.append([cert.to_json(), list(is_vertex(X, cert)) if cert.is_member else None])
+    return out
+
+
 def sample_transcripts():
     """Seeded shots: T, T (x) T over the cnc vertices, an orbit vertex, and
     an adaptive lifted n = 3 circuit whose first step is a coin."""
@@ -145,6 +199,7 @@ def sample_transcripts():
 BUILDERS = {
     "cnc_vertices": cnc_vertex_list,
     "family_keys": family_keys,
+    "certificates": certificates,
     "clifford_inverses": clifford_inverses,
     "decompose_weights": decompose_weights,
     "lift_tableaux": lift_tableaux,
@@ -154,6 +209,7 @@ BUILDERS = {
 }
 
 GOLDEN = {
+    "certificates": "0e34cd3135f320732353473cbd943033c176a12575547fa1468f2caded2eefe0",
     "cnc_vertices": "7c276927b641a823b4ce63ff288f7348a7bc12b5ca6c90fdce3f61c1e0c11269",
     "family_keys": "74af6fc8de732e08910f036525118add476ebd9b343abb520796dde9d59d6c2f",
     "clifford_inverses": "84984529105df9127be3e15c2e1671461b9c37e9b4b699bac07570e8574ca7f0",
