@@ -152,9 +152,20 @@ class FieldElem:
 
     @staticmethod
     def from_json(obj) -> "FieldElem":
-        if isinstance(obj, dict):
-            return FieldElem(Fraction(obj.get("a", 0)), Fraction(obj.get("b", 0)))
-        return FieldElem(Fraction(obj))
+        """Inverse of `to_json`: an int or a rational string, or an object
+        {a, b} of those (either may be absent).  ValueError otherwise."""
+        parts = obj if isinstance(obj, dict) else {"a": obj}
+        if not set(parts) <= {"a", "b"} or not all(
+            isinstance(v, (int, str)) and not isinstance(v, bool) for v in parts.values()
+        ):
+            raise ValueError(
+                f"a field element must be an int, a rational string or an "
+                f"{{a, b}} object of those, got {obj!r}"
+            )
+        try:
+            return FieldElem(Fraction(parts.get("a", 0)), Fraction(parts.get("b", 0)))
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in field element {obj!r}") from None
 
 
 ZERO = FieldElem(0)

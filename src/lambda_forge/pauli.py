@@ -353,11 +353,16 @@ class QOperator:
 
     @staticmethod
     def from_json(obj: Mapping) -> "QOperator":
-        n = int(obj["n"])
-        coeffs = {}
-        for label, val in obj.get("coeffs", {}).items():
-            coeffs[PauliPoint.from_label(label)] = FieldElem.from_json(val)
-        return QOperator(n, coeffs)
+        n, coeffs = obj["n"], obj.get("coeffs", {})
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise ValueError(f"operator qubit count n must be an integer, got {n!r}")
+        if not isinstance(coeffs, Mapping):
+            raise ValueError(f"operator coeffs must be an object, got {coeffs!r}")
+        return QOperator(
+            n,
+            {PauliPoint.from_label(label): FieldElem.from_json(val)
+             for label, val in coeffs.items()},
+        )
 
 
 _SINGLE = {

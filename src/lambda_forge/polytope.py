@@ -3,9 +3,12 @@ single-qubit vertex enumeration, and exact convex decomposition.
 
 For each qubit count n the polytope consists of the trace-1 Hermitian
 operators whose overlap with every pure stabilizer state is nonnegative.
-Membership is decided by evaluating all overlaps exactly; vertexhood by
-the rank of the active constraints (a point of a polytope is extremal
-iff the active facet normals span the full traceless coefficient space).
+Membership is decided by evaluating all overlaps exactly, as integer sums
+over the operator's coefficients scaled to a common denominator;
+vertexhood by the rank of the active constraints (a point of a polytope
+is extremal iff the active facet normals span the full traceless
+coefficient space), from a fraction-free integer reduction that stops
+reading rows once they span that space.
 """
 
 from __future__ import annotations
@@ -13,35 +16,52 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import lcm
 from typing import Optional, Sequence
 
-from .field import FieldElem, ONE, ZERO
+from .field import FieldElem, ONE, ZERO, sqrt2_sign
 from .gf2 import ENUMERATION_BOUND, PauliPoint, all_points
 from .pauli import QOperator
-from .simplex import eliminate, solve_feasibility
+from .simplex import eliminate, reduce_row, solve_feasibility
 from .stabilizer import enumerate_stabilizer_states, state_label
 
 
 @lru_cache(maxsize=8)
 def facet_table(n: int) -> tuple:
-    """Per-state evaluation data: (I, s, label, [(point, sign), ...])."""
+    """Per-state evaluation data, in enumeration order: (label, plus,
+    minus, normal).  plus and minus hold the keys of the points of I where
+    the state's sign is +1 and -1; normal is the facet's integer normal
+    over the nonzero points (key k at column k - 1)."""
     table = []
     for I, s in enumerate_stabilizer_states(n):
-        pairs = tuple((p, -1 if v else 1) for p, v in s.items())
-        table.append((I, s, state_label(I, s), pairs))
+        sign = {p.key(): -1 if v else 1 for p, v in s.items()}
+        plus = tuple(k for k, g in sign.items() if g > 0)
+        minus = tuple(k for k, g in sign.items() if g < 0)
+        normal = tuple(sign.get(k, 0) for k in range(1, 1 << (2 * n)))
+        table.append((state_label(I, s), plus, minus, normal))
     return tuple(table)
 
 
 class FacetCertificate:
-    """Result of evaluating one operator against every stabilizer facet."""
+    """Result of evaluating one operator against every stabilizer facet.
 
-    __slots__ = ("operator", "values", "active", "violation")
+    values may be given as a function that builds the label -> FieldElem
+    map; it is then called on the first read of ``values``.
+    """
+
+    __slots__ = ("operator", "_values", "active", "violation")
 
     def __init__(self, operator, values, active, violation):
         self.operator = operator
-        self.values = values  # label -> FieldElem
+        self._values = values  # label -> FieldElem, or a builder of it
         self.active = active  # labels with value exactly 0
         self.violation = violation  # first violating label, or None
+
+    @property
+    def values(self) -> dict:
+        if callable(self._values):
+            self._values = self._values()
+        return self._values
 
     @property
     def is_member(self) -> bool:
@@ -60,30 +80,48 @@ class FacetCertificate:
 
 
 def membership(X: QOperator) -> FacetCertificate:
-    """Exact facet certificate of X; requires trace(X) = 1."""
-    if X.n > ENUMERATION_BOUND:
+    """Exact facet certificate of X; requires trace(X) = 1.
+
+    The facet sums are integers: with D the lcm of the denominators of
+    X's coefficients, a facet's value is (x + y*sqrt(2)) / (D * 2^n) for
+    the integer sums x, y of the scaled coefficients over the state's
+    signed points, and its sign is that of x + y*sqrt(2).  The FieldElem
+    values are built only when the certificate's ``values`` is read.
+    """
+    n = X.n
+    if n > ENUMERATION_BOUND:
         raise ValueError(
             f"membership is evaluated exhaustively only for n<={ENUMERATION_BOUND}"
         )
     if X.trace() != ONE:
         raise ValueError("membership requires a trace-1 operator")
-    scale = Fraction(1, 1 << X.n)
-    values = {}
+    coeffs = X.coeffs.items()
+    D = lcm(*(d for _, c in coeffs for d in (c.a.denominator, c.b.denominator)))
+    xs = [0] * (1 << (2 * n))
+    ys = [0] * (1 << (2 * n))
+    for p, c in coeffs:
+        xs[p.key()] = c.a.numerator * (D // c.a.denominator)
+        ys[p.key()] = c.b.numerator * (D // c.b.denominator)
+    get_x, get_y = xs.__getitem__, ys.__getitem__
+    irrational = any(ys)
+    table = facet_table(n)
+    sums = []
     active = []
     violation = None
-    for _, _, label, pairs in facet_table(X.n):
-        total = ZERO
-        for p, sgn in pairs:
-            c = X.coeffs.get(p)
-            if c is not None:
-                total = total + (c if sgn > 0 else -c)
-        total = total * scale
-        values[label] = total
-        sign = total.sign()
-        if sign == 0:
+    for label, plus, minus, _ in table:
+        x = sum(map(get_x, plus)) - sum(map(get_x, minus))
+        y = sum(map(get_y, plus)) - sum(map(get_y, minus)) if irrational else 0
+        sums.append((x, y))
+        if not (x or y):
             active.append(label)
-        elif sign < 0 and violation is None:
+        elif violation is None and sqrt2_sign(x, y) < 0:
             violation = label
+
+    def values():
+        den = D << n
+        elem = {xy: FieldElem(Fraction(xy[0], den), Fraction(xy[1], den)) for xy in set(sums)}
+        return {entry[0]: elem[xy] for entry, xy in zip(table, sums)}
+
     return FacetCertificate(X, values, active, violation)
 
 
@@ -98,44 +136,53 @@ def is_vertex(X: QOperator, cert: Optional[FacetCertificate] = None) -> tuple[bo
 
 def _active_rows(
     n: int, cert: FacetCertificate
-) -> tuple[list[list[int]], list[PauliPoint]]:
+) -> tuple[list[tuple[int, ...]], list[PauliPoint]]:
     """Normals of the active facets over the nonzero points, and those
     points.  The certificate must be a member's."""
     if not cert.is_member:
         raise ValueError("vertex test requires a polytope member")
-    nz_points = all_points(n, include_zero=False)
-    index = {p: i for i, p in enumerate(nz_points)}
-    rows = []
     active = set(cert.active)
-    for _, _, label, pairs in facet_table(n):
-        if label not in active:
-            continue
-        row = [0] * len(nz_points)
-        for p, sgn in pairs:
-            if not p.is_zero():
-                row[index[p]] = sgn
-        rows.append(row)
-    return rows, nz_points
+    rows = [normal for label, _, _, normal in facet_table(n) if label in active]
+    return rows, all_points(n, include_zero=False)
 
 
-def _int_rref(rows: list[list[int]], width: int) -> tuple[list[list[int]], list[int]]:
+def _int_rref(rows: Sequence[Sequence[int]], width: int) -> tuple[list[list[int]], list[int]]:
     """Fraction-free Gauss-Jordan reduction over the integers.
 
-    Returns the nonzero reduced rows and their pivot columns: row i has
-    a nonzero entry at pivots[i] and zeros at every other pivot column.
-    The pivot step is the simplex's `eliminate`.
+    Returns the nonzero reduced rows sorted by pivot column, and those
+    columns: row i has a nonzero entry at pivots[i], zeros at every other
+    pivot column and zeros left of pivots[i].
+
+    The rows are read one at a time.  Each is reduced against the pivot
+    rows found so far (the simplex's `reduce_row`); if anything is left,
+    its first nonzero column is a new pivot, cleared from the earlier
+    pivot rows by `eliminate`.  Clearing a new pivot c from a pivot row
+    adds a multiple of the new row, which is zero left of c, and a row
+    whose pivot lies right of c is already zero at c.  So every pivot row
+    stays zero left of its pivot, and the rows sorted by pivot are the
+    reduced row echelon form of the rows read, up to a nonzero factor per
+    row; that form is unique for a row space, so it is what a full
+    column-by-column reduction returns.  Once there are `width` pivots the
+    rows read span the whole space: the remaining rows cannot change the
+    result and are not read.
     """
-    mat = [list(row) for row in rows]
+    basis: list[list[int]] = []
     pivots: list[int] = []
-    for col in range(width):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(mat)) if mat[i][col]), None)
-        if piv is None:
+    for row in rows:
+        if len(pivots) == width:
+            break
+        row = list(row)
+        for prow, c in zip(basis, pivots):
+            if row[c]:
+                row = reduce_row(row, prow, c)
+        col = next((c for c, v in enumerate(row) if v), None)
+        if col is None:
             continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        eliminate(mat, r, col)
+        basis.append(row)
+        eliminate(basis, len(pivots), col)
         pivots.append(col)
-    return mat[: len(pivots)], pivots
+    order = sorted(range(len(pivots)), key=pivots.__getitem__)
+    return [basis[i] for i in order], [pivots[i] for i in order]
 
 
 def extremality_refuter(X: QOperator, cert: Optional[FacetCertificate] = None) -> Optional[QOperator]:
@@ -177,15 +224,8 @@ def enumerate_vertices_n1() -> list[QOperator]:
     eight points with all coordinates +-1.
     """
     pts = all_points(1, include_zero=False)
-    facets = []  # (normal over 3 coords, offset): 1 + sum n_i a_i >= 0
-    table = facet_table(1)
-    index = {p: i for i, p in enumerate(pts)}
-    for _, _, _, pairs in table:
-        normal = [0, 0, 0]
-        for p, sgn in pairs:
-            if not p.is_zero():
-                normal[index[p]] = sgn
-        facets.append(normal)
+    # facet normals over 3 coords: 1 + sum n_i a_i >= 0
+    facets = [list(normal) for _, _, _, normal in facet_table(1)]
     found = {}
     for trio in combinations(range(len(facets)), 3):
         reduced, pivots = _int_rref([facets[i] + [-1] for i in trio], 4)

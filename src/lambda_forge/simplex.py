@@ -20,22 +20,24 @@ from typing import Optional, Sequence
 from .field import FieldElem, ZERO, sqrt2_sign
 
 
-def eliminate(mat: list[list[int]], r: int, col: int) -> None:
-    """Clear column col from every row of mat but row r, in place.
+def reduce_row(row: list[int], prow: list[int], col: int) -> list[int]:
+    """p*row - f*prow (p = prow[col], f = row[col]), divided by the gcd of
+    its entries: row with column col cleared, kept small and without any
+    Fraction.  With p > 0 it is a positive multiple of the exact
+    elimination, so its signs keep their meaning."""
+    p, f = prow[col], row[col]
+    row = [p * a - f * b for a, b in zip(row, prow)]
+    g = gcd(*row)
+    return [a // g for a in row] if g > 1 else row
 
-    Each such row becomes p*row - f*mat[r] (p the pivot, f the row's entry
-    in col), divided by the gcd of its entries, so the numbers stay small
-    and no Fraction is built.  With p > 0 each new row is a positive
-    multiple of the exact elimination, so its signs keep their meaning.
-    """
+
+def eliminate(mat: list[list[int]], r: int, col: int) -> None:
+    """Clear column col from every row of mat but row r, in place, by
+    `reduce_row` against mat[r]."""
     prow = mat[r]
-    p = prow[col]
     for i, row in enumerate(mat):
-        f = row[col]
-        if i != r and f:
-            row = [p * a - f * b for a, b in zip(row, prow)]
-            g = gcd(*row)
-            mat[i] = [a // g for a in row] if g > 1 else row
+        if i != r and row[col]:
+            mat[i] = reduce_row(row, prow, col)
 
 
 def solve_feasibility(

@@ -60,6 +60,17 @@ def test_malformed_input(tmp_path, capsys):
         doc = json.loads(out)
         assert code == 1 and doc["status"] == "error"
         assert "ValueError" in doc["diagnostics"] and "object" in doc["diagnostics"]
+    # coefficients of the wrong JSON type
+    coeff = write_json(tmp_path / "coeff.json", {"n": 1, "coeffs": {"I": "1", "X": {"a": [1]}}})
+    null = write_json(tmp_path / "null.json", {"n": 1, "coeffs": {"I": None}})
+    circ = write_json(tmp_path / "circ.json", {
+        "n": 1, "initial": {"type": "operator", "n": 1, "coeffs": ["I"]},
+        "steps": [{"measure": "Z"}]})
+    for argv in (("membership", coeff), ("vertex", null), ("simulate", circ, "--exact")):
+        code, out = run(capsys, *argv)
+        doc = json.loads(out)
+        assert code == 1 and doc["status"] == "error"
+        assert doc["diagnostics"].startswith("ValueError")
 
 
 def test_missing_file(capsys):

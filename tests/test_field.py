@@ -83,3 +83,11 @@ def test_json_round_trip(x):
 def test_json_plain_rational():
     assert FieldElem.from_json("3/4") == FieldElem(Fraction(3, 4))
     assert FieldElem(Fraction(3, 4)).to_json() == "3/4"
+
+
+def test_json_rejects_wrong_types():
+    assert FieldElem.from_json(3) == FieldElem(3)
+    assert FieldElem.from_json({"b": "1/2"}) == INV_SQRT2
+    for bad in ([1], None, 0.5, True, {"a": [1]}, {"a": None}, {"c": "1"}, "1/0", "x"):
+        with pytest.raises(ValueError):
+            FieldElem.from_json(bad)

@@ -202,3 +202,6 @@ def test_json_round_trip():
     assert QOperator.from_json(A.to_json()) == A
     doc = {"n": 1, "coeffs": {"X": "1/2"}}
     assert QOperator.from_json(doc).coeff(x_point(1, 1)) == FieldElem(Fraction(1, 2))
+    for bad in ({"n": 1, "coeffs": ["X"]}, {"n": None}, {"n": 1, "coeffs": {"X": None}}):
+        with pytest.raises(ValueError):
+            QOperator.from_json(bad)

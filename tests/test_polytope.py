@@ -1,13 +1,14 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from lambda_forge.clifford import enumerate_action, generator_tableaux
 from lambda_forge.field import FieldElem, INV_SQRT2, ONE
-from lambda_forge.gf2 import PauliPoint, span, x_point, y_point, z_point
+from lambda_forge.gf2 import PauliPoint, all_points, span, x_point, y_point, z_point
 from lambda_forge.pauli import QOperator
 from lambda_forge.polytope import (
     _int_rref,
@@ -17,7 +18,11 @@ from lambda_forge.polytope import (
     is_vertex,
     membership,
 )
-from lambda_forge.stabilizer import enumerate_stabilizer_states, stabilizer_projector
+from lambda_forge.stabilizer import (
+    enumerate_stabilizer_states,
+    stabilizer_projector,
+    state_label,
+)
 
 rng = random.Random(9)
 
@@ -168,11 +173,69 @@ def test_certificate_json():
     assert len(doc["facet_values"]) == 6
 
 
-@given(st.lists(st.lists(st.integers(-3, 3), min_size=5, max_size=5), max_size=6))
+@given(st.lists(st.lists(st.integers(-3, 3), min_size=5, max_size=5), max_size=12))
 def test_int_rref_rank_matches_numpy(rows):
+    # up to 12 rows of width 5: full rank is often reached before the last
+    # row, where the reduction stops reading
     reduced, pivots = _int_rref(rows, 5)
     want = int(np.linalg.matrix_rank(np.array(rows, dtype=float))) if rows else 0
     assert len(pivots) == len(reduced) == want
     assert pivots == sorted(pivots)
     for i, row in enumerate(reduced):
         assert [row[c] != 0 for c in pivots] == [j == i for j in range(len(pivots))]
+        assert not any(row[: pivots[i]])
+    # every input row reduces to zero against the result: equal row spaces
+    for row in rows:
+        row = [Fraction(v) for v in row]
+        for prow, c in zip(reduced, pivots):
+            f = row[c] / prow[c]
+            row = [a - f * b for a, b in zip(row, prow)]
+        assert not any(row)
+
+
+@lru_cache(maxsize=None)
+def _facet_oracle(n):
+    """(label, projector) for every stabilizer state, in enumeration order."""
+    return [(state_label(I, s), stabilizer_projector(I, s))
+            for I, s in enumerate_stabilizer_states(n)]
+
+
+_RATIONALS = st.builds(
+    Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4, 6, 8, 16])
+)
+_COEFFS = st.one_of(
+    st.just(FieldElem(0)),
+    st.sampled_from([FieldElem(v) for v in (1, -1, Fraction(1, 2), Fraction(-1, 2))]),
+    st.builds(FieldElem, _RATIONALS),
+    st.builds(FieldElem, _RATIONALS, _RATIONALS),
+)
+
+
+@st.composite
+def trace_one_operators(draw):
+    """Trace-1 operators in Q(sqrt(2)): free coefficients, or a mixture of
+    two stabilizer projectors plus a few free coefficients, so that some
+    facet values are exactly zero."""
+    n = draw(st.integers(1, 3))
+    points = all_points(n, include_zero=False)
+    if draw(st.booleans()):
+        coeffs = {p: draw(_COEFFS) for p in points}
+        return QOperator(n, {PauliPoint.zero(n): ONE, **coeffs})
+    _, P = draw(st.sampled_from(_facet_oracle(n)))
+    _, Q = draw(st.sampled_from(_facet_oracle(n)))
+    w = FieldElem(draw(st.sampled_from([0, Fraction(1, 3), Fraction(1, 2), 1])))
+    extra = draw(st.dictionaries(st.sampled_from(points), _COEFFS, max_size=2))
+    return P.scale(w) + Q.scale(ONE - w) + QOperator(n, extra)
+
+
+@settings(max_examples=60, deadline=None)
+@given(trace_one_operators())
+def test_facet_values_match_projector_overlaps(X):
+    cert = membership(X)
+    oracle = [(label, X.trace_inner(P)) for label, P in _facet_oracle(X.n)]
+    assert list(cert.values) == [label for label, _ in oracle]
+    for label, value in oracle:
+        assert cert.values[label] == value
+    assert cert.active == [label for label, value in oracle if value.is_zero()]
+    negative = [label for label, value in oracle if value.sign() < 0]
+    assert cert.violation == (negative[0] if negative else None)
