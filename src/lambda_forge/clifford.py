@@ -23,9 +23,8 @@ from .gf2 import (
     x_point,
     xor_sums,
     z_point,
-    zx_overlap,
 )
-from .pauli import PhasedPauli, QOperator, pauli_mul
+from .pauli import PhasedPauli, QOperator
 from .stabilizer import Assignment, stabilizer_projector
 
 #: Largest qubit count ``enumerate_action`` enumerates (11 520 actions at n = 2).
@@ -35,7 +34,9 @@ ACTION_BOUND = 2
 class CliffordTableau:
     """Signed Pauli action of a Clifford unitary."""
 
-    __slots__ = ("n", "images")
+    # _memo caches apply_point per tableau; equality, hashing and pickling
+    # ignore it.
+    __slots__ = ("n", "images", "_memo")
 
     def __init__(self, n: int, images: Sequence[tuple[PauliPoint, int]]):
         if len(images) != 2 * n:
@@ -43,6 +44,7 @@ class CliffordTableau:
         imgs = tuple((p, s & 1) for p, s in images)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "images", imgs)
+        object.__setattr__(self, "_memo", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("CliffordTableau is immutable")
@@ -103,21 +105,36 @@ class CliffordTableau:
 
     def apply_point(self, v: PauliPoint) -> PhasedPauli:
         """The signed image of T_v; always Hermitian."""
-        if v.n != self.n:
+        out = self._memo.get(v)
+        if out is not None:
+            return out
+        n = self.n
+        if v.n != n:
             raise ValueError("qubit count mismatch")
         # T_v = i^{q(v)} X(v_x) Z(v_z); conjugation distributes over the
         # generator factors, and the i^{q(v)} prefactor survives unchanged.
-        acc = PhasedPauli(PauliPoint.zero(self.n), 0)
-        for i in range(self.n):
-            if (v.x >> i) & 1:
-                img, sgn = self.images[i]
-                acc = pauli_mul(acc, PhasedPauli(img, 2 * sgn))
-        for i in range(self.n):
-            if (v.z >> i) & 1:
-                img, sgn = self.images[self.n + i]
-                acc = pauli_mul(acc, PhasedPauli(img, 2 * sgn))
-        out = PhasedPauli(acc.point, acc.phase + zx_overlap(v))
+        # The factors multiply as in pauli.product_phase, on plain ints:
+        # T_a T_b = i^{q(a) + q(b) - q(a+b) + 2|a_z & b_x|} T_{a+b}.
+        z = x = 0
+        phase = (v.z & v.x).bit_count()
+        bits = v.x | (v.z << n)  # bit i selects generator image i
+        for img, sgn in self.images:
+            if not bits:
+                break
+            if bits & 1:
+                iz, ix = img.z, img.x
+                phase += (
+                    (z & x).bit_count()
+                    + (iz & ix).bit_count()
+                    - ((z ^ iz) & (x ^ ix)).bit_count()
+                    + 2 * ((z & ix).bit_count() + sgn)
+                )
+                z ^= iz
+                x ^= ix
+            bits >>= 1
+        out = PhasedPauli(PauliPoint(n, z, x), phase)
         assert out.is_hermitian(), "Clifford image of a Hermitian Pauli must be Hermitian"
+        self._memo[v] = out
         return out
 
     def apply_signed(self, p: PhasedPauli) -> PhasedPauli:
@@ -134,7 +151,7 @@ class CliffordTableau:
         out = {}
         for v, c in A.coeffs.items():
             img = self.apply_point(v)
-            out[img.point] = c if img.sign() > 0 else -c
+            out[img.point] = -c if img.phase else c
         return QOperator(self.n, out)
 
     # -- group structure -----------------------------------------------------
@@ -261,19 +278,45 @@ def enumerate_action(n: int) -> list[CliffordTableau]:
 
 
 def operator_orbit(A: QOperator) -> set:
-    """Canonical keys of the Clifford orbit of A, by breadth-first search."""
-    gens = generator_tableaux(A.n)
-    seen = {A.key(): A}
-    queue = deque([A])
+    """Canonical keys of the Clifford orbit of A, by breadth-first search.
+
+    Every generator acts on A as a signed permutation of E_n.  A member
+    of the orbit is coded as the sorted tuple of the ints key(v) * m + j,
+    one per coefficient, where the coefficient at v is values[j] among the
+    m distinct values +-c of A; each generator then acts through one
+    lookup table on these codes.  Sorting the codes sorts by point key, so
+    each member decodes straight to its ``QOperator.key()``.
+    """
+    n = A.n
+    values: list = []
+    index: dict = {}
+    for c in A.coeffs.values():
+        for d in (c, -c):
+            if d not in index:
+                index[d] = len(values)
+                values.append(d)
+    m = len(values)
+    neg = [index[-d] for d in values]
+    tables = []
+    for g in generator_tableaux(n):
+        table = []
+        for k in range(1 << (2 * n)):
+            img = g.apply_point(PauliPoint.from_key(n, k))
+            base = img.point.key() * m
+            table.extend(base + (neg[j] if img.phase else j) for j in range(m))
+        tables.append(table)
+    start = tuple(sorted(p.key() * m + index[c] for p, c in A.coeffs.items()))
+    seen = {start}
+    queue = deque([start])
     while queue:
         cur = queue.popleft()
-        for g in gens:
-            nxt = g.conjugate(cur)
-            k = nxt.key()
-            if k not in seen:
-                seen[k] = nxt
+        for table in tables:
+            nxt = tuple(sorted([table[e] for e in cur]))
+            if nxt not in seen:
+                seen.add(nxt)
                 queue.append(nxt)
-    return set(seen)
+    items = [(k, d.a, d.b) for k in range(1 << (2 * n)) for d in values]
+    return {(n, tuple([items[e] for e in member])) for member in seen}
 
 
 def complete_symplectic_map(

@@ -26,12 +26,14 @@ the coefficient at v = 0.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Optional
-
-import numpy as np
+from functools import lru_cache
+from typing import TYPE_CHECKING, Mapping, Optional
 
 from .field import HALF, ONE, ZERO, FieldElem
 from .gf2 import PauliPoint, symplectic_form, zx_overlap
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DENSE_ORACLE_BOUND = 5
 
@@ -332,6 +334,8 @@ class QOperator:
 
     def dense_matrix(self) -> np.ndarray:
         """Explicit 2^n x 2^n complex matrix; verification oracle only."""
+        import numpy as np
+
         if self.n > DENSE_ORACLE_BOUND:
             raise ValueError(f"dense oracle capped at n={DENSE_ORACLE_BOUND}")
         dim = 1 << self.n
@@ -365,19 +369,27 @@ class QOperator:
         )
 
 
-_SINGLE = {
-    (0, 0): np.eye(2, dtype=complex),
-    (0, 1): np.array([[0, 1], [1, 0]], dtype=complex),
-    (1, 0): np.array([[1, 0], [0, -1]], dtype=complex),
-    (1, 1): np.array([[0, -1j], [1j, 0]], dtype=complex),
-}
+@lru_cache(maxsize=1)
+def _single() -> dict:
+    """One-qubit matrices by (z, x) bits; numpy loads on first use only."""
+    import numpy as np
+
+    return {
+        (0, 0): np.eye(2, dtype=complex),
+        (0, 1): np.array([[0, 1], [1, 0]], dtype=complex),
+        (1, 0): np.array([[1, 0], [0, -1]], dtype=complex),
+        (1, 1): np.array([[0, -1j], [1j, 0]], dtype=complex),
+    }
 
 
 def pauli_matrix(p: PauliPoint, phase: int = 0) -> np.ndarray:
     """Dense matrix of i^phase T_p (qubit 1 is the first tensor factor)."""
+    import numpy as np
+
+    single = _single()
     mat = np.ones((1, 1), dtype=complex)
     for i in range(p.n):
-        mat = np.kron(mat, _SINGLE[((p.z >> i) & 1, (p.x >> i) & 1)])
+        mat = np.kron(mat, single[((p.z >> i) & 1, (p.x >> i) & 1)])
     return (1j ** (phase & 3)) * mat
 
 

@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 
+from lambda_forge import cli
 from lambda_forge.cli import main
 
 
@@ -127,6 +128,28 @@ def test_simulate_float_flag(tmp_path, capsys):
     code, out = run(capsys, "--float", "simulate", path, "--exact")
     rows = json.loads(out)["payload"]["distribution"]
     assert abs(rows[0]["probability"] - 0.8535533905932737) < 1e-12
+
+
+def test_reused_parser_matches_fresh_parser(tmp_path, capsys):
+    circ = {"n": 1, "initial": {"type": "operator", **T_STATE},
+            "steps": [{"measure": "X"}]}
+    path = write_json(tmp_path / "circ.json", circ)
+    calls = [
+        ["--float", "simulate", path, "--exact"],
+        ["simulate", path, "--exact"],
+        ["simulate", path, "--shots", "32", "--seed", "3"],
+        ["simulate", path, "--shots", "32", "--seed", "4"],
+    ]
+    reused = [run(capsys, *argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert reused == fresh
+    exact = json.loads(reused[1][1])["payload"]["distribution"][0]["probability"]
+    assert exact == {"a": "1/2", "b": "1/4"}  # --float did not stick
+    seeds = [json.loads(out)["payload"]["seed"] for _, out in reused[2:]]
+    assert seeds == [3, 4]
 
 
 def test_reduce_command(tmp_path, capsys):

@@ -1,4 +1,6 @@
+import pickle
 import random
+from collections import deque
 
 import numpy as np
 import pytest
@@ -11,8 +13,18 @@ from lambda_forge.clifford import (
     operator_orbit,
     tableau_for_projector_pair,
 )
-from lambda_forge.field import FieldElem
-from lambda_forge.gf2 import all_points, span, symplectic_form, x_point, y_point, z_point
+from lambda_forge.cnc import cnc_vertices
+from lambda_forge.field import INV_SQRT2, ONE, FieldElem
+from lambda_forge.gf2 import (
+    PauliPoint,
+    all_points,
+    span,
+    symplectic_form,
+    x_point,
+    y_point,
+    z_point,
+    zx_overlap,
+)
 from lambda_forge.pauli import PhasedPauli, QOperator, pauli_mul
 from lambda_forge.stabilizer import (
     Assignment,
@@ -128,6 +140,77 @@ def test_orbit_sizes_divide_group_order():
     orbit = operator_orbit(stabilizer_projector(I, s))
     assert len(orbit) == 60
     assert 11520 % len(orbit) == 0
+
+
+def product_image(t, v):
+    """i^{q(v)} times the product of the generator images that T_v = i^{q(v)}
+    X(v_x) Z(v_z) selects, multiplied out with pauli_mul."""
+    n = t.n
+    acc = PhasedPauli(PauliPoint.zero(n), zx_overlap(v))
+    for i in range(n):
+        if (v.x >> i) & 1:
+            img, s = t.images[i]
+            acc = pauli_mul(acc, PhasedPauli(img, 2 * s))
+    for i in range(n):
+        if (v.z >> i) & 1:
+            img, s = t.images[n + i]
+            acc = pauli_mul(acc, PhasedPauli(img, 2 * s))
+    return acc
+
+
+def test_apply_point_matches_generator_products():
+    seeded = random.Random(29)
+    for n in (1, 2, 3):
+        gens = generator_tableaux(n)
+        for _ in range(12):
+            t = CliffordTableau.identity(n)
+            for _ in range(seeded.randint(0, 12)):
+                t = seeded.choice(gens).compose(t)
+            for v in all_points(n):
+                got = t.apply_point(v)
+                want = product_image(t, v)
+                assert got == want and got.is_hermitian()
+                assert t.apply_point(v) is got  # memo hit
+
+
+def test_memo_is_invisible_to_equality_hash_and_pickle():
+    t = random_tableau(3, depth=10)
+    for v in all_points(3):
+        t.apply_point(v)
+    fresh = CliffordTableau(t.n, t.images)
+    assert t == fresh and hash(t) == hash(fresh)
+    assert pickle.dumps(t) == pickle.dumps(fresh)
+    back = pickle.loads(pickle.dumps(t))
+    assert back == t and back._memo == {}
+
+
+def conjugation_orbit_keys(A):
+    """The orbit by plain QOperator conjugation, independent of the code
+    tables that operator_orbit builds."""
+    gens = generator_tableaux(A.n)
+    seen = {A.key()}
+    queue = deque([A])
+    while queue:
+        cur = queue.popleft()
+        for g in gens:
+            nxt = g.conjugate(cur)
+            if nxt.key() not in seen:
+                seen.add(nxt.key())
+                queue.append(nxt)
+    return seen
+
+
+def test_operator_orbit_matches_conjugation_bfs():
+    I, s = enumerate_stabilizer_states(2)[0]
+    t_state = QOperator(
+        1, {PauliPoint.zero(1): ONE, x_point(1, 1): INV_SQRT2, y_point(1, 1): INV_SQRT2}
+    )
+    cnc = cnc_vertices(2)[-1].operator()
+    # the T state's Bloch vector points at an edge of the octahedron: 12 images
+    for A, size in ((stabilizer_projector(I, s), 60), (t_state, 12), (cnc, None)):
+        keys = operator_orbit(A)
+        assert keys == conjugation_orbit_keys(A)
+        assert size is None or len(keys) == size
 
 
 def test_complete_symplectic_map():

@@ -1,6 +1,10 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -205,3 +209,15 @@ def test_json_round_trip():
     for bad in ({"n": 1, "coeffs": ["X"]}, {"n": None}, {"n": 1, "coeffs": {"X": None}}):
         with pytest.raises(ValueError):
             QOperator.from_json(bad)
+
+
+def test_package_import_leaves_numpy_unloaded():
+    code = "import sys, lambda_forge; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+    ).stdout
+    assert out.strip() == "False"
