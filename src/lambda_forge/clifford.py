@@ -24,7 +24,7 @@ from .gf2 import (
     xor_sums,
     z_point,
 )
-from .pauli import PhasedPauli, QOperator
+from .pauli import PhasedPauli, QOperator, phase_of_bits
 from .stabilizer import Assignment, stabilizer_projector
 
 #: Largest qubit count ``enumerate_action`` enumerates (11 520 actions at n = 2).
@@ -34,9 +34,7 @@ ACTION_BOUND = 2
 class CliffordTableau:
     """Signed Pauli action of a Clifford unitary."""
 
-    # _memo caches apply_point per tableau; equality, hashing and pickling
-    # ignore it.
-    __slots__ = ("n", "images", "_memo")
+    __slots__ = ("n", "images")
 
     def __init__(self, n: int, images: Sequence[tuple[PauliPoint, int]]):
         if len(images) != 2 * n:
@@ -44,7 +42,6 @@ class CliffordTableau:
         imgs = tuple((p, s & 1) for p, s in images)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "images", imgs)
-        object.__setattr__(self, "_memo", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("CliffordTableau is immutable")
@@ -105,16 +102,12 @@ class CliffordTableau:
 
     def apply_point(self, v: PauliPoint) -> PhasedPauli:
         """The signed image of T_v; always Hermitian."""
-        out = self._memo.get(v)
-        if out is not None:
-            return out
         n = self.n
         if v.n != n:
             raise ValueError("qubit count mismatch")
         # T_v = i^{q(v)} X(v_x) Z(v_z); conjugation distributes over the
         # generator factors, and the i^{q(v)} prefactor survives unchanged.
-        # The factors multiply as in pauli.product_phase, on plain ints:
-        # T_a T_b = i^{q(a) + q(b) - q(a+b) + 2|a_z & b_x|} T_{a+b}.
+        # The factors multiply on plain ints, signs as two units of phase.
         z = x = 0
         phase = (v.z & v.x).bit_count()
         bits = v.x | (v.z << n)  # bit i selects generator image i
@@ -123,18 +116,12 @@ class CliffordTableau:
                 break
             if bits & 1:
                 iz, ix = img.z, img.x
-                phase += (
-                    (z & x).bit_count()
-                    + (iz & ix).bit_count()
-                    - ((z ^ iz) & (x ^ ix)).bit_count()
-                    + 2 * ((z & ix).bit_count() + sgn)
-                )
+                phase += phase_of_bits(z, x, iz, ix) + 2 * sgn
                 z ^= iz
                 x ^= ix
             bits >>= 1
         out = PhasedPauli(PauliPoint(n, z, x), phase)
         assert out.is_hermitian(), "Clifford image of a Hermitian Pauli must be Hermitian"
-        self._memo[v] = out
         return out
 
     def apply_signed(self, p: PhasedPauli) -> PhasedPauli:

@@ -26,11 +26,10 @@ the coefficient at v = 0.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from typing import TYPE_CHECKING, Mapping, Optional
 
 from .field import HALF, ONE, ZERO, FieldElem
-from .gf2 import PauliPoint, symplectic_form, zx_overlap
+from .gf2 import PauliPoint, symplectic_form
 
 if TYPE_CHECKING:
     import numpy as np
@@ -98,11 +97,17 @@ def product_phase(v: PauliPoint, w: PauliPoint) -> int:
     """Exponent k in T_v T_w = i^k T_{v+w} (mod 4)."""
     if v.n != w.n:
         raise ValueError("qubit count mismatch")
+    return phase_of_bits(v.z, v.x, w.z, w.x)
+
+
+def phase_of_bits(z1: int, x1: int, z2: int, x2: int) -> int:
+    """``product_phase`` on the bit masks of v = (z1, x1) and w = (z2, x2):
+    q(v) + q(w) - q(v+w) + 2|v_z & w_x| (mod 4)."""
     return (
-        zx_overlap(v)
-        + zx_overlap(w)
-        - zx_overlap(PauliPoint(v.n, v.z ^ w.z, v.x ^ w.x))
-        + 2 * (v.z & w.x).bit_count()
+        (z1 & x1).bit_count()
+        + (z2 & x2).bit_count()
+        - ((z1 ^ z2) & (x1 ^ x2)).bit_count()
+        + 2 * (z1 & x2).bit_count()
     ) & 3
 
 
@@ -369,24 +374,17 @@ class QOperator:
         )
 
 
-@lru_cache(maxsize=1)
-def _single() -> dict:
-    """One-qubit matrices by (z, x) bits; numpy loads on first use only."""
+def pauli_matrix(p: PauliPoint, phase: int = 0) -> np.ndarray:
+    """Dense matrix of i^phase T_p (qubit 1 is the first tensor factor)."""
     import numpy as np
 
-    return {
+    # one-qubit matrices by (z, x) bits
+    single = {
         (0, 0): np.eye(2, dtype=complex),
         (0, 1): np.array([[0, 1], [1, 0]], dtype=complex),
         (1, 0): np.array([[1, 0], [0, -1]], dtype=complex),
         (1, 1): np.array([[0, -1j], [1j, 0]], dtype=complex),
     }
-
-
-def pauli_matrix(p: PauliPoint, phase: int = 0) -> np.ndarray:
-    """Dense matrix of i^phase T_p (qubit 1 is the first tensor factor)."""
-    import numpy as np
-
-    single = _single()
     mat = np.ones((1, 1), dtype=complex)
     for i in range(p.n):
         mat = np.kron(mat, single[((p.z >> i) & 1, (p.x >> i) & 1)])

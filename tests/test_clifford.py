@@ -1,4 +1,3 @@
-import pickle
 import random
 from collections import deque
 
@@ -170,18 +169,6 @@ def test_apply_point_matches_generator_products():
                 got = t.apply_point(v)
                 want = product_image(t, v)
                 assert got == want and got.is_hermitian()
-                assert t.apply_point(v) is got  # memo hit
-
-
-def test_memo_is_invisible_to_equality_hash_and_pickle():
-    t = random_tableau(3, depth=10)
-    for v in all_points(3):
-        t.apply_point(v)
-    fresh = CliffordTableau(t.n, t.images)
-    assert t == fresh and hash(t) == hash(fresh)
-    assert pickle.dumps(t) == pickle.dumps(fresh)
-    back = pickle.loads(pickle.dumps(t))
-    assert back == t and back._memo == {}
 
 
 def conjugation_orbit_keys(A):
