@@ -16,7 +16,6 @@ from .gf2 import (
     all_points,
     closure_under_inference,
     enumerate_maximal_isotropics,
-    perp,
     span,
     symplectic_form,
     x_point,

@@ -206,9 +206,7 @@ def cmd_reduce(args) -> int:
 def cmd_simulate(args) -> int:
     doc = _load_json(args.circuit)
     init = descriptor_from_json(doc["initial"])
-    from .simulate import state_qubits
-
-    n = doc.get("n", state_qubits(init[0][1]))
+    n = doc.get("n", init[0][1].n)
     steps = steps_from_json(doc["steps"], n)
     if args.exact:
         dist = exact_distribution(init, steps)
@@ -371,7 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("poset", help="isotropic-subspace containment poset")
     p.add_argument("--dot", action="store_true")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_poset)
 
     p = sub.add_parser("lemma-check", help="run the exact identity suites")

@@ -315,10 +315,6 @@ def span(points: Sequence[PauliPoint], n: Optional[int] = None) -> Subspace:
     return Subspace.from_points(points, n)
 
 
-def perp(w: Subspace) -> Subspace:
-    return w.perp()
-
-
 def all_points(n: int, include_zero: bool = True) -> list[PauliPoint]:
     pts = [PauliPoint.from_key(n, k) for k in range(1 << (2 * n))]
     return pts if include_zero else pts[1:]

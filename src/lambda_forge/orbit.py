@@ -12,13 +12,18 @@ signs (-1)^{gamma'} on Omega, zero elsewhere.  Exactly 1920 distinct
 extremal points arise this way, and the set coincides with the Clifford
 orbit of the flagship operator ``alpha0_vertex()``.
 
-The family is built by that rule: each I admits 16 rule-satisfying
-collections, of which the four six-member ones give |Omega| = 7, and the
-sign system solved by ``assignment_solutions`` has exactly eight
-solutions per (I, gamma, collection), every one extremal:
-15 * 4 * 4 * 8 = 1920.  The test suite checks the count against the
-Clifford orbit and checks that every candidate from the 8- and
-10-member collections fails membership or extremality.
+The family is built once, by that rule and nothing else: each I admits
+16 rule-satisfying collections (``enumerate_collections``), of which the
+four six-member ones give |Omega| = 7, and the sign system solved by
+``assignment_solutions`` has exactly eight solutions per
+(I, gamma, collection), every one extremal: 15 * 4 * 4 * 8 = 1920.
+``enumerate_family`` makes each member straight from these rule outputs;
+``OrbitVertex.build`` validates parameters from outside with the same
+rule code (the collection must be one of ``enumerate_collections(I)``,
+gamma' one of the sign-system solutions).  The test suite checks the
+count against the Clifford orbit, checks that every candidate from the
+8- and 10-member collections fails membership or extremality, and
+rebuilds every member through ``build``.
 
 A Pauli measurement of T_a with outcome s maps any two-qubit polytope
 member into the cube whose eight corners are the cnc sets on the
@@ -38,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import ClassVar, Iterable, Mapping, Optional, Sequence
 
 from .field import HALF, FieldElem, ONE
 from .clifford import operator_orbit
@@ -177,6 +182,13 @@ def assignment_solutions(
 
     The system is linear over Z_2; for the vertex-producing collections
     it has exactly eight solutions (three constraints on six unknowns).
+
+    Each solution lists its points in ascending key order, 0 first, and
+    the solutions come in ascending lexicographic order of their bits
+    read from the lowest key.  Every pivot of the reduced system depends
+    only on lower free columns, so two solutions first differ at a free
+    column, and the xor_sums order over the free columns (lowest
+    slowest) is that lexicographic order.
     """
     zero = PauliPoint.zero(2)
     pts = sorted((p for p in omega if not p.is_zero()), key=lambda p: p.key())
@@ -201,37 +213,25 @@ def assignment_solutions(
     ]
 
 
-def derive_assignments(
-    I: Subspace, gamma: Assignment, collection: Iterable[Subspace]
-) -> list[tuple[dict[PauliPoint, int], dict[PauliPoint, int]]]:
-    """(gamma', gamma'') candidate pairs for a collection.
-
-    The sign system underdetermines the pair: it has eight solutions per
-    vertex-producing collection, and all eight give extremal operators
-    (each is kept by ``enumerate_family``).  Pairs come in a canonical
-    order; gamma'' is the off-zero flip of gamma'.
-    """
-    omega = omega_from_collection(collection)
-    sols = assignment_solutions(I, gamma, omega)
-    out = []
-    for gp in sorted(sols, key=lambda m: sorted((p.key(), b) for p, b in m.items())):
-        gpp = {p: (b + (0 if p.is_zero() else 1)) & 1 for p, b in gp.items()}
-        out.append((gp, gpp))
-    return out
-
-
 # -- the vertices ------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class OrbitVertex:
-    """One member of the family, with its full parameter set."""
+    """One member of the family, with its full parameter set.
+
+    ``enumerate_family`` constructs members directly from the rule
+    outputs; ``build`` is the validating constructor for parameters
+    from outside.
+    """
 
     I: Subspace
     gamma: Assignment
     collection: frozenset[Subspace]
     omega: frozenset[PauliPoint]
     gamma_p: tuple[tuple[PauliPoint, int], ...]
+
+    n: ClassVar[int] = 2
 
     @staticmethod
     def build(
@@ -241,19 +241,14 @@ class OrbitVertex:
         gamma_p: Mapping[PauliPoint, int],
     ) -> "OrbitVertex":
         collection = frozenset(collection)
-        if not check_collection_rules(I, collection):
-            raise ValueError("collection violates the covering rules")
+        if collection not in enumerate_collections(I):
+            raise ValueError("collection is not one of the rule-satisfying collections at I")
         omega = omega_from_collection(collection)
-        if any(I.contains(p) for p in omega if not p.is_zero()):
-            raise ValueError("Omega must meet I only at 0")
+        if not omega.issubset(gamma_p):
+            raise ValueError("gamma' must give a bit on every point of Omega")
         gp = {p: gamma_p[p] & 1 for p in omega}
-        if gp[PauliPoint.zero(2)] != 0:
-            raise ValueError("gamma' must vanish at 0")
-        for v, w in combinations([p for p in omega if not p.is_zero()], 2):
-            u = v ^ w
-            if symplectic_form(v, w) == 0 and I.contains(u) and not u.is_zero():
-                if (gp[v] + gp[w] + beta(v, w)) & 1 != gamma.value(u):
-                    raise ValueError("gamma' violates the sign rules")
+        if gp not in assignment_solutions(I, gamma, omega):
+            raise ValueError("gamma' violates the sign rules")
         return OrbitVertex(
             I, gamma, collection, omega, tuple(sorted(gp.items(), key=lambda kv: kv[0].key()))
         )
@@ -303,12 +298,12 @@ def classify_operator(V: QOperator) -> OrbitVertex:
     """Recover the parameter set of a family member from its coefficients."""
     if V.n != 2:
         raise ValueError("the family lives on two qubits")
+    if V.trace() != ONE:
+        raise ValueError("family members have unit trace")
     zero = PauliPoint.zero(2)
     i_pts, gam_pairs, gp = [], [], {zero: 0}
     for p, c in V.coeffs.items():
         if p.is_zero():
-            if c != ONE:
-                raise ValueError("family members have unit trace")
             continue
         if c == ONE or c == -ONE:
             i_pts.append(p)
@@ -339,11 +334,13 @@ def enumerate_family() -> tuple[OrbitVertex, ...]:
     solution), in that nesting order."""
     out = []
     for I in enumerate_maximal_isotropics(2):
-        collections = [C for C in enumerate_collections(I) if len(C) == 6]
+        collections = [
+            (C, omega_from_collection(C)) for C in enumerate_collections(I) if len(C) == 6
+        ]
         for gamma in all_assignments(I):
-            for C in collections:
-                for gp, _ in derive_assignments(I, gamma, C):
-                    out.append(OrbitVertex.build(I, gamma, C, gp))
+            for C, omega in collections:
+                for gp in assignment_solutions(I, gamma, omega):
+                    out.append(OrbitVertex(I, gamma, C, omega, tuple(gp.items())))
     return tuple(out)
 
 
@@ -470,9 +467,6 @@ def mixture_identities_report() -> dict[str, int]:
     report = {f"identity-{k}": 0 for k in range(1, 6)}
     checked = {f"identity-{k}": 0 for k in range(1, 6)}
 
-    def vertex(vals):
-        return _qubit_vertex(vals)
-
     for v, w in product(pts, pts):
         if v == w:
             continue
@@ -485,7 +479,7 @@ def mixture_identities_report() -> dict[str, int]:
             a0 = {v: sv, w: f1, u: f2}
             a1 = {v: sv, w: (f1 + 1) & 1, u: (f2 + 1) & 1}
             lhs = proj_v
-            rhs = (vertex(a0) + vertex(a1)).scale(Fraction(1, 2))
+            rhs = (_qubit_vertex(a0) + _qubit_vertex(a1)).scale(Fraction(1, 2))
             checked["identity-1"] += 1
             if lhs != rhs:
                 report["identity-1"] += 1
@@ -493,7 +487,7 @@ def mixture_identities_report() -> dict[str, int]:
             a0 = {v: sv, w: sw, u: f1}
             a1 = {v: sv, w: sw, u: (f1 + 1) & 1}
             lhs = proj_v + (proj_w0 - proj_w1).scale(Fraction(1, 2))
-            rhs = (vertex(a0) + vertex(a1)).scale(Fraction(1, 2))
+            rhs = (_qubit_vertex(a0) + _qubit_vertex(a1)).scale(Fraction(1, 2))
             checked["identity-2"] += 1
             if lhs != rhs:
                 report["identity-2"] += 1
@@ -503,7 +497,7 @@ def mixture_identities_report() -> dict[str, int]:
             a2 = {v: sv, w: (sw + 1) & 1, u: (f1 + 1) & 1}
             lhs = proj_v + (proj_w0 - proj_w1).scale(Fraction(1, 4))
             rhs = (
-                vertex(a0).scale(2) + vertex(a1) + vertex(a2)
+                _qubit_vertex(a0).scale(2) + _qubit_vertex(a1) + _qubit_vertex(a2)
             ).scale(Fraction(1, 4))
             checked["identity-5"] += 1
             if lhs != rhs:
@@ -517,14 +511,14 @@ def mixture_identities_report() -> dict[str, int]:
             alpha_f = {v: av, w: (aw + 1) & 1, u: (au + 1) & 1}
             proj = pauli_projector(v, av)
             # (3) equal thirds
-            lhs = (proj.scale(2) + vertex(alpha)).scale(Fraction(1, 3))
-            rhs = (vertex(alpha).scale(2) + vertex(alpha_f)).scale(Fraction(1, 3))
+            lhs = (proj.scale(2) + _qubit_vertex(alpha)).scale(Fraction(1, 3))
+            rhs = (_qubit_vertex(alpha).scale(2) + _qubit_vertex(alpha_f)).scale(Fraction(1, 3))
             checked["identity-3"] += 1
             if lhs != rhs:
                 report["identity-3"] += 1
             # (4) reflection through a projector
-            lhs = proj.scale(2) - vertex(alpha)
-            rhs = vertex(alpha_f)
+            lhs = proj.scale(2) - _qubit_vertex(alpha)
+            rhs = _qubit_vertex(alpha_f)
             checked["identity-4"] += 1
             if lhs != rhs:
                 report["identity-4"] += 1

@@ -76,14 +76,6 @@ class LiftState:
 State = Union[CncSet, OrbitVertex, LiftState]
 
 
-def state_qubits(state: State) -> int:
-    if isinstance(state, CncSet):
-        return state.n
-    if isinstance(state, OrbitVertex):
-        return 2
-    return state.n
-
-
 def state_operator(state: State) -> QOperator:
     if isinstance(state, CncSet):
         return state.operator()
@@ -358,7 +350,7 @@ def descriptor_from_json(obj: Mapping) -> list[tuple[FieldElem, State]]:
     if kind == "lift":
         inner = descriptor_from_json(obj["inner"])
         _, tail_asg = state_from_json(obj["sigma"])
-        m = state_qubits(inner[0][1])
+        m = inner[0][1].n
         n = m + tail_asg.subspace.n
         sigma = embed_tail_assignment(tail_asg, n, m)
         unitary = (

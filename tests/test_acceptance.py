@@ -25,11 +25,12 @@ from lambda_forge.lifting import lift, make_params, unlift
 from lambda_forge.orbit import (
     ALPHA0_TABLE,
     OrbitVertex,
+    assignment_solutions,
     clifford_orbit_keys,
-    derive_assignments,
     enumerate_family,
     family_operator_keys,
     mixture_identities_report,
+    omega_from_collection,
     verify_update_rules,
 )
 from lambda_forge.pauli import QOperator
@@ -135,8 +136,8 @@ def test_criterion_04_flagship_reproduction():
         x_point(2, 2): 1, x_point(2, 1): 0, z_point(2, 2): 1,
         y_point(2, 2): 1, z_point(2, 1): 0, y_point(2, 1): 1,
     }
-    pairs = derive_assignments(I, gamma, collection)
-    in_solution_set = any(gp == table_gp for gp, _ in pairs)
+    omega = omega_from_collection(collection)
+    in_solution_set = table_gp in assignment_solutions(I, gamma, omega)
     built = OrbitVertex.build(I, gamma, collection, table_gp).operator()
     table_op = QOperator.from_labels(2, ALPHA0_TABLE)
     coeffs_match = built == table_op and len(ALPHA0_TABLE) == 16

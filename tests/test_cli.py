@@ -182,7 +182,7 @@ def test_phi_command(tmp_path, capsys):
 
 
 def test_poset_outputs(capsys):
-    code, out = run(capsys, "poset", "--json")
+    code, out = run(capsys, "poset")
     doc = json.loads(out)
     assert code == 0 and len(doc["payload"]["nodes"]) == 30
     assert len(doc["payload"]["edges"]) == 45
@@ -291,3 +291,14 @@ def test_simulate_rejects_bad_mixture(tmp_path, capsys):
         path = write_json(tmp_path / "mix.json", circ)
         code, out = run(capsys, "simulate", path, "--exact")
         assert code == 1 and "ValueError" in json.loads(out)["diagnostics"]
+
+
+def test_simulate_rejects_trace_zero_orbit(tmp_path, capsys):
+    coeffs = {lbl: c for lbl, c in ALPHA0["coeffs"].items() if lbl != "II"}
+    circ = {"n": 2, "initial": {"type": "orbit", "coeffs": coeffs},
+            "steps": [{"measure": "XZ"}]}
+    path = write_json(tmp_path / "circ.json", circ)
+    code, out = run(capsys, "simulate", path, "--exact")
+    doc = json.loads(out)
+    assert code == 1 and doc["status"] == "error"
+    assert "unit trace" in doc["diagnostics"]

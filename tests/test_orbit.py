@@ -20,7 +20,6 @@ from lambda_forge.orbit import (
     assignment_solutions,
     check_collection_rules,
     classify_operator,
-    derive_assignments,
     enumerate_collections,
     enumerate_family,
     isotropic_poset,
@@ -95,6 +94,27 @@ def test_build_validation():
         OrbitVertex.build(V.I, V.gamma, V.collection, bad_gp)
     with pytest.raises(ValueError):
         OrbitVertex.build(V.I, V.gamma, frozenset(list(V.collection)[:5]), V.gamma_p_map)
+    # I plus the lines through its points meets the covering rules, but is
+    # not a collection of maximal isotropics
+    degenerate = [V.I] + [span([p]) for p in V.I.points() if not p.is_zero()]
+    assert check_collection_rules(V.I, degenerate)
+    with pytest.raises(ValueError):
+        OrbitVertex.build(V.I, V.gamma, degenerate, V.gamma_p_map)
+    short_gp = dict(V.gamma_p_map)
+    del short_gp[x_point(2, 1)]
+    with pytest.raises(ValueError):
+        OrbitVertex.build(V.I, V.gamma, V.collection, short_gp)
+
+
+def test_classify_rejects_trace_zero():
+    table = {lbl: val for lbl, val in ALPHA0_TABLE.items() if lbl != "II"}
+    with pytest.raises(ValueError):
+        classify_operator(QOperator.from_labels(2, table))
+
+
+def test_every_member_round_trips_through_build():
+    for V in enumerate_family():
+        assert OrbitVertex.build(V.I, V.gamma, V.collection, V.gamma_p_map) == V
 
 
 def test_collections_structure():
@@ -119,10 +139,10 @@ def test_sign_system_solution_count():
         om = omega_from_collection(C)
         sols = assignment_solutions(I0, gamma, om)
         assert len(sols) == 8
-        pairs = derive_assignments(I0, gamma, C)
-        assert len(pairs) == 8
-        for gp, gpp in pairs:
+        for gp in sols:
             assert gp[PauliPoint.zero(2)] == 0
+            gpp = OrbitVertex.build(I0, gamma, C, gp).gamma_pp_map
+            assert gpp[PauliPoint.zero(2)] == 0
             assert all(gpp[p] == 1 ^ gp[p] for p in gp if not p.is_zero())
 
 
@@ -174,7 +194,7 @@ def test_dropped_collections_give_no_vertices():
         dropped = [C for C in enumerate_collections(I) if len(C) != 6]
         for gamma in all_assignments(I):
             for C in dropped:
-                for gp, _ in derive_assignments(I, gamma, C):
+                for gp in assignment_solutions(I, gamma, omega_from_collection(C)):
                     sizes[len(C)] = sizes.get(len(C), 0) + 1
                     op = OrbitVertex.build(I, gamma, C, gp).operator()
                     cert = membership(op)
