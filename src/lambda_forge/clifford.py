@@ -388,7 +388,7 @@ def tableau_for_projector_pair(
     delta = []
     for p in rows:
         c = moved.coeff(p)
-        got = 0 if c.a > 0 else 1
+        got = 0 if c.p > 0 else 1
         delta.append(got ^ r.value(p))
     solved = solve_affine([swap_halves(p.key(), n) for p in rows], delta, 2 * n)
     assert solved is not None

@@ -3,13 +3,18 @@
 Every number that appears on the main computational paths of this package
 (polytope facet values, vertex coefficients, measurement probabilities,
 magic-state overlaps) lies in Q(sqrt(2)).  ``FieldElem`` stores such a
-number as an exact pair of rationals ``a + b*sqrt(2)`` and supports the
-ordered-field operations, so no tolerance is ever needed.
+number as three integers p, q, d meaning (p + q*sqrt(2)) / d, kept
+canonical (d > 0 and gcd(p, q, d) = 1), so equal values have equal
+triples and each operation is integer arithmetic with one gcd.  No
+tolerance is ever needed.  Only ints, Fractions and field elements enter
+the field; anything else (a float, a string) is a ValueError.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd, lcm
 
 
 def sqrt2_sign(a, b) -> int:
@@ -28,19 +33,81 @@ def sqrt2_sign(a, b) -> int:
     return 1 if (a > 0) == (cmp > 0) else -1
 
 
-class FieldElem:
-    """An element a + b*sqrt(2) with Fraction components a, b.
+@lru_cache(maxsize=1024)
+def _fraction(num: int, den: int) -> Fraction:
+    """num/den as a Fraction, shared: the few distinct components that the
+    ``a``/``b`` readers ask for are built once, not once per read."""
+    return Fraction(num, den)
 
-    Instances are treated as immutable; all operators return new objects.
-    Comparisons are exact (sqrt(2) is irrational, so a + b*sqrt(2) = 0
-    only when a = b = 0).
+
+def _ratio_str(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for den > 0, without building the Fraction."""
+    g = gcd(num, den)
+    if g != 1:
+        num //= g
+        den //= g
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
+def _rational(x):
+    """(numerator, denominator) of an int or a Fraction; ValueError for
+    anything else, so no float or string enters the field."""
+    if isinstance(x, int):
+        return x, 1
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
+    raise ValueError(f"field elements take ints and Fractions only, got {x!r}")
+
+
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _make(p: int, q: int, d: int) -> "FieldElem":
+    """The FieldElem of a triple that is already canonical."""
+    x = _new(FieldElem)
+    _set(x, "p", p)
+    _set(x, "q", q)
+    _set(x, "d", d)
+    return x
+
+
+class FieldElem:
+    """An element (p + q*sqrt(2)) / d with integers p, q and d > 0,
+    gcd(p, q, d) = 1.
+
+    Built as FieldElem(a, b) = a + b*sqrt(2) from ints or Fractions a, b.
+    Instances are immutable; all operators return new objects.
+    Comparisons are exact (sqrt(2) is irrational, so p + q*sqrt(2) = 0
+    only when p = q = 0).  The rational components ``a`` and ``b`` are
+    read-only Fractions served from one small bounded shared table, since
+    callers that keep them (``QOperator.key()`` in the family caches) would
+    otherwise hold one fresh Fraction per read.
     """
 
-    __slots__ = ("a", "b")
+    __slots__ = ("p", "q", "d")
 
     def __init__(self, a=0, b=0):
-        object.__setattr__(self, "a", a if isinstance(a, Fraction) else Fraction(a))
-        object.__setattr__(self, "b", b if isinstance(b, Fraction) else Fraction(b))
+        an, ad = _rational(a)
+        bn, bd = _rational(b)
+        # both components are reduced, so the triple over the lcm of their
+        # denominators is already canonical
+        d = lcm(ad, bd)
+        _set(self, "p", an * (d // ad))
+        _set(self, "q", bn * (d // bd))
+        _set(self, "d", d)
+
+    @staticmethod
+    def _reduced(p: int, q: int, d: int) -> "FieldElem":
+        """(p + q*sqrt(2)) / d in canonical form; d must be nonzero."""
+        g = gcd(p, q, d)
+        if d < 0:
+            g = -g
+        if g != 1:
+            p //= g
+            q //= g
+            d //= g
+        return _make(p, q, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("FieldElem is immutable")
@@ -48,47 +115,73 @@ class FieldElem:
     def __reduce__(self):
         return (FieldElem, (self.a, self.b))
 
+    @property
+    def a(self) -> Fraction:
+        """The rational part, as a Fraction."""
+        return _fraction(self.p, self.d)
+
+    @property
+    def b(self) -> Fraction:
+        """The sqrt(2) part, as a Fraction."""
+        return _fraction(self.q, self.d)
+
     # -- constructors ------------------------------------------------
 
     @staticmethod
     def coerce(x) -> "FieldElem":
+        """x as a field element: x itself, an int or a Fraction;
+        ValueError for anything else."""
         if isinstance(x, FieldElem):
             return x
-        return FieldElem(Fraction(x))
+        n, d = _rational(x)
+        return _make(n, 0, d)
 
     # -- arithmetic --------------------------------------------------
 
     def __add__(self, other):
         other = FieldElem.coerce(other)
-        return FieldElem(self.a + other.a, self.b + other.b)
+        d, e = self.d, other.d
+        if d == e:
+            return FieldElem._reduced(self.p + other.p, self.q + other.q, d)
+        return FieldElem._reduced(
+            self.p * e + other.p * d, self.q * e + other.q * d, d * e
+        )
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = FieldElem.coerce(other)
-        return FieldElem(self.a - other.a, self.b - other.b)
+        d, e = self.d, other.d
+        if d == e:
+            return FieldElem._reduced(self.p - other.p, self.q - other.q, d)
+        return FieldElem._reduced(
+            self.p * e - other.p * d, self.q * e - other.q * d, d * e
+        )
 
     def __rsub__(self, other):
         return FieldElem.coerce(other) - self
 
     def __neg__(self):
-        return FieldElem(-self.a, -self.b)
+        return _make(-self.p, -self.q, self.d)
 
     def __mul__(self, other):
         other = FieldElem.coerce(other)
-        return FieldElem(
-            self.a * other.a + 2 * self.b * other.b,
-            self.a * other.b + self.b * other.a,
-        )
+        p, q, r, s = self.p, self.q, other.p, other.q
+        return FieldElem._reduced(p * r + 2 * q * s, p * s + q * r, self.d * other.d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        # x / y = x * d_y * (r - s*sqrt(2)) / (r^2 - 2 s^2), y = (r + s*sqrt(2)) / d_y
         other = FieldElem.coerce(other)
-        norm = other.a * other.a - 2 * other.b * other.b
+        p, q, r, s = self.p, self.q, other.p, other.q
+        norm = r * r - 2 * s * s
         if norm == 0:
             raise ZeroDivisionError("division by zero in Q(sqrt(2))")
-        return self * FieldElem(other.a / norm, -other.b / norm)
+        e = other.d
+        return FieldElem._reduced(
+            (p * r - 2 * q * s) * e, (q * r - p * s) * e, self.d * norm
+        )
 
     def __rtruediv__(self, other):
         return FieldElem.coerce(other) / self
@@ -96,59 +189,72 @@ class FieldElem:
     # -- predicates and ordering -------------------------------------
 
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+        return not (self.p or self.q)
 
     def sign(self) -> int:
-        """Exact sign of the real number a + b*sqrt(2)."""
-        return sqrt2_sign(self.a, self.b)
+        """Exact sign of the real number (p + q*sqrt(2)) / d."""
+        return sqrt2_sign(self.p, self.q)
+
+    def _cmp(self, other) -> int:
+        """Sign of self - other."""
+        other = FieldElem.coerce(other)
+        d, e = self.d, other.d
+        return sqrt2_sign(self.p * e - other.p * d, self.q * e - other.q * d)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.b == 0 and self.a == other
         if isinstance(other, FieldElem):
-            return self.a == other.a and self.b == other.b
+            return self.p == other.p and self.q == other.q and self.d == other.d
+        if isinstance(other, int):
+            return self.q == 0 and self.d == 1 and self.p == other
+        if isinstance(other, Fraction):
+            return (
+                self.q == 0
+                and self.d == other.denominator
+                and self.p == other.numerator
+            )
         return NotImplemented
 
     def __hash__(self):
-        if self.b == 0:
-            return hash(self.a)
-        return hash((self.a, self.b))
+        if self.q == 0:
+            return hash(self.p) if self.d == 1 else hash(_fraction(self.p, self.d))
+        return hash((self.p, self.q, self.d))
 
     def __lt__(self, other):
-        return (self - FieldElem.coerce(other)).sign() < 0
+        return self._cmp(other) < 0
 
     def __le__(self, other):
-        return (self - FieldElem.coerce(other)).sign() <= 0
+        return self._cmp(other) <= 0
 
     def __gt__(self, other):
-        return (self - FieldElem.coerce(other)).sign() > 0
+        return self._cmp(other) > 0
 
     def __ge__(self, other):
-        return (self - FieldElem.coerce(other)).sign() >= 0
+        return self._cmp(other) >= 0
 
     # -- conversions -------------------------------------------------
 
     def __float__(self):
-        return float(self.a) + float(self.b) * 1.4142135623730951
+        return self.p / self.d + (self.q / self.d) * 1.4142135623730951
 
     def __repr__(self):
-        if self.b == 0:
-            return f"FieldElem({self.a})"
-        return f"FieldElem({self.a}, {self.b})"
+        if self.q == 0:
+            return f"FieldElem({_ratio_str(self.p, self.d)})"
+        return f"FieldElem({_ratio_str(self.p, self.d)}, {_ratio_str(self.q, self.d)})"
 
     def __str__(self):
-        if self.b == 0:
-            return str(self.a)
-        if self.a == 0:
-            return f"{self.b}*sqrt2"
-        sep = "+" if self.b > 0 else "-"
-        return f"{self.a}{sep}{abs(self.b)}*sqrt2"
+        p, q, d = self.p, self.q, self.d
+        if q == 0:
+            return _ratio_str(p, d)
+        if p == 0:
+            return f"{_ratio_str(q, d)}*sqrt2"
+        sep = "+" if q > 0 else "-"
+        return f"{_ratio_str(p, d)}{sep}{_ratio_str(abs(q), d)}*sqrt2"
 
     def to_json(self):
         """JSON form: a bare rational string when b = 0, else {a, b}."""
-        if self.b == 0:
-            return str(self.a)
-        return {"a": str(self.a), "b": str(self.b)}
+        if self.q == 0:
+            return _ratio_str(self.p, self.d)
+        return {"a": _ratio_str(self.p, self.d), "b": _ratio_str(self.q, self.d)}
 
     @staticmethod
     def from_json(obj) -> "FieldElem":

@@ -43,6 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
+from math import lcm
 from typing import ClassVar, Iterable, Mapping, Optional, Sequence
 
 from .field import HALF, FieldElem, ONE
@@ -381,33 +382,38 @@ def measure_update(
 
     Weights are unnormalized: they sum to p (no pieces when p = 0), zero
     weights are dropped, and sum(w_i * piece_i.operator()) equals
-    project(operator(), a, s) exactly.
+    project(operator(), a, s) exactly.  All of it runs on integers: over
+    the lcm D of the coefficients' denominators, 2 p D and the x_r times
+    2 p D are integer sums, and the weights are their differences over 4 D.
     """
     if a.is_zero():
         raise ValueError("measurement axis must be nonzero")
     if a.n != 2:
         raise ValueError("qubit count mismatch")
     s &= 1
-    alpha = {v: c.a for v, c in vertex.operator().coeffs.items()}
-    p = Fraction(1 + (-1) ** s * alpha.get(a, 0), 2)
-    if p == 0:
+    coeffs = vertex.operator().coeffs
+    D = lcm(*(c.d for c in coeffs.values()))
+    alpha = {v: c.p * (D // c.d) for v, c in coeffs.items()}  # times D
+    P = D - alpha.get(a, 0) if s else D + alpha.get(a, 0)  # 2 p D
+    if P == 0:
         return []
     chain = []
     for r in span([a]).perp().points():
         u = r ^ a
         if r.key() < u.key() and not r.is_zero():
             t = (s + beta(r, a)) & 1
-            x = (alpha.get(r, 0) + (-1) ** t * alpha.get(u, 0)) / (2 * p)
-            chain.append((abs(x), r.key(), r, t, int(x < 0)))
+            x = alpha.get(r, 0) - alpha.get(u, 0) if t else alpha.get(r, 0) + alpha.get(u, 0)
+            chain.append((abs(x), r.key(), r, t, int(x < 0)))  # x_r times P
     chain.sort(key=lambda c: c[:2])
-    zs = [Fraction(-1)] + [z for z, *_ in chain] + [Fraction(1)]
+    zs = [-P] + [z for z, *_ in chain] + [P]
     bits = [g for *_, g in chain]
     out = []
     for i in range(4):
         if i:
             bits[i - 1] ^= 1
-        w = p * (zs[i + 1] - zs[i]) / 2
+        w = zs[i + 1] - zs[i]
         if w:
+            w = Fraction(w, 4 * D)
             gamma = {PauliPoint.zero(2): 0, a: s}
             for (_, _, r, t, _), g in zip(chain, bits):
                 gamma[r] = g

@@ -82,8 +82,8 @@ class FacetCertificate:
 def membership(X: QOperator) -> FacetCertificate:
     """Exact facet certificate of X; requires trace(X) = 1.
 
-    The facet sums are integers: with D the lcm of the denominators of
-    X's coefficients, a facet's value is (x + y*sqrt(2)) / (D * 2^n) for
+    The facet sums are integers: with D the lcm of the denominators d of
+    X's coefficients (p + q*sqrt(2)) / d, a facet's value is (x + y*sqrt(2)) / (D * 2^n) for
     the integer sums x, y of the scaled coefficients over the state's
     signed points, and its sign is that of x + y*sqrt(2).  The FieldElem
     values are built only when the certificate's ``values`` is read.
@@ -96,12 +96,13 @@ def membership(X: QOperator) -> FacetCertificate:
     if X.trace() != ONE:
         raise ValueError("membership requires a trace-1 operator")
     coeffs = X.coeffs.items()
-    D = lcm(*(d for _, c in coeffs for d in (c.a.denominator, c.b.denominator)))
+    D = lcm(*(c.d for _, c in coeffs))
     xs = [0] * (1 << (2 * n))
     ys = [0] * (1 << (2 * n))
     for p, c in coeffs:
-        xs[p.key()] = c.a.numerator * (D // c.a.denominator)
-        ys[p.key()] = c.b.numerator * (D // c.b.denominator)
+        k = D // c.d
+        xs[p.key()] = c.p * k
+        ys[p.key()] = c.q * k
     get_x, get_y = xs.__getitem__, ys.__getitem__
     irrational = any(ys)
     table = facet_table(n)
@@ -119,7 +120,7 @@ def membership(X: QOperator) -> FacetCertificate:
 
     def values():
         den = D << n
-        elem = {xy: FieldElem(Fraction(xy[0], den), Fraction(xy[1], den)) for xy in set(sums)}
+        elem = {xy: FieldElem._reduced(*xy, den) for xy in set(sums)}
         return {entry[0]: elem[xy] for entry, xy in zip(table, sums)}
 
     return FacetCertificate(X, values, active, violation)

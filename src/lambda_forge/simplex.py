@@ -13,7 +13,6 @@ intended for desk-scale systems (tens of rows, a few thousand columns).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence
 
@@ -55,13 +54,13 @@ def solve_feasibility(
     for i in range(m):
         b = FieldElem.coerce(rhs[i])
         entries = [FieldElem.coerce(col[i]) for col in columns]
-        if any(v.b for v in entries):
+        if any(v.q for v in entries):
             raise ValueError(f"simplex columns must be rational; row {i} has a sqrt(2) part")
-        entries = [v.a for v in entries] + [b.a, b.b]
-        scale = lcm(*(v.denominator for v in entries))
-        sgn = -1 if sqrt2_sign(b.a, b.b) < 0 else 1  # make b >= 0
-        ints = [sgn * v.numerator * (scale // v.denominator) for v in entries]
-        tab.append(ints[:ncols] + [scale if k == i else 0 for k in range(m)] + ints[ncols:])
+        scale = lcm(b.d, *(v.d for v in entries))
+        sgn = -1 if b.sign() < 0 else 1  # make b >= 0
+        ints = [sgn * v.p * (scale // v.d) for v in entries]
+        k = sgn * (scale // b.d)
+        tab.append(ints + [scale if j == i else 0 for j in range(m)] + [b.p * k, b.q * k])
     basis = list(range(ncols, width))
 
     # Reduced costs of "minimize the artificial sum", times the lcm of the
@@ -114,5 +113,5 @@ def solve_feasibility(
     x = [ZERO] * ncols
     for row, j in zip(tab, basis):
         if j < ncols:
-            x[j] = FieldElem(Fraction(row[width], row[j]), Fraction(row[width + 1], row[j]))
+            x[j] = FieldElem._reduced(row[width], row[width + 1], row[j])
     return x

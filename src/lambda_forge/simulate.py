@@ -37,7 +37,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt, lcm
+from math import isqrt
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .field import HALF, FieldElem, ONE, ZERO
@@ -239,10 +239,7 @@ _SCALE = 1 << 64
 
 def _threshold(x: FieldElem) -> int:
     """ceil(2**64 * x), exactly, for x = a + b*sqrt(2) in Q(sqrt(2))."""
-    a, b = x.a * _SCALE, x.b * _SCALE
-    d = lcm(a.denominator, b.denominator)
-    num_a = a.numerator * (d // a.denominator)
-    num_b = b.numerator * (d // b.denominator)
+    num_a, num_b, d = x.p * _SCALE, x.q * _SCALE, x.d
     if num_b == 0:
         return -(-num_a // d)
     # floor(num_b * sqrt(2)); never an integer, since sqrt(2) is irrational

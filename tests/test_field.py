@@ -1,4 +1,5 @@
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -91,3 +92,159 @@ def test_json_rejects_wrong_types():
     for bad in ([1], None, 0.5, True, {"a": [1]}, {"a": None}, {"c": "1"}, "1/0", "x"):
         with pytest.raises(ValueError):
             FieldElem.from_json(bad)
+
+
+# -- differential test against the Fraction-pair representation -------------
+
+
+def _ref_sign(a: Fraction, b: Fraction) -> int:
+    if (a >= 0 and b >= 0) or (a <= 0 and b <= 0):
+        return (a + b > 0) - (a + b < 0)
+    # opposite signs: the larger of a^2 and 2 b^2 wins
+    return (a > 0) - (a < 0) if a * a > 2 * b * b else (b > 0) - (b < 0)
+
+
+class Ref:
+    """a + b*sqrt(2) as a pair of Fractions: the oracle for FieldElem."""
+
+    def __init__(self, a, b=0):
+        self.a, self.b = Fraction(a), Fraction(b)
+
+    def __add__(self, o):
+        return Ref(self.a + o.a, self.b + o.b)
+
+    def __sub__(self, o):
+        return Ref(self.a - o.a, self.b - o.b)
+
+    def __neg__(self):
+        return Ref(-self.a, -self.b)
+
+    def __mul__(self, o):
+        return Ref(self.a * o.a + 2 * self.b * o.b, self.a * o.b + self.b * o.a)
+
+    def __truediv__(self, o):
+        norm = o.a * o.a - 2 * o.b * o.b
+        return self * Ref(o.a / norm, -o.b / norm)
+
+    def sign(self):
+        return _ref_sign(self.a, self.b)
+
+    def __repr__(self):
+        return f"FieldElem({self.a})" if self.b == 0 else f"FieldElem({self.a}, {self.b})"
+
+    def __str__(self):
+        if self.b == 0:
+            return str(self.a)
+        if self.a == 0:
+            return f"{self.b}*sqrt2"
+        return f"{self.a}{'+' if self.b > 0 else '-'}{abs(self.b)}*sqrt2"
+
+    def to_json(self):
+        return str(self.a) if self.b == 0 else {"a": str(self.a), "b": str(self.b)}
+
+
+wide = st.fractions(max_denominator=10**6).filter(lambda f: abs(f) < 10**9)
+pairs = st.tuples(wide, wide) | st.tuples(wide, st.just(Fraction(0))) | st.tuples(
+    st.just(Fraction(0)), wide)
+
+
+def _check(x: FieldElem, r: Ref):
+    """x has r's value, in canonical form, and prints like r."""
+    assert (x.a, x.b) == (r.a, r.b)
+    assert x.d > 0 and math.gcd(x.p, x.q, x.d) == 1
+    assert (x.p, x.q) == (r.a * x.d, r.b * x.d)
+    assert (repr(x), str(x), x.to_json()) == (repr(r), str(r), r.to_json())
+    assert x.sign() == r.sign()
+
+
+@given(pairs, pairs)
+def test_field_matches_fraction_pairs(u, v):
+    x, y = FieldElem(*u), FieldElem(*v)
+    r, s = Ref(*u), Ref(*v)
+    _check(x, r)
+    _check(x + y, r + s)
+    _check(x - y, r - s)
+    _check(x * y, r * s)
+    _check(-x, -r)
+    if v != (0, 0):
+        _check(x / y, r / s)
+    d = (r - s).sign()
+    assert (x < y, x <= y, x > y, x >= y) == (d < 0, d <= 0, d > 0, d >= 0)
+    assert (x == y) == (d == 0)
+
+
+@given(pairs, st.integers(-100, 100), wide)
+def test_field_mixed_with_ints_and_fractions(u, k, f):
+    x, r = FieldElem(*u), Ref(*u)
+    for c in (k, f):
+        _check(x + c, r + Ref(c))
+        _check(c + x, r + Ref(c))
+        _check(c - x, Ref(c) - r)
+        _check(c * x, r * Ref(c))
+        if not x.is_zero():
+            _check(c / x, Ref(c) / r)
+        d = (r - Ref(c)).sign()
+        assert (x < c, x <= c, x > c, x >= c) == (d < 0, d <= 0, d > 0, d >= 0)
+
+
+@given(st.integers(-10**12, 10**12), wide)
+def test_rational_elements_equal_and_hash_like_ints_and_fractions(k, f):
+    for c in (k, f, Fraction(k)):
+        x = FieldElem(c)
+        assert x == c and c == x and hash(x) == hash(c)
+        assert x != c + 1 and x + SQRT2 != c
+    assert hash(FieldElem(Fraction(1, 2))) == hash(Fraction(1, 2))
+    assert hash(FieldElem(3)) == hash(3)
+
+
+@given(pairs)
+def test_json_and_pickle_round_trips(u):
+    x = FieldElem(*u)
+    for y in (FieldElem.from_json(x.to_json()), pickle.loads(pickle.dumps(x))):
+        assert y == x and (y.p, y.q, y.d) == (x.p, x.q, x.d) and hash(y) == hash(x)
+
+
+@given(pairs, st.integers(-10**6, 10**6).filter(bool))
+def test_equal_values_have_equal_triples(u, k):
+    x = FieldElem(*u)
+    via = [
+        FieldElem._reduced(k * x.p, k * x.q, k * x.d),
+        (x * k) / k,
+        (x + SQRT2) - SQRT2,
+        FieldElem(x.a) + FieldElem(0, x.b),
+        x * INV_SQRT2 * SQRT2,
+    ]
+    for y in via:
+        assert (y.p, y.q, y.d) == (x.p, x.q, x.d)
+        assert y == x and hash(y) == hash(x)
+
+
+def test_division_by_negative_norm_keeps_d_positive():
+    # 1 - sqrt2 has norm -1
+    x = ONE / FieldElem(1, -1)
+    assert (x.p, x.q, x.d) == (-1, -1, 1)
+    assert x.sign() < 0 and x < 0
+    y = FieldElem(Fraction(1, 3)) / FieldElem(1, 1)  # norm -1
+    assert (y.p, y.q, y.d) == (-1, 1, 3) and y.sign() > 0
+
+
+def test_components_are_shared_fractions():
+    x, y = FieldElem(Fraction(1, 3), 2), FieldElem(Fraction(1, 3), 5)
+    assert isinstance(x.a, Fraction) and x.a == Fraction(1, 3) and x.b == 2
+    assert x.a is y.a
+    with pytest.raises(AttributeError):
+        x.p = 2
+    with pytest.raises(AttributeError):
+        x.a = 2
+
+
+@pytest.mark.parametrize("bad", [0.5, 0.3, "1/2", "x", None, 1j, [1]])
+def test_inexact_or_foreign_inputs_rejected(bad):
+    with pytest.raises(ValueError):
+        FieldElem(bad)
+    with pytest.raises(ValueError):
+        FieldElem(1, bad)
+    with pytest.raises(ValueError):
+        FieldElem.coerce(bad)
+    with pytest.raises(ValueError):
+        ONE + bad

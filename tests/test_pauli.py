@@ -211,6 +211,17 @@ def test_json_round_trip():
             QOperator.from_json(bad)
 
 
+def test_inexact_coefficients_rejected():
+    # a binary float or a string is not stored as a coefficient
+    for bad in (0.3, "1/2"):
+        with pytest.raises(ValueError, match="ints and Fractions only"):
+            QOperator.from_labels(1, {"I": 1, "X": bad})
+        with pytest.raises(ValueError):
+            QOperator(1, {x_point(1, 1): bad})
+        with pytest.raises(ValueError):
+            QOperator.identity(1).scale(bad)
+
+
 def test_package_import_leaves_numpy_unloaded():
     code = "import sys, lambda_forge; print('numpy' in sys.modules)"
     out = subprocess.run(

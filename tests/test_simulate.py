@@ -314,3 +314,9 @@ def test_initial_weights_checked():
             outcome_probability(init, z, 0)
     init = [(Fraction(1, 2), c0), (Fraction(1, 2), c1), (0, c1)]
     assert total(exact_distribution(init, [z])) == ONE
+    # inexact weights are refused as such, not as a puzzling exact sum
+    for init in ([(0.1, c0), (0.9, c1)], [("1/2", c0), ("1/2", c1)]):
+        with pytest.raises(ValueError, match="ints and Fractions only"):
+            exact_distribution(init, [z])
+        with pytest.raises(ValueError, match="ints and Fractions only"):
+            sample(init, [z], seed=1)
