@@ -22,13 +22,8 @@ from lambda_forge import (
 )
 from lambda_forge.clifford import generator_tableaux
 from lambda_forge.gf2 import all_points, x_point, z_point
-from lambda_forge.reduction import (
-    ReductionEngine,
-    embed_tail_assignment,
-    reduce_static,
-    reduced_distribution,
-)
-from lambda_forge.simulate import born_distribution
+from lambda_forge.reduction import ReductionEngine, embed_tail_assignment, reduce_static
+from lambda_forge.simulate import born_distribution, reduced_distribution
 from lambda_forge.stabilizer import Assignment, enumerate_stabilizer_states
 
 rng = random.Random(4)

@@ -207,6 +207,8 @@ def cmd_simulate(args) -> int:
     doc = _load_json(args.circuit)
     init = descriptor_from_json(doc["initial"])
     n = doc.get("n", init[0][1].n)
+    if n != init[0][1].n:
+        return _emit("error", None, f"circuit n = {n!r}, initial state n = {init[0][1].n}")
     steps = steps_from_json(doc["steps"], n)
     if args.exact:
         dist = exact_distribution(init, steps)

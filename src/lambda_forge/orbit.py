@@ -43,10 +43,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import lcm
 from typing import ClassVar, Iterable, Mapping, Optional, Sequence
 
-from .field import HALF, FieldElem, ONE
+from .field import HALF, ONE
 from .clifford import operator_orbit
 from .cnc import CncSet
 from .gf2 import (
@@ -216,6 +215,9 @@ def assignment_solutions(
 
 # -- the vertices ------------------------------------------------------------
 
+#: A coefficient from its double.
+_HALVES = {2: ONE, -2: -ONE, 1: HALF, -1: -HALF}
+
 
 @dataclass(frozen=True)
 class OrbitVertex:
@@ -264,15 +266,20 @@ class OrbitVertex:
             p: (b + (0 if p.is_zero() else 1)) & 1 for p, b in self.gamma_p
         }
 
-    def operator(self) -> QOperator:
-        coeffs: dict[PauliPoint, FieldElem] = {PauliPoint.zero(2): ONE}
+    def _twice_coeffs(self) -> dict[PauliPoint, int]:
+        """The Pauli coefficients times 2: 2 at the identity, (-1)^gamma 2
+        on I and (-1)^gamma' on Omega."""
+        coeffs = {PauliPoint.zero(2): 2}
         for p in self.I.points():
             if not p.is_zero():
-                coeffs[p] = ONE if self.gamma.value(p) == 0 else -ONE
+                coeffs[p] = -2 if self.gamma.value(p) else 2
         for p, b in self.gamma_p:
             if not p.is_zero():
-                coeffs[p] = HALF if b == 0 else -HALF
-        return QOperator(2, coeffs)
+                coeffs[p] = -1 if b else 1
+        return coeffs
+
+    def operator(self) -> QOperator:
+        return QOperator(2, {p: _HALVES[c] for p, c in self._twice_coeffs().items()})
 
     def to_json(self) -> dict:
         return {
@@ -382,18 +389,18 @@ def measure_update(
 
     Weights are unnormalized: they sum to p (no pieces when p = 0), zero
     weights are dropped, and sum(w_i * piece_i.operator()) equals
-    project(operator(), a, s) exactly.  All of it runs on integers: over
-    the lcm D of the coefficients' denominators, 2 p D and the x_r times
-    2 p D are integer sums, and the weights are their differences over 4 D.
+    project(operator(), a, s) exactly.  All of it runs on integers: with
+    D = 2 and the coefficients times D from ``_twice_coeffs``, 2 p D and the
+    x_r times 2 p D are integer sums, and the weights are their
+    differences over 4 D.
     """
     if a.is_zero():
         raise ValueError("measurement axis must be nonzero")
     if a.n != 2:
         raise ValueError("qubit count mismatch")
     s &= 1
-    coeffs = vertex.operator().coeffs
-    D = lcm(*(c.d for c in coeffs.values()))
-    alpha = {v: c.p * (D // c.d) for v, c in coeffs.items()}  # times D
+    D = 2
+    alpha = vertex._twice_coeffs()  # times D
     P = D - alpha.get(a, 0) if s else D + alpha.get(a, 0)  # 2 p D
     if P == 0:
         return []

@@ -18,6 +18,10 @@ accumulated Clifford into the observable, either
 The engine below performs one such rewriting pass; it is immutable, so
 branching over coin outcomes is cheap, and it compares and hashes by
 value, so equal frames reached along different paths share memo entries.
+``reduce_static`` runs one pass for a fixed coin assignment.  The exact
+law of the reduced run is ``simulate.reduced_distribution``: one more
+branch rule (fixed, coin, head Born) over the simulator's branch-tree
+walker.
 """
 
 from __future__ import annotations
@@ -25,11 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .field import HALF, ONE, ZERO, FieldElem
 from .clifford import CliffordTableau
 from .gf2 import PauliPoint, symplectic_form
 from .lifting import embed_tail, head_point, is_tail_supported, tail_point
-from .pauli import PhasedPauli, QOperator, pauli_mul
+from .pauli import PhasedPauli, pauli_mul
 from .stabilizer import Assignment
 
 
@@ -196,39 +199,3 @@ def reduce_static(
                           "observable": step.point.label(), "flip": step.flip})
     return {"m": engine.m, "steps": steps, "coins": used}
 
-
-def reduced_distribution(
-    X: QOperator,
-    engine: ReductionEngine,
-    sequence: Sequence[PauliPoint],
-) -> dict[tuple[int, ...], FieldElem]:
-    """Exact joint outcome distribution of the reduced run.
-
-    Coins branch uniformly; head measurements branch by the polytope
-    Born weights on the evolving head operator.  Equals the outcome
-    distribution of the full lifted run, exactly.
-    """
-    out: dict[tuple[int, ...], FieldElem] = {}
-
-    def walk(i: int, eng: ReductionEngine, state: QOperator, prob: FieldElem, acc):
-        if i == len(sequence):
-            key = tuple(acc)
-            out[key] = out.get(key, ZERO) + prob
-            return
-        step, eng2 = eng.process(sequence[i])
-        if isinstance(step, FixedStep):
-            walk(i + 1, eng2, state, prob, acc + [step.outcome])
-        elif isinstance(step, CoinStep):
-            for c in (0, 1):
-                walk(i + 1, eng2.resolve_coin(c), state, prob * HALF, acc + [c])
-        else:
-            for s_head in (0, 1):
-                projected = state.project(step.point, s_head)
-                p = projected.trace()
-                if p.sign() <= 0:
-                    continue
-                walk(i + 1, eng2, projected.scale(ONE / p), prob * p,
-                     acc + [s_head ^ step.flip])
-
-    walk(0, engine, X, ONE, [])
-    return out

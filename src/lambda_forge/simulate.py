@@ -11,18 +11,22 @@ over descriptors with closed-form measurement updates:
   rewriting the measurement sequence down to the inner register.
 
 No update goes through exact projection: ``QOperator.project`` appears
-here only in ``born_distribution``.  Updates of all three descriptor
+here only in the Born branch rule.  Updates of all three descriptor
 kinds are memoized on (state, axis, outcome); lifted states compare and
 hash by value (engine frame and inner state), so they share entries.
 
-``exact_distribution`` expands the full branch tree with exact rational
-or Q(sqrt(2)) weights; ``sample`` draws one trajectory per shot,
+One walker, ``_law``, expands a branch tree with exact weights and sums
+its leaves by transcript; each law is a branch rule listing a node's
+children: the closed-form updates (``exact_distribution``), exact
+projection and renormalization (``born_distribution``, the independent
+ground truth used by the test suite), and the reduction engine's fixed,
+coin and head-Born steps on a lifted state (``reduced_distribution``).
+``sample`` draws one trajectory per shot along the update rule,
 deterministic for a fixed seed.  A draw is one 64-bit integer u compared
 against integer thresholds ceil(2**64 * c_i / total) over the cumulative
 weights c_i; u < ceil(x) exactly when u < x, and the ceiling is computed
 exactly (floor(r*sqrt(2)) = isqrt(2 r**2)), so every draw is the exact
-comparison in Q(sqrt(2)) with no float.  ``born_distribution`` is the
-independent operator-level ground truth used by the test suite.
+comparison in Q(sqrt(2)) with no float.
 
 Sequences are lists of steps; a step is a Pauli point, or a
 ``(point, condition)`` pair where the condition maps earlier step
@@ -164,72 +168,89 @@ def check_weights(weighted: Iterable[tuple]) -> list[tuple]:
     return out
 
 
+def _law(roots: Iterable[tuple], steps: Sequence, branch) -> dict[tuple, FieldElem]:
+    """The joint outcome law of a branch tree: the leaf weights summed by
+    transcript.  ``branch(state, point)`` lists the (outcome, weight, next
+    state) children of a node; a step whose condition fails records None
+    and keeps the state, and a child of weight <= 0 is cut."""
+    steps = normalize_steps(steps)
+    out: dict[tuple, FieldElem] = {}
+
+    def walk(i, state, prob, acc):
+        if i == len(steps):
+            key = tuple(acc)
+            out[key] = out.get(key, ZERO) + prob
+            return
+        point, cond = steps[i]
+        if not _condition_met(cond, acc):
+            walk(i + 1, state, prob, acc + [None])
+            return
+        for s, w, nxt in branch(state, point):
+            if w.sign() > 0:
+                walk(i + 1, nxt, prob * w, acc + [s])
+
+    for weight, state in roots:
+        if weight.sign() > 0:
+            walk(0, state, weight, [])
+    return out
+
+
+def _update_branch(state: State, a: PauliPoint) -> list[tuple[int, FieldElem, State]]:
+    """The closed-form update pieces for outcome 0, then for outcome 1."""
+    return [(s, w, piece) for s in (0, 1) for w, piece in update_state(state, a, s)]
+
+
+def _born_branch(rho: QOperator, a: PauliPoint) -> list[tuple[int, FieldElem, QOperator]]:
+    """Each outcome of positive probability p with the projected operator
+    renormalized by p."""
+    out = []
+    for s in (0, 1):
+        projected = rho.project(a, s)
+        p = projected.trace()
+        if p.sign() > 0:
+            out.append((s, p, projected.scale(ONE / p)))
+    return out
+
+
+def _reduced_branch(state: tuple[ReductionEngine, QOperator], a: PauliPoint) -> list:
+    """A fixed step at weight 1, a coin at weight 1/2 per side, or a Born
+    branch on the head operator with the outcome flipped by the tail sign."""
+    engine, head = state
+    step, engine = engine.process(a)
+    if isinstance(step, FixedStep):
+        return [(step.outcome, ONE, (engine, head))]
+    if isinstance(step, CoinStep):
+        return [(c, HALF, (engine.resolve_coin(c), head)) for c in (0, 1)]
+    return [(s ^ step.flip, p, (engine, nxt)) for s, p, nxt in _born_branch(head, step.point)]
+
+
 def exact_distribution(
     initial: Iterable[tuple[FieldElem, State]],
     steps: Sequence,
 ) -> dict[tuple, FieldElem]:
     """Exact joint outcome distribution (None marks skipped steps).  The
     initial weights must pass ``check_weights``."""
-    initial = check_weights(initial)
-    steps = normalize_steps(steps)
-    out: dict[tuple, FieldElem] = {}
-
-    def walk(i, state, prob, acc):
-        if i == len(steps):
-            key = tuple(acc)
-            out[key] = out.get(key, ZERO) + prob
-            return
-        point, cond = steps[i]
-        if not _condition_met(cond, acc):
-            walk(i + 1, state, prob, acc + [None])
-            return
-        for s in (0, 1):
-            for w, piece in update_state(state, point, s):
-                if w.sign() > 0:
-                    walk(i + 1, piece, prob * w, acc + [s])
-
-    for weight, state in initial:
-        if weight.sign() > 0:
-            walk(0, state, weight, [])
-    return out
+    return _law(check_weights(initial), steps, _update_branch)
 
 
 def born_distribution(rho: QOperator, steps: Sequence) -> dict[tuple, FieldElem]:
     """Ground truth by exact operator projection and renormalization."""
-    steps = normalize_steps(steps)
-    out: dict[tuple, FieldElem] = {}
-
-    def walk(i, state, prob, acc):
-        if i == len(steps):
-            key = tuple(acc)
-            out[key] = out.get(key, ZERO) + prob
-            return
-        point, cond = steps[i]
-        if not _condition_met(cond, acc):
-            walk(i + 1, state, prob, acc + [None])
-            return
-        for s in (0, 1):
-            projected = state.project(point, s)
-            p = projected.trace()
-            if p.sign() > 0:
-                walk(i + 1, projected.scale(ONE / p), prob * p, acc + [s])
-
-    walk(0, rho, ONE, [])
-    return out
+    return _law([(ONE, rho)], steps, _born_branch)
 
 
-def outcome_probability(
-    initial: Iterable[tuple[FieldElem, State]], a: PauliPoint, s: int
-) -> FieldElem:
-    """sum_alpha p(alpha) * (total update weight at outcome s).  The
-    initial weights must pass ``check_weights``."""
-    total = ZERO
-    for weight, state in check_weights(initial):
-        q = ZERO
-        for w, _ in update_state(state, a, s):
-            q = q + w
-        total = total + weight * q
-    return total
+def reduced_distribution(
+    X: QOperator,
+    engine: ReductionEngine,
+    sequence: Sequence,
+) -> dict[tuple, FieldElem]:
+    """Exact joint outcome distribution of the reduced run of ``sequence``
+    (steps as in ``exact_distribution``) on U (X (x) Pi_sigma) U^dagger.
+
+    Coins branch uniformly; head measurements branch by the polytope
+    Born weights on the evolving head operator.  Equals the outcome
+    distribution of the full lifted run, exactly.
+    """
+    return _law([(ONE, (engine, X))], sequence, _reduced_branch)
 
 
 # -- sampling -----------------------------------------------------------------
@@ -298,9 +319,7 @@ def sample(
             table = memo.get(state)
             if table is None:
                 table = memo[state] = _table(
-                    (w, (s, piece))
-                    for s in (0, 1)
-                    for w, piece in update_state(state, point, s)
+                    (w, (s, piece)) for s, w, piece in _update_branch(state, point)
                     if w.sign() > 0
                 )
             items, thresholds = table
@@ -363,6 +382,8 @@ def descriptor_from_json(obj: Mapping) -> list[tuple[FieldElem, State]]:
         for w, term in check_weights((FieldElem.from_json(t["weight"]), t) for t in terms):
             for w2, st in descriptor_from_json(term["state"]):
                 out.append((w * w2, st))
+        if len({st.n for _, st in out}) > 1:
+            raise ValueError("mixture terms differ in qubit count")
         return out
     if kind == "operator":
         op = QOperator.from_json(obj)

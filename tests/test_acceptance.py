@@ -35,15 +35,12 @@ from lambda_forge.orbit import (
 )
 from lambda_forge.pauli import QOperator
 from lambda_forge.polytope import enumerate_vertices_n1, is_vertex, membership
-from lambda_forge.reduction import (
-    ReductionEngine,
-    embed_tail_assignment,
-    reduced_distribution,
-)
+from lambda_forge.reduction import ReductionEngine, embed_tail_assignment
 from lambda_forge.simulate import (
     born_distribution,
     decompose_known,
     exact_distribution,
+    reduced_distribution,
     sample,
 )
 from lambda_forge.stabilizer import (

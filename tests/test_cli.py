@@ -302,3 +302,26 @@ def test_simulate_rejects_trace_zero_orbit(tmp_path, capsys):
     doc = json.loads(out)
     assert code == 1 and doc["status"] == "error"
     assert "unit trace" in doc["diagnostics"]
+
+
+def test_simulate_rejects_circuit_qubit_count_mismatch(tmp_path, capsys):
+    circ = {"n": 3, "initial": {"type": "stabilizer", "generators": ["+Z"]}, "steps": []}
+    path = write_json(tmp_path / "circ.json", circ)
+    for mode in (["--exact"], ["--shots", "4"]):
+        code, out = run(capsys, "simulate", path, *mode)
+        doc = json.loads(out)
+        assert code == 1 and doc["status"] == "error"
+        assert "initial state n = 1" in doc["diagnostics"]
+
+
+def test_simulate_rejects_mixture_of_qubit_counts(tmp_path, capsys):
+    terms = [
+        {"weight": "1/2", "state": {"type": "stabilizer", "generators": ["+Z"]}},
+        {"weight": "1/2", "state": {"type": "stabilizer", "generators": ["+ZI", "+IZ"]}},
+    ]
+    for steps in ([], [{"measure": "Z"}]):
+        circ = {"n": 1, "initial": {"type": "mixture", "terms": terms}, "steps": steps}
+        path = write_json(tmp_path / "mix.json", circ)
+        code, out = run(capsys, "simulate", path, "--exact")
+        doc = json.loads(out)
+        assert code == 1 and "differ in qubit count" in doc["diagnostics"]

@@ -14,12 +14,12 @@ from lambda_forge.reduction import (
     ReductionEngine,
     embed_tail_assignment,
     reduce_static,
-    reduced_distribution,
 )
 from lambda_forge.cnc import CncSet, cnc_vertices
 from lambda_forge.simulate import (
     LiftState,
     born_distribution,
+    reduced_distribution,
     state_operator,
     update_state,
 )

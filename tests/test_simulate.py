@@ -3,7 +3,7 @@ from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lambda_forge.clifford import CliffordTableau, generator_tableaux
 from lambda_forge.cnc import CncSet, cnc_vertices
@@ -22,7 +22,7 @@ from lambda_forge.simulate import (
     descriptor_from_json,
     distribution_to_json,
     exact_distribution,
-    outcome_probability,
+    reduced_distribution,
     sample,
     state_operator,
     state_to_descriptor_json,
@@ -130,7 +130,7 @@ def test_born_rule_aggregation():
     init = decompose_known(T_STATE)
     for a in all_points(1, include_zero=False):
         for s in (0, 1):
-            assert outcome_probability(init, a, s) == T_STATE.project(a, s).trace()
+            assert exact_distribution(init, [a]).get((s,), ZERO) == T_STATE.project(a, s).trace()
 
 
 def test_lift_descriptor_matches_born():
@@ -310,8 +310,6 @@ def test_initial_weights_checked():
             exact_distribution(init, [z])
         with pytest.raises(ValueError, match="mixture weight"):
             sample(init, [z], seed=1)
-        with pytest.raises(ValueError, match="mixture weight"):
-            outcome_probability(init, z, 0)
     init = [(Fraction(1, 2), c0), (Fraction(1, 2), c1), (0, c1)]
     assert total(exact_distribution(init, [z])) == ONE
     # inexact weights are refused as such, not as a puzzling exact sum
@@ -320,3 +318,66 @@ def test_initial_weights_checked():
             exact_distribution(init, [z])
         with pytest.raises(ValueError, match="ints and Fractions only"):
             sample(init, [z], seed=1)
+
+
+# -- differential: exact, Born, reduced and sampled laws on one circuit ------
+
+GENERATORS3 = generator_tableaux(3)
+INNER = {1: cnc_vertices(1), 2: cnc_vertices(2) + list(enumerate_family())}
+
+
+@st.composite
+def lifted_states(draw):
+    m = draw(st.sampled_from((1, 2)))
+    _, tail = draw(st.sampled_from(enumerate_stabilizer_states(3 - m)))
+    U = CliffordTableau.identity(3)
+    for g in draw(st.lists(st.sampled_from(GENERATORS3), max_size=6)):
+        U = g.compose(U)
+    engine = ReductionEngine(3, m, embed_tail_assignment(tail, 3, m), U)
+    return LiftState(engine, draw(st.sampled_from(INNER[m])))
+
+
+@st.composite
+def circuits(draw):
+    """An initial state (cnc set on n <= 2, family member, or lift to n = 3)
+    and an adaptive step list whose conditions name earlier steps."""
+    state = draw(st.one_of(
+        st.sampled_from(cnc_vertices(1) + cnc_vertices(2)),
+        st.sampled_from(enumerate_family()),
+        lifted_states(),
+    ))
+    points = all_points(state.n, include_zero=False)
+    steps = []
+    for i in range(draw(st.integers(0, 4))):
+        cond = draw(st.dictionaries(st.integers(0, i - 1), st.integers(0, 1), max_size=2)
+                    if i else st.none())
+        steps.append((draw(st.sampled_from(points)), cond or None))
+    return state, steps
+
+
+def _conditional_lifted_circuit():
+    tail = Assignment.from_pairs([(z_point(1, 1), 0)])
+    engine = ReductionEngine(2, 1, embed_tail_assignment(tail, 2, 1), CliffordTableau.cnot(2, 1, 2))
+    coin, head = x_point(2, 2), x_point(2, 1) ^ z_point(2, 2)
+    return LiftState(engine, cnc_vertices(1)[3]), [(coin, None), (head, {0: 1}), (coin, {1: 0})]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(circuit=circuits(), seed=st.integers(0, 2**32))
+@example(circuit=_conditional_lifted_circuit(), seed=5)
+def test_laws_agree_on_adaptive_circuits(circuit, seed):
+    state, steps = circuit
+    rho = state_operator(state)
+    dist = exact_distribution([(ONE, state)], steps)
+    assert dist == born_distribution(rho, steps)
+    assert total(dist) == ONE
+    if isinstance(state, LiftState):
+        head = state_operator(state.inner)
+        assert reduced_distribution(head, state.engine, steps) == dist
+    shots = sample([(ONE, state)], steps, seed=seed, shots=8)
+    assert shots == sample([(ONE, state)], steps, seed=seed, shots=8)
+    for t in shots:
+        assert t in dist
+        for i, (_, cond) in enumerate(steps):
+            met = all(t[j] == want for j, want in (cond or {}).items())
+            assert (t[i] is None) == (not met)
