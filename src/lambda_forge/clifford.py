@@ -102,15 +102,23 @@ class CliffordTableau:
 
     def apply_point(self, v: PauliPoint) -> PhasedPauli:
         """The signed image of T_v; always Hermitian."""
-        n = self.n
-        if v.n != n:
+        if v.n != self.n:
             raise ValueError("qubit count mismatch")
+        key, phase = self._apply_key(v.key())
+        return PhasedPauli(PauliPoint.from_key(self.n, key), phase)
+
+    def _apply_key(self, key: int) -> tuple[int, int]:
+        """``apply_point`` on ``PauliPoint.key()``: the image's key and its
+        phase, 0 or 2."""
+        n = self.n
         # T_v = i^{q(v)} X(v_x) Z(v_z); conjugation distributes over the
         # generator factors, and the i^{q(v)} prefactor survives unchanged.
         # The factors multiply on plain ints, signs as two units of phase.
+        # Bit i of the key (x half low, z half high) selects generator
+        # image i.
         z = x = 0
-        phase = (v.z & v.x).bit_count()
-        bits = v.x | (v.z << n)  # bit i selects generator image i
+        phase = ((key >> n) & key).bit_count()
+        bits = key
         for img, sgn in self.images:
             if not bits:
                 break
@@ -120,9 +128,9 @@ class CliffordTableau:
                 z ^= iz
                 x ^= ix
             bits >>= 1
-        out = PhasedPauli(PauliPoint(n, z, x), phase)
-        assert out.is_hermitian(), "Clifford image of a Hermitian Pauli must be Hermitian"
-        return out
+        phase &= 3
+        assert not phase & 1, "Clifford image of a Hermitian Pauli must be Hermitian"
+        return (z << n) | x, phase
 
     def apply_signed(self, p: PhasedPauli) -> PhasedPauli:
         img = self.apply_point(p.point)
@@ -136,10 +144,10 @@ class CliffordTableau:
         if A.n != self.n:
             raise ValueError("qubit count mismatch")
         out = {}
-        for v, c in A.coeffs.items():
-            img = self.apply_point(v)
-            out[img.point] = -c if img.phase else c
-        return QOperator(self.n, out)
+        for k, c in A._by_key.items():
+            key, phase = self._apply_key(k)
+            out[key] = -c if phase else c
+        return QOperator._from_keys(self.n, out)
 
     # -- group structure -----------------------------------------------------
 
@@ -216,15 +224,25 @@ class CliffordTableau:
 
     @staticmethod
     def from_json(obj: Mapping) -> "CliffordTableau":
-        keys = sorted(obj)
-        n = len(keys) // 2
+        """Inverse of ``to_json``: an object whose keys are exactly
+        x1..xn, z1..zn, each a signed Pauli label; ValueError otherwise."""
+        if not isinstance(obj, Mapping):
+            raise ValueError(f"a tableau must be an object of generator images, got {obj!r}")
+        n = len(obj) // 2
+        names = [f"{prefix}{q}" for prefix in ("x", "z") for q in range(1, n + 1)]
+        if n < 1 or set(obj) != set(names):
+            raise ValueError(
+                f"tableau keys must be exactly x1..xn, z1..zn, got {sorted(map(str, obj))}"
+            )
         imgs = []
-        for prefix in ("x", "z"):
-            for q in range(1, n + 1):
-                pp = PhasedPauli.from_label(obj[f"{prefix}{q}"])
-                if not pp.is_hermitian():
-                    raise ValueError("generator images must be Hermitian")
-                imgs.append((pp.point, pp.phase >> 1))
+        for name in names:
+            label = obj[name]
+            if not isinstance(label, str):
+                raise ValueError(f"generator image {name} must be a Pauli label, got {label!r}")
+            pp = PhasedPauli.from_label(label)
+            if not pp.is_hermitian():
+                raise ValueError("generator images must be Hermitian")
+            imgs.append((pp.point, pp.phase >> 1))
         t = CliffordTableau(n, imgs)
         if not t.is_valid():
             raise ValueError("images do not define a symplectic action")
@@ -277,7 +295,7 @@ def operator_orbit(A: QOperator) -> set:
     n = A.n
     values: list = []
     index: dict = {}
-    for c in A.coeffs.values():
+    for c in A._by_key.values():
         for d in (c, -c):
             if d not in index:
                 index[d] = len(values)
@@ -288,11 +306,10 @@ def operator_orbit(A: QOperator) -> set:
     for g in generator_tableaux(n):
         table = []
         for k in range(1 << (2 * n)):
-            img = g.apply_point(PauliPoint.from_key(n, k))
-            base = img.point.key() * m
-            table.extend(base + (neg[j] if img.phase else j) for j in range(m))
+            key, phase = g._apply_key(k)
+            table.extend(key * m + (neg[j] if phase else j) for j in range(m))
         tables.append(table)
-    start = tuple(sorted(p.key() * m + index[c] for p, c in A.coeffs.items()))
+    start = tuple(sorted(k * m + index[c] for k, c in A._by_key.items()))
     seen = {start}
     queue = deque([start])
     while queue:

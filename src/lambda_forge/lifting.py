@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .field import FieldElem, ONE, ZERO
+from .field import FieldElem, ZERO
 from .clifford import CliffordTableau, tableau_for_projector_pair
 from .gf2 import PauliPoint, Subspace, span, x_point
 from .pauli import QOperator
@@ -48,6 +48,20 @@ def tail_point(p: PauliPoint, m: int) -> PauliPoint:
 
 def embed_head(p: PauliPoint, n: int) -> PauliPoint:
     return PauliPoint(n, p.z, p.x)
+
+
+def _head_key(key: int, n: int, m: int) -> int:
+    """``head_point`` on ``PauliPoint.key()``: the m-qubit key of the head
+    of the n-qubit point with this key."""
+    head = (1 << m) - 1
+    return (((key >> n) & head) << m) | (key & head)
+
+
+def _tail_bits(n: int, m: int) -> int:
+    """The bits of an n-qubit key on the tail qubits m+1..n: a key masked
+    by them is the key of ``embed_tail(tail_point(p, m), n, m)``."""
+    tail = ((1 << n) - 1) ^ ((1 << m) - 1)
+    return (tail << n) | tail
 
 
 def is_tail_supported(J: Subspace, m: int) -> bool:
@@ -98,13 +112,15 @@ def lift_tensor(X: QOperator, J: Subspace, r: Assignment) -> QOperator:
     m = n - J.dim
     if not is_tail_supported(J, m):
         raise ValueError("lift subspace must live on the tail qubits")
+    if X.n != m:
+        raise ValueError("operator qubit count must match the head size")
+    mask = (1 << m) - 1
     out = {}
     for u, ru in r.items():
-        sign = ONE if ru == 0 else -ONE
-        for v, c in X.coeffs.items():
-            point = PauliPoint(n, v.z | u.z, v.x | u.x)
-            out[point] = c * sign
-    return QOperator(n, out)
+        for v, c in X._by_key.items():
+            z, x = (v >> m) | u.z, (v & mask) | u.x
+            out[(z << n) | x] = -c if ru else c
+    return QOperator._from_keys(n, out)
 
 
 def lift(X: QOperator, params: LiftParams) -> QOperator:
@@ -119,16 +135,17 @@ def lift(X: QOperator, params: LiftParams) -> QOperator:
 def unlift(A: QOperator, params: LiftParams) -> QOperator:
     """Inverse of ``lift``: recovers X, or raises if A is not in the image."""
     base = params.tableau.invert().conjugate(A)
-    m = params.m
-    J0 = tail_subspace(params.n, m)
-    head_coeffs: dict[PauliPoint, FieldElem] = {}
-    for p, c in base.coeffs.items():
-        tail = tail_point(p, m)
-        if not J0.contains(embed_tail(tail, params.n, m)):
+    n, m = params.n, params.m
+    J0 = tail_subspace(n, m)
+    tail_bits = _tail_bits(n, m)
+    head_coeffs: dict[int, FieldElem] = {}
+    for k, c in base._by_key.items():
+        tail = k & tail_bits
+        if J0.reduce_key(tail):
             raise ValueError("support leaks outside the lift image")
-        if tail.is_zero():
-            head_coeffs[head_point(p, m)] = c
-    X = QOperator(m, head_coeffs)
+        if not tail:
+            head_coeffs[_head_key(k, n, m)] = c
+    X = QOperator._from_keys(m, head_coeffs)
     if lift_tensor(X, J0, Assignment.zero(J0)) != base:
         raise ValueError("coefficients violate the lift sign pattern")
     return X
@@ -188,17 +205,17 @@ def averaged_head_operator(Y: QOperator, J: Subspace, r: Assignment) -> QOperato
     if not is_tail_supported(J, m):
         raise ValueError("averaging requires a tail-position subspace")
     inv = Fraction(1, J.size())
-    out: dict[PauliPoint, FieldElem] = {}
+    tail_bits = _tail_bits(n, m)
+    out: dict[int, FieldElem] = {}
     for u in J.points():
-        sign = 1 if r.value(u) == 0 else -1
-        for p, c in Y.coeffs.items():
-            tail = tail_point(p, m)
-            if embed_tail(tail, n, m) != u:
+        ku, negate = u.key(), r.value(u)
+        for k, c in Y._by_key.items():
+            if k & tail_bits != ku:
                 continue
-            v = head_point(p, m)
-            term = c if sign > 0 else -c
+            v = _head_key(k, n, m)
+            term = -c if negate else c
             out[v] = out.get(v, ZERO) + term
-    return QOperator(m, {v: c * inv for v, c in out.items()})
+    return QOperator._from_keys(m, {v: c * inv for v, c in out.items()})
 
 
 def averaged_trace_identity(

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, product
 from typing import ClassVar, Iterable, Mapping, Optional, Sequence
 
@@ -58,7 +58,7 @@ from .gf2 import (
     symplectic_form,
     xor_sums,
 )
-from .pauli import QOperator, beta, pauli_projector
+from .pauli import QOperator, beta, pauli_projector, phase_of_bits
 from .stabilizer import Assignment, all_assignments
 
 #: Pauli expectations of the flagship vertex, row order II..YY.
@@ -218,6 +218,8 @@ def assignment_solutions(
 #: A coefficient from its double.
 _HALVES = {2: ONE, -2: -ONE, 1: HALF, -1: -HALF}
 
+_ZERO2 = PauliPoint.zero(2)
+
 
 @dataclass(frozen=True)
 class OrbitVertex:
@@ -266,20 +268,30 @@ class OrbitVertex:
             p: (b + (0 if p.is_zero() else 1)) & 1 for p, b in self.gamma_p
         }
 
-    def _twice_coeffs(self) -> dict[PauliPoint, int]:
-        """The Pauli coefficients times 2: 2 at the identity, (-1)^gamma 2
-        on I and (-1)^gamma' on Omega."""
-        coeffs = {PauliPoint.zero(2): 2}
-        for p in self.I.points():
+    @cached_property
+    def _twice_coeffs(self) -> dict[int, int]:
+        """The Pauli coefficients times 2, keyed by ``PauliPoint.key()``: 2
+        at the identity, (-1)^gamma 2 on I and (-1)^gamma' on Omega.
+        Computed once per member."""
+        coeffs = {0: 2}
+        for p, g in self.gamma.items():
             if not p.is_zero():
-                coeffs[p] = -2 if self.gamma.value(p) else 2
+                coeffs[p.key()] = -2 if g else 2
         for p, b in self.gamma_p:
             if not p.is_zero():
-                coeffs[p] = -1 if b else 1
+                coeffs[p.key()] = -1 if b else 1
         return coeffs
 
+    def __getstate__(self):
+        # the cached coefficients are derived: pickle the parameters only
+        state = dict(self.__dict__)
+        state.pop("_twice_coeffs", None)
+        return state
+
     def operator(self) -> QOperator:
-        return QOperator(2, {p: _HALVES[c] for p, c in self._twice_coeffs().items()})
+        return QOperator._from_keys(
+            2, {k: _HALVES[c] for k, c in self._twice_coeffs.items()}
+        )
 
     def to_json(self) -> dict:
         return {
@@ -310,9 +322,10 @@ def classify_operator(V: QOperator) -> OrbitVertex:
         raise ValueError("family members have unit trace")
     zero = PauliPoint.zero(2)
     i_pts, gam_pairs, gp = [], [], {zero: 0}
-    for p, c in V.coeffs.items():
-        if p.is_zero():
+    for k, c in V._by_key.items():
+        if not k:
             continue
+        p = PauliPoint.from_key(2, k)
         if c == ONE or c == -ONE:
             i_pts.append(p)
             gam_pairs.append((p, 0 if c == ONE else 1))
@@ -392,7 +405,8 @@ def measure_update(
     project(operator(), a, s) exactly.  All of it runs on integers: with
     D = 2 and the coefficients times D from ``_twice_coeffs``, 2 p D and the
     x_r times 2 p D are integer sums, and the weights are their
-    differences over 4 D.
+    differences over 4 D.  The cosets are found among the point keys by
+    the symplectic form and ``phase_of_bits`` on their halves.
     """
     if a.is_zero():
         raise ValueError("measurement axis must be nonzero")
@@ -400,20 +414,27 @@ def measure_update(
         raise ValueError("qubit count mismatch")
     s &= 1
     D = 2
-    alpha = vertex._twice_coeffs()  # times D
-    P = D - alpha.get(a, 0) if s else D + alpha.get(a, 0)  # 2 p D
+    alpha = vertex._twice_coeffs  # times D
+    az, ax, ka = a.z, a.x, a.key()
+    P = D - alpha.get(ka, 0) if s else D + alpha.get(ka, 0)  # 2 p D
     if P == 0:
         return []
     chain = []
-    for r in span([a]).perp().points():
-        u = r ^ a
-        if r.key() < u.key() and not r.is_zero():
-            t = (s + beta(r, a)) & 1
-            x = alpha.get(r, 0) - alpha.get(u, 0) if t else alpha.get(r, 0) + alpha.get(u, 0)
-            chain.append((abs(x), r.key(), r, t, int(x < 0)))  # x_r times P
-    chain.sort(key=lambda c: c[:2])
+    for r in range(1, 16):  # the nonzero keys of E_2
+        u = r ^ ka
+        z, x = r >> 2, r & 3
+        if u < r or ((z & ax).bit_count() ^ (x & az).bit_count()) & 1:
+            continue
+        t = (s + (phase_of_bits(z, x, az, ax) >> 1)) & 1
+        xr = alpha.get(r, 0) - alpha.get(u, 0) if t else alpha.get(r, 0) + alpha.get(u, 0)
+        chain.append((abs(xr), r, t, int(xr < 0)))  # x_r times P
+    chain.sort()
     zs = [-P] + [z for z, *_ in chain] + [P]
     bits = [g for *_, g in chain]
+    cosets = [
+        (PauliPoint.from_key(2, r), PauliPoint.from_key(2, r ^ ka), t)
+        for _, r, t, _ in chain
+    ]
     out = []
     for i in range(4):
         if i:
@@ -421,10 +442,10 @@ def measure_update(
         w = zs[i + 1] - zs[i]
         if w:
             w = Fraction(w, 4 * D)
-            gamma = {PauliPoint.zero(2): 0, a: s}
-            for (_, _, r, t, _), g in zip(chain, bits):
+            gamma = {_ZERO2: 0, a: s}
+            for (r, u, t), g in zip(cosets, bits):
                 gamma[r] = g
-                gamma[r ^ a] = g ^ t
+                gamma[u] = g ^ t
             out.append((w, CncSet(gamma.keys(), gamma, check=False)))
     return out
 

@@ -21,11 +21,22 @@ A ``QOperator`` is the exact coefficient map of a Hermitian operator
 
 with alpha_v in Q(sqrt(2)).  Absent coefficients are zero; trace(A) is
 the coefficient at v = 0.
+
+Inside, the coefficients live in a dict keyed by the packed int
+(v_Z << n) | v_X, which is ``PauliPoint.key()``, and no stored value is
+zero.  Projection, sums, scaling, ``trace_inner``, ``tensor``, ``key``,
+equality and hashing run on those int keys and build no ``PauliPoint``;
+the symplectic form and the product phase are read off the two halves of
+a key.  ``QOperator(n, {PauliPoint: c})`` is the validating constructor,
+and ``.coeffs`` is a read-only ``PauliPoint``-keyed view of the same
+coefficients, built on first read (the oracles ``product`` and
+``dense_matrix`` read it).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, Optional
 
 from .field import HALF, ONE, ZERO, FieldElem
@@ -35,6 +46,9 @@ if TYPE_CHECKING:
     import numpy as np
 
 DENSE_ORACLE_BOUND = 5
+
+_new = object.__new__
+_set = object.__setattr__
 
 
 class PhasedPauli:
@@ -125,27 +139,56 @@ def beta(v: PauliPoint, w: PauliPoint) -> int:
 
 
 class QOperator:
-    """Exact Hermitian operator A = (1/2^n) sum_v alpha_v T_v."""
+    """Exact Hermitian operator A = (1/2^n) sum_v alpha_v T_v.
 
-    __slots__ = ("n", "coeffs")
+    ``QOperator(n, {PauliPoint: c})`` checks every point and coefficient;
+    ``.coeffs`` is the read-only ``PauliPoint``-keyed view (see the module
+    docstring for the int keys inside).
+    """
+
+    __slots__ = ("n", "_by_key", "_view")
 
     def __init__(self, n: int, coeffs: Optional[Mapping[PauliPoint, FieldElem]] = None):
-        cleaned: dict[PauliPoint, FieldElem] = {}
+        by_key: dict[int, FieldElem] = {}
         if coeffs:
             for point, c in coeffs.items():
                 if point.n != n:
                     raise ValueError("coefficient point has wrong qubit count")
                 c = FieldElem.coerce(c)
                 if not c.is_zero():
-                    cleaned[point] = c
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "coeffs", cleaned)
+                    by_key[point.key()] = c
+        _set(self, "n", n)
+        _set(self, "_by_key", by_key)
+        _set(self, "_view", None)
+
+    @staticmethod
+    def _from_keys(n: int, by_key: dict[int, FieldElem]) -> "QOperator":
+        """The operator of FieldElem coefficients keyed by ``PauliPoint.key()``
+        that are already checked (the keys fit n qubits); zero values are
+        dropped."""
+        A = _new(QOperator)
+        _set(A, "n", n)
+        _set(A, "_by_key", {k: c for k, c in by_key.items() if c.p or c.q})
+        _set(A, "_view", None)
+        return A
 
     def __setattr__(self, name, value):
         raise AttributeError("QOperator is immutable")
 
     def __reduce__(self):
-        return (QOperator, (self.n, self.coeffs))
+        return (QOperator, (self.n, dict(self.coeffs)))
+
+    @property
+    def coeffs(self) -> Mapping[PauliPoint, FieldElem]:
+        """The coefficients keyed by ``PauliPoint``, read-only."""
+        view = self._view
+        if view is None:
+            n = self.n
+            view = MappingProxyType(
+                {PauliPoint.from_key(n, k): c for k, c in self._by_key.items()}
+            )
+            _set(self, "_view", view)
+        return view
 
     # -- constructors --------------------------------------------------
 
@@ -176,10 +219,12 @@ class QOperator:
     # -- basic queries ---------------------------------------------------
 
     def coeff(self, point: PauliPoint) -> FieldElem:
-        return self.coeffs.get(point, ZERO)
+        if point.n != self.n:
+            return ZERO
+        return self._by_key.get(point.key(), ZERO)
 
     def trace(self) -> FieldElem:
-        return self.coeff(PauliPoint.zero(self.n))
+        return self._by_key.get(0, ZERO)
 
     def support(self) -> frozenset[PauliPoint]:
         return frozenset(self.coeffs)
@@ -188,45 +233,50 @@ class QOperator:
         """Canonical hashable form (sorted coefficient items)."""
         return (
             self.n,
-            tuple(
-                sorted((p.key(), c.a, c.b) for p, c in self.coeffs.items())
-            ),
+            tuple(sorted((k, c.a, c.b) for k, c in self._by_key.items())),
         )
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._by_key
 
     def __eq__(self, other):
         return (
             isinstance(other, QOperator)
             and self.n == other.n
-            and self.coeffs == other.coeffs
+            and self._by_key == other._by_key
         )
 
     def __hash__(self):
         return hash(self.key())
 
     def __repr__(self):
-        items = sorted(self.coeffs.items(), key=lambda kv: kv[0].key())
-        body = " ".join(f"{c!s}*{p.label()}" for p, c in items) or "0"
-        return f"QOperator({self.n}; {body})"
+        n = self.n
+        body = " ".join(
+            f"{c!s}*{PauliPoint.from_key(n, k).label()}"
+            for k, c in sorted(self._by_key.items())
+        ) or "0"
+        return f"QOperator({n}; {body})"
 
     # -- linear structure -----------------------------------------------
 
     def __add__(self, other: "QOperator") -> "QOperator":
         if self.n != other.n:
             raise ValueError("qubit count mismatch")
-        out = dict(self.coeffs)
-        for p, c in other.coeffs.items():
-            out[p] = out.get(p, ZERO) + c
-        return QOperator(self.n, out)
+        out = dict(self._by_key)
+        get = out.get
+        for k, c in other._by_key.items():
+            d = get(k)
+            out[k] = c if d is None else d + c
+        return QOperator._from_keys(self.n, out)
 
     def __sub__(self, other: "QOperator") -> "QOperator":
         return self + other.scale(-1)
 
     def scale(self, factor) -> "QOperator":
         factor = FieldElem.coerce(factor)
-        return QOperator(self.n, {p: c * factor for p, c in self.coeffs.items()})
+        return QOperator._from_keys(
+            self.n, {k: c * factor for k, c in self._by_key.items()}
+        )
 
     # -- multiplicative structure ----------------------------------------
 
@@ -282,27 +332,30 @@ class QOperator:
 
     def tensor(self, other: "QOperator") -> "QOperator":
         """Tensor product with self's qubits first."""
-        m = self.n
-        n = m + other.n
+        m, k = self.n, other.n
+        n = m + k
+        mask_m, mask_k = (1 << m) - 1, (1 << k) - 1
         out = {}
-        for v, a in self.coeffs.items():
-            for w, b in other.coeffs.items():
-                point = PauliPoint(n, v.z | (w.z << m), v.x | (w.x << m))
-                out[point] = a * b
-        return QOperator(n, out)
+        for v, a in self._by_key.items():
+            vz, vx = v >> m, v & mask_m
+            for w, b in other._by_key.items():
+                z = vz | ((w >> k) << m)
+                x = vx | ((w & mask_k) << m)
+                out[(z << n) | x] = a * b
+        return QOperator._from_keys(n, out)
 
     def trace_inner(self, other: "QOperator") -> FieldElem:
         """Tr(self * other), exact.  Bilinear and symmetric."""
         if self.n != other.n:
             raise ValueError("qubit count mismatch")
         small, large = (
-            (self.coeffs, other.coeffs)
-            if len(self.coeffs) <= len(other.coeffs)
-            else (other.coeffs, self.coeffs)
+            (self._by_key, other._by_key)
+            if len(self._by_key) <= len(other._by_key)
+            else (other._by_key, self._by_key)
         )
         total = ZERO
-        for p, c in small.items():
-            d = large.get(p)
+        for k, c in small.items():
+            d = large.get(k)
             if d is not None:
                 total = total + c * d
         return total * Fraction(1, 1 << self.n)
@@ -320,20 +373,26 @@ class QOperator:
         """
         if a.is_zero():
             raise ValueError("projection axis must be nonzero")
-        if a.n != self.n:
+        n = self.n
+        if a.n != n:
             raise ValueError("qubit count mismatch")
-        coeffs = self.coeffs
-        out: dict[PauliPoint, FieldElem] = {}
+        az, ax, ka = a.z, a.x, a.key()
+        mask = (1 << n) - 1
+        coeffs = self._by_key
+        out: dict[int, FieldElem] = {}
         for v, c in coeffs.items():
-            if v in out or symplectic_form(v, a):
+            if v in out:
                 continue
-            u = v ^ a
-            flip = (s + (product_phase(v, a) >> 1)) & 1
+            z, x = v >> n, v & mask
+            if ((z & ax).bit_count() ^ (x & az).bit_count()) & 1:
+                continue
+            u = v ^ ka
+            flip = (s + (phase_of_bits(z, x, az, ax) >> 1)) & 1
             d = coeffs.get(u, ZERO)
             val = (c - d if flip else c + d) * HALF
             out[v] = val
             out[u] = -val if flip else val
-        return QOperator(self.n, out)
+        return QOperator._from_keys(n, out)
 
     # -- dense oracle ------------------------------------------------------
 
@@ -352,11 +411,12 @@ class QOperator:
     # -- JSON -----------------------------------------------------------
 
     def to_json(self) -> dict:
+        n = self.n
         return {
-            "n": self.n,
+            "n": n,
             "coeffs": {
-                p.label(): {"a": str(c.a), "b": str(c.b)}
-                for p, c in sorted(self.coeffs.items(), key=lambda kv: kv[0].key())
+                PauliPoint.from_key(n, k).label(): {"a": str(c.a), "b": str(c.b)}
+                for k, c in sorted(self._by_key.items())
             },
         }
 

@@ -95,14 +95,14 @@ def membership(X: QOperator) -> FacetCertificate:
         )
     if X.trace() != ONE:
         raise ValueError("membership requires a trace-1 operator")
-    coeffs = X.coeffs.items()
+    coeffs = X._by_key.items()
     D = lcm(*(c.d for _, c in coeffs))
     xs = [0] * (1 << (2 * n))
     ys = [0] * (1 << (2 * n))
-    for p, c in coeffs:
+    for key, c in coeffs:
         k = D // c.d
-        xs[p.key()] = c.p * k
-        ys[p.key()] = c.q * k
+        xs[key] = c.p * k
+        ys[key] = c.q * k
     get_x, get_y = xs.__getitem__, ys.__getitem__
     irrational = any(ys)
     table = facet_table(n)
@@ -244,7 +244,7 @@ def enumerate_vertices_n1() -> list[QOperator]:
         if cert.is_member:
             found[cand.key()] = cand
     return sorted(found.values(), key=lambda
-        A: tuple(sorted((p.key(), c.a) for p, c in A.coeffs.items())))
+        A: tuple(sorted((k, c.a) for k, c in A._by_key.items())))
 
 
 def decompose(
@@ -258,15 +258,15 @@ def decompose(
     or None when rho is not in the convex hull of the pool.
     """
     n = rho.n
-    points = all_points(n)
+    keys = range(1 << (2 * n))
     columns = []
     for A in pool:
         if A.n != n:
             raise ValueError("pool operator qubit count mismatch")
-        col = [A.coeffs.get(p, ZERO) for p in points]
+        col = [A._by_key.get(k, ZERO) for k in keys]
         col.append(ONE)  # sum-to-one constraint
         columns.append(col)
-    rhs = [rho.coeffs.get(p, ZERO) for p in points]
+    rhs = [rho._by_key.get(k, ZERO) for k in keys]
     rhs.append(ONE)
     sol = solve_feasibility(columns, rhs)
     if sol is None:

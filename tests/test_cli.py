@@ -325,3 +325,46 @@ def test_simulate_rejects_mixture_of_qubit_counts(tmp_path, capsys):
         code, out = run(capsys, "simulate", path, "--exact")
         doc = json.loads(out)
         assert code == 1 and "differ in qubit count" in doc["diagnostics"]
+
+
+LIFT_U = {"x1": "+XX", "z1": "+ZI", "x2": "+IX", "z2": "+ZZ"}
+
+
+def lift_circuit(u):
+    return {
+        "n": 2,
+        "initial": {
+            "type": "lift",
+            "u": u,
+            "sigma": {"generators": ["+X"]},
+            "inner": {"type": "stabilizer", "generators": ["+Z"]},
+        },
+        "steps": [{"measure": "ZZ"}],
+    }
+
+
+def test_simulate_rejects_non_string_generator_image(tmp_path, capsys):
+    path = write_json(tmp_path / "lift.json", lift_circuit(LIFT_U))
+    code, out = run(capsys, "simulate", path, "--exact")
+    assert code == 0 and json.loads(out)["status"] == "ok"
+    for u in ({"x1": 5, "z1": 3}, {**LIFT_U, "z2": ["+ZZ"]}):
+        path = write_json(tmp_path / "lift.json", lift_circuit(u))
+        code, out = run(capsys, "simulate", path, "--exact")
+        doc = json.loads(out)
+        assert code == 1 and doc["status"] == "error"
+        assert doc["diagnostics"].startswith("ValueError: generator image")
+
+
+def test_simulate_rejects_bad_tableau_keys(tmp_path, capsys):
+    for u in (
+        {**LIFT_U, "q": 1},
+        ["a"],
+        {},
+        {"x1": "+XX", "z1": "+ZI", "x3": "+IX", "z2": "+ZZ"},
+    ):
+        path = write_json(tmp_path / "lift.json", lift_circuit(u))
+        code, out = run(capsys, "simulate", path, "--exact")
+        doc = json.loads(out)
+        assert code == 1 and doc["status"] == "error"
+        assert doc["diagnostics"].startswith("ValueError: ")
+        assert "tableau" in doc["diagnostics"]

@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 
@@ -220,6 +221,36 @@ def test_update_oracle_sampled():
                 for w, piece in measure_update(vert, a, s):
                     total = total + piece.operator().scale(w)
                 assert total == op.project(a, s)
+
+
+def test_update_matches_projection_on_sampled_members():
+    """The int-keyed closed form against operator().project on every axis
+    and outcome, for members spread over the family."""
+    for vert in random.Random(13).sample(enumerate_family(), 24):
+        op = vert.operator()
+        for a in all_points(2, include_zero=False):
+            for s in (0, 1):
+                projected = op.project(a, s)
+                pieces = measure_update(vert, a, s)
+                total = QOperator.zero(2)
+                for w, piece in pieces:
+                    assert w > 0 and piece.gamma[a] == s
+                    total = total + piece.operator().scale(w)
+                assert total == projected
+                assert sum((w for w, _ in pieces), Fraction(0)) == projected.trace()
+
+
+def test_cached_coefficients_leave_identity_unchanged():
+    used, fresh = classify_operator(alpha0_vertex()), classify_operator(alpha0_vertex())
+    blob, digest = pickle.dumps(fresh), hash(fresh)
+    assert used.operator() == alpha0_vertex()
+    measure_update(used, x_point(2, 1), 0)
+    assert "_twice_coeffs" in vars(used) and "_twice_coeffs" not in vars(fresh)
+    assert used._twice_coeffs is used._twice_coeffs
+    assert used == fresh and hash(used) == hash(fresh) == digest
+    assert pickle.dumps(used) == blob
+    back = pickle.loads(pickle.dumps(used))
+    assert back == used and hash(back) == digest and back.operator() == alpha0_vertex()
 
 
 def test_pauli_conjugates_share_parameters():

@@ -1,4 +1,6 @@
+import json
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -8,9 +10,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from lambda_forge.field import FieldElem, ONE
+from lambda_forge.field import FieldElem, ONE, ZERO
 from lambda_forge.gf2 import PauliPoint, all_points, symplectic_form, x_point, y_point, z_point
 from lambda_forge.pauli import (
     PhasedPauli,
@@ -188,6 +190,128 @@ def test_project_matches_dense_and_idempotent():
                     )
     with pytest.raises(ValueError):
         rand_op(2).project(PauliPoint.zero(2), 0)
+
+
+# -- the int-keyed operator against a PauliPoint-keyed reference -------------
+
+#: coefficients drawn from a small set, so that sums cancel often
+REF_VALUES = [
+    FieldElem(a, b)
+    for a in (0, 1, -1, Fraction(1, 2), Fraction(-3, 4))
+    for b in (0, Fraction(1, 2), -1)
+]
+
+
+def ref_clean(coeffs):
+    """A PauliPoint-keyed coefficient dict without zeros."""
+    return {p: c for p, c in coeffs.items() if not c.is_zero()}
+
+
+def ref_add(A, B, sign=1):
+    out = dict(A)
+    for p, c in B.items():
+        out[p] = out.get(p, ZERO) + (c if sign > 0 else -c)
+    return out
+
+
+def ref_project(A, a, s):
+    """Pi A Pi, Pi = (1 + (-1)^s T_a)/2, as the four Pauli products of each
+    term T_v: (T_v + (-1)^s (T_a T_v + T_v T_a) + T_a T_v T_a) / 4."""
+    ta = PhasedPauli(a)
+    re: dict = {}
+    im: dict = {}
+    for v, c in A.items():
+        tv = PhasedPauli(v)
+        terms = [
+            (1, tv),
+            ((-1) ** s, pauli_mul(ta, tv)),
+            ((-1) ** s, pauli_mul(tv, ta)),
+            (1, pauli_mul(pauli_mul(ta, tv), ta)),
+        ]
+        for sign, t in terms:
+            # i^phase: the phase picks the part and the sign
+            part = re if t.phase % 2 == 0 else im
+            val = c * Fraction(sign * (1 if t.phase < 2 else -1), 4)
+            part[t.point] = part.get(t.point, ZERO) + val
+    assert all(c.is_zero() for c in im.values())
+    return ref_clean(re)
+
+
+def ref_key(n, A):
+    return (n, tuple(sorted((p.key(), c.a, c.b) for p, c in A.items())))
+
+
+@st.composite
+def ref_operators(draw, n):
+    keys = draw(st.lists(st.integers(0, (1 << (2 * n)) - 1), max_size=12, unique=True))
+    return {PauliPoint.from_key(n, k): draw(st.sampled_from(REF_VALUES)) for k in keys}
+
+
+def assert_matches(op, n, ref):
+    """op is the operator of the reference dict, and stores no zero."""
+    ref = ref_clean(ref)
+    assert op.n == n and op.coeffs == ref
+    assert all(not c.is_zero() for c in op.coeffs.values())
+    assert op == QOperator(n, ref) and hash(op) == hash(QOperator(n, ref))
+    assert op.key() == ref_key(n, ref)
+    assert op.is_zero() == (not ref)
+    assert op.trace() == ref.get(PauliPoint.zero(n), ZERO)
+    items = sorted(ref.items(), key=lambda kv: kv[0].key())
+    assert op.to_json() == {
+        "n": n,
+        "coeffs": {p.label(): {"a": str(c.a), "b": str(c.b)} for p, c in items},
+    }
+    body = " ".join(f"{c!s}*{p.label()}" for p, c in items) or "0"
+    assert repr(op) == str(op) == f"QOperator({n}; {body})"
+    back = pickle.loads(pickle.dumps(op))
+    assert back == op and back.coeffs == ref and hash(back) == hash(op)
+    assert QOperator.from_json(json.loads(json.dumps(op.to_json()))) == op
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_int_keyed_operator_matches_reference(data):
+    n = data.draw(st.integers(1, 3))
+    RA, RB = data.draw(ref_operators(n)), data.draw(ref_operators(n))
+    A, B = QOperator(n, RA), QOperator(n, RB)
+    assert_matches(A, n, RA)
+    assert_matches(A + B, n, ref_add(RA, RB))
+    assert_matches(A - B, n, ref_add(RA, RB, -1))
+    assert_matches(A + A.scale(-1), n, {})
+    assert_matches(A - A, n, {})
+    drawn = data.draw(st.sampled_from(REF_VALUES))
+    for f in (ZERO, FieldElem(Fraction(-2, 3), Fraction(1, 2)), drawn):
+        assert_matches(A.scale(f), n, {p: c * f for p, c in RA.items()})
+    a = PauliPoint.from_key(n, data.draw(st.integers(1, (1 << (2 * n)) - 1)))
+    s = data.draw(st.integers(0, 1))
+    P = A.project(a, s)
+    RP = ref_project(RA, a, s)
+    assert_matches(P, n, RP)
+    # the opposite projector annihilates the projection: every pair cancels
+    assert_matches(P.project(a, 1 - s), n, {})
+    assert_matches(P.project(a, s), n, RP)
+    want = sum((c * RB[p] for p, c in RA.items() if p in RB), ZERO) * Fraction(1, 1 << n)
+    assert A.trace_inner(B) == want == B.trace_inner(A)
+    if n < 3:
+        m = data.draw(st.integers(1, 3 - n))
+        RC = data.draw(ref_operators(m))
+        tensor = {
+            PauliPoint(n + m, v.z | (w.z << n), v.x | (w.x << n)): c * d
+            for v, c in RA.items()
+            for w, d in RC.items()
+        }
+        assert_matches(A.tensor(QOperator(m, RC)), n + m, tensor)
+
+
+def test_coeffs_view_is_read_only():
+    A = rand_op(2, sqrt2=True)
+    before = A.key()
+    with pytest.raises(TypeError):
+        A.coeffs[PauliPoint.zero(2)] = ONE
+    with pytest.raises(TypeError):
+        del A.coeffs[next(iter(A.coeffs))]
+    assert A.key() == before and A.coeffs is A.coeffs
+    assert type(A.__reduce__()[1][1]) is dict
 
 
 def test_dense_guard():
