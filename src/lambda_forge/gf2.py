@@ -210,6 +210,12 @@ def xor_sums(vectors: Sequence[int]) -> list[int]:
     return sums
 
 
+def _perp_basis(rows: Sequence[int], n: int) -> list[int]:
+    """A basis of the symplectic complement of the span of packed rows."""
+    swapped = [swap_halves(r, n) for r in rows]
+    return solve_affine(swapped, [0] * len(swapped), 2 * n)[1]
+
+
 class Subspace:
     """A linear subspace of E_n in canonical reduced echelon form."""
 
@@ -276,18 +282,16 @@ class Subspace:
             yield PauliPoint.from_key(self.n, key)
 
     def is_isotropic(self) -> bool:
-        pts = self.basis_points()
-        return all(
-            symplectic_form(pts[i], pts[j]) == 0
-            for i in range(len(pts))
-            for j in range(i + 1, len(pts))
+        rows, n = self.rows, self.n
+        return not any(
+            (a & swap_halves(b, n)).bit_count() & 1
+            for i, a in enumerate(rows)
+            for b in rows[i + 1:]
         )
 
     def perp(self) -> "Subspace":
         """The symplectic complement {v : [v, w] = 0 for all w here}."""
-        swapped = [swap_halves(r, self.n) for r in self.rows]
-        _, null_basis = solve_affine(swapped, [0] * len(swapped), 2 * self.n)
-        return Subspace(self.n, null_basis)
+        return Subspace(self.n, _perp_basis(self.rows, self.n))
 
     def intersect(self, other: "Subspace") -> "Subspace":
         if self.n != other.n:
@@ -323,24 +327,30 @@ def all_points(n: int, include_zero: bool = True) -> list[PauliPoint]:
 def enumerate_maximal_isotropics(n: int) -> list[Subspace]:
     """All n-dimensional isotropic subspaces of E_n, canonically ordered.
 
-    Exhaustive breadth-first growth; fine for n <= ENUMERATION_BOUND.  The
-    counts are prod_{k=1}^{n} (2^k + 1): 3, 15, 135, 2295 for n = 1..4.
+    Exhaustive breadth-first growth on packed rows; fine for n <=
+    ENUMERATION_BOUND.  An isotropic subspace grows by a point of its
+    perp outside it, and every point of one coset of it gives the same
+    larger subspace, so only the coset representatives reduced against
+    its rows (``reduce_key(k) == k``, zero at every pivot) are tried.
+    The counts are prod_{k=1}^{n} (2^k + 1): 3, 15, 135, 2295 for
+    n = 1..4.
     """
     if n < 1:
         raise ValueError("qubit count must be positive")
     if n > ENUMERATION_BOUND:
         raise ValueError(f"maximal-isotropic enumeration capped at n={ENUMERATION_BOUND}")
-    level: set[Subspace] = {Subspace(n, ())}
+    level: set[tuple[int, ...]] = {()}
     for _ in range(n):
-        nxt: set[Subspace] = set()
-        for sub in level:
-            candidates = sub.perp()
-            for p in candidates.points():
-                if p.is_zero() or sub.contains(p):
-                    continue
-                nxt.add(Subspace(n, sub.rows + (p.key(),)))
+        nxt: set[tuple[int, ...]] = set()
+        for rows in level:
+            pivots = 0
+            for r in rows:
+                pivots |= 1 << (r.bit_length() - 1)
+            for key in xor_sums(_perp_basis(rows, n)):
+                if key and not key & pivots:
+                    nxt.add(rref(rows + (key,)))
         level = nxt
-    return sorted(level, key=lambda s: s.rows)
+    return [Subspace(n, rows) for rows in sorted(level)]
 
 
 def closure_under_inference(points: Iterable[PauliPoint]) -> frozenset[PauliPoint]:

@@ -220,7 +220,7 @@ class QOperator:
 
     def coeff(self, point: PauliPoint) -> FieldElem:
         if point.n != self.n:
-            return ZERO
+            raise ValueError("qubit count mismatch")
         return self._by_key.get(point.key(), ZERO)
 
     def trace(self) -> FieldElem:

@@ -9,6 +9,14 @@ vertexhood by the rank of the active constraints (a point of a polytope
 is extremal iff the active facet normals span the full traceless
 coefficient space), from a fraction-free integer reduction that stops
 reading rows once they span that space.
+
+Both read one table per qubit count, `facet_table`: for each stabilizer
+state, the packed keys (``PauliPoint.key()``) of the points where its
+sign is +1 and where it is -1.  A facet's normal is built from those
+keys as a sparse row only when the rank reads it; an n = 3 normal has 7
+nonzeros out of 63 columns, so the reduction works on {column: int}
+rows.  The simplex of `decompose` keeps its own dense tableau: it has
+few rows (17 on two qubits), and they fill in after a few pivots.
 """
 
 from __future__ import annotations
@@ -16,30 +24,38 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import lcm
-from typing import Optional, Sequence
+from math import gcd, lcm
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .field import FieldElem, ONE, ZERO, sqrt2_sign
 from .gf2 import ENUMERATION_BOUND, PauliPoint, all_points
 from .pauli import QOperator
-from .simplex import eliminate, reduce_row, solve_feasibility
+from .simplex import solve_feasibility
 from .stabilizer import enumerate_stabilizer_states, state_label
 
 
 @lru_cache(maxsize=8)
 def facet_table(n: int) -> tuple:
     """Per-state evaluation data, in enumeration order: (label, plus,
-    minus, normal).  plus and minus hold the keys of the points of I where
-    the state's sign is +1 and -1; normal is the facet's integer normal
-    over the nonzero points (key k at column k - 1)."""
+    minus).  plus and minus hold the keys of the points of I where the
+    state's sign is +1 and -1, in ``Subspace.points()`` order, read off
+    the state's ``key_items`` (integer keys and the beta fold of I, no
+    ``PauliPoint``)."""
     table = []
     for I, s in enumerate_stabilizer_states(n):
-        sign = {p.key(): -1 if v else 1 for p, v in s.items()}
-        plus = tuple(k for k, g in sign.items() if g > 0)
-        minus = tuple(k for k, g in sign.items() if g < 0)
-        normal = tuple(sign.get(k, 0) for k in range(1, 1 << (2 * n)))
-        table.append((state_label(I, s), plus, minus, normal))
+        plus, minus = [], []
+        for key, value in s.key_items():
+            (minus if value else plus).append(key)
+        table.append((state_label(I, s), tuple(plus), tuple(minus)))
     return tuple(table)
+
+
+def _facet_row(plus: Sequence[int], minus: Sequence[int]) -> dict[int, int]:
+    """A facet's integer normal over the nonzero points as a sparse row:
+    key k at column k - 1."""
+    row = {k - 1: 1 for k in plus if k}
+    row.update({k - 1: -1 for k in minus})
+    return row
 
 
 class FacetCertificate:
@@ -109,7 +125,7 @@ def membership(X: QOperator) -> FacetCertificate:
     sums = []
     active = []
     violation = None
-    for label, plus, minus, _ in table:
+    for label, plus, minus in table:
         x = sum(map(get_x, plus)) - sum(map(get_x, minus))
         y = sum(map(get_y, plus)) - sum(map(get_y, minus)) if irrational else 0
         sums.append((x, y))
@@ -130,60 +146,79 @@ def is_vertex(X: QOperator, cert: Optional[FacetCertificate] = None) -> tuple[bo
     """(extremal?, active-constraint rank).  X must be a member."""
     if cert is None:
         cert = membership(X)
-    rows, nz_points = _active_rows(X.n, cert)
-    rank = len(_int_rref(rows, len(nz_points))[1])
-    return rank == len(nz_points), rank
+    width = (1 << (2 * X.n)) - 1
+    rank = len(_int_rref(_active_rows(X.n, cert), width)[1])
+    return rank == width, rank
 
 
-def _active_rows(
-    n: int, cert: FacetCertificate
-) -> tuple[list[tuple[int, ...]], list[PauliPoint]]:
-    """Normals of the active facets over the nonzero points, and those
-    points.  The certificate must be a member's."""
+def _active_rows(n: int, cert: FacetCertificate) -> Iterator[dict[int, int]]:
+    """The sparse normals of the active facets (see `_facet_row`), built
+    as they are read.  The certificate must be a member's."""
     if not cert.is_member:
         raise ValueError("vertex test requires a polytope member")
     active = set(cert.active)
-    rows = [normal for label, _, _, normal in facet_table(n) if label in active]
-    return rows, all_points(n, include_zero=False)
+    return (
+        _facet_row(plus, minus)
+        for label, plus, minus in facet_table(n)
+        if label in active
+    )
 
 
-def _int_rref(rows: Sequence[Sequence[int]], width: int) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free Gauss-Jordan reduction over the integers.
+def _int_rref(
+    rows: Iterable[dict[int, int]], width: int
+) -> tuple[list[dict[int, int]], list[int]]:
+    """Fraction-free Gauss-Jordan reduction over the integers, on sparse
+    rows ({column: nonzero int}, columns below width).
 
     Returns the nonzero reduced rows sorted by pivot column, and those
-    columns: row i has a nonzero entry at pivots[i], zeros at every other
-    pivot column and zeros left of pivots[i].
+    columns: row i has a nonzero entry at pivots[i], none at any other
+    pivot column and none left of pivots[i].
 
     The rows are read one at a time.  Each is reduced against the pivot
-    rows found so far (the simplex's `reduce_row`); if anything is left,
-    its first nonzero column is a new pivot, cleared from the earlier
-    pivot rows by `eliminate`.  Clearing a new pivot c from a pivot row
-    adds a multiple of the new row, which is zero left of c, and a row
-    whose pivot lies right of c is already zero at c.  So every pivot row
-    stays zero left of its pivot, and the rows sorted by pivot are the
-    reduced row echelon form of the rows read, up to a nonzero factor per
-    row; that form is unique for a row space, so it is what a full
-    column-by-column reduction returns.  Once there are `width` pivots the
-    rows read span the whole space: the remaining rows cannot change the
-    result and are not read.
+    rows found so far at the pivot columns it holds; a pivot row is zero
+    at every other pivot column, so clearing one never fills another.  If
+    anything is left, its first column is a new pivot, cleared from the
+    earlier pivot rows.  Clearing a new pivot c from a pivot row adds a
+    multiple of the new row, which is zero left of c, and a row whose
+    pivot lies right of c is already zero at c.  So every pivot row stays
+    zero left of its pivot, and the rows sorted by pivot are the reduced
+    row echelon form of the rows read, up to a nonzero factor per row;
+    that form is unique for a row space, so it is what a full
+    column-by-column reduction returns.  Once there are `width` pivots
+    the rows read span the whole space: the remaining rows cannot change
+    the result and are not read.
     """
-    basis: list[list[int]] = []
-    pivots: list[int] = []
+    basis: dict[int, dict[int, int]] = {}  # pivot column -> row
     for row in rows:
-        if len(pivots) == width:
+        if len(basis) == width:
             break
-        row = list(row)
-        for prow, c in zip(basis, pivots):
-            if row[c]:
-                row = reduce_row(row, prow, c)
-        col = next((c for c, v in enumerate(row) if v), None)
-        if col is None:
+        for c in [c for c in row if c in basis]:
+            row = _clear(row, basis[c], c)
+        if not row:
             continue
-        basis.append(row)
-        eliminate(basis, len(pivots), col)
-        pivots.append(col)
-    order = sorted(range(len(pivots)), key=pivots.__getitem__)
-    return [basis[i] for i in order], [pivots[i] for i in order]
+        col = min(row)
+        for c, prow in basis.items():
+            if col in prow:
+                basis[c] = _clear(prow, row, col)
+        basis[col] = row
+    pivots = sorted(basis)
+    return [basis[c] for c in pivots], pivots
+
+
+def _clear(row: dict[int, int], prow: dict[int, int], col: int) -> dict[int, int]:
+    """p*row - f*prow (p = prow[col], f = row[col]) on sparse rows,
+    divided by the gcd of its entries: row with column col cleared."""
+    p, f = prow[col], row[col]
+    out = {k: p * v for k, v in row.items()} if p != 1 else dict(row)
+    get = out.get
+    for k, v in prow.items():
+        w = get(k, 0) - f * v
+        if w:
+            out[k] = w
+        else:
+            del out[k]
+    g = gcd(*out.values())
+    return {k: v // g for k, v in out.items()} if g > 1 else out
 
 
 def extremality_refuter(X: QOperator, cert: Optional[FacetCertificate] = None) -> Optional[QOperator]:
@@ -194,8 +229,8 @@ def extremality_refuter(X: QOperator, cert: Optional[FacetCertificate] = None) -
     """
     if cert is None:
         cert = membership(X)
-    rows, nz_points = _active_rows(X.n, cert)
-    reduced, pivots = _int_rref(rows, len(nz_points))
+    nz_points = all_points(X.n, include_zero=False)
+    reduced, pivots = _int_rref(_active_rows(X.n, cert), len(nz_points))
     free = [c for c in range(len(nz_points)) if c not in pivots]
     if not free:
         return None  # extremal
@@ -203,7 +238,7 @@ def extremality_refuter(X: QOperator, cert: Optional[FacetCertificate] = None) -
     direction = [Fraction(0)] * len(nz_points)
     direction[free[0]] = Fraction(1)
     for row, c in zip(reduced, pivots):
-        direction[c] = -Fraction(row[free[0]], row[c])
+        direction[c] = -Fraction(row.get(free[0], 0), row[c])
     for denom in (1, 2, 4, 8, 16, 64, 256):
         Y = QOperator(
             X.n,
@@ -226,13 +261,13 @@ def enumerate_vertices_n1() -> list[QOperator]:
     """
     pts = all_points(1, include_zero=False)
     # facet normals over 3 coords: 1 + sum n_i a_i >= 0
-    facets = [list(normal) for _, _, _, normal in facet_table(1)]
+    facets = [_facet_row(plus, minus) for _, plus, minus in facet_table(1)]
     found = {}
     for trio in combinations(range(len(facets)), 3):
-        reduced, pivots = _int_rref([facets[i] + [-1] for i in trio], 4)
+        reduced, pivots = _int_rref([{**facets[i], 3: -1} for i in trio], 4)
         if pivots != [0, 1, 2]:
             continue
-        sol = [Fraction(row[3], row[i]) for i, row in enumerate(reduced)]
+        sol = [Fraction(row.get(3, 0), row[i]) for i, row in enumerate(reduced)]
         cand = QOperator(
             1,
             {

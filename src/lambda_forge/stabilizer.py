@@ -13,6 +13,7 @@ holds by construction and inconsistent assignments cannot be built.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -23,8 +24,9 @@ from .gf2 import (
     enumerate_maximal_isotropics,
     solve_affine,
     span,
+    xor_sums,
 )
-from .pauli import PhasedPauli, QOperator, beta
+from .pauli import PhasedPauli, QOperator, phase_of_bits
 
 
 class Assignment:
@@ -63,32 +65,38 @@ class Assignment:
         sub = span([p for p, _ in pairs], n)
         # Solve for row values: each given pair yields a linear condition
         # on the row bits, with the beta fold as affine offset.
-        rows = sub.basis_points()
+        folds = _fold_bits(sub)
         eqs = []
         rhs = []
         for p, val in pairs:
-            coords = sub.coordinates(p)
-            if coords is None:
-                raise AssertionError("span member lookup failed")
-            eqs.append(sum(bit << i for i, bit in enumerate(coords)))
-            rhs.append((val ^ _fold_offset(rows, coords)) & 1)
+            mask = _row_mask(sub, p)
+            eqs.append(mask)
+            rhs.append((val ^ folds[mask]) & 1)
         solved = solve_affine(eqs, rhs, sub.dim)
         if solved is None:
             raise ValueError("inconsistent value assignment")
         return Assignment(sub, [solved[0] >> i & 1 for i in range(sub.dim)])
 
+    def _value_bits(self) -> int:
+        """The row values as a mask, row i at bit i."""
+        return sum(v << i for i, v in enumerate(self.row_values))
+
     def value(self, p: PauliPoint) -> int:
-        coords = self.subspace.coordinates(p)
-        if coords is None:
-            raise ValueError(f"{p!r} is outside the assignment domain")
-        total = _fold_offset(self.subspace.basis_points(), coords)
-        for bit, v in zip(coords, self.row_values):
-            total ^= bit & v
-        return total & 1
+        mask = _row_mask(self.subspace, p)
+        fold = _fold_bits(self.subspace)[mask]
+        return (fold ^ (mask & self._value_bits()).bit_count()) & 1
+
+    def key_items(self) -> Iterator[tuple[int, int]]:
+        """(``PauliPoint.key()``, value) for every point of the domain, in
+        ``Subspace.points()`` order."""
+        sub, bits = self.subspace, self._value_bits()
+        for mask, (key, fold) in enumerate(zip(xor_sums(sub.rows), _fold_bits(sub))):
+            yield key, (fold ^ (mask & bits).bit_count()) & 1
 
     def items(self) -> Iterator[tuple[PauliPoint, int]]:
-        for p in self.subspace.points():
-            yield p, self.value(p)
+        n = self.subspace.n
+        for key, value in self.key_items():
+            yield PauliPoint.from_key(n, key), value
 
     def as_dict(self) -> dict[PauliPoint, int]:
         return dict(self.items())
@@ -116,19 +124,35 @@ class Assignment:
         return f"Assignment[{gens or '0'}]"
 
 
-def _fold_offset(rows: Sequence[PauliPoint], coords: Sequence[int]) -> int:
-    """Accumulated beta signs from multiplying the selected rows in order."""
-    acc: Optional[PauliPoint] = None
-    offset = 0
-    for bit, row in zip(coords, rows):
-        if not bit:
-            continue
-        if acc is None:
-            acc = row
-        else:
-            offset ^= beta(acc, row)
-            acc = acc ^ row
-    return offset
+def _row_mask(sub: Subspace, p: PauliPoint) -> int:
+    """The mask of the canonical rows of sub whose sum is p (row i at bit i)."""
+    coords = sub.coordinates(p)
+    if coords is None:
+        raise ValueError(f"{p!r} is outside the assignment domain")
+    return sum(bit << i for i, bit in enumerate(coords))
+
+
+@lru_cache(maxsize=4096)
+def _fold_bits(sub: Subspace) -> tuple[int, ...]:
+    """The beta fold of every point of sub, by row mask in ``xor_sums``
+    order: the sign bit accumulated by multiplying the selected rows in
+    row order, T_{r_0 + ... + r_k} = (-1)^fold T_{r_0} ... T_{r_k}.
+
+    A point's value under an assignment is its fold plus the parity of
+    the row values it selects.  Built in one pass: appending row r to a
+    product that already sums to v adds beta(v, r), read off the packed
+    halves by ``phase_of_bits``.
+    """
+    n = sub.n
+    low = (1 << n) - 1
+    sums, folds = [0], [0]
+    for r in sub.rows:
+        rz, rx = r >> n, r & low
+        folds += [
+            f ^ (phase_of_bits(v >> n, v & low, rz, rx) >> 1) for v, f in zip(sums, folds)
+        ]
+        sums += [v ^ r for v in sums]
+    return tuple(folds)
 
 
 def all_assignments(subspace: Subspace) -> Iterator[Assignment]:

@@ -96,6 +96,31 @@ def test_n1_isotropics_are_the_three_axes():
     assert got == want
 
 
+def _isotropics_oracle(n):
+    """Maximal isotropics by plain breadth-first growth: extend each
+    isotropic subspace by every point that commutes with its basis and
+    lies outside it."""
+    level = {span([], n)}
+    points = all_points(n, include_zero=False)
+    for _ in range(n):
+        level = {
+            span(sub.basis_points() + [p])
+            for sub in level
+            for p in points
+            if not sub.contains(p)
+            and all(symplectic_form(p, q) == 0 for q in sub.basis_points())
+        }
+    return sorted(level, key=lambda sub: sub.rows)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_maximal_isotropics_match_bfs_oracle(n):
+    got = enumerate_maximal_isotropics(n)
+    assert got == _isotropics_oracle(n)
+    assert all(I.is_isotropic() for I in got)
+    assert not span([x_point(n, 1), z_point(n, 1)]).is_isotropic()
+
+
 def test_closure_examples():
     zero = PauliPoint.zero(1)
     x, z = x_point(1, 1), z_point(1, 1)

@@ -140,10 +140,10 @@ def _lift_to_three(rng, head):
     return _random_clifford(rng, 3).conjugate(lift(head, make_params(3, J, r)))
 
 
-def certificates():
-    """Facet certificates and vertex ranks: A0 (x) A0 and two Clifford
-    images of it, family members, k/8 two-member mixtures, T (x) T, and
-    lifted three-qubit vertices and non-members."""
+def certificate_inputs():
+    """The operators of `certificates`, by group: A0 (x) A0 and two
+    Clifford images of it, family members, k/8 two-member mixtures,
+    T (x) T, and lifted three-qubit vertices and non-members."""
     rng = random.Random(808)
     a0 = enumerate_vertices_n1()[0]
     bad = a0.tensor(a0)
@@ -156,16 +156,25 @@ def certificates():
         mixtures.append(a.scale(w) + b.scale(ONE - w))
     t = _t_state()
     heads = [rng.choice(family).operator(), enumerate_vertices_n1()[5]] * 2
-    ops = (
-        [bad] + [_random_clifford(rng, 2).conjugate(bad) for _ in range(2)]
-        + members + mixtures + [t.tensor(t)]
-        + [_lift_to_three(rng, h) for h in heads]
-        + [_lift_to_three(rng, _random_clifford(rng, 2).conjugate(bad)) for _ in range(4)]
-    )
+    return {
+        "bad": [bad] + [_random_clifford(rng, 2).conjugate(bad) for _ in range(2)],
+        "members": members,
+        "mixtures": mixtures,
+        "t_t": [t.tensor(t)],
+        "lifted_vertices": [_lift_to_three(rng, h) for h in heads],
+        "lifted_bad": [
+            _lift_to_three(rng, _random_clifford(rng, 2).conjugate(bad)) for _ in range(4)
+        ],
+    }
+
+
+def certificates():
+    """Facet certificates and vertex ranks of `certificate_inputs`."""
     out = []
-    for X in ops:
-        cert = membership(X)
-        out.append([cert.to_json(), list(is_vertex(X, cert)) if cert.is_member else None])
+    for group in certificate_inputs().values():
+        for X in group:
+            cert = membership(X)
+            out.append([cert.to_json(), list(is_vertex(X, cert)) if cert.is_member else None])
     return out
 
 

@@ -155,6 +155,20 @@ def test_trace_inner_properties():
     assert abs(float(got) - want) < 1e-12
 
 
+def test_qubit_count_mismatch_rejected():
+    A = rand_op(2)
+    assert A.coeff(x_point(2, 1)) == A.coeffs.get(x_point(2, 1), ZERO)
+    for call in (
+        lambda: A.coeff(x_point(1, 1)),
+        lambda: A.coeff(x_point(3, 1)),
+        lambda: A.project(x_point(3, 1), 0),
+        lambda: A + rand_op(1),
+        lambda: A.trace_inner(rand_op(3)),
+    ):
+        with pytest.raises(ValueError, match="qubit count"):
+            call()
+
+
 def test_bell_overlap_value():
     A0 = QOperator.from_labels(1, {"I": 1, "X": 1, "Y": 1, "Z": 1})
     bell = QOperator.from_labels(2, {"II": 1, "ZZ": -1, "XX": -1, "YY": -1})

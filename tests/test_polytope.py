@@ -9,12 +9,13 @@ from hypothesis import given, settings, strategies as st
 from lambda_forge.clifford import enumerate_action, generator_tableaux
 from lambda_forge.field import FieldElem, INV_SQRT2, ONE
 from lambda_forge.gf2 import PauliPoint, all_points, span, x_point, y_point, z_point
-from lambda_forge.pauli import QOperator
+from lambda_forge.pauli import PhasedPauli, QOperator, pauli_mul
 from lambda_forge.polytope import (
     _int_rref,
     decompose,
     enumerate_vertices_n1,
     extremality_refuter,
+    facet_table,
     is_vertex,
     membership,
 )
@@ -23,6 +24,8 @@ from lambda_forge.stabilizer import (
     stabilizer_projector,
     state_label,
 )
+
+from test_golden import certificate_inputs
 
 rng = random.Random(9)
 
@@ -173,11 +176,16 @@ def test_certificate_json():
     assert len(doc["facet_values"]) == 6
 
 
+def _sparse(row):
+    return {c: v for c, v in enumerate(row) if v}
+
+
 @given(st.lists(st.lists(st.integers(-3, 3), min_size=5, max_size=5), max_size=12))
 def test_int_rref_rank_matches_numpy(rows):
     # up to 12 rows of width 5: full rank is often reached before the last
     # row, where the reduction stops reading
-    reduced, pivots = _int_rref(rows, 5)
+    reduced, pivots = _int_rref(map(_sparse, rows), 5)
+    reduced = [[row.get(c, 0) for c in range(5)] for row in reduced]
     want = int(np.linalg.matrix_rank(np.array(rows, dtype=float))) if rows else 0
     assert len(pivots) == len(reduced) == want
     assert pivots == sorted(pivots)
@@ -239,3 +247,81 @@ def test_facet_values_match_projector_overlaps(X):
     assert cert.active == [label for label, value in oracle if value.is_zero()]
     negative = [label for label, value in oracle if value.sign() < 0]
     assert cert.violation == (negative[0] if negative else None)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_facet_table_matches_per_point_signs(n):
+    # each point's sign from the product of the signed generators it sums
+    # over, taken in row order; the points in Subspace.points() order
+    want = []
+    for I, s in enumerate_stabilizer_states(n):
+        gens = [PhasedPauli(p, 2 * v) for p, v in zip(I.basis_points(), s.row_values)]
+        plus, minus = [], []
+        for mask, point in enumerate(I.points()):
+            acc = PhasedPauli(PauliPoint.zero(n))
+            for i, gen in enumerate(gens):
+                if mask >> i & 1:
+                    acc = pauli_mul(acc, gen)
+            assert acc.point == point
+            (plus if acc.sign() > 0 else minus).append(point.key())
+        want.append((state_label(I, s), tuple(plus), tuple(minus)))
+    assert list(facet_table(n)) == want
+
+
+def _rref_oracle(rows, width):
+    """Gauss-Jordan over Fractions on dense rows, every row read: each row
+    is reduced against the pivot rows so far (pivot entries 1), and a row
+    left nonzero is scaled to pivot 1 and cleared from the others."""
+    def subtract(row, f, prow):
+        for j, b in enumerate(prow):
+            if b:
+                row[j] -= f * b
+
+    basis = {}  # pivot column -> dense row
+    for sparse in rows:
+        row = [Fraction(sparse.get(c, 0)) for c in range(width)]
+        for c, prow in basis.items():
+            if row[c]:
+                subtract(row, row[c], prow)
+        col = next((c for c, v in enumerate(row) if v), None)
+        if col is None:
+            continue
+        row = [v / row[col] for v in row]
+        for prow in basis.values():
+            if prow[col]:
+                subtract(prow, prow[col], row)
+        basis[col] = row
+    pivots = sorted(basis)
+    return [basis[c] for c in pivots], pivots
+
+
+def _projector_rows(X):
+    """The active facet normals of member X, read off the stabilizer
+    projectors (coefficient 1 or -1 at key k, column k - 1)."""
+    active = set(membership(X).active)
+    return [
+        {p.key() - 1: int(c.a) for p, c in P.coeffs.items() if not p.is_zero()}
+        for label, P in _facet_oracle(X.n) if label in active
+    ]
+
+
+def _assert_rref_matches_oracle(rows, width):
+    reduced, pivots = _int_rref(rows, width)
+    want, want_pivots = _rref_oracle(rows, width)
+    assert pivots == want_pivots
+    for row, c, dense in zip(reduced, pivots, want):
+        assert [Fraction(row.get(j, 0), row[c]) for j in range(width)] == dense
+    return len(pivots)
+
+
+def test_int_rref_matches_fraction_oracle():
+    inputs = certificate_inputs()
+    sample = random.Random(14)
+    for X in inputs["lifted_vertices"]:
+        rows = _projector_rows(X)
+        assert _assert_rref_matches_oracle(rows, 63) == 63
+        for size in (8, 24, 40):
+            subset = sample.sample(rows, size)
+            assert _assert_rref_matches_oracle(subset, 63) < 63
+    for X in inputs["mixtures"]:
+        assert _assert_rref_matches_oracle(_projector_rows(X), 15) < 15
