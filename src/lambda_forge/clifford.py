@@ -5,7 +5,10 @@ z_1..z_n as signed Pauli points.  Global phases of the underlying
 unitaries never enter: every construction here depends only on the
 induced signed action, which consists of a symplectic map on E_n plus a
 sign for each generator image.  The group of such actions has order
-|Sp_{2n}(Z_2)| * 4^n  (24 for one qubit, 11520 for two).
+|Sp_{2n}(Z_2)| * 4^n  (24 for one qubit, 11520 for two): an action is
+any symplectic basis of E_n taken as the generator images, with any sign
+on each image (Koenig and Smolin, J. Math. Phys. 55, 122202 (2014)), and
+``enumerate_action`` lists the group that way, with no group search.
 """
 
 from __future__ import annotations
@@ -131,10 +134,6 @@ class CliffordTableau:
         phase &= 3
         assert not phase & 1, "Clifford image of a Hermitian Pauli must be Hermitian"
         return (z << n) | x, phase
-
-    def apply_signed(self, p: PhasedPauli) -> PhasedPauli:
-        img = self.apply_point(p.point)
-        return PhasedPauli(img.point, img.phase + p.phase)
 
     def point_map(self, v: PauliPoint) -> PauliPoint:
         return self.apply_point(v).point
@@ -265,21 +264,26 @@ def generator_tableaux(n: int) -> list[CliffordTableau]:
 
 
 def enumerate_action(n: int) -> list[CliffordTableau]:
-    """All signed Pauli actions of the n-qubit Clifford group (n <= ACTION_BOUND)."""
+    """All signed Pauli actions of the n-qubit Clifford group (n <= ACTION_BOUND):
+    every tuple of generator images with the generators' pairwise symplectic
+    forms (so independent), times every sign vector.  Each image in turn
+    runs over the nonzero keys ascending and then both signs, so the list
+    comes out sorted by the images as (key, sign) pairs."""
     if n > ACTION_BOUND:
         raise ValueError(f"Clifford enumeration capped at n={ACTION_BOUND}")
-    gens = generator_tableaux(n)
-    start = CliffordTableau.identity(n)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        cur = queue.popleft()
-        for g in gens:
-            nxt = g.compose(cur)
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return sorted(seen, key=lambda t: tuple((p.key(), s) for p, s in t.images))
+    nonzero = [PauliPoint.from_key(n, k) for k in range(1, 1 << (2 * n))]
+    gens = [p for p, _ in CliffordTableau.identity(n).images]
+    actions: list[tuple] = [()]
+    for i, g in enumerate(gens):
+        forms = [symplectic_form(g, h) for h in gens[:i]]
+        actions = [
+            images + ((p, s),)
+            for images in actions
+            for p in nonzero
+            if all(symplectic_form(p, q) == f for (q, _), f in zip(images, forms))
+            for s in (0, 1)
+        ]
+    return [CliffordTableau(n, images) for images in actions]
 
 
 def operator_orbit(A: QOperator) -> set:

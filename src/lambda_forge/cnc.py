@@ -29,17 +29,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .field import ONE
 from .gf2 import (
     PauliPoint,
+    affine_solutions,
     all_points,
     closure_under_inference,
-    solve_affine,
     span,
     symplectic_form,
-    xor_sums,
 )
 from .pauli import QOperator, beta
 from .stabilizer import Assignment
@@ -75,14 +74,9 @@ def consistent_assignments(omega: Iterable[PauliPoint]) -> list[dict[PauliPoint,
                 continue
             rows.append((1 << index[u]) ^ (1 << index[v]) ^ (1 << index[w]))
             rhs.append(beta(u, v))
-    solved = solve_affine(rows, rhs, len(nz))
-    if solved is None:
-        return []
-    particular, null_basis = solved
-    # reversed: the lowest free column changes slowest
     return [
         {zero: 0, **{p: sol >> i & 1 for i, p in enumerate(nz)}}
-        for sol in (particular ^ h for h in xor_sums(null_basis[::-1]))
+        for sol in affine_solutions(rows, rhs, len(nz))
     ]
 
 
@@ -149,15 +143,6 @@ class CncSet:
     def from_assignment(s: Assignment) -> "CncSet":
         """The cnc set of an isotropic subspace with its assignment."""
         return CncSet(s.subspace.points(), s.as_dict(), check=False)
-
-    @staticmethod
-    def full_single_qubit(signs: Sequence[int]) -> "CncSet":
-        """E_1 with gamma = (value at x, value at y, value at z)."""
-        from .gf2 import x_point, y_point, z_point
-
-        x, y, z = x_point(1, 1), y_point(1, 1), z_point(1, 1)
-        vals = {PauliPoint.zero(1): 0, x: signs[0], y: signs[1], z: signs[2]}
-        return CncSet([PauliPoint.zero(1), x, y, z], vals)
 
     def operator(self) -> QOperator:
         return QOperator(

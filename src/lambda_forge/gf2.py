@@ -24,10 +24,6 @@ _PAULI_CHARS = {(0, 0): "I", (0, 1): "X", (1, 0): "Z", (1, 1): "Y"}
 _CHAR_BITS = {"I": (0, 0), "X": (0, 1), "Z": (1, 0), "Y": (1, 1)}
 
 
-def _popcount(x: int) -> int:
-    return x.bit_count()
-
-
 class PauliPoint:
     """A point (v_Z, v_X) of E_n, hashable and immutable."""
 
@@ -128,13 +124,7 @@ def symplectic_form(v: PauliPoint, w: PauliPoint) -> int:
     """[v, w] = v_Z.w_X + v_X.w_Z mod 2; zero iff T_v and T_w commute."""
     if v.n != w.n:
         raise ValueError("qubit count mismatch")
-    return (_popcount(v.z & w.x) ^ _popcount(v.x & w.z)) & 1
-
-
-def zx_overlap(v: PauliPoint) -> int:
-    """Number of qubits where v has both a Z and an X bit (an integer,
-    not reduced mod 2; it fixes the operator phase convention)."""
-    return _popcount(v.z & v.x)
+    return ((v.z & w.x).bit_count() ^ (v.x & w.z).bit_count()) & 1
 
 
 # -- packed-row helpers (rows are 2n-bit ints, z half high) -----------
@@ -210,6 +200,22 @@ def xor_sums(vectors: Sequence[int]) -> list[int]:
     return sums
 
 
+def affine_solutions(rows: Sequence[int], rhs: Sequence[int], width: int) -> list[int]:
+    """Every solution of ``solve_affine``'s system ([] if inconsistent),
+    in ascending lexicographic order of their bits read from bit 0.
+
+    Every pivot of the reduced system depends only on lower free columns,
+    so two solutions first differ at a free column, and the xor_sums
+    order over the null basis reversed (lowest free column slowest) is
+    that order.
+    """
+    solved = solve_affine(rows, rhs, width)
+    if solved is None:
+        return []
+    particular, null_basis = solved
+    return [particular ^ h for h in xor_sums(null_basis[::-1])]
+
+
 def _perp_basis(rows: Sequence[int], n: int) -> list[int]:
     """A basis of the symplectic complement of the span of packed rows."""
     swapped = [swap_halves(r, n) for r in rows]
@@ -230,18 +236,6 @@ class Subspace:
 
     def __reduce__(self):
         return (Subspace, (self.n, self.rows))
-
-    @staticmethod
-    def from_points(points: Sequence[PauliPoint], n: Optional[int] = None) -> "Subspace":
-        if not points:
-            if n is None:
-                raise ValueError("cannot infer qubit count from an empty span")
-            return Subspace(n, ())
-        ns = {p.n for p in points}
-        if len(ns) != 1 or (n is not None and ns != {n}):
-            raise ValueError("qubit count mismatch in span")
-        n = points[0].n
-        return Subspace(n, [p.key() for p in points])
 
     @property
     def dim(self) -> int:
@@ -299,7 +293,7 @@ class Subspace:
         # Points of the smaller side filtered through the larger side.
         small, large = (self, other) if self.dim <= other.dim else (other, self)
         pts = [p for p in small.points() if large.contains(p)]
-        return Subspace.from_points(pts, self.n)
+        return span(pts, self.n)
 
     def __eq__(self, other):
         return (
@@ -315,8 +309,16 @@ class Subspace:
 
 
 def span(points: Sequence[PauliPoint], n: Optional[int] = None) -> Subspace:
-    """Canonical subspace spanned by the given points."""
-    return Subspace.from_points(points, n)
+    """Canonical subspace spanned by the given points (n is required when
+    there are none)."""
+    if not points:
+        if n is None:
+            raise ValueError("cannot infer qubit count from an empty span")
+        return Subspace(n, ())
+    ns = {p.n for p in points}
+    if len(ns) != 1 or (n is not None and ns != {n}):
+        raise ValueError("qubit count mismatch in span")
+    return Subspace(points[0].n, [p.key() for p in points])
 
 
 def all_points(n: int, include_zero: bool = True) -> list[PauliPoint]:

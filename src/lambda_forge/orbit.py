@@ -25,6 +25,13 @@ count against the Clifford orbit, checks that every candidate from the
 8- and 10-member collections fails membership or extremality, and
 rebuilds every member through ``build``.
 
+The covering rule is linear over Z_2.  Every nonzero point of E_2 lies
+in exactly three maximal isotropics, so a collection covers it 0, 1, 2
+or 3 times, and "zero or two" is the same as "an even number".  The
+collections through I are therefore the null vectors of the 15 x 15
+point-by-isotropic incidence matrix with a 1 at I: the kernel has
+dimension 5, and half of its 32 vectors contain I.
+
 A Pauli measurement of T_a with outcome s maps any two-qubit polytope
 member into the cube whose eight corners are the cnc sets on the
 commutant a-perp with gamma(a) = s (a copy of the single-qubit polytope
@@ -51,12 +58,11 @@ from .cnc import CncSet
 from .gf2 import (
     PauliPoint,
     Subspace,
+    affine_solutions,
     all_points,
     enumerate_maximal_isotropics,
-    solve_affine,
     span,
     symplectic_form,
-    xor_sums,
 )
 from .pauli import QOperator, beta, pauli_projector, phase_of_bits
 from .stabilizer import Assignment, all_assignments
@@ -92,52 +98,20 @@ def alpha0_vertex() -> QOperator:
 @lru_cache(maxsize=None)
 def enumerate_collections(I: Subspace) -> tuple[frozenset[Subspace], ...]:
     """All collections containing I in which every covered nonzero point
-    lies in exactly two members (depth-first search with count pruning)."""
+    lies in exactly two members: the solutions, with a 1 at I, of the
+    point-by-isotropic incidence system over Z_2 (see the module
+    docstring)."""
     isos = enumerate_maximal_isotropics(2)
     if I not in isos:
         raise ValueError("collections are anchored at a maximal isotropic")
-    order = [I] + [J for J in isos if J != I]
-    pts_of = [tuple(p for p in J.points() if not p.is_zero()) for J in order]
-    remaining: dict[PauliPoint, int] = {}
-    for pts in pts_of:
-        for p in pts:
-            remaining[p] = remaining.get(p, 0) + 1
-    counts: dict[PauliPoint, int] = {p: 0 for p in remaining}
-    chosen: list[int] = []
-    found: list[frozenset[Subspace]] = []
-
-    def feasible(p: PauliPoint) -> bool:
-        # a point with one cover so far must still be completable
-        c = counts[p]
-        if c == 2 or c == 0:
-            return True
-        return remaining[p] > 0
-
-    def dfs(i: int):
-        if i == len(order):
-            if all(c in (0, 2) for c in counts.values()):
-                found.append(frozenset(order[j] for j in chosen))
-            return
-        pts = pts_of[i]
-        for p in pts:
-            remaining[p] -= 1
-        # branch: include order[i]
-        if all(counts[p] < 2 for p in pts):
-            for p in pts:
-                counts[p] += 1
-            chosen.append(i)
-            if all(feasible(p) for p in pts):
-                dfs(i + 1)
-            chosen.pop()
-            for p in pts:
-                counts[p] -= 1
-        # branch: exclude (forbidden for the anchor itself)
-        if i != 0 and all(feasible(p) for p in pts):
-            dfs(i + 1)
-        for p in pts:
-            remaining[p] += 1
-
-    dfs(0)
+    rows = [
+        sum(1 << j for j, J in enumerate(isos) if not J.reduce_key(p)) for p in range(1, 16)
+    ]
+    rows.append(1 << isos.index(I))
+    found = [
+        frozenset(J for j, J in enumerate(isos) if sol >> j & 1)
+        for sol in affine_solutions(rows, [0] * 15 + [1], len(isos))
+    ]
     return tuple(sorted(found, key=lambda C: sorted(s.rows for s in C)))
 
 
@@ -155,6 +129,9 @@ def omega_from_collection(collection: Iterable[Subspace]) -> frozenset[PauliPoin
 
 
 def check_collection_rules(I: Subspace, collection: Iterable[Subspace]) -> bool:
+    """The covering rules read literally, on any subspaces: I is a member,
+    and each nonzero point of a member lies in exactly one other member.
+    The tests hold ``enumerate_collections`` against it."""
     col = set(collection)
     if I not in col:
         return False
@@ -185,10 +162,7 @@ def assignment_solutions(
 
     Each solution lists its points in ascending key order, 0 first, and
     the solutions come in ascending lexicographic order of their bits
-    read from the lowest key.  Every pivot of the reduced system depends
-    only on lower free columns, so two solutions first differ at a free
-    column, and the xor_sums order over the free columns (lowest
-    slowest) is that lexicographic order.
+    read from the lowest key (``affine_solutions``).
     """
     zero = PauliPoint.zero(2)
     pts = sorted((p for p in omega if not p.is_zero()), key=lambda p: p.key())
@@ -202,14 +176,9 @@ def assignment_solutions(
             continue
         rows.append((1 << index[v]) | (1 << index[w]))
         rhs.append((gamma.value(u) + beta(v, w)) & 1)
-    solved = solve_affine(rows, rhs, len(pts))
-    if solved is None:
-        return []
-    particular, null_basis = solved
-    # reversed: the lowest free column changes slowest
     return [
         {zero: 0, **{p: sol >> i & 1 for i, p in enumerate(pts)}}
-        for sol in (particular ^ h for h in xor_sums(null_basis[::-1]))
+        for sol in affine_solutions(rows, rhs, len(pts))
     ]
 
 
@@ -261,12 +230,6 @@ class OrbitVertex:
     @property
     def gamma_p_map(self) -> dict[PauliPoint, int]:
         return dict(self.gamma_p)
-
-    @property
-    def gamma_pp_map(self) -> dict[PauliPoint, int]:
-        return {
-            p: (b + (0 if p.is_zero() else 1)) & 1 for p, b in self.gamma_p
-        }
 
     @cached_property
     def _twice_coeffs(self) -> dict[int, int]:

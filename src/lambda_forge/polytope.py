@@ -224,8 +224,11 @@ def _clear(row: dict[int, int], prow: dict[int, int], col: int) -> dict[int, int
 def extremality_refuter(X: QOperator, cert: Optional[FacetCertificate] = None) -> Optional[QOperator]:
     """A traceless direction Y with X+Y and X-Y both members, if one exists.
 
-    Searches the null space of the active constraints scaled small enough
-    to stay inside; returns None when X is extremal.
+    Takes D, the null vector of the active constraints with a 1 at the
+    first free column, and returns Y = D / 2^k for the least k >= 0 with
+    |f(D)| <= 2^k f(X) on every facet f.  The facet values are linear and
+    X + D has trace 1, so f(D) = f(X + D) - f(X) from one more
+    membership call.  Returns None when X is extremal.
     """
     if cert is None:
         cert = membership(X)
@@ -235,22 +238,18 @@ def extremality_refuter(X: QOperator, cert: Optional[FacetCertificate] = None) -
     if not free:
         return None  # extremal
     # the null vector with a 1 at the first free column, 0 at the others
-    direction = [Fraction(0)] * len(nz_points)
-    direction[free[0]] = Fraction(1)
+    direction = {nz_points[free[0]]: ONE}
     for row, c in zip(reduced, pivots):
-        direction[c] = -Fraction(row.get(free[0], 0), row[c])
-    for denom in (1, 2, 4, 8, 16, 64, 256):
-        Y = QOperator(
-            X.n,
-            {
-                p: FieldElem(Fraction(direction[i], denom))
-                for i, p in enumerate(nz_points)
-                if direction[i]
-            },
-        )
-        if membership(X + Y).is_member and membership(X - Y).is_member:
-            return Y
-    return None
+        if row.get(free[0]):
+            direction[nz_points[c]] = FieldElem(Fraction(-row[free[0]], row[c]))
+    D = QOperator(X.n, direction)
+    fx, fxd = cert.values, membership(X + D).values
+    # active facets have f(X) = f(D) = 0
+    need = max(max(fxd[f] - v, v - fxd[f]) / v for f, v in fx.items() if v.sign())
+    k = 0
+    while need > 1 << k:
+        k += 1
+    return D.scale(Fraction(1, 1 << k))
 
 
 def enumerate_vertices_n1() -> list[QOperator]:

@@ -101,11 +101,6 @@ class Assignment:
     def as_dict(self) -> dict[PauliPoint, int]:
         return dict(self.items())
 
-    def restrict(self, sub: Subspace) -> "Assignment":
-        if any(not self.subspace.contains(p) for p in sub.basis_points()):
-            raise ValueError("restriction target is not contained in the domain")
-        return Assignment(sub, [self.value(p) for p in sub.basis_points()])
-
     def __eq__(self, other):
         return (
             isinstance(other, Assignment)

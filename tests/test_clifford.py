@@ -22,7 +22,6 @@ from lambda_forge.gf2 import (
     x_point,
     y_point,
     z_point,
-    zx_overlap,
 )
 from lambda_forge.pauli import PhasedPauli, QOperator, pauli_mul
 from lambda_forge.stabilizer import (
@@ -106,7 +105,9 @@ def test_apply_respects_products():
     pts = all_points(2)
     for _ in range(100):
         v, w = rng.choice(pts), rng.choice(pts)
-        lhs = t.apply_signed(pauli_mul(PhasedPauli(v), PhasedPauli(w)))
+        prod = pauli_mul(PhasedPauli(v), PhasedPauli(w))
+        img = t.apply_point(prod.point)
+        lhs = PhasedPauli(img.point, img.phase + prod.phase)
         rhs = pauli_mul(t.apply_point(v), t.apply_point(w))
         assert lhs == rhs
 
@@ -123,6 +124,15 @@ def test_enumeration_counts():
     assert len(enumerate_action(1)) == 24
     with pytest.raises(ValueError):
         enumerate_action(3)
+    # n = 2: |Sp_4(Z_2)| * 4^2 distinct valid actions, closed under every
+    # generator (checked on a seeded sample)
+    group = enumerate_action(2)
+    members = set(group)
+    assert len(group) == len(members) == 11520
+    assert all(t.is_valid() for t in group)
+    for t in random.Random(15).sample(group, 40):
+        for g in generator_tableaux(2):
+            assert g.compose(t) in members
 
 
 def test_enumeration_closure_n1():
@@ -145,7 +155,7 @@ def product_image(t, v):
     """i^{q(v)} times the product of the generator images that T_v = i^{q(v)}
     X(v_x) Z(v_z) selects, multiplied out with pauli_mul."""
     n = t.n
-    acc = PhasedPauli(PauliPoint.zero(n), zx_overlap(v))
+    acc = PhasedPauli(PauliPoint.zero(n), (v.z & v.x).bit_count())
     for i in range(n):
         if (v.x >> i) & 1:
             img, s = t.images[i]

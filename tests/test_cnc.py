@@ -61,7 +61,7 @@ def test_cnc_vertex_counts():
 def test_operator_examples():
     zero_set = CncSet([PauliPoint.zero(2)], {PauliPoint.zero(2): 0})
     assert zero_set.operator() == QOperator.maximally_mixed(2)
-    full = CncSet.full_single_qubit((0, 0, 0))
+    full = CncSet(all_points(1), {p: 0 for p in all_points(1)})
     assert full.operator() == QOperator.from_labels(1, {"I": 1, "X": 1, "Y": 1, "Z": 1})
     I, s = enumerate_stabilizer_states(2)[11]
     c = CncSet.from_assignment(s)
@@ -101,7 +101,8 @@ def test_update_deterministic_branch():
 
 def test_update_shrinks_nonisotropic():
     # measuring inside the full single-qubit set keeps only the commutant
-    c = CncSet.full_single_qubit((0, 1, 0))
+    # E_1 (key order I, X, Z, Y) with the sign of Y flipped
+    c = CncSet(all_points(1), dict(zip(all_points(1), (0, 0, 0, 1))))
     x = x_point(1, 1)
     pieces = c.measure_update(x, 0)
     assert len(pieces) == 1

@@ -1,5 +1,6 @@
 import pickle
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -67,9 +68,6 @@ def test_alpha0_parameters():
     assert gp[y_point(2, 2)] == 1
     assert gp[z_point(2, 1)] == 0
     assert gp[y_point(2, 1)] == 1
-    # gamma'' is the off-zero flip
-    gpp = V.gamma_pp_map
-    assert all(gpp[p] == 1 ^ gp[p] for p in gp if not p.is_zero())
 
 
 def test_alpha0_membership_and_extremality():
@@ -132,6 +130,22 @@ def test_collections_structure():
         assert not any(I0.contains(p) for p in om if not p.is_zero())
 
 
+def test_collections_match_brute_force():
+    """Every subset of the other 14 maximal isotropics, with I0 added,
+    whose cover of each nonzero point is 0 or 2 (a count, not a parity)."""
+    others = [J for J in enumerate_maximal_isotropics(2) if J != I0]
+    keys = {J: [p.key() for p in J.points() if not p.is_zero()] for J in others + [I0]}
+    found = set()
+    for mask in range(1 << len(others)):
+        members = [I0] + [J for j, J in enumerate(others) if mask >> j & 1]
+        cover = Counter(k for J in members for k in keys[J])
+        if all(c == 2 for c in cover.values()):
+            found.add(frozenset(members))
+    cols = enumerate_collections(I0)
+    assert len(cols) == len(found) == 16
+    assert set(cols) == found
+
+
 def test_sign_system_solution_count():
     gamma = next(iter(all_assignments(I0)))
     for C in enumerate_collections(I0):
@@ -142,9 +156,6 @@ def test_sign_system_solution_count():
         assert len(sols) == 8
         for gp in sols:
             assert gp[PauliPoint.zero(2)] == 0
-            gpp = OrbitVertex.build(I0, gamma, C, gp).gamma_pp_map
-            assert gpp[PauliPoint.zero(2)] == 0
-            assert all(gpp[p] == 1 ^ gp[p] for p in gp if not p.is_zero())
 
 
 def test_update_weight_profiles():

@@ -132,6 +132,17 @@ def test_extremality_refuter_none_for_vertex():
     assert extremality_refuter(A0) is None
 
 
+def test_extremality_refuter_near_a_vertex():
+    """A non-extremal member 1/1024 of the way from a vertex to the
+    opposite one: every step along a null direction must be small."""
+    verts = enumerate_vertices_n1()
+    X = verts[0].scale(Fraction(1023, 1024)) + verts[7].scale(Fraction(1, 1024))
+    assert is_vertex(X) == (False, 0)
+    Y = extremality_refuter(X)
+    assert Y is not None and Y.trace() == 0 and Y != QOperator.zero(1)
+    assert membership(X + Y).is_member and membership(X - Y).is_member
+
+
 def test_decompose_point_mass():
     verts = enumerate_vertices_n1()
     w = decompose(verts[3], verts)

@@ -72,15 +72,6 @@ def test_assignment_from_pairs_conflict():
         Assignment.from_pairs([(zz, 0), (xx, 0), (yy, 0)])
 
 
-def test_assignment_restrict():
-    I, s = enumerate_stabilizer_states(2)[29]
-    line = span([I.basis_points()[0]])
-    r = s.restrict(line)
-    assert r.value(I.basis_points()[0]) == s.value(I.basis_points()[0])
-    with pytest.raises(ValueError):
-        s.restrict(span([x_point(2, 1), z_point(2, 1)]))
-
-
 def test_inconsistent_projector_rejected():
     I = span([z_point(2, 1), z_point(2, 2)])
     with pytest.raises(ValueError):
