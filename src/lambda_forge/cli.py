@@ -47,8 +47,7 @@ def _emit(status: str, payload, diagnostics: str = "", as_float: bool = False) -
     doc = {"status": status, "payload": payload, "diagnostics": diagnostics}
     if as_float:
         doc = _floatify(doc)
-    json.dump(doc, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return {"ok": EXIT_OK, "violation": EXIT_VIOLATION, "infeasible": EXIT_INFEASIBLE}.get(
         status, EXIT_ERROR
     )

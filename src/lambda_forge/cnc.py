@@ -23,12 +23,18 @@ Zurel, Phys. Rev. A 101, 012350 (2020), arXiv:1905.05374):
 
   for every cnc set, isotropic or not.  The two halves are disjoint
   because a is not in the closed set Omega.
+
+A ``CncSet`` is one dict {``PauliPoint.key()``: gamma bit}; Omega is its
+keys.  Equality and hashing use the frozenset of its items, and the
+operator and both update rules run on the keys.  ``CncSet(omega, gamma)``
+validates; ``.omega`` and ``.gamma`` are ``PauliPoint`` views built when read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .field import ONE
@@ -40,11 +46,13 @@ from .gf2 import (
     span,
     symplectic_form,
 )
-from .pauli import QOperator, beta
+from .pauli import QOperator, beta, phase_of_bits
 from .stabilizer import Assignment
 
 #: Largest qubit count ``is_maximal_cnc`` searches exhaustively.
 MAXIMALITY_BOUND = 2
+
+_set = object.__setattr__
 
 
 def is_closed(omega: Iterable[PauliPoint]) -> bool:
@@ -104,50 +112,68 @@ def is_maximal_cnc(omega: Iterable[PauliPoint]) -> bool:
 
 
 class CncSet:
-    """A closed noncontextual set with a consistent value assignment."""
+    """A closed noncontextual set with a consistent value assignment, on int keys."""
 
-    __slots__ = ("n", "omega", "gamma", "_hash")
+    __slots__ = ("n", "_vals", "_items")
 
-    def __init__(
-        self,
-        omega: Iterable[PauliPoint],
-        gamma: Mapping[PauliPoint, int],
-        check: bool = True,
-    ):
+    def __init__(self, omega: Iterable[PauliPoint], gamma: Mapping[PauliPoint, int]):
         pts = frozenset(omega)
+        if not pts:
+            raise ValueError("a cnc set contains 0, so Omega cannot be empty")
+        if gamma.keys() != pts:
+            raise ValueError("gamma must give a value on exactly the points of Omega")
+        for b in gamma.values():
+            if not isinstance(b, int) or isinstance(b, bool) or b not in (0, 1):
+                raise ValueError(f"gamma values must be the ints 0 or 1, got {b!r}")
         n = next(iter(pts)).n
-        zero = PauliPoint.zero(n)
-        vals = {p: gamma[p] & 1 for p in pts}
-        if check:
-            if zero not in pts or vals[zero] != 0:
-                raise ValueError("a cnc set contains 0 with value 0")
-            for u, v in combinations(pts, 2):
-                if symplectic_form(u, v) == 0:
-                    w = u ^ v
-                    if w not in pts:
-                        raise ValueError("set is not closed under inference")
-                    if vals[w] != (vals[u] + vals[v] + beta(u, v)) & 1:
-                        raise ValueError("value assignment is inconsistent")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "omega", pts)
-        object.__setattr__(self, "gamma", vals)
-        object.__setattr__(self, "_hash", None)
+        if gamma.get(PauliPoint.zero(n)) != 0:
+            raise ValueError("a cnc set contains 0 with value 0")
+        for u, v in combinations(pts, 2):
+            if symplectic_form(u, v) == 0:
+                w = u ^ v
+                if w not in pts:
+                    raise ValueError("set is not closed under inference")
+                if gamma[w] != (gamma[u] + gamma[v] + beta(u, v)) & 1:
+                    raise ValueError("value assignment is inconsistent")
+        self._fill(n, {p.key(): gamma[p] for p in pts})
+
+    @staticmethod
+    def _from_keys(n: int, vals: dict[int, int]) -> "CncSet":
+        """The cnc set of gamma bits keyed by ``PauliPoint.key()`` that are
+        already checked (a cnc set with its consistent assignment)."""
+        return object.__new__(CncSet)._fill(n, vals)
+
+    def _fill(self, n: int, vals: dict[int, int]) -> "CncSet":
+        # a frozenset keeps its hash, so memo lookups hash each state once
+        _set(self, "n", n)
+        _set(self, "_vals", vals)
+        _set(self, "_items", frozenset(vals.items()))
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("CncSet is immutable")
 
     def __reduce__(self):
-        return (CncSet, (self.omega, self.gamma, False))
+        return (CncSet._from_keys, (self.n, self._vals))
+
+    @property
+    def omega(self) -> frozenset[PauliPoint]:
+        return frozenset(PauliPoint.from_key(self.n, k) for k in self._vals)
+
+    @property
+    def gamma(self) -> Mapping[PauliPoint, int]:
+        """The value assignment keyed by ``PauliPoint``, read-only."""
+        n = self.n
+        return MappingProxyType({PauliPoint.from_key(n, k): b for k, b in self._vals.items()})
 
     @staticmethod
     def from_assignment(s: Assignment) -> "CncSet":
         """The cnc set of an isotropic subspace with its assignment."""
-        return CncSet(s.subspace.points(), s.as_dict(), check=False)
+        return CncSet._from_keys(s.subspace.n, dict(s.key_items()))
 
     def operator(self) -> QOperator:
-        return QOperator(
-            self.n,
-            {p: (ONE if self.gamma[p] == 0 else -ONE) for p in self.omega},
+        return QOperator._from_keys(
+            self.n, {k: -ONE if b else ONE for k, b in self._vals.items()}
         )
 
     def measure_update(self, a: PauliPoint, s: int) -> list[tuple[Fraction, "CncSet"]]:
@@ -158,74 +184,70 @@ class CncSet:
         gamma(a), weight 1/2 on Omega x a when a is outside Omega.
         Weights are unnormalized: they sum to the outcome probability
         and sum(w_i * piece_i.operator()) equals
-        operator().project(a, s) exactly.
+        operator().project(a, s) exactly.  It runs on the keys, as ``project`` does.
         """
         if a.is_zero():
             raise ValueError("measurement axis must be nonzero")
-        if a.n != self.n:
+        n = self.n
+        if a.n != n:
             raise ValueError("qubit count mismatch")
         s &= 1
-        inside = a in self.omega
-        if inside and s != self.gamma[a]:
+        vals, az, ax, ka = self._vals, a.z, a.x, a.key()
+        outside = ka not in vals
+        if not outside and s != vals[ka]:
             return []
-        kept = [p for p in self.omega if symplectic_form(p, a) == 0]
-        if inside:
-            return [(Fraction(1), CncSet(kept, self.gamma, check=False))]
-        vals = {p: self.gamma[p] for p in kept}
-        for p in kept:
-            vals[p ^ a] = (self.gamma[p] + s + beta(p, a)) & 1
-        return [(Fraction(1, 2), CncSet(vals.keys(), vals, check=False))]
+        mask = (1 << n) - 1
+        out = {}
+        for k, b in vals.items():
+            z, x = k >> n, k & mask
+            if not ((z & ax).bit_count() ^ (x & az).bit_count()) & 1:
+                out[k] = b
+                if outside:
+                    out[k ^ ka] = b ^ s ^ (phase_of_bits(z, x, az, ax) >> 1)
+        return [(Fraction(1, 2) if outside else Fraction(1), CncSet._from_keys(n, out))]
 
     def __eq__(self, other):
-        return (
-            isinstance(other, CncSet)
-            and self.omega == other.omega
-            and self.gamma == other.gamma
-        )
+        return isinstance(other, CncSet) and self.n == other.n and self._items == other._items
 
     def __hash__(self):
-        # cached: sorting gamma dominates a memo lookup otherwise
-        if self._hash is None:
-            key = tuple(sorted((p.key(), b) for p, b in self.gamma.items()))
-            object.__setattr__(self, "_hash", hash((self.omega, key)))
-        return self._hash
+        return hash(self._items)
 
     def __repr__(self):
+        n = self.n
         body = " ".join(
-            ("-" if self.gamma[p] else "+") + p.label()
-            for p in sorted(self.omega, key=lambda q: q.key())
-            if not p.is_zero()
+            ("-" if b else "+") + PauliPoint.from_key(n, k).label()
+            for k, b in sorted(self._vals.items())
+            if k
         )
         return f"CncSet({body})"
 
     def to_json(self) -> dict:
-        pts = sorted(self.omega, key=lambda p: p.key())
-        return {
-            "omega": [p.label() for p in pts],
-            "gamma": {p.label(): self.gamma[p] for p in pts},
-        }
+        n = self.n
+        items = [(PauliPoint.from_key(n, k).label(), b) for k, b in sorted(self._vals.items())]
+        return {"omega": [lbl for lbl, _ in items], "gamma": dict(items)}
 
     @staticmethod
     def from_json(obj: Mapping) -> "CncSet":
-        pts = [PauliPoint.from_label(lbl) for lbl in obj["omega"]]
-        gamma = {PauliPoint.from_label(lbl): int(v) for lbl, v in obj["gamma"].items()}
-        return CncSet(pts, gamma)
+        omega, gamma = obj["omega"], obj["gamma"]
+        if not (isinstance(omega, list) and all(isinstance(lbl, str) for lbl in omega)
+                and isinstance(gamma, Mapping)):
+            raise ValueError("a cnc set needs an omega list of Pauli labels and a gamma object")
+        return CncSet(
+            [PauliPoint.from_label(lbl) for lbl in omega],
+            {PauliPoint.from_label(lbl): v for lbl, v in gamma.items()},
+        )
 
 
-def line_perp_sets(n: int = 2) -> list[frozenset[PauliPoint]]:
-    """The maximal cnc sets a-perp (all points commuting with a fixed a)."""
-    if n != 2:
-        raise ValueError("line-perp shape is special to two qubits")
+def line_perp_sets() -> list[frozenset[PauliPoint]]:
+    """The two-qubit maximal cnc sets a-perp (all points commuting with an a)."""
     out = []
     for a in all_points(2, include_zero=False):
         out.append(frozenset(span([a]).perp().points()))
     return sorted(set(out), key=lambda s: sorted(p.key() for p in s))
 
 
-def anticommuting_sets(n: int = 2) -> list[frozenset[PauliPoint]]:
-    """Maximal cnc sets built from five pairwise anticommuting points."""
-    if n != 2:
-        raise ValueError("pairwise-anticommuting shape enumerated for two qubits")
+def anticommuting_sets() -> list[frozenset[PauliPoint]]:
+    """Two-qubit maximal cnc sets: 0 and five pairwise anticommuting points."""
     pts = all_points(2, include_zero=False)
     zero = PauliPoint.zero(2)
     out = []
@@ -242,7 +264,7 @@ def maximal_cnc_sets(n: int) -> list[frozenset[PauliPoint]]:
     if n == 1:
         return [frozenset(all_points(1))]
     if n == 2:
-        return line_perp_sets(2) + anticommuting_sets(2)
+        return line_perp_sets() + anticommuting_sets()
     raise ValueError("maximal cnc sets enumerated only for n <= 2")
 
 
@@ -251,5 +273,5 @@ def cnc_vertices(n: int) -> list[CncSet]:
     out = []
     for omega in maximal_cnc_sets(n):
         for vals in consistent_assignments(omega):
-            out.append(CncSet(omega, vals, check=False))
+            out.append(CncSet._from_keys(n, {p.key(): b for p, b in vals.items()}))
     return out

@@ -116,10 +116,9 @@ def lift_tensor(X: QOperator, J: Subspace, r: Assignment) -> QOperator:
         raise ValueError("operator qubit count must match the head size")
     mask = (1 << m) - 1
     out = {}
-    for u, ru in r.items():
+    for u, ru in r.key_items():
         for v, c in X._by_key.items():
-            z, x = (v >> m) | u.z, (v & mask) | u.x
-            out[(z << n) | x] = -c if ru else c
+            out[(v >> m) << n | (v & mask) | u] = -c if ru else c
     return QOperator._from_keys(n, out)
 
 

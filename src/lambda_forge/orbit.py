@@ -128,23 +128,6 @@ def omega_from_collection(collection: Iterable[Subspace]) -> frozenset[PauliPoin
     )
 
 
-def check_collection_rules(I: Subspace, collection: Iterable[Subspace]) -> bool:
-    """The covering rules read literally, on any subspaces: I is a member,
-    and each nonzero point of a member lies in exactly one other member.
-    The tests hold ``enumerate_collections`` against it."""
-    col = set(collection)
-    if I not in col:
-        return False
-    for J in col:
-        for v in J.points():
-            if v.is_zero():
-                continue
-            others = [K for K in col if K != J and K.contains(v)]
-            if len(others) != 1:
-                return False
-    return True
-
-
 # -- sign systems ----------------------------------------------------------
 
 
@@ -187,8 +170,6 @@ def assignment_solutions(
 #: A coefficient from its double.
 _HALVES = {2: ONE, -2: -ONE, 1: HALF, -1: -HALF}
 
-_ZERO2 = PauliPoint.zero(2)
-
 
 @dataclass(frozen=True)
 class OrbitVertex:
@@ -227,19 +208,12 @@ class OrbitVertex:
             I, gamma, collection, omega, tuple(sorted(gp.items(), key=lambda kv: kv[0].key()))
         )
 
-    @property
-    def gamma_p_map(self) -> dict[PauliPoint, int]:
-        return dict(self.gamma_p)
-
     @cached_property
     def _twice_coeffs(self) -> dict[int, int]:
         """The Pauli coefficients times 2, keyed by ``PauliPoint.key()``: 2
         at the identity, (-1)^gamma 2 on I and (-1)^gamma' on Omega.
         Computed once per member."""
-        coeffs = {0: 2}
-        for p, g in self.gamma.items():
-            if not p.is_zero():
-                coeffs[p.key()] = -2 if g else 2
+        coeffs = {k: -2 if g else 2 for k, g in self.gamma.key_items()}
         for p, b in self.gamma_p:
             if not p.is_zero():
                 coeffs[p.key()] = -1 if b else 1
@@ -369,7 +343,8 @@ def measure_update(
     D = 2 and the coefficients times D from ``_twice_coeffs``, 2 p D and the
     x_r times 2 p D are integer sums, and the weights are their
     differences over 4 D.  The cosets are found among the point keys by
-    the symplectic form and ``phase_of_bits`` on their halves.
+    the symplectic form and ``phase_of_bits`` on their halves, and each
+    corner is built straight from the key pairs (r, r + a).
     """
     if a.is_zero():
         raise ValueError("measurement axis must be nonzero")
@@ -393,23 +368,18 @@ def measure_update(
         chain.append((abs(xr), r, t, int(xr < 0)))  # x_r times P
     chain.sort()
     zs = [-P] + [z for z, *_ in chain] + [P]
-    bits = [g for *_, g in chain]
-    cosets = [
-        (PauliPoint.from_key(2, r), PauliPoint.from_key(2, r ^ ka), t)
-        for _, r, t, _ in chain
-    ]
+    gamma = {0: 0, ka: s}
+    for _, r, t, g in chain:
+        gamma[r], gamma[r ^ ka] = g, g ^ t
     out = []
     for i in range(4):
-        if i:
-            bits[i - 1] ^= 1
+        if i:  # the next corner flips the i-th coset of the chain
+            r = chain[i - 1][1]
+            gamma[r] ^= 1
+            gamma[r ^ ka] ^= 1
         w = zs[i + 1] - zs[i]
         if w:
-            w = Fraction(w, 4 * D)
-            gamma = {_ZERO2: 0, a: s}
-            for (r, u, t), g in zip(cosets, bits):
-                gamma[r] = g
-                gamma[u] = g ^ t
-            out.append((w, CncSet(gamma.keys(), gamma, check=False)))
+            out.append((Fraction(w, 4 * D), CncSet._from_keys(2, dict(gamma))))
     return out
 
 

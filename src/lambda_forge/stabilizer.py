@@ -12,7 +12,6 @@ holds by construction and inconsistent assignments cannot be built.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
@@ -93,14 +92,6 @@ class Assignment:
         for mask, (key, fold) in enumerate(zip(xor_sums(sub.rows), _fold_bits(sub))):
             yield key, (fold ^ (mask & bits).bit_count()) & 1
 
-    def items(self) -> Iterator[tuple[PauliPoint, int]]:
-        n = self.subspace.n
-        for key, value in self.key_items():
-            yield PauliPoint.from_key(n, key), value
-
-    def as_dict(self) -> dict[PauliPoint, int]:
-        return dict(self.items())
-
     def __eq__(self, other):
         return (
             isinstance(other, Assignment)
@@ -161,11 +152,8 @@ def stabilizer_projector(J: Subspace, s: Assignment | Sequence[int]) -> QOperato
         s = Assignment(J, s)
     if s.subspace != J:
         raise ValueError("assignment domain differs from the projector subspace")
-    scale = Fraction(1 << (J.n - J.dim))
-    coeffs = {}
-    for p, val in s.items():
-        coeffs[p] = FieldElem(scale if val == 0 else -scale)
-    return QOperator(J.n, coeffs)
+    scale = FieldElem(1 << (J.n - J.dim))
+    return QOperator._from_keys(J.n, {k: -scale if v else scale for k, v in s.key_items()})
 
 
 def enumerate_stabilizer_states(n: int) -> list[tuple[Subspace, Assignment]]:

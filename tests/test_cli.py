@@ -368,3 +368,35 @@ def test_simulate_rejects_bad_tableau_keys(tmp_path, capsys):
         assert code == 1 and doc["status"] == "error"
         assert doc["diagnostics"].startswith("ValueError: ")
         assert "tableau" in doc["diagnostics"]
+
+
+BAD_CNC = [
+    {"omega": [], "gamma": {}},
+    {"omega": ["I", "X"], "gamma": {"I": 0, "X": "1"}},
+    {"omega": ["I", "X"], "gamma": {"I": 0, "X": 3}},
+    {"omega": ["I", "X"], "gamma": {"I": 0, "X": True}},
+    {"omega": ["I", "X"], "gamma": {"I": 0}},
+    {"omega": ["I"], "gamma": {"I": 0, "X": 1}},
+    {"omega": [5], "gamma": {"I": 0}},
+    {"omega": "IX", "gamma": {"I": 0, "X": 0}},
+    {"omega": ["I"], "gamma": [0]},
+]
+
+
+def test_cnc_rejects_bad_sets(tmp_path, capsys):
+    for doc in BAD_CNC:
+        path = write_json(tmp_path / "c.json", doc)
+        code, out = run(capsys, "cnc", path)
+        doc = json.loads(out)
+        assert code == 1 and doc["status"] == "error"
+        assert doc["diagnostics"].startswith("ValueError: ")
+
+
+def test_simulate_rejects_bad_cnc_descriptor(tmp_path, capsys):
+    for cnc in BAD_CNC:
+        circ = {"n": 1, "initial": {"type": "cnc", **cnc}, "steps": [{"measure": "X"}]}
+        path = write_json(tmp_path / "circ.json", circ)
+        code, out = run(capsys, "simulate", path, "--exact")
+        doc = json.loads(out)
+        assert code == 1 and doc["status"] == "error"
+        assert doc["diagnostics"].startswith("ValueError: ")

@@ -45,11 +45,11 @@ def test_maximality():
 
 
 def test_shape_counts():
-    assert len(line_perp_sets(2)) == 15
-    assert len(anticommuting_sets(2)) == 6
+    assert len(line_perp_sets()) == 15
+    assert len(anticommuting_sets()) == 6
     assert len(maximal_cnc_sets(2)) == 21
     assert len(maximal_cnc_sets(1)) == 1
-    for omega in anticommuting_sets(2):
+    for omega in anticommuting_sets():
         assert is_maximal_cnc(omega)
 
 
@@ -80,6 +80,34 @@ def test_invariants_enforced():
     vals[x1 ^ x_point(2, 2)] = 1  # breaks consistency (beta = 0 here)
     with pytest.raises(ValueError):
         CncSet(iso.points(), vals)
+
+
+def test_boundary_rejects_empty_omega_and_bad_gamma():
+    zero, x = PauliPoint.zero(1), x_point(1, 1)
+    bad = [
+        ([], {}),
+        ([zero, x], {zero: 0, x: True}),
+        ([zero, x], {zero: 0, x: 3}),
+        ([zero, x], {zero: 0, x: "1"}),
+        ([zero, x], {zero: 0}),
+        ([zero], {zero: 0, x: 0}),
+    ]
+    for omega, gamma in bad:
+        with pytest.raises(ValueError):
+            CncSet(omega, gamma)
+
+
+def test_key_valued_views_and_identity():
+    c = cnc_vertices(2)[100]
+    twin = CncSet(c.omega, c.gamma)
+    assert twin == c and hash(twin) == hash(c) and repr(twin) == repr(c)
+    assert set(c.gamma) == c.omega and all(b in (0, 1) for b in c.gamma.values())
+    with pytest.raises(TypeError):
+        c.gamma[PauliPoint.zero(2)] = 1
+    # X on one qubit and XI on two share the key 1, but the sets differ
+    one, two = (CncSet([PauliPoint.zero(n), x_point(n, 1)],
+                       {PauliPoint.zero(n): 0, x_point(n, 1): 0}) for n in (1, 2))
+    assert one != two and one.operator() != two.operator()
 
 
 def test_cnc_vertices_are_polytope_vertices():
@@ -126,7 +154,9 @@ def test_update_isotropic_extension():
 
 
 def test_update_oracle_sweep_sampled():
+    stabilizers3 = rng.sample(enumerate_stabilizer_states(3), 8)
     cases = rng.sample(cnc_vertices(2), 10) + cnc_vertices(1)
+    cases += [CncSet.from_assignment(s) for _, s in stabilizers3]
     for c in cases:
         pts = all_points(c.n, include_zero=False)
         for a in rng.sample(pts, min(6, len(pts))):
@@ -151,7 +181,7 @@ def test_consistent_assignment_counts():
     assert len(consistent_assignments(all_points(1))) == 8
     perp = span([y_point(2, 2)]).perp()
     assert len(consistent_assignments(perp.points())) == 16
-    pent = anticommuting_sets(2)[0]
+    pent = anticommuting_sets()[0]
     assert len(consistent_assignments(pent)) == 32
 
 

@@ -20,7 +20,6 @@ from lambda_forge.orbit import (
     OrbitVertex,
     alpha0_vertex,
     assignment_solutions,
-    check_collection_rules,
     classify_operator,
     enumerate_collections,
     enumerate_family,
@@ -37,6 +36,23 @@ from lambda_forge.stabilizer import all_assignments
 rng = random.Random(31)
 
 I0 = span([x_point(2, 1) ^ z_point(2, 2), z_point(2, 1) ^ x_point(2, 2)])
+
+
+def check_collection_rules(I, collection):
+    """The covering rules read literally, on any subspaces: I is a member,
+    and each nonzero point of a member lies in exactly one other member.
+    ``enumerate_collections`` is checked against it."""
+    col = set(collection)
+    if I not in col:
+        return False
+    for J in col:
+        for v in J.points():
+            if v.is_zero():
+                continue
+            others = [K for K in col if K != J and K.contains(v)]
+            if len(others) != 1:
+                return False
+    return True
 
 
 def test_alpha0_parameters():
@@ -61,7 +77,7 @@ def test_alpha0_parameters():
     assert len(listed) == 6
     assert V.collection == listed
     # gamma' signs: IX:-1 XI:+1 IZ:-1 IY:-1 ZI:+1 YI:-1
-    gp = V.gamma_p_map
+    gp = dict(V.gamma_p)
     assert gp[x_point(2, 2)] == 1
     assert gp[x_point(2, 1)] == 0
     assert gp[z_point(2, 2)] == 1
@@ -78,7 +94,7 @@ def test_alpha0_membership_and_extremality():
 
 def test_build_round_trip():
     V = classify_operator(alpha0_vertex())
-    V2 = OrbitVertex.build(V.I, V.gamma, V.collection, V.gamma_p_map)
+    V2 = OrbitVertex.build(V.I, V.gamma, V.collection, dict(V.gamma_p))
     assert V2.operator() == alpha0_vertex()
     assert {lbl: val for lbl, val in ALPHA0_TABLE.items() if val} == {
         p.label(): c.a for p, c in alpha0_vertex().coeffs.items()
@@ -87,19 +103,19 @@ def test_build_round_trip():
 
 def test_build_validation():
     V = classify_operator(alpha0_vertex())
-    bad_gp = dict(V.gamma_p_map)
+    bad_gp = dict(V.gamma_p)
     bad_gp[x_point(2, 1)] ^= 1  # breaks one sign equation
     with pytest.raises(ValueError):
         OrbitVertex.build(V.I, V.gamma, V.collection, bad_gp)
     with pytest.raises(ValueError):
-        OrbitVertex.build(V.I, V.gamma, frozenset(list(V.collection)[:5]), V.gamma_p_map)
+        OrbitVertex.build(V.I, V.gamma, frozenset(list(V.collection)[:5]), dict(V.gamma_p))
     # I plus the lines through its points meets the covering rules, but is
     # not a collection of maximal isotropics
     degenerate = [V.I] + [span([p]) for p in V.I.points() if not p.is_zero()]
     assert check_collection_rules(V.I, degenerate)
     with pytest.raises(ValueError):
-        OrbitVertex.build(V.I, V.gamma, degenerate, V.gamma_p_map)
-    short_gp = dict(V.gamma_p_map)
+        OrbitVertex.build(V.I, V.gamma, degenerate, dict(V.gamma_p))
+    short_gp = dict(V.gamma_p)
     del short_gp[x_point(2, 1)]
     with pytest.raises(ValueError):
         OrbitVertex.build(V.I, V.gamma, V.collection, short_gp)
@@ -113,7 +129,7 @@ def test_classify_rejects_trace_zero():
 
 def test_every_member_round_trips_through_build():
     for V in enumerate_family():
-        assert OrbitVertex.build(V.I, V.gamma, V.collection, V.gamma_p_map) == V
+        assert OrbitVertex.build(V.I, V.gamma, V.collection, dict(V.gamma_p)) == V
 
 
 def test_collections_structure():
@@ -192,7 +208,7 @@ def test_update_pieces_are_commutant_cnc():
                     assert w > 0
                     assert piece.omega == frozenset(span([a]).perp().points())
                     assert piece.gamma[a] == s
-                    CncSet(piece.omega, piece.gamma, check=True)
+                    assert CncSet(piece.omega, piece.gamma) == piece
     for a in (PauliPoint.zero(2), x_point(3, 1)):
         with pytest.raises(ValueError):
             measure_update(members[0], a, 0)

@@ -1,3 +1,4 @@
+import pickle
 import random
 from bisect import bisect_right
 from fractions import Fraction
@@ -90,7 +91,9 @@ def test_cnc_update_exhaustive_n2():
             for s in (0, 1):
                 rebuilt = QOperator.zero(2)
                 for w, piece in c.measure_update(a, s):
-                    CncSet(piece.omega, piece.gamma, check=True)
+                    again = CncSet(piece.omega, piece.gamma)
+                    assert again == piece and hash(again) == hash(piece)
+                    assert pickle.loads(pickle.dumps(piece)) == piece
                     rebuilt = rebuilt + piece.operator().scale(w)
                 assert rebuilt == op.project(a, s)
             assert exact_distribution([(ONE, c)], [a]) == born_distribution(op, [a])
