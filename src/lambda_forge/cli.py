@@ -32,7 +32,7 @@ from .simulate import (
     descriptor_from_json,
     distribution_to_json,
     exact_distribution,
-    sample,
+    iter_sample,
     steps_from_json,
 )
 from .stabilizer import Assignment, enumerate_stabilizer_states, state_to_json
@@ -213,9 +213,8 @@ def cmd_simulate(args) -> int:
         dist = exact_distribution(init, steps)
         payload = {"mode": "exact", "distribution": distribution_to_json(dist)}
         return _emit("ok", payload, "", args.float)
-    transcripts = sample(init, steps, seed=args.seed, shots=args.shots)
     counts: dict[str, int] = {}
-    for t in transcripts:
+    for t in iter_sample(init, steps, seed=args.seed, shots=args.shots):
         key = ",".join("-" if v is None else str(v) for v in t)
         counts[key] = counts.get(key, 0) + 1
     payload = {

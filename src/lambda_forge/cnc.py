@@ -68,6 +68,8 @@ def is_closed(omega: Iterable[PauliPoint]) -> bool:
 def consistent_assignments(omega: Iterable[PauliPoint]) -> list[dict[PauliPoint, int]]:
     """All consistent value maps on a closed set (zero point value 0)."""
     pts = sorted(set(omega), key=lambda p: p.key())
+    if not pts:
+        raise ValueError("a closed set must contain 0, so it cannot be empty")
     n = pts[0].n
     zero = PauliPoint.zero(n)
     if zero not in pts:
@@ -89,7 +91,8 @@ def consistent_assignments(omega: Iterable[PauliPoint]) -> list[dict[PauliPoint,
 
 
 def is_cnc(omega: Iterable[PauliPoint]) -> bool:
-    """Closed and noncontextual (admits a consistent assignment)."""
+    """Closed and noncontextual (admits a consistent assignment); an empty
+    set is refused by ``consistent_assignments``."""
     pts = set(omega)
     return is_closed(pts) and bool(consistent_assignments(pts))
 
@@ -97,6 +100,8 @@ def is_cnc(omega: Iterable[PauliPoint]) -> bool:
 def is_maximal_cnc(omega: Iterable[PauliPoint]) -> bool:
     """cnc with no strict cnc superset, by brute-force extension search."""
     pts = set(omega)
+    if not pts:
+        raise ValueError("a cnc set contains 0, so it cannot be empty")
     n = next(iter(pts)).n
     if n > MAXIMALITY_BOUND:
         raise ValueError(f"maximality search capped at n={MAXIMALITY_BOUND}")

@@ -26,7 +26,10 @@ deterministic for a fixed seed.  A draw is one 64-bit integer u compared
 against integer thresholds ceil(2**64 * c_i / total) over the cumulative
 weights c_i; u < ceil(x) exactly when u < x, and the ceiling is computed
 exactly (floor(r*sqrt(2)) = isqrt(2 r**2)), so every draw is the exact
-comparison in Q(sqrt(2)) with no float.
+comparison in Q(sqrt(2)) with no float.  Within a call, every state
+reached is interned to a small int and a draw table is built once per
+(step, state id) from the memoized updates, so a shot makes only int
+lookups, draws and bisections.
 
 Sequences are lists of steps; a step is a Pauli point, or a
 ``(point, condition)`` pair where the condition maps earlier step
@@ -42,7 +45,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .field import HALF, FieldElem, ONE, ZERO
 from .clifford import CliffordTableau
@@ -279,10 +282,13 @@ def _table(weighted: Iterable[tuple[FieldElem, object]]) -> tuple[list, list[int
         raise ValueError("cannot sample from an empty distribution")
     items, thresholds = [], []
     acc = ZERO
-    for w, item in weighted:
+    for w, item in weighted[:-1]:
         acc = acc + w
         items.append(item)
         thresholds.append(_threshold(acc / total))
+    # the last cumulative weight is the total: its threshold is 2**64
+    items.append(weighted[-1][1])
+    thresholds.append(_SCALE)
     return items, thresholds
 
 
@@ -293,40 +299,67 @@ def sample(
     shots: int = 1,
 ) -> list[tuple]:
     """Sampled transcripts; deterministic for a fixed seed.  The initial
-    weights must pass ``check_weights``; ``shots`` is a positive int.
+    weights must pass ``check_weights``; ``seed`` is an int and ``shots``
+    a positive int.
 
     A draw takes u = ``rng.getrandbits(64)`` and returns the first item
     whose threshold ``ceil(2**64 * c_i / total)`` exceeds u.  For an
     integer u, u < ceil(x) exactly when u < x, so this is the exact
-    comparison u / 2**64 * total < c_i made on integers only.  Tables
-    are built once per call: one for the initial mixture and one per
-    (state, step) pair reached, from the memoized ``update_state``.
+    comparison u / 2**64 * total < c_i made on integers only.  Each call
+    interns the states it reaches to small ints and builds one table per
+    (step, state id), from the memoized ``update_state``, so a shot makes
+    only int lookups and draws.
     """
+    return list(iter_sample(initial, steps, seed, shots))
+
+
+def iter_sample(
+    initial: Sequence[tuple[FieldElem, State]],
+    steps: Sequence,
+    seed: int,
+    shots: int = 1,
+) -> Iterator[tuple]:
+    """The transcripts of ``sample``, one per shot, as a generator.  The
+    arguments are checked and the initial table built before the first
+    transcript is drawn."""
     if not isinstance(shots, int) or isinstance(shots, bool) or shots < 1:
         raise ValueError(f"shots must be a positive int, got {shots!r}")
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise ValueError(f"seed must be an int, got {seed!r}")
     init_items, init_thresholds = _table(check_weights(initial))
-    rng = random.Random(seed)
-    steps = normalize_steps(steps)
-    tables: list[dict] = [{} for _ in steps]
-    transcripts = []
+    ids: dict[State, int] = {}
+    states: list[State] = []
+
+    def intern(state: State) -> int:
+        sid = ids.get(state)
+        if sid is None:
+            sid = ids[state] = len(states)
+            states.append(state)
+        return sid
+
+    init_ids = [intern(state) for state in init_items]
+    # one memo per step: a state id to the step's (outcome, next id)
+    # items and their thresholds
+    plan = [(point, cond, {}) for point, cond in normalize_steps(steps)]
+    draw = random.Random(seed).getrandbits
     for _ in range(shots):
-        state = init_items[bisect_right(init_thresholds, rng.getrandbits(64))]
+        sid = init_ids[bisect_right(init_thresholds, draw(64))]
         acc: list[Optional[int]] = []
-        for (point, cond), memo in zip(steps, tables):
-            if not _condition_met(cond, acc):
+        for point, cond, memo in plan:
+            if cond is not None and not _condition_met(cond, acc):
                 acc.append(None)
                 continue
-            table = memo.get(state)
+            table = memo.get(sid)
             if table is None:
-                table = memo[state] = _table(
-                    (w, (s, piece)) for s, w, piece in _update_branch(state, point)
+                table = memo[sid] = _table(
+                    (w, (s, intern(piece)))
+                    for s, w, piece in _update_branch(states[sid], point)
                     if w.sign() > 0
                 )
             items, thresholds = table
-            s, state = items[bisect_right(thresholds, rng.getrandbits(64))]
+            s, sid = items[bisect_right(thresholds, draw(64))]
             acc.append(s)
-        transcripts.append(tuple(acc))
-    return transcripts
+        yield tuple(acc)
 
 
 # -- JSON ---------------------------------------------------------------------

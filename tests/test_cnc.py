@@ -97,6 +97,12 @@ def test_boundary_rejects_empty_omega_and_bad_gamma():
             CncSet(omega, gamma)
 
 
+@pytest.mark.parametrize("fn", [is_maximal_cnc, consistent_assignments, is_cnc])
+def test_refuses_empty_set(fn):
+    with pytest.raises(ValueError, match="empty"):
+        fn([])
+
+
 def test_key_valued_views_and_identity():
     c = cnc_vertices(2)[100]
     twin = CncSet(c.omega, c.gamma)

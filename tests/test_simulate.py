@@ -2,10 +2,12 @@ import pickle
 import random
 from bisect import bisect_right
 from fractions import Fraction
+from typing import Optional
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from lambda_forge import simulate
 from lambda_forge.clifford import CliffordTableau, generator_tableaux
 from lambda_forge.cnc import CncSet, cnc_vertices
 from lambda_forge.field import FieldElem, HALF, INV_SQRT2, ONE, ZERO
@@ -16,13 +18,18 @@ from lambda_forge.polytope import decompose
 from lambda_forge.reduction import ReductionEngine, embed_tail_assignment
 from lambda_forge.simulate import (
     LiftState,
+    _condition_met,
     _table,
     _threshold,
+    _update_branch,
     born_distribution,
+    check_weights,
     decompose_known,
     descriptor_from_json,
     distribution_to_json,
     exact_distribution,
+    iter_sample,
+    normalize_steps,
     reduced_distribution,
     sample,
     state_operator,
@@ -174,6 +181,36 @@ def test_sampling_determinism_and_convergence():
     assert abs(freq - p) < 4 * sigma
 
 
+def _reference_sample(initial, steps, seed: int, shots: int = 1) -> list[tuple]:
+    """The state-keyed shot loop ``sample`` replaced, kept as its oracle:
+    one table per (state, step) reached, looked up by the state itself."""
+    if not isinstance(shots, int) or isinstance(shots, bool) or shots < 1:
+        raise ValueError(f"shots must be a positive int, got {shots!r}")
+    init_items, init_thresholds = _table(check_weights(initial))
+    rng = random.Random(seed)
+    steps = normalize_steps(steps)
+    tables: list[dict] = [{} for _ in steps]
+    transcripts = []
+    for _ in range(shots):
+        state = init_items[bisect_right(init_thresholds, rng.getrandbits(64))]
+        acc: list[Optional[int]] = []
+        for (point, cond), memo in zip(steps, tables):
+            if not _condition_met(cond, acc):
+                acc.append(None)
+                continue
+            table = memo.get(state)
+            if table is None:
+                table = memo[state] = _table(
+                    (w, (s, piece)) for s, w, piece in _update_branch(state, point)
+                    if w.sign() > 0
+                )
+            items, thresholds = table
+            s, state = items[bisect_right(thresholds, rng.getrandbits(64))]
+            acc.append(s)
+        transcripts.append(tuple(acc))
+    return transcripts
+
+
 def test_sampling_deterministic_branch():
     asg = Assignment.from_pairs([(z_point(1, 1), 1)])
     c = CncSet.from_assignment(asg)
@@ -182,6 +219,69 @@ def test_sampling_deterministic_branch():
     for shots in (0, -5, 2.5, "3", True, False, None):
         with pytest.raises(ValueError):
             sample([(ONE, c)], [z_point(1, 1)], seed=3, shots=shots)
+
+
+def test_sampling_seed_must_be_an_int():
+    c = cnc_vertices(1)[0]
+    for seed in (None, True, False, 1.5, "7", b"7"):
+        with pytest.raises(ValueError, match="seed"):
+            sample([(ONE, c)], [z_point(1, 1)], seed=seed)
+    assert sample([(ONE, c)], [z_point(1, 1)], seed=-3, shots=5) == \
+        _reference_sample([(ONE, c)], [z_point(1, 1)], seed=-3, shots=5)
+
+
+def test_iter_sample_checks_before_the_first_shot():
+    init = decompose_known(T_STATE)
+    steps = [z_point(1, 1), (x_point(1, 1), {0: 1})]
+    stream = iter_sample(init, steps, seed=11, shots=40)
+    assert list(stream) == sample(init, steps, seed=11, shots=40)
+    # refused at the first transcript, with none drawn
+    with pytest.raises(ValueError, match="shots"):
+        next(iter_sample(init, steps, seed=11, shots=0))
+
+
+def test_sampling_equal_states_that_are_not_the_same_objects():
+    # tables are keyed by interned ids: a state equal to one already
+    # reached, but another object, must draw the same transcripts
+    init = decompose_known(T_STATE)
+    copies = [(w, pickle.loads(pickle.dumps(c))) for w, c in init]
+    assert all(c == d and c is not d for (_, c), (_, d) in zip(init, copies))
+    steps = [x_point(1, 1), z_point(1, 1), (y_point(1, 1), {0: 0, 1: 1})]
+    want = _reference_sample(init, steps, seed=21, shots=300)
+    assert sample(init, steps, seed=21, shots=300) == want
+    assert sample(copies, steps, seed=21, shots=300) == want
+    assert sample(init[:1] + copies[1:], steps, seed=21, shots=300) == want
+    lifted, lsteps = _conditional_lifted_circuit()
+    again, _ = _conditional_lifted_circuit()
+    rebuilt = LiftState(again.engine, pickle.loads(pickle.dumps(again.inner)))
+    assert rebuilt == lifted and rebuilt is not lifted and rebuilt.inner is not lifted.inner
+    half = FieldElem(Fraction(1, 2))
+    mixed = [(half, lifted), (half, rebuilt)]
+    want = _reference_sample(mixed, lsteps, seed=4, shots=200)
+    assert sample(mixed, lsteps, seed=4, shots=200) == want
+    assert sample([(ONE, rebuilt)], lsteps, seed=4, shots=200) == \
+        _reference_sample([(ONE, lifted)], lsteps, seed=4, shots=200)
+
+
+def test_sample_builds_each_table_once_per_call(monkeypatch):
+    # tables are kept per (step, interned state): within one call, no
+    # (state, step) pair is expanded twice, even when its state is
+    # reached through another equal object
+    init = decompose_known(T_STATE)
+    copies = [(w, pickle.loads(pickle.dumps(c))) for w, c in init]
+    half = FieldElem(Fraction(1, 2))
+    mixed = [(half * w, c) for w, c in init + copies]
+    steps = [x_point(1, 1), (z_point(1, 1), {0: 1}), y_point(1, 1)]
+    want = _reference_sample(mixed, steps, seed=8, shots=300)
+    expanded = []
+
+    def counting(state, a):
+        expanded.append((state, a))
+        return _update_branch(state, a)
+
+    monkeypatch.setattr(simulate, "_update_branch", counting)
+    assert sample(mixed, steps, seed=8, shots=300) == want
+    assert expanded and len(set(expanded)) == len(expanded)
 
 
 SCALE = 1 << 64
@@ -215,6 +315,9 @@ def test_table_never_draws_zero_weight(weights, r):
         return
     items, thresholds = _table(indexed)
     assert thresholds[-1] == SCALE
+    total = sum(weights, ZERO)
+    cumulative = [sum(weights[: i + 1], ZERO) for i in range(len(weights))]
+    assert thresholds == [_threshold(c / total) for c in cumulative]
     for u in {0, r, SCALE - 1, *(t for t in thresholds if t < SCALE)}:
         assert weights[items[bisect_right(thresholds, u)]].sign() > 0
 
@@ -379,6 +482,7 @@ def test_laws_agree_on_adaptive_circuits(circuit, seed):
         assert reduced_distribution(head, state.engine, steps) == dist
     shots = sample([(ONE, state)], steps, seed=seed, shots=8)
     assert shots == sample([(ONE, state)], steps, seed=seed, shots=8)
+    assert shots == _reference_sample([(ONE, state)], steps, seed=seed, shots=8)
     for t in shots:
         assert t in dist
         for i, (_, cond) in enumerate(steps):
