@@ -19,7 +19,7 @@ from lambda_forge.clifford import CliffordTableau, enumerate_action, generator_t
 from lambda_forge.cnc import cnc_vertices
 from lambda_forge.field import HALF, INV_SQRT2, ONE, FieldElem
 from lambda_forge.gf2 import PauliPoint, enumerate_maximal_isotropics, span
-from lambda_forge.lifting import lift, make_params, tail_subspace
+from lambda_forge.lifting import lift, make_params, tail_overlap, tail_subspace
 from lambda_forge.orbit import alpha0_vertex, classify_operator, enumerate_family
 from lambda_forge.pauli import QOperator
 from lambda_forge.polytope import (
@@ -35,6 +35,7 @@ from lambda_forge.simulate import (
     decompose_known,
     sample,
     state_to_descriptor_json,
+    update_state,
 )
 from lambda_forge.stabilizer import (
     Assignment,
@@ -205,6 +206,58 @@ def sample_transcripts():
             for init, steps, seed, shots in circuits]
 
 
+def _walk_lifted(rng, state, length):
+    """The descriptor JSON of a lifted state and of the states a seeded
+    run of measurements updates it to, one drawn piece per step."""
+    out = [state_to_descriptor_json(state)]
+    n = state.n
+    for _ in range(length):
+        a = PauliPoint.from_key(n, rng.randrange(1, 1 << (2 * n)))
+        s = rng.randint(0, 1)
+        pieces = update_state(state, a, s) or update_state(state, a, 1 - s)
+        state = rng.choice(pieces)[1]
+        out.append(state_to_descriptor_json(state))
+    return out
+
+
+def lift_tails():
+    """The stabilizer tail through the lift layer: the descriptor JSON of
+    seeded lifted states (m = 1 and 2, cnc and orbit inners) along seeded
+    runs, `embed_tail_assignment` of every tail stabilizer state with
+    n <= 4, and `tail_overlap` over every (I, s) at n = 3 for seeded X,
+    J and r."""
+    rng = random.Random(1818)
+    descriptors = []
+    inner_pools = [(3, 1, cnc_vertices(1)), (4, 1, cnc_vertices(1)),
+                   (3, 2, cnc_vertices(2)), (3, 2, enumerate_family()),
+                   (4, 2, enumerate_family())]
+    for n, m, pool in inner_pools:
+        tails = enumerate_stabilizer_states(n - m)
+        for _ in range(3):
+            sigma = embed_tail_assignment(rng.choice(tails)[1], n, m)
+            engine = ReductionEngine(n, m, sigma, _random_clifford(rng, n))
+            descriptors.append(_walk_lifted(rng, LiftState(engine, rng.choice(pool)), 4))
+    embedded = []
+    for n in (2, 3, 4):
+        for m in range(1, n):
+            for _, s in enumerate_stabilizer_states(n - m):
+                e = embed_tail_assignment(s, n, m)
+                embedded.append([n, m, e.subspace.rows, e.row_values])
+    overlaps = []
+    states3 = enumerate_stabilizer_states(3)
+    for m in (1, 2, 1, 2):
+        X = QOperator(m, {
+            PauliPoint.from_key(m, k): FieldElem(Fraction(rng.randint(-8, 8), 4),
+                                                 Fraction(rng.randint(-2, 2), 4))
+            for k in range(1 << (2 * m))
+        })
+        r = embed_tail_assignment(rng.choice(enumerate_stabilizer_states(3 - m))[1], 3, m)
+        overlaps.append(
+            [tail_overlap(X, r.subspace, r, I, s).to_json() for I, s in states3]
+        )
+    return [descriptors, embedded, overlaps]
+
+
 BUILDERS = {
     "cnc_vertices": cnc_vertex_list,
     "family_keys": family_keys,
@@ -212,6 +265,7 @@ BUILDERS = {
     "clifford_inverses": clifford_inverses,
     "decompose_weights": decompose_weights,
     "lift_tableaux": lift_tableaux,
+    "lift_tails": lift_tails,
     "polytope_n1": polytope_n1_and_refuters,
     "perp_n3": perps_n3,
     "sample_transcripts": sample_transcripts,
@@ -224,6 +278,7 @@ GOLDEN = {
     "clifford_inverses": "84984529105df9127be3e15c2e1671461b9c37e9b4b699bac07570e8574ca7f0",
     "decompose_weights": "609198e94afbd7634ff7db3cf2257867165f200ed9fa8e7ed16185c62c6a329e",
     "lift_tableaux": "101f5dc9ecff800ccc960cb1908d89795d36f8971fca42cc4451fb40674c00ec",
+    "lift_tails": "f95e155dd1921a5d832a24e5fd665f93f2412ebe972ad2ec071e5cc1627aa88f",
     "polytope_n1": "4fb4777b88da46d1e89c8839c1030d26df75c34d347dd752f8b1373e84752196",
     "perp_n3": "5be1bf5db5a6fe3435da588bb3b50c9e9b2a844cb94d430d44458ea8f4e7e488",
     "sample_transcripts": "37c4b0dee7c0e41f6fe844d532fc38c4b8e073012ceaca05622a018265e38653",
