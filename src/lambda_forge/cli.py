@@ -165,6 +165,8 @@ def cmd_phi(args) -> int:
     X = _load_operator(args.operator)
     gens = [PauliPoint.from_label(lbl) for lbl in args.j.split(",")]
     J = span(gens)
+    if len(args.r) != len(gens) or not set(args.r) <= {"0", "1"}:
+        raise ValueError(f"--r needs one 0/1 digit per --j generator, got {args.r!r}")
     bits = [int(b) for b in args.r]
     r = Assignment.from_pairs(list(zip(gens, bits)), J.n)
     tableau = (
@@ -351,13 +353,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("operator")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--j", required=True, help="comma-separated tail generators")
-    p.add_argument("--r", required=True, help="sign bits for the generators")
+    p.add_argument("--r", required=True, help="one sign bit (0/1) per generator")
     p.add_argument("--tableau")
     p.set_defaults(func=cmd_phi)
 
     p = sub.add_parser("reduce", help="rewrite a lifted-run measurement sequence")
     p.add_argument("circuit")
-    p.add_argument("--coins", help="coin outcomes to substitute, e.g. 0110")
+    p.add_argument("--coins", help="0/1 coin outcomes to substitute, e.g. 0110")
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("simulate", help="exact or sampling simulation")

@@ -253,19 +253,15 @@ class Subspace:
                 key ^= r
         return key
 
-    def coordinates(self, p: PauliPoint) -> Optional[tuple[int, ...]]:
-        """Coefficients of p over the canonical rows, or None if outside."""
-        key = p.key()
-        coeffs = []
-        for r in self.rows:
+    def row_mask(self, key: int) -> Optional[int]:
+        """The mask of the canonical rows summing to the point with this
+        ``PauliPoint.key()`` (row i at bit i), or None if it lies outside."""
+        mask = 0
+        for i, r in enumerate(self.rows):
             if key >> (r.bit_length() - 1) & 1:
                 key ^= r
-                coeffs.append(1)
-            else:
-                coeffs.append(0)
-        if key:
-            return None
-        return tuple(coeffs)
+                mask |= 1 << i
+        return None if key else mask
 
     def basis_points(self) -> list[PauliPoint]:
         return [PauliPoint.from_key(self.n, r) for r in self.rows]
@@ -286,14 +282,6 @@ class Subspace:
     def perp(self) -> "Subspace":
         """The symplectic complement {v : [v, w] = 0 for all w here}."""
         return Subspace(self.n, _perp_basis(self.rows, self.n))
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        if self.n != other.n:
-            raise ValueError("qubit count mismatch")
-        # Points of the smaller side filtered through the larger side.
-        small, large = (self, other) if self.dim <= other.dim else (other, self)
-        pts = [p for p in small.points() if large.contains(p)]
-        return span(pts, self.n)
 
     def __eq__(self, other):
         return (

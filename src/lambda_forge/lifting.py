@@ -17,6 +17,11 @@ assignment sigma(v) = s(v + u) + r(u).  When I cap (E_m + J) splits as
 (I cap E_m) + (I cap J) this reduces to the restriction form with
 Pi_{I cap E_m, s|}; the projection form is the one that holds for every
 maximal isotropic I.
+
+Points are packed keys (``PauliPoint.key()``) split into head and tail by
+``_restrict_key`` and ``_place_key``.  An assignment moves between the
+tail and n qubits by shifting its canonical rows, its row values kept:
+the shift keeps the rows' pivot order and every product sign.
 """
 
 from __future__ import annotations
@@ -27,9 +32,9 @@ from typing import Optional
 
 from .field import FieldElem, ZERO
 from .clifford import CliffordTableau, tableau_for_projector_pair
-from .gf2 import PauliPoint, Subspace, span, x_point
+from .gf2 import Subspace, span, x_point
 from .pauli import QOperator
-from .stabilizer import Assignment, stabilizer_projector
+from .stabilizer import Assignment, convolve, stabilizer_projector
 
 
 def tail_subspace(n: int, m: int) -> Subspace:
@@ -37,36 +42,35 @@ def tail_subspace(n: int, m: int) -> Subspace:
     return span([x_point(n, q) for q in range(m + 1, n + 1)], n)
 
 
-def head_point(p: PauliPoint, m: int) -> PauliPoint:
-    mask = (1 << m) - 1
-    return PauliPoint(m, p.z & mask, p.x & mask)
+def _restrict_key(key: int, n: int, lo: int, k: int) -> int:
+    """The k-qubit key of qubits lo+1..lo+k of the n-qubit point with this
+    key."""
+    low = (1 << k) - 1
+    return (((key >> (n + lo)) & low) << k) | ((key >> lo) & low)
 
 
-def tail_point(p: PauliPoint, m: int) -> PauliPoint:
-    return PauliPoint(p.n - m, p.z >> m, p.x >> m)
-
-
-def embed_head(p: PauliPoint, n: int) -> PauliPoint:
-    return PauliPoint(n, p.z, p.x)
-
-
-def _head_key(key: int, n: int, m: int) -> int:
-    """``head_point`` on ``PauliPoint.key()``: the m-qubit key of the head
-    of the n-qubit point with this key."""
-    head = (1 << m) - 1
-    return (((key >> n) & head) << m) | (key & head)
+def _place_key(key: int, n: int, lo: int, k: int) -> int:
+    """The n-qubit key of the k-qubit point with this key put on qubits
+    lo+1..lo+k; the inverse of ``_restrict_key`` on keys supported there."""
+    return ((key >> k) << (n + lo)) | ((key & ((1 << k) - 1)) << lo)
 
 
 def _tail_bits(n: int, m: int) -> int:
-    """The bits of an n-qubit key on the tail qubits m+1..n: a key masked
-    by them is the key of ``embed_tail(tail_point(p, m), n, m)``."""
-    tail = ((1 << n) - 1) ^ ((1 << m) - 1)
-    return (tail << n) | tail
+    """The bits of an n-qubit key on the tail qubits m+1..n."""
+    return _place_key((1 << 2 * (n - m)) - 1, n, m, n - m)
+
+
+def _place_assignment(s: Assignment, n: int, lo: int) -> Assignment:
+    """s moved from its k qubits onto qubits lo+1..lo+k of n, by shifting
+    its canonical rows; ``_restrict_key`` on the rows moves it back."""
+    k = s.subspace.n
+    rows = [_place_key(r, n, lo, k) for r in s.subspace.rows]
+    return Assignment(Subspace(n, rows), s.row_values)
 
 
 def is_tail_supported(J: Subspace, m: int) -> bool:
-    mask = (1 << m) - 1
-    return all((r >> J.n) & mask == 0 and r & mask == 0 for r in J.rows)
+    tail = _tail_bits(J.n, m)
+    return all(r & tail == r for r in J.rows)
 
 
 @dataclass(frozen=True)
@@ -114,18 +118,16 @@ def lift_tensor(X: QOperator, J: Subspace, r: Assignment) -> QOperator:
         raise ValueError("lift subspace must live on the tail qubits")
     if X.n != m:
         raise ValueError("operator qubit count must match the head size")
-    mask = (1 << m) - 1
+    heads = [(_place_key(v, n, 0, m), c) for v, c in X._by_key.items()]
     out = {}
     for u, ru in r.key_items():
-        for v, c in X._by_key.items():
-            out[(v >> m) << n | (v & mask) | u] = -c if ru else c
+        for v, c in heads:
+            out[v | u] = -c if ru else c
     return QOperator._from_keys(n, out)
 
 
 def lift(X: QOperator, params: LiftParams) -> QOperator:
     """The general lift: conjugated tensor form."""
-    if X.n != params.m:
-        raise ValueError("operator qubit count must match the head size")
     J0 = tail_subspace(params.n, params.m)
     base = lift_tensor(X, J0, Assignment.zero(J0))
     return params.tableau.conjugate(base)
@@ -134,24 +136,14 @@ def lift(X: QOperator, params: LiftParams) -> QOperator:
 def unlift(A: QOperator, params: LiftParams) -> QOperator:
     """Inverse of ``lift``: recovers X, or raises if A is not in the image."""
     base = params.tableau.invert().conjugate(A)
-    n, m = params.n, params.m
-    J0 = tail_subspace(n, m)
-    tail_bits = _tail_bits(n, m)
-    head_coeffs: dict[int, FieldElem] = {}
-    for k, c in base._by_key.items():
-        tail = k & tail_bits
-        if J0.reduce_key(tail):
-            raise ValueError("support leaks outside the lift image")
-        if not tail:
-            head_coeffs[_head_key(k, n, m)] = c
-    X = QOperator._from_keys(m, head_coeffs)
-    if lift_tensor(X, J0, Assignment.zero(J0)) != base:
-        raise ValueError("coefficients violate the lift sign pattern")
+    # on the image, every tail point carries the head coefficients, so
+    # their average over the reference tail is X
+    J0 = tail_subspace(params.n, params.m)
+    r0 = Assignment.zero(J0)
+    X = averaged_head_operator(base, J0, r0)
+    if lift_tensor(X, J0, r0) != base:
+        raise ValueError("operator is outside the lift image")
     return X
-
-
-def embed_tail(p: PauliPoint, n: int, m: int) -> PauliPoint:
-    return PauliPoint(n, p.z << m, p.x << m)
 
 
 def tail_overlap(
@@ -165,30 +157,26 @@ def tail_overlap(
     m = n - J.dim
     if not is_tail_supported(J, m):
         raise ValueError("closed form requires a tail-position subspace")
+    if s.subspace != I:
+        raise ValueError("assignment domain differs from I")
+    if X.n != m:
+        raise ValueError("operator qubit count must match the head size")
+    r_values, s_values = dict(r.key_items()), dict(s.key_items())
     # delta factor on I cap J
-    IJ = I.intersect(J)
-    for u in IJ.points():
-        if r.value(u) != s.value(u):
-            return ZERO
-    # Head projection of I cap (E_m + J) with the induced assignment.
-    sigma_pairs = []
-    seen = {}
-    for w in I.points():
-        tail = tail_point(w, m)
-        tail_emb = embed_tail(tail, n, m)
-        if not J.contains(tail_emb):
-            continue
-        v = head_point(w, m)
-        val = (s.value(w) + r.value(tail_emb)) & 1
-        if v in seen:
-            assert seen[v] == val, "delta check must force agreement"
-        else:
-            seen[v] = val
-            sigma_pairs.append((v, val))
-    V = span([v for v, _ in sigma_pairs], m)
-    sigma = Assignment.from_pairs(sigma_pairs, m)
-    scale = Fraction(IJ.size() * V.size(), 1 << n)
-    return X.trace_inner(stabilizer_projector(V, sigma)) * scale
+    if any(s_values.get(u, ru) != ru for u, ru in r_values.items()):
+        return ZERO
+    common = sum(u in s_values for u in r_values)
+    # sigma on V, the head projection of I cap (E_m + J); then
+    # Tr(X Pi_{V,sigma}) = (1/|V|) sum_{v in V} (-1)^{sigma(v)} alpha_v.
+    tail_bits = _tail_bits(n, m)
+    sigma: dict[int, int] = {}
+    for w, sw in s_values.items():
+        ru = r_values.get(w & tail_bits)
+        if ru is not None:
+            val = sigma.setdefault(_restrict_key(w, n, 0, m), sw ^ ru)
+            assert val == sw ^ ru, "delta check must force agreement"
+    total = sum((-c if sigma[v] else c for v, c in X._by_key.items() if v in sigma), ZERO)
+    return total * Fraction(common, 1 << n)
 
 
 def averaged_head_operator(Y: QOperator, J: Subspace, r: Assignment) -> QOperator:
@@ -205,15 +193,13 @@ def averaged_head_operator(Y: QOperator, J: Subspace, r: Assignment) -> QOperato
         raise ValueError("averaging requires a tail-position subspace")
     inv = Fraction(1, J.size())
     tail_bits = _tail_bits(n, m)
+    r_values = dict(r.key_items())
     out: dict[int, FieldElem] = {}
-    for u in J.points():
-        ku, negate = u.key(), r.value(u)
-        for k, c in Y._by_key.items():
-            if k & tail_bits != ku:
-                continue
-            v = _head_key(k, n, m)
-            term = -c if negate else c
-            out[v] = out.get(v, ZERO) + term
+    for k, c in Y._by_key.items():
+        negate = r_values.get(k & tail_bits)
+        if negate is not None:
+            v = _restrict_key(k, n, 0, m)
+            out[v] = out.get(v, ZERO) + (-c if negate else c)
     return QOperator._from_keys(m, {v: c * inv for v, c in out.items()})
 
 
@@ -222,12 +208,7 @@ def averaged_trace_identity(
 ) -> tuple[FieldElem, FieldElem]:
     """Both sides of Tr(Y Pi_{J+I', r*s'}) = Tr(Y~ Pi_{I', s'}) for a
     maximal isotropic I' of the head space; they agree exactly."""
-    n = J.n
-    emb_pairs = [
-        (embed_head(p, n), s1.value(p)) for p in I1.points()
-    ]
-    r_pairs = [(u, r.value(u)) for u in J.points()]
-    joint = Assignment.from_pairs(emb_pairs + r_pairs, n)
+    joint = convolve(_place_assignment(s1, J.n, 0), r)
     lhs = Y.trace_inner(stabilizer_projector(joint.subspace, joint))
     tilde = averaged_head_operator(Y, J, r)
     rhs = tilde.trace_inner(stabilizer_projector(I1, s1))

@@ -15,6 +15,10 @@ accumulated Clifford into the observable, either
   anticommutes with it.  W is folded into all later observables in
   closed form, so the step costs no measurement at all.
 
+Observables and sigma are read as packed keys (``PauliPoint.key()``); a
+coin step takes g among sigma's canonical rows, where sigma(g) is the
+row value.
+
 The engine below performs one such rewriting pass; it is immutable, so
 branching over coin outcomes is cheap, and it compares and hashes by
 value, so equal frames reached along different paths share memo entries.
@@ -30,9 +34,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .clifford import CliffordTableau
-from .gf2 import PauliPoint, symplectic_form
-from .lifting import embed_tail, head_point, is_tail_supported, tail_point
-from .pauli import PhasedPauli, pauli_mul
+from .gf2 import PauliPoint, swap_halves
+from .lifting import _place_assignment, _restrict_key, _tail_bits, is_tail_supported
+from .pauli import phase_of_bits
 from .stabilizer import Assignment
 
 
@@ -61,9 +65,9 @@ Step = Union[FixedStep, MeasureStep, CoinStep]
 
 def embed_tail_assignment(sigma: Assignment, n: int, m: int) -> Assignment:
     """Re-situate a stabilizer assignment on n-m qubits at the tail of n."""
-    return Assignment.from_pairs(
-        [(embed_tail(p, n, m), sigma.value(p)) for p in sigma.subspace.points()], n
-    )
+    if sigma.subspace.n > n - m:
+        raise ValueError("sigma has more qubits than the tail")
+    return _place_assignment(sigma, n, m)
 
 
 class ReductionEngine:
@@ -83,26 +87,20 @@ class ReductionEngine:
             raise ValueError("sigma must be a maximal tail stabilizer embedded in n")
         if not is_tail_supported(sigma.subspace, m):
             raise ValueError("sigma must be supported on the tail qubits")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "sigma", sigma)
         conj = CliffordTableau.identity(n) if unitary is None else unitary.invert()
-        object.__setattr__(self, "conj", conj)
-        object.__setattr__(self, "_pending", None)
-        object.__setattr__(self, "_hash", None)
+        self._fill(n, m, sigma, conj, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ReductionEngine is immutable; use the returned copies")
 
+    def _fill(self, n, m, sigma, conj, pending) -> "ReductionEngine":
+        for name, value in zip(self.__slots__, (n, m, sigma, conj, pending, None)):
+            object.__setattr__(self, name, value)
+        return self
+
     def _with(self, conj: CliffordTableau, pending=None) -> "ReductionEngine":
         eng = ReductionEngine.__new__(ReductionEngine)
-        object.__setattr__(eng, "n", self.n)
-        object.__setattr__(eng, "m", self.m)
-        object.__setattr__(eng, "sigma", self.sigma)
-        object.__setattr__(eng, "conj", conj)
-        object.__setattr__(eng, "_pending", pending)
-        object.__setattr__(eng, "_hash", None)
-        return eng
+        return eng._fill(self.n, self.m, self.sigma, conj, pending)
 
     def _key(self) -> tuple:
         return (self.n, self.m, self.sigma, self.conj, self._pending)
@@ -127,16 +125,16 @@ class ReductionEngine:
         """
         if a.is_zero() or a.n != self.n:
             raise ValueError("observable must be a nonzero n-qubit point")
-        img = self.conj.apply_point(a)
-        b, eps = img.point, img.phase >> 1
-        tail = embed_tail(tail_point(b, self.m), self.n, self.m)
-        if self.sigma.subspace.contains(tail):
-            lam = (self.sigma.value(tail) + eps) & 1
-            head = head_point(b, self.m)
-            if head.is_zero():
-                return FixedStep(lam), self
-            return MeasureStep(head, lam), self
-        return CoinStep(), self._with(self.conj, pending=(b, eps))
+        n, m = self.n, self.m
+        b, phase = self.conj._apply_key(a.key())
+        eps = phase >> 1
+        sign = self.sigma._key_value(b & _tail_bits(n, m))
+        if sign is None:
+            return CoinStep(), self._with(self.conj, pending=(b, eps))
+        head = _restrict_key(b, n, 0, m)
+        if not head:
+            return FixedStep(sign ^ eps), self
+        return MeasureStep(PauliPoint.from_key(m, head), sign ^ eps), self
 
     def resolve_coin(self, c: int) -> "ReductionEngine":
         """Fold the correction for a coin step with outcome c.
@@ -156,19 +154,26 @@ class ReductionEngine:
         if self._pending is None:
             raise ValueError("no coin step awaiting resolution")
         b, eps = self._pending
-        g = next(p for p in self.sigma.subspace.basis_points() if symplectic_form(p, b))
-        gb = pauli_mul(
-            PhasedPauli(g, 2 * self.sigma.value(g)), PhasedPauli(b, 2 * (c + eps))
+        n, low = self.n, (1 << self.n) - 1
+        b_swapped = swap_halves(b, n)
+        # sigma(g) of a canonical row g is its row value: one row folds to 0
+        g, sg = next(
+            (g, v) for g, v in zip(self.sigma.subspace.rows, self.sigma.row_values)
+            if (g & b_swapped).bit_count() & 1
         )
+        g_swapped, gb = swap_halves(g, n), g ^ b
+        # g' b' = i^gb_phase T_{g+b}
+        gb_phase = 2 * (sg + c + eps) + phase_of_bits(g >> n, g & low, b >> n, b & low)
         images = []
         for e, s in self.conj.images:
-            fg = symplectic_form(e, g)
-            if fg == symplectic_form(e, b):
+            k = e.key()
+            fg = (k & g_swapped).bit_count() & 1
+            if fg == (k & b_swapped).bit_count() & 1:
                 images.append((e, s ^ fg))
             else:
-                img = pauli_mul(PhasedPauli(e, 2 * (s + fg)), gb)
-                images.append((img.point, img.phase >> 1))
-        return self._with(CliffordTableau(self.n, images))
+                phase = 2 * (s + fg) + gb_phase + phase_of_bits(e.z, e.x, gb >> n, gb & low)
+                images.append((PauliPoint.from_key(n, k ^ gb), (phase & 3) >> 1))
+        return self._with(CliffordTableau(n, images))
 
 
 def reduce_static(
@@ -176,19 +181,23 @@ def reduce_static(
     sequence: Sequence[PauliPoint],
     coins: Sequence[int] = (),
 ) -> dict:
-    """Rewrite a whole sequence for one fixed coin assignment.
+    """Rewrite a whole sequence for one fixed coin assignment; coins are 0
+    or 1, and coin steps past the last coin take 0.
 
     Returns the head-register measurement plan: a list of step records
     aligned with the input sequence, plus the coin schedule actually
     consumed.
     """
+    for c in coins:
+        if c not in (0, 1):
+            raise ValueError(f"a coin outcome must be 0 or 1, got {c!r}")
     steps = []
     used = []
     it = iter(coins)
     for idx, a in enumerate(sequence):
         step, engine = engine.process(a)
         if isinstance(step, CoinStep):
-            c = next(it, 0) & 1
+            c = next(it, 0)
             used.append({"step": idx, "outcome": c})
             engine = engine.resolve_coin(c)
             steps.append({"kind": "coin", "step": idx, "outcome": c})

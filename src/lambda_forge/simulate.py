@@ -32,10 +32,10 @@ reached is interned to a small int and a draw table is built once per
 lookups, draws and bisections.
 
 Sequences are lists of steps; a step is a Pauli point, or a
-``(point, condition)`` pair where the condition maps earlier step
+``(point, condition)`` tuple where the condition maps earlier step
 indices to required outcomes 0 or 1 (a decision table); unmet
-conditions skip the step, recorded as None in the transcript.  A
-condition naming the step itself or a later one is rejected.
+conditions skip the step, recorded as None in the transcript.  Any other
+step, or a condition naming the step itself or a later one, is rejected.
 """
 
 from __future__ import annotations
@@ -50,8 +50,8 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 from .field import HALF, FieldElem, ONE, ZERO
 from .clifford import CliffordTableau
 from .cnc import CncSet, cnc_vertices
-from .gf2 import PauliPoint
-from .lifting import lift_tensor, tail_point
+from .gf2 import PauliPoint, Subspace
+from .lifting import _restrict_key, lift_tensor
 from .orbit import (
     OrbitVertex,
     classify_operator,
@@ -128,13 +128,16 @@ def _cached_update(state: State, a: PauliPoint, s: int) -> tuple[tuple[FieldElem
 
 
 def normalize_steps(steps: Sequence) -> list[tuple[PauliPoint, Optional[dict]]]:
-    """(point, condition) pairs; raises ValueError unless every condition
-    maps indices of earlier steps to outcomes 0 or 1."""
+    """(point, condition) pairs; raises ValueError unless every step is a
+    point or a (point, condition) tuple, the condition a mapping or None,
+    and every condition maps indices of earlier steps to outcomes 0 or 1."""
     out = []
     for i, step in enumerate(steps):
         if isinstance(step, PauliPoint):
-            out.append((step, None))
-            continue
+            step = (step, None)
+        if not (isinstance(step, tuple) and len(step) == 2 and isinstance(step[0], PauliPoint)
+                and isinstance(step[1], (Mapping, type(None)))):
+            raise ValueError(f"step {i}: not a point or a (point, condition) pair: {step!r}")
         point, cond = step
         for idx, want in (cond or {}).items():
             if not (isinstance(idx, int) and 0 <= idx < i):
@@ -370,15 +373,13 @@ def state_to_descriptor_json(state: State) -> dict:
         return {"type": "cnc", **state.to_json()}
     if isinstance(state, OrbitVertex):
         return {"type": "orbit", "coeffs": state.operator().to_json()["coeffs"]}
-    sig = state.engine.sigma
-    m = state.engine.m
-    tail_asg = Assignment.from_pairs(
-        [(tail_point(p, m), sig.value(p)) for p in sig.subspace.basis_points()]
-    )
+    n, m, sig = state.engine.n, state.engine.m, state.engine.sigma
+    # the row shift back to the tail keeps sigma's row values
+    tail = Subspace(n - m, [_restrict_key(r, n, m, n - m) for r in sig.subspace.rows])
     return {
         "type": "lift",
         "u": state.engine.conj.invert().to_json(),
-        "sigma": state_to_json(tail_asg.subspace, tail_asg),
+        "sigma": state_to_json(tail, Assignment(tail, sig.row_values)),
         "inner": state_to_descriptor_json(state.inner),
     }
 

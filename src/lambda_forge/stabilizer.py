@@ -68,7 +68,7 @@ class Assignment:
         eqs = []
         rhs = []
         for p, val in pairs:
-            mask = _row_mask(sub, p)
+            mask = sub.row_mask(p.key())
             eqs.append(mask)
             rhs.append((val ^ folds[mask]) & 1)
         solved = solve_affine(eqs, rhs, sub.dim)
@@ -81,9 +81,17 @@ class Assignment:
         return sum(v << i for i, v in enumerate(self.row_values))
 
     def value(self, p: PauliPoint) -> int:
-        mask = _row_mask(self.subspace, p)
-        fold = _fold_bits(self.subspace)[mask]
-        return (fold ^ (mask & self._value_bits()).bit_count()) & 1
+        value = self._key_value(p.key())
+        if value is None:
+            raise ValueError(f"{p!r} is outside the assignment domain")
+        return value
+
+    def _key_value(self, key: int) -> Optional[int]:
+        """``value`` on ``PauliPoint.key()``, or None outside the domain."""
+        mask = self.subspace.row_mask(key)
+        if mask is None:
+            return None
+        return (_fold_bits(self.subspace)[mask] ^ (mask & self._value_bits()).bit_count()) & 1
 
     def key_items(self) -> Iterator[tuple[int, int]]:
         """(``PauliPoint.key()``, value) for every point of the domain, in
@@ -104,18 +112,9 @@ class Assignment:
 
     def __repr__(self):
         gens = " ".join(
-            ("-" if v else "+") + p.label()
-            for p, v in zip(self.subspace.basis_points(), self.row_values)
+            _signed_label(p, v) for p, v in zip(self.subspace.basis_points(), self.row_values)
         )
         return f"Assignment[{gens or '0'}]"
-
-
-def _row_mask(sub: Subspace, p: PauliPoint) -> int:
-    """The mask of the canonical rows of sub whose sum is p (row i at bit i)."""
-    coords = sub.coordinates(p)
-    if coords is None:
-        raise ValueError(f"{p!r} is outside the assignment domain")
-    return sum(bit << i for i, bit in enumerate(coords))
 
 
 @lru_cache(maxsize=4096)
@@ -169,16 +168,22 @@ def enumerate_stabilizer_states(n: int) -> list[tuple[Subspace, Assignment]]:
 def convolve(r: Assignment, s2: Assignment) -> Assignment:
     """The joint assignment on J + I' agreeing with both inputs.
 
-    For domains intersecting only at 0 and supported on disjoint qubits
-    this is the map (u + v) -> r(u) + s2(v).  Conflicting overlaps raise.
+    A point u + v of J + I' (u in J, v in I') takes r(u) + s2(v) +
+    beta(u, v), the same for every such split when the inputs agree on
+    the intersection; conflicting overlaps raise.
     """
-    inter = r.subspace.intersect(s2.subspace)
-    for p in inter.points():
-        if r.value(p) != s2.value(p):
-            raise ValueError("assignments conflict on the intersection")
-    pairs = [(p, r.value(p)) for p in r.subspace.points()]
-    pairs += [(p, s2.value(p)) for p in s2.subspace.points()]
-    return Assignment.from_pairs(pairs, r.subspace.n)
+    n, low = r.subspace.n, (1 << r.subspace.n) - 1
+    if s2.subspace.n != n:
+        raise ValueError("qubit count mismatch")
+    r_values, s2_values = dict(r.key_items()), dict(s2.key_items())
+    if any(s2_values.get(k, v) != v for k, v in r_values.items()):
+        raise ValueError("assignments conflict on the intersection")
+    values = {}
+    for u, ru in r_values.items():
+        for v, sv in s2_values.items():
+            values[u ^ v] = ru ^ sv ^ (phase_of_bits(u >> n, u & low, v >> n, v & low) >> 1)
+    joint = Subspace(n, r.subspace.rows + s2.subspace.rows)
+    return Assignment(joint, [values[g] for g in joint.rows])
 
 
 # -- JSON ---------------------------------------------------------------
@@ -209,6 +214,4 @@ def state_from_json(obj: Mapping) -> tuple[Subspace, Assignment]:
 
 def state_label(I: Subspace, s: Assignment) -> str:
     """Canonical text key for a stabilizer state, e.g. '+XZ,-ZX'."""
-    return ",".join(
-        _signed_label(p, v) for p, v in zip(I.basis_points(), s.row_values)
-    )
+    return ",".join(state_to_json(I, s)["generators"])

@@ -152,23 +152,41 @@ def test_reused_parser_matches_fresh_parser(tmp_path, capsys):
     assert seeds == [3, 4]
 
 
+LIFT_CIRCUIT = {
+    "n": 2,
+    "initial": {
+        "type": "lift",
+        "u": {"x1": "+XX", "z1": "+ZI", "x2": "+IX", "z2": "+ZZ"},
+        "sigma": {"generators": ["+X"]},
+        "inner": {"type": "stabilizer", "generators": ["+Z"]},
+    },
+    "steps": [{"measure": "ZZ"}, {"measure": "XX"}],
+}
+
+
 def test_reduce_command(tmp_path, capsys):
-    circ = {
-        "n": 2,
-        "initial": {
-            "type": "lift",
-            "u": {"x1": "+XX", "z1": "+ZI", "x2": "+IX", "z2": "+ZZ"},
-            "sigma": {"generators": ["+X"]},
-            "inner": {"type": "stabilizer", "generators": ["+Z"]},
-        },
-        "steps": [{"measure": "ZZ"}, {"measure": "XX"}],
-    }
-    path = write_json(tmp_path / "lift.json", circ)
+    path = write_json(tmp_path / "lift.json", LIFT_CIRCUIT)
     code, out = run(capsys, "reduce", path, "--coins", "10")
     doc = json.loads(out)
     assert code == 0 and doc["payload"]["m"] == 1
     kinds = [s["kind"] for s in doc["payload"]["steps"]]
     assert "coin" in kinds
+
+
+def test_reduce_rejects_coins_other_than_0_or_1(tmp_path, capsys):
+    path = write_json(tmp_path / "lift.json", LIFT_CIRCUIT)
+    for coins in ("9", "19", "2"):
+        code, out = run(capsys, "reduce", path, "--coins", coins)
+        doc = json.loads(out)
+        assert code == 1 and doc["status"] == "error" and "0 or 1" in doc["diagnostics"]
+    code, out = run(capsys, "reduce", path, "--coins", "x")
+    assert code == 1 and json.loads(out)["status"] == "error"
+    # coin steps past the last coin given take 0
+    code, out = run(capsys, "reduce", path)
+    doc = json.loads(out)
+    assert code == 0 and [c["outcome"] for c in doc["payload"]["coins"]] == [0] * len(
+        doc["payload"]["coins"]
+    )
 
 
 def test_phi_command(tmp_path, capsys):
@@ -179,6 +197,15 @@ def test_phi_command(tmp_path, capsys):
     assert code == 0 and doc["payload"]["member"] and doc["payload"]["vertex"]
     lifted = doc["payload"]["lifted"]
     assert lifted["n"] == 2 and len(lifted["coeffs"]) == 8
+
+
+def test_phi_needs_one_sign_bit_per_generator(tmp_path, capsys):
+    path = write_json(tmp_path / "a0.json", {"n": 1, "coeffs": {"I": "1", "X": "1"}})
+    for n, j, r in (("2", "IZ", "2"), ("2", "IZ", "10"), ("2", "IZ", ""), ("2", "IZ", "x"),
+                    ("3", "IZI,IIZ", "1")):
+        code, out = run(capsys, "phi", path, "--n", n, "--j", j, "--r", r)
+        doc = json.loads(out)
+        assert code == 1 and doc["status"] == "error" and "--r" in doc["diagnostics"]
 
 
 def test_poset_outputs(capsys):

@@ -151,15 +151,16 @@ def test_subspace_points_and_coordinates():
     iso = span([x_point(2, 1), z_point(2, 2)])
     pts = list(iso.points())
     assert len(pts) == 4 and pts[0].is_zero()
+    # points() runs through the row masks in order
+    assert [iso.row_mask(p.key()) for p in pts] == [0, 1, 2, 3]
     for p in pts:
-        coords = iso.coordinates(p)
-        assert coords is not None
+        mask = iso.row_mask(p.key())
         rebuilt = PauliPoint.zero(2)
-        for c, b in zip(coords, iso.basis_points()):
-            if c:
+        for i, b in enumerate(iso.basis_points()):
+            if mask >> i & 1:
                 rebuilt = rebuilt ^ b
         assert rebuilt == p
-    assert iso.coordinates(y_point(2, 1)) is None
+    assert iso.row_mask(y_point(2, 1).key()) is None
 
 
 @st.composite

@@ -17,17 +17,16 @@ from lambda_forge.lifting import (
     LiftParams,
     averaged_head_operator,
     averaged_trace_identity,
-    embed_head,
     lift,
     lift_tensor,
     make_params,
     tail_overlap,
-    tail_point,
     tail_subspace,
     unlift,
 )
 from lambda_forge.pauli import QOperator
 from lambda_forge.polytope import enumerate_vertices_n1, is_vertex, membership
+from lambda_forge.reduction import embed_tail_assignment
 from lambda_forge.stabilizer import (
     Assignment,
     all_assignments,
@@ -88,6 +87,24 @@ def test_closed_form_overlap_exhaustive():
                 )
 
 
+def test_closed_form_overlap_three_qubits():
+    states3 = enumerate_stabilizer_states(3)
+    for m in (1, 2):
+        tails = enumerate_stabilizer_states(3 - m)
+        for _ in range(2):
+            X = rand_herm1(m)
+            r = embed_tail_assignment(rng.choice(tails)[1], 3, m)
+            J = r.subspace
+            L = lift_tensor(X, J, r)
+            for I, s in states3:
+                assert tail_overlap(X, J, r, I, s) == L.trace_inner(stabilizer_projector(I, s))
+        I, s = states3[0]
+        with pytest.raises(ValueError):
+            tail_overlap(rand_herm1(3 - m), J, r, I, s)
+        with pytest.raises(ValueError):
+            tail_overlap(X, J, r, states3[-1][0], s)
+
+
 def test_closed_form_delta_factor():
     X = rand_herm1()
     r = Assignment(J_TAIL, [0])
@@ -103,7 +120,7 @@ def test_closed_form_aligned_case():
         for sp in all_assignments(Ip):
             for rbit in (0, 1):
                 r = Assignment(J_TAIL, [rbit])
-                pairs = [(embed_head(p, 2), sp.value(p)) for p in Ip.points()]
+                pairs = [(PauliPoint(2, p.z, p.x), sp.value(p)) for p in Ip.points()]
                 pairs += [(u, r.value(u)) for u in J_TAIL.points()]
                 joint = Assignment.from_pairs(pairs, 2)
                 X = rand_herm1()
@@ -196,7 +213,7 @@ def test_cnc_biconditional():
     X = A0
     L = lift_tensor(X, J_TAIL, r)
     assert is_cnc(L.support())
-    back = {p for p in L.support() if tail_point(p, 1).is_zero()}
+    back = {p for p in L.support() if PauliPoint(1, p.z >> 1, p.x >> 1).is_zero()}
     assert {PauliPoint(1, p.z & 1, p.x & 1) for p in back} == set(all_points(1))
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from lambda_forge.clifford import CliffordTableau, generator_tableaux
 from lambda_forge.field import HALF, ONE
-from lambda_forge.gf2 import all_points, span, x_point, z_point
+from lambda_forge.gf2 import PauliPoint, all_points, span, symplectic_form, x_point, z_point
 from lambda_forge.lifting import lift, lift_tensor, make_params
 from lambda_forge.polytope import enumerate_vertices_n1
 from lambda_forge.reduction import (
@@ -16,14 +16,16 @@ from lambda_forge.reduction import (
     reduce_static,
 )
 from lambda_forge.cnc import CncSet, cnc_vertices
+from lambda_forge.pauli import PhasedPauli, pauli_mul
 from lambda_forge.simulate import (
     LiftState,
     born_distribution,
     reduced_distribution,
     state_operator,
+    state_to_descriptor_json,
     update_state,
 )
-from lambda_forge.stabilizer import Assignment, enumerate_stabilizer_states
+from lambda_forge.stabilizer import Assignment, enumerate_stabilizer_states, state_to_json
 
 rng = random.Random(37)
 
@@ -188,3 +190,121 @@ def test_coin_frame_is_the_projected_state():
                     assert projected.trace() == HALF
                     after = state_operator(LiftState(pending.resolve_coin(c), inner))
                     assert after == projected.scale(ONE / HALF)
+
+
+def test_static_plan_rejects_coins_other_than_0_or_1():
+    eng = ReductionEngine(2, 1, sigma_z_plus())
+    seq = [x_point(2, 1) ^ x_point(2, 2), z_point(2, 2)]
+    # checked whether or not a coin step consumes them
+    for coins in ([2], [1, 9], [-1], ["1"]):
+        with pytest.raises(ValueError, match="0 or 1"):
+            reduce_static(eng, seq, coins)
+
+
+def test_embed_tail_rejects_sigma_wider_than_the_tail():
+    _, s = enumerate_stabilizer_states(2)[7]
+    with pytest.raises(ValueError):
+        embed_tail_assignment(s, 3, 2)
+    # a two-qubit sigma that only uses its first qubit is still too wide
+    with pytest.raises(ValueError):
+        embed_tail_assignment(Assignment.from_pairs([(z_point(2, 1), 0)]), 3, 2)
+
+
+# -- reference oracles: the PauliPoint bodies of the tail embedding and of
+# the engine's two steps, before they moved to packed keys ------------------
+
+
+def _head_point(p, m):
+    mask = (1 << m) - 1
+    return PauliPoint(m, p.z & mask, p.x & mask)
+
+
+def _tail_point(p, m):
+    return PauliPoint(p.n - m, p.z >> m, p.x >> m)
+
+
+def _embed_tail(p, n, m):
+    return PauliPoint(n, p.z << m, p.x << m)
+
+
+def _reference_embed_tail_assignment(sigma, n, m):
+    return Assignment.from_pairs(
+        [(_embed_tail(p, n, m), sigma.value(p)) for p in sigma.subspace.points()], n
+    )
+
+
+def _reference_process(engine, a):
+    """The step, and the pending (b, eps) of a coin step, else None."""
+    img = engine.conj.apply_point(a)
+    b, eps = img.point, img.phase >> 1
+    tail = _embed_tail(_tail_point(b, engine.m), engine.n, engine.m)
+    if engine.sigma.subspace.contains(tail):
+        lam = (engine.sigma.value(tail) + eps) & 1
+        head = _head_point(b, engine.m)
+        if head.is_zero():
+            return FixedStep(lam), None
+        return MeasureStep(head, lam), None
+    return CoinStep(), (b, eps)
+
+
+def _reference_resolve_coin(engine, pending, c):
+    """The conjugator after resolving the pending coin with outcome c."""
+    b, eps = pending
+    g = next(p for p in engine.sigma.subspace.basis_points() if symplectic_form(p, b))
+    gb = pauli_mul(
+        PhasedPauli(g, 2 * engine.sigma.value(g)), PhasedPauli(b, 2 * (c + eps))
+    )
+    images = []
+    for e, s in engine.conj.images:
+        fg = symplectic_form(e, g)
+        if fg == symplectic_form(e, b):
+            images.append((e, s ^ fg))
+        else:
+            img = pauli_mul(PhasedPauli(e, 2 * (s + fg)), gb)
+            images.append((img.point, img.phase >> 1))
+    return CliffordTableau(engine.n, images)
+
+
+def test_tail_embedding_matches_reference():
+    """Every tail stabilizer state with n <= 4 (1 218 cases): the row shift
+    equals the solve over all points, and the lift descriptor shifts it
+    back to the tail state."""
+    cases = 0
+    for n in (2, 3, 4):
+        for m in range(1, n):
+            for I, s in enumerate_stabilizer_states(n - m):
+                embedded = embed_tail_assignment(s, n, m)
+                assert embedded == _reference_embed_tail_assignment(s, n, m)
+                state = LiftState(ReductionEngine(n, m, embedded), cnc_vertices(1)[0])
+                assert state_to_descriptor_json(state)["sigma"] == state_to_json(I, s)
+                cases += 1
+    assert cases == 1218
+
+
+def test_engine_matches_reference_on_seeded_frames():
+    local = random.Random(1803)
+    gens = generator_tableaux(3)
+    points = all_points(3, include_zero=False)
+    kinds = set()
+    for m in (1, 2):
+        tails = enumerate_stabilizer_states(3 - m)
+        for _ in range(10):
+            U = CliffordTableau.identity(3)
+            for _ in range(10):
+                U = local.choice(gens).compose(U)
+            eng = ReductionEngine(3, m, embed_tail_assignment(local.choice(tails)[1], 3, m), U)
+            for _ in range(8):
+                a = local.choice(points)
+                step, nxt = eng.process(a)
+                want, pending = _reference_process(eng, a)
+                assert step == want
+                kinds.add(type(step))
+                if pending is None:
+                    assert nxt is eng
+                    continue
+                b, eps = pending
+                assert nxt._pending == (b.key(), eps)
+                for c in (0, 1):
+                    assert nxt.resolve_coin(c).conj == _reference_resolve_coin(nxt, pending, c)
+                eng = nxt.resolve_coin(local.randint(0, 1))
+    assert kinds == {FixedStep, MeasureStep, CoinStep}

@@ -401,6 +401,22 @@ def test_steps_from_json():
         exact_distribution([(ONE, cnc_vertices(1)[0])], [(z_point(1, 1), {0: 1})])
 
 
+@pytest.mark.parametrize(
+    "bad",
+    ["XZ", (x_point(1, 1), 5), None, 3, "X", (x_point(1, 1),), [x_point(1, 1), None],
+     (x_point(1, 1), None, None), ("Z", None)],
+)
+def test_malformed_steps_rejected_by_index(bad):
+    steps = [z_point(1, 1), bad]
+    init = [(ONE, cnc_vertices(1)[0])]
+    with pytest.raises(ValueError, match="step 1"):
+        normalize_steps(steps)
+    with pytest.raises(ValueError, match="step 1"):
+        exact_distribution(init, steps)
+    with pytest.raises(ValueError, match="step 1"):
+        sample(init, steps, seed=1)
+
+
 def test_distribution_json_sorted_and_exact():
     init = decompose_known(T_STATE)
     rows = distribution_to_json(exact_distribution(init, [x_point(1, 1)]))

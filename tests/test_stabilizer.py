@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lambda_forge.field import ONE
-from lambda_forge.gf2 import span, x_point, z_point
+from lambda_forge.gf2 import all_points, enumerate_maximal_isotropics, span, x_point, z_point
 from lambda_forge.pauli import QOperator, beta
 from lambda_forge.stabilizer import (
     Assignment,
@@ -94,6 +94,40 @@ def test_convolve():
     # conflicting overlap
     with pytest.raises(ValueError):
         convolve(Assignment.from_pairs([(zh, 1)]), s2)
+
+
+def _reference_convolve(r, s2):
+    """The joint assignment by the solve over every point of both domains."""
+    if s2.subspace.n != r.subspace.n:
+        raise ValueError("qubit count mismatch")
+    for p in r.subspace.points():
+        if s2.subspace.contains(p) and r.value(p) != s2.value(p):
+            raise ValueError("assignments conflict on the intersection")
+    pairs = [(p, r.value(p)) for p in r.subspace.points()]
+    pairs += [(p, s2.value(p)) for p in s2.subspace.points()]
+    return Assignment.from_pairs(pairs, r.subspace.n)
+
+
+def test_convolve_matches_reference_on_two_qubits():
+    """Every ordered pair of assignments on isotropic subspaces of E_2:
+    equal joints, or both raise (conflicts and non-isotropic sums)."""
+    subspaces = {span([], n=2)}
+    for p in all_points(2, include_zero=False):
+        subspaces.add(span([p]))
+    subspaces.update(enumerate_maximal_isotropics(2))
+    assignments = [s for I in subspaces for s in all_assignments(I)]
+    joints = 0
+    for r in assignments:
+        for s2 in assignments:
+            try:
+                want = _reference_convolve(r, s2)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    convolve(r, s2)
+                continue
+            assert convolve(r, s2) == want
+            joints += 1
+    assert len(assignments) == 91 and joints == 991
 
 
 def test_json_and_labels():
