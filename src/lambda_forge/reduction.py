@@ -83,7 +83,7 @@ class ReductionEngine:
     def __init__(
         self, n: int, m: int, sigma: Assignment, unitary: Optional[CliffordTableau] = None
     ):
-        if sigma.subspace.n != n or sigma.subspace.dim != n - m:
+        if sigma.subspace.n != n or sigma.subspace.dim != n - m or m >= n:
             raise ValueError("sigma must be a maximal tail stabilizer embedded in n")
         if not is_tail_supported(sigma.subspace, m):
             raise ValueError("sigma must be supported on the tail qubits")
@@ -197,7 +197,7 @@ def reduce_static(
     for idx, a in enumerate(sequence):
         step, engine = engine.process(a)
         if isinstance(step, CoinStep):
-            c = next(it, 0)
+            c = next(it, 0) & 1
             used.append({"step": idx, "outcome": c})
             engine = engine.resolve_coin(c)
             steps.append({"kind": "coin", "step": idx, "outcome": c})

@@ -101,6 +101,9 @@ def test_sigma_must_be_tail_supported():
     head = Assignment.from_pairs([(z_point(2, 1), 0)])
     with pytest.raises(ValueError):
         ReductionEngine(2, 1, head)
+    # an empty tail has no lift descriptor, so no engine either
+    with pytest.raises(ValueError):
+        ReductionEngine(2, 2, Assignment.zero(span([], n=2)))
 
 
 def test_empty_sequence():
