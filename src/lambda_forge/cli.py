@@ -188,7 +188,7 @@ def cmd_phi(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    from .reduction import ReductionEngine, reduce_static
+    from .reduction import reduce_static
     from .simulate import LiftState
 
     doc = _load_json(args.circuit)

@@ -1,8 +1,11 @@
 """Clifford-group action on Pauli labels via tableaux.
 
 A tableau stores the conjugation images of the 2n generators x_1..x_n,
-z_1..z_n as signed Pauli points.  Global phases of the underlying
-unitaries never enter: every construction here depends only on the
+z_1..z_n (generator i has key 1 << i) as (``PauliPoint.key()``, sign)
+int pairs.  ``PauliPoint`` appears only at the public edges: the
+validating constructor, the ``images`` view, ``apply_point``/``point_map``,
+``repr``, JSON and pickles.  Global phases of the underlying unitaries
+never enter: every construction here depends only on the
 induced signed action, which consists of a symplectic map on E_n plus a
 sign for each generator image.  The group of such actions has order
 |Sp_{2n}(Z_2)| * 4^n  (24 for one qubit, 11520 for two): an action is
@@ -22,10 +25,7 @@ from .gf2 import (
     rref,
     solve_affine,
     swap_halves,
-    symplectic_form,
-    x_point,
     xor_sums,
-    z_point,
 )
 from .pauli import PhasedPauli, QOperator, phase_of_bits
 from .stabilizer import Assignment, stabilizer_projector
@@ -34,17 +34,38 @@ from .stabilizer import Assignment, stabilizer_projector
 ACTION_BOUND = 2
 
 
+def _form(a: int, b: int, n: int) -> int:
+    """The symplectic form of two packed points."""
+    return (a & swap_halves(b, n)).bit_count() & 1
+
+
+def _qubit(n: int, qubit: int) -> int:
+    if not 1 <= qubit <= n:
+        raise ValueError(f"qubit {qubit} is outside 1..{n}")
+    return qubit - 1
+
+
 class CliffordTableau:
     """Signed Pauli action of a Clifford unitary."""
 
-    __slots__ = ("n", "images")
+    __slots__ = ("n", "_keys")
 
     def __init__(self, n: int, images: Sequence[tuple[PauliPoint, int]]):
         if len(images) != 2 * n:
             raise ValueError("need images for x_1..x_n, z_1..z_n")
-        imgs = tuple((p, s & 1) for p, s in images)
+        for p, _ in images:
+            if p.n != n:
+                raise ValueError(f"a generator image has {p.n} qubits, the tableau {n}")
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "images", imgs)
+        object.__setattr__(self, "_keys", tuple((p.key(), s & 1) for p, s in images))
+
+    @staticmethod
+    def _from_keys(n: int, keys: tuple[tuple[int, int], ...]) -> "CliffordTableau":
+        """Trusted constructor: keys are (``PauliPoint.key()``, sign bit)."""
+        t = object.__new__(CliffordTableau)
+        object.__setattr__(t, "n", n)
+        object.__setattr__(t, "_keys", keys)
+        return t
 
     def __setattr__(self, name, value):
         raise AttributeError("CliffordTableau is immutable")
@@ -52,54 +73,52 @@ class CliffordTableau:
     def __reduce__(self):
         return (CliffordTableau, (self.n, self.images))
 
+    @property
+    def images(self) -> tuple[tuple[PauliPoint, int], ...]:
+        """The generator images x_1..x_n, z_1..z_n as (point, sign) pairs."""
+        return tuple((PauliPoint.from_key(self.n, k), s) for k, s in self._keys)
+
     # -- constructors ----------------------------------------------------
 
     @staticmethod
+    def _moved(n: int, to: Mapping[int, int]) -> "CliffordTableau":
+        """The identity action with generator i sent to key to[i], sign +."""
+        return CliffordTableau._from_keys(n, tuple((to.get(i, 1 << i), 0) for i in range(2 * n)))
+
+    @staticmethod
     def identity(n: int) -> "CliffordTableau":
-        imgs = [(x_point(n, q), 0) for q in range(1, n + 1)]
-        imgs += [(z_point(n, q), 0) for q in range(1, n + 1)]
-        return CliffordTableau(n, imgs)
+        return CliffordTableau._moved(n, {})
 
     @staticmethod
     def hadamard(n: int, qubit: int) -> "CliffordTableau":
-        t = CliffordTableau.identity(n)
-        imgs = list(t.images)
-        imgs[qubit - 1] = (z_point(n, qubit), 0)
-        imgs[n + qubit - 1] = (x_point(n, qubit), 0)
-        return CliffordTableau(n, imgs)
+        q = _qubit(n, qubit)
+        return CliffordTableau._moved(n, {q: 1 << (n + q), n + q: 1 << q})
 
     @staticmethod
     def phase_gate(n: int, qubit: int) -> "CliffordTableau":
         """S: X -> Y, Z -> Z."""
-        t = CliffordTableau.identity(n)
-        imgs = list(t.images)
-        imgs[qubit - 1] = (
-            PauliPoint(n, 1 << (qubit - 1), 1 << (qubit - 1)),
-            0,
-        )
-        return CliffordTableau(n, imgs)
+        q = _qubit(n, qubit)
+        return CliffordTableau._moved(n, {q: (1 << q) | (1 << (n + q))})
 
     @staticmethod
     def cnot(n: int, control: int, target: int) -> "CliffordTableau":
-        if control == target:
+        c, t = _qubit(n, control), _qubit(n, target)
+        if c == t:
             raise ValueError("control and target must differ")
-        t = CliffordTableau.identity(n)
-        imgs = list(t.images)
-        imgs[control - 1] = (x_point(n, control) ^ x_point(n, target), 0)
-        imgs[n + target - 1] = (z_point(n, target) ^ z_point(n, control), 0)
-        return CliffordTableau(n, imgs)
+        return CliffordTableau._moved(n, {c: 1 << c | 1 << t, n + t: (1 << t | 1 << c) << n})
 
     @staticmethod
     def pauli(n: int, u: PauliPoint) -> "CliffordTableau":
         """Conjugation by T_u: v -> (-1)^{[u,v]} v."""
-        imgs = []
-        for q in range(1, n + 1):
-            p = x_point(n, q)
-            imgs.append((p, symplectic_form(u, p)))
-        for q in range(1, n + 1):
-            p = z_point(n, q)
-            imgs.append((p, symplectic_form(u, p)))
-        return CliffordTableau(n, imgs)
+        if u.n != n:
+            raise ValueError("qubit count mismatch")
+        return CliffordTableau.identity(n)._signed(u.key())
+
+    def _signed(self, u: int) -> "CliffordTableau":
+        """Conjugation by T_u after this action: each image e gains [u, e]."""
+        return CliffordTableau._from_keys(
+            self.n, tuple((k, s ^ _form(u, k, self.n)) for k, s in self._keys)
+        )
 
     # -- the action -------------------------------------------------------
 
@@ -114,26 +133,25 @@ class CliffordTableau:
         """``apply_point`` on ``PauliPoint.key()``: the image's key and its
         phase, 0 or 2."""
         n = self.n
+        low = (1 << n) - 1
         # T_v = i^{q(v)} X(v_x) Z(v_z); conjugation distributes over the
         # generator factors, and the i^{q(v)} prefactor survives unchanged.
         # The factors multiply on plain ints, signs as two units of phase.
         # Bit i of the key (x half low, z half high) selects generator
         # image i.
-        z = x = 0
+        acc = 0
         phase = ((key >> n) & key).bit_count()
         bits = key
-        for img, sgn in self.images:
+        for k, sgn in self._keys:
             if not bits:
                 break
             if bits & 1:
-                iz, ix = img.z, img.x
-                phase += phase_of_bits(z, x, iz, ix) + 2 * sgn
-                z ^= iz
-                x ^= ix
+                phase += phase_of_bits(acc >> n, acc & low, k >> n, k & low) + 2 * sgn
+                acc ^= k
             bits >>= 1
         phase &= 3
         assert not phase & 1, "Clifford image of a Hermitian Pauli must be Hermitian"
-        return (z << n) | x, phase
+        return acc, phase
 
     def point_map(self, v: PauliPoint) -> PauliPoint:
         return self.apply_point(v).point
@@ -155,76 +173,55 @@ class CliffordTableau:
         if self.n != other.n:
             raise ValueError("qubit count mismatch")
         imgs = []
-        for p, s in other.images:
-            moved = self.apply_point(p)
-            imgs.append((moved.point, (s + (moved.phase >> 1)) & 1))
-        return CliffordTableau(self.n, imgs)
+        for k, s in other._keys:
+            key, phase = self._apply_key(k)
+            imgs.append((key, s ^ (phase >> 1)))
+        return CliffordTableau._from_keys(self.n, tuple(imgs))
 
     def invert(self) -> "CliffordTableau":
         n = self.n
         # Invert the symplectic matrix by the identity [S v, S w] = [v, w]:
-        # the preimage v of g has z bit q = [v, x_q] = [g, S x_q] and
-        # x bit q = [v, z_q] = [g, S z_q].
+        # the preimage v of generator i has z bit q = [v, x_q] = [e_i, S x_q]
+        # and x bit q = [v, z_q] = [e_i, S z_q], bit i of the swapped images.
+        swapped = [swap_halves(k, n) for k, _ in self._keys]
         imgs = []
-        for g, _ in CliffordTableau.identity(n).images:
-            pairs = [symplectic_form(g, p) for p, _ in self.images]
-            z = sum(bit << q for q, bit in enumerate(pairs[:n]))
-            x = sum(bit << q for q, bit in enumerate(pairs[n:]))
-            pre = PauliPoint(n, z, x)
-            fwd = self.apply_point(pre)
-            if fwd.point != g:
+        for i in range(2 * n):
+            pre = swap_halves(sum((r >> i & 1) << j for j, r in enumerate(swapped)), n)
+            key, phase = self._apply_key(pre)
+            if key != 1 << i:
                 raise ValueError("images do not define a symplectic action")
-            imgs.append((pre, fwd.phase >> 1))
-        return CliffordTableau(n, imgs)
+            imgs.append((pre, phase >> 1))
+        return CliffordTableau._from_keys(n, tuple(imgs))
 
     def is_valid(self) -> bool:
-        n = self.n
-        basis = [x_point(n, q) for q in range(1, n + 1)]
-        basis += [z_point(n, q) for q in range(1, n + 1)]
-        for i in range(2 * n):
-            for j in range(i + 1, 2 * n):
-                if symplectic_form(self.images[i][0], self.images[j][0]) != symplectic_form(
-                    basis[i], basis[j]
-                ):
-                    return False
-        return len(rref(p.key() for p, _ in self.images)) == 2 * n
+        """The images keep the generators' pairwise forms ([x_q, z_q] = 1, every
+        other pair 0), which makes them independent too."""
+        n, keys = self.n, [k for k, _ in self._keys]
+        pairs = ((i, j) for i in range(2 * n) for j in range(i + 1, 2 * n))
+        return all(_form(keys[i], keys[j], n) == (j == i + n) for i, j in pairs)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, CliffordTableau)
-            and self.n == other.n
-            and self.images == other.images
-        )
+        # 2n images: equal images mean equal n
+        return isinstance(other, CliffordTableau) and self._keys == other._keys
 
     def __hash__(self):
-        return hash((self.n, self.images))
+        return hash((self.n, self._keys))
 
     def __repr__(self):
-        names = [f"x{q}" for q in range(1, self.n + 1)] + [
-            f"z{q}" for q in range(1, self.n + 1)
-        ]
-        body = ", ".join(
-            f"{nm}->{'-' if s else '+'}{p.label()}"
-            for nm, (p, s) in zip(names, self.images)
-        )
+        body = ", ".join(f"{name}->{image}" for name, image in self.to_json().items())
         return f"CliffordTableau({body})"
 
     # -- JSON -----------------------------------------------------------------
 
     def to_json(self) -> dict:
-        out = {}
-        for q in range(1, self.n + 1):
-            p, s = self.images[q - 1]
-            out[f"x{q}"] = ("-" if s else "+") + p.label()
-        for q in range(1, self.n + 1):
-            p, s = self.images[self.n + q - 1]
-            out[f"z{q}"] = ("-" if s else "+") + p.label()
-        return out
+        names = [f"{prefix}{q}" for prefix in ("x", "z") for q in range(1, self.n + 1)]
+        return {nm: ("-" if s else "+") + p.label() for nm, (p, s) in zip(names, self.images)}
 
     @staticmethod
     def from_json(obj: Mapping) -> "CliffordTableau":
         """Inverse of ``to_json``: an object whose keys are exactly
-        x1..xn, z1..zn, each a signed Pauli label; ValueError otherwise."""
+        x1..xn, z1..zn, each a signed n-qubit Pauli label; ValueError
+        otherwise."""
         if not isinstance(obj, Mapping):
             raise ValueError(f"a tableau must be an object of generator images, got {obj!r}")
         n = len(obj) // 2
@@ -257,9 +254,9 @@ def generator_tableaux(n: int) -> list[CliffordTableau]:
         for t in range(1, n + 1):
             if c != t:
                 gens.append(CliffordTableau.cnot(n, c, t))
-    for q in range(1, n + 1):
-        gens.append(CliffordTableau.pauli(n, x_point(n, q)))
-        gens.append(CliffordTableau.pauli(n, z_point(n, q)))
+    ident = CliffordTableau.identity(n)
+    for q in range(n):  # conjugation by X_q, then by Z_q
+        gens += [ident._signed(1 << q), ident._signed(1 << (n + q))]
     return gens
 
 
@@ -271,19 +268,17 @@ def enumerate_action(n: int) -> list[CliffordTableau]:
     comes out sorted by the images as (key, sign) pairs."""
     if n > ACTION_BOUND:
         raise ValueError(f"Clifford enumeration capped at n={ACTION_BOUND}")
-    nonzero = [PauliPoint.from_key(n, k) for k in range(1, 1 << (2 * n))]
-    gens = [p for p, _ in CliffordTableau.identity(n).images]
     actions: list[tuple] = [()]
-    for i, g in enumerate(gens):
-        forms = [symplectic_form(g, h) for h in gens[:i]]
+    for i in range(2 * n):
+        # [e_j, e_i] = 1 exactly for j = i - n (x_q against z_q)
         actions = [
-            images + ((p, s),)
+            images + ((k, s),)
             for images in actions
-            for p in nonzero
-            if all(symplectic_form(p, q) == f for (q, _), f in zip(images, forms))
+            for k in range(1, 1 << (2 * n))
+            if all(_form(k, q, n) == (j == i - n) for j, (q, _) in enumerate(images))
             for s in (0, 1)
         ]
-    return [CliffordTableau(n, images) for images in actions]
+    return [CliffordTableau._from_keys(n, images) for images in actions]
 
 
 def operator_orbit(A: QOperator) -> set:
@@ -328,62 +323,55 @@ def operator_orbit(A: QOperator) -> set:
 
 
 def complete_symplectic_map(
-    n: int, prescribed: Sequence[tuple[PauliPoint, PauliPoint]]
+    n: int, prescribed: Sequence[tuple[int, int]]
 ) -> CliffordTableau:
     """A tableau (all generator signs +) whose point map extends the
-    prescribed source -> destination pairs.
+    prescribed source -> destination pairs of packed keys
+    (``PauliPoint.key()``).
 
     The pairs must preserve the symplectic form pairwise and be linearly
     independent on each side.
     """
-    srcs: list[PauliPoint] = []
-    dsts: list[PauliPoint] = []
+    srcs: list[int] = []
+    dsts: list[int] = []
     for sp, dp in prescribed:
         for s0, d0 in zip(srcs, dsts):
-            if symplectic_form(sp, s0) != symplectic_form(dp, d0):
+            if _form(sp, s0, n) != _form(dp, d0, n):
                 raise ValueError("prescribed pairs do not preserve the form")
         srcs.append(sp)
         dsts.append(dp)
     for side in (srcs, dsts):
-        if len(rref(p.key() for p in side)) != len(side):
+        if len(rref(side)) != len(side):
             raise ValueError("prescribed points must be independent on each side")
 
-    basis = [g for g, _ in CliffordTableau.identity(n).images]
-    for g in basis:
-        if Subspace(n, [p.key() for p in srcs]).contains(g):
-            continue
-        dsts.append(_extension_image(n, srcs, dsts, g))
-        srcs.append(g)
+    for g in (1 << i for i in range(2 * n)):
+        if Subspace(n, srcs).reduce_key(g):
+            dsts.append(_extension_image(n, srcs, dsts, g))
+            srcs.append(g)
     # With 2n independent destinations the pairings fix each image.
-    rows = [swap_halves(d.key(), n) for d in dsts]
+    rows = [swap_halves(d, n) for d in dsts]
     imgs = []
-    for g in basis:
-        image, _ = solve_affine(rows, [symplectic_form(s, g) for s in srcs], 2 * n)
-        imgs.append((PauliPoint.from_key(n, image), 0))
-    t = CliffordTableau(n, imgs)
+    for i in range(2 * n):
+        image, _ = solve_affine(rows, [_form(s, 1 << i, n) for s in srcs], 2 * n)
+        imgs.append((image, 0))
+    t = CliffordTableau._from_keys(n, tuple(imgs))
     assert t.is_valid()
     return t
 
 
-def _extension_image(
-    n: int,
-    srcs: Sequence[PauliPoint],
-    dsts: Sequence[PauliPoint],
-    g: PauliPoint,
-) -> PauliPoint:
-    """The first point w, walking the solutions of [dst_i, w] = [src_i, g]
+def _extension_image(n: int, srcs: Sequence[int], dsts: Sequence[int], g: int) -> int:
+    """The first key w, walking the solutions of [dst_i, w] = [src_i, g]
     for all i, outside the destination span, so the extended map stays
     invertible."""
-    rows = [swap_halves(d.key(), n) for d in dsts]
-    rhs = [symplectic_form(s, g) for s in srcs]
-    solved = solve_affine(rows, rhs, 2 * n)
+    rows = [swap_halves(d, n) for d in dsts]
+    solved = solve_affine(rows, [_form(s, g, n) for s in srcs], 2 * n)
     if solved is None:
         raise AssertionError("nondegenerate form must make the system solvable")
     particular, null_basis = solved
-    dst_span = Subspace(n, [d.key() for d in dsts])
+    dst_span = Subspace(n, dsts)
     for h in xor_sums(null_basis):
         if dst_span.reduce_key(particular ^ h):
-            return PauliPoint.from_key(n, particular ^ h)
+            return particular ^ h
     raise AssertionError("no invertible extension found")
 
 
@@ -399,21 +387,20 @@ def tableau_for_projector_pair(
     """
     if J0.n != J.n or J0.dim != J.dim:
         raise ValueError("subspace dimensions must match")
+    if r0.subspace != J0 or r.subspace != J:
+        raise ValueError("assignment domain differs from the projector subspace")
     n = J0.n
-    pairs = list(zip(J0.basis_points(), J.basis_points()))
-    base = complete_symplectic_map(n, pairs)
-    moved = base.conjugate(stabilizer_projector(J0, r0))
-    # Read off the sign error on each basis row of J, then cancel it with
-    # a Pauli whose commutation pattern reproduces exactly that functional.
-    rows = J.basis_points()
-    delta = []
-    for p in rows:
-        c = moved.coeff(p)
-        got = 0 if c.p > 0 else 1
-        delta.append(got ^ r.value(p))
-    solved = solve_affine([swap_halves(p.key(), n) for p in rows], delta, 2 * n)
+    base = complete_symplectic_map(n, list(zip(J0.rows, J.rows)))
+    # base sends canonical row i of J0 onto row i of J with some sign, and
+    # a canonical row's value is its row value; so the sign error on row i
+    # is this functional, cancelled by a Pauli whose commutation pattern
+    # reproduces it.
+    delta = [
+        v0 ^ (base._apply_key(g0)[1] >> 1) ^ v
+        for g0, v0, v in zip(J0.rows, r0.row_values, r.row_values)
+    ]
+    solved = solve_affine([swap_halves(g, n) for g in J.rows], delta, 2 * n)
     assert solved is not None
-    fix = CliffordTableau.pauli(n, PauliPoint.from_key(n, solved[0]))
-    result = fix.compose(base)
+    result = base._signed(solved[0])
     assert result.conjugate(stabilizer_projector(J0, r0)) == stabilizer_projector(J, r)
     return result

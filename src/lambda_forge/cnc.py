@@ -47,7 +47,7 @@ from .gf2 import (
     symplectic_form,
 )
 from .pauli import QOperator, beta, phase_of_bits
-from .stabilizer import Assignment
+from .stabilizer import Assignment, check_bit
 
 #: Largest qubit count ``is_maximal_cnc`` searches exhaustively.
 MAXIMALITY_BOUND = 2
@@ -128,8 +128,7 @@ class CncSet:
         if gamma.keys() != pts:
             raise ValueError("gamma must give a value on exactly the points of Omega")
         for b in gamma.values():
-            if not isinstance(b, int) or isinstance(b, bool) or b not in (0, 1):
-                raise ValueError(f"gamma values must be the ints 0 or 1, got {b!r}")
+            check_bit(b, "gamma values")
         n = next(iter(pts)).n
         if gamma.get(PauliPoint.zero(n)) != 0:
             raise ValueError("a cnc set contains 0 with value 0")

@@ -15,9 +15,9 @@ accumulated Clifford into the observable, either
   anticommutes with it.  W is folded into all later observables in
   closed form, so the step costs no measurement at all.
 
-Observables and sigma are read as packed keys (``PauliPoint.key()``); a
-coin step takes g among sigma's canonical rows, where sigma(g) is the
-row value.
+Observables, sigma and the conjugator's generator images are read as
+packed keys (``PauliPoint.key()``); a coin step takes g among sigma's
+canonical rows, where sigma(g) is the row value.
 
 The engine below performs one such rewriting pass; it is immutable, so
 branching over coin outcomes is cheap, and it compares and hashes by
@@ -87,6 +87,8 @@ class ReductionEngine:
             raise ValueError("sigma must be a maximal tail stabilizer embedded in n")
         if not is_tail_supported(sigma.subspace, m):
             raise ValueError("sigma must be supported on the tail qubits")
+        if unitary is not None and unitary.n != n:
+            raise ValueError(f"the tableau u acts on {unitary.n} qubits, the state on {n}")
         conj = CliffordTableau.identity(n) if unitary is None else unitary.invert()
         self._fill(n, m, sigma, conj, None)
 
@@ -165,15 +167,14 @@ class ReductionEngine:
         # g' b' = i^gb_phase T_{g+b}
         gb_phase = 2 * (sg + c + eps) + phase_of_bits(g >> n, g & low, b >> n, b & low)
         images = []
-        for e, s in self.conj.images:
-            k = e.key()
+        for k, s in self.conj._keys:
             fg = (k & g_swapped).bit_count() & 1
             if fg == (k & b_swapped).bit_count() & 1:
-                images.append((e, s ^ fg))
+                images.append((k, s ^ fg))
             else:
-                phase = 2 * (s + fg) + gb_phase + phase_of_bits(e.z, e.x, gb >> n, gb & low)
-                images.append((PauliPoint.from_key(n, k ^ gb), (phase & 3) >> 1))
-        return self._with(CliffordTableau(n, images))
+                phase = 2 * (s + fg) + gb_phase + phase_of_bits(k >> n, k & low, gb >> n, gb & low)
+                images.append((k ^ gb, (phase & 3) >> 1))
+        return self._with(CliffordTableau._from_keys(n, tuple(images)))
 
 
 def reduce_static(

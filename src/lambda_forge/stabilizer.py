@@ -28,6 +28,13 @@ from .gf2 import (
 from .pauli import PhasedPauli, QOperator, phase_of_bits
 
 
+def check_bit(value, what: str) -> int:
+    """value, if it is the int 0 or 1 (a bool is refused); else ValueError."""
+    if not isinstance(value, int) or isinstance(value, bool) or value not in (0, 1):
+        raise ValueError(f"{what} must be the ints 0 or 1, got {value!r}")
+    return value
+
+
 class Assignment:
     """A consistent value assignment on an isotropic subspace."""
 
@@ -39,7 +46,8 @@ class Assignment:
         if not subspace.is_isotropic():
             raise ValueError("assignments live on isotropic subspaces")
         object.__setattr__(self, "subspace", subspace)
-        object.__setattr__(self, "row_values", tuple(v & 1 for v in row_values))
+        values = tuple(check_bit(v, "assignment values") for v in row_values)
+        object.__setattr__(self, "row_values", values)
 
     def __setattr__(self, name, value):
         raise AttributeError("Assignment is immutable")
@@ -70,7 +78,7 @@ class Assignment:
         for p, val in pairs:
             mask = sub.row_mask(p.key())
             eqs.append(mask)
-            rhs.append((val ^ folds[mask]) & 1)
+            rhs.append(check_bit(val, "assignment values") ^ folds[mask])
         solved = solve_affine(eqs, rhs, sub.dim)
         if solved is None:
             raise ValueError("inconsistent value assignment")

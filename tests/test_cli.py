@@ -357,7 +357,7 @@ def test_simulate_rejects_mixture_of_qubit_counts(tmp_path, capsys):
 LIFT_U = {"x1": "+XX", "z1": "+ZI", "x2": "+IX", "z2": "+ZZ"}
 
 
-def lift_circuit(u):
+def lift_circuit(u, step="ZZ"):
     return {
         "n": 2,
         "initial": {
@@ -366,7 +366,7 @@ def lift_circuit(u):
             "sigma": {"generators": ["+X"]},
             "inner": {"type": "stabilizer", "generators": ["+Z"]},
         },
-        "steps": [{"measure": "ZZ"}],
+        "steps": [{"measure": step}],
     }
 
 
@@ -383,18 +383,24 @@ def test_simulate_rejects_non_string_generator_image(tmp_path, capsys):
 
 
 def test_simulate_rejects_bad_tableau_keys(tmp_path, capsys):
+    # the last two are well formed but act on one qubit of a two-qubit
+    # lift, or read two-qubit labels as one-qubit images
     for u in (
         {**LIFT_U, "q": 1},
         ["a"],
         {},
         {"x1": "+XX", "z1": "+ZI", "x3": "+IX", "z2": "+ZZ"},
+        {"x1": "-X", "z1": "-Z"},
+        {"x1": "+XX", "z1": "+ZI"},
     ):
-        path = write_json(tmp_path / "lift.json", lift_circuit(u))
-        code, out = run(capsys, "simulate", path, "--exact")
-        doc = json.loads(out)
-        assert code == 1 and doc["status"] == "error"
-        assert doc["diagnostics"].startswith("ValueError: ")
-        assert "tableau" in doc["diagnostics"]
+        for step in ("ZI", "ZZ"):
+            path = write_json(tmp_path / "lift.json", lift_circuit(u, step))
+            for argv in (("simulate", path, "--exact"), ("reduce", path)):
+                code, out = run(capsys, *argv)
+                doc = json.loads(out)
+                assert code == 1 and doc["status"] == "error"
+                assert doc["diagnostics"].startswith("ValueError: ")
+                assert "tableau" in doc["diagnostics"]
 
 
 BAD_CNC = [

@@ -1,3 +1,4 @@
+import pickle
 import random
 from collections import deque
 
@@ -213,11 +214,12 @@ def test_operator_orbit_matches_conjugation_bfs():
 def test_complete_symplectic_map():
     a = x_point(2, 1) ^ z_point(2, 2)
     b = z_point(2, 1) ^ x_point(2, 2)
-    t = complete_symplectic_map(2, [(x_point(2, 1), a), (x_point(2, 2), b)])
+    x1, x2, z1 = x_point(2, 1).key(), x_point(2, 2).key(), z_point(2, 1).key()
+    t = complete_symplectic_map(2, [(x1, a.key()), (x2, b.key())])
     assert t.is_valid()
     assert t.apply_point(x_point(2, 1)).point == a
     with pytest.raises(ValueError):
-        complete_symplectic_map(2, [(x_point(2, 1), a), (z_point(2, 1), b)])
+        complete_symplectic_map(2, [(x1, a.key()), (z1, b.key())])
 
 
 def test_projector_pair_postcondition():
@@ -251,3 +253,24 @@ def test_json_round_trip():
     bad["x1"] = bad["z1"]
     with pytest.raises(ValueError):
         CliffordTableau.from_json(bad)
+    # two-qubit labels as the images of a one-qubit tableau
+    with pytest.raises(ValueError, match="qubits"):
+        CliffordTableau.from_json({"x1": "+XX", "z1": "+ZI"})
+    with pytest.raises(ValueError, match="qubits"):
+        CliffordTableau(1, [(x_point(2, 1), 0), (z_point(1, 1), 0)])
+
+
+def test_images_round_trip_through_keys():
+    """The (key, sign) store against its PauliPoint edges: rebuilding from
+    ``images`` and unpickling give an equal tableau with an equal hash."""
+    seeded = random.Random(19)
+    words = []
+    for _ in range(6):
+        t = CliffordTableau.identity(3)
+        for _ in range(24):
+            t = seeded.choice(generator_tableaux(3)).compose(t)
+        words.append(t)
+    for t in enumerate_action(1) + seeded.sample(enumerate_action(2), 300) + words:
+        for copy in (CliffordTableau(t.n, t.images), pickle.loads(pickle.dumps(t))):
+            assert copy == t and hash(copy) == hash(t)
+            assert copy.images == t.images

@@ -1,0 +1,43 @@
+"""Every name a package module imports is used in the scope that imports it."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "lambda_forge"
+
+
+def unused_imports(tree):
+    """(line, name) of each import whose bound name is never read in its
+    scope: the module for a top-level import, else the enclosing function."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.Import, ast.ImportFrom)):
+                if getattr(child, "module", None) == "__future__":
+                    continue
+                read = {n.id for n in ast.walk(scope) if isinstance(n, ast.Name)}
+                for alias in child.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in read:
+                        found.append((child.lineno, name))
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child if inner else scope)
+
+    visit(tree, tree)
+    return found
+
+
+def test_unused_imports_are_detected():
+    source = "import os\nfrom typing import Any\n\ndef f():\n    from json import dumps\n    return Any\n"
+    assert unused_imports(ast.parse(source)) == [(1, "os"), (5, "dumps")]
+
+
+def test_package_imports_are_all_used():
+    # __init__ imports only to re-export
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    assert modules
+    unused = {
+        p.name: found for p in modules if (found := unused_imports(ast.parse(p.read_text())))
+    }
+    assert unused == {}

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from lambda_forge.field import ONE
-from lambda_forge.gf2 import all_points, enumerate_maximal_isotropics, span, x_point, z_point
+from lambda_forge.gf2 import (
+    Subspace,
+    all_points,
+    enumerate_maximal_isotropics,
+    span,
+    x_point,
+    z_point,
+)
 from lambda_forge.pauli import QOperator, beta
 from lambda_forge.stabilizer import (
     Assignment,
@@ -70,6 +77,16 @@ def test_assignment_from_pairs_conflict():
     assert asg.value(yy) == 1
     with pytest.raises(ValueError):
         Assignment.from_pairs([(zz, 0), (xx, 0), (yy, 0)])
+
+
+def test_assignment_values_must_be_bits():
+    z = z_point(1, 1)
+    for bad in (2, 3, -1, True, False, 1.0, "1", None):
+        with pytest.raises(ValueError):
+            Assignment.from_pairs([(z, bad)])
+        with pytest.raises(ValueError):
+            Assignment(Subspace(1, (2,)), [bad])
+    assert Assignment(Subspace(1, (2,)), [1]) == Assignment.from_pairs([(z, 1)])
 
 
 def test_inconsistent_projector_rejected():
