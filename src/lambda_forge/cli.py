@@ -1,6 +1,8 @@
 """Command-line surface: machine-readable JSON in, JSON out.
 
 Exit codes: 0 ok, 1 error, 2 facet violation / non-member, 3 infeasible.
+A usage error (a missing operand, a bad number, an unknown subcommand) is
+an error like any other: exit 1 with a JSON diagnostic.
 All numbers are exact (rational strings, or {a, b} pairs for values with
 a sqrt(2) part); --float renders decimals for human reading only.
 """
@@ -314,8 +316,22 @@ def cmd_decompose(args) -> int:
     return _emit("ok", payload, "", args.float)
 
 
+class UsageError(Exception):
+    """A command line that the parser cannot read."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise UsageError, so that
+    `main` reports them as JSON rather than exiting with argparse's 2,
+    which here means a facet violation.  Subcommand parsers are built
+    from the same class."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lambda-forge",
         description="exact polytope membership, vertex construction, and "
         "measurement simulation for stabilizer-overlap polytopes",
@@ -392,9 +408,11 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         return args.func(args)
+    except UsageError as exc:
+        return _emit("error", None, f"usage: {exc}")
     except FileNotFoundError as exc:
         return _emit("error", None, str(exc))
     except (ValueError, KeyError, json.JSONDecodeError) as exc:

@@ -36,6 +36,7 @@ coefficients, built on first read (the oracles ``product`` and
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, Optional
 
@@ -427,11 +428,25 @@ class QOperator:
             raise ValueError(f"operator qubit count n must be an integer, got {n!r}")
         if not isinstance(coeffs, Mapping):
             raise ValueError(f"operator coeffs must be an object, got {coeffs!r}")
-        return QOperator(
-            n,
-            {PauliPoint.from_label(label): FieldElem.from_json(val)
-             for label, val in coeffs.items()},
-        )
+        by_key: dict[int, FieldElem] = {}
+        for label, val in coeffs.items():
+            width, key = _label_key(label)
+            if width != n:
+                raise ValueError("coefficient point has wrong qubit count")
+            if key in by_key:
+                # labels are read with surrounding whitespace stripped
+                first = next(k for k in coeffs if _label_key(k) == (n, key))
+                raise ValueError(f"Pauli labels {first!r} and {label!r} name the same point")
+            by_key[key] = FieldElem.from_json(val)
+        return QOperator._from_keys(n, by_key)
+
+
+@lru_cache(maxsize=1024)
+def _label_key(label: str) -> tuple[int, int]:
+    """(qubit count, ``PauliPoint.key()``) of a Pauli label; shared, since
+    operator files repeat the same few labels."""
+    point = PauliPoint.from_label(label)
+    return point.n, point.key()
 
 
 def pauli_matrix(p: PauliPoint, phase: int = 0) -> np.ndarray:

@@ -7,16 +7,28 @@ Membership is decided by evaluating all overlaps exactly, as integer sums
 over the operator's coefficients scaled to a common denominator;
 vertexhood by the rank of the active constraints (a point of a polytope
 is extremal iff the active facet normals span the full traceless
-coefficient space), from a fraction-free integer reduction that stops
-reading rows once they span that space.
+coefficient space).
+
+The rank is certified in two passes.  The first reduces the active
+normals over GF(3), each row bit-sliced as two int masks (the columns
+holding 1 and those holding 2 = -1), by Gauss-Jordan on those ints; it
+stops at full rank.  A full rank over GF(3) is a full rank over Q: a
+minor that is nonzero mod 3 is a nonzero integer, so the rank of an
+integer matrix over GF(3) is at most its rank over Q.  That settles
+every vertex the tests check (the two-qubit family, the one-qubit
+vertices, lifted three-qubit vertices).  Any other outcome proves
+nothing, and the exact rank comes from the second pass, a fraction-free integer reduction that
+stops reading rows once they span the space; so every rank reported
+below full is exact.
 
 Both read one table per qubit count, `facet_table`: for each stabilizer
 state, the packed keys (``PauliPoint.key()``) of the points where its
 sign is +1 and where it is -1.  A facet's normal is built from those
 keys as a sparse row only when the rank reads it; an n = 3 normal has 7
 nonzeros out of 63 columns, so the reduction works on {column: int}
-rows.  The simplex of `decompose` keeps its own dense tableau: it has
-few rows (17 on two qubits), and they fill in after a few pivots.
+rows.  The GF(3) masks are built once per qubit count, `_gf3_rows`.  The
+simplex of `decompose` keeps its own dense tableau: it has few rows (17
+on two qubits), and they fill in after a few pivots.
 """
 
 from __future__ import annotations
@@ -50,6 +62,12 @@ def facet_table(n: int) -> tuple:
     return tuple(table)
 
 
+@lru_cache(maxsize=8)
+def _facet_labels(n: int) -> tuple[str, ...]:
+    """The labels of `facet_table`, in its order."""
+    return tuple(label for label, _, _ in facet_table(n))
+
+
 def _facet_row(plus: Sequence[int], minus: Sequence[int]) -> dict[int, int]:
     """A facet's integer normal over the nonzero points as a sparse row:
     key k at column k - 1."""
@@ -58,25 +76,107 @@ def _facet_row(plus: Sequence[int], minus: Sequence[int]) -> dict[int, int]:
     return row
 
 
+@lru_cache(maxsize=8)
+def _gf3_rows(n: int) -> dict[str, tuple[int, int]]:
+    """Each facet normal of `facet_table` bit-sliced over GF(3), by label:
+    (ones, twos), the masks of the columns (key k at bit k - 1) whose
+    entry is 1 and those whose entry is -1 = 2."""
+    return {
+        label: (
+            sum(1 << (k - 1) for k in plus if k),
+            sum(1 << (k - 1) for k in minus),
+        )
+        for label, plus, minus in facet_table(n)
+    }
+
+
+def _gf3_add(a1: int, a2: int, b1: int, b2: int) -> tuple[int, int]:
+    """a + b over GF(3) on bit-sliced vectors (ones, twos)."""
+    t = (a1 | b2) ^ (a2 | b1)
+    return (a2 | b2) ^ t, (a1 | b1) ^ t
+
+
+def _gf3_sub(a1: int, a2: int, b1: int, b2: int) -> tuple[int, int]:
+    """a - b over GF(3) on bit-sliced vectors: a + (-b), where -b swaps
+    the two masks."""
+    t = (a1 | b1) ^ (a2 | b2)
+    return (a2 | b1) ^ t, (a1 | b2) ^ t
+
+
+def _gf3_rank(rows: Iterable[tuple[int, int]], width: int) -> int:
+    """Rank over GF(3) of bit-sliced rows (ones, twos), by Gauss-Jordan;
+    the rows are read one at a time until the rank reaches width.
+
+    Each pivot row has entry 1 at its pivot (the lowest set bit) and 0 at
+    every other pivot column, so a new row is cleared at each pivot
+    column it holds independently of the others, and what is left starts
+    a new pivot row, which is then cleared from the earlier ones.
+    """
+    basis: dict[int, tuple[int, int]] = {}  # pivot bit -> row
+    pivots = 0  # the mask of the pivot columns
+    for r1, r2 in rows:
+        hit = (r1 | r2) & pivots
+        while hit:
+            bit = hit & -hit
+            hit ^= bit
+            b1, b2 = basis[bit]
+            # `_gf3_sub` at an entry 1, `_gf3_add` at an entry 2, inlined:
+            # an n = 3 vertex reads ~200 rows of 7 entries here
+            if r1 & bit:
+                t = (r1 | b1) ^ (r2 | b2)
+                r1, r2 = (r2 | b1) ^ t, (r1 | b2) ^ t
+            else:
+                t = (r1 | b2) ^ (r2 | b1)
+                r1, r2 = (r2 | b2) ^ t, (r1 | b1) ^ t
+        left = r1 | r2
+        if not left:
+            continue
+        bit = left & -left
+        if r2 & bit:  # scale by -1 = 2: the pivot entry becomes 1
+            r1, r2 = r2, r1
+        for c, (b1, b2) in basis.items():
+            if b1 & bit:
+                basis[c] = _gf3_sub(b1, b2, r1, r2)
+            elif b2 & bit:
+                basis[c] = _gf3_add(b1, b2, r1, r2)
+        basis[bit] = (r1, r2)
+        pivots |= bit
+        if len(basis) == width:
+            break
+    return len(basis)
+
+
 class FacetCertificate:
     """Result of evaluating one operator against every stabilizer facet.
 
-    values may be given as a function that builds the label -> FieldElem
-    map; it is then called on the first read of ``values``.
+    Holds `membership`'s integer facet sums: facet i of ``facet_table(n)``
+    has the value (x + y*sqrt(2)) / den for (x, y) = sums[i].  ``values``
+    and ``to_json`` build one FieldElem, or one JSON value, per distinct
+    sum and share it across the labels that have it.
     """
 
-    __slots__ = ("operator", "_values", "active", "violation")
+    __slots__ = ("operator", "active", "violation", "_sums", "_den", "_values")
 
-    def __init__(self, operator, values, active, violation):
+    def __init__(self, operator, sums, den, active, violation):
         self.operator = operator
-        self._values = values  # label -> FieldElem, or a builder of it
         self.active = active  # labels with value exactly 0
         self.violation = violation  # first violating label, or None
+        self._sums = sums  # (x, y) per facet, in facet_table order
+        self._den = den
+        self._values = None
+
+    def _by_label(self, convert) -> dict:
+        """label -> convert(FieldElem of the label's sum), convert called
+        once per distinct sum."""
+        den = self._den
+        shared = {xy: convert(FieldElem._reduced(*xy, den)) for xy in set(self._sums)}
+        return dict(zip(_facet_labels(self.operator.n), map(shared.__getitem__, self._sums)))
 
     @property
     def values(self) -> dict:
-        if callable(self._values):
-            self._values = self._values()
+        """label -> FieldElem facet value, built on first read."""
+        if self._values is None:
+            self._values = self._by_label(lambda v: v)
         return self._values
 
     @property
@@ -84,14 +184,13 @@ class FacetCertificate:
         return self.violation is None
 
     def to_json(self) -> dict:
+        facet_values = self._by_label(FieldElem.to_json)
         return {
             "member": self.is_member,
             "violation": self.violation,
-            "violation_value": (
-                self.values[self.violation].to_json() if self.violation else None
-            ),
+            "violation_value": facet_values[self.violation] if self.violation else None,
             "active_facets": list(self.active),
-            "facet_values": {k: v.to_json() for k, v in self.values.items()},
+            "facet_values": facet_values,
         }
 
 
@@ -101,8 +200,8 @@ def membership(X: QOperator) -> FacetCertificate:
     The facet sums are integers: with D the lcm of the denominators d of
     X's coefficients (p + q*sqrt(2)) / d, a facet's value is (x + y*sqrt(2)) / (D * 2^n) for
     the integer sums x, y of the scaled coefficients over the state's
-    signed points, and its sign is that of x + y*sqrt(2).  The FieldElem
-    values are built only when the certificate's ``values`` is read.
+    signed points, and its sign is that of x + y*sqrt(2).  The certificate
+    keeps those sums; no FieldElem is built until it is read.
     """
     n = X.n
     if n > ENUMERATION_BOUND:
@@ -121,11 +220,10 @@ def membership(X: QOperator) -> FacetCertificate:
         ys[key] = c.q * k
     get_x, get_y = xs.__getitem__, ys.__getitem__
     irrational = any(ys)
-    table = facet_table(n)
     sums = []
     active = []
     violation = None
-    for label, plus, minus in table:
+    for label, plus, minus in facet_table(n):
         x = sum(map(get_x, plus)) - sum(map(get_x, minus))
         y = sum(map(get_y, plus)) - sum(map(get_y, minus)) if irrational else 0
         sums.append((x, y))
@@ -133,21 +231,22 @@ def membership(X: QOperator) -> FacetCertificate:
             active.append(label)
         elif violation is None and sqrt2_sign(x, y) < 0:
             violation = label
-
-    def values():
-        den = D << n
-        elem = {xy: FieldElem._reduced(*xy, den) for xy in set(sums)}
-        return {entry[0]: elem[xy] for entry, xy in zip(table, sums)}
-
-    return FacetCertificate(X, values, active, violation)
+    return FacetCertificate(X, sums, D << n, active, violation)
 
 
 def is_vertex(X: QOperator, cert: Optional[FacetCertificate] = None) -> tuple[bool, int]:
-    """(extremal?, active-constraint rank).  X must be a member."""
+    """(extremal?, active-constraint rank).  X must be a member.
+
+    A full rank over GF(3) certifies a vertex (see the module docstring);
+    otherwise the rank is the exact one, over Q."""
     if cert is None:
         cert = membership(X)
-    width = (1 << (2 * X.n)) - 1
-    rank = len(_int_rref(_active_rows(X.n, cert), width)[1])
+    n = X.n
+    rows = _active_rows(n, cert)  # ValueError for a non-member
+    width = (1 << (2 * n)) - 1
+    if _gf3_rank(map(_gf3_rows(n).__getitem__, cert.active), width) == width:
+        return True, width
+    rank = len(_int_rref(rows, width)[1])
     return rank == width, rank
 
 

@@ -95,14 +95,21 @@ class ReductionEngine:
     def __setattr__(self, name, value):
         raise AttributeError("ReductionEngine is immutable; use the returned copies")
 
+    def __reduce__(self):
+        # rebuilt through _fill, so the cached hash is not carried over
+        return (ReductionEngine._from_parts, self._key())
+
     def _fill(self, n, m, sigma, conj, pending) -> "ReductionEngine":
         for name, value in zip(self.__slots__, (n, m, sigma, conj, pending, None)):
             object.__setattr__(self, name, value)
         return self
 
+    @staticmethod
+    def _from_parts(n, m, sigma, conj, pending) -> "ReductionEngine":
+        return ReductionEngine.__new__(ReductionEngine)._fill(n, m, sigma, conj, pending)
+
     def _with(self, conj: CliffordTableau, pending=None) -> "ReductionEngine":
-        eng = ReductionEngine.__new__(ReductionEngine)
-        return eng._fill(self.n, self.m, self.sigma, conj, pending)
+        return ReductionEngine._from_parts(self.n, self.m, self.sigma, conj, pending)
 
     def _key(self) -> tuple:
         return (self.n, self.m, self.sigma, self.conj, self._pending)

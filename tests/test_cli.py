@@ -1,6 +1,8 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from lambda_forge import cli
 from lambda_forge.cli import main
 
@@ -72,6 +74,40 @@ def test_malformed_input(tmp_path, capsys):
         doc = json.loads(out)
         assert code == 1 and doc["status"] == "error"
         assert doc["diagnostics"].startswith("ValueError")
+
+
+def test_duplicate_pauli_labels_rejected(tmp_path, capsys):
+    path = write_json(tmp_path / "dup.json",
+                      {"n": 1, "coeffs": {"I": "1", "X": "1/2", " X": "1/2"}})
+    for argv in (("vertex", path), ("membership", "--vertex", path), ("decompose", path)):
+        code, out = run(capsys, *argv)
+        doc = json.loads(out)
+        assert code == 1 and doc["status"] == "error"
+        assert doc["diagnostics"].startswith("ValueError: ")
+        assert "'X' and ' X'" in doc["diagnostics"]
+
+
+def test_usage_errors_exit_1_with_json(tmp_path, capsys):
+    # argparse's own exit code 2 would read as a facet violation
+    path = write_json(tmp_path / "t.json", T_STATE)
+    cases = (
+        (("vertex",), "required: operator"),
+        (("simulate", path, "--shots", "abc"), "invalid int value: 'abc'"),
+        (("frobnicate", path), "invalid choice: 'frobnicate'"),
+        (("membership", path, "--bogus"), "unrecognized arguments: --bogus"),
+        ((), "required: command"),
+    )
+    for argv, words in cases:
+        code, out = run(capsys, *argv)
+        doc = json.loads(out)
+        assert code == 1 and doc["status"] == "error" and doc["payload"] is None
+        assert doc["diagnostics"].startswith("usage: lambda-forge")
+        assert words in doc["diagnostics"]
+    for argv in (["--help"], ["vertex", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage: lambda-forge" in capsys.readouterr().out
 
 
 def test_missing_file(capsys):

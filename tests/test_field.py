@@ -94,6 +94,68 @@ def test_json_rejects_wrong_types():
             FieldElem.from_json(bad)
 
 
+# strings for the JSON reader: plain rationals (parsed on ints) mixed with
+# the other forms Fraction reads or refuses (signs, whitespace, underscores,
+# decimals, exponents, non-ASCII digits, zero and signed denominators)
+_JSON_PIECES = st.sampled_from(
+    ["0", "1", "7", "10", "-", "+", "/", "_", ".", "e", "E", " ", "\t", "\n",
+     "\u0661", "\u0662", "\uff13", "00", "1/0", "/-2", "1_000"]
+)
+_JSON_STRINGS = st.one_of(
+    st.lists(_JSON_PIECES, max_size=6).map("".join),
+    st.builds(
+        "{}{}/{}".format,
+        st.sampled_from(["", "-", "+"]),
+        st.integers(0, 10**30),
+        st.integers(0, 10**30),
+    ),
+    st.integers(-(10**30), 10**30).map(str),
+    st.sampled_from(["", "1/0", "-0/0", "1/-2", "-1/2", "\u0661/\u0662",
+                     " 3/4", "3/4 ", "1.5", "-2e3", "1e-2", "1_0/3", "0/7", "-0"]),
+)
+
+
+def _fraction_or_none(s):
+    """Fraction(s), or None where Fraction refuses s (ValueError, or
+    ZeroDivisionError for a zero denominator)."""
+    try:
+        return Fraction(s)
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
+@given(_JSON_STRINGS, _JSON_STRINGS)
+def test_json_strings_read_as_fraction_reads_them(s, t):
+    # a rational string reads to Fraction(s) or is refused with ValueError
+    # exactly where Fraction refuses it; likewise each part of an {a, b}
+    for obj, want in (
+        (s, _fraction_or_none(s)),
+        ({"b": s}, _fraction_or_none(s)),
+    ):
+        if want is None:
+            with pytest.raises(ValueError):
+                FieldElem.from_json(obj)
+        else:
+            got = FieldElem.from_json(obj)
+            expect = FieldElem(0, want) if isinstance(obj, dict) else FieldElem(want)
+            assert (got.p, got.q, got.d) == (expect.p, expect.q, expect.d)
+    a, b = _fraction_or_none(s), _fraction_or_none(t)
+    if a is None or b is None:
+        with pytest.raises(ValueError):
+            FieldElem.from_json({"a": s, "b": t})
+    else:
+        got = FieldElem.from_json({"a": s, "b": t})
+        want = FieldElem(a, b)
+        assert (got.p, got.q, got.d) == (want.p, want.q, want.d)
+
+
+def test_json_zero_denominator_message():
+    for obj in ("1/0", " 1/0", {"a": "1", "b": "-3/0"}):
+        with pytest.raises(ValueError, match="zero denominator"):
+            FieldElem.from_json(obj)
+    assert FieldElem.from_json("\u0661/\u0662") == FieldElem(Fraction(1, 2))
+
+
 # -- differential test against the Fraction-pair representation -------------
 
 

@@ -347,6 +347,19 @@ def test_json_round_trip():
     for bad in ({"n": 1, "coeffs": ["X"]}, {"n": None}, {"n": 1, "coeffs": {"X": None}}):
         with pytest.raises(ValueError):
             QOperator.from_json(bad)
+    with pytest.raises(ValueError, match="wrong qubit count"):
+        QOperator.from_json({"n": 1, "coeffs": {"I": "1", "XZ": "1/2"}})
+
+
+def test_json_rejects_labels_naming_one_point():
+    # labels are read with whitespace stripped: " X" and "X" are one point,
+    # and neither coefficient may silently win
+    doc = {"n": 1, "coeffs": {"I": "1", "X": "1/2", " X": "1/2"}}
+    with pytest.raises(ValueError, match="'X' and ' X' name the same point"):
+        QOperator.from_json(doc)
+    doc = {"n": 2, "coeffs": {"II": "1", "XZ ": "1/4", "IY": "1/4", "\tXZ": "1/4"}}
+    with pytest.raises(ValueError, match="'XZ ' and '\\\\tXZ'"):
+        QOperator.from_json(doc)
 
 
 def test_inexact_coefficients_rejected():

@@ -10,7 +10,12 @@ from lambda_forge.clifford import enumerate_action, generator_tableaux
 from lambda_forge.field import FieldElem, INV_SQRT2, ONE
 from lambda_forge.gf2 import PauliPoint, all_points, span, x_point, y_point, z_point
 from lambda_forge.pauli import PhasedPauli, QOperator, pauli_mul
+from lambda_forge.orbit import enumerate_family
 from lambda_forge.polytope import (
+    _gf3_add,
+    _gf3_rank,
+    _gf3_rows,
+    _gf3_sub,
     _int_rref,
     decompose,
     enumerate_vertices_n1,
@@ -25,7 +30,7 @@ from lambda_forge.stabilizer import (
     state_label,
 )
 
-from test_golden import certificate_inputs
+from test_golden import _lift_to_three, certificate_inputs
 
 rng = random.Random(9)
 
@@ -199,6 +204,10 @@ def test_int_rref_rank_matches_numpy(rows):
     reduced = [[row.get(c, 0) for c in range(5)] for row in reduced]
     want = int(np.linalg.matrix_rank(np.array(rows, dtype=float))) if rows else 0
     assert len(pivots) == len(reduced) == want
+    # the GF(3) rank never exceeds the rank over Q
+    sparse = [_sparse(row) for row in rows]
+    gf3 = _gf3_rank(map(_gf3_slice, sparse), 5)
+    assert gf3 == _gf3_rank_oracle(sparse, 5) <= want
     assert pivots == sorted(pivots)
     for i, row in enumerate(reduced):
         assert [row[c] != 0 for c in pivots] == [j == i for j in range(len(pivots))]
@@ -210,6 +219,101 @@ def test_int_rref_rank_matches_numpy(rows):
             f = row[c] / prow[c]
             row = [a - f * b for a, b in zip(row, prow)]
         assert not any(row)
+
+
+def _gf3_slice(row):
+    """A sparse integer row bit-sliced over GF(3): the masks of the
+    columns whose entry is 1 and 2 mod 3."""
+    return (
+        sum(1 << c for c, v in row.items() if v % 3 == 1),
+        sum(1 << c for c, v in row.items() if v % 3 == 2),
+    )
+
+
+def _gf3_rank_oracle(rows, width):
+    """Rank mod 3 of sparse integer rows, by row echelon elimination on
+    dense lists, every row read."""
+    basis = {}  # pivot column -> dense row with entry 1 there
+    for sparse in rows:
+        row = [sparse.get(c, 0) % 3 for c in range(width)]
+        for c in range(width):
+            if row[c] and c in basis:
+                f = row[c]
+                row = [(a - f * b) % 3 for a, b in zip(row, basis[c])]
+            elif row[c]:
+                inv = row[c]  # 1 and 2 are their own inverses mod 3
+                basis[c] = [(a * inv) % 3 for a in row]
+                break
+    return len(basis)
+
+
+def test_gf3_add_and_sub_on_single_entries():
+    # every pair of entries, alone and beside other entries at other bits
+    for a in range(3):
+        for b in range(3):
+            for bit in (0, 5, 62):
+                one = 1 << bit
+                sa = (one if a == 1 else 0, one if a == 2 else 0)
+                sb = (one if b == 1 else 0, one if b == 2 else 0)
+                for want, got in (((a + b) % 3, _gf3_add(*sa, *sb)),
+                                  ((a - b) % 3, _gf3_sub(*sa, *sb))):
+                    assert got == (one if want == 1 else 0, one if want == 2 else 0)
+    # all nine pairs side by side, one lane each
+    pairs = [(a, b) for a in range(3) for b in range(3)]
+    sa = _gf3_slice({i: a for i, (a, _) in enumerate(pairs)})
+    sb = _gf3_slice({i: b for i, (_, b) in enumerate(pairs)})
+    assert _gf3_add(*sa, *sb) == _gf3_slice({i: a + b for i, (a, b) in enumerate(pairs)})
+    assert _gf3_sub(*sa, *sb) == _gf3_slice({i: a - b for i, (a, b) in enumerate(pairs)})
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_gf3_rows_are_the_facet_normals(n):
+    rows = _gf3_rows(n)
+    assert list(rows) == [label for label, _, _ in facet_table(n)]
+    for label, P in _facet_oracle(n):
+        normal = {p.key() - 1: int(c.a) for p, c in P.coeffs.items() if not p.is_zero()}
+        assert rows[label] == _gf3_slice(normal)
+
+
+def _vertex_test_inputs():
+    """(operator, GF(3)-certified?) for the family, seeded two-member
+    mixtures, the stabilizer projectors, the n = 1 vertices and seeded
+    lifted n = 3 vertices."""
+    family = [v.operator() for v in enumerate_family()]
+    sample = random.Random(20)
+    mixtures = []
+    for _ in range(48):
+        a, b = sample.sample(family, 2)
+        w = FieldElem(Fraction(sample.randint(1, 7), 8))
+        mixtures.append(a.scale(w) + b.scale(ONE - w))
+    projectors = [P for n in (1, 2) for _, P in _facet_oracle(n)]
+    projectors += [P for _, P in sample.sample(_facet_oracle(3), 12)]
+    heads = [sample.choice(family) for _ in range(4)] + sample.sample(
+        enumerate_vertices_n1(), 4)
+    lifted = certificate_inputs()["lifted_vertices"] + [
+        _lift_to_three(sample, h) for h in heads]
+    return (
+        [(X, True) for X in family]
+        + [(X, False) for X in mixtures + projectors]
+        + [(X, True) for X in enumerate_vertices_n1() + lifted]
+    )
+
+
+def test_gf3_certificate_matches_the_exact_rank():
+    # is_vertex returns what the exact rank alone gives, on vertices (all
+    # certified over GF(3)) and non-vertices (never certified, since the
+    # GF(3) rank is at most the rank over Q)
+    for X, vertex in _vertex_test_inputs():
+        cert = membership(X)
+        width = (1 << (2 * X.n)) - 1
+        rows = _projector_rows(X)
+        exact = len(_int_rref(rows, width)[1])
+        assert (exact == width) == vertex
+        gf3 = _gf3_rank(map(_gf3_slice, rows), width)
+        assert gf3 <= exact and (gf3 == width) == vertex
+        assert is_vertex(X, cert) == (vertex, exact)
+        if not vertex:
+            assert gf3 == _gf3_rank_oracle(rows, width)
 
 
 @lru_cache(maxsize=None)

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -89,6 +90,29 @@ def test_engines_compare_by_value():
         for s in (0, 1):
             assert update_state(L1, a, s) == update_state(L2, a, s)
             assert update_state(L1, a, s) == update_state(L1, a, s)
+
+
+def test_engines_and_lifted_states_pickle():
+    # a pickle round trip rebuilds an equal engine, its pending coin
+    # included, with an equal hash (the cached hash is not carried over)
+    tail = Assignment.from_pairs([(z_point(2, 1), 0), (z_point(2, 2), 1)])
+    plain = ReductionEngine(2, 1, embed_tail_assignment(
+        Assignment.from_pairs([(z_point(1, 1), 1)]), 2, 1))
+    step, pending = ReductionEngine(
+        3, 1, embed_tail_assignment(tail, 3, 1), CliffordTableau.cnot(3, 1, 2)
+    ).process(x_point(3, 2))
+    assert isinstance(step, CoinStep)
+    for eng in (plain, pending, pending.resolve_coin(1)):
+        hash(eng)
+        again = pickle.loads(pickle.dumps(eng))
+        assert again == eng and again is not eng and again._hash is None
+        assert hash(again) == hash(eng)
+        assert again._pending == eng._pending
+    assert pickle.loads(pickle.dumps(pending)).resolve_coin(0) == pending.resolve_coin(0)
+    for eng in (pending, pending.resolve_coin(1)):
+        state = LiftState(eng, cnc_vertices(1)[3])
+        again = pickle.loads(pickle.dumps(state))
+        assert again == state and hash(again) == hash(state)
 
 
 def test_resolve_without_pending():
