@@ -80,12 +80,11 @@ def _facet_row(plus: Sequence[int], minus: Sequence[int]) -> dict[int, int]:
 def _gf3_rows(n: int) -> dict[str, tuple[int, int]]:
     """Each facet normal of `facet_table` bit-sliced over GF(3), by label:
     (ones, twos), the masks of the columns (key k at bit k - 1) whose
-    entry is 1 and those whose entry is -1 = 2."""
+    entry is 1 and those whose entry is -1 = 2.  The keys of a state are
+    distinct, so summing their bits ors them; the shift drops key 0."""
+    bit = (1).__lshift__
     return {
-        label: (
-            sum(1 << (k - 1) for k in plus if k),
-            sum(1 << (k - 1) for k in minus),
-        )
+        label: (sum(map(bit, plus)) >> 1, sum(map(bit, minus)) >> 1)
         for label, plus, minus in facet_table(n)
     }
 
