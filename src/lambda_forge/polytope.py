@@ -17,9 +17,9 @@ minor that is nonzero mod 3 is a nonzero integer, so the rank of an
 integer matrix over GF(3) is at most its rank over Q.  That settles
 every vertex the tests check (the two-qubit family, the one-qubit
 vertices, lifted three-qubit vertices).  Any other outcome proves
-nothing, and the exact rank comes from the second pass, a fraction-free integer reduction that
-stops reading rows once they span the space; so every rank reported
-below full is exact.
+nothing, and the exact rank comes from the second pass, a fraction-free
+integer reduction that stops reading rows once they span the space; so
+every rank reported below full is exact.
 
 Both read one table per qubit count, `facet_table`: for each stabilizer
 state, the packed keys (``PauliPoint.key()``) of the points where its

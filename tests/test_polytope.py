@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from lambda_forge.clifford import enumerate_action, generator_tableaux
 from lambda_forge.field import FieldElem, INV_SQRT2, ONE
 from lambda_forge.gf2 import PauliPoint, all_points, span, x_point, y_point, z_point
-from lambda_forge.pauli import PhasedPauli, QOperator, pauli_mul
 from lambda_forge.orbit import enumerate_family
+from lambda_forge.pauli import PhasedPauli, QOperator, pauli_mul
 from lambda_forge.polytope import (
     _gf3_add,
     _gf3_rank,
@@ -248,7 +248,7 @@ def _gf3_rank_oracle(rows, width):
 
 
 def test_gf3_add_and_sub_on_single_entries():
-    # every pair of entries, alone and beside other entries at other bits
+    # every pair of entries, at three bit positions
     for a in range(3):
         for b in range(3):
             for bit in (0, 5, 62):
