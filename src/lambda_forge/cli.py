@@ -1,10 +1,13 @@
 """Command-line surface: machine-readable JSON in, JSON out.
 
-Exit codes: 0 ok, 1 error, 2 facet violation / non-member, 3 infeasible.
-A usage error (a missing operand, a bad number, an unknown subcommand) is
-an error like any other: exit 1 with a JSON diagnostic.
-All numbers are exact (rational strings, or {a, b} pairs for values with
-a sqrt(2) part); --float renders decimals for human reading only.
+Each ``cmd_*`` returns its document as (status, payload, diagnostics);
+``main`` alone writes it, applies --float and picks the exit code: 0 ok,
+1 error, 2 facet violation / non-member, 3 infeasible.  Every refusal (a
+usage error, an unreadable path, input the program cannot honour) is an
+error: exit 1 with a JSON diagnostic.  All numbers are exact (rational
+strings, or {a, b} pairs for values with a sqrt(2) part); --float renders
+decimals for human reading only.  The DOT text of ``poset --dot`` is the
+one payload written as is.
 """
 
 from __future__ import annotations
@@ -39,20 +42,20 @@ from .simulate import (
 )
 from .stabilizer import Assignment, enumerate_stabilizer_states, state_to_json
 
-EXIT_OK = 0
-EXIT_ERROR = 1
-EXIT_VIOLATION = 2
-EXIT_INFEASIBLE = 3
+EXIT_CODES = {"ok": 0, "error": 1, "violation": 2, "infeasible": 3}
 
 
-def _emit(status: str, payload, diagnostics: str = "", as_float: bool = False) -> int:
-    doc = {"status": status, "payload": payload, "diagnostics": diagnostics}
-    if as_float:
-        doc = _floatify(doc)
-    sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return {"ok": EXIT_OK, "violation": EXIT_VIOLATION, "infeasible": EXIT_INFEASIBLE}.get(
-        status, EXIT_ERROR
-    )
+def _emit(status: str, payload, diagnostics: str, as_float: bool) -> int:
+    """Write one command's document to stdout and return its exit code."""
+    if isinstance(payload, str):  # the DOT text of poset --dot
+        text = payload
+    else:
+        if as_float:
+            payload = _floatify(payload)
+        doc = {"status": status, "payload": payload, "diagnostics": diagnostics}
+        text = json.dumps(doc, indent=2, sort_keys=True)
+    sys.stdout.write(text + "\n")
+    return EXIT_CODES[status]
 
 
 def _floatify(obj):
@@ -82,46 +85,42 @@ def _load_operator(path: str) -> QOperator:
     return QOperator.from_json(_load_json(path))
 
 
-# -- subcommands ---------------------------------------------------------------
-
-
-def cmd_membership(args) -> int:
-    X = _load_operator(args.operator)
-    cert = membership(X)
-    payload = cert.to_json()
-    if args.vertex and cert.is_member:
-        ok, rank = is_vertex(X, cert)
-        payload["vertex"] = ok
-        payload["active_rank"] = rank
-    status = "ok" if cert.is_member else "violation"
-    diag = "" if cert.is_member else f"violated facet {cert.violation}"
-    return _emit(status, payload, diag, args.float)
-
-
-def cmd_vertex(args) -> int:
-    X = _load_operator(args.operator)
+def _certify(X: QOperator):
+    """X's facet certificate and, for a member, its vertex fields."""
     cert = membership(X)
     if not cert.is_member:
-        return _emit(
-            "violation",
-            cert.to_json(),
-            f"not a member: facet {cert.violation}",
-            args.float,
-        )
+        return cert, {}
     ok, rank = is_vertex(X, cert)
-    payload = {"vertex": ok, "active_rank": rank, "active_facets": cert.active}
-    return _emit("ok", payload, "", args.float)
+    return cert, {"vertex": ok, "active_rank": rank}
 
 
-def cmd_enumerate_stabilizers(args) -> int:
+# -- subcommands: each returns (status, payload, diagnostics) ------------------
+
+
+def cmd_membership(args):
+    X = _load_operator(args.operator)
+    cert, fields = _certify(X) if args.vertex else (membership(X), {})
+    if not cert.is_member:
+        return "violation", cert.to_json(), f"violated facet {cert.violation}"
+    return "ok", {**cert.to_json(), **fields}, ""
+
+
+def cmd_vertex(args):
+    cert, fields = _certify(_load_operator(args.operator))
+    if not cert.is_member:
+        return "violation", cert.to_json(), f"not a member: facet {cert.violation}"
+    return "ok", {**fields, "active_facets": cert.active}, ""
+
+
+def cmd_enumerate_stabilizers(args):
     states = enumerate_stabilizer_states(args.n)
     payload = {"n": args.n, "count": len(states)}
     if not args.counts_only:
         payload["states"] = [state_to_json(I, s) for I, s in states]
-    return _emit("ok", payload, "", args.float)
+    return "ok", payload, ""
 
 
-def cmd_cnc(args) -> int:
+def cmd_cnc(args):
     c = CncSet.from_json(_load_json(args.cncset))
     payload = {"n": c.n, "operator": c.operator().to_json()}
     if c.n <= 2:
@@ -136,32 +135,31 @@ def cmd_cnc(args) -> int:
                 {"weight": str(w), "state": piece.to_json()} for w, piece in pieces
             ],
         }
-    return _emit("ok", payload, "", args.float)
+    return "ok", payload, ""
 
 
-def cmd_orbit(args) -> int:
+def cmd_orbit(args):
     if args.count:
         fam = enumerate_family()
         same = family_operator_keys() == clifford_orbit_keys()
         payload = {"count": len(fam), "matches_clifford_orbit": same}
-        return _emit("ok" if same else "violation", payload, "", args.float)
+        return "ok" if same else "violation", payload, ""
     if args.verify_updates:
         stats = verify_update_rules()
         stats["weight_profiles"] = {
             "+".join(str(w) for w in k): v for k, v in stats["weight_profiles"].items()
         }
-        status = "ok" if stats["mismatches"] == 0 else "violation"
-        return _emit(status, stats, "", args.float)
+        return "ok" if stats["mismatches"] == 0 else "violation", stats, ""
     fam = enumerate_family()
     payload = {"count": len(fam), "vertices": [v.to_json() for v in fam]}
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(payload, fh, indent=1, sort_keys=True)
-        return _emit("ok", {"count": len(fam), "written": args.out}, "", args.float)
-    return _emit("ok", payload, "", args.float)
+        return "ok", {"count": len(fam), "written": args.out}, ""
+    return "ok", payload, ""
 
 
-def cmd_phi(args) -> int:
+def cmd_phi(args):
     from .lifting import lift, make_params
 
     X = _load_operator(args.operator)
@@ -176,47 +174,42 @@ def cmd_phi(args) -> int:
     )
     params = make_params(args.n, J, r, tableau)
     lifted = lift(X, params)
-    cert = membership(lifted)
+    cert, fields = _certify(lifted)
     payload = {
         "lifted": lifted.to_json(),
         "tableau": params.tableau.to_json(),
         "member": cert.is_member,
+        **fields,
     }
-    if cert.is_member:
-        ok, rank = is_vertex(lifted, cert)
-        payload["vertex"] = ok
-        payload["active_rank"] = rank
-    return _emit("ok" if cert.is_member else "violation", payload, "", args.float)
+    return "ok" if cert.is_member else "violation", payload, ""
 
 
-def cmd_reduce(args) -> int:
+def cmd_reduce(args):
     from .reduction import reduce_static
     from .simulate import LiftState
 
     doc = _load_json(args.circuit)
     init = descriptor_from_json(doc["initial"])
     if len(init) != 1 or not isinstance(init[0][1], LiftState):
-        return _emit("error", None, "reduce expects a lift-type initial state")
+        raise ValueError("reduce expects a lift-type initial state")
     engine = init[0][1].engine
     steps = steps_from_json(doc["steps"], engine.n)
     if any(cond for _, cond in steps):
-        return _emit("error", None, "reduce handles non-adaptive sequences")
+        raise ValueError("reduce handles non-adaptive sequences")
     coins = [int(b) for b in args.coins] if args.coins else []
-    plan = reduce_static(engine, [p for p, _ in steps], coins)
-    return _emit("ok", plan, "", args.float)
+    return "ok", reduce_static(engine, [p for p, _ in steps], coins), ""
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args):
     doc = _load_json(args.circuit)
     init = descriptor_from_json(doc["initial"])
     n = doc.get("n", init[0][1].n)
     if n != init[0][1].n:
-        return _emit("error", None, f"circuit n = {n!r}, initial state n = {init[0][1].n}")
+        raise ValueError(f"circuit n = {n!r}, initial state n = {init[0][1].n}")
     steps = steps_from_json(doc["steps"], n)
     if args.exact:
         dist = exact_distribution(init, steps)
-        payload = {"mode": "exact", "distribution": distribution_to_json(dist)}
-        return _emit("ok", payload, "", args.float)
+        return "ok", {"mode": "exact", "distribution": distribution_to_json(dist)}, ""
     counts: dict[str, int] = {}
     for t in iter_sample(init, steps, seed=args.seed, shots=args.shots):
         key = ",".join("-" if v is None else str(v) for v in t)
@@ -227,17 +220,14 @@ def cmd_simulate(args) -> int:
         "shots": args.shots,
         "counts": dict(sorted(counts.items())),
     }
-    return _emit("ok", payload, "", args.float)
+    return "ok", payload, ""
 
 
-def cmd_poset(args) -> int:
-    if args.dot:
-        sys.stdout.write(poset_dot() + "\n")
-        return EXIT_OK
-    return _emit("ok", isotropic_poset(), "", args.float)
+def cmd_poset(args):
+    return "ok", poset_dot() if args.dot else isotropic_poset(), ""
 
 
-def cmd_lemma_check(args) -> int:
+def cmd_lemma_check(args):
     import random
 
     from .gf2 import all_points
@@ -249,6 +239,8 @@ def cmd_lemma_check(args) -> int:
     )
     from .stabilizer import stabilizer_projector
 
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     rng = random.Random(args.seed)
     J = tail_subspace(2, 1)
     states2 = enumerate_stabilizer_states(2)
@@ -293,27 +285,27 @@ def cmd_lemma_check(args) -> int:
         and averaged_failures == 0
         and all(v == 0 for k, v in mix.items() if k.startswith("identity"))
     )
-    return _emit("ok" if ok else "violation", payload, "", args.float)
+    return "ok" if ok else "violation", payload, ""
 
 
-def cmd_decompose(args) -> int:
+def cmd_decompose(args):
     from .simulate import decompose_known, state_to_descriptor_json
 
     X = _load_operator(args.operator)
     cert = membership(X)
     if not cert.is_member:
-        return _emit("violation", cert.to_json(), "not a polytope member", args.float)
+        return "violation", cert.to_json(), "not a polytope member"
     try:
         terms = decompose_known(X)
     except ValueError as exc:
-        return _emit("infeasible", None, str(exc), args.float)
+        return "infeasible", None, str(exc)
     payload = {
         "terms": [
             {"weight": w.to_json(), "state": state_to_descriptor_json(st)}
             for w, st in terms
         ]
     }
-    return _emit("ok", payload, "", args.float)
+    return "ok", payload, ""
 
 
 class UsageError(Exception):
@@ -356,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cnc", help="inspect or update a cnc set")
     p.add_argument("cncset")
     p.add_argument("--update", metavar="AXIS")
-    p.add_argument("--outcome", type=int, default=0)
+    p.add_argument("--outcome", type=int, default=0, choices=(0, 1))
     p.set_defaults(func=cmd_cnc)
 
     p = sub.add_parser("orbit", help="the 1920-member two-qubit family")
@@ -408,15 +400,18 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    as_float = False
     try:
         args = _parser().parse_args(argv)
-        return args.func(args)
+        as_float = args.float
+        status, payload, diagnostics = args.func(args)
     except UsageError as exc:
-        return _emit("error", None, f"usage: {exc}")
-    except FileNotFoundError as exc:
-        return _emit("error", None, str(exc))
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
-        return _emit("error", None, f"{type(exc).__name__}: {exc}")
+        status, payload, diagnostics = "error", None, f"usage: {exc}"
+    except OSError as exc:
+        status, payload, diagnostics = "error", None, str(exc)
+    except (ValueError, KeyError) as exc:
+        status, payload, diagnostics = "error", None, f"{type(exc).__name__}: {exc}"
+    return _emit(status, payload, diagnostics, as_float)
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ from .gf2 import (
     swap_halves,
     xor_sums,
 )
-from .pauli import PhasedPauli, QOperator, phase_of_bits
+from .pauli import PhasedPauli, QOperator, phase_of_bits, signed_point
 from .stabilizer import Assignment, stabilizer_projector
 
 #: Largest qubit count ``enumerate_action`` enumerates (11 520 actions at n = 2).
@@ -230,15 +230,7 @@ class CliffordTableau:
             raise ValueError(
                 f"tableau keys must be exactly x1..xn, z1..zn, got {sorted(map(str, obj))}"
             )
-        imgs = []
-        for name in names:
-            label = obj[name]
-            if not isinstance(label, str):
-                raise ValueError(f"generator image {name} must be a Pauli label, got {label!r}")
-            pp = PhasedPauli.from_label(label)
-            if not pp.is_hermitian():
-                raise ValueError("generator images must be Hermitian")
-            imgs.append((pp.point, pp.phase >> 1))
+        imgs = [signed_point(obj[name], f"generator image {name}") for name in names]
         t = CliffordTableau(n, imgs)
         if not t.is_valid():
             raise ValueError("images do not define a symplectic action")

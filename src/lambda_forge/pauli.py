@@ -108,6 +108,17 @@ class PhasedPauli:
         return PhasedPauli(PauliPoint.from_label(text), phase)
 
 
+def signed_point(label, what: str) -> tuple[PauliPoint, int]:
+    """(point, sign bit) of a signed Hermitian Pauli label such as "-XZ";
+    ValueError, naming ``what``, for anything else."""
+    if not isinstance(label, str):
+        raise ValueError(f"{what} must be a Pauli label, got {label!r}")
+    pp = PhasedPauli.from_label(label)
+    if not pp.is_hermitian():
+        raise ValueError(f"{what} must carry a real sign, got {label!r}")
+    return pp.point, pp.phase >> 1
+
+
 def product_phase(v: PauliPoint, w: PauliPoint) -> int:
     """Exponent k in T_v T_w = i^k T_{v+w} (mod 4)."""
     if v.n != w.n:

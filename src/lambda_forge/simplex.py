@@ -99,17 +99,7 @@ def solve_feasibility(
     if any(tab.pop()[width:]):
         return None  # infeasible: the artificial sum stays positive
 
-    # Drive any artificial variables still basic (at value 0) out.
-    for i in range(m):
-        if basis[i] >= ncols:
-            pivot_col = next((j for j in range(ncols) if tab[i][j]), None)
-            if pivot_col is not None:
-                if tab[i][pivot_col] < 0:
-                    tab[i] = [-v for v in tab[i]]  # b_i = 0, so only the scale flips
-                eliminate(tab, i, pivot_col)
-                basis[i] = pivot_col
-            # else: redundant row; harmless, artificial stays at zero
-
+    # An artificial still basic sits at value 0, so its row sets no x_j.
     x = [ZERO] * ncols
     for row, j in zip(tab, basis):
         if j < ncols:

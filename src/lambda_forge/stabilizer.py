@@ -25,7 +25,7 @@ from .gf2 import (
     span,
     xor_sums,
 )
-from .pauli import PhasedPauli, QOperator, phase_of_bits
+from .pauli import QOperator, phase_of_bits, signed_point
 
 
 def check_bit(value, what: str) -> int:
@@ -210,13 +210,14 @@ def _signed_label(p: PauliPoint, value: int) -> str:
 
 
 def state_from_json(obj: Mapping) -> tuple[Subspace, Assignment]:
-    pairs = []
-    for text in obj["generators"]:
-        pp = PhasedPauli.from_label(text)
-        if pp.phase % 2:
-            raise ValueError("stabilizer generators must carry real signs")
-        pairs.append((pp.point, pp.phase >> 1))
-    asg = Assignment.from_pairs(pairs)
+    """Inverse of ``state_to_json``: an object whose "generators" is a list
+    of signed Hermitian labels; ValueError otherwise."""
+    gens = obj.get("generators") if isinstance(obj, Mapping) else None
+    if not isinstance(gens, list):
+        raise ValueError(
+            f"a stabilizer state must be an object with a generator list, got {obj!r}"
+        )
+    asg = Assignment.from_pairs(signed_point(text, "a stabilizer generator") for text in gens)
     return asg.subspace, asg
 
 

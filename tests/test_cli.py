@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lambda_forge import cli
 from lambda_forge.cli import main
@@ -110,9 +115,15 @@ def test_usage_errors_exit_1_with_json(tmp_path, capsys):
         assert "usage: lambda-forge" in capsys.readouterr().out
 
 
-def test_missing_file(capsys):
+def test_missing_file(tmp_path, capsys):
     code, out = run(capsys, "membership", "/nonexistent/op.json")
     assert code == 1
+    # a directory is no more readable than a missing file, as input or as --out
+    for argv in (("membership", str(tmp_path)), ("orbit", "--out", str(tmp_path))):
+        code, out = run(capsys, *argv)
+        doc = json.loads(out)
+        assert code == 1 and doc["status"] == "error"
+        assert "Is a directory" in doc["diagnostics"]
 
 
 def test_enumerate_stabilizers(capsys):
@@ -140,6 +151,13 @@ def test_cnc_command(tmp_path, capsys):
     assert code == 0
     assert payload["maximal"] is False
     assert len(payload["update"]["pieces"]) == 1
+    code, out = run(capsys, "cnc", path, "--update", "ZI", "--outcome", "1")
+    assert code == 0 and json.loads(out)["payload"]["update"]["outcome"] == 1
+    for outcome in ("5", "-2", "2"):
+        code, out = run(capsys, "cnc", path, "--update", "ZI", "--outcome", outcome)
+        doc = json.loads(out)
+        assert code == 1 and doc["status"] == "error"
+        assert doc["diagnostics"].startswith("usage: lambda-forge cnc") and "--outcome" in out
 
 
 def test_simulate_exact_and_sample(tmp_path, capsys):
@@ -309,6 +327,10 @@ def test_nonpositive_counts_rejected(tmp_path, capsys):
     code, out = run(capsys, "enumerate-stabilizers", "0", "--counts-only")
     doc = json.loads(out)
     assert code == 1 and doc["status"] == "error" and doc["diagnostics"]
+    for trials in ("-3", "0"):
+        code, out = run(capsys, "lemma-check", "--trials", trials)
+        doc = json.loads(out)
+        assert code == 1 and doc["status"] == "error" and "--trials" in doc["diagnostics"]
 
 
 def test_simulate_rejects_bad_conditions(tmp_path, capsys):
@@ -469,3 +491,141 @@ def test_simulate_rejects_bad_cnc_descriptor(tmp_path, capsys):
         doc = json.loads(out)
         assert code == 1 and doc["status"] == "error"
         assert doc["diagnostics"].startswith("ValueError: ")
+
+
+def test_lift_state_descriptor_shapes_rejected(tmp_path, capsys):
+    cases = (
+        ("sigma", "x", "generator list"),
+        ("inner", {"type": "stabilizer", "generators": None}, "generator list"),
+        ("inner", {"type": "stabilizer", "generators": [5]}, "Pauli label, got 5"),
+        ("inner", {"type": "stabilizer", "generators": "Z"}, "generator list"),
+    )
+    for field, value, words in cases:
+        circ = {**LIFT_CIRCUIT, "initial": {**LIFT_CIRCUIT["initial"], field: value}}
+        path = write_json(tmp_path / "lift.json", circ)
+        code, out = run(capsys, "simulate", path, "--exact")
+        doc = json.loads(out)
+        assert code == 1 and doc["status"] == "error"
+        assert doc["diagnostics"].startswith("ValueError: ") and words in doc["diagnostics"]
+
+
+def test_reduce_refusals_are_value_errors(tmp_path, capsys):
+    stab = {"n": 1, "initial": {"type": "stabilizer", "generators": ["+Z"]},
+            "steps": [{"measure": "X"}]}
+    adaptive = {**LIFT_CIRCUIT, "steps": [{"measure": "ZZ"}, {"measure": "XX", "if": {"0": 1}}]}
+    for circ, words in ((stab, "lift-type initial state"), (adaptive, "non-adaptive")):
+        path = write_json(tmp_path / "circ.json", circ)
+        code, out = run(capsys, "reduce", path)
+        doc = json.loads(out)
+        assert code == 1 and doc["status"] == "error" and doc["payload"] is None
+        assert doc["diagnostics"].startswith("ValueError: ") and words in doc["diagnostics"]
+
+
+# -- property: every file-reading subcommand on any file exits with a document --
+
+EXIT_BY_STATUS = {"ok": 0, "error": 1, "violation": 2, "infeasible": 3}
+
+CNC_SET = {"omega": ["II", "XI", "YI", "ZI"], "gamma": {"II": 0, "XI": 0, "YI": 1, "ZI": 0}}
+OPERATORS = [ALPHA0, A0A0, T_STATE, {"n": 1, "coeffs": {"I": "1", "X": "1", "Z": "1"}}]
+CIRCUITS = [
+    LIFT_CIRCUIT,
+    {"n": 1, "initial": {"type": "operator", **T_STATE}, "steps": [{"measure": "X"}]},
+    {"n": 2, "initial": {"type": "cnc", **CNC_SET},
+     "steps": [{"measure": "XZ"}, {"measure": "ZZ", "if": {"0": 1}}]},
+    {"n": 2, "initial": {"type": "orbit", "coeffs": ALPHA0["coeffs"]},
+     "steps": [{"measure": "XX"}]},
+    {"n": 1, "initial": {"type": "mixture", "terms": [
+        {"weight": "1/2", "state": {"type": "stabilizer", "generators": ["+Z"]}},
+        {"weight": "1/2", "state": {"type": "stabilizer", "generators": ["-X"]}}]},
+     "steps": [{"measure": "Z"}, {"measure": "X"}]},
+]
+
+WORDS = [
+    "n", "coeffs", "initial", "steps", "measure", "if", "type", "generators", "sigma",
+    "inner", "u", "terms", "weight", "state", "omega", "gamma", "a", "b", "x1", "z1",
+    "cnc", "stabilizer", "orbit", "lift", "mixture", "operator", "0", "1", "1/2", "-1",
+    "I", "X", "Z", "Y", "II", "XZ", "ZZ", "IX", "+Z", "-X", "+iZ", "+XX", "-ZI",
+]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from(WORDS) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(WORDS) | st.text(max_size=3), inner, max_size=4),
+    max_leaves=10,
+)
+
+
+def field_paths(doc, prefix=()):
+    """The path of every field nested in doc, as key/index tuples."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return
+    for k, v in items:
+        yield prefix + (k,)
+        yield from field_paths(v, prefix + (k,))
+
+
+def field_value(doc, path):
+    for k in path:
+        doc = doc[k]
+    return doc
+
+
+# every field of every fixture, kept as text so that each draw is a fresh
+# copy: half the replacements draw one, so a replaced field often reads as
+# a plausible one
+FIELDS = [json.dumps(field_value(doc, path)) for doc in [CNC_SET] + OPERATORS + CIRCUITS
+          for path in field_paths(doc)]
+REPLACEMENTS = st.sampled_from(FIELDS).map(json.loads) | JSON_VALUES
+
+
+@st.composite
+def input_files(draw, fixtures):
+    """Any JSON value, or a fixture with one field replaced by one."""
+    if draw(st.booleans()):
+        return draw(JSON_VALUES)
+    doc = json.loads(json.dumps(draw(st.sampled_from(fixtures))))
+    path = draw(st.sampled_from(list(field_paths(doc))))
+    field_value(doc, path[:-1])[path[-1]] = draw(REPLACEMENTS)
+    return doc
+
+
+OPERATOR_ARGV = st.sampled_from([
+    ["membership"], ["membership", "--vertex"], ["vertex"], ["decompose"],
+    ["phi", "--n", "2", "--j", "IZ", "--r", "1"], ["phi", "--n", "3", "--j", "IIZ", "--r", "0"],
+])
+CNC_ARGV = st.just(["cnc"]) | st.builds(
+    lambda axis, s: ["cnc", "--update", axis, "--outcome", s],
+    st.sampled_from(["XI", "ZI", "ZZ", "YX", "X"]), st.sampled_from(["0", "1"]))
+CIRCUIT_ARGV = (
+    st.sampled_from([["reduce"], ["simulate", "--exact"]])
+    | st.builds(lambda c: ["reduce", "--coins", c], st.text("01x", max_size=4))
+    | st.builds(lambda k, s: ["simulate", "--shots", str(k), "--seed", str(s)],
+                st.integers(1, 64), st.integers(0, 2**32))
+)
+INVOCATIONS = (
+    st.tuples(OPERATOR_ARGV, input_files(OPERATORS))
+    | st.tuples(CNC_ARGV, input_files([CNC_SET]))
+    | st.tuples(CIRCUIT_ARGV, input_files(CIRCUITS))
+)
+
+
+@settings(max_examples=250)
+@given(INVOCATIONS)
+def test_every_file_reading_command_exits_with_a_document(invocation):
+    head, content = invocation
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "input.json")
+        with open(path, "w") as fh:
+            json.dump(content, fh)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(head[:1] + [path] + head[1:])
+    doc = json.loads(out.getvalue())
+    assert set(doc) == {"status", "payload", "diagnostics"}
+    assert code == EXIT_BY_STATUS[doc["status"]]
+    assert doc["status"] != "error" or doc["diagnostics"]

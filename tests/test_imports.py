@@ -41,3 +41,18 @@ def test_package_imports_are_all_used():
         p.name: found for p in modules if (found := unused_imports(ast.parse(p.read_text())))
     }
     assert unused == {}
+
+
+def test_cli_renders_its_document_in_main_alone():
+    # commands return (status, payload, diagnostics); main writes it
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    emits, float_reads = set(), set()
+    for fn in tree.body:
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_emit":
+                emits.add(fn.name)
+            if isinstance(node, ast.Attribute) and node.attr == "float":
+                float_reads.add(fn.name)
+    assert emits == {"main"} and float_reads == {"main"}

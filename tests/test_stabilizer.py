@@ -155,6 +155,11 @@ def test_json_and_labels():
     obj = {"generators": ["−ZI", "+IZ"]}
     I2, s2 = state_from_json(obj)
     assert s2.value(z_point(2, 1)) == 1
+    # a generator list of signed Hermitian labels, and nothing else
+    for obj in ("x", ["+Z"], {}, {"generators": None}, {"generators": "Z"},
+                {"generators": [5]}, {"generators": ["+iZ"]}):
+        with pytest.raises(ValueError):
+            state_from_json(obj)
 
 
 def test_all_assignments_count():
