@@ -189,11 +189,11 @@ def cmd_reduce(args):
     from .simulate import LiftState
 
     doc = _load_json(args.circuit)
-    init = descriptor_from_json(doc["initial"])
+    init = descriptor_from_json(doc.get("initial"))
     if len(init) != 1 or not isinstance(init[0][1], LiftState):
         raise ValueError("reduce expects a lift-type initial state")
     engine = init[0][1].engine
-    steps = steps_from_json(doc["steps"], engine.n)
+    steps = steps_from_json(doc.get("steps"), engine.n)
     if any(cond for _, cond in steps):
         raise ValueError("reduce handles non-adaptive sequences")
     coins = [int(b) for b in args.coins] if args.coins else []
@@ -202,11 +202,11 @@ def cmd_reduce(args):
 
 def cmd_simulate(args):
     doc = _load_json(args.circuit)
-    init = descriptor_from_json(doc["initial"])
+    init = descriptor_from_json(doc.get("initial"))
     n = doc.get("n", init[0][1].n)
     if n != init[0][1].n:
         raise ValueError(f"circuit n = {n!r}, initial state n = {init[0][1].n}")
-    steps = steps_from_json(doc["steps"], n)
+    steps = steps_from_json(doc.get("steps"), n)
     if args.exact:
         dist = exact_distribution(init, steps)
         return "ok", {"mode": "exact", "distribution": distribution_to_json(dist)}, ""
@@ -409,7 +409,7 @@ def main(argv=None) -> int:
         status, payload, diagnostics = "error", None, f"usage: {exc}"
     except OSError as exc:
         status, payload, diagnostics = "error", None, str(exc)
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         status, payload, diagnostics = "error", None, f"{type(exc).__name__}: {exc}"
     return _emit(status, payload, diagnostics, as_float)
 

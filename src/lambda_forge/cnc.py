@@ -195,7 +195,7 @@ class CncSet:
         n = self.n
         if a.n != n:
             raise ValueError("qubit count mismatch")
-        s &= 1
+        check_bit(s, "outcome")
         vals, az, ax, ka = self._vals, a.z, a.x, a.key()
         outside = ka not in vals
         if not outside and s != vals[ka]:
@@ -232,7 +232,7 @@ class CncSet:
 
     @staticmethod
     def from_json(obj: Mapping) -> "CncSet":
-        omega, gamma = obj["omega"], obj["gamma"]
+        omega, gamma = obj.get("omega"), obj.get("gamma")
         if not (isinstance(omega, list) and all(isinstance(lbl, str) for lbl in omega)
                 and isinstance(gamma, Mapping)):
             raise ValueError("a cnc set needs an omega list of Pauli labels and a gamma object")

@@ -54,7 +54,7 @@ class PauliPoint:
         """Parse a Pauli label such as "XZ" (leftmost character = qubit 1)."""
         label = label.strip()
         if label and label[0] in "+-":
-            raise ValueError("use SignedPauli parsing for sign-prefixed labels")
+            raise ValueError("use pauli.signed_point for sign-prefixed labels")
         n = len(label)
         if n == 0:
             raise ValueError("empty Pauli label")

@@ -65,7 +65,7 @@ from .gf2 import (
     symplectic_form,
 )
 from .pauli import QOperator, beta, pauli_projector, phase_of_bits
-from .stabilizer import Assignment, all_assignments
+from .stabilizer import Assignment, all_assignments, check_bit
 
 #: Pauli expectations of the flagship vertex, row order II..YY.
 ALPHA0_TABLE = {
@@ -350,7 +350,7 @@ def measure_update(
         raise ValueError("measurement axis must be nonzero")
     if a.n != 2:
         raise ValueError("qubit count mismatch")
-    s &= 1
+    check_bit(s, "outcome")
     D = 2
     alpha = vertex._twice_coeffs  # times D
     az, ax, ka = a.z, a.x, a.key()

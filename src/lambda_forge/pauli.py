@@ -434,7 +434,9 @@ class QOperator:
 
     @staticmethod
     def from_json(obj: Mapping) -> "QOperator":
-        n, coeffs = obj["n"], obj.get("coeffs", {})
+        if not isinstance(obj, Mapping):
+            raise ValueError(f"an operator must be an object, got {obj!r}")
+        n, coeffs = obj.get("n"), obj.get("coeffs", {})
         if not isinstance(n, int) or isinstance(n, bool):
             raise ValueError(f"operator qubit count n must be an integer, got {n!r}")
         if not isinstance(coeffs, Mapping):

@@ -51,7 +51,7 @@ def facet_table(n: int) -> tuple:
     """Per-state evaluation data, in enumeration order: (label, plus,
     minus).  plus and minus hold the keys of the points of I where the
     state's sign is +1 and -1, in ``Subspace.points()`` order, read off
-    the state's ``key_items`` (integer keys and the beta fold of I, no
+    the state's ``key_items`` (integer keys and values, no
     ``PauliPoint``)."""
     table = []
     for I, s in enumerate_stabilizer_states(n):

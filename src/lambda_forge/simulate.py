@@ -61,7 +61,7 @@ from .orbit import (
 from .pauli import QOperator
 from .polytope import decompose
 from .reduction import CoinStep, FixedStep, ReductionEngine, embed_tail_assignment
-from .stabilizer import Assignment, state_from_json, state_to_json
+from .stabilizer import Assignment, check_bit, state_from_json, state_to_json
 
 
 class UnsupportedDescriptor(ValueError):
@@ -100,6 +100,7 @@ def update_state(state: State, a: PauliPoint, s: int) -> list[tuple[FieldElem, S
     probability; exact at every branch."""
     if not isinstance(state, (CncSet, OrbitVertex, LiftState)):
         raise UnsupportedDescriptor(f"unknown descriptor {type(state).__name__}")
+    check_bit(s, "outcome")
     # memoized: branch trees and shots revisit the same (state, axis) pairs
     return list(_cached_update(state, a, s))
 
@@ -113,13 +114,13 @@ def _cached_update(state: State, a: PauliPoint, s: int) -> tuple[tuple[FieldElem
     else:
         step, engine = state.engine.process(a)
         if isinstance(step, FixedStep):
-            pieces = [] if step.outcome != (s & 1) else [(ONE, LiftState(engine, state.inner))]
+            pieces = [] if step.outcome != s else [(ONE, LiftState(engine, state.inner))]
         elif isinstance(step, CoinStep):
-            pieces = [(HALF, LiftState(engine.resolve_coin(s & 1), state.inner))]
+            pieces = [(HALF, LiftState(engine.resolve_coin(s), state.inner))]
         else:
             pieces = [
                 (w, LiftState(engine, inner))
-                for w, inner in update_state(state.inner, step.point, (s ^ step.flip) & 1)
+                for w, inner in update_state(state.inner, step.point, s ^ step.flip)
             ]
     return tuple((FieldElem.coerce(w), piece) for w, piece in pieces)
 
@@ -395,11 +396,11 @@ def descriptor_from_json(obj: Mapping) -> list[tuple[FieldElem, State]]:
         _, asg = state_from_json(obj)
         return [(ONE, CncSet.from_assignment(asg))]
     if kind == "orbit":
-        op = QOperator.from_json({"n": 2, "coeffs": obj["coeffs"]})
+        op = QOperator.from_json({"n": 2, "coeffs": obj.get("coeffs")})
         return [(ONE, classify_operator(op))]
     if kind == "lift":
-        inner = descriptor_from_json(obj["inner"])
-        _, tail_asg = state_from_json(obj["sigma"])
+        inner = descriptor_from_json(obj.get("inner"))
+        _, tail_asg = state_from_json(obj.get("sigma"))
         m = inner[0][1].n
         n = m + tail_asg.subspace.n
         sigma = embed_tail_assignment(tail_asg, n, m)
@@ -409,12 +410,12 @@ def descriptor_from_json(obj: Mapping) -> list[tuple[FieldElem, State]]:
         engine = ReductionEngine(n, m, sigma, unitary)
         return [(w, LiftState(engine, st)) for w, st in inner]
     if kind == "mixture":
-        terms = obj["terms"]
+        terms = obj.get("terms")
         if not isinstance(terms, list) or not all(isinstance(t, Mapping) for t in terms):
             raise ValueError("mixture terms must be a list of objects")
         out = []
-        for w, term in check_weights((FieldElem.from_json(t["weight"]), t) for t in terms):
-            for w2, st in descriptor_from_json(term["state"]):
+        for w, term in check_weights((FieldElem.from_json(t.get("weight")), t) for t in terms):
+            for w2, st in descriptor_from_json(term.get("state")):
                 out.append((w * w2, st))
         if len({st.n for _, st in out}) > 1:
             raise ValueError("mixture terms differ in qubit count")

@@ -2,17 +2,18 @@
 
 A value assignment s on an isotropic subspace J fixes the measurement
 sign (-1)^{s(v)} of every T_v, v in J.  Assignments are stored on the
-canonical basis rows only; the value at any other point is derived by
-folding through the product signs, so consistency
+canonical basis rows only; the value at any other point is read in one
+walk over the rows it selects, adding each row's value and the product
+sign beta(product so far, row), so consistency
 
     s(v + w) = s(v) + s(w) + beta(v, w)
 
-holds by construction and inconsistent assignments cannot be built.
+holds by construction and inconsistent assignments cannot be built.  A
+read costs one step per row, never a table over the 2^dim points.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import product
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -23,7 +24,6 @@ from .gf2 import (
     enumerate_maximal_isotropics,
     solve_affine,
     span,
-    xor_sums,
 )
 from .pauli import QOperator, phase_of_bits, signed_point
 
@@ -71,22 +71,17 @@ class Assignment:
         pairs = list(pairs)
         sub = span([p for p, _ in pairs], n)
         # Solve for row values: each given pair yields a linear condition
-        # on the row bits, with the beta fold as affine offset.
-        folds = _fold_bits(sub)
-        eqs = []
-        rhs = []
-        for p, val in pairs:
-            mask = sub.row_mask(p.key())
-            eqs.append(mask)
-            rhs.append(check_bit(val, "assignment values") ^ folds[mask])
+        # on the row bits, with its value under all-zero rows (the beta
+        # fold of the rows it selects) as affine offset.
+        zero = Assignment.zero(sub)
+        eqs = [sub.row_mask(p.key()) for p, _ in pairs]
+        rhs = [
+            check_bit(val, "assignment values") ^ zero._key_value(p.key()) for p, val in pairs
+        ]
         solved = solve_affine(eqs, rhs, sub.dim)
         if solved is None:
             raise ValueError("inconsistent value assignment")
         return Assignment(sub, [solved[0] >> i & 1 for i in range(sub.dim)])
-
-    def _value_bits(self) -> int:
-        """The row values as a mask, row i at bit i."""
-        return sum(v << i for i, v in enumerate(self.row_values))
 
     def value(self, p: PauliPoint) -> int:
         value = self._key_value(p.key())
@@ -95,18 +90,33 @@ class Assignment:
         return value
 
     def _key_value(self, key: int) -> Optional[int]:
-        """``value`` on ``PauliPoint.key()``, or None outside the domain."""
-        mask = self.subspace.row_mask(key)
-        if mask is None:
-            return None
-        return (_fold_bits(self.subspace)[mask] ^ (mask & self._value_bits()).bit_count()) & 1
+        """``value`` on ``PauliPoint.key()``, or None outside the domain:
+        reduce the key by the canonical rows, and for each row it selects
+        add that row's value and beta(product so far, row)."""
+        n = self.subspace.n
+        low = (1 << n) - 1
+        acc = value = 0
+        for r, v in zip(self.subspace.rows, self.row_values):
+            if key >> (r.bit_length() - 1) & 1:
+                key ^= r
+                value ^= v ^ (phase_of_bits(acc >> n, acc & low, r >> n, r & low) >> 1)
+                acc ^= r
+        return None if key else value
 
     def key_items(self) -> Iterator[tuple[int, int]]:
         """(``PauliPoint.key()``, value) for every point of the domain, in
-        ``Subspace.points()`` order."""
-        sub, bits = self.subspace, self._value_bits()
-        for mask, (key, fold) in enumerate(zip(xor_sums(sub.rows), _fold_bits(sub))):
-            yield key, (fold ^ (mask & bits).bit_count()) & 1
+        ``Subspace.points()`` order: appending row r with value v to a
+        product that sums to k with value s gives k ^ r the value
+        s ^ v ^ beta(k, r)."""
+        n = self.subspace.n
+        low = (1 << n) - 1
+        items = [(0, 0)]
+        for r, v in zip(self.subspace.rows, self.row_values):
+            rz, rx = r >> n, r & low
+            items += [
+                (k ^ r, s ^ v ^ (phase_of_bits(k >> n, k & low, rz, rx) >> 1)) for k, s in items
+            ]
+        return iter(items)
 
     def __eq__(self, other):
         return (
@@ -123,29 +133,6 @@ class Assignment:
             _signed_label(p, v) for p, v in zip(self.subspace.basis_points(), self.row_values)
         )
         return f"Assignment[{gens or '0'}]"
-
-
-@lru_cache(maxsize=4096)
-def _fold_bits(sub: Subspace) -> tuple[int, ...]:
-    """The beta fold of every point of sub, by row mask in ``xor_sums``
-    order: the sign bit accumulated by multiplying the selected rows in
-    row order, T_{r_0 + ... + r_k} = (-1)^fold T_{r_0} ... T_{r_k}.
-
-    A point's value under an assignment is its fold plus the parity of
-    the row values it selects.  Built in one pass: appending row r to a
-    product that already sums to v adds beta(v, r), read off the packed
-    halves by ``phase_of_bits``.
-    """
-    n = sub.n
-    low = (1 << n) - 1
-    sums, folds = [0], [0]
-    for r in sub.rows:
-        rz, rx = r >> n, r & low
-        folds += [
-            f ^ (phase_of_bits(v >> n, v & low, rz, rx) >> 1) for v, f in zip(sums, folds)
-        ]
-        sums += [v ^ r for v in sums]
-    return tuple(folds)
 
 
 def all_assignments(subspace: Subspace) -> Iterator[Assignment]:

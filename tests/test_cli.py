@@ -10,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from lambda_forge import cli
 from lambda_forge.cli import main
+from lambda_forge.pauli import QOperator
+from lambda_forge.simulate import descriptor_from_json, steps_from_json
 
 
 def run(capsys, *argv):
@@ -305,6 +307,62 @@ def test_decompose_nonmember_exit(tmp_path, capsys):
     assert code == 2
 
 
+def test_decompose_refuses_a_lifted_member(tmp_path, capsys):
+    path = write_json(tmp_path / "a0.json", ALPHA0)
+    code, out = run(capsys, "phi", path, "--n", "3", "--j", "IIZ", "--r", "0")
+    lifted = write_json(tmp_path / "lifted.json", json.loads(out)["payload"]["lifted"])
+    code, out = run(capsys, "decompose", lifted)
+    doc = json.loads(out)
+    assert code == 3 and doc["status"] == "infeasible" and doc["payload"] is None
+    assert "decomposed only for n <= 2" in doc["diagnostics"]
+
+
+def test_vertex_on_a_nonmember(tmp_path, capsys):
+    path = write_json(tmp_path / "aa.json", A0A0)
+    code, out = run(capsys, "vertex", path)
+    doc = json.loads(out)
+    assert code == 2 and doc["status"] == "violation"
+    assert doc["diagnostics"].startswith("not a member: facet ")
+    assert doc["payload"]["violation_value"] == "-1/2"
+
+
+def test_enumerate_stabilizers_lists_the_states(capsys):
+    code, out = run(capsys, "enumerate-stabilizers", "1")
+    doc = json.loads(out)
+    assert code == 0 and doc["payload"]["count"] == 6
+    assert sorted(g for s in doc["payload"]["states"] for g in s["generators"]) == [
+        "+X", "+Y", "+Z", "-X", "-Y", "-Z"
+    ]
+
+
+def test_orbit_outputs(tmp_path, capsys):
+    code, out = run(capsys, "orbit", "--count")
+    doc = json.loads(out)
+    assert code == 0 and doc["payload"] == {"count": 1920, "matches_clifford_orbit": True}
+    code, out = run(capsys, "orbit")
+    listed = json.loads(out)["payload"]
+    assert code == 0 and listed["count"] == len(listed["vertices"]) == 1920
+    target = str(tmp_path / "family.json")
+    code, out = run(capsys, "orbit", "--out", target)
+    assert code == 0 and json.loads(out)["payload"] == {"count": 1920, "written": target}
+    with open(target) as fh:
+        assert json.load(fh) == listed
+
+
+def test_reduce_plan_with_a_fixed_step(tmp_path, capsys):
+    """U conj(IX) is the tail stabilizer -X, so the first step is fixed at
+    outcome 1; ZI reads the head Z."""
+    initial = {**LIFT_CIRCUIT["initial"], "sigma": {"generators": ["-X"]}}
+    circ = {"n": 2, "initial": initial, "steps": [{"measure": "IX"}, {"measure": "ZI"}]}
+    code, out = run(capsys, "reduce", write_json(tmp_path / "fixed.json", circ))
+    doc = json.loads(out)
+    assert code == 0 and doc["payload"]["coins"] == []
+    assert doc["payload"]["steps"] == [
+        {"kind": "fixed", "step": 0, "outcome": 1},
+        {"kind": "measure", "step": 1, "observable": "Z", "flip": 0},
+    ]
+
+
 def test_emitted_operator_json_round_trips(tmp_path, capsys):
     path = write_json(tmp_path / "a.json", ALPHA0)
     code, out = run(capsys, "membership", path, "--vertex")
@@ -585,12 +643,17 @@ REPLACEMENTS = st.sampled_from(FIELDS).map(json.loads) | JSON_VALUES
 
 @st.composite
 def input_files(draw, fixtures):
-    """Any JSON value, or a fixture with one field replaced by one."""
+    """Any JSON value, or a fixture with one field deleted or replaced by
+    one."""
     if draw(st.booleans()):
         return draw(JSON_VALUES)
     doc = json.loads(json.dumps(draw(st.sampled_from(fixtures))))
     path = draw(st.sampled_from(list(field_paths(doc))))
-    field_value(doc, path[:-1])[path[-1]] = draw(REPLACEMENTS)
+    parent = field_value(doc, path[:-1])
+    if draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(REPLACEMENTS)
     return doc
 
 
@@ -629,3 +692,29 @@ def test_every_file_reading_command_exits_with_a_document(invocation):
     assert set(doc) == {"status", "payload", "diagnostics"}
     assert code == EXIT_BY_STATUS[doc["status"]]
     assert doc["status"] != "error" or doc["diagnostics"]
+
+
+# -- property: the JSON readers return a value or raise ValueError --
+
+DESCRIPTORS = [c["initial"] for c in CIRCUITS] + [
+    {"type": "stabilizer", "generators": ["+XZ", "-ZX"]},
+]
+READINGS = (
+    st.tuples(st.just(descriptor_from_json), input_files(DESCRIPTORS))
+    | st.sampled_from(CIRCUITS).flatmap(lambda c: st.tuples(
+        st.just(lambda steps: steps_from_json(steps, c["n"])), input_files([c["steps"]])))
+    | st.tuples(st.just(QOperator.from_json), input_files(OPERATORS))
+)
+
+
+@settings(max_examples=200)
+@given(READINGS)
+def test_json_readers_return_or_raise_value_error(reading):
+    """A mutated descriptor, step list or operator document is read or
+    refused with ValueError (a missing field included), never another
+    exception."""
+    reader, doc = reading
+    try:
+        reader(doc)
+    except ValueError:
+        pass

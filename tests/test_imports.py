@@ -56,3 +56,15 @@ def test_cli_renders_its_document_in_main_alone():
             if isinstance(node, ast.Attribute) and node.attr == "float":
                 float_reads.add(fn.name)
     assert emits == {"main"} and float_reads == {"main"}
+
+
+def test_cli_main_maps_exactly_the_user_errors():
+    # a KeyError or TypeError from a defect must surface, not read as bad input
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    main = next(fn for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name == "main")
+    caught = []
+    for node in ast.walk(main):
+        if isinstance(node, ast.ExceptHandler):
+            names = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            caught += [name.id for name in names]
+    assert sorted(caught) == ["OSError", "UsageError", "ValueError"]

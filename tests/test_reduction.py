@@ -18,10 +18,14 @@ from lambda_forge.reduction import (
 )
 from lambda_forge.cnc import CncSet, cnc_vertices
 from lambda_forge.pauli import PhasedPauli, pauli_mul
+from lambda_forge.orbit import enumerate_family
 from lambda_forge.simulate import (
     LiftState,
     born_distribution,
+    descriptor_from_json,
+    exact_distribution,
     reduced_distribution,
+    sample,
     state_operator,
     state_to_descriptor_json,
     update_state,
@@ -335,3 +339,88 @@ def test_engine_matches_reference_on_seeded_frames():
                     assert nxt.resolve_coin(c).conj == _reference_resolve_coin(nxt, pending, c)
                 eng = nxt.resolve_coin(local.randint(0, 1))
     assert kinds == {FixedStep, MeasureStep, CoinStep}
+
+
+# -- paper result (ii) on a wide tail -------------------------------------------
+
+
+def _wide_tail_circuit(local, n, m, steps):
+    """Seeded steps T_h (x) Z(t): an m-qubit head point h, zero for one
+    fixed step, and a nonempty set t of tail qubits, as (n-qubit point, h,
+    t)."""
+    heads = [local.choice(all_points(m)) for _ in range(steps - 1)] + [PauliPoint.zero(m)]
+    local.shuffle(heads)
+    out = []
+    for h in heads:
+        t = local.sample(range(n - m), local.randint(1, n - m))
+        z = h.z | sum(1 << (m + q) for q in t)
+        out.append((PauliPoint(n, z, h.x), h, t))
+    return out
+
+
+def test_wide_tail_lift_reduces_to_its_head():
+    """A family member lifted with a 38-qubit tail stabilizer state of
+    seeded Z signs: each step's tail lies in sigma, so the lifted law is
+    the head's Born law with every outcome flipped by the parity of the
+    tail signs the step selects.  Reading a sign walks sigma's rows once,
+    so no step costs 2^(n - m)."""
+    local = random.Random(2238)
+    n, m = 40, 2
+    member = enumerate_family()[local.randrange(1920)]
+    signs = [local.randint(0, 1) for _ in range(n - m)]
+    tail = Assignment.from_pairs([(z_point(n - m, q + 1), s) for q, s in enumerate(signs)])
+    engine = ReductionEngine(n, m, embed_tail_assignment(tail, n, m))
+    circuit = _wide_tail_circuit(local, n, m, 6)
+    steps = [a for a, _, _ in circuit]
+    assert {type(engine.process(a)[0]) for a in steps} == {FixedStep, MeasureStep}
+
+    head_steps = [h for _, h, _ in circuit if not h.is_zero()]
+    flips = [sum(signs[q] for q in t) & 1 for _, _, t in circuit]
+    want = {}
+    for head_outcomes, p in born_distribution(member.operator(), head_steps).items():
+        it = iter(head_outcomes)
+        key = tuple((0 if h.is_zero() else next(it)) ^ f for (_, h, _), f in zip(circuit, flips))
+        want[key] = p
+
+    state = LiftState(engine, member)
+    assert exact_distribution([(ONE, state)], steps) == want
+    assert reduced_distribution(member.operator(), engine, steps) == want
+    assert set(sample([(ONE, state)], steps, seed=2238, shots=64)) <= set(want)
+    doc = {
+        "type": "lift",
+        "sigma": {"generators": [
+            ("-" if s else "+") + z_point(n - m, q + 1).label() for q, s in enumerate(signs)
+        ]},
+        "inner": {"type": "orbit", "coeffs": member.operator().to_json()["coeffs"]},
+    }
+    assert exact_distribution(descriptor_from_json(doc), steps) == want
+
+
+def test_key_value_matches_the_signed_generator_products():
+    """On a 30-dimensional isotropic subspace moved by a seeded Clifford
+    word, the sign of every sampled product of signed generators, taken
+    in any order with ``pauli_mul``, is the assignment's value there."""
+    local = random.Random(30)
+    n = 30
+    gens = [(z_point(n, q), local.randint(0, 1)) for q in range(1, n + 1)]
+    for _ in range(4 * n):
+        q, r = local.sample(range(1, n + 1), 2)
+        gate = local.choice([
+            CliffordTableau.hadamard(n, q), CliffordTableau.phase_gate(n, q),
+            CliffordTableau.cnot(n, q, r),
+        ])
+        gens = [(img.point, s ^ (img.phase >> 1)) for img, s in
+                ((gate.apply_point(p), s) for p, s in gens)]
+    asg = Assignment.from_pairs(gens)
+    assert asg.subspace.dim == n
+    for _ in range(200):
+        chosen = local.sample(gens, local.randint(1, n))
+        prod = PhasedPauli(PauliPoint.zero(n))
+        for p, s in chosen:
+            prod = pauli_mul(prod, PhasedPauli(p, 2 * s))
+        assert prod.phase in (0, 2)
+        assert asg._key_value(prod.point.key()) == prod.phase >> 1
+    outside = next(
+        x_point(n, q) for q in range(1, n + 1) if not asg.subspace.contains(x_point(n, q))
+    )
+    assert asg._key_value(outside.key()) is None

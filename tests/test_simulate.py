@@ -12,7 +12,13 @@ from lambda_forge.clifford import CliffordTableau, generator_tableaux
 from lambda_forge.cnc import CncSet, cnc_vertices
 from lambda_forge.field import FieldElem, HALF, INV_SQRT2, ONE, ZERO
 from lambda_forge.gf2 import PauliPoint, all_points, x_point, y_point, z_point
-from lambda_forge.orbit import OrbitVertex, alpha0_vertex, classify_operator, enumerate_family
+from lambda_forge.orbit import (
+    OrbitVertex,
+    alpha0_vertex,
+    classify_operator,
+    enumerate_family,
+    measure_update as orbit_update,
+)
 from lambda_forge.pauli import QOperator
 from lambda_forge.polytope import decompose
 from lambda_forge.reduction import ReductionEngine, embed_tail_assignment
@@ -104,6 +110,19 @@ def test_cnc_update_exhaustive_n2():
                     rebuilt = rebuilt + piece.operator().scale(w)
                 assert rebuilt == op.project(a, s)
             assert exact_distribution([(ONE, c)], [a]) == born_distribution(op, [a])
+
+
+@pytest.mark.parametrize("s", [5, -2, True])
+def test_update_rules_refuse_outcomes_other_than_0_or_1(s):
+    c, a = cnc_vertices(2)[0], z_point(2, 1)
+    vertex = classify_operator(alpha0_vertex())
+    for update in (
+        lambda: simulate.update_state(c, a, s),
+        lambda: c.measure_update(a, s),
+        lambda: orbit_update(vertex, a, s),
+    ):
+        with pytest.raises(ValueError, match="outcome must be the ints 0 or 1"):
+            update()
 
 
 def test_magic_state_probabilities():
