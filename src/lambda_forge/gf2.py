@@ -13,6 +13,7 @@ and hash equal.
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Iterable, Iterator, Optional, Sequence
 
 #: Cap for the maximal-isotropic enumeration, and so for the stabilizer
@@ -216,12 +217,6 @@ def affine_solutions(rows: Sequence[int], rhs: Sequence[int], width: int) -> lis
     return [particular ^ h for h in xor_sums(null_basis[::-1])]
 
 
-def _perp_basis(rows: Sequence[int], n: int) -> list[int]:
-    """A basis of the symplectic complement of the span of packed rows."""
-    swapped = [swap_halves(r, n) for r in rows]
-    return solve_affine(swapped, [0] * len(swapped), 2 * n)[1]
-
-
 class Subspace:
     """A linear subspace of E_n in canonical reduced echelon form."""
 
@@ -281,7 +276,8 @@ class Subspace:
 
     def perp(self) -> "Subspace":
         """The symplectic complement {v : [v, w] = 0 for all w here}."""
-        return Subspace(self.n, _perp_basis(self.rows, self.n))
+        swapped = [swap_halves(r, self.n) for r in self.rows]
+        return Subspace(self.n, solve_affine(swapped, [0] * self.dim, 2 * self.n)[1])
 
     def __eq__(self, other):
         return (
@@ -317,30 +313,35 @@ def all_points(n: int, include_zero: bool = True) -> list[PauliPoint]:
 def enumerate_maximal_isotropics(n: int) -> list[Subspace]:
     """All n-dimensional isotropic subspaces of E_n, canonically ordered.
 
-    Exhaustive breadth-first growth on packed rows; fine for n <=
-    ENUMERATION_BOUND.  An isotropic subspace grows by a point of its
-    perp outside it, and every point of one coset of it gives the same
-    larger subspace, so only the coset representatives reduced against
-    its rows (``reduce_key(k) == k``, zero at every pivot) are tried.
-    The counts are prod_{k=1}^{n} (2^k + 1): 3, 15, 135, 2295 for
-    n = 1..4.
+    Closed form, for n <= ENUMERATION_BOUND.  Such a subspace is fixed by
+    its X-projection V, with reduced rows x_i and pivots p_i, and a
+    symmetric form b on V: its rows are (z_i, x_i) with z_i = sum_j b_ij
+    e_{p_j} (so z_i . x_j = b_ij and the rows commute) and (u, 0) for a
+    basis u of V's orthogonal complement.  The counts are
+    sum_k [n k]_2 2^(k(k+1)/2) = prod_{k=1}^{n} (2^k + 1): 3, 15, 135,
+    2295 for n = 1..4.
     """
     if n < 1:
         raise ValueError("qubit count must be positive")
     if n > ENUMERATION_BOUND:
         raise ValueError(f"maximal-isotropic enumeration capped at n={ENUMERATION_BOUND}")
-    level: set[tuple[int, ...]] = {()}
-    for _ in range(n):
-        nxt: set[tuple[int, ...]] = set()
-        for rows in level:
-            pivots = 0
-            for r in rows:
-                pivots |= 1 << (r.bit_length() - 1)
-            for key in xor_sums(_perp_basis(rows, n)):
-                if key and not key & pivots:
-                    nxt.add(rref(rows + (key,)))
-        level = nxt
-    return [Subspace(n, rows) for rows in sorted(level)]
+    mask = (1 << n) - 1
+    found = []
+    for pivots in range(1 << n):
+        # each V with these pivots: row p is 1 << p plus any set of the
+        # non-pivot columns below p
+        for xs in product(*(
+            [1 << p | f for f in xor_sums([1 << c for c in range(p) if not pivots >> c & 1])]
+            for p in reversed(range(n)) if pivots >> p & 1
+        )):
+            k = len(xs)
+            tops = [1 << x.bit_length() - 1 for x in xs]
+            perp = [u << n for u in solve_affine(xs, [0] * k, n)[1]]
+            # the z_i packed n bits apart; b_ij = b_ji = 1 adds e_{p_j} to z_i, e_{p_i} to z_j
+            forms = [tops[j] << n * i | tops[i] << n * j for i in range(k) for j in range(i, k)]
+            for zs in xor_sums(forms):
+                found.append(rref([(zs >> n * i & mask) << n | x for i, x in enumerate(xs)] + perp))
+    return [Subspace(n, rows) for rows in sorted(found)]
 
 
 def closure_under_inference(points: Iterable[PauliPoint]) -> frozenset[PauliPoint]:

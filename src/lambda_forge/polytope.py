@@ -23,42 +23,50 @@ every rank reported below full is exact.
 
 Both read one table per qubit count, `facet_table`: for each stabilizer
 state, the packed keys (``PauliPoint.key()``) of the points where its
-sign is +1 and where it is -1.  A facet's normal is built from those
-keys as a sparse row only when the rank reads it; an n = 3 normal has 7
-nonzeros out of 63 columns, so the reduction works on {column: int}
-rows.  The GF(3) masks are built once per qubit count, `_gf3_rows`.  The
-simplex of `decompose` keeps its own dense tableau: it has few rows (17
-on two qubits), and they fill in after a few pivots.
+sign is +1 and where it is -1.  It is built per maximal isotropic, whose
+beta folds each state on it flips by a parity of its row values.  A
+facet's normal is built from those keys as a sparse row only when the
+rank reads it; an n = 3 normal has 7 nonzeros out of 63 columns, so the
+reduction works on {column: int} rows.  The GF(3) masks are built once
+per qubit count, `_gf3_rows`.  The simplex of `decompose` keeps its own
+dense tableau: it has few rows (17 on two qubits), and they fill in
+after a few pivots.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, compress
 from math import gcd, lcm
+from operator import eq, getitem, lshift, xor
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .field import FieldElem, ONE, ZERO, sqrt2_sign
 from .gf2 import ENUMERATION_BOUND, PauliPoint, all_points
 from .pauli import QOperator
 from .simplex import solve_feasibility
-from .stabilizer import enumerate_stabilizer_states, state_label
+from .stabilizer import Assignment, enumerate_stabilizer_states
 
 
 @lru_cache(maxsize=8)
 def facet_table(n: int) -> tuple:
     """Per-state evaluation data, in enumeration order: (label, plus,
     minus).  plus and minus hold the keys of the points of I where the
-    state's sign is +1 and -1, in ``Subspace.points()`` order, read off
-    the state's ``key_items`` (integer keys and values, no
-    ``PauliPoint``)."""
-    table = []
-    for I, s in enumerate_stabilizer_states(n):
-        plus, minus = [], []
-        for key, value in s.key_items():
-            (minus if value else plus).append(key)
-        table.append((state_label(I, s), tuple(plus), tuple(minus)))
+    state's sign is +1 and -1, in ``Subspace.points()`` order.  The keys
+    and beta folds are read once per I, as the ``key_items`` of
+    ``Assignment.zero(I)``; row values v (row i at bit i) flip the sign
+    of point m (the mask of the rows summing to it) by parity(m & v)."""
+    table, I = [], None
+    signed = [("+" + p.label(), "-" + p.label()) for p in all_points(n)]
+    flips = [tuple((m & v).bit_count() & 1 for m in range(1 << n)) for v in range(1 << n)]
+    for J, s in enumerate_stabilizer_states(n):
+        if J is not I:
+            I, rows = J, [signed[r] for r in J.rows]
+            keys, folds = zip(*Assignment.zero(I).key_items())
+        flip = flips[sum(map(lshift, s.row_values, range(n)))]
+        plus, minus = compress(keys, map(eq, folds, flip)), compress(keys, map(xor, folds, flip))
+        table.append((",".join(map(getitem, rows, s.row_values)), tuple(plus), tuple(minus)))
     return tuple(table)
 
 

@@ -37,7 +37,7 @@ from .clifford import CliffordTableau
 from .gf2 import PauliPoint, swap_halves
 from .lifting import _place_assignment, _restrict_key, _tail_bits, is_tail_supported
 from .pauli import phase_of_bits
-from .stabilizer import Assignment
+from .stabilizer import Assignment, check_bit
 
 
 @dataclass(frozen=True)
@@ -197,15 +197,14 @@ def reduce_static(
     consumed.
     """
     for c in coins:
-        if c not in (0, 1):
-            raise ValueError(f"a coin outcome must be 0 or 1, got {c!r}")
+        check_bit(c, "a coin outcome")
     steps = []
     used = []
     it = iter(coins)
     for idx, a in enumerate(sequence):
         step, engine = engine.process(a)
         if isinstance(step, CoinStep):
-            c = next(it, 0) & 1
+            c = next(it, 0)
             used.append({"step": idx, "outcome": c})
             engine = engine.resolve_coin(c)
             steps.append({"kind": "coin", "step": idx, "outcome": c})

@@ -141,14 +141,11 @@ def normalize_steps(steps: Sequence) -> list[tuple[PauliPoint, Optional[dict]]]:
             raise ValueError(f"step {i}: not a point or a (point, condition) pair: {step!r}")
         point, cond = step
         for idx, want in (cond or {}).items():
-            if not (isinstance(idx, int) and 0 <= idx < i):
+            if not (isinstance(idx, int) and not isinstance(idx, bool) and 0 <= idx < i):
                 raise ValueError(
                     f"step {i}: condition on {idx!r} does not name an earlier step"
                 )
-            if want not in (0, 1):
-                raise ValueError(
-                    f"step {i}: condition outcome must be 0 or 1, got {want!r}"
-                )
+            check_bit(want, f"step {i}: condition outcome")
         out.append((point, dict(cond) if cond else None))
     return out
 

@@ -206,8 +206,3 @@ def state_from_json(obj: Mapping) -> tuple[Subspace, Assignment]:
         )
     asg = Assignment.from_pairs(signed_point(text, "a stabilizer generator") for text in gens)
     return asg.subspace, asg
-
-
-def state_label(I: Subspace, s: Assignment) -> str:
-    """Canonical text key for a stabilizer state, e.g. '+XZ,-ZX'."""
-    return ",".join(state_to_json(I, s)["generators"])

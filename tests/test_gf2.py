@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -77,6 +79,7 @@ def test_maximal_isotropic_counts():
     assert len(enumerate_maximal_isotropics(1)) == 3
     assert len(enumerate_maximal_isotropics(2)) == 15
     assert len(enumerate_maximal_isotropics(3)) == 135
+    assert len(enumerate_maximal_isotropics(4)) == 2295
     with pytest.raises(ValueError):
         enumerate_maximal_isotropics(5)
     with pytest.raises(ValueError, match="capped at n=4"):
@@ -119,6 +122,15 @@ def test_maximal_isotropics_match_bfs_oracle(n):
     assert got == _isotropics_oracle(n)
     assert all(I.is_isotropic() for I in got)
     assert not span([x_point(n, 1), z_point(n, 1)]).is_isotropic()
+
+
+def test_maximal_isotropics_n4_digest():
+    # the oracle above takes ~45 s at n = 4, so the rows there are pinned
+    # by digest
+    rows = repr([I.rows for I in enumerate_maximal_isotropics(4)])
+    assert hashlib.sha256(rows.encode()).hexdigest() == (
+        "5bd95aa50f5866b58f0c47a6d84c0211c0c0e0c76ab7b6c0402f6f269882732c"
+    )
 
 
 def test_closure_examples():

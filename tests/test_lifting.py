@@ -24,6 +24,7 @@ from lambda_forge.lifting import (
     tail_subspace,
     unlift,
 )
+from lambda_forge.orbit import enumerate_family
 from lambda_forge.pauli import QOperator
 from lambda_forge.polytope import enumerate_vertices_n1, is_vertex, membership
 from lambda_forge.reduction import embed_tail_assignment
@@ -181,6 +182,23 @@ def test_general_lift_round_trip():
         assert cert.is_member and is_vertex(L, cert)[0]
         assert is_cnc(L.support())
     assert unlift(lift(QOperator.maximally_mixed(1), params), params) == QOperator.maximally_mixed(1)
+
+
+def test_lifted_family_members_stay_vertices_at_n4():
+    # paper result (i) at n = 4, m = 2: a seeded tail J (two rows of a
+    # maximal isotropic) with seeded signs r; the GF(3) pass certifies
+    # the full rank 4^4 - 1 = 255
+    rng = random.Random(4)
+    isotropics = enumerate_maximal_isotropics(4)
+    for v in rng.sample(enumerate_family(), 3):
+        X = v.operator()
+        J = span(rng.choice(isotropics).basis_points()[:2])
+        params = make_params(4, J, Assignment(J, [rng.randint(0, 1) for _ in range(2)]))
+        L = lift(X, params)
+        cert = membership(L)
+        assert cert.is_member
+        assert is_vertex(L, cert) == (True, 255)
+        assert unlift(L, params) == X
 
 
 def test_lift_identity_tableau_reduces_to_tensor():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -27,7 +28,7 @@ from lambda_forge.polytope import (
 from lambda_forge.stabilizer import (
     enumerate_stabilizer_states,
     stabilizer_projector,
-    state_label,
+    state_to_json,
 )
 
 from test_golden import _lift_to_three, certificate_inputs
@@ -316,10 +317,15 @@ def test_gf3_certificate_matches_the_exact_rank():
             assert gf3 == _gf3_rank_oracle(rows, width)
 
 
+def _state_label(I, s):
+    """A facet's label: the state's signed generators joined by ','."""
+    return ",".join(state_to_json(I, s)["generators"])
+
+
 @lru_cache(maxsize=None)
 def _facet_oracle(n):
     """(label, projector) for every stabilizer state, in enumeration order."""
-    return [(state_label(I, s), stabilizer_projector(I, s))
+    return [(_state_label(I, s), stabilizer_projector(I, s))
             for I, s in enumerate_stabilizer_states(n)]
 
 
@@ -379,8 +385,15 @@ def test_facet_table_matches_per_point_signs(n):
                     acc = pauli_mul(acc, gen)
             assert acc.point == point
             (plus if acc.sign() > 0 else minus).append(point.key())
-        want.append((state_label(I, s), tuple(plus), tuple(minus)))
+        want.append((_state_label(I, s), tuple(plus), tuple(minus)))
     assert list(facet_table(n)) == want
+
+
+def test_facet_table_n4_digest():
+    # the per-point oracle above runs to n = 3; the n = 4 table (36 720
+    # facets) is pinned by digest
+    digest = hashlib.sha256(repr(facet_table(4)).encode()).hexdigest()
+    assert digest == "fad72615c2f23d9ca5a17b55d276f0978ffb91d4c6610d7040aacca0cf67cc5d"
 
 
 def _rref_oracle(rows, width):

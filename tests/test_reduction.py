@@ -227,7 +227,7 @@ def test_static_plan_rejects_coins_other_than_0_or_1():
     eng = ReductionEngine(2, 1, sigma_z_plus())
     seq = [x_point(2, 1) ^ x_point(2, 2), z_point(2, 2)]
     # checked whether or not a coin step consumes them
-    for coins in ([2], [1, 9], [-1], ["1"]):
+    for coins in ([2], [1, 9], [-1], ["1"], [1.0], [True]):
         with pytest.raises(ValueError, match="0 or 1"):
             reduce_static(eng, seq, coins)
 

@@ -412,8 +412,8 @@ def test_steps_from_json():
     assert steps[1][1] == {0: 1}
     with pytest.raises(ValueError):
         steps_from_json([{"measure": "X"}], 2)
-    # a condition names an earlier step and asks for outcome 0 or 1
-    for cond in ({"1": 0}, {"2": 0}, {"-1": 0}, {"0": 2}, {"0": "1"}):
+    # a condition names an earlier step and asks for the int outcome 0 or 1
+    for cond in ({"1": 0}, {"2": 0}, {"-1": 0}, {"0": 2}, {"0": "1"}, {"0": True}, {"0": 1.0}):
         with pytest.raises(ValueError):
             steps_from_json([{"measure": "XI"}, {"measure": "IZ", "if": cond}], 2)
     with pytest.raises(ValueError):
@@ -423,7 +423,8 @@ def test_steps_from_json():
 @pytest.mark.parametrize(
     "bad",
     ["XZ", (x_point(1, 1), 5), None, 3, "X", (x_point(1, 1),), [x_point(1, 1), None],
-     (x_point(1, 1), None, None), ("Z", None)],
+     (x_point(1, 1), None, None), ("Z", None), (x_point(1, 1), {0: True}),
+     (x_point(1, 1), {0: 1.0}), (x_point(1, 1), {False: 0})],
 )
 def test_malformed_steps_rejected_by_index(bad):
     steps = [z_point(1, 1), bad]
