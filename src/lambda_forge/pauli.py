@@ -40,7 +40,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, Optional
 
-from .field import HALF, ONE, ZERO, FieldElem
+from .field import ONE, ZERO, FieldElem
 from .gf2 import PauliPoint, symplectic_form
 
 if TYPE_CHECKING:
@@ -381,7 +381,8 @@ class QOperator:
             Pi T_v Pi = (T_v + (-1)^{s + beta(v, a)} T_{v+a}) / 2.
 
         Since beta(v + a, a) = beta(v, a), the output coefficients at v
-        and v + a agree up to that sign, so each pair is computed once.
+        and v + a agree up to that sign, so each pair is computed once, as
+        (c +- d) / 2 on the integers of c and d with one reduction.
         """
         if a.is_zero():
             raise ValueError("projection axis must be nonzero")
@@ -400,9 +401,9 @@ class QOperator:
                 continue
             u = v ^ ka
             flip = (s + (phase_of_bits(z, x, az, ax) >> 1)) & 1
-            d = coeffs.get(u, ZERO)
-            val = (c - d if flip else c + d) * HALF
-            out[v] = val
+            d, e = coeffs.get(u, ZERO), c.d
+            f, dp, dq = d.d, (-d.p if flip else d.p), (-d.q if flip else d.q)
+            out[v] = val = FieldElem._reduced(c.p * f + dp * e, c.q * f + dq * e, 2 * e * f)
             out[u] = -val if flip else val
         return QOperator._from_keys(n, out)
 

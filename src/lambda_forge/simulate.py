@@ -17,8 +17,9 @@ hash by value (engine frame and inner state), so they share entries.
 
 One walker, ``_law``, expands a branch tree with exact weights and sums
 its leaves by transcript; each law is a branch rule listing a node's
-children: the closed-form updates (``exact_distribution``), exact
-projection and renormalization (``born_distribution``, the independent
+children: the closed-form updates (``exact_distribution``), the Born
+rule on the exact operator, weighted from two coefficients and projected
+only where it branches again (``born_distribution``, the independent
 ground truth used by the test suite), and the reduction engine's fixed,
 coin and head-Born steps on a lifted state (``reduced_distribution``).
 ``sample`` draws one trajectory per shot along the update rule,
@@ -204,19 +205,20 @@ def _update_branch(state: State, a: PauliPoint) -> list[tuple[int, FieldElem, St
     return [(s, w, piece) for s in (0, 1) for w, piece in update_state(state, a, s)]
 
 
-def _born_branch(rho: QOperator, a: PauliPoint) -> list[tuple[int, FieldElem, QOperator]]:
-    """Each outcome of positive probability p with the projected operator
-    renormalized by p."""
-    out = []
-    for s in (0, 1):
-        projected = rho.project(a, s)
-        p = projected.trace()
-        if p.sign() > 0:
-            out.append((s, p, projected.scale(ONE / p)))
-    return out
+def _born_branch(node: tuple, a: PauliPoint) -> list[tuple[int, FieldElem, tuple]]:
+    """Node (rho, owed): owed is the (axis, outcome) projection still due on
+    rho, or None, applied here, so a node is projected only when branched on.
+    Outcome s weighs p_s / Tr(rho), p_s = (alpha_0 + (-1)^s alpha_a) / 2."""
+    rho, owed = node
+    if owed is not None:
+        rho = rho.project(*owed)
+    if a.is_zero():
+        raise ValueError("projection axis must be nonzero")
+    w = (ONE + rho.coeff(a) / rho.trace()) * HALF
+    return [(0, w, (rho, (a, 0))), (1, ONE - w, (rho, (a, 1)))]
 
 
-def _reduced_branch(state: tuple[ReductionEngine, QOperator], a: PauliPoint) -> list:
+def _reduced_branch(state: tuple[ReductionEngine, tuple], a: PauliPoint) -> list:
     """A fixed step at weight 1, a coin at weight 1/2 per side, or a Born
     branch on the head operator with the outcome flipped by the tail sign."""
     engine, head = state
@@ -238,8 +240,12 @@ def exact_distribution(
 
 
 def born_distribution(rho: QOperator, steps: Sequence) -> dict[tuple, FieldElem]:
-    """Ground truth by exact operator projection and renormalization."""
-    return _law([(ONE, rho)], steps, _born_branch)
+    """Ground truth by exact operator projection: each outcome's weight
+    is read off two coefficients, and a node is projected only when it is
+    branched on again.  ``rho`` must have trace 1."""
+    if rho.trace() != ONE:
+        raise ValueError(f"a Born law needs an operator of trace 1, got {rho.trace()}")
+    return _law([(ONE, (rho, None))], steps, _born_branch)
 
 
 def reduced_distribution(
@@ -252,9 +258,12 @@ def reduced_distribution(
 
     Coins branch uniformly; head measurements branch by the polytope
     Born weights on the evolving head operator.  Equals the outcome
-    distribution of the full lifted run, exactly.
+    distribution of the full lifted run, exactly.  ``X`` must be a
+    trace-1 operator on ``engine.m`` qubits.
     """
-    return _law([(ONE, (engine, X))], sequence, _reduced_branch)
+    if X.n != engine.m or X.trace() != ONE:
+        raise ValueError(f"the head must have trace 1 on {engine.m} qubits, got {X!r}")
+    return _law([(ONE, (engine, (X, None)))], sequence, _reduced_branch)
 
 
 # -- sampling -----------------------------------------------------------------

@@ -136,8 +136,13 @@ class Assignment:
 
 
 def all_assignments(subspace: Subspace) -> Iterator[Assignment]:
+    """Every assignment on ``subspace``, checked once by ``Assignment.zero``."""
+    Assignment.zero(subspace)
     for bits in product((0, 1), repeat=subspace.dim):
-        yield Assignment(subspace, bits)
+        asg = object.__new__(Assignment)
+        object.__setattr__(asg, "subspace", subspace)
+        object.__setattr__(asg, "row_values", bits)
+        yield asg
 
 
 def stabilizer_projector(J: Subspace, s: Assignment | Sequence[int]) -> QOperator:

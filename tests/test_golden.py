@@ -19,7 +19,7 @@ from lambda_forge.clifford import CliffordTableau, enumerate_action, generator_t
 from lambda_forge.cnc import cnc_vertices
 from lambda_forge.field import HALF, INV_SQRT2, ONE, FieldElem
 from lambda_forge.gf2 import PauliPoint, enumerate_maximal_isotropics, span
-from lambda_forge.lifting import lift, make_params, tail_overlap, tail_subspace
+from lambda_forge.lifting import lift, lift_tensor, make_params, tail_overlap, tail_subspace
 from lambda_forge.orbit import alpha0_vertex, classify_operator, enumerate_family
 from lambda_forge.pauli import QOperator
 from lambda_forge.polytope import (
@@ -32,7 +32,10 @@ from lambda_forge.polytope import (
 from lambda_forge.reduction import ReductionEngine, embed_tail_assignment, reduce_static
 from lambda_forge.simulate import (
     LiftState,
+    born_distribution,
     decompose_known,
+    distribution_to_json,
+    reduced_distribution,
     sample,
     state_to_descriptor_json,
     update_state,
@@ -258,7 +261,49 @@ def lift_tails():
     return [descriptors, embedded, overlaps]
 
 
+def _adaptive_circuit(rng, n, length):
+    """Seeded steps on n qubits, each conditioned on up to two earlier ones."""
+    steps = []
+    for i in range(length):
+        cond = {j: rng.randint(0, 1) for j in rng.sample(range(i), min(i, rng.randint(0, 2)))}
+        steps.append((PauliPoint.from_key(n, rng.randrange(1, 1 << (2 * n))), cond or None))
+    return steps
+
+
+def born_laws():
+    """Seeded laws of the two projection-based rules: `born_distribution`
+    on cnc vertices, family members, T and T (x) T, and on lifted n = 3
+    operators, with `reduced_distribution` of the same lifted runs from
+    their heads.  The circuits skip steps and meet outcomes of zero
+    probability."""
+    rng = random.Random(2424)
+    t = _t_state()
+    family = enumerate_family()
+    ops = [c.operator() for c in rng.sample(cnc_vertices(2), 4)]
+    ops += [v.operator() for v in rng.sample(family, 4)] + [t, t.tensor(t)]
+    laws = []
+    for op in ops:
+        for length in (1, 3, 5):
+            steps = _adaptive_circuit(rng, op.n, length)
+            laws.append(distribution_to_json(born_distribution(op, steps)))
+    heads = [t, enumerate_vertices_n1()[5], rng.choice(family).operator(),
+             rng.choice(family).operator()]
+    for head in heads:
+        m = head.n
+        sigma = embed_tail_assignment(rng.choice(enumerate_stabilizer_states(3 - m))[1], 3, m)
+        u = _random_clifford(rng, 3)
+        rho = u.conjugate(lift_tensor(head, sigma.subspace, sigma))
+        for length in (1, 4):
+            steps = _adaptive_circuit(rng, 3, length)
+            laws.append([
+                distribution_to_json(born_distribution(rho, steps)),
+                distribution_to_json(reduced_distribution(head, ReductionEngine(3, m, sigma, u), steps)),
+            ])
+    return laws
+
+
 BUILDERS = {
+    "born_laws": born_laws,
     "cnc_vertices": cnc_vertex_list,
     "family_keys": family_keys,
     "certificates": certificates,
@@ -272,6 +317,7 @@ BUILDERS = {
 }
 
 GOLDEN = {
+    "born_laws": "10388b7e95d0492fbd3b22ff15ccaac45657ddd1b0f1c30800d1ed309b3d4095",
     "certificates": "0e34cd3135f320732353473cbd943033c176a12575547fa1468f2caded2eefe0",
     "cnc_vertices": "7c276927b641a823b4ce63ff288f7348a7bc12b5ca6c90fdce3f61c1e0c11269",
     "family_keys": "74af6fc8de732e08910f036525118add476ebd9b343abb520796dde9d59d6c2f",

@@ -189,21 +189,39 @@ def product_projection(A, a, s):
     return QOperator(A.n, {p: re for p, (re, _) in out.items()})
 
 
+def mixed_op(r, n, terms):
+    """Nonzero coefficients with rational and sqrt(2) parts over unrelated
+    denominators, so that the paired coefficients of a projection mostly
+    differ in denominator."""
+    dens = (1, 2, 3, 4, 5, 6, 7, 9)
+    return QOperator(n, {
+        p: FieldElem(Fraction(r.choice((-7, -3, -1, 1, 2, 5)), r.choice(dens)),
+                     Fraction(r.randint(-5, 5), r.choice(dens)))
+        for p in r.sample(all_points(n), terms)
+    })
+
+
 def test_project_matches_dense_and_idempotent():
-    for n, ops in ((1, 3), (2, 4), (3, 1)):
-        for _ in range(ops):
-            A = rand_op(n, terms=4 * n, sqrt2=True)
-            for a in all_points(n, include_zero=False):
-                for s in (0, 1):
-                    P = A.project(a, s)
-                    assert P == product_projection(A, a, s)
-                    assert P == P.project(a, s)
-                    Pd = pauli_projector(a, s).dense_matrix()
-                    assert np.allclose(
-                        P.dense_matrix(), Pd @ A.dense_matrix() @ Pd, atol=1e-12
-                    )
+    ops = [rand_op(n, terms=4 * n, sqrt2=True) for n, k in ((1, 3), (2, 4), (3, 1))
+           for _ in range(k)]
+    r = random.Random(24)
+    mixed = [mixed_op(r, n, terms) for n, terms in ((1, 4), (2, 16), (2, 10), (3, 16))]
+    for A in mixed:
+        assert len({c.d for c in A.coeffs.values()}) > 1
+        assert any(c.q for c in A.coeffs.values())
+    for A in ops + mixed:
+        Ad = A.dense_matrix()
+        for a in all_points(A.n, include_zero=False):
+            for s in (0, 1):
+                P = A.project(a, s)
+                assert P == product_projection(A, a, s)
+                assert P == P.project(a, s)
+                Pd = pauli_projector(a, s).dense_matrix()
+                assert np.allclose(P.dense_matrix(), Pd @ Ad @ Pd, atol=1e-12)
     with pytest.raises(ValueError):
         rand_op(2).project(PauliPoint.zero(2), 0)
+    with pytest.raises(ValueError):
+        rand_op(2).project(x_point(1, 1), 0)
 
 
 # -- the int-keyed operator against a PauliPoint-keyed reference -------------

@@ -17,7 +17,7 @@ from lambda_forge.reduction import (
     reduce_static,
 )
 from lambda_forge.cnc import CncSet, cnc_vertices
-from lambda_forge.pauli import PhasedPauli, pauli_mul
+from lambda_forge.pauli import PhasedPauli, QOperator, pauli_mul
 from lambda_forge.orbit import enumerate_family
 from lambda_forge.simulate import (
     LiftState,
@@ -138,6 +138,21 @@ def test_empty_sequence():
     eng = ReductionEngine(2, 1, sigma_z_plus())
     X = enumerate_vertices_n1()[0]
     assert reduced_distribution(X, eng, []) == {(): ONE}
+
+
+
+def test_reduced_law_refuses_a_head_it_cannot_run():
+    eng = ReductionEngine(2, 1, sigma_z_plus())
+    head_x = x_point(2, 1) ^ z_point(2, 2)
+    # a two-qubit head on an m = 1 engine, even where no head step runs
+    wide = QOperator.from_labels(2, {"II": 1, "XI": 1})
+    for seq in ([], [z_point(2, 2)], [head_x]):
+        with pytest.raises(ValueError, match="head"):
+            reduced_distribution(wide, eng, seq)
+    for X in (QOperator.from_labels(1, {"I": 2, "Z": 1}), QOperator.from_labels(1, {"Z": 1})):
+        for seq in ([], [head_x]):
+            with pytest.raises(ValueError, match="trace 1"):
+                reduced_distribution(X, eng, seq)
 
 
 def test_distribution_equality_random_instances():

@@ -1,6 +1,7 @@
 import pickle
 import random
 from bisect import bisect_right
+from collections import Counter
 from fractions import Fraction
 from typing import Optional
 
@@ -185,6 +186,82 @@ def test_adaptive_decision_table():
     assert dist == born_distribution(T_STATE, seq)
     assert (1, None) in dist
     assert total(dist) == ONE
+
+
+
+def _count_projections(monkeypatch) -> Counter:
+    """(axis key, outcome) of every ``QOperator.project`` call from now on."""
+    calls, project = Counter(), QOperator.project
+
+    def counted(self, a, s):
+        calls[a.key(), s] += 1
+        return project(self, a, s)
+
+    monkeypatch.setattr(QOperator, "project", counted)
+    return calls
+
+
+def _branched_again(law, points) -> Counter:
+    """(axis key, outcome) of each node of a Born branch tree that a later
+    step branches on: a transcript prefix ending in an outcome that some
+    later outcome follows."""
+    nodes = {t[:i + 1] for t in law for i in range(len(t))
+             if t[i] is not None and any(v is not None for v in t[i + 1:])}
+    return Counter((points[len(p) - 1].key(), p[-1]) for p in nodes)
+
+
+def test_born_law_projects_only_nodes_it_branches_on_again(monkeypatch):
+    calls = _count_projections(monkeypatch)
+    r = random.Random(2401)
+    ops = [T_STATE] + [v.operator() for v in r.sample(enumerate_family(), 3)]
+    ops += [c.operator() for c in r.sample(cnc_vertices(2), 3)]
+    for op in ops:
+        points = all_points(op.n, include_zero=False)
+        for k in (1, 2, 3, 4):
+            steps = [r.choice(points) for _ in range(k)]
+            calls.clear()
+            law = born_distribution(op, steps)
+            want = _branched_again(law, steps)
+            assert calls == want
+            # unconditioned: one projection per positive-weight prefix of
+            # length 1 .. k - 1, none for a length-1 circuit
+            assert sum(calls.values()) == len({t[:i] for t in law for i in range(1, k)})
+
+
+def test_born_law_matches_exact_with_zero_outcomes_and_skipped_tails(monkeypatch):
+    calls = _count_projections(monkeypatch)
+    r = random.Random(2402)
+    points = all_points(2, include_zero=False)
+    skipped = 0
+    for state in r.sample(cnc_vertices(2), 6) + r.sample(list(enumerate_family()), 6):
+        a = r.choice(points)
+        # the repeated axis has an outcome of probability 0 on every branch;
+        # the last two steps run only after outcome 0 of step 0
+        steps = [(a, None), (a, None), (r.choice(points), None),
+                 (r.choice(points), {0: 0}), (r.choice(points), {0: 0, 2: 1})]
+        calls.clear()
+        law = born_distribution(state.operator(), steps)
+        assert law == exact_distribution([(ONE, state)], steps)
+        assert total(law) == ONE
+        assert all(t[0] == t[1] for t in law)
+        assert calls == _branched_again(law, [p for p, _ in steps])
+        skipped += any(t[-1] is None for t in law)
+    assert skipped
+
+
+def test_born_laws_refuse_bad_axes_on_the_last_step():
+    x, zero, wide = x_point(1, 1), PauliPoint.zero(1), PauliPoint.from_label("ZZ")
+    for steps in ([zero], [x, zero], [wide], [x, wide], [x, (wide, {0: 1})]):
+        with pytest.raises(ValueError):
+            born_distribution(T_STATE, steps)
+
+
+def test_born_law_refuses_a_trace_other_than_1():
+    for op in (QOperator.from_labels(1, {"I": 2, "Z": 1}), QOperator.from_labels(1, {"Z": 1}),
+               QOperator.zero(1), T_STATE.scale(HALF)):
+        for steps in ([], [z_point(1, 1)]):
+            with pytest.raises(ValueError, match="trace 1"):
+                born_distribution(op, steps)
 
 
 def test_sampling_determinism_and_convergence():
