@@ -22,21 +22,17 @@ from typing import Mapping, Sequence
 from .gf2 import (
     PauliPoint,
     Subspace,
+    key_form,
     rref,
     solve_affine,
     swap_halves,
     xor_sums,
 )
-from .pauli import PhasedPauli, QOperator, phase_of_bits, signed_point
+from .pauli import PhasedPauli, QOperator, key_phase, signed_point
 from .stabilizer import Assignment, stabilizer_projector
 
 #: Largest qubit count ``enumerate_action`` enumerates (11 520 actions at n = 2).
 ACTION_BOUND = 2
-
-
-def _form(a: int, b: int, n: int) -> int:
-    """The symplectic form of two packed points."""
-    return (a & swap_halves(b, n)).bit_count() & 1
 
 
 def _qubit(n: int, qubit: int) -> int:
@@ -117,7 +113,7 @@ class CliffordTableau:
     def _signed(self, u: int) -> "CliffordTableau":
         """Conjugation by T_u after this action: each image e gains [u, e]."""
         return CliffordTableau._from_keys(
-            self.n, tuple((k, s ^ _form(u, k, self.n)) for k, s in self._keys)
+            self.n, tuple((k, s ^ key_form(u, k, self.n)) for k, s in self._keys)
         )
 
     # -- the action -------------------------------------------------------
@@ -133,7 +129,6 @@ class CliffordTableau:
         """``apply_point`` on ``PauliPoint.key()``: the image's key and its
         phase, 0 or 2."""
         n = self.n
-        low = (1 << n) - 1
         # T_v = i^{q(v)} X(v_x) Z(v_z); conjugation distributes over the
         # generator factors, and the i^{q(v)} prefactor survives unchanged.
         # The factors multiply on plain ints, signs as two units of phase.
@@ -146,7 +141,7 @@ class CliffordTableau:
             if not bits:
                 break
             if bits & 1:
-                phase += phase_of_bits(acc >> n, acc & low, k >> n, k & low) + 2 * sgn
+                phase += key_phase(acc, k, n) + 2 * sgn
                 acc ^= k
             bits >>= 1
         phase &= 3
@@ -198,7 +193,7 @@ class CliffordTableau:
         other pair 0), which makes them independent too."""
         n, keys = self.n, [k for k, _ in self._keys]
         pairs = ((i, j) for i in range(2 * n) for j in range(i + 1, 2 * n))
-        return all(_form(keys[i], keys[j], n) == (j == i + n) for i, j in pairs)
+        return all(key_form(keys[i], keys[j], n) == (j == i + n) for i, j in pairs)
 
     def __eq__(self, other):
         # 2n images: equal images mean equal n
@@ -267,7 +262,7 @@ def enumerate_action(n: int) -> list[CliffordTableau]:
             images + ((k, s),)
             for images in actions
             for k in range(1, 1 << (2 * n))
-            if all(_form(k, q, n) == (j == i - n) for j, (q, _) in enumerate(images))
+            if all(key_form(k, q, n) == (j == i - n) for j, (q, _) in enumerate(images))
             for s in (0, 1)
         ]
     return [CliffordTableau._from_keys(n, images) for images in actions]
@@ -328,7 +323,7 @@ def complete_symplectic_map(
     dsts: list[int] = []
     for sp, dp in prescribed:
         for s0, d0 in zip(srcs, dsts):
-            if _form(sp, s0, n) != _form(dp, d0, n):
+            if key_form(sp, s0, n) != key_form(dp, d0, n):
                 raise ValueError("prescribed pairs do not preserve the form")
         srcs.append(sp)
         dsts.append(dp)
@@ -337,14 +332,14 @@ def complete_symplectic_map(
             raise ValueError("prescribed points must be independent on each side")
 
     for g in (1 << i for i in range(2 * n)):
-        if Subspace(n, srcs).reduce_key(g):
+        if Subspace(n, srcs).row_mask(g) is None:
             dsts.append(_extension_image(n, srcs, dsts, g))
             srcs.append(g)
     # With 2n independent destinations the pairings fix each image.
     rows = [swap_halves(d, n) for d in dsts]
     imgs = []
     for i in range(2 * n):
-        image, _ = solve_affine(rows, [_form(s, 1 << i, n) for s in srcs], 2 * n)
+        image, _ = solve_affine(rows, [key_form(s, 1 << i, n) for s in srcs], 2 * n)
         imgs.append((image, 0))
     t = CliffordTableau._from_keys(n, tuple(imgs))
     assert t.is_valid()
@@ -356,13 +351,13 @@ def _extension_image(n: int, srcs: Sequence[int], dsts: Sequence[int], g: int) -
     for all i, outside the destination span, so the extended map stays
     invertible."""
     rows = [swap_halves(d, n) for d in dsts]
-    solved = solve_affine(rows, [_form(s, g, n) for s in srcs], 2 * n)
+    solved = solve_affine(rows, [key_form(s, g, n) for s in srcs], 2 * n)
     if solved is None:
         raise AssertionError("nondegenerate form must make the system solvable")
     particular, null_basis = solved
     dst_span = Subspace(n, dsts)
     for h in xor_sums(null_basis):
-        if dst_span.reduce_key(particular ^ h):
+        if dst_span.row_mask(particular ^ h) is None:
             return particular ^ h
     raise AssertionError("no invertible extension found")
 

@@ -43,10 +43,12 @@ from .gf2 import (
     affine_solutions,
     all_points,
     closure_under_inference,
+    key_form,
     span,
+    swap_halves,
     symplectic_form,
 )
-from .pauli import QOperator, beta, phase_of_bits
+from .pauli import QOperator, beta, key_phase
 from .stabilizer import Assignment, check_bit
 
 #: Largest qubit count ``is_maximal_cnc`` searches exhaustively.
@@ -196,18 +198,17 @@ class CncSet:
         if a.n != n:
             raise ValueError("qubit count mismatch")
         check_bit(s, "outcome")
-        vals, az, ax, ka = self._vals, a.z, a.x, a.key()
+        vals, ka = self._vals, a.key()
         outside = ka not in vals
         if not outside and s != vals[ka]:
             return []
-        mask = (1 << n) - 1
+        swapped = swap_halves(ka, n)  # parity(k & swapped) = [k, a]
         out = {}
         for k, b in vals.items():
-            z, x = k >> n, k & mask
-            if not ((z & ax).bit_count() ^ (x & az).bit_count()) & 1:
+            if not (k & swapped).bit_count() & 1:
                 out[k] = b
                 if outside:
-                    out[k ^ ka] = b ^ s ^ (phase_of_bits(z, x, az, ax) >> 1)
+                    out[k ^ ka] = b ^ s ^ (key_phase(k, ka, n) >> 1)
         return [(Fraction(1, 2) if outside else Fraction(1), CncSet._from_keys(n, out))]
 
     def __eq__(self, other):
@@ -252,15 +253,11 @@ def line_perp_sets() -> list[frozenset[PauliPoint]]:
 
 def anticommuting_sets() -> list[frozenset[PauliPoint]]:
     """Two-qubit maximal cnc sets: 0 and five pairwise anticommuting points."""
-    pts = all_points(2, include_zero=False)
-    zero = PauliPoint.zero(2)
-    out = []
-    for combo in combinations(pts, 5):
-        if all(
-            symplectic_form(u, v) == 1 for u, v in combinations(combo, 2)
-        ):
-            out.append(frozenset(combo) | {zero})
-    return out
+    return [
+        frozenset(PauliPoint.from_key(2, k) for k in (0,) + combo)
+        for combo in combinations(range(1, 16), 5)  # the nonzero keys of E_2
+        if all(key_form(u, v, 2) for u, v in combinations(combo, 2))
+    ]
 
 
 def maximal_cnc_sets(n: int) -> list[frozenset[PauliPoint]]:

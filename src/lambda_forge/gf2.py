@@ -125,7 +125,13 @@ def symplectic_form(v: PauliPoint, w: PauliPoint) -> int:
     """[v, w] = v_Z.w_X + v_X.w_Z mod 2; zero iff T_v and T_w commute."""
     if v.n != w.n:
         raise ValueError("qubit count mismatch")
-    return ((v.z & w.x).bit_count() ^ (v.x & w.z).bit_count()) & 1
+    return key_form(v.key(), w.key(), v.n)
+
+
+def key_form(a: int, b: int, n: int) -> int:
+    """``symplectic_form`` of the n-qubit points with keys a and b
+    (``PauliPoint.key()``); a >> n is a's z half, and masks b to its x half."""
+    return (((a >> n) & b).bit_count() ^ ((b >> n) & a).bit_count()) & 1
 
 
 # -- packed-row helpers (rows are 2n-bit ints, z half high) -----------
@@ -240,13 +246,7 @@ class Subspace:
         return 1 << self.dim
 
     def contains(self, p: PauliPoint) -> bool:
-        return self.reduce_key(p.key()) == 0
-
-    def reduce_key(self, key: int) -> int:
-        for r in self.rows:
-            if key >> (r.bit_length() - 1) & 1:
-                key ^= r
-        return key
+        return self.row_mask(p.key()) is not None
 
     def row_mask(self, key: int) -> Optional[int]:
         """The mask of the canonical rows summing to the point with this
@@ -268,11 +268,7 @@ class Subspace:
 
     def is_isotropic(self) -> bool:
         rows, n = self.rows, self.n
-        return not any(
-            (a & swap_halves(b, n)).bit_count() & 1
-            for i, a in enumerate(rows)
-            for b in rows[i + 1:]
-        )
+        return not any(key_form(a, b, n) for i, a in enumerate(rows) for b in rows[i + 1:])
 
     def perp(self) -> "Subspace":
         """The symplectic complement {v : [v, w] = 0 for all w here}."""

@@ -62,9 +62,10 @@ from .gf2 import (
     all_points,
     enumerate_maximal_isotropics,
     span,
+    swap_halves,
     symplectic_form,
 )
-from .pauli import QOperator, beta, pauli_projector, phase_of_bits
+from .pauli import QOperator, beta, key_phase, pauli_projector
 from .stabilizer import Assignment, all_assignments, check_bit
 
 #: Pauli expectations of the flagship vertex, row order II..YY.
@@ -105,7 +106,7 @@ def enumerate_collections(I: Subspace) -> tuple[frozenset[Subspace], ...]:
     if I not in isos:
         raise ValueError("collections are anchored at a maximal isotropic")
     rows = [
-        sum(1 << j for j, J in enumerate(isos) if not J.reduce_key(p)) for p in range(1, 16)
+        sum(1 << j for j, J in enumerate(isos) if J.row_mask(p) is not None) for p in range(1, 16)
     ]
     rows.append(1 << isos.index(I))
     found = [
@@ -342,9 +343,9 @@ def measure_update(
     project(operator(), a, s) exactly.  All of it runs on integers: with
     D = 2 and the coefficients times D from ``_twice_coeffs``, 2 p D and the
     x_r times 2 p D are integer sums, and the weights are their
-    differences over 4 D.  The cosets are found among the point keys by
-    the symplectic form and ``phase_of_bits`` on their halves, and each
-    corner is built straight from the key pairs (r, r + a).
+    differences over 4 D.  The cosets and their signs are read off the
+    point keys (the form against the swapped axis key, ``key_phase``),
+    and each corner is built straight from the key pairs (r, r + a).
     """
     if a.is_zero():
         raise ValueError("measurement axis must be nonzero")
@@ -353,17 +354,17 @@ def measure_update(
     check_bit(s, "outcome")
     D = 2
     alpha = vertex._twice_coeffs  # times D
-    az, ax, ka = a.z, a.x, a.key()
+    ka = a.key()
+    swapped = swap_halves(ka, 2)  # parity(r & swapped) = [r, a]
     P = D - alpha.get(ka, 0) if s else D + alpha.get(ka, 0)  # 2 p D
     if P == 0:
         return []
     chain = []
     for r in range(1, 16):  # the nonzero keys of E_2
         u = r ^ ka
-        z, x = r >> 2, r & 3
-        if u < r or ((z & ax).bit_count() ^ (x & az).bit_count()) & 1:
+        if u < r or (r & swapped).bit_count() & 1:
             continue
-        t = (s + (phase_of_bits(z, x, az, ax) >> 1)) & 1
+        t = (s + (key_phase(r, ka, 2) >> 1)) & 1
         xr = alpha.get(r, 0) - alpha.get(u, 0) if t else alpha.get(r, 0) + alpha.get(u, 0)
         chain.append((abs(xr), r, t, int(xr < 0)))  # x_r times P
     chain.sort()

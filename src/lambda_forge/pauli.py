@@ -26,11 +26,11 @@ Inside, the coefficients live in a dict keyed by the packed int
 (v_Z << n) | v_X, which is ``PauliPoint.key()``, and no stored value is
 zero.  Projection, sums, scaling, ``trace_inner``, ``tensor``, ``key``,
 equality and hashing run on those int keys and build no ``PauliPoint``;
-the symplectic form and the product phase are read off the two halves of
-a key.  ``QOperator(n, {PauliPoint: c})`` is the validating constructor,
-and ``.coeffs`` is a read-only ``PauliPoint``-keyed view of the same
-coefficients, built on first read (the oracles ``product`` and
-``dense_matrix`` read it).
+the symplectic form and the product phase are read off whole keys
+(``gf2.key_form``, ``key_phase``).  ``QOperator(n, {PauliPoint: c})`` is
+the validating constructor, and ``.coeffs`` is a read-only
+``PauliPoint``-keyed view of the same coefficients, built on first read
+(the oracles ``product`` and ``dense_matrix`` read it).
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, Optional
 
 from .field import ONE, ZERO, FieldElem
-from .gf2 import PauliPoint, symplectic_form
+from .gf2 import PauliPoint, swap_halves, symplectic_form
 
 if TYPE_CHECKING:
     import numpy as np
@@ -123,17 +123,19 @@ def product_phase(v: PauliPoint, w: PauliPoint) -> int:
     """Exponent k in T_v T_w = i^k T_{v+w} (mod 4)."""
     if v.n != w.n:
         raise ValueError("qubit count mismatch")
-    return phase_of_bits(v.z, v.x, w.z, w.x)
+    return key_phase(v.key(), w.key(), v.n)
 
 
-def phase_of_bits(z1: int, x1: int, z2: int, x2: int) -> int:
-    """``product_phase`` on the bit masks of v = (z1, x1) and w = (z2, x2):
-    q(v) + q(w) - q(v+w) + 2|v_z & w_x| (mod 4)."""
+def key_phase(a: int, b: int, n: int) -> int:
+    """``product_phase`` of the n-qubit points with keys a and b
+    (``PauliPoint.key()``): q(a) + q(b) - q(a + b) + 2|a_Z & b_X| (mod 4),
+    with q(k) = |(k >> n) & k| the qubits carrying both bits."""
+    c = a ^ b
     return (
-        (z1 & x1).bit_count()
-        + (z2 & x2).bit_count()
-        - ((z1 ^ z2) & (x1 ^ x2)).bit_count()
-        + 2 * (z1 & x2).bit_count()
+        ((a >> n) & a).bit_count()
+        + ((b >> n) & b).bit_count()
+        - ((c >> n) & c).bit_count()
+        + 2 * ((a >> n) & b).bit_count()
     ) & 3
 
 
@@ -389,18 +391,15 @@ class QOperator:
         n = self.n
         if a.n != n:
             raise ValueError("qubit count mismatch")
-        az, ax, ka = a.z, a.x, a.key()
-        mask = (1 << n) - 1
+        ka = a.key()
+        swapped = swap_halves(ka, n)  # parity(v & swapped) = [v, a]
         coeffs = self._by_key
         out: dict[int, FieldElem] = {}
         for v, c in coeffs.items():
-            if v in out:
-                continue
-            z, x = v >> n, v & mask
-            if ((z & ax).bit_count() ^ (x & az).bit_count()) & 1:
+            if v in out or (v & swapped).bit_count() & 1:
                 continue
             u = v ^ ka
-            flip = (s + (phase_of_bits(z, x, az, ax) >> 1)) & 1
+            flip = (s + (key_phase(v, ka, n) >> 1)) & 1
             d, e = coeffs.get(u, ZERO), c.d
             f, dp, dq = d.d, (-d.p if flip else d.p), (-d.q if flip else d.q)
             out[v] = val = FieldElem._reduced(c.p * f + dp * e, c.q * f + dq * e, 2 * e * f)

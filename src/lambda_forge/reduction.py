@@ -36,7 +36,7 @@ from typing import Optional, Sequence, Union
 from .clifford import CliffordTableau
 from .gf2 import PauliPoint, swap_halves
 from .lifting import _place_assignment, _restrict_key, _tail_bits, is_tail_supported
-from .pauli import phase_of_bits
+from .pauli import key_phase
 from .stabilizer import Assignment, check_bit
 
 
@@ -163,7 +163,7 @@ class ReductionEngine:
         if self._pending is None:
             raise ValueError("no coin step awaiting resolution")
         b, eps = self._pending
-        n, low = self.n, (1 << self.n) - 1
+        n = self.n
         b_swapped = swap_halves(b, n)
         # sigma(g) of a canonical row g is its row value: one row folds to 0
         g, sg = next(
@@ -172,14 +172,14 @@ class ReductionEngine:
         )
         g_swapped, gb = swap_halves(g, n), g ^ b
         # g' b' = i^gb_phase T_{g+b}
-        gb_phase = 2 * (sg + c + eps) + phase_of_bits(g >> n, g & low, b >> n, b & low)
+        gb_phase = 2 * (sg + c + eps) + key_phase(g, b, n)
         images = []
         for k, s in self.conj._keys:
             fg = (k & g_swapped).bit_count() & 1
             if fg == (k & b_swapped).bit_count() & 1:
                 images.append((k, s ^ fg))
             else:
-                phase = 2 * (s + fg) + gb_phase + phase_of_bits(k >> n, k & low, gb >> n, gb & low)
+                phase = 2 * (s + fg) + gb_phase + key_phase(k, gb, n)
                 images.append((k ^ gb, (phase & 3) >> 1))
         return self._with(CliffordTableau._from_keys(n, tuple(images)))
 

@@ -36,7 +36,8 @@ Sequences are lists of steps; a step is a Pauli point, or a
 ``(point, condition)`` tuple where the condition maps earlier step
 indices to required outcomes 0 or 1 (a decision table); unmet
 conditions skip the step, recorded as None in the transcript.  Any other
-step, or a condition naming the step itself or a later one, is rejected.
+step, a point whose qubit count is not the state's, or a condition
+naming the step itself or a later one, is rejected before any step runs.
 """
 
 from __future__ import annotations
@@ -129,10 +130,11 @@ def _cached_update(state: State, a: PauliPoint, s: int) -> tuple[tuple[FieldElem
 # -- sequences ----------------------------------------------------------------
 
 
-def normalize_steps(steps: Sequence) -> list[tuple[PauliPoint, Optional[dict]]]:
-    """(point, condition) pairs; raises ValueError unless every step is a
-    point or a (point, condition) tuple, the condition a mapping or None,
-    and every condition maps indices of earlier steps to outcomes 0 or 1."""
+def normalize_steps(steps: Sequence, n: int) -> list[tuple[PauliPoint, Optional[dict]]]:
+    """(point, condition) pairs; raises ValueError unless every step is an
+    n-qubit point or a (point, condition) tuple, the condition a mapping
+    or None, and every condition maps indices of earlier steps to
+    outcomes 0 or 1."""
     out = []
     for i, step in enumerate(steps):
         if isinstance(step, PauliPoint):
@@ -141,6 +143,8 @@ def normalize_steps(steps: Sequence) -> list[tuple[PauliPoint, Optional[dict]]]:
                 and isinstance(step[1], (Mapping, type(None)))):
             raise ValueError(f"step {i}: not a point or a (point, condition) pair: {step!r}")
         point, cond = step
+        if point.n != n:
+            raise ValueError(f"step {i}: {point.label()} is on {point.n} qubits, the state on {n}")
         for idx, want in (cond or {}).items():
             if not (isinstance(idx, int) and not isinstance(idx, bool) and 0 <= idx < i):
                 raise ValueError(
@@ -173,31 +177,37 @@ def check_weights(weighted: Iterable[tuple]) -> list[tuple]:
     return out
 
 
-def _law(roots: Iterable[tuple], steps: Sequence, branch) -> dict[tuple, FieldElem]:
-    """The joint outcome law of a branch tree: the leaf weights summed by
-    transcript.  ``branch(state, point)`` lists the (outcome, weight, next
-    state) children of a node; a step whose condition fails records None
-    and keeps the state, and a child of weight <= 0 is cut."""
-    steps = normalize_steps(steps)
+def _law(roots: Sequence[tuple], steps: Sequence, n: int, branch) -> dict[tuple, FieldElem]:
+    """The joint outcome law of a branch tree on n qubits: the leaf weights
+    summed by transcript.  ``branch(state, point)`` lists the (outcome,
+    weight, next state) children of a node; a step whose condition fails
+    records None and keeps the state, and a child of weight <= 0 is cut.
+    The walk keeps an explicit stack, so depth meets no recursion limit."""
+    steps = normalize_steps(steps, n)
     out: dict[tuple, FieldElem] = {}
-
-    def walk(i, state, prob, acc):
+    stack = [(0, state, weight, ()) for weight, state in reversed(roots) if weight.sign() > 0]
+    while stack:
+        i, state, prob, acc = stack.pop()
         if i == len(steps):
-            key = tuple(acc)
-            out[key] = out.get(key, ZERO) + prob
-            return
+            out[acc] = out.get(acc, ZERO) + prob
+            continue
         point, cond = steps[i]
         if not _condition_met(cond, acc):
-            walk(i + 1, state, prob, acc + [None])
-            return
-        for s, w, nxt in branch(state, point):
+            stack.append((i + 1, state, prob, acc + (None,)))
+            continue
+        for s, w, nxt in reversed(branch(state, point)):
             if w.sign() > 0:
-                walk(i + 1, nxt, prob * w, acc + [s])
-
-    for weight, state in roots:
-        if weight.sign() > 0:
-            walk(0, state, weight, [])
+                stack.append((i + 1, nxt, prob * w, acc + (s,)))
     return out
+
+
+def _width(weighted: Sequence[tuple]) -> int:
+    """The qubit count of the states of a nonempty weighted list;
+    ValueError if they differ."""
+    widths = {state.n for _, state in weighted}
+    if len(widths) != 1:
+        raise ValueError(f"the initial states differ in qubit count: {sorted(widths)}")
+    return widths.pop()
 
 
 def _update_branch(state: State, a: PauliPoint) -> list[tuple[int, FieldElem, State]]:
@@ -235,8 +245,9 @@ def exact_distribution(
     steps: Sequence,
 ) -> dict[tuple, FieldElem]:
     """Exact joint outcome distribution (None marks skipped steps).  The
-    initial weights must pass ``check_weights``."""
-    return _law(check_weights(initial), steps, _update_branch)
+    initial weights must pass ``check_weights``; states and steps share n."""
+    initial = check_weights(initial)
+    return _law(initial, steps, _width(initial), _update_branch)
 
 
 def born_distribution(rho: QOperator, steps: Sequence) -> dict[tuple, FieldElem]:
@@ -245,7 +256,7 @@ def born_distribution(rho: QOperator, steps: Sequence) -> dict[tuple, FieldElem]
     branched on again.  ``rho`` must have trace 1."""
     if rho.trace() != ONE:
         raise ValueError(f"a Born law needs an operator of trace 1, got {rho.trace()}")
-    return _law([(ONE, (rho, None))], steps, _born_branch)
+    return _law([(ONE, (rho, None))], steps, rho.n, _born_branch)
 
 
 def reduced_distribution(
@@ -263,7 +274,7 @@ def reduced_distribution(
     """
     if X.n != engine.m or X.trace() != ONE:
         raise ValueError(f"the head must have trace 1 on {engine.m} qubits, got {X!r}")
-    return _law([(ONE, (engine, (X, None)))], sequence, _reduced_branch)
+    return _law([(ONE, (engine, (X, None)))], sequence, engine.n, _reduced_branch)
 
 
 # -- sampling -----------------------------------------------------------------
@@ -336,7 +347,8 @@ def iter_sample(
         raise ValueError(f"shots must be a positive int, got {shots!r}")
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise ValueError(f"seed must be an int, got {seed!r}")
-    init_items, init_thresholds = _table(check_weights(initial))
+    initial = check_weights(initial)
+    init_items, init_thresholds = _table(initial)
     ids: dict[State, int] = {}
     states: list[State] = []
 
@@ -350,7 +362,7 @@ def iter_sample(
     init_ids = [intern(state) for state in init_items]
     # one memo per step: a state id to the step's (outcome, next id)
     # items and their thresholds
-    plan = [(point, cond, {}) for point, cond in normalize_steps(steps)]
+    plan = [(point, cond, {}) for point, cond in normalize_steps(steps, _width(initial))]
     draw = random.Random(seed).getrandbits
     for _ in range(shots):
         sid = init_ids[bisect_right(init_thresholds, draw(64))]
@@ -423,8 +435,7 @@ def descriptor_from_json(obj: Mapping) -> list[tuple[FieldElem, State]]:
         for w, term in check_weights((FieldElem.from_json(t.get("weight")), t) for t in terms):
             for w2, st in descriptor_from_json(term.get("state")):
                 out.append((w * w2, st))
-        if len({st.n for _, st in out}) > 1:
-            raise ValueError("mixture terms differ in qubit count")
+        _width(out)
         return out
     if kind == "operator":
         op = QOperator.from_json(obj)
@@ -433,12 +444,14 @@ def descriptor_from_json(obj: Mapping) -> list[tuple[FieldElem, State]]:
 
 
 def decompose_known(op: QOperator) -> list[tuple[FieldElem, State]]:
-    """Exact convex decomposition over the known updatable vertex pool."""
+    """Exact convex decomposition over the cnc vertices, or else (n = 2)
+    over them and the family, built only when the first pool fails."""
     if op.n > 2:
         raise UnsupportedDescriptor(
             "operator initial states are decomposed only for n <= 2"
         )
-    for pool, operators in _known_pools(op.n):
+    for family in (False, True) if op.n == 2 else (False,):
+        pool, operators = _known_pool(op.n, family)
         weights = decompose(op, operators)
         if weights is not None:
             return [(w, pool[i]) for i, w in weights.items()]
@@ -446,17 +459,15 @@ def decompose_known(op: QOperator) -> list[tuple[FieldElem, State]]:
 
 
 @lru_cache(maxsize=None)
-def _known_pools(n: int) -> tuple[tuple[tuple[State, ...], tuple[QOperator, ...]], ...]:
-    """The pools ``decompose_known`` tries in order, each as its states and
-    their operators: the cnc vertices, then for n = 2 the cnc vertices
-    followed by the family, sharing the cnc operators."""
+def _known_pool(n: int, family: bool) -> tuple[tuple[State, ...], tuple[QOperator, ...]]:
+    """A pool ``decompose_known`` tries, as its states and their operators:
+    the cnc vertices, followed by the n = 2 family when ``family``."""
+    if family:
+        cnc, ops = _known_pool(n, False)
+        members = enumerate_family()
+        return cnc + members, ops + tuple(map(state_operator, members))
     cnc = tuple(cnc_vertices(n))
-    pools = [(cnc, tuple(state_operator(s) for s in cnc))]
-    if n == 2:
-        family = enumerate_family()
-        ops = pools[0][1] + tuple(state_operator(s) for s in family)
-        pools.append((cnc + family, ops))
-    return tuple(pools)
+    return cnc, tuple(map(state_operator, cnc))
 
 
 def steps_from_json(steps: Sequence[Mapping], n: int) -> list:
@@ -467,13 +478,11 @@ def steps_from_json(steps: Sequence[Mapping], n: int) -> list:
         if not isinstance(st, Mapping) or not isinstance(st.get("measure"), str):
             raise ValueError(f"a step must be an object with a 'measure' label, got {st!r}")
         point = PauliPoint.from_label(st["measure"])
-        if point.n != n:
-            raise ValueError("step qubit count mismatch")
         cond = st.get("if")
         if cond is not None and not isinstance(cond, Mapping):
             raise ValueError("a step condition must be an object")
         out.append((point, {int(k): v for k, v in cond.items()} if cond else None))
-    return normalize_steps(out)
+    return normalize_steps(out, n)
 
 
 def distribution_to_json(dist: Mapping[tuple, FieldElem]) -> list[dict]:

@@ -25,7 +25,7 @@ from .gf2 import (
     solve_affine,
     span,
 )
-from .pauli import QOperator, phase_of_bits, signed_point
+from .pauli import QOperator, key_phase, signed_point
 
 
 def check_bit(value, what: str) -> int:
@@ -94,12 +94,11 @@ class Assignment:
         reduce the key by the canonical rows, and for each row it selects
         add that row's value and beta(product so far, row)."""
         n = self.subspace.n
-        low = (1 << n) - 1
         acc = value = 0
         for r, v in zip(self.subspace.rows, self.row_values):
             if key >> (r.bit_length() - 1) & 1:
                 key ^= r
-                value ^= v ^ (phase_of_bits(acc >> n, acc & low, r >> n, r & low) >> 1)
+                value ^= v ^ (key_phase(acc, r, n) >> 1)
                 acc ^= r
         return None if key else value
 
@@ -109,13 +108,9 @@ class Assignment:
         product that sums to k with value s gives k ^ r the value
         s ^ v ^ beta(k, r)."""
         n = self.subspace.n
-        low = (1 << n) - 1
         items = [(0, 0)]
         for r, v in zip(self.subspace.rows, self.row_values):
-            rz, rx = r >> n, r & low
-            items += [
-                (k ^ r, s ^ v ^ (phase_of_bits(k >> n, k & low, rz, rx) >> 1)) for k, s in items
-            ]
+            items += [(k ^ r, s ^ v ^ (key_phase(k, r, n) >> 1)) for k, s in items]
         return iter(items)
 
     def __eq__(self, other):
@@ -172,7 +167,7 @@ def convolve(r: Assignment, s2: Assignment) -> Assignment:
     beta(u, v), the same for every such split when the inputs agree on
     the intersection; conflicting overlaps raise.
     """
-    n, low = r.subspace.n, (1 << r.subspace.n) - 1
+    n = r.subspace.n
     if s2.subspace.n != n:
         raise ValueError("qubit count mismatch")
     r_values, s2_values = dict(r.key_items()), dict(s2.key_items())
@@ -181,7 +176,7 @@ def convolve(r: Assignment, s2: Assignment) -> Assignment:
     values = {}
     for u, ru in r_values.items():
         for v, sv in s2_values.items():
-            values[u ^ v] = ru ^ sv ^ (phase_of_bits(u >> n, u & low, v >> n, v & low) >> 1)
+            values[u ^ v] = ru ^ sv ^ (key_phase(u, v, n) >> 1)
     joint = Subspace(n, r.subspace.rows + s2.subspace.rows)
     return Assignment(joint, [values[g] for g in joint.rows])
 

@@ -13,11 +13,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lambda_forge.field import FieldElem, ONE, ZERO
-from lambda_forge.gf2 import PauliPoint, all_points, symplectic_form, x_point, y_point, z_point
+from lambda_forge.gf2 import (
+    PauliPoint,
+    all_points,
+    key_form,
+    symplectic_form,
+    x_point,
+    y_point,
+    z_point,
+)
 from lambda_forge.pauli import (
     PhasedPauli,
     QOperator,
     beta,
+    key_phase,
     pauli_matrix,
     pauli_mul,
     pauli_projector,
@@ -57,6 +66,19 @@ def test_pauli_involution_and_commutation():
         for w in all_points(2):
             diff = (product_phase(v, w) - product_phase(w, v)) % 4
             assert diff == 2 * symplectic_form(v, w)
+
+
+def test_key_phase_and_key_form_match_dense_products():
+    # every key pair for n <= 2 and seeded pairs at n = 3, drawn from their
+    # own Random so the module's shared rng is not moved
+    draw = random.Random(25)
+    pairs = [(n, a, b) for n in (1, 2) for a in range(1 << 2 * n) for b in range(1 << 2 * n)]
+    pairs += [(3, draw.randrange(64), draw.randrange(64)) for _ in range(200)]
+    for n, a, b in pairs:
+        v, w = PauliPoint.from_key(n, a), PauliPoint.from_key(n, b)
+        vw, wv = pauli_matrix(v) @ pauli_matrix(w), pauli_matrix(w) @ pauli_matrix(v)
+        assert np.array_equal(vw, pauli_matrix(v ^ w, key_phase(a, b, n))), (n, a, b)
+        assert key_form(a, b, n) == (not np.array_equal(vw, wv)), (n, a, b)
 
 
 def test_pauli_mul_associative_exhaustive_n1():

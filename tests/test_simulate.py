@@ -1,3 +1,4 @@
+import json
 import pickle
 import random
 from bisect import bisect_right
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lambda_forge import simulate
+from lambda_forge.cli import main
 from lambda_forge.clifford import CliffordTableau, generator_tableaux
 from lambda_forge.cnc import CncSet, cnc_vertices
 from lambda_forge.field import FieldElem, HALF, INV_SQRT2, ONE, ZERO
@@ -284,7 +286,7 @@ def _reference_sample(initial, steps, seed: int, shots: int = 1) -> list[tuple]:
         raise ValueError(f"shots must be a positive int, got {shots!r}")
     init_items, init_thresholds = _table(check_weights(initial))
     rng = random.Random(seed)
-    steps = normalize_steps(steps)
+    steps = normalize_steps(steps, init_items[0].n)
     tables: list[dict] = [{} for _ in steps]
     transcripts = []
     for _ in range(shots):
@@ -507,7 +509,7 @@ def test_malformed_steps_rejected_by_index(bad):
     steps = [z_point(1, 1), bad]
     init = [(ONE, cnc_vertices(1)[0])]
     with pytest.raises(ValueError, match="step 1"):
-        normalize_steps(steps)
+        normalize_steps(steps, 1)
     with pytest.raises(ValueError, match="step 1"):
         exact_distribution(init, steps)
     with pytest.raises(ValueError, match="step 1"):
@@ -601,3 +603,50 @@ def test_laws_agree_on_adaptive_circuits(circuit, seed):
         for i, (_, cond) in enumerate(steps):
             met = all(t[j] == want for j, want in (cond or {}).items())
             assert (t[i] is None) == (not met)
+
+
+def test_laws_and_cli_run_circuits_deeper_than_the_recursion_limit(tmp_path, capsys):
+    # one child per node, 2 000 steps deep; `iter_sample` has always run
+    # such a circuit, and the laws must too
+    plus_z = {"type": "stabilizer", "generators": ["+Z"]}
+    init = descriptor_from_json(plus_z)
+    steps = [z_point(1, 1)] * 2000
+    want = {(0,) * 2000: ONE}
+    assert exact_distribution(init, steps) == want
+    assert born_distribution(init[0][1].operator(), steps) == want
+    tail = Assignment.from_pairs([(z_point(1, 1), 0)])
+    engine = ReductionEngine(2, 1, embed_tail_assignment(tail, 2, 1))
+    lifted = [z_point(2, 1), z_point(2, 2)] * 1000  # head Born steps and fixed tail steps
+    assert reduced_distribution(init[0][1].operator(), engine, lifted) == want
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps({"n": 1, "initial": plus_z, "steps": [{"measure": "Z"}] * 2000}))
+    assert main(["simulate", str(path), "--exact"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["payload"]["distribution"] == [{"outcomes": [0] * 2000, "probability": "1"}]
+
+
+def test_laws_refuse_a_step_of_another_width_up_front():
+    # outcome 1 of X has weight 0 on |+>, so no walk reaches the ZZ step
+    plus_x = descriptor_from_json({"type": "stabilizer", "generators": ["+X"]})
+    steps = [x_point(1, 1), (z_point(2, 1) ^ z_point(2, 2), {0: 1})]
+    laws = [
+        lambda: born_distribution(plus_x[0][1].operator(), steps),
+        lambda: exact_distribution(plus_x, steps),
+        lambda: sample(plus_x, steps, seed=1),
+        lambda: next(iter_sample(plus_x, steps, seed=1)),
+    ]
+    for law in laws:
+        with pytest.raises(ValueError, match="step 1"):
+            law()
+    tail = Assignment.from_pairs([(z_point(1, 1), 0)])
+    engine = ReductionEngine(2, 1, embed_tail_assignment(tail, 2, 1))
+    lifted = [x_point(2, 1), (PauliPoint.from_label("ZZZ"), {0: 1})]
+    with pytest.raises(ValueError, match="step 1"):
+        reduced_distribution(plus_x[0][1].operator(), engine, lifted)
+    # an initial state whose width differs from its steps', or from another state's
+    with pytest.raises(ValueError, match="step 0"):
+        exact_distribution(plus_x, [z_point(2, 1)])
+    mixed = [(HALF, plus_x[0][1]), (HALF, cnc_vertices(2)[0])]
+    for law in (exact_distribution, lambda init, s: sample(init, s, seed=1)):
+        with pytest.raises(ValueError, match="qubit count"):
+            law(mixed, [x_point(1, 1)])
