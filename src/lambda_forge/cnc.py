@@ -27,7 +27,9 @@ Zurel, Phys. Rev. A 101, 012350 (2020), arXiv:1905.05374):
 A ``CncSet`` is one dict {``PauliPoint.key()``: gamma bit}; Omega is its
 keys.  Equality and hashing use the frozenset of its items, and the
 operator and both update rules run on the keys.  ``CncSet(omega, gamma)``
-validates; ``.omega`` and ``.gamma`` are ``PauliPoint`` views built when read.
+validates on the keys too (after refusing mixed widths), as ``is_closed``
+and ``consistent_assignments`` do; ``.omega`` and ``.gamma`` are
+``PauliPoint`` views built when read.
 """
 
 from __future__ import annotations
@@ -44,11 +46,11 @@ from .gf2 import (
     all_points,
     closure_under_inference,
     key_form,
+    point_width,
     span,
     swap_halves,
-    symplectic_form,
 )
-from .pauli import QOperator, beta, key_phase
+from .pauli import QOperator, key_phase
 from .stabilizer import Assignment, check_bit
 
 #: Largest qubit count ``is_maximal_cnc`` searches exhaustively.
@@ -59,35 +61,30 @@ _set = object.__setattr__
 
 def is_closed(omega: Iterable[PauliPoint]) -> bool:
     pts = set(omega)
-    return all(
-        (u ^ v) in pts
-        for u in pts
-        for v in pts
-        if symplectic_form(u, v) == 0
-    )
+    n = point_width(pts) if pts else 1
+    keys = {p.key() for p in pts}
+    return all(u ^ v in keys for u in keys for v in keys if not key_form(u, v, n))
 
 
 def consistent_assignments(omega: Iterable[PauliPoint]) -> list[dict[PauliPoint, int]]:
     """All consistent value maps on a closed set (zero point value 0)."""
-    pts = sorted(set(omega), key=lambda p: p.key())
+    pts = set(omega)
     if not pts:
         raise ValueError("a closed set must contain 0, so it cannot be empty")
-    n = pts[0].n
-    zero = PauliPoint.zero(n)
-    if zero not in pts:
+    n = point_width(pts)
+    keys = sorted(p.key() for p in pts)
+    if keys[0]:
         raise ValueError("a closed set must contain 0")
-    nz = [p for p in pts if not p.is_zero()]
-    index = {p: i for i, p in enumerate(nz)}
+    nz = keys[1:]
+    index = {k: i for i, k in enumerate(nz)}
     rows, rhs = [], []
     for u, v in combinations(nz, 2):
-        if symplectic_form(u, v) == 0:
-            w = u ^ v
-            if w.is_zero():
-                continue
-            rows.append((1 << index[u]) ^ (1 << index[v]) ^ (1 << index[w]))
-            rhs.append(beta(u, v))
+        if not key_form(u, v, n):
+            rows.append((1 << index[u]) ^ (1 << index[v]) ^ (1 << index[u ^ v]))
+            rhs.append(key_phase(u, v, n) >> 1)
+    zero, points = PauliPoint.zero(n), [PauliPoint.from_key(n, k) for k in nz]
     return [
-        {zero: 0, **{p: sol >> i & 1 for i, p in enumerate(nz)}}
+        {zero: 0, **{p: sol >> i & 1 for i, p in enumerate(points)}}
         for sol in affine_solutions(rows, rhs, len(nz))
     ]
 
@@ -104,7 +101,7 @@ def is_maximal_cnc(omega: Iterable[PauliPoint]) -> bool:
     pts = set(omega)
     if not pts:
         raise ValueError("a cnc set contains 0, so it cannot be empty")
-    n = next(iter(pts)).n
+    n = point_width(pts)
     if n > MAXIMALITY_BOUND:
         raise ValueError(f"maximality search capped at n={MAXIMALITY_BOUND}")
     if not is_cnc(pts):
@@ -127,21 +124,20 @@ class CncSet:
         pts = frozenset(omega)
         if not pts:
             raise ValueError("a cnc set contains 0, so Omega cannot be empty")
+        n = point_width(pts)
         if gamma.keys() != pts:
             raise ValueError("gamma must give a value on exactly the points of Omega")
-        for b in gamma.values():
-            check_bit(b, "gamma values")
-        n = next(iter(pts)).n
-        if gamma.get(PauliPoint.zero(n)) != 0:
+        vals = {p.key(): check_bit(b, "gamma values") for p, b in gamma.items()}
+        if vals.get(0) != 0:
             raise ValueError("a cnc set contains 0 with value 0")
-        for u, v in combinations(pts, 2):
-            if symplectic_form(u, v) == 0:
-                w = u ^ v
-                if w not in pts:
+        for u, v in combinations(vals, 2):
+            if not key_form(u, v, n):
+                w = vals.get(u ^ v)
+                if w is None:
                     raise ValueError("set is not closed under inference")
-                if gamma[w] != (gamma[u] + gamma[v] + beta(u, v)) & 1:
+                if w != vals[u] ^ vals[v] ^ key_phase(u, v, n) >> 1:
                     raise ValueError("value assignment is inconsistent")
-        self._fill(n, {p.key(): gamma[p] for p in pts})
+        self._fill(n, vals)
 
     @staticmethod
     def _from_keys(n: int, vals: dict[int, int]) -> "CncSet":

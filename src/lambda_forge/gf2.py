@@ -295,10 +295,17 @@ def span(points: Sequence[PauliPoint], n: Optional[int] = None) -> Subspace:
         if n is None:
             raise ValueError("cannot infer qubit count from an empty span")
         return Subspace(n, ())
-    ns = {p.n for p in points}
-    if len(ns) != 1 or (n is not None and ns != {n}):
+    if n not in (None, point_width(points)):
         raise ValueError("qubit count mismatch in span")
     return Subspace(points[0].n, [p.key() for p in points])
+
+
+def point_width(points: Iterable[PauliPoint]) -> int:
+    """The one qubit count of a nonempty collection of points, else ValueError."""
+    ns = sorted({p.n for p in points})
+    if len(ns) != 1:
+        raise ValueError(f"qubit count mismatch: points on {' and '.join(map(str, ns))} qubits")
+    return ns[0]
 
 
 def all_points(n: int, include_zero: bool = True) -> list[PauliPoint]:
@@ -348,18 +355,12 @@ def closure_under_inference(points: Iterable[PauliPoint]) -> frozenset[PauliPoin
     pts = set(points)
     if not pts:
         raise ValueError("closure of an empty set is undefined")
-    n = next(iter(pts)).n
-    pts.add(PauliPoint.zero(n))
-    frontier = list(pts)
+    n = point_width(pts)
+    keys = {p.key() for p in pts} | {0}
+    frontier = list(keys)
     while frontier:
         v = frontier.pop()
-        new = []
-        for w in pts:
-            if symplectic_form(v, w) == 0:
-                u = v ^ w
-                if u not in pts:
-                    new.append(u)
-        for u in new:
-            pts.add(u)
-            frontier.append(u)
-    return frozenset(pts)
+        new = [v ^ w for w in keys if not key_form(v, w, n) and v ^ w not in keys]
+        keys.update(new)
+        frontier += new
+    return frozenset(PauliPoint.from_key(n, k) for k in keys)

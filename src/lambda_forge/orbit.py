@@ -20,10 +20,12 @@ four six-member ones give |Omega| = 7, and the sign system solved by
 ``enumerate_family`` makes each member straight from these rule outputs;
 ``OrbitVertex.build`` validates parameters from outside with the same
 rule code (the collection must be one of ``enumerate_collections(I)``,
-gamma' one of the sign-system solutions).  The test suite checks the
-count against the Clifford orbit, checks that every candidate from the
-8- and 10-member collections fails membership or extremality, and
-rebuilds every member through ``build``.
+gamma' one of the sign-system solutions); ``classify_operator`` accepts
+members only, looking the key mask of Omega up among the six-member
+collections at I.  The test suite checks the count against the Clifford
+orbit, checks that every candidate from the 8- and 10-member collections
+fails membership or extremality and is refused by ``classify_operator``,
+and rebuilds and reclassifies every member.
 
 The covering rule is linear over Z_2.  Every nonzero point of E_2 lies
 in exactly three maximal isotropics, so a collection covers it 0, 1, 2
@@ -61,11 +63,12 @@ from .gf2 import (
     affine_solutions,
     all_points,
     enumerate_maximal_isotropics,
+    key_form,
     span,
     swap_halves,
-    symplectic_form,
+    xor_sums,
 )
-from .pauli import QOperator, beta, key_phase, pauli_projector
+from .pauli import QOperator, key_phase, pauli_projector
 from .stabilizer import Assignment, all_assignments, check_bit
 
 #: Pauli expectations of the flagship vertex, row order II..YY.
@@ -116,17 +119,18 @@ def enumerate_collections(I: Subspace) -> tuple[frozenset[Subspace], ...]:
     return tuple(sorted(found, key=lambda C: sorted(s.rows for s in C)))
 
 
+@lru_cache(maxsize=None)
+def _family_collections(I: Subspace) -> dict[int, tuple[frozenset, frozenset[PauliPoint]]]:
+    """The six-member collections at I and their Omega, in order, keyed by
+    the mask of Omega (bit k for the point of ``PauliPoint.key()`` k)."""
+    found = ((C, omega_from_collection(C)) for C in enumerate_collections(I) if len(C) == 6)
+    return {sum(1 << p.key() for p in omega): (C, omega) for C, omega in found}
+
+
 def omega_from_collection(collection: Iterable[Subspace]) -> frozenset[PauliPoint]:
     """Complement-of-covered-points set; always contains 0."""
-    covered: set[PauliPoint] = set()
-    for J in collection:
-        for p in J.points():
-            if not p.is_zero():
-                covered.add(p)
-    zero = PauliPoint.zero(2)
-    return frozenset(
-        [zero] + [p for p in all_points(2, include_zero=False) if p not in covered]
-    )
+    covered = {k for J in collection for k in xor_sums(J.rows) if k}
+    return frozenset(PauliPoint.from_key(2, k) for k in range(16) if k not in covered)
 
 
 # -- sign systems ----------------------------------------------------------
@@ -148,22 +152,26 @@ def assignment_solutions(
     the solutions come in ascending lexicographic order of their bits
     read from the lowest key (``affine_solutions``).
     """
-    zero = PauliPoint.zero(2)
-    pts = sorted((p for p in omega if not p.is_zero()), key=lambda p: p.key())
-    index = {p: i for i, p in enumerate(pts)}
-    rows, rhs = [], []
-    for v, w in combinations(pts, 2):
-        if symplectic_form(v, w) != 0:
-            continue
-        u = v ^ w
-        if u.is_zero() or not I.contains(u):
-            continue
-        rows.append((1 << index[v]) | (1 << index[w]))
-        rhs.append((gamma.value(u) + beta(v, w)) & 1)
+    if gamma.subspace != I:
+        raise ValueError("gamma must be an assignment on I")
+    keys = sorted(p.key() for p in omega if not p.is_zero())
+    zero, pts = PauliPoint.zero(2), [PauliPoint.from_key(2, k) for k in keys]
     return [
         {zero: 0, **{p: sol >> i & 1 for i, p in enumerate(pts)}}
-        for sol in affine_solutions(rows, rhs, len(pts))
+        for sol in _sign_solutions(gamma, keys)
     ]
+
+
+def _sign_solutions(gamma: Assignment, keys: Sequence[int]) -> list[int]:
+    """``assignment_solutions`` on the ascending nonzero ``PauliPoint.key()``
+    ints of Omega, with the bit of keys[i] at bit i; I is gamma's domain."""
+    rows, rhs = [], []
+    for (i, v), (j, w) in combinations(enumerate(keys), 2):
+        g = None if key_form(v, w, 2) else gamma._key_value(v ^ w)
+        if g is not None:  # v and w commute, and v + w lies in I
+            rows.append((1 << i) | (1 << j))
+            rhs.append(g ^ key_phase(v, w, 2) >> 1)
+    return affine_solutions(rows, rhs, len(keys))
 
 
 # -- the vertices ------------------------------------------------------------
@@ -202,7 +210,7 @@ class OrbitVertex:
         omega = omega_from_collection(collection)
         if not omega.issubset(gamma_p):
             raise ValueError("gamma' must give a bit on every point of Omega")
-        gp = {p: gamma_p[p] & 1 for p in omega}
+        gp = {p: check_bit(gamma_p[p], "gamma' values") for p in omega}
         if gp not in assignment_solutions(I, gamma, omega):
             raise ValueError("gamma' violates the sign rules")
         return OrbitVertex(
@@ -253,38 +261,34 @@ class OrbitVertex:
 
 
 def classify_operator(V: QOperator) -> OrbitVertex:
-    """Recover the parameter set of a family member from its coefficients."""
+    """Recover the parameter set of a family member from its coefficients;
+    ValueError for any other operator (see the module docstring)."""
     if V.n != 2:
         raise ValueError("the family lives on two qubits")
     if V.trace() != ONE:
         raise ValueError("family members have unit trace")
-    zero = PauliPoint.zero(2)
-    i_pts, gam_pairs, gp = [], [], {zero: 0}
+    signs, gp = {}, {0: 0}
     for k, c in V._by_key.items():
         if not k:
             continue
-        p = PauliPoint.from_key(2, k)
         if c == ONE or c == -ONE:
-            i_pts.append(p)
-            gam_pairs.append((p, 0 if c == ONE else 1))
+            signs[k] = 0 if c == ONE else 1
         elif c == HALF or c == -HALF:
-            gp[p] = 0 if c == HALF else 1
+            gp[k] = 0 if c == HALF else 1
         else:
             raise ValueError("coefficient outside {0, +-1/2, +-1}")
-    I = span(i_pts, 2)
-    if I.dim != 2 or not I.is_isotropic():
+    I = Subspace(2, signs)
+    if len(signs) != 3 or I.dim != 2 or not I.is_isotropic():
         raise ValueError("unit coefficients must fill a maximal isotropic")
-    gamma = Assignment.from_pairs(gam_pairs, 2)
-    omega = frozenset(gp)
-    collection = _collection_for_omega(I, omega)
-    return OrbitVertex.build(I, gamma, collection, gp)
-
-
-def _collection_for_omega(I: Subspace, omega: frozenset[PauliPoint]) -> frozenset[Subspace]:
-    for C in enumerate_collections(I):
-        if omega_from_collection(C) == omega:
-            return C
-    raise ValueError("no rule-satisfying collection produces this Omega")
+    gamma = Assignment.from_pairs([(PauliPoint.from_key(2, k), b) for k, b in signs.items()])
+    found = _family_collections(I).get(sum(1 << k for k in gp))
+    if found is None:
+        raise ValueError("the operator is not a member of the two-qubit family")
+    nz = sorted(gp)[1:]
+    if sum(gp[k] << i for i, k in enumerate(nz)) not in _sign_solutions(gamma, nz):
+        raise ValueError("gamma' violates the sign rules")
+    gamma_p = tuple((PauliPoint.from_key(2, k), gp[k]) for k in sorted(gp))
+    return OrbitVertex(I, gamma, *found, gamma_p)
 
 
 @lru_cache(maxsize=1)
@@ -293,11 +297,8 @@ def enumerate_family() -> tuple[OrbitVertex, ...]:
     solution), in that nesting order."""
     out = []
     for I in enumerate_maximal_isotropics(2):
-        collections = [
-            (C, omega_from_collection(C)) for C in enumerate_collections(I) if len(C) == 6
-        ]
         for gamma in all_assignments(I):
-            for C, omega in collections:
+            for C, omega in _family_collections(I).values():
                 for gp in assignment_solutions(I, gamma, omega):
                     out.append(OrbitVertex(I, gamma, C, omega, tuple(gp.items())))
     return tuple(out)

@@ -446,6 +446,8 @@ def descriptor_from_json(obj: Mapping) -> list[tuple[FieldElem, State]]:
 def decompose_known(op: QOperator) -> list[tuple[FieldElem, State]]:
     """Exact convex decomposition over the cnc vertices, or else (n = 2)
     over them and the family, built only when the first pool fails."""
+    if op.trace() != ONE:
+        raise ValueError(f"an operator initial state needs trace 1, got {op.trace()}")
     if op.n > 2:
         raise UnsupportedDescriptor(
             "operator initial states are decomposed only for n <= 2"

@@ -447,6 +447,31 @@ def test_simulate_rejects_trace_zero_orbit(tmp_path, capsys):
     assert "unit trace" in doc["diagnostics"]
 
 
+def test_simulate_refuses_an_orbit_descriptor_outside_the_family(tmp_path, capsys):
+    """II, XI, IX, XX = 1 and YI, IY, YY = 1/2 comes from an 8-member
+    collection: a polytope non-member, refused as either descriptor."""
+    coeffs = {"II": "1", "XI": "1", "IX": "1", "XX": "1", "YI": "1/2", "IY": "1/2", "YY": "1/2"}
+    steps = [{"measure": m} for m in ("YI", "IY", "ZZ")]
+    for initial, needle in (({"type": "orbit", "coeffs": coeffs}, "two-qubit family"),
+                            ({"type": "operator", "n": 2, "coeffs": coeffs}, "hull")):
+        path = write_json(tmp_path / "circ.json", {"n": 2, "initial": initial, "steps": steps})
+        for mode in (["--exact"], ["--shots", "4"]):
+            code, out = run(capsys, "simulate", path, *mode)
+            doc = json.loads(out)
+            assert code == 1 and doc["status"] == "error" and needle in doc["diagnostics"]
+
+
+def test_simulate_refuses_an_operator_descriptor_of_trace_2(tmp_path, capsys):
+    coeffs = {"II": "2", "ZI": "2"}
+    circ = {"n": 2, "initial": {"type": "operator", "n": 2, "coeffs": coeffs},
+            "steps": [{"measure": "ZI"}]}
+    path = write_json(tmp_path / "circ.json", circ)
+    code, out = run(capsys, "simulate", path, "--exact")
+    doc = json.loads(out)
+    assert code == 1 and doc["status"] == "error"
+    assert doc["diagnostics"] == "ValueError: an operator initial state needs trace 1, got 2"
+
+
 def test_simulate_rejects_circuit_qubit_count_mismatch(tmp_path, capsys):
     circ = {"n": 3, "initial": {"type": "stabilizer", "generators": ["+Z"]}, "steps": []}
     path = write_json(tmp_path / "circ.json", circ)

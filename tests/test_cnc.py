@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -194,3 +195,74 @@ def test_consistent_assignment_counts():
 def test_json_round_trip():
     c = cnc_vertices(2)[100]
     assert CncSet.from_json(c.to_json()) == c
+
+
+# A point-level oracle for CncSet's checks, from the one-qubit Pauli
+# product table: T_v is the tensor product of I, X, Z, Y = iXZ per qubit.
+_PRODUCT_PHASE = {("X", "Y"): 1, ("Y", "Z"): 1, ("Z", "X"): 1,
+                  ("Y", "X"): 3, ("Z", "Y"): 3, ("X", "Z"): 3}
+
+
+def _oracle_phase(v, w):
+    """k with T_v T_w = i^k T_{v+w}, qubit by qubit."""
+    return sum(_PRODUCT_PHASE.get(pair, 0) for pair in zip(v.label(), w.label())) % 4
+
+
+def _oracle_refusal(omega, gamma):
+    """The message CncSet(omega, gamma) must raise, or None to accept."""
+    widths = sorted({p.n for p in omega})
+    if len(widths) > 1:
+        return f"qubit count mismatch: points on {' and '.join(map(str, widths))} qubits"
+    if gamma.get(PauliPoint.zero(widths[0])) != 0:
+        return "a cnc set contains 0 with value 0"
+    refusal = None
+    for u, v in combinations(omega, 2):
+        k = _oracle_phase(u, v)
+        if k % 2:  # anticommuting
+            continue
+        if u ^ v not in gamma:
+            return "set is not closed under inference"
+        if gamma[u ^ v] != gamma[u] ^ gamma[v] ^ k // 2:
+            refusal = "value assignment is inconsistent"
+    return refusal
+
+
+def _mutations(c, gen):
+    """One gamma bit flipped, one point dropped, and one point of another
+    width added, from the cnc set c."""
+    gamma = dict(c.gamma)
+    p = gen.choice(sorted(gamma, key=lambda q: q.key()))
+    yield {**gamma, p: gamma[p] ^ 1}
+    yield {q: b for q, b in gamma.items() if q != p}
+    other = PauliPoint.from_key(c.n + 1 if c.n < 3 else 1, gen.randrange(1, 4))
+    yield {**gamma, other: gen.randint(0, 1)}
+
+
+def test_validation_matches_a_point_level_oracle():
+    gen = random.Random(26)
+    cases = gen.sample(cnc_vertices(2), 40) + cnc_vertices(1)
+    cases += [CncSet.from_assignment(s) for _, s in gen.sample(enumerate_stabilizer_states(3), 6)]
+    outcomes = set()
+    for c in cases:
+        assert _oracle_refusal(list(c.gamma), c.gamma) is None
+        for gamma in _mutations(c, gen):
+            expected = _oracle_refusal(list(gamma), gamma)
+            outcomes.add(expected and expected.split(":")[0])
+            if expected is None:
+                assert CncSet(gamma, gamma).gamma == gamma
+            else:
+                with pytest.raises(ValueError) as err:
+                    CncSet(gamma, gamma)
+                assert str(err.value) == expected
+    assert len(outcomes) == 5  # accepted, and each of the four refusals
+
+
+def test_mixed_widths_refused_with_one_message():
+    """The CLI descriptor omega ["II", "Z"]: whichever point a frozenset
+    yields first, the diagnostic names the two widths."""
+    ii, z = PauliPoint.from_label("II"), PauliPoint.from_label("Z")
+    for omega in ([ii, z], [z, ii]):
+        for fn in (lambda: CncSet(omega, {ii: 0, z: 0}), lambda: is_closed(omega),
+                   lambda: consistent_assignments(omega), lambda: is_maximal_cnc(omega)):
+            with pytest.raises(ValueError, match=r"^qubit count mismatch: points on 1 and 2 qubits$"):
+                fn()

@@ -119,6 +119,13 @@ def test_build_validation():
     del short_gp[x_point(2, 1)]
     with pytest.raises(ValueError):
         OrbitVertex.build(V.I, V.gamma, V.collection, short_gp)
+    # gamma' bits are the ints 0 or 1: 2 is not read as 2 & 1 = 0
+    assert dict(V.gamma_p)[x_point(2, 1)] == 0
+    for bad in (2, True):
+        bad_gp = dict(V.gamma_p)
+        bad_gp[x_point(2, 1)] = bad
+        with pytest.raises(ValueError, match="gamma' values must be the ints 0 or 1"):
+            OrbitVertex.build(V.I, V.gamma, V.collection, bad_gp)
 
 
 def test_classify_rejects_trace_zero():
@@ -130,6 +137,47 @@ def test_classify_rejects_trace_zero():
 def test_every_member_round_trips_through_build():
     for V in enumerate_family():
         assert OrbitVertex.build(V.I, V.gamma, V.collection, dict(V.gamma_p)) == V
+
+
+def test_classify_recovers_every_member_and_clifford_moves():
+    family = enumerate_family()
+    for V in family:
+        assert classify_operator(V.operator()) == V
+    from lambda_forge.clifford import CliffordTableau
+
+    gates = [CliffordTableau.hadamard(2, 1), CliffordTableau.hadamard(2, 2),
+             CliffordTableau.phase_gate(2, 1), CliffordTableau.phase_gate(2, 2),
+             CliffordTableau.cnot(2, 1, 2), CliffordTableau.cnot(2, 2, 1)]
+    members = set(family)
+    gen = random.Random(26)
+    for _ in range(40):
+        u = CliffordTableau.identity(2)
+        for _ in range(12):
+            u = gen.choice(gates).compose(u)
+        op = u.conjugate(alpha0_vertex())
+        V = classify_operator(op)
+        assert V in members and V.operator() == op
+
+
+def test_classify_refuses_operators_outside_the_family():
+    """Every candidate of an 8- or 10-member collection is refused, and so
+    is a member with one of its unit coefficients on I set to 0."""
+    refused = Counter()
+    for I in enumerate_maximal_isotropics(2):
+        for gamma in all_assignments(I):
+            for C in enumerate_collections(I):
+                if len(C) == 6:
+                    continue
+                omega = omega_from_collection(C)
+                for gp in assignment_solutions(I, gamma, omega):
+                    op = OrbitVertex(I, gamma, C, omega, tuple(gp.items())).operator()
+                    with pytest.raises(ValueError, match="not a member of the two-qubit family"):
+                        classify_operator(op)
+                    refused[len(C)] += 1
+    assert refused == {8: 3840, 10: 240}
+    table = dict(ALPHA0_TABLE, YY=0)  # YY is the third point of I
+    with pytest.raises(ValueError, match="fill a maximal isotropic"):
+        classify_operator(QOperator.from_labels(2, table))
 
 
 def test_collections_structure():

@@ -140,6 +140,17 @@ def test_magic_state_probabilities():
     assert dist == born_distribution(T_STATE, [x_point(1, 1)])
 
 
+def test_decompose_known_refuses_a_trace_other_than_1_before_any_pool(monkeypatch):
+    def no_pool(n, family):
+        raise AssertionError("a pool was built")
+
+    monkeypatch.setattr(simulate, "_known_pool", no_pool)
+    for op, trace in ((alpha0_vertex().scale(2), "2"), (QOperator.zero(1), "0"),
+                      (QOperator.from_labels(3, {"III": Fraction(1, 2)}), "1/2")):
+        with pytest.raises(ValueError, match=f"^an operator initial state needs trace 1, got {trace}$"):
+            decompose_known(op)
+
+
 def test_decompose_known_family_pool():
     """Two-qubit operators outside the cnc hull go to the cnc + family pool
     and come back as an exact convex combination."""
