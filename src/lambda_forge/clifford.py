@@ -12,6 +12,8 @@ sign for each generator image.  The group of such actions has order
 any symplectic basis of E_n taken as the generator images, with any sign
 on each image (Koenig and Smolin, J. Math. Phys. 55, 122202 (2014)), and
 ``enumerate_action`` lists the group that way, with no group search.
+``compose`` acts only on the generators the left tableau moves (as in
+Aaronson and Gottesman, PRA 70, 052328 (2004)): O(n) per image for a gate.
 """
 
 from __future__ import annotations
@@ -136,14 +138,13 @@ class CliffordTableau:
         # image i.
         acc = 0
         phase = ((key >> n) & key).bit_count()
-        bits = key
-        for k, sgn in self._keys:
-            if not bits:
-                break
-            if bits & 1:
-                phase += key_phase(acc, k, n) + 2 * sgn
-                acc ^= k
-            bits >>= 1
+        keys = self._keys
+        while key:
+            low = key & -key
+            k, sgn = keys[low.bit_length() - 1]
+            phase += key_phase(acc, k, n) + 2 * sgn
+            acc ^= k
+            key ^= low
         phase &= 3
         assert not phase & 1, "Clifford image of a Hermitian Pauli must be Hermitian"
         return acc, phase
@@ -167,11 +168,20 @@ class CliffordTableau:
         """Tableau of (self after other): v -> self(other(v))."""
         if self.n != other.n:
             raise ValueError("qubit count mismatch")
-        imgs = []
+        # self fixes T_r off the moved generators: with k = r ^ m and (m', ph)
+        # = self._apply_key(m), self(T_k) = i^{ph + key_phase(r, m') - key_phase(r, m)} T_{r ^ m'}.
+        n, imgs = self.n, []
+        moved = sum(1 << i for i, img in enumerate(self._keys) if img != (1 << i, 0))
         for k, s in other._keys:
-            key, phase = self._apply_key(k)
-            imgs.append((key, s ^ (phase >> 1)))
-        return CliffordTableau._from_keys(self.n, tuple(imgs))
+            m = k & moved
+            if m:
+                key, phase = self._apply_key(m)
+                if k != m:  # else r = 0, and both key_phase terms vanish
+                    phase += key_phase(k ^ m, key, n) - key_phase(k ^ m, m, n)
+                    assert not phase & 1, "Clifford image of a Hermitian Pauli must be Hermitian"
+                k, s = k ^ m ^ key, s ^ (phase >> 1 & 1)
+            imgs.append((k, s))
+        return CliffordTableau._from_keys(n, tuple(imgs))
 
     def invert(self) -> "CliffordTableau":
         n = self.n
@@ -269,19 +279,22 @@ def enumerate_action(n: int) -> list[CliffordTableau]:
 
 
 def operator_orbit(A: QOperator) -> set:
-    """Canonical keys of the Clifford orbit of A, by breadth-first search.
+    """``QOperator.key()`` of each member of the Clifford orbit of A."""
+    members = coefficient_orbit(A.n, A._by_key)
+    return {(A.n, tuple([(k, d.a, d.b) for k, d in m])) for m in members}
 
-    Every generator acts on A as a signed permutation of E_n.  A member
-    of the orbit is coded as the sorted tuple of the ints key(v) * m + j,
-    one per coefficient, where the coefficient at v is values[j] among the
-    m distinct values +-c of A; each generator then acts through one
-    lookup table on these codes.  Sorting the codes sorts by point key, so
-    each member decodes straight to its ``QOperator.key()``.
-    """
-    n = A.n
+
+def coefficient_orbit(n: int, coeffs: Mapping[int, object]) -> set:
+    """The Clifford orbit of the map {``PauliPoint.key()``: value}, values
+    closed under negation, by breadth-first search: each member is the
+    sorted tuple of its (key, value) pairs.  Every generator acts as a
+    signed permutation of E_n.  A member is coded as the sorted ints
+    key(v) * m + j, where the value at v is values[j] among the m distinct
+    values +-c; a generator acts through one lookup table on these codes,
+    and sorting the codes sorts by point key."""
     values: list = []
     index: dict = {}
-    for c in A._by_key.values():
+    for c in coeffs.values():
         for d in (c, -c):
             if d not in index:
                 index[d] = len(values)
@@ -295,7 +308,7 @@ def operator_orbit(A: QOperator) -> set:
             key, phase = g._apply_key(k)
             table.extend(key * m + (neg[j] if phase else j) for j in range(m))
         tables.append(table)
-    start = tuple(sorted(k * m + index[c] for k, c in A._by_key.items()))
+    start = tuple(sorted(k * m + index[c] for k, c in coeffs.items()))
     seen = {start}
     queue = deque([start])
     while queue:
@@ -305,8 +318,8 @@ def operator_orbit(A: QOperator) -> set:
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
-    items = [(k, d.a, d.b) for k in range(1 << (2 * n)) for d in values]
-    return {(n, tuple([items[e] for e in member])) for member in seen}
+    items = [(k, d) for k in range(1 << (2 * n)) for d in values]
+    return {tuple([items[e] for e in member]) for member in seen}
 
 
 def complete_symplectic_map(

@@ -67,7 +67,8 @@ def is_closed(omega: Iterable[PauliPoint]) -> bool:
 
 
 def consistent_assignments(omega: Iterable[PauliPoint]) -> list[dict[PauliPoint, int]]:
-    """All consistent value maps on a closed set (zero point value 0)."""
+    """All consistent value maps on a closed set (zero point value 0);
+    ValueError on a set that is not closed under inference."""
     pts = set(omega)
     if not pts:
         raise ValueError("a closed set must contain 0, so it cannot be empty")
@@ -80,6 +81,8 @@ def consistent_assignments(omega: Iterable[PauliPoint]) -> list[dict[PauliPoint,
     rows, rhs = [], []
     for u, v in combinations(nz, 2):
         if not key_form(u, v, n):
+            if u ^ v not in index:
+                raise ValueError("set is not closed under inference")
             rows.append((1 << index[u]) ^ (1 << index[v]) ^ (1 << index[u ^ v]))
             rhs.append(key_phase(u, v, n) >> 1)
     zero, points = PauliPoint.zero(n), [PauliPoint.from_key(n, k) for k in nz]

@@ -22,10 +22,12 @@ four six-member ones give |Omega| = 7, and the sign system solved by
 rule code (the collection must be one of ``enumerate_collections(I)``,
 gamma' one of the sign-system solutions); ``classify_operator`` accepts
 members only, looking the key mask of Omega up among the six-member
-collections at I.  The test suite checks the count against the Clifford
-orbit, checks that every candidate from the 8- and 10-member collections
-fails membership or extremality and is refused by ``classify_operator``,
-and rebuilds and reclassifies every member.
+collections at I.  The check that the family equals the Clifford orbit
+of ``ALPHA0_TABLE`` compares sorted (key, coefficient times 2) int pairs
+(``family_operator_keys``, ``clifford_orbit_keys``).  The test suite
+checks that every candidate from the 8- and 10-member collections fails
+membership or extremality and is refused by ``classify_operator``, and
+rebuilds and reclassifies every member.
 
 The covering rule is linear over Z_2.  Every nonzero point of E_2 lies
 in exactly three maximal isotropics, so a collection covers it 0, 1, 2
@@ -55,7 +57,7 @@ from itertools import combinations, product
 from typing import ClassVar, Iterable, Mapping, Optional, Sequence
 
 from .field import HALF, ONE
-from .clifford import operator_orbit
+from .clifford import coefficient_orbit
 from .cnc import CncSet
 from .gf2 import (
     PauliPoint,
@@ -99,24 +101,29 @@ def alpha0_vertex() -> QOperator:
 # -- collections of maximal isotropics -----------------------------------
 
 
-@lru_cache(maxsize=None)
 def enumerate_collections(I: Subspace) -> tuple[frozenset[Subspace], ...]:
     """All collections containing I in which every covered nonzero point
-    lies in exactly two members: the solutions, with a 1 at I, of the
+    lies in exactly two members: the null vectors with a 1 at I of the
     point-by-isotropic incidence system over Z_2 (see the module
     docstring)."""
-    isos = enumerate_maximal_isotropics(2)
-    if I not in isos:
+    if I not in _collections_by_anchor():
         raise ValueError("collections are anchored at a maximal isotropic")
+    return _collections_by_anchor()[I]
+
+
+@lru_cache(maxsize=1)
+def _collections_by_anchor() -> dict[Subspace, tuple[frozenset[Subspace], ...]]:
+    """``enumerate_collections`` at every maximal isotropic, from one kernel."""
+    isos = enumerate_maximal_isotropics(2)
     rows = [
         sum(1 << j for j, J in enumerate(isos) if J.row_mask(p) is not None) for p in range(1, 16)
     ]
-    rows.append(1 << isos.index(I))
     found = [
         frozenset(J for j, J in enumerate(isos) if sol >> j & 1)
-        for sol in affine_solutions(rows, [0] * 15 + [1], len(isos))
+        for sol in affine_solutions(rows, [0] * 15, len(isos))
     ]
-    return tuple(sorted(found, key=lambda C: sorted(s.rows for s in C)))
+    found.sort(key=lambda C: sorted(s.rows for s in C))
+    return {I: tuple(C for C in found if I in C) for I in isos}
 
 
 @lru_cache(maxsize=None)
@@ -306,13 +313,15 @@ def enumerate_family() -> tuple[OrbitVertex, ...]:
 
 @lru_cache(maxsize=1)
 def family_operator_keys() -> frozenset:
-    return frozenset(v.operator().key() for v in enumerate_family())
+    """Each member as the sorted (key, coefficient times 2) int pairs."""
+    return frozenset(tuple(sorted(v._twice_coeffs.items())) for v in enumerate_family())
 
 
 @lru_cache(maxsize=1)
 def clifford_orbit_keys() -> frozenset:
-    """Canonical keys of the BFS Clifford orbit of the flagship vertex."""
-    return frozenset(operator_orbit(alpha0_vertex()))
+    """The flagship's BFS Clifford orbit, from ``ALPHA0_TABLE``, as ``family_operator_keys``."""
+    twice = {PauliPoint.from_label(lbl).key(): int(2 * c) for lbl, c in ALPHA0_TABLE.items() if c}
+    return frozenset(coefficient_orbit(2, twice))
 
 
 # -- measurement updates -----------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 
 from lambda_forge.clifford import (
     CliffordTableau,
+    coefficient_orbit,
     complete_symplectic_map,
     enumerate_action,
     generator_tableaux,
@@ -14,6 +15,7 @@ from lambda_forge.clifford import (
     tableau_for_projector_pair,
 )
 from lambda_forge.cnc import cnc_vertices
+from lambda_forge.orbit import alpha0_vertex
 from lambda_forge.field import INV_SQRT2, ONE, FieldElem
 from lambda_forge.gf2 import (
     PauliPoint,
@@ -209,6 +211,55 @@ def test_operator_orbit_matches_conjugation_bfs():
         keys = operator_orbit(A)
         assert keys == conjugation_orbit_keys(A)
         assert size is None or len(keys) == size
+
+
+def dense_compose(t, u):
+    """(t after u) with every image of u pushed through all of t."""
+    imgs = []
+    for k, s in u._keys:
+        key, phase = t._apply_key(k)
+        imgs.append((key, s ^ (phase >> 1)))
+    return CliffordTableau._from_keys(t.n, tuple(imgs))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_compose_matches_the_dense_reference(n):
+    seeded = random.Random(700 + n)
+    gens = generator_tableaux(n)
+    ident = CliffordTableau.identity(n)
+
+    def word():
+        t = ident
+        for _ in range(30):
+            t = dense_compose(seeded.choice(gens), t)
+        return t
+
+    for _ in range(12):
+        a, b = word(), word()
+        g = seeded.choice(gens)
+        p = CliffordTableau.pauli(n, PauliPoint.from_key(n, seeded.randrange(1, 1 << 2 * n)))
+        # full words, gates, sign-only Paulis and the identity on either side
+        for left, right in ((a, b), (g, a), (a, g), (p, a), (a, p), (p, g), (ident, a), (a, ident)):
+            assert left.compose(right) == dense_compose(left, right)
+            assert right.compose(left) == dense_compose(right, left)
+
+
+def test_compose_refuses_mixed_widths():
+    for n, m in ((1, 2), (3, 2)):
+        with pytest.raises(ValueError, match="qubit count mismatch"):
+            CliffordTableau.identity(n).compose(CliffordTableau.hadamard(m, 1))
+
+
+def test_coefficient_orbit_decodes_to_operator_orbit():
+    I, s = enumerate_stabilizer_states(2)[0]
+    t_state = QOperator(
+        1, {PauliPoint.zero(1): ONE, x_point(1, 1): INV_SQRT2, y_point(1, 1): INV_SQRT2}
+    )
+    for A in (stabilizer_projector(I, s), t_state, alpha0_vertex()):
+        members = coefficient_orbit(A.n, A._by_key)
+        assert all(list(m) == sorted(m) for m in members)
+        decoded = {QOperator._from_keys(A.n, dict(m)).key() for m in members}
+        assert len(decoded) == len(members) and decoded == operator_orbit(A)
 
 
 def test_complete_symplectic_map():

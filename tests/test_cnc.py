@@ -192,6 +192,14 @@ def test_consistent_assignment_counts():
     assert len(consistent_assignments(pent)) == 32
 
 
+def test_consistent_assignments_refuses_an_unclosed_set():
+    # XI and IX commute, and their product XX is missing
+    pts = [PauliPoint.from_label(lbl) for lbl in ("II", "XI", "IX")]
+    with pytest.raises(ValueError, match="set is not closed under inference"):
+        consistent_assignments(pts)
+    assert not is_cnc(pts)
+
+
 def test_json_round_trip():
     c = cnc_vertices(2)[100]
     assert CncSet.from_json(c.to_json()) == c

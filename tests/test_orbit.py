@@ -21,14 +21,17 @@ from lambda_forge.orbit import (
     alpha0_vertex,
     assignment_solutions,
     classify_operator,
+    clifford_orbit_keys,
     enumerate_collections,
     enumerate_family,
+    family_operator_keys,
     isotropic_poset,
     measure_update,
     mixture_identities_report,
     omega_from_collection,
     poset_dot,
 )
+from lambda_forge.field import FieldElem
 from lambda_forge.pauli import QOperator
 from lambda_forge.polytope import is_vertex, membership
 from lambda_forge.stabilizer import all_assignments
@@ -382,3 +385,25 @@ def test_vertex_json():
     assert len(doc["collection"]) == 6
     assert len(doc["omega"]) == 7
     assert QOperator.from_json({"n": 2, "coeffs": doc["coeffs"]}) == alpha0_vertex()
+
+
+def test_int_keys_are_the_member_operators():
+    # a member's int key halves back to its operator's coefficients
+    decoded = {
+        QOperator._from_keys(2, {k: FieldElem(Fraction(c, 2)) for k, c in member}).key()
+        for member in family_operator_keys()
+    }
+    assert decoded == {v.operator().key() for v in enumerate_family()}
+    assert family_operator_keys() == clifford_orbit_keys()
+
+
+def test_orbit_keys_refuse_one_flipped_half_coefficient():
+    seeded = random.Random(2801)
+    orbit_keys = clifford_orbit_keys()
+    for v in seeded.sample(enumerate_family(), 12):
+        member = tuple(sorted(v._twice_coeffs.items()))
+        assert member in orbit_keys
+        halves = [i for i, (_, c) in enumerate(member) if abs(c) == 1]
+        i = seeded.choice(halves)
+        flipped = member[:i] + ((member[i][0], -member[i][1]),) + member[i + 1 :]
+        assert flipped not in orbit_keys and flipped not in family_operator_keys()
