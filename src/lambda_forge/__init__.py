@@ -14,7 +14,6 @@ from .gf2 import (
     PauliPoint,
     Subspace,
     all_points,
-    closure_under_inference,
     enumerate_maximal_isotropics,
     span,
     symplectic_form,

@@ -123,8 +123,7 @@ def cmd_enumerate_stabilizers(args):
 def cmd_cnc(args):
     c = CncSet.from_json(_load_json(args.cncset))
     payload = {"n": c.n, "operator": c.operator().to_json()}
-    if c.n <= 2:
-        payload["maximal"] = is_maximal_cnc(c.omega)
+    payload["maximal"] = is_maximal_cnc(c.omega)
     if args.update:
         a = PauliPoint.from_label(args.update)
         pieces = c.measure_update(a, args.outcome)

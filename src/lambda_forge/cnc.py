@@ -10,9 +10,22 @@ pairs.  The associated operator
 has trace 1; for maximal such sets it is an extremal point of the
 stabilizer-overlap polytope.
 
+The cnc structure theorem (Raussendorf, Bermejo-Vega, Tyhurst, Okay and
+Zurel, Phys. Rev. A 101, 012350 (2020), arXiv:1905.05374) writes every
+cnc set that is not isotropic as
+
+    Omega = I union (a_1 + I) union ... union (a_xi + I),
+
+with I isotropic (the points of Omega that commute with all of Omega)
+and a_1..a_xi, xi >= 2, pairwise anticommuting classes of I-perp / I.
+Omega is maximal exactly when xi = 2(n - dim I) + 1, the largest
+anticommuting set in the 2(n - dim I)-dimensional symplectic space
+I-perp / I, so that |Omega| = |I| (2(n - dim I) + 2).  This gives both
+``maximal_cnc_sets`` (1, 21 and 981 sets for n = 1, 2, 3) and
+``is_maximal_cnc`` in closed form.
+
 Every Pauli measurement update of a cnc operator has a closed form (the
-cnc update theorem of Raussendorf, Bermejo-Vega, Tyhurst, Okay and
-Zurel, Phys. Rev. A 101, 012350 (2020), arXiv:1905.05374):
+cnc update theorem of the same paper):
 
 * a in Omega: the outcome is deterministic, s = gamma(a), and the set
   shrinks to Omega intersect a-perp with gamma restricted.
@@ -43,18 +56,14 @@ from .field import ONE
 from .gf2 import (
     PauliPoint,
     affine_solutions,
-    all_points,
-    closure_under_inference,
     key_form,
     point_width,
     span,
     swap_halves,
+    xor_sums,
 )
 from .pauli import QOperator, key_phase
 from .stabilizer import Assignment, check_bit
-
-#: Largest qubit count ``is_maximal_cnc`` searches exhaustively.
-MAXIMALITY_BOUND = 2
 
 _set = object.__setattr__
 
@@ -100,22 +109,17 @@ def is_cnc(omega: Iterable[PauliPoint]) -> bool:
 
 
 def is_maximal_cnc(omega: Iterable[PauliPoint]) -> bool:
-    """cnc with no strict cnc superset, by brute-force extension search."""
+    """cnc with no strict cnc superset: |Omega| = |I| (2(n - dim I) + 2)
+    for the subspace I of points commuting with all of Omega (see the
+    module docstring); O(|Omega|^2) pair tests."""
     pts = set(omega)
-    if not pts:
-        raise ValueError("a cnc set contains 0, so it cannot be empty")
-    n = point_width(pts)
-    if n > MAXIMALITY_BOUND:
-        raise ValueError(f"maximality search capped at n={MAXIMALITY_BOUND}")
     if not is_cnc(pts):
         return False
-    for p in all_points(n, include_zero=False):
-        if p in pts:
-            continue
-        bigger = closure_under_inference(pts | {p})
-        if is_cnc(bigger):
-            return False
-    return True
+    n = point_width(pts)
+    keys = [p.key() for p in pts]
+    center = sum(not any(key_form(u, v, n) for v in keys) for u in keys)
+    dim = center.bit_length() - 1  # the center is a subspace, as Omega is closed
+    return len(keys) == center * (2 * (n - dim) + 2)
 
 
 class CncSet:
@@ -242,34 +246,47 @@ class CncSet:
         )
 
 
-def line_perp_sets() -> list[frozenset[PauliPoint]]:
-    """The two-qubit maximal cnc sets a-perp (all points commuting with an a)."""
-    out = []
-    for a in all_points(2, include_zero=False):
-        out.append(frozenset(span([a]).perp().points()))
-    return sorted(set(out), key=lambda s: sorted(p.key() for p in s))
-
-
-def anticommuting_sets() -> list[frozenset[PauliPoint]]:
-    """Two-qubit maximal cnc sets: 0 and five pairwise anticommuting points."""
-    return [
-        frozenset(PauliPoint.from_key(2, k) for k in (0,) + combo)
-        for combo in combinations(range(1, 16), 5)  # the nonzero keys of E_2
-        if all(key_form(u, v, 2) for u, v in combinations(combo, 2))
-    ]
-
-
 def maximal_cnc_sets(n: int) -> list[frozenset[PauliPoint]]:
-    """All maximal cnc sets for n <= 2."""
-    if n == 1:
-        return [frozenset(all_points(1))]
-    if n == 2:
-        return line_perp_sets() + anticommuting_sets()
-    raise ValueError("maximal cnc sets enumerated only for n <= 2")
+    """Every maximal cnc set on n qubits, largest first, then by sorted keys.
+
+    The structure theorem (see the module docstring): for each isotropic
+    I of dimension d < n, every 2(n - d) + 1 pairwise anticommuting
+    classes of I-perp / I, each class given by its one key with no pivot
+    bit of I set.  The isotropics of dimension d + 1 are I plus one such
+    class.
+    """
+    if n < 1:
+        raise ValueError("qubit count must be positive")
+
+    def cliques(reps: list[int], size: int):
+        if not size:
+            yield ()
+            return
+        for i, a in enumerate(reps):
+            rest = [b for b in reps[i + 1:] if key_form(a, b, n)]
+            for clique in cliques(rest, size - 1):
+                yield (a,) + clique
+
+    found = []
+    level = {span([], n)}
+    for d in range(n):
+        below, level = level, set()
+        for iso in below:
+            pivots = sum(1 << r.bit_length() - 1 for r in iso.rows)
+            reps = [k for k in xor_sums(iso.perp().rows) if k and not k & pivots]
+            inner = xor_sums(iso.rows)
+            for clique in cliques(reps, 2 * (n - d) + 1):
+                found.append(sorted(a ^ i for a in (0,) + clique for i in inner))
+            if d + 1 < n:
+                basis = iso.basis_points()
+                level.update(span(basis + [PauliPoint.from_key(n, a)]) for a in reps)
+    found.sort(key=lambda keys: (-len(keys), keys))
+    return [frozenset(PauliPoint.from_key(n, k) for k in keys) for keys in found]
 
 
 def cnc_vertices(n: int) -> list[CncSet]:
-    """Every (maximal cnc set, consistent assignment) pair for n <= 2."""
+    """Every (maximal cnc set, consistent assignment) pair, in the order of
+    ``maximal_cnc_sets`` and then of ``consistent_assignments``."""
     out = []
     for omega in maximal_cnc_sets(n):
         for vals in consistent_assignments(omega):

@@ -346,21 +346,3 @@ def enumerate_maximal_isotropics(n: int) -> list[Subspace]:
                 found.append(rref([(zs >> n * i & mask) << n | x for i, x in enumerate(xs)] + perp))
     return [Subspace(n, rows) for rows in sorted(found)]
 
-
-def closure_under_inference(points: Iterable[PauliPoint]) -> frozenset[PauliPoint]:
-    """Smallest superset closed under v, w commuting -> v + w, with 0 added.
-
-    This is a closure operator: monotone, extensive, idempotent.
-    """
-    pts = set(points)
-    if not pts:
-        raise ValueError("closure of an empty set is undefined")
-    n = point_width(pts)
-    keys = {p.key() for p in pts} | {0}
-    frontier = list(keys)
-    while frontier:
-        v = frontier.pop()
-        new = [v ^ w for w in keys if not key_form(v, w, n) and v ^ w not in keys]
-        keys.update(new)
-        frontier += new
-    return frozenset(PauliPoint.from_key(n, k) for k in keys)

@@ -162,6 +162,17 @@ def test_cnc_command(tmp_path, capsys):
         assert doc["diagnostics"].startswith("usage: lambda-forge cnc") and "--outcome" in out
 
 
+def test_cnc_command_reports_maximality_on_three_qubits(tmp_path, capsys):
+    # 0 and seven pairwise anticommuting points: maximal, and every gamma
+    # is consistent since no two nonzero points commute
+    majorana = ["III", "XII", "ZII", "YXI", "YZI", "YYX", "YYZ", "YYY"]
+    stabilizer = ["III", "ZII", "IZI", "ZZI", "IIZ", "ZIZ", "IZZ", "ZZZ"]
+    for omega, maximal in ((majorana, True), (stabilizer, False)):
+        path = write_json(tmp_path / "c3.json", {"omega": omega, "gamma": dict.fromkeys(omega, 0)})
+        code, out = run(capsys, "cnc", path)
+        assert code == 0 and json.loads(out)["payload"]["maximal"] is maximal
+
+
 def test_simulate_exact_and_sample(tmp_path, capsys):
     circ = {"n": 1, "initial": {"type": "operator", **T_STATE},
             "steps": [{"measure": "X"}]}

@@ -1,24 +1,27 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from lambda_forge.cnc import (
     CncSet,
-    anticommuting_sets,
     cnc_vertices,
     consistent_assignments,
     is_closed,
     is_cnc,
     is_maximal_cnc,
-    line_perp_sets,
     maximal_cnc_sets,
 )
 from lambda_forge.gf2 import (
     PauliPoint,
     all_points,
+    key_form,
+    point_width,
     span,
+    symplectic_form,
     x_point,
     y_point,
     z_point,
@@ -41,17 +44,31 @@ def test_maximality():
     iso = span([z_point(2, 1), z_point(2, 2)])
     assert is_cnc(iso.points()) and not is_maximal_cnc(iso.points())
     assert is_maximal_cnc(span([x_point(2, 1)]).perp().points())
-    with pytest.raises(ValueError):
-        is_maximal_cnc([PauliPoint.zero(3), x_point(3, 1)])
+    assert is_maximal_cnc([PauliPoint.zero(3), x_point(3, 1)]) is False
 
 
 def test_shape_counts():
-    assert len(line_perp_sets()) == 15
-    assert len(anticommuting_sets()) == 6
-    assert len(maximal_cnc_sets(2)) == 21
-    assert len(maximal_cnc_sets(1)) == 1
-    for omega in anticommuting_sets():
+    shapes = maximal_cnc_sets(2)
+    assert [len(omega) for omega in shapes] == [8] * 15 + [6] * 6
+    # the 15 commutants a-perp, then 0 with five pairwise anticommuting points
+    perps = {frozenset(span([a]).perp().points()) for a in all_points(2, include_zero=False)}
+    assert set(shapes[:15]) == perps
+    zero = PauliPoint.zero(2)
+    for omega in shapes[15:]:
+        assert zero in omega
+        assert all(symplectic_form(u, v) for u, v in combinations(omega - {zero}, 2))
         assert is_maximal_cnc(omega)
+    assert len(set(shapes)) == 21
+    assert maximal_cnc_sets(1) == [frozenset(all_points(1))]
+    with pytest.raises(ValueError):
+        maximal_cnc_sets(0)
+
+
+def test_shape_counts_n3():
+    shapes = maximal_cnc_sets(3)
+    assert len(set(shapes)) == 981
+    assert Counter(map(len, shapes)) == {8: 288, 12: 378, 16: 315}
+    assert [len(omega) for omega in shapes] == sorted(map(len, shapes), reverse=True)
 
 
 def test_cnc_vertex_counts():
@@ -125,6 +142,24 @@ def test_cnc_vertices_are_polytope_vertices():
         assert is_vertex(op, cert)[0]
 
 
+def test_n3_cnc_vertices_are_polytope_vertices():
+    # one seeded (maximal cnc set, consistent assignment) pair per size class
+    gen, shapes = random.Random(3), maximal_cnc_sets(3)
+    for size in (8, 12, 16):
+        omega = gen.choice([o for o in shapes if len(o) == size])
+        c = CncSet(omega, gen.choice(consistent_assignments(omega)))
+        op = c.operator()
+        cert = membership(op)
+        assert cert.is_member
+        assert is_vertex(op, cert) == (True, 63)
+        for a in all_points(3, include_zero=False):
+            for s in (0, 1):
+                total = QOperator.zero(3)
+                for w, piece in c.measure_update(a, s):
+                    total = total + piece.operator().scale(w)
+                assert total == op.project(a, s)
+
+
 def test_update_deterministic_branch():
     I, s = enumerate_stabilizer_states(2)[3]
     c = CncSet.from_assignment(s)
@@ -188,8 +223,8 @@ def test_consistent_assignment_counts():
     assert len(consistent_assignments(all_points(1))) == 8
     perp = span([y_point(2, 2)]).perp()
     assert len(consistent_assignments(perp.points())) == 16
-    pent = anticommuting_sets()[0]
-    assert len(consistent_assignments(pent)) == 32
+    pent = maximal_cnc_sets(2)[15]
+    assert len(pent) == 6 and len(consistent_assignments(pent)) == 32
 
 
 def test_consistent_assignments_refuses_an_unclosed_set():
@@ -274,3 +309,93 @@ def test_mixed_widths_refused_with_one_message():
                    lambda: consistent_assignments(omega), lambda: is_maximal_cnc(omega)):
             with pytest.raises(ValueError, match=r"^qubit count mismatch: points on 1 and 2 qubits$"):
                 fn()
+
+
+# -- brute-force oracle for maximality ----------------------------------------
+
+
+def closure_under_inference(points):
+    """Smallest superset closed under v, w commuting -> v + w, with 0 added.
+
+    This is a closure operator: monotone, extensive, idempotent.
+    """
+    pts = set(points)
+    if not pts:
+        raise ValueError("closure of an empty set is undefined")
+    n = point_width(pts)
+    keys = {p.key() for p in pts} | {0}
+    frontier = list(keys)
+    while frontier:
+        v = frontier.pop()
+        new = [v ^ w for w in keys if not key_form(v, w, n) and v ^ w not in keys]
+        keys.update(new)
+        frontier += new
+    return frozenset(PauliPoint.from_key(n, k) for k in keys)
+
+
+def _extension_search_maximal(omega):
+    """cnc with no strict cnc superset: no point outside has a cnc closure
+    with omega."""
+    pts = set(omega)
+    if not is_cnc(pts):
+        return False
+    return not any(
+        is_cnc(closure_under_inference(pts | {p}))
+        for p in all_points(point_width(pts), include_zero=False)
+        if p not in pts
+    )
+
+
+def test_closure_under_inference_examples():
+    zero = PauliPoint.zero(1)
+    x, z = x_point(1, 1), z_point(1, 1)
+    assert closure_under_inference({zero, x}) == {zero, x}
+    assert closure_under_inference({zero, x, z}) == {zero, x, z}
+    omega = {PauliPoint.zero(2)} | {
+        f(2, q) for f in (x_point, y_point, z_point) for q in (1, 2)
+    }
+    a = x_point(2, 1) ^ x_point(2, 2)
+    commuting = {v for v in omega if symplectic_form(v, a) == 0}
+    assert a in closure_under_inference(commuting)
+
+
+@given(st.sets(st.builds(lambda k: PauliPoint.from_key(2, k), st.integers(0, 15)),
+               min_size=1, max_size=5))
+def test_closure_operator_laws(pts):
+    closed = closure_under_inference(pts)
+    assert pts <= closed  # extensive
+    assert closure_under_inference(closed) == closed  # idempotent
+    bigger = closure_under_inference(pts | {PauliPoint.zero(2)})
+    assert bigger == closed
+    # monotone
+    sub = set(list(pts)[:2])
+    if sub:
+        assert closure_under_inference(sub) <= closed
+
+
+def test_maximality_matches_extension_search_n_le_2():
+    for n in (1, 2):
+        for omega in maximal_cnc_sets(n):
+            assert is_maximal_cnc(omega) and _extension_search_maximal(omega)
+    gen = random.Random(5)
+    seen = Counter()
+    for _ in range(120):
+        n = gen.choice((1, 2))
+        pts = gen.sample(all_points(n, include_zero=False), gen.randint(1, 4 * n - 1))
+        omega = closure_under_inference(pts)
+        want = _extension_search_maximal(omega)
+        assert is_maximal_cnc(omega) == want
+        seen[is_cnc(omega), want] += 1
+    # maximal, non-maximal cnc and contextual closures all occur
+    assert min(seen[True, True], seen[True, False], seen[False, False]) > 5
+
+
+def test_maximality_matches_extension_search_n3():
+    gen = random.Random(7)
+    shapes = maximal_cnc_sets(3)
+    for size in (8, 12, 16):
+        for omega in gen.sample([o for o in shapes if len(o) == size], 2):
+            assert is_maximal_cnc(omega) and _extension_search_maximal(omega)
+    for I, _ in gen.sample(enumerate_stabilizer_states(3), 2):
+        pts = list(I.points())
+        assert not is_maximal_cnc(pts) and not _extension_search_maximal(pts)

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from lambda_forge.gf2 import (
     PauliPoint,
     all_points,
-    closure_under_inference,
     enumerate_maximal_isotropics,
     solve_affine,
     span,
@@ -131,32 +130,6 @@ def test_maximal_isotropics_n4_digest():
     assert hashlib.sha256(rows.encode()).hexdigest() == (
         "5bd95aa50f5866b58f0c47a6d84c0211c0c0e0c76ab7b6c0402f6f269882732c"
     )
-
-
-def test_closure_examples():
-    zero = PauliPoint.zero(1)
-    x, z = x_point(1, 1), z_point(1, 1)
-    assert closure_under_inference({zero, x}) == {zero, x}
-    assert closure_under_inference({zero, x, z}) == {zero, x, z}
-    omega = {PauliPoint.zero(2)} | {
-        f(2, q) for f in (x_point, y_point, z_point) for q in (1, 2)
-    }
-    a = x_point(2, 1) ^ x_point(2, 2)
-    commuting = {v for v in omega if symplectic_form(v, a) == 0}
-    assert a in closure_under_inference(commuting)
-
-
-@given(st.sets(points_st(2), min_size=1, max_size=5))
-def test_closure_operator_laws(pts):
-    closed = closure_under_inference(pts)
-    assert pts <= closed  # extensive
-    assert closure_under_inference(closed) == closed  # idempotent
-    bigger = closure_under_inference(pts | {PauliPoint.zero(2)})
-    assert bigger == closed
-    # monotone
-    sub = set(list(pts)[:2])
-    if sub:
-        assert closure_under_inference(sub) <= closed
 
 
 def test_subspace_points_and_coordinates():

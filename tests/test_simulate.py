@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from lambda_forge import simulate
 from lambda_forge.cli import main
 from lambda_forge.clifford import CliffordTableau, generator_tableaux
-from lambda_forge.cnc import CncSet, cnc_vertices
+from lambda_forge.cnc import CncSet, cnc_vertices, consistent_assignments, maximal_cnc_sets
 from lambda_forge.field import FieldElem, HALF, INV_SQRT2, ONE, ZERO
 from lambda_forge.gf2 import PauliPoint, all_points, x_point, y_point, z_point
 from lambda_forge.orbit import (
@@ -594,9 +594,32 @@ def _conditional_lifted_circuit():
     return LiftState(engine, cnc_vertices(1)[3]), [(coin, None), (head, {0: 1}), (coin, {1: 0})]
 
 
+def _n3_cnc_circuits(gen, count):
+    """Seeded adaptive circuits of four steps on three-qubit cnc vertices,
+    drawn from the maximal sets without building all of cnc_vertices(3)."""
+    shapes, points = maximal_cnc_sets(3), all_points(3, include_zero=False)
+    out = []
+    for _ in range(count):
+        omega = gen.choice(shapes)
+        state = CncSet(omega, gen.choice(consistent_assignments(omega)))
+        steps = []
+        for i in range(4):
+            cond = {j: gen.randint(0, 1) for j in gen.sample(range(i), min(i, gen.randint(0, 2)))}
+            steps.append((gen.choice(points), cond or None))
+        out.append((state, steps))
+    return out
+
+
+def _with_n3_cnc_examples(test):
+    for i, circuit in enumerate(_n3_cnc_circuits(random.Random(3), 8)):
+        test = example(circuit=circuit, seed=i)(test)
+    return test
+
+
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(circuit=circuits(), seed=st.integers(0, 2**32))
 @example(circuit=_conditional_lifted_circuit(), seed=5)
+@_with_n3_cnc_examples
 def test_laws_agree_on_adaptive_circuits(circuit, seed):
     state, steps = circuit
     rho = state_operator(state)
