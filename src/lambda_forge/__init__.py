@@ -25,7 +25,6 @@ from .pauli import PhasedPauli, QOperator, beta, pauli_mul, pauli_projector, pro
 from .stabilizer import (
     Assignment,
     all_assignments,
-    convolve,
     enumerate_stabilizer_states,
     stabilizer_projector,
 )

@@ -203,6 +203,8 @@ def cmd_simulate(args):
     doc = _load_json(args.circuit)
     init = descriptor_from_json(doc.get("initial"))
     n = doc.get("n", init[0][1].n)
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f"circuit qubit count n must be an integer, got {n!r}")
     if n != init[0][1].n:
         raise ValueError(f"circuit n = {n!r}, initial state n = {init[0][1].n}")
     steps = steps_from_json(doc.get("steps"), n)

@@ -38,19 +38,17 @@ cnc update theorem of the same paper):
   because a is not in the closed set Omega.
 
 A ``CncSet`` is one dict {``PauliPoint.key()``: gamma bit}; Omega is its
-keys.  Equality and hashing use the frozenset of its items, and the
-operator and both update rules run on the keys.  ``CncSet(omega, gamma)``
-validates on the keys too (after refusing mixed widths), as ``is_closed``
-and ``consistent_assignments`` do; ``.omega`` and ``.gamma`` are
-``PauliPoint`` views built when read.
+keys.  Equality and hashing use the frozenset of its items.  The operator,
+the update rules and the one GF(2) consistency system (read by
+``is_closed``, ``consistent_assignments``, ``is_cnc`` and ``CncSet``) run
+on the keys; ``.omega`` and ``.gamma`` are ``PauliPoint`` views.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Collection, Iterable, Mapping, Optional
 
 from .field import ONE
 from .gf2 import (
@@ -58,6 +56,7 @@ from .gf2 import (
     affine_solutions,
     key_form,
     point_width,
+    solve_affine,
     span,
     swap_halves,
     xor_sums,
@@ -68,32 +67,51 @@ from .stabilizer import Assignment, check_bit
 _set = object.__setattr__
 
 
+def _consistency_system(n: int, keys: Collection[int]) -> Optional[tuple[list[int], ...]]:
+    """(nonzero keys ascending, rows, rhs) for gamma(u + v) = gamma(u) +
+    gamma(v) + beta(u, v): per commuting pair u, v of nonzero keys the row
+    bit(u) ^ bit(v) ^ bit(u ^ v), bit i for the i-th nonzero key, with rhs
+    beta(u, v).  None when 0 or some such u ^ v is missing (not closed)."""
+    if 0 not in keys:
+        return None
+    nz = sorted(keys)[1:]
+    bit = {k: 1 << i for i, k in enumerate(nz)}
+    rows, rhs = [], []
+    for i, u in enumerate(nz):
+        swapped = swap_halves(u, n)  # parity(v & swapped) = [v, u]
+        for v in nz[i + 1:]:
+            if not (v & swapped).bit_count() & 1:
+                w = bit.get(u ^ v)
+                if w is None:
+                    return None
+                rows.append((1 << i) ^ bit[v] ^ w)
+                rhs.append(key_phase(u, v, n) >> 1)
+    return nz, rows, rhs
+
+
+def _keys(omega: Iterable[PauliPoint]) -> tuple[int, set[int]]:
+    """(qubit count, keys) of a nonempty set of points of one width."""
+    pts = set(omega)
+    if not pts:
+        raise ValueError("a closed set must contain 0, so it cannot be empty")
+    return point_width(pts), {p.key() for p in pts}
+
+
 def is_closed(omega: Iterable[PauliPoint]) -> bool:
     pts = set(omega)
-    n = point_width(pts) if pts else 1
-    keys = {p.key() for p in pts}
-    return all(u ^ v in keys for u in keys for v in keys if not key_form(u, v, n))
+    return not pts or _consistency_system(*_keys(pts)) is not None
 
 
 def consistent_assignments(omega: Iterable[PauliPoint]) -> list[dict[PauliPoint, int]]:
     """All consistent value maps on a closed set (zero point value 0);
     ValueError on a set that is not closed under inference."""
-    pts = set(omega)
-    if not pts:
-        raise ValueError("a closed set must contain 0, so it cannot be empty")
-    n = point_width(pts)
-    keys = sorted(p.key() for p in pts)
-    if keys[0]:
+    n, keys = _keys(omega)
+    if 0 not in keys:
         raise ValueError("a closed set must contain 0")
-    nz = keys[1:]
-    index = {k: i for i, k in enumerate(nz)}
-    rows, rhs = [], []
-    for u, v in combinations(nz, 2):
-        if not key_form(u, v, n):
-            if u ^ v not in index:
-                raise ValueError("set is not closed under inference")
-            rows.append((1 << index[u]) ^ (1 << index[v]) ^ (1 << index[u ^ v]))
-            rhs.append(key_phase(u, v, n) >> 1)
+    system = _consistency_system(n, keys)
+    if system is None:
+        raise ValueError("set is not closed under inference")
+    nz, rows, rhs = system
     zero, points = PauliPoint.zero(n), [PauliPoint.from_key(n, k) for k in nz]
     return [
         {zero: 0, **{p: sol >> i & 1 for i, p in enumerate(points)}}
@@ -102,10 +120,12 @@ def consistent_assignments(omega: Iterable[PauliPoint]) -> list[dict[PauliPoint,
 
 
 def is_cnc(omega: Iterable[PauliPoint]) -> bool:
-    """Closed and noncontextual (admits a consistent assignment); an empty
-    set is refused by ``consistent_assignments``."""
-    pts = set(omega)
-    return is_closed(pts) and bool(consistent_assignments(pts))
+    """Closed, with a solvable consistency system; an empty set is refused."""
+    system = _consistency_system(*_keys(omega))
+    if system is None:
+        return False
+    nz, rows, rhs = system
+    return solve_affine(rows, rhs, len(nz)) is not None
 
 
 def is_maximal_cnc(omega: Iterable[PauliPoint]) -> bool:
@@ -115,8 +135,7 @@ def is_maximal_cnc(omega: Iterable[PauliPoint]) -> bool:
     pts = set(omega)
     if not is_cnc(pts):
         return False
-    n = point_width(pts)
-    keys = [p.key() for p in pts]
+    n, keys = _keys(pts)
     center = sum(not any(key_form(u, v, n) for v in keys) for u in keys)
     dim = center.bit_length() - 1  # the center is a subspace, as Omega is closed
     return len(keys) == center * (2 * (n - dim) + 2)
@@ -137,13 +156,13 @@ class CncSet:
         vals = {p.key(): check_bit(b, "gamma values") for p, b in gamma.items()}
         if vals.get(0) != 0:
             raise ValueError("a cnc set contains 0 with value 0")
-        for u, v in combinations(vals, 2):
-            if not key_form(u, v, n):
-                w = vals.get(u ^ v)
-                if w is None:
-                    raise ValueError("set is not closed under inference")
-                if w != vals[u] ^ vals[v] ^ key_phase(u, v, n) >> 1:
-                    raise ValueError("value assignment is inconsistent")
+        system = _consistency_system(n, vals)
+        if system is None:
+            raise ValueError("set is not closed under inference")
+        nz, rows, rhs = system
+        bits = sum(vals[k] << i for i, k in enumerate(nz))
+        if any((row & bits).bit_count() & 1 != b for row, b in zip(rows, rhs)):
+            raise ValueError("value assignment is inconsistent")
         self._fill(n, vals)
 
     @staticmethod
@@ -241,9 +260,20 @@ class CncSet:
                 and isinstance(gamma, Mapping)):
             raise ValueError("a cnc set needs an omega list of Pauli labels and a gamma object")
         return CncSet(
-            [PauliPoint.from_label(lbl) for lbl in omega],
-            {PauliPoint.from_label(lbl): v for lbl, v in gamma.items()},
+            _label_points(omega),
+            {p: gamma[lbl] for p, lbl in _label_points(gamma).items()},
         )
+
+
+def _label_points(labels: Iterable[str]) -> dict[PauliPoint, str]:
+    """Each label's point, mapped to the label; ValueError when two name one point."""
+    out: dict[PauliPoint, str] = {}
+    for lbl in labels:
+        p = PauliPoint.from_label(lbl)
+        if p in out:
+            raise ValueError(f"Pauli labels {out[p]!r} and {lbl!r} name the same point")
+        out[p] = lbl
+    return out
 
 
 def maximal_cnc_sets(n: int) -> list[frozenset[PauliPoint]]:

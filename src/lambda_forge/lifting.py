@@ -34,7 +34,7 @@ from .field import FieldElem, ZERO
 from .clifford import CliffordTableau, tableau_for_projector_pair
 from .gf2 import Subspace, span, x_point
 from .pauli import QOperator
-from .stabilizer import Assignment, convolve, stabilizer_projector
+from .stabilizer import Assignment, stabilizer_projector
 
 
 def tail_subspace(n: int, m: int) -> Subspace:
@@ -207,9 +207,9 @@ def averaged_trace_identity(
     Y: QOperator, J: Subspace, r: Assignment, I1: Subspace, s1: Assignment
 ) -> tuple[FieldElem, FieldElem]:
     """Both sides of Tr(Y Pi_{J+I', r*s'}) = Tr(Y~ Pi_{I', s'}) for a
-    maximal isotropic I' of the head space; they agree exactly."""
-    joint = convolve(_place_assignment(s1, J.n, 0), r)
-    lhs = Y.trace_inner(stabilizer_projector(joint.subspace, joint))
-    tilde = averaged_head_operator(Y, J, r)
-    rhs = tilde.trace_inner(stabilizer_projector(I1, s1))
+    maximal isotropic I' of the head space; they agree exactly.  J is on the
+    tail, so Pi_{J+I', r*s'} = Pi_{I',s'} (x) Pi_{J,r} = lift_tensor(Pi_{I',s'}, J, r)."""
+    head = stabilizer_projector(I1, s1)
+    lhs = Y.trace_inner(lift_tensor(head, J, r))
+    rhs = averaged_head_operator(Y, J, r).trace_inner(head)
     return lhs, rhs

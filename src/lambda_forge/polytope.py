@@ -37,13 +37,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, compress
+from itertools import compress, product
 from math import gcd, lcm
 from operator import eq, getitem, lshift, xor
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .field import FieldElem, ONE, ZERO, sqrt2_sign
-from .gf2 import ENUMERATION_BOUND, PauliPoint, all_points
+from .gf2 import ENUMERATION_BOUND, all_points
 from .pauli import QOperator
 from .simplex import solve_feasibility
 from .stabilizer import Assignment, enumerate_stabilizer_states
@@ -359,32 +359,13 @@ def extremality_refuter(X: QOperator, cert: Optional[FacetCertificate] = None) -
 
 
 def enumerate_vertices_n1() -> list[QOperator]:
-    """All extremal points for a single qubit, by exact facet intersection.
-
-    The six facets in the chart (a_x, a_y, a_z) pairwise intersect in the
-    eight points with all coordinates +-1.
-    """
-    pts = all_points(1, include_zero=False)
-    # facet normals over 3 coords: 1 + sum n_i a_i >= 0
-    facets = [_facet_row(plus, minus) for _, plus, minus in facet_table(1)]
-    found = {}
-    for trio in combinations(range(len(facets)), 3):
-        reduced, pivots = _int_rref([{**facets[i], 3: -1} for i in trio], 4)
-        if pivots != [0, 1, 2]:
-            continue
-        sol = [Fraction(row.get(3, 0), row[i]) for i, row in enumerate(reduced)]
-        cand = QOperator(
-            1,
-            {
-                PauliPoint.zero(1): ONE,
-                **{pts[i]: FieldElem(sol[i]) for i in range(3) if sol[i] != 0},
-            },
-        )
-        cert = membership(cand)
-        if cert.is_member:
-            found[cand.key()] = cand
-    return sorted(found.values(), key=lambda
-        A: tuple(sorted((k, c.a) for k, c in A._by_key.items())))
+    """All extremal points for a single qubit, in closed form: the eight
+    corners (1 +- X +- Y +- Z)/2 of the cube Lambda_1, alpha_X, alpha_Z,
+    alpha_Y = +-1 (keys 1, 2, 3), the X sign varying slowest, -1 first."""
+    return [
+        QOperator._from_keys(1, {0: ONE, 1: x, 2: z, 3: y})
+        for x, z, y in product((-ONE, ONE), repeat=3)
+    ]
 
 
 def decompose(

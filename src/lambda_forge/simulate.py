@@ -476,14 +476,21 @@ def steps_from_json(steps: Sequence[Mapping], n: int) -> list:
     if not isinstance(steps, list):
         raise ValueError(f"steps must be a list, got {steps!r}")
     out = []
-    for st in steps:
+    for i, st in enumerate(steps):
         if not isinstance(st, Mapping) or not isinstance(st.get("measure"), str):
             raise ValueError(f"a step must be an object with a 'measure' label, got {st!r}")
         point = PauliPoint.from_label(st["measure"])
         cond = st.get("if")
         if cond is not None and not isinstance(cond, Mapping):
             raise ValueError("a step condition must be an object")
-        out.append((point, {int(k): v for k, v in cond.items()} if cond else None))
+        named: dict[int, str] = {}  # step index -> the condition key naming it
+        for k in cond or ():
+            first = named.setdefault(int(k), k)
+            if first != k:
+                raise ValueError(
+                    f"step {i}: condition keys {first!r} and {k!r} name the same step {int(k)}"
+                )
+        out.append((point, {idx: cond[k] for idx, k in named.items()} if cond else None))
     return normalize_steps(out, n)
 
 

@@ -160,27 +160,6 @@ def enumerate_stabilizer_states(n: int) -> list[tuple[Subspace, Assignment]]:
     return out
 
 
-def convolve(r: Assignment, s2: Assignment) -> Assignment:
-    """The joint assignment on J + I' agreeing with both inputs.
-
-    A point u + v of J + I' (u in J, v in I') takes r(u) + s2(v) +
-    beta(u, v), the same for every such split when the inputs agree on
-    the intersection; conflicting overlaps raise.
-    """
-    n = r.subspace.n
-    if s2.subspace.n != n:
-        raise ValueError("qubit count mismatch")
-    r_values, s2_values = dict(r.key_items()), dict(s2.key_items())
-    if any(s2_values.get(k, v) != v for k, v in r_values.items()):
-        raise ValueError("assignments conflict on the intersection")
-    values = {}
-    for u, ru in r_values.items():
-        for v, sv in s2_values.items():
-            values[u ^ v] = ru ^ sv ^ (key_phase(u, v, n) >> 1)
-    joint = Subspace(n, r.subspace.rows + s2.subspace.rows)
-    return Assignment(joint, [values[g] for g in joint.rows])
-
-
 # -- JSON ---------------------------------------------------------------
 
 

@@ -493,6 +493,18 @@ def test_simulate_rejects_circuit_qubit_count_mismatch(tmp_path, capsys):
         assert "initial state n = 1" in doc["diagnostics"]
 
 
+def test_simulate_refuses_a_circuit_n_that_is_not_an_int(tmp_path, capsys):
+    for n in (True, 1.0, "1", None):
+        circ = {"n": n, "initial": {"type": "stabilizer", "generators": ["+Z"]}, "steps": []}
+        path = write_json(tmp_path / "circ.json", circ)
+        code, out = run(capsys, "simulate", path, "--exact")
+        doc = json.loads(out)
+        assert code == 1 and doc["status"] == "error"
+        assert doc["diagnostics"] == (
+            f"ValueError: circuit qubit count n must be an integer, got {n!r}"
+        )
+
+
 def test_simulate_rejects_mixture_of_qubit_counts(tmp_path, capsys):
     terms = [
         {"weight": "1/2", "state": {"type": "stabilizer", "generators": ["+Z"]}},
@@ -565,6 +577,8 @@ BAD_CNC = [
     {"omega": [5], "gamma": {"I": 0}},
     {"omega": "IX", "gamma": {"I": 0, "X": 0}},
     {"omega": ["I"], "gamma": [0]},
+    {"omega": ["I", "X"], "gamma": {"I": 0, "X": 1, " X": 0}},
+    {"omega": ["I", "X", " X"], "gamma": {"I": 0, "X": 0}},
 ]
 
 

@@ -33,10 +33,17 @@ from lambda_forge.stabilizer import enumerate_stabilizer_states, stabilizer_proj
 rng = random.Random(13)
 
 
+# the Peres-Mermin square with 0: closed (two commuting points share a row
+# or a column, which holds their sum) and contextual
+PERES_MERMIN = [PauliPoint.from_label(lbl) for lbl in
+                ("II", "XI", "IX", "XX", "IZ", "ZI", "ZZ", "XZ", "ZX", "YY")]
+
+
 def test_closure_examples():
     pts = [PauliPoint.zero(2), x_point(2, 1), z_point(2, 1), y_point(2, 1), x_point(2, 2)]
     assert not is_closed(pts)  # x1 and x2 commute but x1+x2 is missing
     assert is_closed(all_points(1))
+    assert is_closed(PERES_MERMIN) and is_closed([])
 
 
 def test_maximality():
@@ -225,6 +232,7 @@ def test_consistent_assignment_counts():
     assert len(consistent_assignments(perp.points())) == 16
     pent = maximal_cnc_sets(2)[15]
     assert len(pent) == 6 and len(consistent_assignments(pent)) == 32
+    assert consistent_assignments(PERES_MERMIN) == [] and not is_cnc(PERES_MERMIN)
 
 
 def test_consistent_assignments_refuses_an_unclosed_set():
@@ -238,6 +246,17 @@ def test_consistent_assignments_refuses_an_unclosed_set():
 def test_json_round_trip():
     c = cnc_vertices(2)[100]
     assert CncSet.from_json(c.to_json()) == c
+
+
+def test_from_json_refuses_labels_naming_one_point():
+    # labels are read with surrounding whitespace stripped
+    for doc, first, second in (
+        ({"omega": ["I", "X"], "gamma": {"I": 0, "X": 1, " X": 0}}, "X", " X"),
+        ({"omega": ["I", "X", "X "], "gamma": {"I": 0, "X": 1}}, "X", "X "),
+    ):
+        with pytest.raises(ValueError) as err:
+            CncSet.from_json(doc)
+        assert str(err.value) == f"Pauli labels {first!r} and {second!r} name the same point"
 
 
 # A point-level oracle for CncSet's checks, from the one-qubit Pauli
@@ -385,6 +404,7 @@ def test_maximality_matches_extension_search_n_le_2():
         omega = closure_under_inference(pts)
         want = _extension_search_maximal(omega)
         assert is_maximal_cnc(omega) == want
+        assert is_cnc(omega) == bool(consistent_assignments(omega))
         seen[is_cnc(omega), want] += 1
     # maximal, non-maximal cnc and contextual closures all occur
     assert min(seen[True, True], seen[True, False], seen[False, False]) > 5

@@ -506,6 +506,9 @@ def test_steps_from_json():
     for cond in ({"1": 0}, {"2": 0}, {"-1": 0}, {"0": 2}, {"0": "1"}, {"0": True}, {"0": 1.0}):
         with pytest.raises(ValueError):
             steps_from_json([{"measure": "XI"}, {"measure": "IZ", "if": cond}], 2)
+    # two keys that read as one step index
+    with pytest.raises(ValueError, match=r"^step 1: condition keys '0' and '00' name the same step 0$"):
+        steps_from_json([{"measure": "XI"}, {"measure": "IZ", "if": {"0": 1, "00": 0}}], 2)
     with pytest.raises(ValueError):
         exact_distribution([(ONE, cnc_vertices(1)[0])], [(z_point(1, 1), {0: 1})])
 

@@ -6,8 +6,6 @@ import pytest
 from lambda_forge.field import ONE
 from lambda_forge.gf2 import (
     Subspace,
-    all_points,
-    enumerate_maximal_isotropics,
     span,
     x_point,
     z_point,
@@ -16,7 +14,6 @@ from lambda_forge.pauli import QOperator, beta
 from lambda_forge.stabilizer import (
     Assignment,
     all_assignments,
-    convolve,
     enumerate_stabilizer_states,
     state_from_json,
     state_to_json,
@@ -92,58 +89,6 @@ def test_inconsistent_projector_rejected():
     I = span([z_point(2, 1), z_point(2, 2)])
     with pytest.raises(ValueError):
         stabilizer_projector(I, Assignment.zero(span([z_point(2, 1)])))
-
-
-def test_convolve():
-    x2 = x_point(2, 2)
-    zh = z_point(2, 1)
-    r = Assignment.from_pairs([(x2, 1)])
-    s2 = Assignment.from_pairs([(zh, 0)])
-    conv = convolve(r, s2)
-    assert conv.subspace.dim == 2
-    assert conv.value(x2 ^ zh) == 1
-    assert conv.value(x2) == 1 and conv.value(zh) == 0
-    # identity-domain convolution leaves the other side unchanged
-    triv = Assignment.zero(span([], n=2))
-    same = convolve(triv, s2)
-    assert same.subspace == s2.subspace and same.value(zh) == 0
-    # conflicting overlap
-    with pytest.raises(ValueError):
-        convolve(Assignment.from_pairs([(zh, 1)]), s2)
-
-
-def _reference_convolve(r, s2):
-    """The joint assignment by the solve over every point of both domains."""
-    if s2.subspace.n != r.subspace.n:
-        raise ValueError("qubit count mismatch")
-    for p in r.subspace.points():
-        if s2.subspace.contains(p) and r.value(p) != s2.value(p):
-            raise ValueError("assignments conflict on the intersection")
-    pairs = [(p, r.value(p)) for p in r.subspace.points()]
-    pairs += [(p, s2.value(p)) for p in s2.subspace.points()]
-    return Assignment.from_pairs(pairs, r.subspace.n)
-
-
-def test_convolve_matches_reference_on_two_qubits():
-    """Every ordered pair of assignments on isotropic subspaces of E_2:
-    equal joints, or both raise (conflicts and non-isotropic sums)."""
-    subspaces = {span([], n=2)}
-    for p in all_points(2, include_zero=False):
-        subspaces.add(span([p]))
-    subspaces.update(enumerate_maximal_isotropics(2))
-    assignments = [s for I in subspaces for s in all_assignments(I)]
-    joints = 0
-    for r in assignments:
-        for s2 in assignments:
-            try:
-                want = _reference_convolve(r, s2)
-            except ValueError:
-                with pytest.raises(ValueError):
-                    convolve(r, s2)
-                continue
-            assert convolve(r, s2) == want
-            joints += 1
-    assert len(assignments) == 91 and joints == 991
 
 
 def test_json_and_labels():
