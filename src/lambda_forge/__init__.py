@@ -28,7 +28,7 @@ from .stabilizer import (
     enumerate_stabilizer_states,
     stabilizer_projector,
 )
-from .clifford import CliffordTableau, enumerate_action, operator_orbit
+from .clifford import CliffordTableau, enumerate_action
 from .polytope import FacetCertificate, decompose, enumerate_vertices_n1, is_vertex, membership
 from .cnc import CncSet, cnc_vertices, is_cnc, is_maximal_cnc
 from .lifting import LiftParams, lift, lift_tensor, make_params, tail_overlap, unlift

@@ -19,6 +19,7 @@ Aaronson and Gottesman, PRA 70, 052328 (2004)): O(n) per image for a gate.
 from __future__ import annotations
 
 from collections import deque
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 from .gf2 import (
@@ -278,12 +279,6 @@ def enumerate_action(n: int) -> list[CliffordTableau]:
     return [CliffordTableau._from_keys(n, images) for images in actions]
 
 
-def operator_orbit(A: QOperator) -> set:
-    """``QOperator.key()`` of each member of the Clifford orbit of A."""
-    members = coefficient_orbit(A.n, A._by_key)
-    return {(A.n, tuple([(k, d.a, d.b) for k, d in m])) for m in members}
-
-
 def coefficient_orbit(n: int, coeffs: Mapping[int, object]) -> set:
     """The Clifford orbit of the map {``PauliPoint.key()``: value}, values
     closed under negation, by breadth-first search: each member is the
@@ -313,8 +308,10 @@ def coefficient_orbit(n: int, coeffs: Mapping[int, object]) -> set:
     queue = deque([start])
     while queue:
         cur = queue.popleft()
+        # itemgetter returns a lone code bare and takes no empty list
+        get = itemgetter(*cur) if len(cur) > 1 else lambda t, cur=cur: [t[e] for e in cur]
         for table in tables:
-            nxt = tuple(sorted([table[e] for e in cur]))
+            nxt = tuple(sorted(get(table)))
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)

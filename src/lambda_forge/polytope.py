@@ -29,8 +29,8 @@ facet's normal is built from those keys as a sparse row only when the
 rank reads it; an n = 3 normal has 7 nonzeros out of 63 columns, so the
 reduction works on {column: int} rows.  The GF(3) masks are built once
 per qubit count, `_gf3_rows`.  The simplex of `decompose` keeps its own
-dense tableau: it has few rows (17 on two qubits), and they fill in
-after a few pivots.
+dense integer rows, the revised basis block of `simplex`: it has few
+rows (17 on two qubits), and they fill in after a few pivots.
 """
 
 from __future__ import annotations

@@ -1,42 +1,36 @@
-"""Exact phase-1 simplex on a fraction-free integer tableau.
+"""Exact phase-1 simplex, revised: columns are priced on demand.
 
 Solves A x = b, x >= 0 feasibility for a rational A and a right-hand side
 b in Q(sqrt(2)) by minimizing the sum of artificial variables with
-Bland's anti-cycling rule.  With A rational every tableau entry B^-1 A is
-rational, so a row is a list of integers: the columns of A, one
-artificial per row, then b as two columns (x, y) meaning
-(x + y*sqrt(2)) / scale, where the scale is the row's entry in its basic
-column, kept positive.  The phase-1 reduced costs are one more row, known
-up to a positive factor, which is all their signs need.  Dense tableau;
-intended for desk-scale systems (tens of rows, a few thousand columns).
+Bland's anti-cycling rule.  Rows with b_i < 0 are negated first, so the
+artificials are a feasible starting basis.
+
+Every tableau row is a combination r . [A | I | b] of the constraint rows,
+and r is the row's part in the artificial columns.  So only that block is
+kept, as one list of integers per row: the m entries of r (a positive
+multiple of a row of B^-1), then the row's b entry as two integers
+(x, y) meaning (x + y*sqrt(2)) / s, where s is the row's entry in its
+basic column.  Each column of A is turned into integers once, times a
+positive factor of its own (the lcm of its denominators), and its current
+entries are dot products with the block.  A positive factor on a column
+or a row changes no sign and no ratio, so the row scales start as b's
+denominators alone.  The phase-1 reduced costs f*c - u . [A | I] (c the
+artificial costs) are kept the same way, as the m multipliers u and the
+factor f > 0.  Pricing scans the columns in order and stops at the first
+negative reduced cost, which is Bland's choice; the ratio test, its
+tie-break on the basic index and the per-row gcd division read the block
+only.  So a pivot costs the columns it prices and an m x (m + 2)
+elimination, and the pivots and the solution are those of a dense
+tableau over every column (the oracle of tests/test_simplex.py).
 """
 
 from __future__ import annotations
 
 from math import gcd, lcm
+from operator import mul
 from typing import Optional, Sequence
 
 from .field import FieldElem, ZERO, sqrt2_sign
-
-
-def reduce_row(row: list[int], prow: list[int], col: int) -> list[int]:
-    """p*row - f*prow (p = prow[col], f = row[col]), divided by the gcd of
-    its entries: row with column col cleared, kept small and without any
-    Fraction.  With p > 0 it is a positive multiple of the exact
-    elimination, so its signs keep their meaning."""
-    p, f = prow[col], row[col]
-    row = [p * a - f * b for a, b in zip(row, prow)]
-    g = gcd(*row)
-    return [a // g for a in row] if g > 1 else row
-
-
-def eliminate(mat: list[list[int]], r: int, col: int) -> None:
-    """Clear column col from every row of mat but row r, in place, by
-    `reduce_row` against mat[r]."""
-    prow = mat[r]
-    for i, row in enumerate(mat):
-        if i != r and row[col]:
-            mat[i] = reduce_row(row, prow, col)
 
 
 def solve_feasibility(
@@ -49,59 +43,77 @@ def solve_feasibility(
     """
     m = len(rhs)
     ncols = len(columns)
-    width = ncols + m  # b is held in columns width (x) and width + 1 (y)
-    tab = []
-    for i in range(m):
-        b = FieldElem.coerce(rhs[i])
-        entries = [FieldElem.coerce(col[i]) for col in columns]
+    signs, rows = [], []  # rows[i]: r_i (m ints), then b_i as (x, y)
+    for i, b in enumerate(map(FieldElem.coerce, rhs)):
+        s = -1 if b.sign() < 0 else 1  # make b >= 0
+        signs.append(s)
+        rows.append([b.d if k == i else 0 for k in range(m)] + [s * b.p, s * b.q])
+    ints, scales = [], []  # column j as signs * A_j * scales[j], integers
+    for j, col in enumerate(columns):
+        entries = [FieldElem.coerce(v) for v in col]
+        if len(entries) != m:
+            raise ValueError(f"simplex column {j} has {len(entries)} entries, not {m}")
         if any(v.q for v in entries):
-            raise ValueError(f"simplex columns must be rational; row {i} has a sqrt(2) part")
-        scale = lcm(b.d, *(v.d for v in entries))
-        sgn = -1 if b.sign() < 0 else 1  # make b >= 0
-        ints = [sgn * v.p * (scale // v.d) for v in entries]
-        k = sgn * (scale // b.d)
-        tab.append(ints + [scale if j == i else 0 for j in range(m)] + [b.p * k, b.q * k])
-    basis = list(range(ncols, width))
-
-    # Reduced costs of "minimize the artificial sum", times the lcm of the
-    # row scales: an artificial column costs 1 and sums to 1 over the rows.
-    total = lcm(*(row[ncols + i] for i, row in enumerate(tab)))
-    weights = [total // row[ncols + i] for i, row in enumerate(tab)]
-    cost = [-sum(w * v for w, v in zip(weights, column)) for column in zip(*tab)]
-    cost[ncols:width] = [0] * m
-    tab.append(cost)
+            raise ValueError(f"simplex columns must be rational; column {j} has a sqrt(2) part")
+        scale = lcm(*(v.d for v in entries))
+        ints.append([s * v.p * (scale // v.d) for s, v in zip(signs, entries)])
+        scales.append(scale)
+    basis = list(range(ncols, ncols + m))
+    # "minimize the artificial sum": the reduced cost of column j is
+    # f*c_j - u . (A | I)_j with c_j = 1 on the artificials and 0 on A
+    f, u = 1, [1] * m
 
     while True:
         # Bland: the smallest column with a negative reduced cost enters
-        # (a basic column's reduced cost is 0), and the smallest basic
-        # index leaves among the rows tied on b_i / a_i.
-        enter = next((j for j in range(width) if tab[m][j] < 0), None)
-        if enter is None:
-            break
+        # (a basic column's is 0), the columns of A before the artificials
+        for enter, a in enumerate(ints):
+            cost = -sum(map(mul, u, a))
+            if cost < 0:
+                column = [sum(map(mul, row, a)) for row in rows]
+                break
+        else:
+            k = next((k for k in range(m) if u[k] > f), None)
+            if k is None:
+                break
+            enter, cost = ncols + k, f - u[k]
+            column = [row[k] for row in rows]
+        # the smallest basic index leaves among the rows tied on b_i / a_i
         leave = -1
-        for i, row in enumerate(tab[:m]):
-            a = row[enter]
+        for i, a in enumerate(column):
             if a <= 0:
                 continue
             if leave >= 0:
                 # the sign of b_i / a - b_leave / c, from integers (a, c > 0)
-                (x, y), best = row[width:], tab[leave]
-                c = best[enter]
-                order = sqrt2_sign(x * c - best[width] * a, y * c - best[width + 1] * a)
+                (x, y), best, c = rows[i][m:], rows[leave], column[leave]
+                order = sqrt2_sign(x * c - best[m] * a, y * c - best[m + 1] * a)
                 if order > 0 or (order == 0 and basis[i] > basis[leave]):
                     continue
             leave = i
         if leave < 0:
             raise RuntimeError("phase-1 simplex found an unbounded column")
-        eliminate(tab, leave, enter)
+        # p*row - a*prow clears the entering column from each other row;
+        # divided by its gcd it stays a positive multiple of the exact row
+        prow, p = rows[leave], column[leave]
+        for i, a in enumerate(column):
+            if i != leave and a:
+                row = [p * v - a * w for v, w in zip(rows[i], prow)]
+                g = gcd(*row)
+                rows[i] = [v // g for v in row] if g > 1 else row
+        # the cost row likewise, p*cost - cost*prow: f*c - u . [A | I]
+        # becomes p*f*c - (p*u + cost*r_leave) . [A | I]
+        f, u = p * f, [p * v + cost * w for v, w in zip(u, prow)]
+        g = gcd(f, *u)
+        if g > 1:
+            f, u = f // g, [v // g for v in u]
         basis[leave] = enter
 
-    if any(tab.pop()[width:]):
-        return None  # infeasible: the artificial sum stays positive
-
-    # An artificial still basic sits at value 0, so its row sets no x_j.
     x = [ZERO] * ncols
-    for row, j in zip(tab, basis):
-        if j < ncols:
-            x[j] = FieldElem._reduced(row[width], row[width + 1], row[j])
+    for row, j in zip(rows, basis):
+        if j >= ncols:
+            if row[m] or row[m + 1]:
+                return None  # infeasible: the artificial sum stays positive
+        else:
+            # row . A_j is scales[j] times the row's entry in column j
+            k = scales[j]
+            x[j] = FieldElem._reduced(row[m] * k, row[m + 1] * k, sum(map(mul, row, ints[j])))
     return x

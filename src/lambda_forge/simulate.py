@@ -43,6 +43,7 @@ naming the step itself or a later one, is rejected before any step runs.
 from __future__ import annotations
 
 import random
+import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
@@ -472,6 +473,11 @@ def _known_pool(n: int, family: bool) -> tuple[tuple[State, ...], tuple[QOperato
     return cnc, tuple(map(state_operator, cnc))
 
 
+#: a condition key: a step index in plain ASCII decimal, so each index has
+#: one key (no sign, space, underscore, leading zero or other digit)
+_STEP_INDEX = re.compile(r"0|[1-9][0-9]*").fullmatch
+
+
 def steps_from_json(steps: Sequence[Mapping], n: int) -> list:
     if not isinstance(steps, list):
         raise ValueError(f"steps must be a list, got {steps!r}")
@@ -483,14 +489,10 @@ def steps_from_json(steps: Sequence[Mapping], n: int) -> list:
         cond = st.get("if")
         if cond is not None and not isinstance(cond, Mapping):
             raise ValueError("a step condition must be an object")
-        named: dict[int, str] = {}  # step index -> the condition key naming it
         for k in cond or ():
-            first = named.setdefault(int(k), k)
-            if first != k:
-                raise ValueError(
-                    f"step {i}: condition keys {first!r} and {k!r} name the same step {int(k)}"
-                )
-        out.append((point, {idx: cond[k] for idx, k in named.items()} if cond else None))
+            if not isinstance(k, str) or not _STEP_INDEX(k):
+                raise ValueError(f"step {i}: condition key {k!r} is not a step index")
+        out.append((point, {int(k): v for k, v in cond.items()} if cond else None))
     return normalize_steps(out, n)
 
 

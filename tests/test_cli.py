@@ -421,6 +421,22 @@ def test_simulate_rejects_bad_conditions(tmp_path, capsys):
         assert code == 1 and "ValueError" in json.loads(out)["diagnostics"]
 
 
+@pytest.mark.parametrize("key", ["+0", " 0 ", "0_0", "\u0660", "1_0", "01"])
+def test_simulate_refuses_condition_keys_that_are_not_plain_indices(tmp_path, capsys, key):
+    stab = {"type": "stabilizer", "generators": ["+Z"]}
+    head = [{"measure": "X"}] * 11
+    for cond, refused in (({key: 1}, True), ({str(int(key)): 1}, False)):
+        circ = {"n": 1, "initial": stab, "steps": head + [{"measure": "Z", "if": cond}]}
+        path = write_json(tmp_path / "circ.json", circ)
+        code, out = run(capsys, "simulate", path, "--exact")
+        doc = json.loads(out)
+        if refused:
+            assert code == 1 and doc["status"] == "error"
+            assert f"step 11: condition key {key!r} is not a step index" in doc["diagnostics"]
+        else:
+            assert code == 0 and doc["status"] == "ok"
+
+
 def test_simulate_rejects_bad_mixture(tmp_path, capsys):
     plus = {"type": "stabilizer", "generators": ["+Z"]}
     minus = {"type": "stabilizer", "generators": ["-Z"]}

@@ -11,7 +11,6 @@ from lambda_forge.clifford import (
     complete_symplectic_map,
     enumerate_action,
     generator_tableaux,
-    operator_orbit,
     tableau_for_projector_pair,
 )
 from lambda_forge.cnc import cnc_vertices
@@ -34,6 +33,13 @@ from lambda_forge.stabilizer import (
 )
 
 rng = random.Random(3)
+
+
+def operator_orbit(A: QOperator) -> set:
+    """``QOperator.key()`` of each member of the Clifford orbit of A."""
+    members = coefficient_orbit(A.n, A._by_key)
+    return {(A.n, tuple([(k, d.a, d.b) for k, d in m])) for m in members}
+
 
 H = CliffordTableau.hadamard(1, 1)
 S = CliffordTableau.phase_gate(1, 1)
@@ -260,6 +266,21 @@ def test_coefficient_orbit_decodes_to_operator_orbit():
         assert all(list(m) == sorted(m) for m in members)
         decoded = {QOperator._from_keys(A.n, dict(m)).key() for m in members}
         assert len(decoded) == len(members) and decoded == operator_orbit(A)
+
+
+def test_coefficient_orbit_of_one_and_of_no_coefficient():
+    # one code per member and none: the BFS reads tables without itemgetter
+    x = x_point(2, 1)
+    for n in (1, 2):
+        mixed = QOperator.maximally_mixed(n)
+        assert coefficient_orbit(n, mixed._by_key) == {((0, ONE),)}
+        assert operator_orbit(mixed) == conjugation_orbit_keys(mixed) == {mixed.key()}
+        assert coefficient_orbit(n, {}) == {()}
+    # a lone Pauli reaches every nonzero point with both signs
+    members = coefficient_orbit(2, {x.key(): ONE})
+    assert members == {((k, c),) for k in range(1, 16) for c in (ONE, -ONE)}
+    lone = QOperator(2, {x: ONE})
+    assert operator_orbit(lone) == conjugation_orbit_keys(lone)
 
 
 def test_complete_symplectic_map():

@@ -1,6 +1,7 @@
 import json
 import pickle
 import random
+import re
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
@@ -506,11 +507,29 @@ def test_steps_from_json():
     for cond in ({"1": 0}, {"2": 0}, {"-1": 0}, {"0": 2}, {"0": "1"}, {"0": True}, {"0": 1.0}):
         with pytest.raises(ValueError):
             steps_from_json([{"measure": "XI"}, {"measure": "IZ", "if": cond}], 2)
-    # two keys that read as one step index
-    with pytest.raises(ValueError, match=r"^step 1: condition keys '0' and '00' name the same step 0$"):
+    # two keys that int() reads as one step index: the second is no index
+    with pytest.raises(ValueError, match=r"^step 1: condition key '00' is not a step index$"):
         steps_from_json([{"measure": "XI"}, {"measure": "IZ", "if": {"0": 1, "00": 0}}], 2)
     with pytest.raises(ValueError):
         exact_distribution([(ONE, cnc_vertices(1)[0])], [(z_point(1, 1), {0: 1})])
+
+
+#: condition keys that int() reads as step 0, 0, 0, 0, 10 and 1
+LOOSE_STEP_KEYS = ["+0", " 0 ", "0_0", "\u0660", "1_0", "01"]
+
+
+@pytest.mark.parametrize("key", LOOSE_STEP_KEYS)
+def test_condition_keys_are_plain_decimal_indices(key):
+    # on step 11 each key would name an earlier step; only the plain
+    # decimal spelling of that step is read
+    head = [{"measure": "X"}] * 11
+    message = rf"^step 11: condition key {re.escape(repr(key))} is not a step index$"
+    with pytest.raises(ValueError, match=message):
+        steps_from_json(head + [{"measure": "Z", "if": {key: 1}}], 1)
+    plain = str(int(key))
+    assert steps_from_json(head + [{"measure": "Z", "if": {plain: 1}}], 1)[11][1] == {int(key): 1}
+    with pytest.raises(ValueError, match="is not a step index"):
+        steps_from_json(head + [{"measure": "Z", "if": {int(key): 1}}], 1)
 
 
 @pytest.mark.parametrize(
