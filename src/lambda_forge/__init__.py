@@ -21,7 +21,7 @@ from .gf2 import (
     y_point,
     z_point,
 )
-from .pauli import PhasedPauli, QOperator, beta, pauli_mul, pauli_projector, product_phase
+from .pauli import PhasedPauli, QOperator, beta, pauli_projector, product_phase
 from .stabilizer import (
     Assignment,
     all_assignments,

@@ -2,12 +2,15 @@
 
 Each ``cmd_*`` returns its document as (status, payload, diagnostics);
 ``main`` alone writes it, applies --float and picks the exit code: 0 ok,
-1 error, 2 facet violation / non-member, 3 infeasible.  Every refusal (a
-usage error, an unreadable path, input the program cannot honour) is an
-error: exit 1 with a JSON diagnostic.  All numbers are exact (rational
-strings, or {a, b} pairs for values with a sqrt(2) part); --float renders
-decimals for human reading only.  The DOT text of ``poset --dot`` is the
-one payload written as is.
+1 error, 2 facet violation / non-member, 3 infeasible.  A document is one
+line of JSON with sorted keys and no indentation, which the C encoder
+writes (it cannot indent); ``python -m json.tool`` lays it out for
+reading.  Every refusal (a usage error, an unreadable path, input the
+program cannot honour) is an error: exit 1 with a JSON diagnostic.  All
+numbers are exact (rational strings, or {a, b} pairs for values with a
+sqrt(2) part); --float renders decimals for human reading only.  The DOT
+text of ``poset --dot`` is the one payload written as is, and the
+``orbit --out`` file keeps its indented layout.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ def _emit(status: str, payload, diagnostics: str, as_float: bool) -> int:
         if as_float:
             payload = _floatify(payload)
         doc = {"status": status, "payload": payload, "diagnostics": diagnostics}
-        text = json.dumps(doc, indent=2, sort_keys=True)
+        text = json.dumps(doc, sort_keys=True)
     sys.stdout.write(text + "\n")
     return EXIT_CODES[status]
 

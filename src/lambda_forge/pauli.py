@@ -40,7 +40,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, Optional
 
-from .field import ONE, ZERO, FieldElem
+from .field import ZERO, FieldElem
 from .gf2 import PauliPoint, swap_halves, symplectic_form
 
 if TYPE_CHECKING:
@@ -139,12 +139,6 @@ def key_phase(a: int, b: int, n: int) -> int:
     ) & 3
 
 
-def pauli_mul(p: PhasedPauli, q: PhasedPauli) -> PhasedPauli:
-    """Normal-ordered product of two phased Pauli operators."""
-    point = p.point ^ q.point
-    return PhasedPauli(point, p.phase + q.phase + product_phase(p.point, q.point))
-
-
 def beta(v: PauliPoint, w: PauliPoint) -> int:
     """Sign bit with T_{v+w} = (-1)^beta T_v T_w, defined for commuting pairs."""
     if symplectic_form(v, w) != 0:
@@ -216,11 +210,6 @@ class QOperator:
         return QOperator(n, {PauliPoint.zero(n): FieldElem(1 << n)})
 
     @staticmethod
-    def maximally_mixed(n: int) -> "QOperator":
-        """The trace-1 state 1/2^n."""
-        return QOperator(n, {PauliPoint.zero(n): ONE})
-
-    @staticmethod
     def from_labels(n: int, entries: Mapping[str, object]) -> "QOperator":
         return QOperator(
             n,
@@ -239,9 +228,6 @@ class QOperator:
 
     def trace(self) -> FieldElem:
         return self._by_key.get(0, ZERO)
-
-    def support(self) -> frozenset[PauliPoint]:
-        return frozenset(self.coeffs)
 
     def key(self):
         """Canonical hashable form (sorted coefficient items)."""

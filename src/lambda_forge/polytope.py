@@ -9,6 +9,20 @@ vertexhood by the rank of the active constraints (a point of a polytope
 is extremal iff the active facet normals span the full traceless
 coefficient space).
 
+The facet sums of one operator come from one big-int product.  For each
+key k, a column holds the sign s(k, f) in {+1, -1, 0} of k on every
+facet f, stored as 1 + s(k, f) in a lane of w bytes at 2^(8wf).  With
+x_k the scaled coefficients and B = sum |x_k|, no facet sum leaves
+[-B, B], so sum_k x_k * column_k, plus an offset in every lane, has the
+digits v_f + B in base 2^(8w) once 2B < 2^(8w), w the least such power
+of two.  The digits are read off the integer's bytes: as native
+unsigned ints for w <= 8, one `int.from_bytes` per lane above.  So one
+operator costs a multiply-add per nonzero coefficient on ints of F * w
+bytes (F facets: 60, 1080 and 36720 for n = 2, 3, 4), not a Python step
+per facet.  The columns are built once per (n, w), `_lane_columns`, and
+hold 4^n * F * w bytes, per lane byte 69 KB at n = 3 and 9.4 MB at
+n = 4.
+
 The rank is certified in two passes.  The first reduces the active
 normals over GF(3), each row bit-sliced as two int masks (the columns
 holding 1 and those holding 2 = -1), by Gauss-Jordan on those ints; it
@@ -21,13 +35,14 @@ nothing, and the exact rank comes from the second pass, a fraction-free
 integer reduction that stops reading rows once they span the space; so
 every rank reported below full is exact.
 
-Both read one table per qubit count, `facet_table`: for each stabilizer
-state, the packed keys (``PauliPoint.key()``) of the points where its
-sign is +1 and where it is -1.  It is built per maximal isotropic, whose
-beta folds each state on it flips by a parity of its row values.  A
-facet's normal is built from those keys as a sparse row only when the
-rank reads it; an n = 3 normal has 7 nonzeros out of 63 columns, so the
-reduction works on {column: int} rows.  The GF(3) masks are built once
+The lane columns and the rank read one table per qubit count,
+`facet_table`: for each stabilizer state, the packed keys
+(``PauliPoint.key()``) of the points where its sign is +1 and where it
+is -1.  It is built per maximal isotropic, whose beta folds each state
+on it flips by a parity of its row values.  A facet's normal is built
+from those keys as a sparse row only when the rank reads it; an n = 3
+normal has 7 nonzeros out of 63 columns, so the reduction works on
+{column: int} rows.  The GF(3) masks are built once
 per qubit count, `_gf3_rows`.  The simplex of `decompose` keeps its own
 dense integer rows, the revised basis block of `simplex`: it has few
 rows (17 on two qubits), and they fill in after a few pivots.
@@ -35,11 +50,11 @@ rows (17 on two qubits), and they fill in after a few pivots.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import sys
 from functools import lru_cache
 from itertools import compress, product
 from math import gcd, lcm
-from operator import eq, getitem, lshift, xor
+from operator import eq, getitem, lshift, not_, or_, xor
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .field import FieldElem, ONE, ZERO, sqrt2_sign
@@ -207,8 +222,9 @@ def membership(X: QOperator) -> FacetCertificate:
     The facet sums are integers: with D the lcm of the denominators d of
     X's coefficients (p + q*sqrt(2)) / d, a facet's value is (x + y*sqrt(2)) / (D * 2^n) for
     the integer sums x, y of the scaled coefficients over the state's
-    signed points, and its sign is that of x + y*sqrt(2).  The certificate
-    keeps those sums; no FieldElem is built until it is read.
+    signed points, and its sign is that of x + y*sqrt(2).  The sums come
+    from `_facet_sums`, and the certificate keeps them; no FieldElem is
+    built until it is read.
     """
     n = X.n
     if n > ENUMERATION_BOUND:
@@ -219,26 +235,84 @@ def membership(X: QOperator) -> FacetCertificate:
         raise ValueError("membership requires a trace-1 operator")
     coeffs = X._by_key.items()
     D = lcm(*(c.d for _, c in coeffs))
-    xs = [0] * (1 << (2 * n))
-    ys = [0] * (1 << (2 * n))
-    for key, c in coeffs:
-        k = D // c.d
-        xs[key] = c.p * k
-        ys[key] = c.q * k
-    get_x, get_y = xs.__getitem__, ys.__getitem__
-    irrational = any(ys)
-    sums = []
-    active = []
+    xs = _facet_sums(n, {key: c.p * (D // c.d) for key, c in coeffs if c.p})
+    ys = _facet_sums(n, {key: c.q * (D // c.d) for key, c in coeffs if c.q})
+    labels = _facet_labels(n)
+    active = list(compress(labels, map(not_, map(or_, xs, ys))))
     violation = None
-    for label, plus, minus in facet_table(n):
-        x = sum(map(get_x, plus)) - sum(map(get_x, minus))
-        y = sum(map(get_y, plus)) - sum(map(get_y, minus)) if irrational else 0
-        sums.append((x, y))
-        if not (x or y):
-            active.append(label)
-        elif violation is None and sqrt2_sign(x, y) < 0:
-            violation = label
-    return FacetCertificate(X, sums, D << n, active, violation)
+    if min(xs) < 0 or min(ys) < 0:
+        # a value is negative only where one of its parts is
+        violation = next(
+            (
+                label
+                for label, x, y in zip(labels, xs, ys)
+                if (x < 0 or y < 0) and sqrt2_sign(x, y) < 0
+            ),
+            None,
+        )
+    return FacetCertificate(X, list(zip(xs, ys)), D << n, active, violation)
+
+
+#: memoryview formats of the native unsigned ints of 1, 2, 4 and 8 bytes
+_LANE_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _facet_sums(n: int, coeffs: dict[int, int]) -> list[int]:
+    """Per facet of ``facet_table(n)``, in its order, the sum of the ints
+    coeffs[k] over its plus keys k minus the sum over its minus keys.
+
+    With B = sum |coeffs[k]|, every sum v_f lies in [-B, B], so v_f + B
+    fits a lane of w bytes once 2B < 2^(8w), w a power of two.  Then
+    ``sum_k coeffs[k] * columns[k]`` over the `_lane_columns`, whose lane f
+    holds 1 + s(k, f), is sum_f (v_f + S) 2^(8wf) for S = sum_k coeffs[k]:
+    adding (B - S) in every lane makes each lane v_f + B, a base-2^(8w)
+    digit with no carry, read off the integer's bytes.
+    """
+    F = len(_facet_labels(n))
+    if not coeffs:
+        return [0] * F
+    B = sum(map(abs, coeffs.values()))
+    w = 1
+    while (2 * B) >> (8 * w):
+        w *= 2
+    columns = _lane_columns(n, w)
+    ones = int.from_bytes((b"\x01" + bytes(w - 1)) * F, "little")
+    total = (B - sum(coeffs.values())) * ones
+    for k, x in coeffs.items():
+        total += x * columns[k]
+    if w > 8:
+        data = total.to_bytes(F * w, "little")
+        digits = [int.from_bytes(data[i : i + w], "little") for i in range(0, F * w, w)]
+    else:
+        digits = memoryview(total.to_bytes(F * w, sys.byteorder)).cast(_LANE_FORMATS[w])
+        if sys.byteorder == "big":  # the last lane comes first
+            digits = digits[::-1]
+    return [d - B for d in digits]
+
+
+@lru_cache(maxsize=4)
+def _lane_columns(n: int, w: int) -> tuple[int, ...]:
+    """The facet signs of ``facet_table(n)`` per key k, as base-2^(8w)
+    ints: lane f of column k (its digit of 2^(8wf)) is 1 + s(k, f), where
+    s(k, f) is +1 or -1 when k is one of facet f's plus or minus keys and
+    0 otherwise.  Each column is filled one byte per facet, then spread
+    into its w-byte lanes (little-endian, so the byte is the lane's low
+    one) by extended-slice assignment: the fill and the memory beside the
+    columns stay at one byte per facet and key."""
+    table = facet_table(n)
+    F = len(table)
+    signs = [bytearray(b"\x01" * F) for _ in range(1 << (2 * n))]
+    for f, (_, plus, minus) in enumerate(table):
+        for k in plus:
+            signs[k][f] = 2
+        for k in minus:
+            signs[k][f] = 0
+    lanes = bytearray(F * w)
+    columns = []
+    for column in signs:
+        lanes[::w] = column
+        columns.append(int.from_bytes(lanes, "little"))
+    return tuple(columns)
 
 
 def is_vertex(X: QOperator, cert: Optional[FacetCertificate] = None) -> tuple[bool, int]:
@@ -325,37 +399,6 @@ def _clear(row: dict[int, int], prow: dict[int, int], col: int) -> dict[int, int
             del out[k]
     g = gcd(*out.values())
     return {k: v // g for k, v in out.items()} if g > 1 else out
-
-
-def extremality_refuter(X: QOperator, cert: Optional[FacetCertificate] = None) -> Optional[QOperator]:
-    """A traceless direction Y with X+Y and X-Y both members, if one exists.
-
-    Takes D, the null vector of the active constraints with a 1 at the
-    first free column, and returns Y = D / 2^k for the least k >= 0 with
-    |f(D)| <= 2^k f(X) on every facet f.  The facet values are linear and
-    X + D has trace 1, so f(D) = f(X + D) - f(X) from one more
-    membership call.  Returns None when X is extremal.
-    """
-    if cert is None:
-        cert = membership(X)
-    nz_points = all_points(X.n, include_zero=False)
-    reduced, pivots = _int_rref(_active_rows(X.n, cert), len(nz_points))
-    free = [c for c in range(len(nz_points)) if c not in pivots]
-    if not free:
-        return None  # extremal
-    # the null vector with a 1 at the first free column, 0 at the others
-    direction = {nz_points[free[0]]: ONE}
-    for row, c in zip(reduced, pivots):
-        if row.get(free[0]):
-            direction[nz_points[c]] = FieldElem(Fraction(-row[free[0]], row[c]))
-    D = QOperator(X.n, direction)
-    fx, fxd = cert.values, membership(X + D).values
-    # active facets have f(X) = f(D) = 0
-    need = max(max(fxd[f] - v, v - fxd[f]) / v for f, v in fx.items() if v.sign())
-    k = 0
-    while need > 1 << k:
-        k += 1
-    return D.scale(Fraction(1, 1 << k))
 
 
 def enumerate_vertices_n1() -> list[QOperator]:

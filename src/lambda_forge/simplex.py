@@ -16,12 +16,20 @@ entries are dot products with the block.  A positive factor on a column
 or a row changes no sign and no ratio, so the row scales start as b's
 denominators alone.  The phase-1 reduced costs f*c - u . [A | I] (c the
 artificial costs) are kept the same way, as the m multipliers u and the
-factor f > 0.  Pricing scans the columns in order and stops at the first
-negative reduced cost, which is Bland's choice; the ratio test, its
+factor f > 0.  Pricing scans the columns of A in order and stops at the
+first negative reduced cost, which is Bland's choice; the ratio test, its
 tie-break on the basic index and the per-row gcd division read the block
 only.  So a pivot costs the columns it prices and an m x (m + 2)
-elimination, and the pivots and the solution are those of a dense
-tableau over every column (the oracle of tests/test_simplex.py).
+elimination.
+
+The artificial columns are never priced.  Once no column of A prices
+negative, u . A <= 0, and u . b / f is the artificial sum of the
+current basis.  If it is positive, u is a Farkas certificate that no
+x >= 0 solves A x = b.  If it is zero, the basic solution has every
+artificial at 0, so it solves A x = b, and a further pivot could only be
+degenerate and leave x unchanged.  So the pivots are the first ones of
+the dense tableau over every column, which lets artificials re-enter,
+and the result is its result (the oracle of tests/test_simplex.py).
 """
 
 from __future__ import annotations
@@ -64,19 +72,16 @@ def solve_feasibility(
     f, u = 1, [1] * m
 
     while True:
-        # Bland: the smallest column with a negative reduced cost enters
-        # (a basic column's is 0), the columns of A before the artificials
+        # Bland: the smallest column of A with a negative reduced cost
+        # enters (a basic column's is 0); with none, u . A <= 0 and the
+        # artificials are not priced (see the module docstring)
         for enter, a in enumerate(ints):
             cost = -sum(map(mul, u, a))
             if cost < 0:
                 column = [sum(map(mul, row, a)) for row in rows]
                 break
         else:
-            k = next((k for k in range(m) if u[k] > f), None)
-            if k is None:
-                break
-            enter, cost = ncols + k, f - u[k]
-            column = [row[k] for row in rows]
+            break
         # the smallest basic index leaves among the rows tied on b_i / a_i
         leave = -1
         for i, a in enumerate(column):

@@ -55,6 +55,7 @@ from lambda_forge.lifting import (
     tail_overlap,
     tail_subspace,
 )
+from helpers import support
 
 
 def report(number: int, ok: bool, elapsed: float, budget: float, detail: str):
@@ -174,7 +175,7 @@ def test_criterion_06_lift_exhaustive():
     def cnc_type(op):
         return all(
             c == ONE or c == -ONE for p, c in op.coeffs.items() if not p.is_zero()
-        ) and is_cnc(op.support())
+        ) and is_cnc(support(op))
 
     ok = True
     seen_global = {}

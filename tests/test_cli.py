@@ -59,6 +59,26 @@ def test_membership_violation_exit_code(tmp_path, capsys):
     assert doc["payload"]["facet_values"]["-ZZ,-XX"] == "-1/2"
 
 
+def test_documents_are_one_line_of_sorted_json(tmp_path, capsys):
+    # the C encoder's layout: no indentation, sorted keys, one newline
+    alpha0 = write_json(tmp_path / "a.json", ALPHA0)
+    a0a0 = write_json(tmp_path / "aa.json", A0A0)
+    t_state = write_json(tmp_path / "t.json", T_STATE)
+    cases = (
+        (("membership", alpha0), 0),
+        (("membership", t_state), 0),
+        (("membership", a0a0), 2),
+        (("vertex", alpha0), 0),
+        (("--float", "membership", alpha0, "--vertex"), 0),
+        (("--float", "membership", a0a0), 2),
+        (("vertex", str(tmp_path / "missing.json")), 1),
+    )
+    for argv, want in cases:
+        code, out = run(capsys, *argv)
+        assert code == want
+        assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
+
+
 def test_malformed_input(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")

@@ -25,12 +25,13 @@ from lambda_forge.gf2 import (
     y_point,
     z_point,
 )
-from lambda_forge.pauli import PhasedPauli, QOperator, pauli_mul
+from lambda_forge.pauli import PhasedPauli, QOperator
 from lambda_forge.stabilizer import (
     Assignment,
     enumerate_stabilizer_states,
     stabilizer_projector,
 )
+from helpers import maximally_mixed, pauli_mul
 
 rng = random.Random(3)
 
@@ -272,7 +273,7 @@ def test_coefficient_orbit_of_one_and_of_no_coefficient():
     # one code per member and none: the BFS reads tables without itemgetter
     x = x_point(2, 1)
     for n in (1, 2):
-        mixed = QOperator.maximally_mixed(n)
+        mixed = maximally_mixed(n)
         assert coefficient_orbit(n, mixed._by_key) == {((0, ONE),)}
         assert operator_orbit(mixed) == conjugation_orbit_keys(mixed) == {mixed.key()}
         assert coefficient_orbit(n, {}) == {()}

@@ -29,6 +29,7 @@ from lambda_forge.gf2 import (
 from lambda_forge.pauli import QOperator
 from lambda_forge.polytope import is_vertex, membership
 from lambda_forge.stabilizer import enumerate_stabilizer_states, stabilizer_projector
+from helpers import maximally_mixed
 
 rng = random.Random(13)
 
@@ -85,7 +86,7 @@ def test_cnc_vertex_counts():
 
 def test_operator_examples():
     zero_set = CncSet([PauliPoint.zero(2)], {PauliPoint.zero(2): 0})
-    assert zero_set.operator() == QOperator.maximally_mixed(2)
+    assert zero_set.operator() == maximally_mixed(2)
     full = CncSet(all_points(1), {p: 0 for p in all_points(1)})
     assert full.operator() == QOperator.from_labels(1, {"I": 1, "X": 1, "Y": 1, "Z": 1})
     I, s = enumerate_stabilizer_states(2)[11]

@@ -25,7 +25,6 @@ from lambda_forge.pauli import QOperator
 from lambda_forge.polytope import (
     decompose,
     enumerate_vertices_n1,
-    extremality_refuter,
     is_vertex,
     membership,
 )
@@ -45,6 +44,7 @@ from lambda_forge.stabilizer import (
     enumerate_stabilizer_states,
     stabilizer_projector,
 )
+from helpers import extremality_refuter, maximally_mixed
 
 
 def _digest(obj) -> str:
@@ -79,7 +79,7 @@ def polytope_n1_and_refuters():
     states1 = enumerate_stabilizer_states(1)
     states2 = enumerate_stabilizer_states(2)
     others = [
-        QOperator.maximally_mixed(1),
+        maximally_mixed(1),
         QOperator.from_labels(1, {"I": 1, "X": 1, "Z": 1}),
         QOperator.from_labels(1, {"I": 1, "X": 1, "Y": Fraction(-1, 2)}),
         stabilizer_projector(*states1[0]),

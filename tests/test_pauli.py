@@ -28,10 +28,10 @@ from lambda_forge.pauli import (
     beta,
     key_phase,
     pauli_matrix,
-    pauli_mul,
     pauli_projector,
     product_phase,
 )
+from helpers import maximally_mixed, pauli_mul
 
 rng = random.Random(0)
 
@@ -132,7 +132,7 @@ def test_identity_and_mixed():
     assert np.allclose(QOperator.identity(2).dense_matrix(), np.eye(4))
     A = rand_op(2)
     assert A.product(QOperator.identity(2)) == A
-    assert QOperator.maximally_mixed(1).trace() == ONE
+    assert maximally_mixed(1).trace() == ONE
 
 
 def test_product_dense_homomorphism():
@@ -162,7 +162,7 @@ def test_tensor():
     assert np.allclose(
         AA.dense_matrix(), np.kron(A0.dense_matrix(), A0.dense_matrix())
     )
-    assert A0.tensor(QOperator.maximally_mixed(1)).coeffs == {
+    assert A0.tensor(maximally_mixed(1)).coeffs == {
         PauliPoint(2, p.z, p.x): c for p, c in A0.coeffs.items()
     }
 
@@ -370,7 +370,7 @@ def test_coeffs_view_is_read_only():
 
 def test_dense_guard():
     with pytest.raises(ValueError):
-        QOperator.maximally_mixed(6).dense_matrix()
+        maximally_mixed(6).dense_matrix()
 
 
 def test_eigenvalues_of_qubit_vertex():

@@ -2,17 +2,28 @@ import hashlib
 import random
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lambda_forge.clifford import enumerate_action, generator_tableaux
-from lambda_forge.field import FieldElem, INV_SQRT2, ONE
-from lambda_forge.gf2 import PauliPoint, all_points, span, x_point, y_point, z_point
+from lambda_forge.field import FieldElem, INV_SQRT2, ONE, sqrt2_sign
+from lambda_forge.gf2 import (
+    ENUMERATION_BOUND,
+    PauliPoint,
+    all_points,
+    span,
+    x_point,
+    y_point,
+    z_point,
+)
 from lambda_forge.orbit import enumerate_family
-from lambda_forge.pauli import PhasedPauli, QOperator, pauli_mul
+from lambda_forge.pauli import PhasedPauli, QOperator
 from lambda_forge.polytope import (
+    FacetCertificate,
+    _facet_sums,
     _gf3_add,
     _gf3_rank,
     _gf3_rows,
@@ -20,7 +31,6 @@ from lambda_forge.polytope import (
     _int_rref,
     decompose,
     enumerate_vertices_n1,
-    extremality_refuter,
     facet_table,
     is_vertex,
     membership,
@@ -30,6 +40,7 @@ from lambda_forge.stabilizer import (
     stabilizer_projector,
     state_to_json,
 )
+from helpers import extremality_refuter, maximally_mixed, pauli_mul
 
 from test_golden import _lift_to_three, certificate_inputs
 
@@ -47,9 +58,9 @@ T_STATE = QOperator(
 
 
 def test_interior_point():
-    cert = membership(QOperator.maximally_mixed(2))
+    cert = membership(maximally_mixed(2))
     assert cert.is_member and not cert.active and cert.violation is None
-    ok, rank = is_vertex(QOperator.maximally_mixed(2), cert)
+    ok, rank = is_vertex(maximally_mixed(2), cert)
     assert not ok and rank == 0
 
 
@@ -57,7 +68,7 @@ def test_trace_precondition():
     with pytest.raises(ValueError):
         membership(QOperator.zero(1))
     with pytest.raises(ValueError, match="only for n<=4"):
-        membership(QOperator.maximally_mixed(5))
+        membership(maximally_mixed(5))
 
 
 def test_single_qubit_vertex():
@@ -157,12 +168,12 @@ def test_decompose_point_mass():
 
 def test_decompose_maximally_mixed():
     verts = enumerate_vertices_n1()
-    w = decompose(QOperator.maximally_mixed(1), verts)
+    w = decompose(maximally_mixed(1), verts)
     total = QOperator.zero(1)
     for i, wi in w.items():
         assert wi.sign() > 0
         total = total + verts[i].scale(wi)
-    assert total == QOperator.maximally_mixed(1)
+    assert total == maximally_mixed(1)
 
 
 def test_decompose_magic_state():
@@ -368,6 +379,123 @@ def test_facet_values_match_projector_overlaps(X):
     assert cert.active == [label for label, value in oracle if value.is_zero()]
     negative = [label for label, value in oracle if value.sign() < 0]
     assert cert.violation == (negative[0] if negative else None)
+
+
+def membership_by_facet(X: QOperator) -> FacetCertificate:
+    """Exact facet certificate of X; requires trace(X) = 1.
+
+    The facet sums are integers: with D the lcm of the denominators d of
+    X's coefficients (p + q*sqrt(2)) / d, a facet's value is (x + y*sqrt(2)) / (D * 2^n) for
+    the integer sums x, y of the scaled coefficients over the state's
+    signed points, and its sign is that of x + y*sqrt(2).  The certificate
+    keeps those sums; no FieldElem is built until it is read.
+    """
+    n = X.n
+    if n > ENUMERATION_BOUND:
+        raise ValueError(
+            f"membership is evaluated exhaustively only for n<={ENUMERATION_BOUND}"
+        )
+    if X.trace() != ONE:
+        raise ValueError("membership requires a trace-1 operator")
+    coeffs = X._by_key.items()
+    D = lcm(*(c.d for _, c in coeffs))
+    xs = [0] * (1 << (2 * n))
+    ys = [0] * (1 << (2 * n))
+    for key, c in coeffs:
+        k = D // c.d
+        xs[key] = c.p * k
+        ys[key] = c.q * k
+    get_x, get_y = xs.__getitem__, ys.__getitem__
+    irrational = any(ys)
+    sums = []
+    active = []
+    violation = None
+    for label, plus, minus in facet_table(n):
+        x = sum(map(get_x, plus)) - sum(map(get_x, minus))
+        y = sum(map(get_y, plus)) - sum(map(get_y, minus)) if irrational else 0
+        sums.append((x, y))
+        if not (x or y):
+            active.append(label)
+        elif violation is None and sqrt2_sign(x, y) < 0:
+            violation = label
+    return FacetCertificate(X, sums, D << n, active, violation)
+
+
+def _assert_lanes_match_the_loop(X):
+    """`membership` (byte lanes) against the per-facet loop it replaced."""
+    cert, want = membership(X), membership_by_facet(X)
+    assert cert._sums == want._sums
+    assert cert._den == want._den
+    assert cert.active == want.active
+    assert cert.violation == want.violation
+    assert cert.to_json() == want.to_json()
+
+
+@settings(max_examples=60, deadline=None)
+@given(trace_one_operators())
+def test_lanes_match_the_per_facet_loop(X):
+    _assert_lanes_match_the_loop(X)
+
+
+@st.composite
+def wide_operators(draw):
+    """Trace-1 operators with denominators 2^70 to 3 * 2^200 (odd
+    numerators keep them), so every lane is wider than 8 bytes; about
+    half of the coefficients have a sqrt(2) part."""
+    n = draw(st.integers(1, 3))
+    den = draw(st.sampled_from([1, 3])) << draw(st.integers(70, 200))
+    part = st.builds(lambda m: Fraction(2 * m + 1, den), st.integers(-den // 2, den // 2 - 1))
+    coeff = st.builds(FieldElem, part) | st.builds(FieldElem, part, part)
+    points = all_points(n, include_zero=False)
+    coeffs = draw(st.dictionaries(st.sampled_from(points), coeff, min_size=1, max_size=8))
+    return QOperator(n, {PauliPoint.zero(n): ONE, **coeffs})
+
+
+@settings(max_examples=40, deadline=None)
+@given(wide_operators())
+def test_lanes_wider_than_eight_bytes_match_the_per_facet_loop(X):
+    _assert_lanes_match_the_loop(X)
+
+
+@pytest.mark.parametrize("w", [1, 2, 4, 8], ids="w={}".format)
+@pytest.mark.parametrize("fits", [True, False], ids=["widest", "next"])
+def test_lanes_match_the_per_facet_loop_at_each_width_boundary(w, fits):
+    # B = sum |x_k| over the scaled coefficients (D = 1 here, x_0 = 1) of
+    # the rational and of the sqrt(2) parts: the widest sums a lane of w
+    # bytes holds, then the first that need 2w bytes
+    B = (1 << (8 * w - 1)) - fits
+    a, b = B // 3, B - 1 - B // 3
+    rational = {"II": 1, "XZ": a, "YY": -b}
+    irrational = {"II": 1, "XZ": FieldElem(0, 1 + a), "YY": FieldElem(0, -b)}
+    mixed = {"II": 1, "XZ": FieldElem(a, 1 + a), "ZX": FieldElem(-b, -b), "YY": FieldElem(0, 1)}
+    for entries in (rational, irrational, mixed):
+        _assert_lanes_match_the_loop(QOperator.from_labels(2, entries))
+
+
+@pytest.mark.parametrize("w", [1, 2, 4, 8, 16], ids="w={}".format)
+def test_facet_sums_fill_a_lane_from_end_to_end(w):
+    # every sum is +-B or 0, so the lanes hold 0, B and 2B = 2^(8w) - 2
+    B = (1 << (8 * w - 1)) - 1
+    for n in (1, 2, 3):
+        for key in (0, 1, (1 << 2 * n) - 1):
+            for x in (B, -B):
+                want = [x * ((key in plus) - (key in minus)) for _, plus, minus in facet_table(n)]
+                assert _facet_sums(n, {key: x}) == want
+
+
+def test_lanes_match_the_per_facet_loop_on_four_qubits():
+    t4 = T_STATE.tensor(T_STATE).tensor(T_STATE).tensor(T_STATE)
+    a4 = A0.tensor(A0).tensor(A0).tensor(A0)
+    sample = random.Random(32)
+    points = all_points(4, include_zero=False)
+    noise = {
+        p: FieldElem(Fraction(sample.randint(-4, 4), 16), Fraction(sample.randint(-1, 1), 16))
+        for p in sample.sample(points, 12)
+    }
+    near_mixed = QOperator(4, {PauliPoint.zero(4): ONE, **noise})
+    lifted = A0.tensor(maximally_mixed(1)).tensor(T_STATE).tensor(A0)
+    for X in (t4, a4, near_mixed, lifted):
+        _assert_lanes_match_the_loop(X)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -17,7 +17,7 @@ from lambda_forge.reduction import (
     reduce_static,
 )
 from lambda_forge.cnc import CncSet, cnc_vertices
-from lambda_forge.pauli import PhasedPauli, QOperator, pauli_mul
+from lambda_forge.pauli import PhasedPauli, QOperator
 from lambda_forge.orbit import enumerate_family
 from lambda_forge.simulate import (
     LiftState,
@@ -31,6 +31,7 @@ from lambda_forge.simulate import (
     update_state,
 )
 from lambda_forge.stabilizer import Assignment, enumerate_stabilizer_states, state_to_json
+from helpers import pauli_mul
 
 rng = random.Random(37)
 
