@@ -157,11 +157,12 @@ class CliffordTableau:
         """U A U^dagger: relocate coefficients with signs; trace preserved."""
         if A.n != self.n:
             raise ValueError("qubit count mismatch")
+        # a signed permutation of the coefficients keeps the form canonical
         out = {}
-        for k, c in A._by_key.items():
+        for k, (p, q) in A._num.items():
             key, phase = self._apply_key(k)
-            out[key] = -c if phase else c
-        return QOperator._from_keys(self.n, out)
+            out[key] = (-p, -q) if phase else (p, q)
+        return QOperator._of(self.n, A._den, out)
 
     # -- group structure -----------------------------------------------------
 

@@ -46,11 +46,10 @@ on the keys; ``.omega`` and ``.gamma`` are ``PauliPoint`` views.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from types import MappingProxyType
 from typing import Collection, Iterable, Mapping, Optional
 
-from .field import ONE
+from .field import HALF, ONE, FieldElem
 from .gf2 import (
     PauliPoint,
     affine_solutions,
@@ -200,11 +199,9 @@ class CncSet:
         return CncSet._from_keys(s.subspace.n, dict(s.key_items()))
 
     def operator(self) -> QOperator:
-        return QOperator._from_keys(
-            self.n, {k: -ONE if b else ONE for k, b in self._vals.items()}
-        )
+        return QOperator._of(self.n, 1, {k: (-1 if b else 1, 0) for k, b in self._vals.items()})
 
-    def measure_update(self, a: PauliPoint, s: int) -> list[tuple[Fraction, "CncSet"]]:
+    def measure_update(self, a: PauliPoint, s: int) -> list[tuple[FieldElem, "CncSet"]]:
         """Closed-form update pieces for measuring T_a with outcome s.
 
         The cnc update theorem (see the module docstring): at most one
@@ -231,7 +228,7 @@ class CncSet:
                 out[k] = b
                 if outside:
                     out[k ^ ka] = b ^ s ^ (key_phase(k, ka, n) >> 1)
-        return [(Fraction(1, 2) if outside else Fraction(1), CncSet._from_keys(n, out))]
+        return [(HALF if outside else ONE, CncSet._from_keys(n, out))]
 
     def __eq__(self, other):
         return isinstance(other, CncSet) and self.n == other.n and self._items == other._items

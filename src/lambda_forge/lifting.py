@@ -27,7 +27,6 @@ the shift keeps the rows' pivot order and every product sign.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .field import FieldElem, ZERO
@@ -118,12 +117,13 @@ def lift_tensor(X: QOperator, J: Subspace, r: Assignment) -> QOperator:
         raise ValueError("lift subspace must live on the tail qubits")
     if X.n != m:
         raise ValueError("operator qubit count must match the head size")
-    heads = [(_place_key(v, n, 0, m), c) for v, c in X._by_key.items()]
+    heads = [(_place_key(v, n, 0, m), pq) for v, pq in X._num.items()]
     out = {}
     for u, ru in r.key_items():
-        for v, c in heads:
-            out[v | u] = -c if ru else c
-    return QOperator._from_keys(n, out)
+        for v, (p, q) in heads:
+            out[v | u] = (-p, -q) if ru else (p, q)
+    # X's coefficients, signed, at distinct keys: still canonical over X's denominator
+    return QOperator._of(n, X._den, out)
 
 
 def lift(X: QOperator, params: LiftParams) -> QOperator:
@@ -175,8 +175,9 @@ def tail_overlap(
         if ru is not None:
             val = sigma.setdefault(_restrict_key(w, n, 0, m), sw ^ ru)
             assert val == sw ^ ru, "delta check must force agreement"
-    total = sum((-c if sigma[v] else c for v, c in X._by_key.items() if v in sigma), ZERO)
-    return total * Fraction(common, 1 << n)
+    x = sum(-p if sigma[v] else p for v, (p, _) in X._num.items() if v in sigma)
+    y = sum(-q if sigma[v] else q for v, (_, q) in X._num.items() if v in sigma)
+    return FieldElem._reduced(x * common, y * common, X._den << n)
 
 
 def averaged_head_operator(Y: QOperator, J: Subspace, r: Assignment) -> QOperator:
@@ -191,16 +192,16 @@ def averaged_head_operator(Y: QOperator, J: Subspace, r: Assignment) -> QOperato
     m = n - J.dim
     if not is_tail_supported(J, m):
         raise ValueError("averaging requires a tail-position subspace")
-    inv = Fraction(1, J.size())
     tail_bits = _tail_bits(n, m)
     r_values = dict(r.key_items())
-    out: dict[int, FieldElem] = {}
-    for k, c in Y._by_key.items():
+    out: dict[int, tuple[int, int]] = {}
+    for k, (p, q) in Y._num.items():
         negate = r_values.get(k & tail_bits)
         if negate is not None:
             v = _restrict_key(k, n, 0, m)
-            out[v] = out.get(v, ZERO) + (-c if negate else c)
-    return QOperator._from_keys(m, {v: c * inv for v, c in out.items()})
+            x, y = out.get(v, (0, 0))
+            out[v] = (x - p, y - q) if negate else (x + p, y + q)
+    return QOperator._reduced(m, Y._den * J.size(), out)
 
 
 def averaged_trace_identity(

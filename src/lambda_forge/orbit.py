@@ -21,7 +21,8 @@ four six-member ones give |Omega| = 7, and the sign system solved by
 ``OrbitVertex.build`` validates parameters from outside with the same
 rule code (the collection must be one of ``enumerate_collections(I)``,
 gamma' one of the sign-system solutions); ``classify_operator`` accepts
-members only, looking the key mask of Omega up among the six-member
+members only, reading twice each coefficient (2p/D) off the operator's
+integers and looking the key mask of Omega up among the six-member
 collections at I.  The check that the family equals the Clifford orbit
 of ``ALPHA0_TABLE`` compares sorted (key, coefficient times 2) int pairs
 (``family_operator_keys``, ``clifford_orbit_keys``).  The test suite
@@ -56,7 +57,7 @@ from functools import cached_property, lru_cache
 from itertools import combinations, product
 from typing import ClassVar, Iterable, Mapping, Optional, Sequence
 
-from .field import HALF, ONE
+from .field import FieldElem, ONE
 from .clifford import coefficient_orbit
 from .cnc import CncSet
 from .gf2 import (
@@ -183,9 +184,6 @@ def _sign_solutions(gamma: Assignment, keys: Sequence[int]) -> list[int]:
 
 # -- the vertices ------------------------------------------------------------
 
-#: A coefficient from its double.
-_HALVES = {2: ONE, -2: -ONE, 1: HALF, -1: -HALF}
-
 
 @dataclass(frozen=True)
 class OrbitVertex:
@@ -242,9 +240,8 @@ class OrbitVertex:
         return state
 
     def operator(self) -> QOperator:
-        return QOperator._from_keys(
-            2, {k: _HALVES[c] for k, c in self._twice_coeffs.items()}
-        )
+        # over 2, with an odd numerator on Omega's nonzero points: canonical
+        return QOperator._of(2, 2, {k: (c, 0) for k, c in self._twice_coeffs.items()})
 
     def to_json(self) -> dict:
         return {
@@ -272,18 +269,16 @@ def classify_operator(V: QOperator) -> OrbitVertex:
     ValueError for any other operator (see the module docstring)."""
     if V.n != 2:
         raise ValueError("the family lives on two qubits")
-    if V.trace() != ONE:
+    if V._num.get(0) != (V._den, 0):
         raise ValueError("family members have unit trace")
     signs, gp = {}, {0: 0}
-    for k, c in V._by_key.items():
+    for k, (p, q) in V._num.items():
         if not k:
             continue
-        if c == ONE or c == -ONE:
-            signs[k] = 0 if c == ONE else 1
-        elif c == HALF or c == -HALF:
-            gp[k] = 0 if c == HALF else 1
-        else:
+        twice, rest = divmod(2 * p, V._den)
+        if q or rest or abs(twice) not in (1, 2):
             raise ValueError("coefficient outside {0, +-1/2, +-1}")
+        (signs if abs(twice) == 2 else gp)[k] = int(twice < 0)
     I = Subspace(2, signs)
     if len(signs) != 3 or I.dim != 2 or not I.is_isotropic():
         raise ValueError("unit coefficients must fill a maximal isotropic")
@@ -329,7 +324,7 @@ def clifford_orbit_keys() -> frozenset:
 
 def measure_update(
     vertex: OrbitVertex, a: PauliPoint, s: int
-) -> list[tuple[Fraction, CncSet]]:
+) -> list[tuple[FieldElem, CncSet]]:
     """Closed-form update pieces for measuring T_a with outcome s.
 
     With A = (1/4) sum_v alpha_v T_v, the outcome has probability
@@ -390,7 +385,7 @@ def measure_update(
             gamma[r ^ ka] ^= 1
         w = zs[i + 1] - zs[i]
         if w:
-            out.append((Fraction(w, 4 * D), CncSet._from_keys(2, dict(gamma))))
+            out.append((FieldElem._reduced(w, 0, 4 * D), CncSet._from_keys(2, dict(gamma))))
     return out
 
 

@@ -22,25 +22,28 @@ A ``QOperator`` is the exact coefficient map of a Hermitian operator
 with alpha_v in Q(sqrt(2)).  Absent coefficients are zero; trace(A) is
 the coefficient at v = 0.
 
-Inside, the coefficients live in a dict keyed by the packed int
-(v_Z << n) | v_X, which is ``PauliPoint.key()``, and no stored value is
-zero.  Projection, sums, scaling, ``trace_inner``, ``tensor``, ``key``,
-equality and hashing run on those int keys and build no ``PauliPoint``;
-the symplectic form and the product phase are read off whole keys
-(``gf2.key_form``, ``key_phase``).  ``QOperator(n, {PauliPoint: c})`` is
-the validating constructor, and ``.coeffs`` is a read-only
-``PauliPoint``-keyed view of the same coefficients, built on first read
-(the oracles ``product`` and ``dense_matrix`` read it).
+Inside, alpha_v = (p + q*sqrt(2)) / D: one denominator D > 0 and a dict
+{(v_Z << n) | v_X: (p, q)} keyed by ``PauliPoint.key()``, canonical (no
+pair (0, 0), gcd(D, every p and q) = 1), so equal operators hold equal
+ints.  Sums, scaling, projection, ``tensor``, ``trace_inner``, ``key``,
+JSON, equality, hashing and the Clifford, lift, polytope, simplex and
+family code run on them, reading form and phase off whole keys
+(``gf2.key_form``, ``key_phase``).  ``QOperator(n, {PauliPoint: c})``
+validates; ``coeff``, ``trace`` and ``.coeffs``, a read-only view built
+on first read (the oracles ``product`` and ``dense_matrix`` use it),
+give FieldElems.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
+from math import gcd, lcm
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, Optional
 
-from .field import ZERO, FieldElem
+from .field import ZERO, FieldElem, _fraction, _ratio_str
 from .gf2 import PauliPoint, swap_halves, symplectic_form
 
 if TYPE_CHECKING:
@@ -151,34 +154,40 @@ class QOperator:
 
     ``QOperator(n, {PauliPoint: c})`` checks every point and coefficient;
     ``.coeffs`` is the read-only ``PauliPoint``-keyed view (see the module
-    docstring for the int keys inside).
+    docstring for the integers inside).
     """
 
-    __slots__ = ("n", "_by_key", "_view")
+    __slots__ = ("n", "_den", "_num", "_view")
 
-    def __init__(self, n: int, coeffs: Optional[Mapping[PauliPoint, FieldElem]] = None):
-        by_key: dict[int, FieldElem] = {}
-        if coeffs:
-            for point, c in coeffs.items():
-                if point.n != n:
-                    raise ValueError("coefficient point has wrong qubit count")
-                c = FieldElem.coerce(c)
-                if not c.is_zero():
-                    by_key[point.key()] = c
-        _set(self, "n", n)
-        _set(self, "_by_key", by_key)
-        _set(self, "_view", None)
+    def __new__(cls, n: int, coeffs: Optional[Mapping[PauliPoint, FieldElem]] = None):
+        elems: dict[int, FieldElem] = {}
+        for point, c in (coeffs or {}).items():
+            if point.n != n:
+                raise ValueError("coefficient point has wrong qubit count")
+            elems[point.key()] = FieldElem.coerce(c)
+        return _over_lcm(n, elems)
 
     @staticmethod
-    def _from_keys(n: int, by_key: dict[int, FieldElem]) -> "QOperator":
-        """The operator of FieldElem coefficients keyed by ``PauliPoint.key()``
-        that are already checked (the keys fit n qubits); zero values are
-        dropped."""
+    def _of(n: int, den: int, num: dict[int, tuple[int, int]]) -> "QOperator":
+        """The operator with coefficient (p + q*sqrt(2)) / den at each key
+        of num, which must already be canonical: keys that fit n qubits,
+        den > 0, no pair (0, 0), and gcd(den, every p and q) = 1."""
         A = _new(QOperator)
         _set(A, "n", n)
-        _set(A, "_by_key", {k: c for k, c in by_key.items() if c.p or c.q})
+        _set(A, "_den", den)
+        _set(A, "_num", num)
         _set(A, "_view", None)
         return A
+
+    @staticmethod
+    def _reduced(n: int, den: int, num: dict[int, tuple[int, int]]) -> "QOperator":
+        """``_of`` for any den > 0 and pairs: zero pairs are dropped, and
+        den and the pairs are divided by their gcd."""
+        num = {k: pq for k, pq in num.items() if pq[0] or pq[1]}
+        g = gcd(den, *chain.from_iterable(num.values()))
+        if g != 1:
+            den, num = den // g, {k: (p // g, q // g) for k, (p, q) in num.items()}
+        return QOperator._of(n, den, num)
 
     def __setattr__(self, name, value):
         raise AttributeError("QOperator is immutable")
@@ -191,10 +200,9 @@ class QOperator:
         """The coefficients keyed by ``PauliPoint``, read-only."""
         view = self._view
         if view is None:
-            n = self.n
-            view = MappingProxyType(
-                {PauliPoint.from_key(n, k): c for k, c in self._by_key.items()}
-            )
+            n, den = self.n, self._den
+            view = MappingProxyType({PauliPoint.from_key(n, k): FieldElem._reduced(p, q, den)
+                                     for k, (p, q) in self._num.items()})
             _set(self, "_view", view)
         return view
 
@@ -211,49 +219,42 @@ class QOperator:
 
     @staticmethod
     def from_labels(n: int, entries: Mapping[str, object]) -> "QOperator":
-        return QOperator(
-            n,
-            {
-                PauliPoint.from_label(lbl): FieldElem.coerce(val)
-                for lbl, val in entries.items()
-            },
-        )
+        return QOperator(n, {PauliPoint.from_label(lbl): val for lbl, val in entries.items()})
 
     # -- basic queries ---------------------------------------------------
 
     def coeff(self, point: PauliPoint) -> FieldElem:
         if point.n != self.n:
             raise ValueError("qubit count mismatch")
-        return self._by_key.get(point.key(), ZERO)
+        pq = self._num.get(point.key())
+        return ZERO if pq is None else FieldElem._reduced(*pq, self._den)
 
     def trace(self) -> FieldElem:
-        return self._by_key.get(0, ZERO)
+        pq = self._num.get(0)
+        return ZERO if pq is None else FieldElem._reduced(*pq, self._den)
 
     def key(self):
         """Canonical hashable form (sorted coefficient items)."""
-        return (
-            self.n,
-            tuple(sorted((k, c.a, c.b) for k, c in self._by_key.items())),
-        )
+        den = self._den
+        items = sorted((k, _fraction(p, den), _fraction(q, den)) for k, (p, q) in self._num.items())
+        return (self.n, tuple(items))
 
     def is_zero(self) -> bool:
-        return not self._by_key
+        return not self._num
 
     def __eq__(self, other):
-        return (
-            isinstance(other, QOperator)
-            and self.n == other.n
-            and self._by_key == other._by_key
-        )
+        if not isinstance(other, QOperator):
+            return False
+        return self.n == other.n and self._den == other._den and self._num == other._num
 
     def __hash__(self):
-        return hash(self.key())
+        return hash((self.n, self._den, frozenset(self._num.items())))
 
     def __repr__(self):
-        n = self.n
+        n, den = self.n, self._den
         body = " ".join(
-            f"{c!s}*{PauliPoint.from_key(n, k).label()}"
-            for k, c in sorted(self._by_key.items())
+            f"{FieldElem._reduced(p, q, den)!s}*{PauliPoint.from_key(n, k).label()}"
+            for k, (p, q) in sorted(self._num.items())
         ) or "0"
         return f"QOperator({n}; {body})"
 
@@ -262,21 +263,22 @@ class QOperator:
     def __add__(self, other: "QOperator") -> "QOperator":
         if self.n != other.n:
             raise ValueError("qubit count mismatch")
-        out = dict(self._by_key)
-        get = out.get
-        for k, c in other._by_key.items():
-            d = get(k)
-            out[k] = c if d is None else d + c
-        return QOperator._from_keys(self.n, out)
+        den = lcm(self._den, other._den)
+        f, g = den // self._den, den // other._den
+        out = {k: (p * f, q * f) for k, (p, q) in self._num.items()}
+        for k, (p, q) in other._num.items():
+            r, t = out.get(k, (0, 0))
+            out[k] = (r + p * g, t + q * g)
+        return QOperator._reduced(self.n, den, out)
 
     def __sub__(self, other: "QOperator") -> "QOperator":
         return self + other.scale(-1)
 
     def scale(self, factor) -> "QOperator":
-        factor = FieldElem.coerce(factor)
-        return QOperator._from_keys(
-            self.n, {k: c * factor for k, c in self._by_key.items()}
-        )
+        f = FieldElem.coerce(factor)
+        r, s = f.p, f.q
+        num = {k: (p * r + 2 * q * s, p * s + q * r) for k, (p, q) in self._num.items()}
+        return QOperator._reduced(self.n, self._den * f.d, num)
 
     # -- multiplicative structure ----------------------------------------
 
@@ -336,29 +338,27 @@ class QOperator:
         n = m + k
         mask_m, mask_k = (1 << m) - 1, (1 << k) - 1
         out = {}
-        for v, a in self._by_key.items():
+        for v, (p, q) in self._num.items():
             vz, vx = v >> m, v & mask_m
-            for w, b in other._by_key.items():
+            for w, (r, s) in other._num.items():
                 z = vz | ((w >> k) << m)
                 x = vx | ((w & mask_k) << m)
-                out[(z << n) | x] = a * b
-        return QOperator._from_keys(n, out)
+                out[(z << n) | x] = (p * r + 2 * q * s, p * s + q * r)
+        return QOperator._reduced(n, self._den * other._den, out)
 
     def trace_inner(self, other: "QOperator") -> FieldElem:
         """Tr(self * other), exact.  Bilinear and symmetric."""
         if self.n != other.n:
             raise ValueError("qubit count mismatch")
         small, large = (
-            (self._by_key, other._by_key)
-            if len(self._by_key) <= len(other._by_key)
-            else (other._by_key, self._by_key)
+            (self._num, other._num)
+            if len(self._num) <= len(other._num)
+            else (other._num, self._num)
         )
-        total = ZERO
-        for k, c in small.items():
-            d = large.get(k)
-            if d is not None:
-                total = total + c * d
-        return total * Fraction(1, 1 << self.n)
+        pairs = [(pq, large[k]) for k, pq in small.items() if k in large]
+        x = sum(p * r + 2 * q * s for (p, q), (r, s) in pairs)
+        y = sum(p * s + q * r for (p, q), (r, s) in pairs)
+        return FieldElem._reduced(x, y, (self._den * other._den) << self.n)
 
     def project(self, a: PauliPoint, s: int) -> "QOperator":
         """Pi_{a,s} self Pi_{a,s} with Pi_{a,s} = (1 + (-1)^s T_a)/2.
@@ -370,7 +370,8 @@ class QOperator:
 
         Since beta(v + a, a) = beta(v, a), the output coefficients at v
         and v + a agree up to that sign, so each pair is computed once, as
-        (c +- d) / 2 on the integers of c and d with one reduction.
+        (c +- d) / 2: the numerators of c and d added or subtracted over
+        twice the operator's denominator, with one gcd for the result.
         """
         if a.is_zero():
             raise ValueError("projection axis must be nonzero")
@@ -379,23 +380,24 @@ class QOperator:
             raise ValueError("qubit count mismatch")
         ka = a.key()
         swapped = swap_halves(ka, n)  # parity(v & swapped) = [v, a]
-        coeffs = self._by_key
-        out: dict[int, FieldElem] = {}
-        for v, c in coeffs.items():
+        num = self._num
+        out: dict[int, tuple[int, int]] = {}
+        for v, (p, q) in num.items():
             if v in out or (v & swapped).bit_count() & 1:
                 continue
             u = v ^ ka
-            flip = (s + (key_phase(v, ka, n) >> 1)) & 1
-            d, e = coeffs.get(u, ZERO), c.d
-            f, dp, dq = d.d, (-d.p if flip else d.p), (-d.q if flip else d.q)
-            out[v] = val = FieldElem._reduced(c.p * f + dp * e, c.q * f + dq * e, 2 * e * f)
-            out[u] = -val if flip else val
-        return QOperator._from_keys(n, out)
+            r, t = num.get(u, (0, 0))
+            if (s + (key_phase(v, ka, n) >> 1)) & 1:
+                out[v], out[u] = (p - r, q - t), (r - p, t - q)
+            else:
+                out[v] = out[u] = (p + r, q + t)
+        return QOperator._reduced(n, 2 * self._den, out)
 
     # -- dense oracle ------------------------------------------------------
 
     def dense_matrix(self) -> np.ndarray:
-        """Explicit 2^n x 2^n complex matrix; verification oracle only."""
+        """Explicit 2^n x 2^n complex matrix; verification oracle only, so
+        numpy, from the ``test`` extra, is imported here."""
         import numpy as np
 
         if self.n > DENSE_ORACLE_BOUND:
@@ -409,12 +411,12 @@ class QOperator:
     # -- JSON -----------------------------------------------------------
 
     def to_json(self) -> dict:
-        n = self.n
+        n, den = self.n, self._den
         return {
             "n": n,
             "coeffs": {
-                PauliPoint.from_key(n, k).label(): {"a": str(c.a), "b": str(c.b)}
-                for k, c in sorted(self._by_key.items())
+                PauliPoint.from_key(n, k).label(): dict(a=_ratio_str(p, den), b=_ratio_str(q, den))
+                for k, (p, q) in sorted(self._num.items())
             },
         }
 
@@ -427,17 +429,26 @@ class QOperator:
             raise ValueError(f"operator qubit count n must be an integer, got {n!r}")
         if not isinstance(coeffs, Mapping):
             raise ValueError(f"operator coeffs must be an object, got {coeffs!r}")
-        by_key: dict[int, FieldElem] = {}
+        elems: dict[int, FieldElem] = {}
         for label, val in coeffs.items():
             width, key = _label_key(label)
             if width != n:
                 raise ValueError("coefficient point has wrong qubit count")
-            if key in by_key:
+            if key in elems:
                 # labels are read with surrounding whitespace stripped
                 first = next(k for k in coeffs if _label_key(k) == (n, key))
                 raise ValueError(f"Pauli labels {first!r} and {label!r} name the same point")
-            by_key[key] = FieldElem.from_json(val)
-        return QOperator._from_keys(n, by_key)
+            elems[key] = FieldElem.from_json(val)
+        return _over_lcm(n, elems)
+
+
+def _over_lcm(n: int, elems: dict[int, FieldElem]) -> QOperator:
+    """The operator of canonical field elements by key over D = lcm(d): no
+    gcd is needed, as a prime's full power in D divides some d, so not p, q."""
+    elems = {k: c for k, c in elems.items() if c.p or c.q}
+    den = lcm(*(c.d for c in elems.values()))
+    num = {k: (c.p * (den // c.d), c.q * (den // c.d)) for k, c in elems.items()}
+    return QOperator._of(n, den, num)
 
 
 @lru_cache(maxsize=1024)
@@ -449,7 +460,8 @@ def _label_key(label: str) -> tuple[int, int]:
 
 
 def pauli_matrix(p: PauliPoint, phase: int = 0) -> np.ndarray:
-    """Dense matrix of i^phase T_p (qubit 1 is the first tensor factor)."""
+    """Dense matrix of i^phase T_p (qubit 1 is the first tensor factor);
+    a test oracle, so numpy, from the ``test`` extra, is imported here."""
     import numpy as np
 
     # one-qubit matrices by (z, x) bits
@@ -467,7 +479,5 @@ def pauli_matrix(p: PauliPoint, phase: int = 0) -> np.ndarray:
 
 def pauli_projector(a: PauliPoint, s: int) -> QOperator:
     """The rank-2^{n-1} projector (1 + (-1)^s T_a)/2 as a QOperator."""
-    n = a.n
-    half = Fraction(1 << (n - 1))
-    sign = half if s % 2 == 0 else -half
-    return QOperator(n, {PauliPoint.zero(n): FieldElem(half), a: FieldElem(sign)})
+    h = 1 << (a.n - 1)
+    return QOperator(a.n, {PauliPoint.zero(a.n): FieldElem(h), a: FieldElem(-h if s % 2 else h)})

@@ -12,16 +12,17 @@ coefficient space).
 The facet sums of one operator come from one big-int product.  For each
 key k, a column holds the sign s(k, f) in {+1, -1, 0} of k on every
 facet f, stored as 1 + s(k, f) in a lane of w bytes at 2^(8wf).  With
-x_k the scaled coefficients and B = sum |x_k|, no facet sum leaves
+x_k the coefficient numerators and B = sum |x_k|, no facet sum leaves
 [-B, B], so sum_k x_k * column_k, plus an offset in every lane, has the
 digits v_f + B in base 2^(8w) once 2B < 2^(8w), w the least such power
-of two.  The digits are read off the integer's bytes: as native
-unsigned ints for w <= 8, one `int.from_bytes` per lane above.  So one
-operator costs a multiply-add per nonzero coefficient on ints of F * w
-bytes (F facets: 60, 1080 and 36720 for n = 2, 3, 4), not a Python step
-per facet.  The columns are built once per (n, w), `_lane_columns`, and
-hold 4^n * F * w bytes, per lane byte 69 KB at n = 3 and 9.4 MB at
-n = 4.
+of two.  The digits are read off the integer's bytes as native unsigned
+ints.  So one operator costs a multiply-add per nonzero coefficient on
+ints of F * w bytes (F facets: 60, 1080 and 36720 for n = 2, 3, 4), not
+a Python step per facet.  One table of columns is kept per n, the
+widest built so far, which serves every narrower need (`_lane_columns`);
+it holds 4^n * F * w bytes, per lane byte 69 KB at n = 3 and 9.4 MB at
+n = 4.  Lanes are at most 8 bytes wide: a sum that needs wider ones
+(2B >= 2^64) is taken facet by facet, and no table is kept for it.
 
 The rank is certified in two passes.  The first reduces the active
 normals over GF(3), each row bit-sliced as two int masks (the columns
@@ -53,11 +54,11 @@ from __future__ import annotations
 import sys
 from functools import lru_cache
 from itertools import compress, product
-from math import gcd, lcm
+from math import gcd
 from operator import eq, getitem, lshift, not_, or_, xor
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .field import FieldElem, ONE, ZERO, sqrt2_sign
+from .field import FieldElem, sqrt2_sign
 from .gf2 import ENUMERATION_BOUND, all_points
 from .pauli import QOperator
 from .simplex import solve_feasibility
@@ -219,24 +220,23 @@ class FacetCertificate:
 def membership(X: QOperator) -> FacetCertificate:
     """Exact facet certificate of X; requires trace(X) = 1.
 
-    The facet sums are integers: with D the lcm of the denominators d of
-    X's coefficients (p + q*sqrt(2)) / d, a facet's value is (x + y*sqrt(2)) / (D * 2^n) for
-    the integer sums x, y of the scaled coefficients over the state's
-    signed points, and its sign is that of x + y*sqrt(2).  The sums come
-    from `_facet_sums`, and the certificate keeps them; no FieldElem is
-    built until it is read.
+    The facet sums are integers: X's coefficients are (p + q*sqrt(2)) / D
+    over its one denominator D, so a facet's value is
+    (x + y*sqrt(2)) / (D * 2^n) for the sums x, y of the numerators p and
+    q over the state's signed points, and its sign is that of
+    x + y*sqrt(2).  The sums come from `_facet_sums`, and the certificate
+    keeps them; no FieldElem is built until it is read.
     """
     n = X.n
     if n > ENUMERATION_BOUND:
         raise ValueError(
             f"membership is evaluated exhaustively only for n<={ENUMERATION_BOUND}"
         )
-    if X.trace() != ONE:
+    D, num = X._den, X._num
+    if num.get(0) != (D, 0):
         raise ValueError("membership requires a trace-1 operator")
-    coeffs = X._by_key.items()
-    D = lcm(*(c.d for _, c in coeffs))
-    xs = _facet_sums(n, {key: c.p * (D // c.d) for key, c in coeffs if c.p})
-    ys = _facet_sums(n, {key: c.q * (D // c.d) for key, c in coeffs if c.q})
+    xs = _facet_sums(n, {key: p for key, (p, _) in num.items() if p})
+    ys = _facet_sums(n, {key: q for key, (_, q) in num.items() if q})
     labels = _facet_labels(n)
     active = list(compress(labels, map(not_, map(or_, xs, ys))))
     violation = None
@@ -266,7 +266,8 @@ def _facet_sums(n: int, coeffs: dict[int, int]) -> list[int]:
     ``sum_k coeffs[k] * columns[k]`` over the `_lane_columns`, whose lane f
     holds 1 + s(k, f), is sum_f (v_f + S) 2^(8wf) for S = sum_k coeffs[k]:
     adding (B - S) in every lane makes each lane v_f + B, a base-2^(8w)
-    digit with no carry, read off the integer's bytes.
+    digit with no carry, read off the integer's bytes as native unsigned
+    ints.  Sums that need lanes wider than 8 bytes are taken per facet.
     """
     F = len(_facet_labels(n))
     if not coeffs:
@@ -275,30 +276,35 @@ def _facet_sums(n: int, coeffs: dict[int, int]) -> list[int]:
     w = 1
     while (2 * B) >> (8 * w):
         w *= 2
-    columns = _lane_columns(n, w)
+    if w > 8:
+        get = [coeffs.get(k, 0) for k in range(1 << (2 * n))].__getitem__
+        return [sum(map(get, plus)) - sum(map(get, minus)) for _, plus, minus in facet_table(n)]
+    w, columns = _lane_columns(n, w)
     ones = int.from_bytes((b"\x01" + bytes(w - 1)) * F, "little")
     total = (B - sum(coeffs.values())) * ones
     for k, x in coeffs.items():
         total += x * columns[k]
-    if w > 8:
-        data = total.to_bytes(F * w, "little")
-        digits = [int.from_bytes(data[i : i + w], "little") for i in range(0, F * w, w)]
-    else:
-        digits = memoryview(total.to_bytes(F * w, sys.byteorder)).cast(_LANE_FORMATS[w])
-        if sys.byteorder == "big":  # the last lane comes first
-            digits = digits[::-1]
+    digits = memoryview(total.to_bytes(F * w, sys.byteorder)).cast(_LANE_FORMATS[w])
+    if sys.byteorder == "big":  # the last lane comes first
+        digits = digits[::-1]
     return [d - B for d in digits]
 
 
-@lru_cache(maxsize=4)
-def _lane_columns(n: int, w: int) -> tuple[int, ...]:
-    """The facet signs of ``facet_table(n)`` per key k, as base-2^(8w)
-    ints: lane f of column k (its digit of 2^(8wf)) is 1 + s(k, f), where
-    s(k, f) is +1 or -1 when k is one of facet f's plus or minus keys and
-    0 otherwise.  Each column is filled one byte per facet, then spread
-    into its w-byte lanes (little-endian, so the byte is the lane's low
-    one) by extended-slice assignment: the fill and the memory beside the
-    columns stay at one byte per facet and key."""
+#: per qubit count, the widest lane table built so far, as (w, columns)
+_LANES: dict[int, tuple[int, tuple[int, ...]]] = {}
+
+
+def _lane_columns(n: int, w: int) -> tuple[int, tuple[int, ...]]:
+    """(v, columns), v >= w: `_LANES[n]`, replaced by a w-byte table when
+    narrower.  Lane f of column k (its digit of 2^(8vf)) is 1 + s(k, f),
+    s(k, f) = +1 / -1 / 0 as k is a plus / minus / no key of facet f of
+    ``facet_table(n)``.  Each column is filled one byte per facet, then
+    spread into its w-byte lanes (little-endian: the byte is the lane's
+    low one) by extended-slice assignment, so the fill and the memory
+    beside the columns stay at one byte per facet and key."""
+    if n in _LANES and _LANES[n][0] >= w:
+        return _LANES[n]
+    _LANES.pop(n, None)  # a narrower table is freed before this one is built
     table = facet_table(n)
     F = len(table)
     signs = [bytearray(b"\x01" * F) for _ in range(1 << (2 * n))]
@@ -312,7 +318,8 @@ def _lane_columns(n: int, w: int) -> tuple[int, ...]:
     for column in signs:
         lanes[::w] = column
         columns.append(int.from_bytes(lanes, "little"))
-    return tuple(columns)
+    _LANES[n] = held = (w, tuple(columns))
+    return held
 
 
 def is_vertex(X: QOperator, cert: Optional[FacetCertificate] = None) -> tuple[bool, int]:
@@ -406,8 +413,8 @@ def enumerate_vertices_n1() -> list[QOperator]:
     corners (1 +- X +- Y +- Z)/2 of the cube Lambda_1, alpha_X, alpha_Z,
     alpha_Y = +-1 (keys 1, 2, 3), the X sign varying slowest, -1 first."""
     return [
-        QOperator._from_keys(1, {0: ONE, 1: x, 2: z, 3: y})
-        for x, z, y in product((-ONE, ONE), repeat=3)
+        QOperator._of(1, 1, {0: (1, 0), 1: (x, 0), 2: (z, 0), 3: (y, 0)})
+        for x, z, y in product((-1, 1), repeat=3)
     ]
 
 
@@ -422,17 +429,19 @@ def decompose(
     or None when rho is not in the convex hull of the pool.
     """
     n = rho.n
-    keys = range(1 << (2 * n))
+    size = 1 << (2 * n)
     columns = []
-    for A in pool:
+    for i, A in enumerate(pool):
         if A.n != n:
             raise ValueError("pool operator qubit count mismatch")
-        col = [A._by_key.get(k, ZERO) for k in keys]
-        col.append(ONE)  # sum-to-one constraint
-        columns.append(col)
-    rhs = [rho._by_key.get(k, ZERO) for k in keys]
-    rhs.append(ONE)
-    sol = solve_feasibility(columns, rhs)
+        col = [0] * size + [A._den]  # the last row: the weights sum to one
+        for k, (p, q) in A._num.items():
+            if q:
+                raise ValueError(f"pool operator {i} has a sqrt(2) coefficient")
+            col[k] = p
+        columns.append((col, A._den))
+    rhs = [rho._num.get(k, (0, 0)) for k in range(size)] + [(rho._den, 0)]
+    sol = solve_feasibility(columns, (rhs, rho._den))
     if sol is None:
         return None
     return {i: w for i, w in enumerate(sol) if w.sign() != 0}

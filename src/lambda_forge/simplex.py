@@ -1,22 +1,22 @@
 """Exact phase-1 simplex, revised: columns are priced on demand.
 
 Solves A x = b, x >= 0 feasibility for a rational A and a right-hand side
-b in Q(sqrt(2)) by minimizing the sum of artificial variables with
-Bland's anti-cycling rule.  Rows with b_i < 0 are negated first, so the
-artificials are a feasible starting basis.
+b in Q(sqrt(2)), both given as integers over positive scales, by
+minimizing the sum of artificial variables with Bland's anti-cycling
+rule.  Rows with b_i < 0 are negated first (S the diagonal of those
+signs), so the artificials are a feasible starting basis.
 
-Every tableau row is a combination r . [A | I | b] of the constraint rows,
-and r is the row's part in the artificial columns.  So only that block is
-kept, as one list of integers per row: the m entries of r (a positive
+Every tableau row is a combination r . [S A | I | S b] of the constraint
+rows, r its part in the artificial columns.  So only that block is kept,
+as one list of integers per row: the m entries of r S (r a positive
 multiple of a row of B^-1), then the row's b entry as two integers
-(x, y) meaning (x + y*sqrt(2)) / s, where s is the row's entry in its
-basic column.  Each column of A is turned into integers once, times a
-positive factor of its own (the lcm of its denominators), and its current
-entries are dot products with the block.  A positive factor on a column
-or a row changes no sign and no ratio, so the row scales start as b's
-denominators alone.  The phase-1 reduced costs f*c - u . [A | I] (c the
-artificial costs) are kept the same way, as the m multipliers u and the
-factor f > 0.  Pricing scans the columns of A in order and stops at the
+(x, y) meaning (x + y*sqrt(2)) / s, s the row's entry in its basic
+column.  A column's current entries are dot products of its integers
+with the block; a positive factor on a column or a row changes no sign
+and no ratio, so the row scales start as b's scale.  The phase-1
+reduced costs f*c - u . [S A | I] (c the artificial costs) are kept the
+same way, as the m multipliers u S (S at the start) and the factor
+f > 0.  Pricing scans the columns of A in order and stops at the
 first negative reduced cost, which is Bland's choice; the ratio test, its
 tie-break on the basic index and the per-row gcd division read the block
 only.  So a pivot costs the columns it prices and an m x (m + 2)
@@ -34,7 +34,7 @@ and the result is its result (the oracle of tests/test_simplex.py).
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 from typing import Optional, Sequence
 
@@ -42,34 +42,31 @@ from .field import FieldElem, ZERO, sqrt2_sign
 
 
 def solve_feasibility(
-    columns: Sequence[Sequence[FieldElem]], rhs: Sequence[FieldElem]
+    columns: Sequence[tuple[Sequence[int], int]], rhs: tuple[Sequence[tuple[int, int]], int]
 ) -> Optional[list[FieldElem]]:
-    """A nonnegative solution x of sum_j x_j * columns[j] = rhs, or None.
+    """A nonnegative solution x of sum_j x_j * A_j = b, or None.
 
-    The column entries must be rational (ValueError otherwise); rhs may
-    lie in Q(sqrt(2)).
+    Column j is given as (ints, scale) with A_j = ints / scale, and rhs as
+    (pairs, scale), b_i = (p + q*sqrt(2)) / scale for pairs[i] = (p, q),
+    every scale a positive int.  A column whose length is not that of b
+    is a ValueError.
     """
-    m = len(rhs)
+    pairs, den = rhs
+    m = len(pairs)
     ncols = len(columns)
-    signs, rows = [], []  # rows[i]: r_i (m ints), then b_i as (x, y)
-    for i, b in enumerate(map(FieldElem.coerce, rhs)):
-        s = -1 if b.sign() < 0 else 1  # make b >= 0
-        signs.append(s)
-        rows.append([b.d if k == i else 0 for k in range(m)] + [s * b.p, s * b.q])
-    ints, scales = [], []  # column j as signs * A_j * scales[j], integers
-    for j, col in enumerate(columns):
-        entries = [FieldElem.coerce(v) for v in col]
-        if len(entries) != m:
-            raise ValueError(f"simplex column {j} has {len(entries)} entries, not {m}")
-        if any(v.q for v in entries):
-            raise ValueError(f"simplex columns must be rational; column {j} has a sqrt(2) part")
-        scale = lcm(*(v.d for v in entries))
-        ints.append([s * v.p * (scale // v.d) for s, v in zip(signs, entries)])
-        scales.append(scale)
+    ints = [col for col, _ in columns]
+    for j, col in enumerate(ints):
+        if len(col) != m:
+            raise ValueError(f"simplex column {j} has {len(col)} entries, not {m}")
+    u = [-1 if sqrt2_sign(p, q) < 0 else 1 for p, q in pairs]  # S: b_i < 0 negates row i
+    # rows[i]: r_i S (m ints), then S b_i as (x, y)
+    rows = [[s * den if k == i else 0 for k in range(m)] + [s * p, s * q]
+            for i, (s, (p, q)) in enumerate(zip(u, pairs))]
     basis = list(range(ncols, ncols + m))
     # "minimize the artificial sum": the reduced cost of column j is
-    # f*c_j - u . (A | I)_j with c_j = 1 on the artificials and 0 on A
-    f, u = 1, [1] * m
+    # f*c_j - u . (A | S)_j with c_j = 1 on the artificials and 0 on A,
+    # u = S at the start
+    f = 1
 
     while True:
         # Bland: the smallest column of A with a negative reduced cost
@@ -118,7 +115,7 @@ def solve_feasibility(
             if row[m] or row[m + 1]:
                 return None  # infeasible: the artificial sum stays positive
         else:
-            # row . A_j is scales[j] times the row's entry in column j
-            k = scales[j]
-            x[j] = FieldElem._reduced(row[m] * k, row[m + 1] * k, sum(map(mul, row, ints[j])))
+            # row . ints_j is the column's scale times the row's entry in column j
+            col, k = columns[j]
+            x[j] = FieldElem._reduced(row[m] * k, row[m + 1] * k, sum(map(mul, row, col)))
     return x

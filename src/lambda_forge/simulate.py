@@ -125,7 +125,7 @@ def _cached_update(state: State, a: PauliPoint, s: int) -> tuple[tuple[FieldElem
                 (w, LiftState(engine, inner))
                 for w, inner in update_state(state.inner, step.point, s ^ step.flip)
             ]
-    return tuple((FieldElem.coerce(w), piece) for w, piece in pieces)
+    return tuple(pieces)
 
 
 # -- sequences ----------------------------------------------------------------

@@ -17,7 +17,6 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .field import FieldElem
 from .gf2 import (
     PauliPoint,
     Subspace,
@@ -146,8 +145,8 @@ def stabilizer_projector(J: Subspace, s: Assignment | Sequence[int]) -> QOperato
         s = Assignment(J, s)
     if s.subspace != J:
         raise ValueError("assignment domain differs from the projector subspace")
-    scale = FieldElem(1 << (J.n - J.dim))
-    return QOperator._from_keys(J.n, {k: -scale if v else scale for k, v in s.key_items()})
+    scale = 1 << (J.n - J.dim)
+    return QOperator._of(J.n, 1, {k: (-scale if v else scale, 0) for k, v in s.key_items()})
 
 
 def enumerate_stabilizer_states(n: int) -> list[tuple[Subspace, Assignment]]:

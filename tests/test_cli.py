@@ -2,15 +2,21 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lambda_forge import cli
 from lambda_forge.cli import main
+from lambda_forge.field import FieldElem
+from lambda_forge.gf2 import PauliPoint
 from lambda_forge.pauli import QOperator
+from lambda_forge.polytope import membership
 from lambda_forge.simulate import descriptor_from_json, steps_from_json
 
 
@@ -804,3 +810,93 @@ def test_json_readers_return_or_raise_value_error(reading):
         reader(doc)
     except ValueError:
         pass
+
+
+# -- property: operator documents read exactly as their labels and values say --
+
+def _padded(label):
+    return st.sampled_from([label, " " + label, label + " ", "\t" + label])
+
+
+OPERATOR_PARTS = st.integers(-4, 4) | st.sampled_from(
+    ["3/4", " 3/4", "-1/2", "1.5", "1_0/3", "0", "2", "-0/5"])
+GOOD_VALUES = OPERATOR_PARTS | st.fixed_dictionaries(
+    {}, optional={"a": OPERATOR_PARTS, "b": OPERATOR_PARTS})
+BAD_VALUES = st.sampled_from(
+    [True, False, 0.5, None, [], ["1"], {"a": "1", "c": "2"}, "1/0", "x", {"b": True}])
+
+
+@st.composite
+def operator_documents(draw):
+    """Operator documents over n = 1 or 2 qubits, most of them valid:
+    labels of width n (at times padded with whitespace, so that two can
+    name one point), of other widths or not labels at all; coefficients
+    as ints, rational strings in the forms ``Fraction`` reads, {a, b}
+    objects, or values a field element refuses.  Half start with the
+    identity at 1, so that many are trace-1 states."""
+    n = draw(st.integers(1, 2))
+    good = st.text("IXYZ", min_size=n, max_size=n)
+    labels = st.one_of(good, good, good.flatmap(_padded), st.text("IXYZ", min_size=1, max_size=3),
+                       st.sampled_from(["", "Q", "x", "I I"]))
+    values = st.one_of(GOOD_VALUES, GOOD_VALUES, GOOD_VALUES, BAD_VALUES)
+    coeffs = {"I" * n: "1"} if draw(st.booleans()) else {}
+    coeffs.update(draw(st.dictionaries(labels, values, max_size=5)))
+    return {"n": n, "coeffs": coeffs}
+
+
+def operator_oracle(doc):
+    """``QOperator(n, {PauliPoint.from_label(l): FieldElem.from_json(v)})``,
+    refusing two labels that name one point instead of keeping the last."""
+    points = {}
+    for label, val in doc["coeffs"].items():
+        point = PauliPoint.from_label(label)
+        if point in points:
+            raise ValueError("two labels name one point")
+        points[point] = FieldElem.from_json(val)
+    return QOperator(doc["n"], points)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(operator_documents())
+def test_operator_documents_read_as_the_oracle_builds_them(doc):
+    try:
+        want = operator_oracle(doc)
+    except ValueError:
+        want = None
+    if want is None:
+        with pytest.raises(ValueError):
+            QOperator.from_json(doc)
+    else:
+        got = QOperator.from_json(doc)
+        assert got == want and got.key() == want.key() and got.to_json() == want.to_json()
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "operator.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["membership", path])
+    printed = json.loads(out.getvalue())
+    if want is None or want.trace() != 1:
+        assert code == 1 and printed["status"] == "error" and printed["diagnostics"]
+    else:
+        cert = membership(want)
+        assert code == (0 if cert.is_member else 2)
+        assert printed["payload"] == json.loads(json.dumps(cert.to_json()))
+
+
+def test_commands_run_without_numpy(tmp_path):
+    # numpy is a test extra: only the dense oracles import it
+    operator = write_json(tmp_path / "a.json", ALPHA0)
+    circuit = write_json(tmp_path / "c.json", CIRCUITS[1])
+    argvs = [["vertex", operator], ["simulate", "--exact", circuit], ["orbit", "--count"]]
+    code = (
+        "import sys\n"
+        "from lambda_forge.cli import main\n"
+        f"codes = [main(argv) for argv in {argvs!r}]\n"
+        "sys.stderr.write(repr((codes, 'numpy' in sys.modules)))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.stderr == repr(([0, 0, 0], False))

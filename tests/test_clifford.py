@@ -36,9 +36,14 @@ from helpers import maximally_mixed, pauli_mul
 rng = random.Random(3)
 
 
+def by_key(A: QOperator) -> dict:
+    """A's coefficients keyed by ``PauliPoint.key()``."""
+    return {p.key(): c for p, c in A.coeffs.items()}
+
+
 def operator_orbit(A: QOperator) -> set:
     """``QOperator.key()`` of each member of the Clifford orbit of A."""
-    members = coefficient_orbit(A.n, A._by_key)
+    members = coefficient_orbit(A.n, by_key(A))
     return {(A.n, tuple([(k, d.a, d.b) for k, d in m])) for m in members}
 
 
@@ -263,9 +268,11 @@ def test_coefficient_orbit_decodes_to_operator_orbit():
         1, {PauliPoint.zero(1): ONE, x_point(1, 1): INV_SQRT2, y_point(1, 1): INV_SQRT2}
     )
     for A in (stabilizer_projector(I, s), t_state, alpha0_vertex()):
-        members = coefficient_orbit(A.n, A._by_key)
+        members = coefficient_orbit(A.n, by_key(A))
         assert all(list(m) == sorted(m) for m in members)
-        decoded = {QOperator._from_keys(A.n, dict(m)).key() for m in members}
+        decoded = {
+            QOperator(A.n, {PauliPoint.from_key(A.n, k): c for k, c in m}).key() for m in members
+        }
         assert len(decoded) == len(members) and decoded == operator_orbit(A)
 
 
@@ -274,7 +281,7 @@ def test_coefficient_orbit_of_one_and_of_no_coefficient():
     x = x_point(2, 1)
     for n in (1, 2):
         mixed = maximally_mixed(n)
-        assert coefficient_orbit(n, mixed._by_key) == {((0, ONE),)}
+        assert coefficient_orbit(n, by_key(mixed)) == {((0, ONE),)}
         assert operator_orbit(mixed) == conjugation_orbit_keys(mixed) == {mixed.key()}
         assert coefficient_orbit(n, {}) == {()}
     # a lone Pauli reaches every nonzero point with both signs

@@ -390,7 +390,8 @@ def test_vertex_json():
 def test_int_keys_are_the_member_operators():
     # a member's int key halves back to its operator's coefficients
     decoded = {
-        QOperator._from_keys(2, {k: FieldElem(Fraction(c, 2)) for k, c in member}).key()
+        QOperator(2, {PauliPoint.from_key(2, k): FieldElem(Fraction(c, 2))
+                      for k, c in member}).key()
         for member in family_operator_keys()
     }
     assert decoded == {v.operator().key() for v in enumerate_family()}

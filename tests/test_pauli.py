@@ -5,18 +5,21 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
+from math import gcd
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lambda_forge.field import FieldElem, ONE, ZERO
+from lambda_forge.clifford import CliffordTableau
+from lambda_forge.field import INV_SQRT2, SQRT2, FieldElem, ONE, ZERO
 from lambda_forge.gf2 import (
     PauliPoint,
     all_points,
     key_form,
+    span,
     symplectic_form,
     x_point,
     y_point,
@@ -31,6 +34,8 @@ from lambda_forge.pauli import (
     pauli_projector,
     product_phase,
 )
+from lambda_forge.lifting import lift_tensor
+from lambda_forge.stabilizer import Assignment, stabilizer_projector
 from helpers import maximally_mixed, pauli_mul
 
 rng = random.Random(0)
@@ -301,8 +306,21 @@ def ref_operators(draw, n):
     return {PauliPoint.from_key(n, k): draw(st.sampled_from(REF_VALUES)) for k in keys}
 
 
-def assert_matches(op, n, ref):
-    """op is the operator of the reference dict, and stores no zero."""
+def assert_canonical(op):
+    """One denominator D > 0 and integer pairs, none (0, 0), with
+    gcd(D, every p and q) = 1."""
+    den, num = op._den, op._num
+    assert type(den) is int and den > 0
+    assert all(type(p) is int and type(q) is int and (p or q) for p, q in num.values())
+    assert gcd(den, *chain.from_iterable(num.values())) == 1
+
+
+def assert_matches(op, n, ref, dense=None):
+    """op is the operator of the reference dict, canonical and storing no
+    zero, and its matrix is ``dense`` when that is given."""
+    assert_canonical(op)
+    if dense is not None:
+        assert np.allclose(op.dense_matrix(), dense, atol=1e-12)
     ref = ref_clean(ref)
     assert op.n == n and op.coeffs == ref
     assert all(not c.is_zero() for c in op.coeffs.values())
@@ -322,39 +340,99 @@ def assert_matches(op, n, ref):
     assert QOperator.from_json(json.loads(json.dumps(op.to_json()))) == op
 
 
+def gate(n, kind, q):
+    """(tableau, U, U^dagger) of a Hadamard, a phase gate (up to a global
+    phase, S = (1 - iZ)/sqrt2), a CNOT onto the next qubit or the Pauli
+    X on qubit q; U and U^dagger as complex coefficient maps (re, im) in
+    the basis of ``QOperator``, A = (1/2^n) sum_v alpha_v T_v."""
+    full, x, z = 1 << n, x_point(n, q), z_point(n, q)
+    root = FieldElem(0, 1 << (n - 1))  # 2^n / sqrt2
+    if kind == "H":
+        U = {x: (root, ZERO), z: (root, ZERO)}
+        return CliffordTableau.hadamard(n, q), U, U
+    if kind == "S":
+        U = {PauliPoint.zero(n): (root, ZERO), z: (ZERO, -root)}
+        return CliffordTableau.phase_gate(n, q), U, {**U, z: (ZERO, root)}
+    if kind == "CX":
+        t = q % n + 1
+        half = FieldElem(full // 2)
+        terms = {PauliPoint.zero(n): half, z: half, x_point(n, t): half,
+                 PauliPoint(n, z.z, x_point(n, t).x): -half}
+        U = {p: (c, ZERO) for p, c in terms.items()}
+        return CliffordTableau.cnot(n, q, t), U, U
+    U = {x: (FieldElem(full), ZERO)}
+    return CliffordTableau.pauli(n, x), U, U
+
+
+def conjugated(n, word, A):
+    """(tableau, U A U^dagger) for the gates of word applied in order, the
+    operator from two complex-coefficient products per gate."""
+    tableau = CliffordTableau.identity(n)
+    coeffs = A._complex_coeffs()
+    for kind, q in word:
+        t, U, Ud = gate(n, kind, q)
+        tableau = t.compose(tableau)
+        coeffs = QOperator._complex_product(n, QOperator._complex_product(n, U, coeffs), Ud)
+    assert all(im.is_zero() for _, im in coeffs.values())
+    return tableau, QOperator(n, {p: re for p, (re, _) in coeffs.items()})
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.data())
 def test_int_keyed_operator_matches_reference(data):
     n = data.draw(st.integers(1, 3))
     RA, RB = data.draw(ref_operators(n)), data.draw(ref_operators(n))
     A, B = QOperator(n, RA), QOperator(n, RB)
-    assert_matches(A, n, RA)
-    assert_matches(A + B, n, ref_add(RA, RB))
-    assert_matches(A - B, n, ref_add(RA, RB, -1))
+    Ad, Bd = A.dense_matrix(), B.dense_matrix()
+    assert_matches(A, n, RA, Ad)
+    assert_matches(A + B, n, ref_add(RA, RB), Ad + Bd)
+    assert_matches(A - B, n, ref_add(RA, RB, -1), Ad - Bd)
     assert_matches(A + A.scale(-1), n, {})
     assert_matches(A - A, n, {})
     drawn = data.draw(st.sampled_from(REF_VALUES))
-    for f in (ZERO, FieldElem(Fraction(-2, 3), Fraction(1, 2)), drawn):
-        assert_matches(A.scale(f), n, {p: c * f for p, c in RA.items()})
+    factors = (ZERO, FieldElem(-3), SQRT2, INV_SQRT2, FieldElem(Fraction(-2, 3), Fraction(1, 2)))
+    for f in factors + (drawn,):
+        assert_matches(A.scale(f), n, {p: c * f for p, c in RA.items()}, float(f) * Ad)
+    # equal operators reached by different routes hold the same integers
+    for route in ((A + B) - B, A.scale(2) + A.scale(-1), A.scale(SQRT2).scale(INV_SQRT2)):
+        assert route == A and route.key() == A.key() and hash(route) == hash(A)
+        assert route._den == A._den and route._num == A._num
     a = PauliPoint.from_key(n, data.draw(st.integers(1, (1 << (2 * n)) - 1)))
     s = data.draw(st.integers(0, 1))
     P = A.project(a, s)
     RP = ref_project(RA, a, s)
-    assert_matches(P, n, RP)
+    Pd = pauli_projector(a, s).dense_matrix()
+    assert_matches(P, n, RP, Pd @ Ad @ Pd)
+    assert P == product_projection(A, a, s)
     # the opposite projector annihilates the projection: every pair cancels
     assert_matches(P.project(a, 1 - s), n, {})
     assert_matches(P.project(a, s), n, RP)
     want = sum((c * RB[p] for p, c in RA.items() if p in RB), ZERO) * Fraction(1, 1 << n)
     assert A.trace_inner(B) == want == B.trace_inner(A)
+    kinds = st.sampled_from(["H", "S", "CX", "X"] if n > 1 else ["H", "S", "X"])
+    word = data.draw(st.lists(st.tuples(kinds, st.integers(1, n)), max_size=4))
+    tableau, UAU = conjugated(n, word, A)
+    conj = tableau.conjugate(A)
+    images = [(tableau.apply_point(p), c) for p, c in RA.items()]
+    assert_matches(conj, n, {i.point: c * i.sign() for i, c in images})
+    assert conj == UAU and tableau.invert().conjugate(conj) == A
     if n < 3:
         m = data.draw(st.integers(1, 3 - n))
         RC = data.draw(ref_operators(m))
+        C = QOperator(m, RC)
         tensor = {
             PauliPoint(n + m, v.z | (w.z << n), v.x | (w.x << n)): c * d
             for v, c in RA.items()
             for w, d in RC.items()
         }
-        assert_matches(A.tensor(QOperator(m, RC)), n + m, tensor)
+        assert_matches(A.tensor(C), n + m, tensor, np.kron(Ad, C.dense_matrix()))
+        # the lift onto a tail stabilizer state is the tensor with its projector
+        tail = span([z_point(m, q) for q in range(1, m + 1)], m)
+        values = data.draw(st.lists(st.integers(0, 1), min_size=m, max_size=m))
+        proj = stabilizer_projector(tail, Assignment(tail, values))
+        J = span([PauliPoint(n + m, p.z << n, 0) for p in tail.basis_points()], n + m)
+        lifted = lift_tensor(A, J, Assignment(J, values))
+        assert_matches(lifted, n + m, dict(A.tensor(proj).coeffs), np.kron(Ad, proj.dense_matrix()))
 
 
 def test_coeffs_view_is_read_only():

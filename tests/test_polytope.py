@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lambda_forge import polytope
 from lambda_forge.clifford import enumerate_action, generator_tableaux
 from lambda_forge.field import FieldElem, INV_SQRT2, ONE, sqrt2_sign
 from lambda_forge.gf2 import (
@@ -397,7 +398,7 @@ def membership_by_facet(X: QOperator) -> FacetCertificate:
         )
     if X.trace() != ONE:
         raise ValueError("membership requires a trace-1 operator")
-    coeffs = X._by_key.items()
+    coeffs = [(p.key(), c) for p, c in X.coeffs.items()]
     D = lcm(*(c.d for _, c in coeffs))
     xs = [0] * (1 << (2 * n))
     ys = [0] * (1 << (2 * n))
@@ -581,3 +582,33 @@ def test_int_rref_matches_fraction_oracle():
             assert _assert_rref_matches_oracle(subset, 63) < 63
     for X in inputs["mixtures"]:
         assert _assert_rref_matches_oracle(_projector_rows(X), 15) < 15
+
+
+def test_one_lane_table_per_qubit_count_and_none_over_eight_bytes():
+    # at n = 4 drive lanes of 1, 2, 4 and 8 bytes, wider ones and narrower
+    # ones again: the table held is the widest so far up to 8 bytes, and a
+    # sum that needs more is taken per facet with the table left alone
+    polytope._LANES.pop(4, None)
+    held = 0
+    for w in (1, 2, 4, 8, 16, 2, 32, 1, 8):
+        B = (1 << (8 * w - 1)) - 1  # the widest sums w-byte lanes hold
+        a = B // 3
+        X = QOperator.from_labels(4, {"IIII": 1, "XZXZ": a, "YYIY": -(B - 1 - a)})
+        _assert_lanes_match_the_loop(X)
+        held = max(held, w) if w <= 8 else held
+        width, columns = polytope._LANES[4]
+        assert width == held and len(columns) == 256
+    polytope._LANES.pop(4)
+
+
+def test_certify_widths_hit_a_warm_table_after_one_round():
+    operators = [X for group in certificate_inputs().values() for X in group]
+    for n in (2, 3):
+        polytope._LANES.pop(n, None)
+    for X in operators:
+        membership(X)
+    held = {n: polytope._LANES[n] for n in (2, 3)}
+    assert all(width <= 8 for width, _ in held.values())
+    for X in operators:
+        membership(X)
+        assert polytope._LANES[X.n] is held[X.n]
