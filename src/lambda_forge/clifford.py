@@ -19,6 +19,7 @@ Aaronson and Gottesman, PRA 70, 052328 (2004)): O(n) per image for a gate.
 from __future__ import annotations
 
 from collections import deque
+from functools import lru_cache
 from operator import itemgetter
 from typing import Mapping, Sequence
 
@@ -244,7 +245,11 @@ class CliffordTableau:
         return t
 
 
-def generator_tableaux(n: int) -> list[CliffordTableau]:
+@lru_cache(maxsize=8)
+def generator_tableaux(n: int) -> tuple[CliffordTableau, ...]:
+    """H and S on each qubit, CNOT on each ordered pair, then conjugation
+    by X and by Z on each qubit; one shared tuple per n (tableaux are
+    immutable)."""
     gens = []
     for q in range(1, n + 1):
         gens.append(CliffordTableau.hadamard(n, q))
@@ -256,7 +261,7 @@ def generator_tableaux(n: int) -> list[CliffordTableau]:
     ident = CliffordTableau.identity(n)
     for q in range(n):  # conjugation by X_q, then by Z_q
         gens += [ident._signed(1 << q), ident._signed(1 << (n + q))]
-    return gens
+    return tuple(gens)
 
 
 def enumerate_action(n: int) -> list[CliffordTableau]:

@@ -50,6 +50,14 @@ def _ratio_str(num: int, den: int) -> str:
     return str(num) if den == 1 else f"{num}/{den}"
 
 
+def _json_value(p: int, q: int, d: int):
+    """The JSON form of (p + q*sqrt(2)) / d, d > 0, in any terms: each
+    part is written in lowest terms, so the triple need not be canonical."""
+    if not q:
+        return _ratio_str(p, d)
+    return {"a": _ratio_str(p, d), "b": _ratio_str(q, d)}
+
+
 def _rational(x):
     """(numerator, denominator) of an int or a Fraction; ValueError for
     anything else, so no float or string enters the field."""
@@ -283,29 +291,53 @@ class FieldElem:
 
     def to_json(self):
         """JSON form: a bare rational string when b = 0, else {a, b}."""
-        if self.q == 0:
-            return _ratio_str(self.p, self.d)
-        return {"a": _ratio_str(self.p, self.d), "b": _ratio_str(self.q, self.d)}
+        return _json_value(self.p, self.q, self.d)
 
     @staticmethod
     def from_json(obj) -> "FieldElem":
         """Inverse of `to_json`: an int or a rational string, or an object
-        {a, b} of those (either may be absent).  ValueError otherwise."""
-        parts = obj if isinstance(obj, dict) else {"a": obj}
-        if not set(parts) <= {"a", "b"} or not all(
-            isinstance(v, (int, str)) and not isinstance(v, bool) for v in parts.values()
-        ):
-            raise ValueError(
-                f"a field element must be an int, a rational string or an "
-                f"{{a, b}} object of those, got {obj!r}"
-            )
-        an, ad = _json_rational(parts.get("a", 0), obj)
-        bn, bd = _json_rational(parts.get("b", 0), obj)
-        # both components are in lowest terms, so over the lcm of their
-        # denominators the triple is canonical
-        d = lcm(ad, bd)
-        return _make(an * (d // ad), bn * (d // bd), d)
+        {a, b} of those (either may be absent).  ValueError otherwise.
 
+        The components go through `_parsed`, so each distinct value is
+        read once; what it cannot take (an unhashable or malformed value)
+        is read again by `_read_json`, whose errors name the whole value."""
+        try:
+            if not isinstance(obj, dict):
+                return _parsed(obj, 0)
+            if obj.keys() <= _PARTS:
+                return _parsed(obj.get("a", 0), obj.get("b", 0))
+        except (TypeError, ValueError):
+            pass
+        return _read_json(obj)
+
+
+_PARTS = frozenset(("a", "b"))
+
+
+def _read_json(obj) -> FieldElem:
+    """`FieldElem.from_json` without the shared table."""
+    parts = obj if isinstance(obj, dict) else {"a": obj}
+    if not set(parts) <= _PARTS or not all(
+        isinstance(v, (int, str)) and not isinstance(v, bool) for v in parts.values()
+    ):
+        raise ValueError(
+            f"a field element must be an int, a rational string or an "
+            f"{{a, b}} object of those, got {obj!r}"
+        )
+    an, ad = _json_rational(parts.get("a", 0), obj)
+    bn, bd = _json_rational(parts.get("b", 0), obj)
+    # both components are in lowest terms, so over the lcm of their
+    # denominators the triple is canonical
+    d = lcm(ad, bd)
+    return _make(an * (d // ad), bn * (d // bd), d)
+
+
+@lru_cache(maxsize=1024, typed=True)
+def _parsed(a, b) -> FieldElem:
+    """The field element of the JSON components a and b, shared: operator
+    files repeat a few values.  Typed, so True and 1 (equal, with equal
+    hashes) are separate entries, and True is refused as before."""
+    return _read_json({"a": a, "b": b})
 
 ZERO = FieldElem(0)
 ONE = FieldElem(1)

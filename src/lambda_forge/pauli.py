@@ -478,6 +478,9 @@ def pauli_matrix(p: PauliPoint, phase: int = 0) -> np.ndarray:
 
 
 def pauli_projector(a: PauliPoint, s: int) -> QOperator:
-    """The rank-2^{n-1} projector (1 + (-1)^s T_a)/2 as a QOperator."""
+    """The rank-2^{n-1} projector (1 + (-1)^s T_a)/2 as a QOperator; a
+    must be nonzero, as in `QOperator.project`."""
+    if a.is_zero():
+        raise ValueError("projection axis must be nonzero")
     h = 1 << (a.n - 1)
     return QOperator(a.n, {PauliPoint.zero(a.n): FieldElem(h), a: FieldElem(-h if s % 2 else h)})

@@ -24,65 +24,98 @@ it holds 4^n * F * w bytes, per lane byte 69 KB at n = 3 and 9.4 MB at
 n = 4.  Lanes are at most 8 bytes wide: a sum that needs wider ones
 (2B >= 2^64) is taken facet by facet, and no table is kept for it.
 
+The certificate keeps the sums as two int lists, the rational parts xs
+and the sqrt(2) parts ys, with ys None when the operator has no sqrt(2)
+part; the active facets and the first violation are read off them by
+``compress``/``map``, and the (x, y) pairs are built only when read.
+
 The rank is certified in two passes.  The first reduces the active
 normals over GF(3), each row bit-sliced as two int masks (the columns
-holding 1 and those holding 2 = -1), by Gauss-Jordan on those ints; it
-stops at full rank.  A full rank over GF(3) is a full rank over Q: a
-minor that is nonzero mod 3 is a nonzero integer, so the rank of an
-integer matrix over GF(3) is at most its rank over Q.  That settles
-every vertex the tests check (the two-qubit family, the one-qubit
-vertices, lifted three-qubit vertices).  Any other outcome proves
-nothing, and the exact rank comes from the second pass, a fraction-free
-integer reduction that stops reading rows once they span the space; so
-every rank reported below full is exact.
+holding 1 and those holding 2 = -1), to echelon form on those ints,
+each pivot at its row's highest set bit, so no earlier row is touched
+again; it stops at full rank.  It reads the first active facet of each
+maximal isotropic before the rest: the states on one isotropic are 2^n
+consecutive facets, and their normals lie on its 2^n - 1 nonzero
+points, so they span at most 2^n - 1 dimensions between them.  Of 20
+lifted n = 3 vertices, 19 are certified after 63-88 rows and one after
+137, where facet order took 170-326.  A full rank over GF(3) is a full
+rank over Q: a minor that is nonzero mod 3 is a nonzero integer, so the
+rank of an integer matrix over GF(3) is at most its rank over Q.  That
+settles every vertex the tests check (the two-qubit family, the
+one-qubit vertices, lifted three-qubit vertices).  Any other outcome
+proves nothing, and the exact rank comes from the second pass, a
+fraction-free integer reduction that reads the active facets in facet
+order and stops reading rows once they span the space; so every rank
+reported below full is exact.
 
 The lane columns and the rank read one table per qubit count,
 `facet_table`: for each stabilizer state, the packed keys
 (``PauliPoint.key()``) of the points where its sign is +1 and where it
-is -1.  It is built per maximal isotropic, whose beta folds each state
-on it flips by a parity of its row values.  A facet's normal is built
-from those keys as a sparse row only when the rank reads it; an n = 3
-normal has 7 nonzeros out of 63 columns, so the reduction works on
-{column: int} rows.  The GF(3) masks are built once
-per qubit count, `_gf3_rows`.  The simplex of `decompose` keeps its own
-dense integer rows, the revised basis block of `simplex`: it has few
-rows (17 on two qubits), and they fill in after a few pivots.
+is -1.  It is built per maximal isotropic, whose point values each
+state on it flips by a parity of its row values.  A facet's normal is
+built from those keys as a sparse row only when the exact rank reads
+it; an n = 3 normal has 7 nonzeros out of 63 columns, so the reduction
+works on {column: int} rows.  The GF(3) masks are built once per qubit
+count, `_gf3_rows`, in facet order.  The simplex of `decompose` keeps
+its own dense integer rows, the revised basis block of `simplex`: it
+has few rows (17 on two qubits), and they fill in after a few pivots.
 """
 
 from __future__ import annotations
 
 import sys
 from functools import lru_cache
-from itertools import compress, product
+from itertools import chain, compress, count, product, repeat
 from math import gcd
-from operator import eq, getitem, lshift, not_, or_, xor
+from operator import getitem, lshift, ne, not_, or_, rshift
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .field import FieldElem, sqrt2_sign
+from .field import FieldElem, _json_value, sqrt2_sign
 from .gf2 import ENUMERATION_BOUND, all_points
 from .pauli import QOperator
 from .simplex import solve_feasibility
-from .stabilizer import Assignment, enumerate_stabilizer_states
+from .stabilizer import enumerate_stabilizer_states
 
 
 @lru_cache(maxsize=8)
 def facet_table(n: int) -> tuple:
     """Per-state evaluation data, in enumeration order: (label, plus,
     minus).  plus and minus hold the keys of the points of I where the
-    state's sign is +1 and -1, in ``Subspace.points()`` order.  The keys
-    and beta folds are read once per I, as the ``key_items`` of
-    ``Assignment.zero(I)``; row values v (row i at bit i) flip the sign
-    of point m (the mask of the rows summing to it) by parity(m & v)."""
-    table, I = [], None
+    state's sign is +1 and -1, in ``Subspace.points()`` order.
+
+    The keys and values are read once per I, as the ``key_items`` of its
+    first state, the values as a mask (point m at bit m, m the mask of
+    the rows summing to it).  Row values that differ from the first
+    state's by v (row i at bit i) flip the value of point m by
+    parity(m & v), so a state's mask is the first one's xor a parity
+    mask.  Each distinct mask is turned into selectors of the plus and
+    minus points once."""
+    size = 1 << n
     signed = [("+" + p.label(), "-" + p.label()) for p in all_points(n)]
-    flips = [tuple((m & v).bit_count() & 1 for m in range(1 << n)) for v in range(1 << n)]
+    parities = {}  # row values -> their parity mask, bit m = parity(m & v)
+    for values in product((0, 1), repeat=n):
+        v = sum(map(lshift, values, range(n)))
+        parities[values] = sum(((m & v).bit_count() & 1) << m for m in range(size))
+    selectors = {}  # mask of the points with value 1 -> (plus, minus) selectors
+    table, I = [], None
     for J, s in enumerate_stabilizer_states(n):
+        flip = parities[s.row_values]
         if J is not I:
             I, rows = J, [signed[r] for r in J.rows]
-            keys, folds = zip(*Assignment.zero(I).key_items())
-        flip = flips[sum(map(lshift, s.row_values, range(n)))]
-        plus, minus = compress(keys, map(eq, folds, flip)), compress(keys, map(xor, folds, flip))
-        table.append((",".join(map(getitem, rows, s.row_values)), tuple(plus), tuple(minus)))
+            keys, values = zip(*s.key_items())
+            first = sum(map(lshift, values, range(size))) ^ flip
+        mask = first ^ flip
+        pick = selectors.get(mask)
+        if pick is None:
+            ones = [mask >> m & 1 for m in range(size)]
+            pick = selectors[mask] = (list(map(not_, ones)), ones)
+        table.append(
+            (
+                ",".join(map(getitem, rows, s.row_values)),
+                tuple(compress(keys, pick[0])),
+                tuple(compress(keys, pick[1])),
+            )
+        )
     return tuple(table)
 
 
@@ -101,16 +134,16 @@ def _facet_row(plus: Sequence[int], minus: Sequence[int]) -> dict[int, int]:
 
 
 @lru_cache(maxsize=8)
-def _gf3_rows(n: int) -> dict[str, tuple[int, int]]:
-    """Each facet normal of `facet_table` bit-sliced over GF(3), by label:
-    (ones, twos), the masks of the columns (key k at bit k - 1) whose
-    entry is 1 and those whose entry is -1 = 2.  The keys of a state are
-    distinct, so summing their bits ors them; the shift drops key 0."""
+def _gf3_rows(n: int) -> tuple[tuple[int, int], ...]:
+    """Each facet normal of `facet_table` bit-sliced over GF(3), in its
+    order: (ones, twos), the masks of the columns (key k at bit k - 1)
+    whose entry is 1 and those whose entry is -1 = 2.  The keys of a state
+    are distinct, so summing their bits ors them; the shift drops key 0."""
     bit = (1).__lshift__
-    return {
-        label: (sum(map(bit, plus)) >> 1, sum(map(bit, minus)) >> 1)
-        for label, plus, minus in facet_table(n)
-    }
+    return tuple(
+        (sum(map(bit, plus)) >> 1, sum(map(bit, minus)) >> 1)
+        for _, plus, minus in facet_table(n)
+    )
 
 
 def _gf3_add(a1: int, a2: int, b1: int, b2: int) -> tuple[int, int]:
@@ -127,87 +160,99 @@ def _gf3_sub(a1: int, a2: int, b1: int, b2: int) -> tuple[int, int]:
 
 
 def _gf3_rank(rows: Iterable[tuple[int, int]], width: int) -> int:
-    """Rank over GF(3) of bit-sliced rows (ones, twos), by Gauss-Jordan;
+    """Rank over GF(3) of bit-sliced rows (ones, twos), in echelon form;
     the rows are read one at a time until the rank reaches width.
 
-    Each pivot row has entry 1 at its pivot (the lowest set bit) and 0 at
-    every other pivot column, so a new row is cleared at each pivot
-    column it holds independently of the others, and what is left starts
-    a new pivot row, which is then cleared from the earlier ones.
+    Each pivot row has entry 1 at its pivot, its highest set bit, so
+    clearing a row's highest set bit with the pivot row there leaves only
+    lower bits.  A new row is cleared top down until its highest bit is
+    no pivot, which makes it a new pivot row, or until nothing is left.
+    No earlier row changes, so there is no back-substitution.
     """
-    basis: dict[int, tuple[int, int]] = {}  # pivot bit -> row
-    pivots = 0  # the mask of the pivot columns
+    basis: list = [None] * (width + 1)  # pivot row by bit_length of its pivot
+    rank = 0
     for r1, r2 in rows:
-        hit = (r1 | r2) & pivots
-        while hit:
-            bit = hit & -hit
-            hit ^= bit
-            b1, b2 = basis[bit]
-            # `_gf3_sub` at an entry 1, `_gf3_add` at an entry 2, inlined:
-            # an n = 3 vertex reads ~200 rows of 7 entries here
-            if r1 & bit:
+        left = r1 | r2
+        while left:
+            top = left.bit_length()
+            pivot = basis[top]
+            if pivot is None:
+                if r2 >> (top - 1):  # scale by -1 = 2: the pivot entry becomes 1
+                    r1, r2 = r2, r1
+                basis[top] = (r1, r2)
+                rank += 1
+                break
+            b1, b2 = pivot
+            # `_gf3_sub` at an entry 1, `_gf3_add` at an entry 2, inlined
+            if r1 >> (top - 1):
                 t = (r1 | b1) ^ (r2 | b2)
                 r1, r2 = (r2 | b1) ^ t, (r1 | b2) ^ t
             else:
                 t = (r1 | b2) ^ (r2 | b1)
                 r1, r2 = (r2 | b2) ^ t, (r1 | b1) ^ t
-        left = r1 | r2
-        if not left:
-            continue
-        bit = left & -left
-        if r2 & bit:  # scale by -1 = 2: the pivot entry becomes 1
-            r1, r2 = r2, r1
-        for c, (b1, b2) in basis.items():
-            if b1 & bit:
-                basis[c] = _gf3_sub(b1, b2, r1, r2)
-            elif b2 & bit:
-                basis[c] = _gf3_add(b1, b2, r1, r2)
-        basis[bit] = (r1, r2)
-        pivots |= bit
-        if len(basis) == width:
+            left = r1 | r2
+        if rank == width:
             break
-    return len(basis)
+    return rank
 
 
 class FacetCertificate:
     """Result of evaluating one operator against every stabilizer facet.
 
     Holds `membership`'s integer facet sums: facet i of ``facet_table(n)``
-    has the value (x + y*sqrt(2)) / den for (x, y) = sums[i].  ``values``
-    and ``to_json`` build one FieldElem, or one JSON value, per distinct
-    sum and share it across the labels that have it.
+    has the value (xs[i] + ys[i]*sqrt(2)) / den, with ys None when every
+    y is 0.  ``values`` and ``to_json`` build one FieldElem, or one JSON
+    value, per distinct sum and share it across the labels that have it.
     """
 
-    __slots__ = ("operator", "active", "violation", "_sums", "_den", "_values")
+    __slots__ = ("operator", "active", "violation", "_xs", "_ys", "_den", "_values")
 
-    def __init__(self, operator, sums, den, active, violation):
+    def __init__(self, operator, xs, ys, den, active, violation):
         self.operator = operator
         self.active = active  # labels with value exactly 0
         self.violation = violation  # first violating label, or None
-        self._sums = sums  # (x, y) per facet, in facet_table order
+        self._xs = xs  # rational sums, in facet_table order
+        self._ys = ys  # sqrt(2) sums, or None
         self._den = den
         self._values = None
 
+    @property
+    def _sums(self) -> list[tuple[int, int]]:
+        """(x, y) per facet, in facet_table order."""
+        ys = self._ys
+        return list(zip(self._xs, repeat(0) if ys is None else ys))
+
     def _by_label(self, convert) -> dict:
-        """label -> convert(FieldElem of the label's sum), convert called
-        once per distinct sum."""
+        """label -> convert(x, y, den) of the label's sums, convert called
+        once per distinct pair."""
         den = self._den
-        shared = {xy: convert(FieldElem._reduced(*xy, den)) for xy in set(self._sums)}
-        return dict(zip(_facet_labels(self.operator.n), map(shared.__getitem__, self._sums)))
+        if self._ys is None:
+            keys = self._xs
+            shared = {x: convert(x, 0, den) for x in set(keys)}
+        else:
+            keys = self._sums
+            shared = {xy: convert(*xy, den) for xy in set(keys)}
+        return dict(zip(_facet_labels(self.operator.n), map(shared.__getitem__, keys)))
 
     @property
     def values(self) -> dict:
         """label -> FieldElem facet value, built on first read."""
         if self._values is None:
-            self._values = self._by_label(lambda v: v)
+            self._values = self._by_label(FieldElem._reduced)
         return self._values
 
     @property
     def is_member(self) -> bool:
         return self.violation is None
 
+    def _zeros(self) -> Iterator[bool]:
+        """Per facet, in facet_table order: is its value 0?"""
+        if self._ys is None:
+            return map(not_, self._xs)
+        return map(not_, map(or_, self._xs, self._ys))
+
     def to_json(self) -> dict:
-        facet_values = self._by_label(FieldElem.to_json)
+        facet_values = self._by_label(_json_value)
         return {
             "member": self.is_member,
             "violation": self.violation,
@@ -224,8 +269,9 @@ def membership(X: QOperator) -> FacetCertificate:
     over its one denominator D, so a facet's value is
     (x + y*sqrt(2)) / (D * 2^n) for the sums x, y of the numerators p and
     q over the state's signed points, and its sign is that of
-    x + y*sqrt(2).  The sums come from `_facet_sums`, and the certificate
-    keeps them; no FieldElem is built until it is read.
+    x + y*sqrt(2).  The sums come from `_facet_sums` as two lists, the
+    y list only when X has a sqrt(2) part, and the certificate keeps
+    them; no FieldElem is built until it is read.
     """
     n = X.n
     if n > ENUMERATION_BOUND:
@@ -236,21 +282,27 @@ def membership(X: QOperator) -> FacetCertificate:
     if num.get(0) != (D, 0):
         raise ValueError("membership requires a trace-1 operator")
     xs = _facet_sums(n, {key: p for key, (p, _) in num.items() if p})
-    ys = _facet_sums(n, {key: q for key, (_, q) in num.items() if q})
+    irrational = {key: q for key, (_, q) in num.items() if q}
+    ys = _facet_sums(n, irrational) if irrational else None
     labels = _facet_labels(n)
-    active = list(compress(labels, map(not_, map(or_, xs, ys))))
     violation = None
-    if min(xs) < 0 or min(ys) < 0:
-        # a value is negative only where one of its parts is
-        violation = next(
-            (
-                label
-                for label, x, y in zip(labels, xs, ys)
-                if (x < 0 or y < 0) and sqrt2_sign(x, y) < 0
-            ),
-            None,
-        )
-    return FacetCertificate(X, list(zip(xs, ys)), D << n, active, violation)
+    if ys is None:
+        active = list(compress(labels, map(not_, xs)))
+        if min(xs) < 0:
+            violation = next(compress(labels, map((0).__gt__, xs)))
+    else:
+        active = list(compress(labels, map(not_, map(or_, xs, ys))))
+        if min(xs) < 0 or min(ys) < 0:
+            # a value is negative only where one of its parts is
+            violation = next(
+                (
+                    label
+                    for label, x, y in zip(labels, xs, ys)
+                    if (x < 0 or y < 0) and sqrt2_sign(x, y) < 0
+                ),
+                None,
+            )
+    return FacetCertificate(X, xs, ys, D << n, active, violation)
 
 
 #: memoryview formats of the native unsigned ints of 1, 2, 4 and 8 bytes
@@ -326,13 +378,19 @@ def is_vertex(X: QOperator, cert: Optional[FacetCertificate] = None) -> tuple[bo
     """(extremal?, active-constraint rank).  X must be a member.
 
     A full rank over GF(3) certifies a vertex (see the module docstring);
-    otherwise the rank is the exact one, over Q."""
+    otherwise the rank is the exact one, over Q.  The GF(3) pass reads
+    the first active facet of each maximal isotropic before the rest:
+    the states on one isotropic are 2^n consecutive facets."""
     if cert is None:
         cert = membership(X)
     n = X.n
     rows = _active_rows(n, cert)  # ValueError for a non-member
     width = (1 << (2 * n)) - 1
-    if _gf3_rank(map(_gf3_rows(n).__getitem__, cert.active), width) == width:
+    active = list(compress(count(), cert._zeros()))
+    isotropics = list(map(rshift, active, repeat(n)))
+    first = [True, *map(ne, isotropics[1:], isotropics)]
+    order = chain(compress(active, first), compress(active, map(not_, first)))
+    if _gf3_rank(map(_gf3_rows(n).__getitem__, order), width) == width:
         return True, width
     rank = len(_int_rref(rows, width)[1])
     return rank == width, rank

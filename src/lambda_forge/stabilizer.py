@@ -132,6 +132,11 @@ class Assignment:
 def all_assignments(subspace: Subspace) -> Iterator[Assignment]:
     """Every assignment on ``subspace``, checked once by ``Assignment.zero``."""
     Assignment.zero(subspace)
+    yield from _assignments(subspace)
+
+
+def _assignments(subspace: Subspace) -> Iterator[Assignment]:
+    """`all_assignments` on a subspace known to be isotropic, unchecked."""
     for bits in product((0, 1), repeat=subspace.dim):
         asg = object.__new__(Assignment)
         object.__setattr__(asg, "subspace", subspace)
@@ -151,12 +156,10 @@ def stabilizer_projector(J: Subspace, s: Assignment | Sequence[int]) -> QOperato
 
 def enumerate_stabilizer_states(n: int) -> list[tuple[Subspace, Assignment]]:
     """Every (maximal isotropic, consistent assignment) pair; these are in
-    bijection with the pure n-qubit stabilizer states (6, 60, 1080, ...)."""
-    out = []
-    for I in enumerate_maximal_isotropics(n):
-        for s in all_assignments(I):
-            out.append((I, s))
-    return out
+    bijection with the pure n-qubit stabilizer states (6, 60, 1080, ...).
+    The subspaces are isotropic by construction, so they are not checked
+    again."""
+    return [(I, s) for I in enumerate_maximal_isotropics(n) for s in _assignments(I)]
 
 
 # -- JSON ---------------------------------------------------------------

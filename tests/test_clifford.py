@@ -354,3 +354,19 @@ def test_images_round_trip_through_keys():
         for copy in (CliffordTableau(t.n, t.images), pickle.loads(pickle.dumps(t))):
             assert copy == t and hash(copy) == hash(t)
             assert copy.images == t.images
+
+
+def test_generator_tableaux_are_one_shared_tuple():
+    for n in (1, 2, 3):
+        gens = generator_tableaux(n)
+        images = [g.images for g in gens]
+        # callers index, draw from and compose with the shared tableaux
+        seeded = random.Random(34)
+        t = gens[0]
+        for _ in range(40):
+            t = seeded.choice(gens).compose(t)
+        again = generator_tableaux(n)
+        assert type(again) is tuple and again is gens
+        assert [g.images for g in again] == images
+        assert again == generator_tableaux.__wrapped__(n)
+        assert len(again) == 4 * n + n * (n - 1)

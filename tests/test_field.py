@@ -3,8 +3,9 @@ import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from lambda_forge import field
 from lambda_forge.field import FieldElem, INV_SQRT2, ONE, SQRT2, ZERO, sqrt2_sign
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=16)
@@ -154,6 +155,76 @@ def test_json_zero_denominator_message():
         with pytest.raises(ValueError, match="zero denominator"):
             FieldElem.from_json(obj)
     assert FieldElem.from_json("\u0661/\u0662") == FieldElem(Fraction(1, 2))
+
+
+# -- the shared JSON value reader against the reader without a table --------
+
+
+def _from_json_oracle(obj) -> FieldElem:
+    """``FieldElem.from_json`` as it read values before they were shared:
+    every call parses its value."""
+    parts = obj if isinstance(obj, dict) else {"a": obj}
+    if not set(parts) <= {"a", "b"} or not all(
+        isinstance(v, (int, str)) and not isinstance(v, bool) for v in parts.values()
+    ):
+        raise ValueError(
+            f"a field element must be an int, a rational string or an "
+            f"{{a, b}} object of those, got {obj!r}"
+        )
+    an, ad = field._json_rational(parts.get("a", 0), obj)
+    bn, bd = field._json_rational(parts.get("b", 0), obj)
+    d = math.lcm(ad, bd)
+    return field._make(an * (d // ad), bn * (d // bd), d)
+
+
+def _read(reader, obj):
+    """("value", (p, q, d)) or ("error", message) of reader(obj)."""
+    try:
+        x = reader(obj)
+    except ValueError as exc:
+        return "error", str(exc)
+    return "value", (x.p, x.q, x.d)
+
+
+_GOOD_ATOMS = st.one_of(
+    st.integers(-(10**6), 10**6),
+    st.integers(-(10**6), 10**6).map(str),
+    st.sampled_from([" 1/2", "3/6", "-0", "-0/5", "1/2 ", "1_0/3", "1.5", "-2e3", "6/4"]),
+    _JSON_STRINGS,
+)
+_BAD_ATOMS = st.one_of(
+    st.booleans(),
+    st.floats(allow_nan=False),
+    st.sampled_from([None, [], [1], ["1/2"], {}, {"a": 1}, "1/0", "-3/0", "x"]),
+)
+_ATOMS = st.one_of(_GOOD_ATOMS, _GOOD_ATOMS, _BAD_ATOMS)
+_JSON_VALUES = st.one_of(
+    _ATOMS,
+    st.fixed_dictionaries({}, optional={"a": _ATOMS, "b": _ATOMS}),
+    st.fixed_dictionaries({"c": _GOOD_ATOMS}, optional={"a": _GOOD_ATOMS, "b": _GOOD_ATOMS}),
+)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(st.lists(_JSON_VALUES, min_size=1, max_size=8))
+def test_shared_value_reader_matches_the_uncached_oracle(values):
+    # each value read twice, after the values before it: the second read,
+    # and any later read of an equal value, comes from the shared table
+    for obj in values + values:
+        assert _read(FieldElem.from_json, obj) == _read(_from_json_oracle, obj)
+
+
+def test_shared_value_reader_keeps_bools_and_ints_apart():
+    for first, second in ((1, True), (True, 1), (0, False), (False, 0), (1, 1.0)):
+        for wrap in (lambda v: v, lambda v: {"a": v}, lambda v: {"b": v}, lambda v: {"a": 2, "b": v}):
+            field._parsed.cache_clear()
+            for obj in (wrap(first), wrap(second), wrap(first)):
+                assert _read(FieldElem.from_json, obj) == _read(_from_json_oracle, obj)
+    with pytest.raises(ValueError, match="got True"):
+        FieldElem.from_json(True)
+    assert FieldElem.from_json(1) == ONE
+    with pytest.raises(ValueError, match=r"got \{'a': True\}"):
+        FieldElem.from_json({"a": True})
 
 
 # -- differential test against the Fraction-pair representation -------------

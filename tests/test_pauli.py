@@ -160,6 +160,23 @@ def test_product_hermitian_coercion():
         pauli_projector(z_point(1, 1), 0).product(pauli_projector(x_point(1, 1), 0))
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_pauli_projector_refuses_the_zero_point(n):
+    # (1 +- T_0)/2 is the identity or 0, not a rank-2^(n-1) projector; the
+    # refusal is project's
+    for s in (0, 1):
+        for make in (lambda: pauli_projector(PauliPoint.zero(n), s),
+                     lambda: QOperator.identity(n).project(PauliPoint.zero(n), s)):
+            with pytest.raises(ValueError, match="^projection axis must be nonzero$"):
+                make()
+    half = FieldElem(1 << (n - 1))
+    for a in all_points(n, include_zero=False):
+        for s in (0, 1):
+            P = pauli_projector(a, s)
+            assert P.product(P) == P and P.trace() == half
+            assert P.coeff(a) == (-half if s else half)
+
+
 def test_tensor():
     A0 = QOperator.from_labels(1, {"I": 1, "X": 1, "Y": 1, "Z": 1})
     AA = A0.tensor(A0)

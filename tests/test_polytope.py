@@ -24,6 +24,7 @@ from lambda_forge.orbit import enumerate_family
 from lambda_forge.pauli import PhasedPauli, QOperator
 from lambda_forge.polytope import (
     FacetCertificate,
+    _active_rows,
     _facet_sums,
     _gf3_add,
     _gf3_rank,
@@ -260,6 +261,42 @@ def _gf3_rank_oracle(rows, width):
     return len(basis)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 9).flatmap(
+        lambda width: st.tuples(
+            st.just(width),
+            st.lists(st.lists(st.integers(-3, 3), min_size=width, max_size=width), max_size=14),
+        )
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_gf3_rank_matches_the_oracle_in_any_row_order(shape, rnd):
+    # the echelon pass keeps no reduced form, so its rank must not depend
+    # on the order the rows come in
+    width, rows = shape
+    rows = [_sparse(row) for row in rows]
+    want = _gf3_rank_oracle(rows, width)
+    for _ in range(3):
+        assert _gf3_rank(map(_gf3_slice, rows), width) == want
+        rnd.shuffle(rows)
+
+
+def test_gf3_rank_of_shuffled_active_facets():
+    # the active normals of a lifted vertex span GF(3)^63 in any order;
+    # those of a mixture keep the oracle's rank in any order
+    inputs = certificate_inputs()
+    shuffler = random.Random(34)
+    for X in inputs["lifted_vertices"][:2] + inputs["mixtures"][:4]:
+        rows = list(_active_rows(X.n, membership(X)))
+        width = (1 << (2 * X.n)) - 1
+        want = _gf3_rank_oracle(rows, width)
+        assert (want == width) == (X.n == 3)
+        for _ in range(3):
+            shuffler.shuffle(rows)
+            assert _gf3_rank(map(_gf3_slice, rows), width) == want
+
+
 def test_gf3_add_and_sub_on_single_entries():
     # every pair of entries, at three bit positions
     for a in range(3):
@@ -282,10 +319,11 @@ def test_gf3_add_and_sub_on_single_entries():
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_gf3_rows_are_the_facet_normals(n):
     rows = _gf3_rows(n)
-    assert list(rows) == [label for label, _, _ in facet_table(n)]
-    for label, P in _facet_oracle(n):
+    assert len(rows) == len(facet_table(n))
+    for i, (label, P) in enumerate(_facet_oracle(n)):
+        assert facet_table(n)[i][0] == label
         normal = {p.key() - 1: int(c.a) for p, c in P.coeffs.items() if not p.is_zero()}
-        assert rows[label] == _gf3_slice(normal)
+        assert rows[i] == _gf3_slice(normal)
 
 
 def _vertex_test_inputs():
@@ -327,6 +365,32 @@ def test_gf3_certificate_matches_the_exact_rank():
         assert is_vertex(X, cert) == (vertex, exact)
         if not vertex:
             assert gf3 == _gf3_rank_oracle(rows, width)
+
+
+def test_gf3_pass_meets_each_isotropic_first(monkeypatch):
+    # a vertex certified from the first active facet of each isotropic
+    # reads about one row per dimension (63-79 here), not the 178-272
+    # rows these took in facet order
+    reads = []
+
+    def counted(rows, width):
+        read = 0
+
+        def each():
+            nonlocal read
+            for row in rows:
+                read += 1
+                yield row
+
+        rank = _gf3_rank(each(), width)
+        reads.append(read)
+        return rank
+
+    monkeypatch.setattr(polytope, "_gf3_rank", counted)
+    lifted = certificate_inputs()["lifted_vertices"]
+    for X in lifted:
+        assert is_vertex(X) == (True, 63)
+    assert len(reads) == len(lifted) and max(reads) <= 2 * 63
 
 
 def _state_label(I, s):
@@ -419,7 +483,22 @@ def membership_by_facet(X: QOperator) -> FacetCertificate:
             active.append(label)
         elif violation is None and sqrt2_sign(x, y) < 0:
             violation = label
-    return FacetCertificate(X, sums, D << n, active, violation)
+    xs, ys = [x for x, _ in sums], [y for _, y in sums]
+    return FacetCertificate(X, xs, ys, D << n, active, violation)
+
+
+@settings(max_examples=60, deadline=None)
+@given(trace_one_operators())
+def test_certificate_json_is_the_field_elements_json(X):
+    # to_json writes the sums without building field elements; the values
+    # it writes are those of the FieldElems `values` builds
+    cert = membership(X)
+    assert (cert._ys is None) == all(not c.q for c in X.coeffs.values())
+    doc = cert.to_json()
+    assert doc["facet_values"] == {label: v.to_json() for label, v in cert.values.items()}
+    assert doc["active_facets"] == cert.active
+    want = cert.values[cert.violation].to_json() if cert.violation else None
+    assert doc["violation_value"] == want
 
 
 def _assert_lanes_match_the_loop(X):
