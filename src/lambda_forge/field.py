@@ -119,9 +119,9 @@ class FieldElem:
     Instances are immutable; all operators return new objects.
     Comparisons are exact (sqrt(2) is irrational, so p + q*sqrt(2) = 0
     only when p = q = 0).  The rational components ``a`` and ``b`` are
-    read-only Fractions served from one small bounded shared table, since
-    callers that keep them (``QOperator.key()`` in the family caches) would
-    otherwise hold one fresh Fraction per read.
+    read-only Fractions served from one small bounded shared table, which
+    ``QOperator.key()`` reads too, so the operator keys that the test
+    oracles hash hold shared Fractions, not one fresh Fraction per read.
     """
 
     __slots__ = ("p", "q", "d")

@@ -43,21 +43,24 @@ commutant a-perp with gamma(a) = s (a copy of the single-qubit polytope
 Lambda_1): the three cube coordinates are the normalized coefficients
 on the three cosets of <a> in a-perp, and |x| <= 1 on each is a pair
 of stabilizer facets of the isotropic plane that coset spans with a.
-``measure_update`` writes the projected member as the Freudenthal
-(Kuhn) chain decomposition of that cube point: at most four corners,
-ordered by ascending |x|.  On the family the weights (before
-normalization) are (1/2,1/4,1/4), (1/2,1/4), (1/4) or (1/4,1/4).
+``member_update`` writes the projected member, read off any trace-1
+member's integers, as the Freudenthal (Kuhn) chain decomposition of
+that cube point: at most four corners, ordered by ascending |x|, exactly
+in Q(sqrt(2)); on one qubit it is the stabilizer state {0, a} alone.
+``measure_update`` runs it on a family member's cached operator.  On
+the family the weights (before normalization) are (1/2,1/4,1/4),
+(1/2,1/4), (1/4) or (1/4,1/4).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, cmp_to_key, lru_cache
 from itertools import combinations, product
 from typing import ClassVar, Iterable, Mapping, Optional, Sequence
 
-from .field import FieldElem, ONE
+from .field import FieldElem, ONE, sqrt2_sign
 from .clifford import coefficient_orbit
 from .cnc import CncSet
 from .gf2 import (
@@ -223,25 +226,24 @@ class OrbitVertex:
         )
 
     @cached_property
-    def _twice_coeffs(self) -> dict[int, int]:
-        """The Pauli coefficients times 2, keyed by ``PauliPoint.key()``: 2
-        at the identity, (-1)^gamma 2 on I and (-1)^gamma' on Omega.
-        Computed once per member."""
-        coeffs = {k: -2 if g else 2 for k, g in self.gamma.key_items()}
+    def _operator(self) -> QOperator:
+        """The member's operator, built once: over D = 2, the numerators are
+        2 at the identity, (-1)^gamma 2 on I and (-1)^gamma' on Omega."""
+        num = {k: (-2, 0) if g else (2, 0) for k, g in self.gamma.key_items()}
         for p, b in self.gamma_p:
             if not p.is_zero():
-                coeffs[p.key()] = -1 if b else 1
-        return coeffs
+                num[p.key()] = (-1, 0) if b else (1, 0)  # constant, shared pairs
+        # odd numerators on Omega's nonzero points: canonical over 2
+        return QOperator._of(2, 2, num)
 
     def __getstate__(self):
-        # the cached coefficients are derived: pickle the parameters only
+        # the cached operator is derived: pickle the parameters only
         state = dict(self.__dict__)
-        state.pop("_twice_coeffs", None)
+        state.pop("_operator", None)
         return state
 
     def operator(self) -> QOperator:
-        # over 2, with an odd numerator on Omega's nonzero points: canonical
-        return QOperator._of(2, 2, {k: (c, 0) for k, c in self._twice_coeffs.items()})
+        return self._operator
 
     def to_json(self) -> dict:
         return {
@@ -308,8 +310,10 @@ def enumerate_family() -> tuple[OrbitVertex, ...]:
 
 @lru_cache(maxsize=1)
 def family_operator_keys() -> frozenset:
-    """Each member as the sorted (key, coefficient times 2) int pairs."""
-    return frozenset(tuple(sorted(v._twice_coeffs.items())) for v in enumerate_family())
+    """Each member as the sorted (key, coefficient times 2) int pairs, the
+    numerators of its operator over 2."""
+    keys = (sorted((k, p) for k, (p, _) in v.operator()._num.items()) for v in enumerate_family())
+    return frozenset(map(tuple, keys))
 
 
 @lru_cache(maxsize=1)
@@ -325,12 +329,20 @@ def clifford_orbit_keys() -> frozenset:
 def measure_update(
     vertex: OrbitVertex, a: PauliPoint, s: int
 ) -> list[tuple[FieldElem, CncSet]]:
-    """Closed-form update pieces for measuring T_a with outcome s.
+    """Closed-form update pieces of a family member for measuring T_a
+    with outcome s: ``member_update`` on its operator."""
+    return member_update(vertex.operator(), a, s)
 
-    With A = (1/4) sum_v alpha_v T_v, the outcome has probability
-    p = (1 + (-1)^s alpha_a) / 2.  The points of a-perp other than 0 and
-    a form three cosets {r, r + a}; with r the smaller key of each, the
-    normalized projection has coordinates
+
+def member_update(X: QOperator, a: PauliPoint, s: int) -> list[tuple[FieldElem, CncSet]]:
+    """Closed-form update pieces for measuring T_a with outcome s on a
+    trace-1 member X of Lambda_2 or Lambda_1 (the membership check is the
+    caller's).
+
+    With X = (1/2^n) sum_v alpha_v T_v, the outcome has probability
+    p = (1 + (-1)^s alpha_a) / 2.  On two qubits the points of a-perp
+    other than 0 and a form three cosets {r, r + a}; with r the smaller
+    key of each, the normalized projection has coordinates
 
         x_r = (alpha_r + (-1)^{s + beta(r, a)} alpha_{r+a}) / (2 p)
 
@@ -341,52 +353,67 @@ def measure_update(
     with nonnegative weights: start at the corner g_r = [x_r < 0], flip
     the r one at a time in ascending order of z_r = |x_r| (ties by key),
     and weight the four corners p (1 + z_1)/2, p (z_2 - z_1)/2,
-    p (z_3 - z_2)/2, p (1 - z_3)/2.
+    p (z_3 - z_2)/2, p (1 - z_3)/2.  On one qubit a-perp is {0, a}: the
+    chain is empty, and its one corner, the stabilizer state {0, a} with
+    gamma(a) = s, has weight p.
 
     Weights are unnormalized: they sum to p (no pieces when p = 0), zero
     weights are dropped, and sum(w_i * piece_i.operator()) equals
-    project(operator(), a, s) exactly.  All of it runs on integers: with
-    D = 2 and the coefficients times D from ``_twice_coeffs``, 2 p D and the
-    x_r times 2 p D are integer sums, and the weights are their
+    X.project(a, s) exactly.  All of it runs on X's integers: over its
+    denominator D, 2 p D and the x_r times 2 p D are sums of numerator
+    pairs (u, v), for u + v*sqrt(2); the z_r are ordered by the exact
+    sign of their differences (``sqrt2_sign``), and the weights are the
     differences over 4 D.  The cosets and their signs are read off the
     point keys (the form against the swapped axis key, ``key_phase``),
     and each corner is built straight from the key pairs (r, r + a).
     """
     if a.is_zero():
         raise ValueError("measurement axis must be nonzero")
-    if a.n != 2:
+    n = X.n
+    if a.n != n or n > 2:
         raise ValueError("qubit count mismatch")
     check_bit(s, "outcome")
-    D = 2
-    alpha = vertex._twice_coeffs  # times D
+    D, num = X._den, X._num
+    if num.get(0) != (D, 0):
+        raise ValueError("the chain update needs an operator of trace 1")
     ka = a.key()
-    swapped = swap_halves(ka, 2)  # parity(r & swapped) = [r, a]
-    P = D - alpha.get(ka, 0) if s else D + alpha.get(ka, 0)  # 2 p D
-    if P == 0:
+    swapped = swap_halves(ka, n)  # parity(r & swapped) = [r, a]
+    pa, qa = num.get(ka, (0, 0))
+    P, Q = (D - pa, -qa) if s else (D + pa, qa)  # 2 p D
+    if not (P or Q):
         return []
-    chain = []
-    for r in range(1, 16):  # the nonzero keys of E_2
+    chain, irrational = [], False
+    for r in range(1, 1 << 2 * n):  # the nonzero keys of E_n
         u = r ^ ka
         if u < r or (r & swapped).bit_count() & 1:
             continue
-        t = (s + (key_phase(r, ka, 2) >> 1)) & 1
-        xr = alpha.get(r, 0) - alpha.get(u, 0) if t else alpha.get(r, 0) + alpha.get(u, 0)
-        chain.append((abs(xr), r, t, int(xr < 0)))  # x_r times P
-    chain.sort()
-    zs = [-P] + [z for z, *_ in chain] + [P]
+        t = (s + (key_phase(r, ka, n) >> 1)) & 1
+        (x, y), (x2, y2) = num.get(r, (0, 0)), num.get(u, (0, 0))
+        x, y = (x - x2, y - y2) if t else (x + x2, y + y2)  # x_r times 2 p D
+        irrational |= y != 0
+        g = int((sqrt2_sign(x, y) if y else x) < 0)
+        chain.append((-x, -y, r, t, g) if g else (x, y, r, t, g))  # (z_r, r, ...)
+    # rational sizes sort as the tuples (z, 0, r, ...); others by exact sign
+    chain.sort(key=_ascending if irrational else None)
+    zs = [(-P, -Q), *((z, y) for z, y, *_ in chain), (P, Q)]
     gamma = {0: 0, ka: s}
-    for _, r, t, g in chain:
+    for _, _, r, t, g in chain:
         gamma[r], gamma[r ^ ka] = g, g ^ t
     out = []
-    for i in range(4):
+    for i in range(len(chain) + 1):
         if i:  # the next corner flips the i-th coset of the chain
-            r = chain[i - 1][1]
+            r = chain[i - 1][2]
             gamma[r] ^= 1
             gamma[r ^ ka] ^= 1
-        w = zs[i + 1] - zs[i]
-        if w:
-            out.append((FieldElem._reduced(w, 0, 4 * D), CncSet._from_keys(2, dict(gamma))))
+        (z0, y0), (z1, y1) = zs[i], zs[i + 1]
+        if z1 != z0 or y1 != y0:
+            out.append((FieldElem._reduced(z1 - z0, y1 - y0, 4 * D),
+                        CncSet._from_keys(n, dict(gamma))))
     return out
+
+
+#: the chain order: |x_r| = z + y*sqrt(2) ascending, exactly, ties by key r
+_ascending = cmp_to_key(lambda u, v: sqrt2_sign(u[0] - v[0], u[1] - v[1]) or u[2] - v[2])
 
 
 def verify_update_rules(vertices: Optional[Sequence[OrbitVertex]] = None) -> dict:

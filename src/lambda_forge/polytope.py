@@ -146,19 +146,6 @@ def _gf3_rows(n: int) -> tuple[tuple[int, int], ...]:
     )
 
 
-def _gf3_add(a1: int, a2: int, b1: int, b2: int) -> tuple[int, int]:
-    """a + b over GF(3) on bit-sliced vectors (ones, twos)."""
-    t = (a1 | b2) ^ (a2 | b1)
-    return (a2 | b2) ^ t, (a1 | b1) ^ t
-
-
-def _gf3_sub(a1: int, a2: int, b1: int, b2: int) -> tuple[int, int]:
-    """a - b over GF(3) on bit-sliced vectors: a + (-b), where -b swaps
-    the two masks."""
-    t = (a1 | b1) ^ (a2 | b2)
-    return (a2 | b1) ^ t, (a1 | b2) ^ t
-
-
 def _gf3_rank(rows: Iterable[tuple[int, int]], width: int) -> int:
     """Rank over GF(3) of bit-sliced rows (ones, twos), in echelon form;
     the rows are read one at a time until the rank reaches width.
@@ -183,7 +170,9 @@ def _gf3_rank(rows: Iterable[tuple[int, int]], width: int) -> int:
                 rank += 1
                 break
             b1, b2 = pivot
-            # `_gf3_sub` at an entry 1, `_gf3_add` at an entry 2, inlined
+            # row - pivot where the row's top entry is 1, row + pivot where
+            # it is 2: on the slices a + b = (t ^ (a2 | b2), t ^ (a1 | b1)),
+            # t = (a1 | b2) ^ (a2 | b1), and -b swaps b's two masks
             if r1 >> (top - 1):
                 t = (r1 | b1) ^ (r2 | b2)
                 r1, r2 = (r2 | b1) ^ t, (r1 | b2) ^ t
@@ -380,18 +369,21 @@ def is_vertex(X: QOperator, cert: Optional[FacetCertificate] = None) -> tuple[bo
     A full rank over GF(3) certifies a vertex (see the module docstring);
     otherwise the rank is the exact one, over Q.  The GF(3) pass reads
     the first active facet of each maximal isotropic before the rest:
-    the states on one isotropic are 2^n consecutive facets."""
+    the states on one isotropic are 2^n consecutive facets.  It is
+    skipped when fewer facets are active than the width 4^n - 1, since
+    it cannot reach full rank then."""
     if cert is None:
         cert = membership(X)
     n = X.n
     rows = _active_rows(n, cert)  # ValueError for a non-member
     width = (1 << (2 * n)) - 1
     active = list(compress(count(), cert._zeros()))
-    isotropics = list(map(rshift, active, repeat(n)))
-    first = [True, *map(ne, isotropics[1:], isotropics)]
-    order = chain(compress(active, first), compress(active, map(not_, first)))
-    if _gf3_rank(map(_gf3_rows(n).__getitem__, order), width) == width:
-        return True, width
+    if len(active) >= width:
+        isotropics = list(map(rshift, active, repeat(n)))
+        first = [True, *map(ne, isotropics[1:], isotropics)]
+        order = chain(compress(active, first), compress(active, map(not_, first)))
+        if _gf3_rank(map(_gf3_rows(n).__getitem__, order), width) == width:
+            return True, width
     rank = len(_int_rref(rows, width)[1])
     return rank == width, rank
 

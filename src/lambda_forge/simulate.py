@@ -1,19 +1,24 @@
 """Sampling and exact simulation of Pauli-measurement computations.
 
-A simulation starts from a convex decomposition of the initial state
-over descriptors with closed-form measurement updates:
+A simulation starts from a convex combination of states with
+closed-form measurement updates:
 
 * cnc sets (including all stabilizer states), by the cnc update
   theorem, which covers every axis and every cnc set;
-* two-qubit orbit vertices, by the chain decomposition of the projected
-  vertex over the cnc sets on the commutant of the axis;
+* members of Lambda_1 and Lambda_2, each a state in its own right (a
+  trace-1 ``QOperator`` on n <= 2 that passes ``membership``), and the
+  family's orbit vertices, by the Freudenthal chain of the projected
+  member over the cnc sets on the commutant of the axis
+  (``orbit.member_update``; on one qubit, the stabilizer state {0, a});
 * lifted descriptors U (inner (x) Pi_sigma) U^dagger, handled by
   rewriting the measurement sequence down to the inner register.
 
+An ``operator`` descriptor is read as that one member state, with no
+pool and no simplex; a non-member is refused by its violated facet.
 No update goes through exact projection: ``QOperator.project`` appears
-here only in the Born branch rule.  Updates of all three descriptor
-kinds are memoized on (state, axis, outcome); lifted states compare and
-hash by value (engine frame and inner state), so they share entries.
+here only in the Born branch rule.  Updates of every state kind are
+memoized on (state, axis, outcome); lifted states compare and hash by
+value (engine frame and inner state), so they share entries.
 
 One walker, ``_law``, expands a branch tree with exact weights and sums
 its leaves by transcript; each law is a branch rule listing a node's
@@ -60,15 +65,12 @@ from .orbit import (
     classify_operator,
     enumerate_family,
     measure_update as orbit_update,
+    member_update,
 )
 from .pauli import QOperator
-from .polytope import decompose
+from .polytope import decompose, membership
 from .reduction import CoinStep, FixedStep, ReductionEngine, embed_tail_assignment
 from .stabilizer import Assignment, check_bit, state_from_json, state_to_json
-
-
-class UnsupportedDescriptor(ValueError):
-    """Raised when no closed-form update chain covers a descriptor."""
 
 
 @dataclass(frozen=True)
@@ -83,13 +85,13 @@ class LiftState:
         return self.engine.n
 
 
-State = Union[CncSet, OrbitVertex, LiftState]
+State = Union[CncSet, OrbitVertex, QOperator, LiftState]
 
 
 def state_operator(state: State) -> QOperator:
-    if isinstance(state, CncSet):
-        return state.operator()
-    if isinstance(state, OrbitVertex):
+    if isinstance(state, QOperator):
+        return state
+    if isinstance(state, (CncSet, OrbitVertex)):
         return state.operator()
     sig = state.engine.sigma
     # the engine's conjugator is the inverse of the preparing unitary
@@ -101,8 +103,8 @@ def state_operator(state: State) -> QOperator:
 def update_state(state: State, a: PauliPoint, s: int) -> list[tuple[FieldElem, State]]:
     """Pieces (weight, new state) with weights summing to the outcome
     probability; exact at every branch."""
-    if not isinstance(state, (CncSet, OrbitVertex, LiftState)):
-        raise UnsupportedDescriptor(f"unknown descriptor {type(state).__name__}")
+    if not isinstance(state, (CncSet, OrbitVertex, QOperator, LiftState)):
+        raise ValueError(f"unknown descriptor {type(state).__name__}")
     check_bit(s, "outcome")
     # memoized: branch trees and shots revisit the same (state, axis) pairs
     return list(_cached_update(state, a, s))
@@ -114,6 +116,8 @@ def _cached_update(state: State, a: PauliPoint, s: int) -> tuple[tuple[FieldElem
         pieces = state.measure_update(a, s)
     elif isinstance(state, OrbitVertex):
         pieces = orbit_update(state, a, s)
+    elif isinstance(state, QOperator):
+        pieces = member_update(member_state(state), a, s)
     else:
         step, engine = state.engine.process(a)
         if isinstance(step, FixedStep):
@@ -126,6 +130,19 @@ def _cached_update(state: State, a: PauliPoint, s: int) -> tuple[tuple[FieldElem
                 for w, inner in update_state(state.inner, step.point, s ^ step.flip)
             ]
     return tuple(pieces)
+
+
+def member_state(op: QOperator) -> QOperator:
+    """op itself, a state, when it is a trace-1 member on n <= 2;
+    ValueError otherwise, naming the first violated facet."""
+    if op.trace() != ONE:
+        raise ValueError(f"an operator initial state needs trace 1, got {op.trace()}")
+    if op.n > 2:
+        raise ValueError(f"operator initial states are taken only for n <= 2, got n = {op.n}")
+    violation = membership(op).violation
+    if violation is not None:
+        raise ValueError(f"the operator is not a polytope member: violated facet {violation}")
+    return op
 
 
 # -- sequences ----------------------------------------------------------------
@@ -393,6 +410,8 @@ def state_to_descriptor_json(state: State) -> dict:
         return {"type": "cnc", **state.to_json()}
     if isinstance(state, OrbitVertex):
         return {"type": "orbit", "coeffs": state.operator().to_json()["coeffs"]}
+    if isinstance(state, QOperator):
+        return {"type": "operator", **state.to_json()}
     n, m, sig = state.engine.n, state.engine.m, state.engine.sigma
     # the row shift back to the tail keeps sigma's row values
     tail = Subspace(n - m, [_restrict_key(r, n, m, n - m) for r in sig.subspace.rows])
@@ -439,8 +458,7 @@ def descriptor_from_json(obj: Mapping) -> list[tuple[FieldElem, State]]:
         _width(out)
         return out
     if kind == "operator":
-        op = QOperator.from_json(obj)
-        return decompose_known(op)
+        return [(ONE, member_state(QOperator.from_json(obj)))]
     raise ValueError(f"unknown initial-state descriptor type {kind!r}")
 
 
@@ -450,15 +468,13 @@ def decompose_known(op: QOperator) -> list[tuple[FieldElem, State]]:
     if op.trace() != ONE:
         raise ValueError(f"an operator initial state needs trace 1, got {op.trace()}")
     if op.n > 2:
-        raise UnsupportedDescriptor(
-            "operator initial states are decomposed only for n <= 2"
-        )
+        raise ValueError("operator initial states are decomposed only for n <= 2")
     for family in (False, True) if op.n == 2 else (False,):
         pool, operators = _known_pool(op.n, family)
         weights = decompose(op, operators)
         if weights is not None:
             return [(w, pool[i]) for i, w in weights.items()]
-    raise UnsupportedDescriptor("operator is outside the known updatable hull")
+    raise ValueError("operator is outside the known updatable hull")
 
 
 @lru_cache(maxsize=None)

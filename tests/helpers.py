@@ -1,15 +1,20 @@
 """Functions only the tests call, kept here as the package carries only
 what it runs: the phased Pauli product, the maximally mixed state, an
-operator's support and the extremality refuter.  Each is the code the
-package held before, so the golden digests that read them hold."""
+operator's support, the extremality refuter, and the family update as
+it ran on a member's doubled coefficients before the chain was written
+for every two-qubit member.  Each is the code the package held before,
+so the golden digests that read them hold and the chain has an oracle."""
 
 from fractions import Fraction
 from typing import Optional
 
+from lambda_forge.cnc import CncSet
 from lambda_forge.field import ONE, FieldElem
-from lambda_forge.gf2 import PauliPoint, all_points
-from lambda_forge.pauli import PhasedPauli, QOperator, product_phase
+from lambda_forge.gf2 import PauliPoint, all_points, swap_halves
+from lambda_forge.orbit import OrbitVertex
+from lambda_forge.pauli import PhasedPauli, QOperator, key_phase, product_phase
 from lambda_forge.polytope import FacetCertificate, _active_rows, _int_rref, membership
+from lambda_forge.stabilizer import check_bit
 
 
 def pauli_mul(p: PhasedPauli, q: PhasedPauli) -> PhasedPauli:
@@ -56,3 +61,56 @@ def extremality_refuter(X: QOperator, cert: Optional[FacetCertificate] = None) -
     while need > 1 << k:
         k += 1
     return D.scale(Fraction(1, 1 << k))
+
+
+def twice_coeffs(vertex: OrbitVertex) -> dict[int, int]:
+    """The Pauli coefficients times 2, keyed by ``PauliPoint.key()``: 2
+    at the identity, (-1)^gamma 2 on I and (-1)^gamma' on Omega."""
+    coeffs = {k: -2 if g else 2 for k, g in vertex.gamma.key_items()}
+    for p, b in vertex.gamma_p:
+        if not p.is_zero():
+            coeffs[p.key()] = -1 if b else 1
+    return coeffs
+
+
+def family_measure_update(
+    vertex: OrbitVertex, a: PauliPoint, s: int
+) -> list[tuple[FieldElem, CncSet]]:
+    """``orbit.measure_update`` as it ran on a member's doubled
+    coefficients (``twice_coeffs``), before the chain read any member's
+    numerators: the rational chain, ordered by (|x_r|, r)."""
+    if a.is_zero():
+        raise ValueError("measurement axis must be nonzero")
+    if a.n != 2:
+        raise ValueError("qubit count mismatch")
+    check_bit(s, "outcome")
+    D = 2
+    alpha = twice_coeffs(vertex)  # times D
+    ka = a.key()
+    swapped = swap_halves(ka, 2)  # parity(r & swapped) = [r, a]
+    P = D - alpha.get(ka, 0) if s else D + alpha.get(ka, 0)  # 2 p D
+    if P == 0:
+        return []
+    chain = []
+    for r in range(1, 16):  # the nonzero keys of E_2
+        u = r ^ ka
+        if u < r or (r & swapped).bit_count() & 1:
+            continue
+        t = (s + (key_phase(r, ka, 2) >> 1)) & 1
+        xr = alpha.get(r, 0) - alpha.get(u, 0) if t else alpha.get(r, 0) + alpha.get(u, 0)
+        chain.append((abs(xr), r, t, int(xr < 0)))  # x_r times P
+    chain.sort()
+    zs = [-P] + [z for z, *_ in chain] + [P]
+    gamma = {0: 0, ka: s}
+    for _, r, t, g in chain:
+        gamma[r], gamma[r ^ ka] = g, g ^ t
+    out = []
+    for i in range(4):
+        if i:  # the next corner flips the i-th coset of the chain
+            r = chain[i - 1][1]
+            gamma[r] ^= 1
+            gamma[r ^ ka] ^= 1
+        w = zs[i + 1] - zs[i]
+        if w:
+            out.append((FieldElem._reduced(w, 0, 4 * D), CncSet._from_keys(2, dict(gamma))))
+    return out

@@ -266,6 +266,18 @@ def test_reduce_command(tmp_path, capsys):
     assert "coin" in kinds
 
 
+def test_reduce_takes_a_lift_of_an_operator_inner(tmp_path, capsys):
+    # the T inner is one member state, so the lift is one lifted state and
+    # its plan is the frame's, as for a stabilizer inner
+    inner = {"type": "operator", **T_STATE}
+    circ = {**LIFT_CIRCUIT, "initial": {**LIFT_CIRCUIT["initial"], "inner": inner}}
+    code, out = run(capsys, "reduce", write_json(tmp_path / "t.json", circ), "--coins", "10")
+    doc = json.loads(out)
+    assert code == 0 and doc["status"] == "ok" and doc["payload"]["m"] == 1
+    code, out = run(capsys, "reduce", write_json(tmp_path / "z.json", LIFT_CIRCUIT), "--coins", "10")
+    assert code == 0 and json.loads(out)["payload"] == doc["payload"]
+
+
 def test_reduce_rejects_coins_other_than_0_or_1(tmp_path, capsys):
     path = write_json(tmp_path / "lift.json", LIFT_CIRCUIT)
     for coins in ("9", "19", "2"):
@@ -506,12 +518,47 @@ def test_simulate_refuses_an_orbit_descriptor_outside_the_family(tmp_path, capsy
     coeffs = {"II": "1", "XI": "1", "IX": "1", "XX": "1", "YI": "1/2", "IY": "1/2", "YY": "1/2"}
     steps = [{"measure": m} for m in ("YI", "IY", "ZZ")]
     for initial, needle in (({"type": "orbit", "coeffs": coeffs}, "two-qubit family"),
-                            ({"type": "operator", "n": 2, "coeffs": coeffs}, "hull")):
+                            ({"type": "operator", "n": 2, "coeffs": coeffs},
+                             "violated facet -YI,-IX")):
         path = write_json(tmp_path / "circ.json", {"n": 2, "initial": initial, "steps": steps})
         for mode in (["--exact"], ["--shots", "4"]):
             code, out = run(capsys, "simulate", path, *mode)
             doc = json.loads(out)
             assert code == 1 and doc["status"] == "error" and needle in doc["diagnostics"]
+
+
+def test_simulate_refuses_a_non_member_operator_in_both_modes(tmp_path, capsys):
+    for op in (A0A0, {"n": 1, "coeffs": {"I": "1", "X": "3"}}):
+        facet = membership(QOperator.from_json(op)).violation
+        assert facet is not None
+        circ = {"n": op["n"], "initial": {"type": "operator", **op},
+                "steps": [{"measure": "X" * op["n"]}]}
+        path = write_json(tmp_path / "circ.json", circ)
+        for mode in (["--exact"], ["--shots", "16"]):
+            code, out = run(capsys, "simulate", path, *mode)
+            assert code == 1 and json.loads(out) == {
+                "status": "error", "payload": None,
+                "diagnostics": f"ValueError: the operator is not a polytope member: "
+                               f"violated facet {facet}"}
+
+
+#: a vertex of Lambda_2 outside the hull of the cnc vertices and the family
+OUTSIDE_HULL = {"n": 2, "coeffs": {
+    "II": "1", "XX": "-1", "XY": "1", "ZI": "1/2", "YI": "1/2", "YX": "1/2", "ZZ": "1/2",
+    "YZ": "1/2", "YY": "1/2", "ZX": "-1/2", "ZY": "-1/2"}}
+
+
+def test_simulate_runs_a_member_outside_the_known_hull(tmp_path, capsys):
+    from lambda_forge.simulate import born_distribution, distribution_to_json
+
+    steps = [{"measure": "XX"}, {"measure": "ZI", "if": {"0": 1}}, {"measure": "YZ"}]
+    path = write_json(tmp_path / "circ.json", {
+        "n": 2, "initial": {"type": "operator", **OUTSIDE_HULL}, "steps": steps})
+    code, out = run(capsys, "simulate", path, "--exact")
+    born = born_distribution(QOperator.from_json(OUTSIDE_HULL), steps_from_json(steps, 2))
+    assert code == 0 and json.loads(out)["payload"]["distribution"] == distribution_to_json(born)
+    code, out = run(capsys, "simulate", path, "--shots", "64", "--seed", "5")
+    assert code == 0 and sum(json.loads(out)["payload"]["counts"].values()) == 64
 
 
 def test_simulate_refuses_an_operator_descriptor_of_trace_2(tmp_path, capsys):

@@ -27,6 +27,7 @@ from lambda_forge.orbit import (
     family_operator_keys,
     isotropic_poset,
     measure_update,
+    member_update,
     mixture_identities_report,
     omega_from_collection,
     poset_dot,
@@ -35,6 +36,7 @@ from lambda_forge.field import FieldElem
 from lambda_forge.pauli import QOperator
 from lambda_forge.polytope import is_vertex, membership
 from lambda_forge.stabilizer import all_assignments
+from helpers import family_measure_update
 
 rng = random.Random(31)
 
@@ -318,13 +320,40 @@ def test_update_matches_projection_on_sampled_members():
                 assert sum((w for w, _ in pieces), Fraction(0)) == projected.trace()
 
 
+def test_chain_gives_every_family_case_the_rational_chains_pieces():
+    """All 57 600 (member, axis, outcome) cases: the chain on the cached
+    operator's numerators returns the pieces of the rational chain on the
+    doubled coefficients, with equal weights and cnc sets in equal order."""
+    axes = all_points(2, include_zero=False)
+    differ = [
+        (v, a, s)
+        for v in enumerate_family() for a in axes for s in (0, 1)
+        if measure_update(v, a, s) != family_measure_update(v, a, s)
+    ]
+    assert differ == []
+
+
+def test_member_update_refuses_what_it_cannot_update():
+    X, a = alpha0_vertex(), x_point(2, 1)
+    with pytest.raises(ValueError, match="trace 1"):
+        member_update(X.scale(2), a, 0)
+    with pytest.raises(ValueError, match="nonzero"):
+        member_update(X, PauliPoint.zero(2), 0)
+    with pytest.raises(ValueError, match="qubit count"):
+        member_update(X, x_point(1, 1), 0)
+    with pytest.raises(ValueError, match="qubit count"):
+        member_update(X.tensor(QOperator.from_labels(1, {"I": 1})), x_point(3, 1), 0)
+    with pytest.raises(ValueError, match="outcome"):
+        member_update(X, a, 2)
+
+
 def test_cached_coefficients_leave_identity_unchanged():
     used, fresh = classify_operator(alpha0_vertex()), classify_operator(alpha0_vertex())
     blob, digest = pickle.dumps(fresh), hash(fresh)
     assert used.operator() == alpha0_vertex()
     measure_update(used, x_point(2, 1), 0)
-    assert "_twice_coeffs" in vars(used) and "_twice_coeffs" not in vars(fresh)
-    assert used._twice_coeffs is used._twice_coeffs
+    assert "_operator" in vars(used) and "_operator" not in vars(fresh)
+    assert used.operator() is used.operator()
     assert used == fresh and hash(used) == hash(fresh) == digest
     assert pickle.dumps(used) == blob
     back = pickle.loads(pickle.dumps(used))
@@ -402,7 +431,7 @@ def test_orbit_keys_refuse_one_flipped_half_coefficient():
     seeded = random.Random(2801)
     orbit_keys = clifford_orbit_keys()
     for v in seeded.sample(enumerate_family(), 12):
-        member = tuple(sorted(v._twice_coeffs.items()))
+        member = tuple(sorted((k, p) for k, (p, _) in v.operator()._num.items()))
         assert member in orbit_keys
         halves = [i for i, (_, c) in enumerate(member) if abs(c) == 1]
         i = seeded.choice(halves)

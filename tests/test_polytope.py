@@ -26,10 +26,8 @@ from lambda_forge.polytope import (
     FacetCertificate,
     _active_rows,
     _facet_sums,
-    _gf3_add,
     _gf3_rank,
     _gf3_rows,
-    _gf3_sub,
     _int_rref,
     decompose,
     enumerate_vertices_n1,
@@ -297,25 +295,6 @@ def test_gf3_rank_of_shuffled_active_facets():
             assert _gf3_rank(map(_gf3_slice, rows), width) == want
 
 
-def test_gf3_add_and_sub_on_single_entries():
-    # every pair of entries, at three bit positions
-    for a in range(3):
-        for b in range(3):
-            for bit in (0, 5, 62):
-                one = 1 << bit
-                sa = (one if a == 1 else 0, one if a == 2 else 0)
-                sb = (one if b == 1 else 0, one if b == 2 else 0)
-                for want, got in (((a + b) % 3, _gf3_add(*sa, *sb)),
-                                  ((a - b) % 3, _gf3_sub(*sa, *sb))):
-                    assert got == (one if want == 1 else 0, one if want == 2 else 0)
-    # all nine pairs side by side, one lane each
-    pairs = [(a, b) for a in range(3) for b in range(3)]
-    sa = _gf3_slice({i: a for i, (a, _) in enumerate(pairs)})
-    sb = _gf3_slice({i: b for i, (_, b) in enumerate(pairs)})
-    assert _gf3_add(*sa, *sb) == _gf3_slice({i: a + b for i, (a, b) in enumerate(pairs)})
-    assert _gf3_sub(*sa, *sb) == _gf3_slice({i: a - b for i, (a, b) in enumerate(pairs)})
-
-
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_gf3_rows_are_the_facet_normals(n):
     rows = _gf3_rows(n)
@@ -391,6 +370,25 @@ def test_gf3_pass_meets_each_isotropic_first(monkeypatch):
     for X in lifted:
         assert is_vertex(X) == (True, 63)
     assert len(reads) == len(lifted) and max(reads) <= 2 * 63
+
+
+def test_gf3_pass_is_skipped_below_the_width(monkeypatch):
+    # the n2_mixture certificates have 4-12 active facets against a width
+    # of 15: no GF(3) pass, and the exact rank is still returned
+    calls = []
+
+    def counted(rows, width):
+        calls.append(width)
+        return _gf3_rank(rows, width)
+
+    monkeypatch.setattr(polytope, "_gf3_rank", counted)
+    for X in certificate_inputs()["mixtures"]:
+        cert = membership(X)
+        assert len(cert.active) < 15
+        rows = list(_active_rows(2, cert))
+        assert is_vertex(X, cert) == (False, len(_int_rref(rows, 15)[1]))
+    assert calls == []
+    assert is_vertex(enumerate_family()[0].operator()) == (True, 15) and calls == [15]
 
 
 def _state_label(I, s):

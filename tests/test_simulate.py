@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 import pickle
 import random
 import re
+import sys
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
@@ -24,7 +27,7 @@ from lambda_forge.orbit import (
     measure_update as orbit_update,
 )
 from lambda_forge.pauli import QOperator
-from lambda_forge.polytope import decompose
+from lambda_forge.polytope import decompose, enumerate_vertices_n1, is_vertex, membership
 from lambda_forge.reduction import ReductionEngine, embed_tail_assignment
 from lambda_forge.simulate import (
     LiftState,
@@ -706,3 +709,219 @@ def test_laws_refuse_a_step_of_another_width_up_front():
     for law in (exact_distribution, lambda init, s: sample(init, s, seed=1)):
         with pytest.raises(ValueError, match="qubit count"):
             law(mixed, [x_point(1, 1)])
+
+
+# -- member states: a trace-1 member on n <= 2 is its own state ------------
+
+#: a vertex of Lambda_2 outside the hull of the cnc vertices and the family
+OUTSIDE_HULL = QOperator.from_labels(2, {
+    "II": 1, "XX": -1, "XY": 1, "ZI": Fraction(1, 2), "YI": Fraction(1, 2),
+    "YX": Fraction(1, 2), "ZZ": Fraction(1, 2), "YZ": Fraction(1, 2), "YY": Fraction(1, 2),
+    "ZX": Fraction(-1, 2), "ZY": Fraction(-1, 2),
+})
+T_T = T_STATE.tensor(T_STATE)
+#: members by qubit count, in groups a mixture draws from evenly
+MEMBERS = {
+    1: ([c.operator() for c in cnc_vertices(1)], [T_STATE]),
+    2: ([c.operator() for c in cnc_vertices(2)], [v.operator() for v in enumerate_family()],
+        [T_T, OUTSIDE_HULL]),
+}
+
+
+@st.composite
+def member_mixtures(draw):
+    """An exact convex mixture of one to four members on one qubit (cnc
+    vertices and T) or two (cnc vertices, family members, T (x) T and the
+    outside-hull vertex)."""
+    n = draw(st.sampled_from((1, 2)))
+    member = st.one_of(*map(st.sampled_from, MEMBERS[n]))
+    terms = draw(st.lists(st.tuples(st.integers(1, 6), member), min_size=1, max_size=4))
+    total = sum(w for w, _ in terms)
+    X = QOperator.zero(n)
+    for w, A in terms:
+        X = X + A.scale(Fraction(w, total))
+    return X
+
+
+def _assert_updates_are_projections(X):
+    """Every (axis, outcome): positive weights on cnc sets with gamma(a) = s,
+    summing to the outcome probability, and the pieces sum to the projection."""
+    for a in all_points(X.n, include_zero=False):
+        for s in (0, 1):
+            projected = X.project(a, s)
+            pieces = simulate.update_state(X, a, s)
+            total_op = QOperator.zero(X.n)
+            for w, piece in pieces:
+                assert w.sign() > 0 and isinstance(piece, CncSet) and piece.gamma[a] == s
+                total_op = total_op + piece.operator().scale(w)
+            assert total_op == projected
+            assert sum((w for w, _ in pieces), ZERO) == projected.trace()
+
+
+def test_outside_hull_vertex_is_a_member_no_known_pool_holds():
+    assert membership(OUTSIDE_HULL).is_member and is_vertex(OUTSIDE_HULL) == (True, 15)
+    with pytest.raises(ValueError, match="outside the known updatable hull"):
+        decompose_known(OUTSIDE_HULL)
+    assert descriptor_from_json({"type": "operator", **OUTSIDE_HULL.to_json()}) == [
+        (ONE, OUTSIDE_HULL)]
+
+
+def test_member_updates_are_projections_on_named_members():
+    # the 432 two-qubit cnc vertices, T (x) T, the outside-hull vertex, and
+    # on one qubit the eight corners and T; the 1 920 family members update
+    # by the same chain in the sweep of `orbit.verify_update_rules`
+    for X in [*MEMBERS[2][0], T_T, OUTSIDE_HULL, *enumerate_vertices_n1(), T_STATE]:
+        _assert_updates_are_projections(X)
+
+
+@settings(max_examples=60, deadline=None)
+@given(member_mixtures())
+def test_member_updates_are_projections_on_mixtures(X):
+    _assert_updates_are_projections(X)
+
+
+def _adaptive_steps(n):
+    """One to four steps on n qubits whose conditions name earlier steps."""
+    points = all_points(n, include_zero=False)
+
+    @st.composite
+    def steps(draw):
+        out = []
+        for i in range(draw(st.integers(1, 4))):
+            cond = draw(st.dictionaries(st.integers(0, i - 1), st.integers(0, 1), max_size=2)
+                        if i else st.none())
+            out.append((draw(st.sampled_from(points)), cond or None))
+        return out
+
+    return steps()
+
+
+@settings(max_examples=300, deadline=None)
+@given(steps=_adaptive_steps(2), seed=st.integers(0, 2**32))
+def test_laws_agree_on_the_outside_hull_vertex(steps, seed):
+    dist = exact_distribution([(ONE, OUTSIDE_HULL)], steps)
+    assert dist == born_distribution(OUTSIDE_HULL, steps)
+    for t in sample([(ONE, OUTSIDE_HULL)], steps, seed=seed, shots=8):
+        assert t in dist
+
+
+def test_member_states_read_and_run_without_a_pool_or_simplex(monkeypatch):
+    from lambda_forge import cnc, orbit, polytope, simplex
+
+    for module, name in ((polytope, "decompose"), (simplex, "solve_feasibility"),
+                         (cnc, "cnc_vertices"), (orbit, "enumerate_family")):
+        original = getattr(module, name)
+
+        def refuse(*args, _name=name, **kwargs):
+            raise AssertionError(f"{_name} was called")
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("lambda_forge") and getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, refuse)
+    t1 = {"type": "operator", **T_STATE.to_json()}
+    descriptors = [
+        (t1, [x_point(1, 1), z_point(1, 1)]),
+        ({"type": "operator", **T_T.to_json()}, [x_point(2, 1), z_point(2, 2)]),
+        ({"type": "operator", **alpha0_vertex().to_json()}, [x_point(2, 1), z_point(2, 2)]),
+        ({"type": "operator", **OUTSIDE_HULL.to_json()}, [x_point(2, 1), z_point(2, 2)]),
+        ({"type": "lift", "sigma": {"generators": ["+X"]}, "inner": t1},
+         [x_point(2, 1), x_point(2, 2)]),
+        ({"type": "mixture", "terms": [
+            {"weight": "1/2", "state": t1},
+            {"weight": "1/2", "state": {"type": "stabilizer", "generators": ["+Z"]}}]},
+         [x_point(1, 1), y_point(1, 1)]),
+    ]
+    for doc, steps in descriptors:
+        init = descriptor_from_json(doc)
+        rho = QOperator.zero(init[0][1].n)
+        for w, state in init:
+            rho = rho + state_operator(state).scale(w)
+        assert exact_distribution(init, steps) == born_distribution(rho, steps)
+        assert len(sample(init, steps, seed=1, shots=16)) == 16
+
+
+def test_member_state_json_round_trips():
+    for X in (T_STATE, T_T, OUTSIDE_HULL):
+        doc = state_to_descriptor_json(X)
+        assert doc == {"type": "operator", **X.to_json()}
+        assert descriptor_from_json(json.loads(json.dumps(doc))) == [(ONE, X)]
+        assert state_operator(X) is X
+
+
+def test_member_states_refuse_what_is_not_a_member():
+    A0 = QOperator.from_labels(1, {"I": 1, "X": 1, "Y": 1, "Z": 1})
+    outside = [QOperator.from_labels(1, {"I": 1, "X": 3}), A0.tensor(A0)]
+    for X in outside:
+        facet = membership(X).violation
+        assert facet is not None
+        want = f"^the operator is not a polytope member: violated facet {re.escape(facet)}$"
+        with pytest.raises(ValueError, match=want):
+            descriptor_from_json({"type": "operator", **X.to_json()})
+        with pytest.raises(ValueError, match=want):
+            simulate.update_state(X, x_point(X.n, 1), 0)
+    for X, words in ((T_T.scale(2), "needs trace 1, got 2"),
+                     (T_T.tensor(T_STATE), "only for n <= 2, got n = 3")):
+        with pytest.raises(ValueError, match=re.escape(words)):
+            descriptor_from_json({"type": "operator", **X.to_json()})
+        with pytest.raises(ValueError, match=re.escape(words)):
+            simulate.update_state(X, x_point(X.n, 1), 0)
+    with pytest.raises(ValueError, match="nonzero"):
+        simulate.update_state(T_STATE, PauliPoint.zero(1), 0)
+    with pytest.raises(ValueError, match="unknown descriptor"):
+        simulate.update_state(alpha0_vertex().coeffs, x_point(2, 1), 0)
+
+
+def test_a_family_member_draws_the_same_shots_as_operator_or_orbit():
+    # the member state and the orbit vertex update by the same chain, so
+    # one seed draws the same transcripts from either
+    P = PauliPoint.from_label
+    steps = [(P("XZ"), None), (P("ZY"), None), (P("YY"), {1: 0})]
+    as_operator = sample([(ONE, alpha0_vertex())], steps, seed=3, shots=1000)
+    assert as_operator == sample([(ONE, classify_operator(alpha0_vertex()))], steps,
+                                 seed=3, shots=1000)
+
+
+def _steps_json(steps):
+    return [{"measure": p.label(), **({"if": {str(k): v for k, v in cond.items()}} if cond else {})}
+            for p, cond in steps]
+
+
+def _cli_simulate(path, X, steps, *mode):
+    path.write_text(json.dumps({"n": X.n, "initial": {"type": "operator", **X.to_json()},
+                                "steps": _steps_json(steps)}))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["simulate", str(path), *mode])
+    return code, json.loads(out.getvalue())
+
+
+@settings(max_examples=40, deadline=None)
+@given(X=member_mixtures(), move=st.tuples(st.integers(1, 15), st.sampled_from((-1, 1))),
+       data=st.data())
+def test_operator_descriptors_at_the_polytope_boundary(tmp_path_factory, X, move, data):
+    """A drawn member is simulated, and its exact law is the Born law; with
+    one coefficient moved by +-1/4 it is refused exactly when `membership`
+    finds a violated facet, which the diagnostic names, in both modes; a
+    trace other than 1 is refused."""
+    n = X.n
+    steps = data.draw(_adaptive_steps(n))
+    path = tmp_path_factory.mktemp("boundary") / "circ.json"
+    key, sign = move
+    key = key % ((1 << 2 * n) - 1) + 1  # a nonzero key of E_n
+    moved = X + QOperator(n, {PauliPoint.from_key(n, key): Fraction(sign, 4)})
+    for Y in (X, moved):
+        violation = membership(Y).violation
+        docs = [_cli_simulate(path, Y, steps, *mode) for mode in (["--exact"], ["--shots", "8"])]
+        if violation is None:
+            born = born_distribution(Y, steps)
+            assert exact_distribution([(ONE, Y)], steps) == born
+            assert [code for code, _ in docs] == [0, 0]
+            assert docs[0][1]["payload"]["distribution"] == distribution_to_json(born)
+        else:
+            refusal = f"ValueError: the operator is not a polytope member: violated facet {violation}"
+            assert docs == [(1, {"status": "error", "payload": None, "diagnostics": refusal})] * 2
+    for Z in (X.scale(2 if sign > 0 else Fraction(1, 2)),
+              X + QOperator(n, {PauliPoint.zero(n): Fraction(sign, 4)})):
+        code, doc = _cli_simulate(path, Z, steps, "--exact")
+        assert code == 1 and doc["diagnostics"] == (
+            f"ValueError: an operator initial state needs trace 1, got {Z.trace()}")
