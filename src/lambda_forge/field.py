@@ -12,7 +12,6 @@ the field; anything else (a float, a string) is a ValueError.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -68,34 +67,18 @@ def _rational(x):
     raise ValueError(f"field elements take ints and Fractions only, got {x!r}")
 
 
-#: the plain rational strings, read straight into integers; ASCII digits
-#: only, since ``[0-9]`` does not match the other Unicode digits
-_PLAIN_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?").fullmatch
-
-
 def _json_rational(v, obj) -> tuple[int, int]:
     """(numerator, denominator) in lowest terms of one component of a JSON
-    field element: an int, or a string as ``Fraction`` reads it.  A plain
-    string -?digits(/digits)? is parsed on ints; any other form goes to
-    ``Fraction``, so the accepted strings and the errors are its own."""
+    field element: an int, or a string as ``Fraction`` reads it, so the
+    accepted strings and the errors are its own.  Under `_parsed` this
+    runs once per distinct value."""
     if isinstance(v, int):
         return v, 1
-    m = _PLAIN_RATIONAL(v)
-    if m is None:
-        try:
-            f = Fraction(v)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in field element {obj!r}") from None
-        return f.numerator, f.denominator
-    num, den = m.groups()
-    num = int(num)
-    if den is None:
-        return num, 1
-    den = int(den)
-    if not den:
-        raise ValueError(f"zero denominator in field element {obj!r}")
-    g = gcd(num, den)
-    return num // g, den // g
+    try:
+        f = Fraction(v)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in field element {obj!r}") from None
+    return f.numerator, f.denominator
 
 
 _new = object.__new__

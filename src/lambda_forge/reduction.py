@@ -23,9 +23,9 @@ The engine below performs one such rewriting pass; it is immutable, so
 branching over coin outcomes is cheap, and it compares and hashes by
 value, so equal frames reached along different paths share memo entries.
 ``reduce_static`` runs one pass for a fixed coin assignment.  The exact
-law of the reduced run is ``simulate.reduced_distribution``: one more
-branch rule (fixed, coin, head Born) over the simulator's branch-tree
-walker.
+law of the reduced run is ``simulate.reduced_distribution``: the
+simulator's lifted branch rule (fixed, coin, head) with the Born rule on
+the head, over its branch-tree walker.
 """
 
 from __future__ import annotations

@@ -17,8 +17,11 @@ An ``operator`` descriptor is read as that one member state, with no
 pool and no simplex; a non-member is refused by its violated facet.
 No update goes through exact projection: ``QOperator.project`` appears
 here only in the Born branch rule.  Updates of every state kind are
-memoized on (state, axis, outcome); lifted states compare and hash by
-value (engine frame and inner state), so they share entries.
+memoized on (state, axis), one entry holding the children of both
+outcomes; lifted states compare and hash by value (engine frame and
+inner state), so they share entries.  A lifted step is written once
+(``_lift_branch``): fixed at weight 1, a fair coin, or the head's own
+branch rule with the outcome flipped by the tail sign.
 
 One walker, ``_law``, expands a branch tree with exact weights and sums
 its leaves by transcript; each law is a branch rule listing a node's
@@ -29,8 +32,10 @@ ground truth used by the test suite), and the reduction engine's fixed,
 coin and head-Born steps on a lifted state (``reduced_distribution``).
 ``sample`` draws one trajectory per shot along the update rule,
 deterministic for a fixed seed.  A draw is one 64-bit integer u compared
-against integer thresholds ceil(2**64 * c_i / total) over the cumulative
-weights c_i; u < ceil(x) exactly when u < x, and the ceiling is computed
+against integer thresholds ceil(2**64 * c_i) over the cumulative weights
+c_i of a law (they sum to exactly 1: the initial weights pass
+``check_weights``, and the two outcomes of a trace-1 state sum to 1);
+u < ceil(x) exactly when u < x, and the ceiling is computed
 exactly (floor(r*sqrt(2)) = isqrt(2 r**2)), so every draw is the exact
 comparison in Q(sqrt(2)) with no float.  Within a call, every state
 reached is interned to a small int and a draw table is built once per
@@ -51,8 +56,9 @@ import random
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import isqrt
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .field import HALF, FieldElem, ONE, ZERO
@@ -106,30 +112,38 @@ def update_state(state: State, a: PauliPoint, s: int) -> list[tuple[FieldElem, S
     if not isinstance(state, (CncSet, OrbitVertex, QOperator, LiftState)):
         raise ValueError(f"unknown descriptor {type(state).__name__}")
     check_bit(s, "outcome")
-    # memoized: branch trees and shots revisit the same (state, axis) pairs
-    return list(_cached_update(state, a, s))
+    return [(w, piece) for t, w, piece in _cached_branch(state, a) if t == s]
 
 
 @lru_cache(maxsize=1 << 16)
-def _cached_update(state: State, a: PauliPoint, s: int) -> tuple[tuple[FieldElem, State], ...]:
+def _cached_branch(state: State, a: PauliPoint) -> tuple[tuple[int, FieldElem, State], ...]:
+    """The (outcome, weight, piece) children of both outcomes, outcome 0
+    first; memoized, since branch trees and shots revisit (state, axis)."""
+    if isinstance(state, LiftState):
+        children = _lift_branch(state.engine, state.inner, a, _update_branch)
+        return tuple((s, w, LiftState(*node)) for s, w, node in children)
     if isinstance(state, CncSet):
-        pieces = state.measure_update(a, s)
+        rule = state.measure_update
     elif isinstance(state, OrbitVertex):
-        pieces = orbit_update(state, a, s)
-    elif isinstance(state, QOperator):
-        pieces = member_update(member_state(state), a, s)
+        rule = partial(orbit_update, state)
     else:
-        step, engine = state.engine.process(a)
-        if isinstance(step, FixedStep):
-            pieces = [] if step.outcome != s else [(ONE, LiftState(engine, state.inner))]
-        elif isinstance(step, CoinStep):
-            pieces = [(HALF, LiftState(engine.resolve_coin(s), state.inner))]
-        else:
-            pieces = [
-                (w, LiftState(engine, inner))
-                for w, inner in update_state(state.inner, step.point, s ^ step.flip)
-            ]
-    return tuple(pieces)
+        rule = partial(member_update, member_state(state))
+    return tuple((s, w, piece) for s in (0, 1) for w, piece in rule(a, s))
+
+
+def _lift_branch(engine: ReductionEngine, head, a: PauliPoint, head_branch) -> list[tuple]:
+    """The (outcome, weight, (engine, head)) children of measuring ``a``
+    on a lifted node, in outcome order: a fixed step at weight 1, a coin
+    at weight 1/2 per side, or the children of ``head_branch`` on the head
+    with the outcome flipped by the tail sign (a stable sort, so each
+    outcome keeps its pieces' order)."""
+    step, engine = engine.process(a)
+    if isinstance(step, FixedStep):
+        return [(step.outcome, ONE, (engine, head))]
+    if isinstance(step, CoinStep):
+        return [(c, HALF, (engine.resolve_coin(c), head)) for c in (0, 1)]
+    children = [(s ^ step.flip, w, (engine, nxt)) for s, w, nxt in head_branch(head, step.point)]
+    return sorted(children, key=itemgetter(0))
 
 
 def member_state(op: QOperator) -> QOperator:
@@ -246,18 +260,6 @@ def _born_branch(node: tuple, a: PauliPoint) -> list[tuple[int, FieldElem, tuple
     return [(0, w, (rho, (a, 0))), (1, ONE - w, (rho, (a, 1)))]
 
 
-def _reduced_branch(state: tuple[ReductionEngine, tuple], a: PauliPoint) -> list:
-    """A fixed step at weight 1, a coin at weight 1/2 per side, or a Born
-    branch on the head operator with the outcome flipped by the tail sign."""
-    engine, head = state
-    step, engine = engine.process(a)
-    if isinstance(step, FixedStep):
-        return [(step.outcome, ONE, (engine, head))]
-    if isinstance(step, CoinStep):
-        return [(c, HALF, (engine.resolve_coin(c), head)) for c in (0, 1)]
-    return [(s ^ step.flip, p, (engine, nxt)) for s, p, nxt in _born_branch(head, step.point)]
-
-
 def exact_distribution(
     initial: Iterable[tuple[FieldElem, State]],
     steps: Sequence,
@@ -292,7 +294,8 @@ def reduced_distribution(
     """
     if X.n != engine.m or X.trace() != ONE:
         raise ValueError(f"the head must have trace 1 on {engine.m} qubits, got {X!r}")
-    return _law([(ONE, (engine, (X, None)))], sequence, engine.n, _reduced_branch)
+    return _law([(ONE, (engine, (X, None)))], sequence, engine.n,
+                lambda node, a: _lift_branch(*node, a, _born_branch))
 
 
 # -- sampling -----------------------------------------------------------------
@@ -313,21 +316,18 @@ def _threshold(x: FieldElem) -> int:
 
 
 def _table(weighted: Iterable[tuple[FieldElem, object]]) -> tuple[list, list[int]]:
-    """Items and integer thresholds t_i = ceil(2**64 * c_i / total), c_i the
-    cumulative weight, from nonnegative weights (need not sum to 1)."""
-    weighted = list(weighted)
-    total = sum((w for w, _ in weighted), ZERO)
-    if total.sign() <= 0:
-        raise ValueError("cannot sample from an empty distribution")
+    """Items and integer thresholds t_i = ceil(2**64 * c_i), c_i the
+    cumulative weight, from nonnegative weights summing exactly to 1 (the
+    last threshold is then 2**64); RuntimeError on any other mass, which
+    no law gives."""
     items, thresholds = [], []
     acc = ZERO
-    for w, item in weighted[:-1]:
+    for w, item in weighted:
         acc = acc + w
         items.append(item)
-        thresholds.append(_threshold(acc / total))
-    # the last cumulative weight is the total: its threshold is 2**64
-    items.append(weighted[-1][1])
-    thresholds.append(_SCALE)
+        thresholds.append(_threshold(acc))
+    if acc != ONE:
+        raise RuntimeError(f"a draw table's weights sum to {acc}, not 1")
     return items, thresholds
 
 
@@ -342,9 +342,9 @@ def sample(
     a positive int.
 
     A draw takes u = ``rng.getrandbits(64)`` and returns the first item
-    whose threshold ``ceil(2**64 * c_i / total)`` exceeds u.  For an
-    integer u, u < ceil(x) exactly when u < x, so this is the exact
-    comparison u / 2**64 * total < c_i made on integers only.  Each call
+    whose threshold ``ceil(2**64 * c_i)`` exceeds u, c_i the cumulative
+    weight.  For an integer u, u < ceil(x) exactly when u < x, so this is
+    the exact comparison u / 2**64 < c_i made on integers only.  Each call
     interns the states it reaches to small ints and builds one table per
     (step, state id), from the memoized ``update_state``, so a shot makes
     only int lookups and draws.
@@ -474,7 +474,9 @@ def decompose_known(op: QOperator) -> list[tuple[FieldElem, State]]:
         weights = decompose(op, operators)
         if weights is not None:
             return [(w, pool[i]) for i, w in weights.items()]
-    raise ValueError("operator is outside the known updatable hull")
+    pools = "the cnc vertices, then the family" if op.n == 2 else "the cnc vertices"
+    raise ValueError(f"no convex decomposition over {pools}; simulate takes the operator "
+                     'as a member state ({"type": "operator"})')
 
 
 @lru_cache(maxsize=None)
@@ -513,12 +515,5 @@ def steps_from_json(steps: Sequence[Mapping], n: int) -> list:
 
 
 def distribution_to_json(dist: Mapping[tuple, FieldElem]) -> list[dict]:
-    rows = []
-    for key in sorted(dist, key=lambda k: tuple(-1 if v is None else v for v in k)):
-        rows.append(
-            {
-                "outcomes": [None if v is None else v for v in key],
-                "probability": dist[key].to_json(),
-            }
-        )
-    return rows
+    order = sorted(dist, key=lambda k: tuple(-1 if v is None else v for v in k))
+    return [{"outcomes": list(key), "probability": dist[key].to_json()} for key in order]

@@ -561,6 +561,17 @@ def test_simulate_runs_a_member_outside_the_known_hull(tmp_path, capsys):
     assert code == 0 and sum(json.loads(out)["payload"]["counts"].values()) == 64
 
 
+def test_decompose_names_the_pools_it_tried(tmp_path, capsys):
+    # a member no known pool holds is infeasible, exit 3, and the message
+    # points to simulating it as a member state
+    code, out = run(capsys, "decompose", write_json(tmp_path / "op.json", OUTSIDE_HULL))
+    doc = json.loads(out)
+    assert code == 3 and doc["status"] == "infeasible" and doc["payload"] is None
+    assert doc["diagnostics"] == (
+        "no convex decomposition over the cnc vertices, then the family; simulate "
+        'takes the operator as a member state ({"type": "operator"})')
+
+
 def test_simulate_refuses_an_operator_descriptor_of_trace_2(tmp_path, capsys):
     coeffs = {"II": "2", "ZI": "2"}
     circ = {"n": 2, "initial": {"type": "operator", "n": 2, "coeffs": coeffs},

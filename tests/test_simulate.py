@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from lambda_forge import simulate
 from lambda_forge.cli import main
-from lambda_forge.clifford import CliffordTableau, generator_tableaux
+from lambda_forge.clifford import CliffordTableau, coefficient_orbit, generator_tableaux
 from lambda_forge.cnc import CncSet, cnc_vertices, consistent_assignments, maximal_cnc_sets
 from lambda_forge.field import FieldElem, HALF, INV_SQRT2, ONE, ZERO
 from lambda_forge.gf2 import PauliPoint, all_points, x_point, y_point, z_point
@@ -24,6 +24,7 @@ from lambda_forge.orbit import (
     alpha0_vertex,
     classify_operator,
     enumerate_family,
+    family_operator_keys,
     measure_update as orbit_update,
 )
 from lambda_forge.pauli import QOperator
@@ -421,18 +422,29 @@ def test_threshold_matches_exact_comparison(x, r):
     r=st.integers(0, SCALE - 1),
 )
 def test_table_never_draws_zero_weight(weights, r):
-    indexed = [(w, i) for i, w in enumerate(weights)]
-    if all(w.is_zero() for w in weights):
-        with pytest.raises(ValueError):
-            _table(indexed)
-        return
-    items, thresholds = _table(indexed)
+    # a table takes a law: weights of mass exactly 1, or it raises
+    mass = sum(weights, ZERO)
+    if mass != ONE:
+        with pytest.raises(RuntimeError, match="not 1"):
+            _table((w, i) for i, w in enumerate(weights))
+        if mass.is_zero():
+            return
+        weights = [w / mass for w in weights]
+    items, thresholds = _table((w, i) for i, w in enumerate(weights))
     assert thresholds[-1] == SCALE
-    total = sum(weights, ZERO)
     cumulative = [sum(weights[: i + 1], ZERO) for i in range(len(weights))]
-    assert thresholds == [_threshold(c / total) for c in cumulative]
+    assert thresholds == [_threshold(c) for c in cumulative]
     for u in {0, r, SCALE - 1, *(t for t in thresholds if t < SCALE)}:
         assert weights[items[bisect_right(thresholds, u)]].sign() > 0
+
+
+def test_table_refuses_a_mass_other_than_one():
+    third = FieldElem(Fraction(1, 3))
+    for weighted in ([], [(ZERO, 0)], [(HALF, 0)], [(HALF, 0), (HALF, 1), (third, 2)],
+                     [(INV_SQRT2, 0), (INV_SQRT2, 1)]):
+        with pytest.raises(RuntimeError, match="not 1"):
+            _table(weighted)
+    assert _table([(ZERO, 0), (ONE, 1), (ZERO, 2)]) == ([0, 1, 2], [0, SCALE, SCALE])
 
 
 def test_mixture_initial():
@@ -619,19 +631,25 @@ def _conditional_lifted_circuit():
     return LiftState(engine, cnc_vertices(1)[3]), [(coin, None), (head, {0: 1}), (coin, {1: 0})]
 
 
+def _seeded_steps(gen, n, length):
+    """Seeded steps on n qubits, each conditioned on up to two earlier ones."""
+    points = all_points(n, include_zero=False)
+    steps = []
+    for i in range(length):
+        cond = {j: gen.randint(0, 1) for j in gen.sample(range(i), min(i, gen.randint(0, 2)))}
+        steps.append((gen.choice(points), cond or None))
+    return steps
+
+
 def _n3_cnc_circuits(gen, count):
     """Seeded adaptive circuits of four steps on three-qubit cnc vertices,
     drawn from the maximal sets without building all of cnc_vertices(3)."""
-    shapes, points = maximal_cnc_sets(3), all_points(3, include_zero=False)
+    shapes = maximal_cnc_sets(3)
     out = []
     for _ in range(count):
         omega = gen.choice(shapes)
         state = CncSet(omega, gen.choice(consistent_assignments(omega)))
-        steps = []
-        for i in range(4):
-            cond = {j: gen.randint(0, 1) for j in gen.sample(range(i), min(i, gen.randint(0, 2)))}
-            steps.append((gen.choice(points), cond or None))
-        out.append((state, steps))
+        out.append((state, _seeded_steps(gen, 3, 4)))
     return out
 
 
@@ -662,6 +680,62 @@ def test_laws_agree_on_adaptive_circuits(circuit, seed):
         for i, (_, cond) in enumerate(steps):
             met = all(t[j] == want for j, want in (cond or {}).items())
             assert (t[i] is None) == (not met)
+
+
+def _seeded_lifted_laws(gen, count):
+    """Seeded lifts to n = 3 (m = 1 and 2, cnc and family inners) with
+    adaptive circuits of five steps."""
+    out = []
+    for _ in range(count):
+        m = gen.choice((1, 2))
+        tail = gen.choice(enumerate_stabilizer_states(3 - m))[1]
+        U = CliffordTableau.identity(3)
+        for _ in range(6):
+            U = gen.choice(GENERATORS3).compose(U)
+        engine = ReductionEngine(3, m, embed_tail_assignment(tail, 3, m), U)
+        out.append((LiftState(engine, gen.choice(INNER[m])), _seeded_steps(gen, 3, 5)))
+    return out
+
+
+def test_lifted_memo_classifies_each_state_and_axis_once(monkeypatch):
+    # one memo entry per (state, axis) holds both outcomes: a lifted miss
+    # runs `process` once, and the memo holds exactly the pairs asked for
+    processed, asked, kinds = [], [], set()
+    process = ReductionEngine.process
+
+    def counting_process(engine, a):
+        processed.append((engine, a))
+        step, after = process(engine, a)
+        kinds.add(type(step).__name__)
+        return step, after
+
+    def counting_branch(state, a):
+        asked.append((state, a))
+        return _update_branch(state, a)
+
+    monkeypatch.setattr(ReductionEngine, "process", counting_process)
+    monkeypatch.setattr(simulate, "_update_branch", counting_branch)
+    for state, steps in _seeded_lifted_laws(random.Random(3633), 6):
+        simulate._cached_branch.cache_clear()
+        processed.clear()
+        asked.clear()
+        dist = exact_distribution([(ONE, state)], steps)
+        assert dist == born_distribution(state_operator(state), steps)
+        pairs = set(asked)
+        lifted = Counter((s.engine, a) for s, a in pairs if isinstance(s, LiftState))
+        info = simulate._cached_branch.cache_info()
+        assert info.currsize == info.misses == len(pairs)
+        assert Counter(processed) == lifted and len(processed) > 0
+        # children come in outcome order, a head step's flip included, so
+        # seeded draws read the tables in the order they always have
+        for pair in pairs:
+            outcomes = [s for s, _, _ in simulate._cached_branch(*pair)]
+            assert outcomes == sorted(outcomes)
+        # later reads of any pair are hits, and run no `process`
+        again = exact_distribution([(ONE, state)], steps)
+        assert again == dist and Counter(processed) == lifted
+        assert simulate._cached_branch.cache_info().currsize == len(pairs)
+    assert kinds == {"FixedStep", "CoinStep", "MeasureStep"}
 
 
 def test_laws_and_cli_run_circuits_deeper_than_the_recursion_limit(tmp_path, capsys):
@@ -760,10 +834,39 @@ def _assert_updates_are_projections(X):
 
 def test_outside_hull_vertex_is_a_member_no_known_pool_holds():
     assert membership(OUTSIDE_HULL).is_member and is_vertex(OUTSIDE_HULL) == (True, 15)
-    with pytest.raises(ValueError, match="outside the known updatable hull"):
+    with pytest.raises(ValueError, match=r"the cnc vertices, then the family; simulate takes "
+                                         r"the operator as a member state"):
         decompose_known(OUTSIDE_HULL)
+    # on one qubit the cnc vertices are the only pool (they hold every member)
+    with pytest.raises(ValueError, match=r"over the cnc vertices; simulate takes"):
+        decompose_known(QOperator.from_labels(1, {"I": 1, "X": 3}))
     assert descriptor_from_json({"type": "operator", **OUTSIDE_HULL.to_json()}) == [
         (ONE, OUTSIDE_HULL)]
+
+
+def test_outside_hull_vertex_has_a_second_orbit_of_half_integer_vertices():
+    # the family is one Clifford orbit of 1 920 vertices; this vertex's
+    # orbit is another, of 5 760, with expectations in {0, +-1/2, +-1}
+    twice = {k: 2 * p // OUTSIDE_HULL._den for k, (p, _) in OUTSIDE_HULL._num.items()}
+    orbit = coefficient_orbit(2, twice)
+    assert len(orbit) == 5760 and orbit.isdisjoint(family_operator_keys())
+    members = [
+        QOperator(2, {PauliPoint.from_key(2, k): FieldElem(Fraction(v, 2)) for k, v in pairs})
+        for pairs in sorted(orbit)
+    ]
+    assert OUTSIDE_HULL in members
+    for X in members:
+        with pytest.raises(ValueError):
+            classify_operator(X)
+    gen = random.Random(5760)
+    for X in gen.sample(members, 12):
+        cert = membership(X)
+        assert cert.is_member and is_vertex(X, cert) == (True, 15)
+    for X in gen.sample(members, 3):
+        init = descriptor_from_json({"type": "operator", **X.to_json()})
+        for _ in range(4):
+            steps = _seeded_steps(gen, 2, 4)
+            assert exact_distribution(init, steps) == born_distribution(X, steps)
 
 
 def test_member_updates_are_projections_on_named_members():
