@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -214,10 +215,11 @@ def cmd_simulate(args):
     if args.exact:
         dist = exact_distribution(init, steps)
         return "ok", {"mode": "exact", "distribution": distribution_to_json(dist)}, ""
-    counts: dict[str, int] = {}
-    for t in iter_sample(init, steps, seed=args.seed, shots=args.shots):
-        key = ",".join("-" if v is None else str(v) for v in t)
-        counts[key] = counts.get(key, 0) + 1
+    # each distinct transcript is formatted once; the format is injective
+    counts = {
+        ",".join("-" if v is None else str(v) for v in t): c
+        for t, c in Counter(iter_sample(init, steps, seed=args.seed, shots=args.shots)).items()
+    }
     payload = {
         "mode": "sample",
         "seed": args.seed,

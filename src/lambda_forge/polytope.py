@@ -125,6 +125,15 @@ def _facet_labels(n: int) -> tuple[str, ...]:
     return tuple(label for label, _, _ in facet_table(n))
 
 
+@lru_cache(maxsize=8)
+def _sorted_facets(n: int) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """The labels of `facet_table` in sorted order, and each one's index
+    in the table."""
+    labels = _facet_labels(n)
+    order = tuple(sorted(range(len(labels)), key=labels.__getitem__))
+    return tuple(map(labels.__getitem__, order)), order
+
+
 def _facet_row(plus: Sequence[int], minus: Sequence[int]) -> dict[int, int]:
     """A facet's integer normal over the nonzero points as a sparse row:
     key k at column k - 1."""
@@ -211,9 +220,10 @@ class FacetCertificate:
         ys = self._ys
         return list(zip(self._xs, repeat(0) if ys is None else ys))
 
-    def _by_label(self, convert) -> dict:
+    def _by_label(self, convert, in_sorted_order: bool = False) -> dict:
         """label -> convert(x, y, den) of the label's sums, convert called
-        once per distinct pair."""
+        once per distinct pair; in facet order, or in sorted label order,
+        the order ``json.dumps(..., sort_keys=True)`` writes them in."""
         den = self._den
         if self._ys is None:
             keys = self._xs
@@ -221,7 +231,10 @@ class FacetCertificate:
         else:
             keys = self._sums
             shared = {xy: convert(*xy, den) for xy in set(keys)}
-        return dict(zip(_facet_labels(self.operator.n), map(shared.__getitem__, keys)))
+        if not in_sorted_order:
+            return dict(zip(_facet_labels(self.operator.n), map(shared.__getitem__, keys)))
+        labels, order = _sorted_facets(self.operator.n)
+        return dict(zip(labels, map(shared.__getitem__, map(keys.__getitem__, order))))
 
     @property
     def values(self) -> dict:
@@ -241,7 +254,7 @@ class FacetCertificate:
         return map(not_, map(or_, self._xs, self._ys))
 
     def to_json(self) -> dict:
-        facet_values = self._by_label(_json_value)
+        facet_values = self._by_label(_json_value, in_sorted_order=True)
         return {
             "member": self.is_member,
             "violation": self.violation,

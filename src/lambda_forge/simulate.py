@@ -37,10 +37,16 @@ c_i of a law (they sum to exactly 1: the initial weights pass
 ``check_weights``, and the two outcomes of a trace-1 state sum to 1);
 u < ceil(x) exactly when u < x, and the ceiling is computed
 exactly (floor(r*sqrt(2)) = isqrt(2 r**2)), so every draw is the exact
-comparison in Q(sqrt(2)) with no float.  Within a call, every state
-reached is interned to a small int and a draw table is built once per
-(step, state id) from the memoized updates, so a shot makes only int
-lookups, draws and bisections.
+comparison in Q(sqrt(2)) with no float.  Draw tables are memoized on
+(state, axis), as the updates are.  Within a call, the shots grow an
+outcome tree: a node is one executed step at one (transcript prefix,
+state), holding that step's draw table and one slot per child, filled by
+the first shot that draws it; unmet conditions are resolved when a node
+is grown, and a leaf is a finished transcript that every shot ending
+there shares.  A shot on grown nodes makes one draw, one bisection and
+one index per executed step.  A call's memory grows with the nodes its
+shots reach: one per distinct path of draws, so at most one per executed
+step of each shot.
 
 Sequences are lists of steps; a step is a Pauli point, or a
 ``(point, condition)`` tuple where the condition maps earlier step
@@ -106,10 +112,14 @@ def state_operator(state: State) -> QOperator:
     )
 
 
+#: the state kinds with closed-form updates
+_STATE_TYPES = (CncSet, OrbitVertex, QOperator, LiftState)
+
+
 def update_state(state: State, a: PauliPoint, s: int) -> list[tuple[FieldElem, State]]:
     """Pieces (weight, new state) with weights summing to the outcome
     probability; exact at every branch."""
-    if not isinstance(state, (CncSet, OrbitVertex, QOperator, LiftState)):
+    if not isinstance(state, _STATE_TYPES):
         raise ValueError(f"unknown descriptor {type(state).__name__}")
     check_bit(s, "outcome")
     return [(w, piece) for t, w, piece in _cached_branch(state, a) if t == s]
@@ -235,7 +245,10 @@ def _law(roots: Sequence[tuple], steps: Sequence, n: int, branch) -> dict[tuple,
 
 def _width(weighted: Sequence[tuple]) -> int:
     """The qubit count of the states of a nonempty weighted list;
-    ValueError if they differ."""
+    ValueError if one is not a state or their counts differ."""
+    for _, state in weighted:
+        if not isinstance(state, _STATE_TYPES):
+            raise ValueError(f"unknown descriptor {type(state).__name__}")
     widths = {state.n for _, state in weighted}
     if len(widths) != 1:
         raise ValueError(f"the initial states differ in qubit count: {sorted(widths)}")
@@ -345,11 +358,24 @@ def sample(
     whose threshold ``ceil(2**64 * c_i)`` exceeds u, c_i the cumulative
     weight.  For an integer u, u < ceil(x) exactly when u < x, so this is
     the exact comparison u / 2**64 < c_i made on integers only.  Each call
-    interns the states it reaches to small ints and builds one table per
-    (step, state id), from the memoized ``update_state``, so a shot makes
-    only int lookups and draws.
+    grows an outcome tree as its shots reach new (transcript prefix,
+    state) nodes, each holding a draw table memoized on (state, axis), so
+    a shot that stays on grown nodes makes one draw, one bisection and
+    one index per executed step.
     """
     return list(iter_sample(initial, steps, seed, shots))
+
+
+@lru_cache(maxsize=1 << 16)
+def _draw_table(state: State, a: PauliPoint) -> tuple[list, list[int]]:
+    """The (outcome, piece) children of positive weight of measuring ``a``
+    on ``state``, with their thresholds (``_table``); memoized on (state,
+    axis), as ``_cached_branch`` is."""
+    return _table((w, (s, piece)) for s, w, piece in _cached_branch(state, a) if w.sign() > 0)
+
+
+#: a slot of the outcome tree that no shot has taken yet
+_UNGROWN = (None, None)
 
 
 def iter_sample(
@@ -360,46 +386,73 @@ def iter_sample(
 ) -> Iterator[tuple]:
     """The transcripts of ``sample``, one per shot, as a generator.  The
     arguments are checked and the initial table built before the first
-    transcript is drawn."""
+    transcript is drawn.
+
+    The shots walk an outcome tree grown within the call.  A node is one
+    executed step at one (transcript prefix, state): a tuple (thresholds,
+    slots, items, link, step) whose slots hold, per (outcome, next state)
+    item of the step's draw table, the child the first shot to draw it
+    grew (``_grow``).  A leaf is (None, transcript), shared by every shot
+    that ends there; unmet conditions are resolved when a node is grown,
+    so the walk checks none.  The root is the initial table, at step -1.
+    """
     if not isinstance(shots, int) or isinstance(shots, bool) or shots < 1:
         raise ValueError(f"shots must be a positive int, got {shots!r}")
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise ValueError(f"seed must be an int, got {seed!r}")
     initial = check_weights(initial)
     init_items, init_thresholds = _table(initial)
-    ids: dict[State, int] = {}
-    states: list[State] = []
-
-    def intern(state: State) -> int:
-        sid = ids.get(state)
-        if sid is None:
-            sid = ids[state] = len(states)
-            states.append(state)
-        return sid
-
-    init_ids = [intern(state) for state in init_items]
-    # one memo per step: a state id to the step's (outcome, next id)
-    # items and their thresholds
-    plan = [(point, cond, {}) for point, cond in normalize_steps(steps, _width(initial))]
+    plan = normalize_steps(steps, _width(initial))
+    root = (init_thresholds, [_UNGROWN] * len(init_items),
+            [(None, state) for state in init_items], None, -1)
     draw = random.Random(seed).getrandbits
     for _ in range(shots):
-        sid = init_ids[bisect_right(init_thresholds, draw(64))]
-        acc: list[Optional[int]] = []
-        for point, cond, memo in plan:
-            if cond is not None and not _condition_met(cond, acc):
-                acc.append(None)
-                continue
-            table = memo.get(sid)
-            if table is None:
-                table = memo[sid] = _table(
-                    (w, (s, intern(piece)))
-                    for s, w, piece in _update_branch(states[sid], point)
-                    if w.sign() > 0
-                )
-            items, thresholds = table
-            s, sid = items[bisect_right(thresholds, draw(64))]
-            acc.append(s)
-        yield tuple(acc)
+        node = root
+        while True:
+            k = bisect_right(node[0], draw(64))
+            child = node[1][k]
+            if child[0] is None:
+                break
+            node = child
+        leaf = child[1]
+        yield _grow(node, k, plan, draw) if leaf is None else leaf
+
+
+def _grow(node: tuple, k: int, plan: Sequence[tuple], draw) -> tuple:
+    """Finish a shot that drew the ungrown slot k of ``node``: grow the
+    nodes on the rest of its path, drawing at each as the walk would, and
+    return the transcript of the leaf it ends on.
+
+    A node keeps no prefix: its link is (parent's link, parent's step,
+    outcome drawn there), or None below the root, so the prefix is rebuilt
+    once per ``_grow`` and then extended step by step; a path of any depth
+    costs time linear in its length."""
+    _, slots, items, link, step = node
+    s, state = items[k]
+    acc: list[Optional[int]] = [None] * step
+    cell = link
+    while cell is not None:
+        cell, at, outcome = cell
+        acc[at] = outcome
+    if step >= 0:
+        acc.append(s)
+        link = (link, step, s)
+    i, end = step + 1, len(plan)
+    while True:
+        while i < end and not _condition_met(plan[i][1], acc):
+            acc.append(None)
+            i += 1
+        if i == end:
+            leaf = slots[k] = (None, tuple(acc))
+            return leaf[1]
+        items, thresholds = _draw_table(state, plan[i][0])
+        child = slots[k] = (thresholds, [_UNGROWN] * len(items), items, link, i)
+        slots = child[1]
+        k = bisect_right(thresholds, draw(64))
+        s, state = items[k]
+        acc.append(s)
+        link = (link, i, s)
+        i += 1
 
 
 # -- JSON ---------------------------------------------------------------------

@@ -17,7 +17,7 @@ from lambda_forge.field import FieldElem
 from lambda_forge.gf2 import PauliPoint
 from lambda_forge.pauli import QOperator
 from lambda_forge.polytope import membership
-from lambda_forge.simulate import descriptor_from_json, steps_from_json
+from lambda_forge.simulate import descriptor_from_json, sample, steps_from_json
 
 
 def run(capsys, *argv):
@@ -212,6 +212,27 @@ def test_simulate_exact_and_sample(tmp_path, capsys):
     assert out1 == out2  # byte-identical for fixed args and seed
     counts = json.loads(out1)["payload"]["counts"]
     assert sum(counts.values()) == 64
+
+
+def test_simulate_counts_match_per_shot_formatting(tmp_path, capsys):
+    # a conditional circuit whose skipped steps print "-": the counts equal
+    # those of formatting every sampled transcript on its own
+    circ = {"n": 1, "initial": {"type": "operator", **T_STATE},
+            "steps": [{"measure": "X"}, {"measure": "Z", "if": {"0": 0}},
+                      {"measure": "Y"}, {"measure": "X", "if": {"1": 1, "2": 0}}]}
+    path = write_json(tmp_path / "circ.json", circ)
+    code, out = run(capsys, "simulate", path, "--shots", "5000", "--seed", "17")
+    assert code == 0
+    init = descriptor_from_json(circ["initial"])
+    per_shot = {}
+    for t in sample(init, steps_from_json(circ["steps"], 1), seed=17, shots=5000):
+        key = ",".join("-" if v is None else str(v) for v in t)
+        per_shot[key] = per_shot.get(key, 0) + 1
+    payload = {"mode": "sample", "seed": 17, "shots": 5000, "counts": dict(sorted(per_shot.items()))}
+    assert out == json.dumps({"status": "ok", "payload": payload, "diagnostics": ""},
+                             sort_keys=True) + "\n"
+    assert any(key.startswith("1,-") for key in per_shot)  # step 1 skipped
+    assert any(key.endswith(",-") for key in per_shot) and len(per_shot) > 4
 
 
 def test_simulate_float_flag(tmp_path, capsys):

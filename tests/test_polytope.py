@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -202,6 +203,27 @@ def test_certificate_json():
     assert doc["member"] is True
     assert set(doc["facet_values"]) == {k for k in cert.values}
     assert len(doc["facet_values"]) == 6
+
+
+def test_certificate_json_writes_facet_values_in_sorted_order():
+    # to_json builds facet_values in sorted label order, so json.dumps
+    # writes them the same with and without sort_keys
+    T_T = T_STATE.tensor(T_STATE)
+    operators = [
+        (A0, True), (T_STATE, True), (QOperator.from_labels(1, {"I": 1, "X": 3}), False),
+        (enumerate_family()[0].operator(), True), (T_T, True),
+        (QOperator.from_labels(2, {"II": 1, "XY": 1, "ZZ": -1, "YI": 1}), False),
+        (T_T.tensor(maximally_mixed(1)), True), (T_T.tensor(T_STATE), True),
+        (QOperator.from_labels(3, {"III": 1, "XXZ": 1, "ZYI": 1, "IZX": Fraction(3, 2)}), False),
+    ]
+    for X, member in operators:
+        doc = membership(X).to_json()
+        assert doc["member"] is member
+        labels = list(doc["facet_values"])
+        assert labels == sorted(labels) and len(labels) == len(polytope._facet_labels(X.n))
+        values = doc["facet_values"]
+        assert json.dumps(values) == json.dumps(values, sort_keys=True)
+    assert {X.n for X, _ in operators} == {1, 2, 3}
 
 
 def _sparse(row):

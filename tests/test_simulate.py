@@ -378,24 +378,33 @@ def test_sampling_equal_states_that_are_not_the_same_objects():
 
 
 def test_sample_builds_each_table_once_per_call(monkeypatch):
-    # tables are kept per (step, interned state): within one call, no
-    # (state, step) pair is expanded twice, even when its state is
-    # reached through another equal object
+    # draw tables are memoized on (state, axis): within one call no pair's
+    # table is built twice, even when its state is reached through another
+    # equal object, and a second identical call builds none
     init = decompose_known(T_STATE)
     copies = [(w, pickle.loads(pickle.dumps(c))) for w, c in init]
     half = FieldElem(Fraction(1, 2))
     mixed = [(half * w, c) for w, c in init + copies]
     steps = [x_point(1, 1), (z_point(1, 1), {0: 1}), y_point(1, 1)]
     want = _reference_sample(mixed, steps, seed=8, shots=300)
+    want_reversed = _reference_sample(mixed[::-1], steps, seed=8, shots=300)
     expanded = []
+    branch = simulate._cached_branch
 
     def counting(state, a):
+        # on cnc sets the sampler reads the branch rule only to build a table
         expanded.append((state, a))
-        return _update_branch(state, a)
+        return branch(state, a)
 
-    monkeypatch.setattr(simulate, "_update_branch", counting)
+    monkeypatch.setattr(simulate, "_cached_branch", counting)
+    simulate._draw_table.cache_clear()
     assert sample(mixed, steps, seed=8, shots=300) == want
     assert expanded and len(set(expanded)) == len(expanded)
+    assert simulate._draw_table.cache_info().misses == len(expanded)
+    built = len(expanded)
+    assert sample(mixed[::-1], steps, seed=8, shots=300) == want_reversed
+    assert sample(mixed, steps, seed=8, shots=300) == want
+    assert len(expanded) == built
 
 
 SCALE = 1 << 64
@@ -802,6 +811,38 @@ MEMBERS = {
 }
 
 
+def test_sample_equals_the_reference_sampler():
+    # seeded circuits with conditions on cnc sets, family members and
+    # member operators at n = 1 and 2, alone and in mixtures with pickled
+    # copies, a conditional lifted circuit, and one-path circuits 2 000
+    # steps deep
+    gen = random.Random(3737)
+    quarter = FieldElem(Fraction(1, 4))
+    cases = []
+    for n, groups in ((1, (cnc_vertices(1), [T_STATE])),
+                      (2, (cnc_vertices(2), enumerate_family(), [T_T, OUTSIDE_HULL]))):
+        states = [state for group in groups for state in group]
+        for a in (a for group in groups for a in gen.sample(group, min(2, len(group)))):
+            b, copy = gen.choice(states), pickle.loads(pickle.dumps(a))
+            for init in ([(ONE, a)], [(quarter, a), (HALF, b), (quarter, copy)]):
+                cases.append((init, _seeded_steps(gen, n, 6), 300))
+    lifted, lsteps = _conditional_lifted_circuit()
+    cases.append(([(ONE, lifted)], lsteps, 300))
+    plus_z = descriptor_from_json({"type": "stabilizer", "generators": ["+Z"]})
+    cases.append((plus_z, [z_point(1, 1)] * 2000, 200))
+    tail = Assignment.from_pairs([(z_point(1, 1), 0)])
+    engine = ReductionEngine(2, 1, embed_tail_assignment(tail, 2, 1))
+    deep = [(ONE, LiftState(engine, plus_z[0][1]))]
+    cases.append((deep, [z_point(2, 1), z_point(2, 2)] * 1000, 200))
+    skipped = 0
+    for i, (init, steps, shots) in enumerate(cases):
+        got = sample(init, steps, seed=i, shots=shots)
+        assert got == _reference_sample(init, steps, seed=i, shots=shots)
+        skipped += sum(t.count(None) for t in got)
+    assert skipped > 0
+    assert sample(plus_z, [z_point(1, 1)] * 2000, seed=0, shots=200) == [(0,) * 2000] * 200
+
+
 @st.composite
 def member_mixtures(draw):
     """An exact convex mixture of one to four members on one qubit (cnc
@@ -972,6 +1013,11 @@ def test_member_states_refuse_what_is_not_a_member():
         simulate.update_state(T_STATE, PauliPoint.zero(1), 0)
     with pytest.raises(ValueError, match="unknown descriptor"):
         simulate.update_state(alpha0_vertex().coeffs, x_point(2, 1), 0)
+    # the sampler reads the memoized branch rule, not update_state: an
+    # initial object that is not a state is refused before any draw
+    for law in (exact_distribution, lambda init, steps: sample(init, steps, seed=1)):
+        with pytest.raises(ValueError, match="unknown descriptor PauliPoint"):
+            law([(ONE, x_point(1, 1))], [z_point(1, 1)])
 
 
 def test_a_family_member_draws_the_same_shots_as_operator_or_orbit():
