@@ -21,6 +21,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 
 from .field import FieldElem, ONE
 from .clifford import CliffordTableau
@@ -203,6 +204,10 @@ def cmd_reduce(args):
     return "ok", reduce_static(engine, [p for p, _ in steps], coins), ""
 
 
+#: how ``simulate --shots`` writes a transcript entry: "-" for a skipped step
+_OUTCOME_TEXT = {0: "0", 1: "1", None: "-"}
+
+
 def cmd_simulate(args):
     doc = _load_json(args.circuit)
     init = descriptor_from_json(doc.get("initial"))
@@ -215,11 +220,15 @@ def cmd_simulate(args):
     if args.exact:
         dist = exact_distribution(init, steps)
         return "ok", {"mode": "exact", "distribution": distribution_to_json(dist)}, ""
-    # each distinct transcript is formatted once; the format is injective
-    counts = {
-        ",".join("-" if v is None else str(v) for v in t): c
-        for t, c in Counter(iter_sample(init, steps, seed=args.seed, shots=args.shots)).items()
-    }
+    # counted a batch of shots at a time, each distinct transcript of a
+    # batch formatted once (the format is injective), so that no more
+    # than a batch of transcripts is held besides the formatted keys
+    counts: dict[str, int] = {}
+    shots = iter_sample(init, steps, seed=args.seed, shots=args.shots)
+    while batch := Counter(islice(shots, 1 << 12)):
+        for t, c in batch.items():
+            key = ",".join(map(_OUTCOME_TEXT.__getitem__, t))
+            counts[key] = counts.get(key, 0) + c
     payload = {
         "mode": "sample",
         "seed": args.seed,

@@ -40,13 +40,15 @@ exactly (floor(r*sqrt(2)) = isqrt(2 r**2)), so every draw is the exact
 comparison in Q(sqrt(2)) with no float.  Draw tables are memoized on
 (state, axis), as the updates are.  Within a call, the shots grow an
 outcome tree: a node is one executed step at one (transcript prefix,
-state), holding that step's draw table and one slot per child, filled by
+state), holding that step's table and one slot per child, filled by
 the first shot that draws it; unmet conditions are resolved when a node
 is grown, and a leaf is a finished transcript that every shot ending
 there shares.  A shot on grown nodes makes one draw, one bisection and
-one index per executed step.  A call's memory grows with the nodes its
-shots reach: one per distinct path of draws, so at most one per executed
-step of each shot.
+one index per executed step.  The tree stops growing at ``_TREE_NODES``
+nodes; a shot that leaves it then finishes step by step, on one table
+per (step, state) reached, its states interned to small ints, so what
+a call holds is bounded by the tree's size and its distinct (step,
+state) pairs, not by its shot count.
 
 Sequences are lists of steps; a step is a Pauli point, or a
 ``(point, condition)`` tuple where the condition maps earlier step
@@ -358,10 +360,10 @@ def sample(
     whose threshold ``ceil(2**64 * c_i)`` exceeds u, c_i the cumulative
     weight.  For an integer u, u < ceil(x) exactly when u < x, so this is
     the exact comparison u / 2**64 < c_i made on integers only.  Each call
-    grows an outcome tree as its shots reach new (transcript prefix,
-    state) nodes, each holding a draw table memoized on (state, axis), so
-    a shot that stays on grown nodes makes one draw, one bisection and
-    one index per executed step.
+    grows an outcome tree, up to ``_TREE_NODES`` nodes, as its shots reach
+    new (transcript prefix, state) nodes, so a shot that stays on grown
+    nodes makes one draw, one bisection and one index per executed step;
+    past the tree a shot makes int lookups on per-(step, state) tables.
     """
     return list(iter_sample(initial, steps, seed, shots))
 
@@ -377,6 +379,9 @@ def _draw_table(state: State, a: PauliPoint) -> tuple[list, list[int]]:
 #: a slot of the outcome tree that no shot has taken yet
 _UNGROWN = (None, None)
 
+#: the most nodes, leaves included, that one call's outcome tree grows
+_TREE_NODES = 1 << 12
+
 
 def iter_sample(
     initial: Sequence[tuple[FieldElem, State]],
@@ -391,10 +396,12 @@ def iter_sample(
     The shots walk an outcome tree grown within the call.  A node is one
     executed step at one (transcript prefix, state): a tuple (thresholds,
     slots, items, link, step) whose slots hold, per (outcome, next state)
-    item of the step's draw table, the child the first shot to draw it
-    grew (``_grow``).  A leaf is (None, transcript), shared by every shot
+    item of the step's table, the child the first shot to draw it grew
+    (``_Call.grow``).  A leaf is (None, transcript), shared by every shot
     that ends there; unmet conditions are resolved when a node is grown,
     so the walk checks none.  The root is the initial table, at step -1.
+    The tree stops growing at ``_TREE_NODES`` nodes; a shot that leaves
+    it then finishes step by step (``_Call.walk``).
     """
     if not isinstance(shots, int) or isinstance(shots, bool) or shots < 1:
         raise ValueError(f"shots must be a positive int, got {shots!r}")
@@ -402,10 +409,10 @@ def iter_sample(
         raise ValueError(f"seed must be an int, got {seed!r}")
     initial = check_weights(initial)
     init_items, init_thresholds = _table(initial)
-    plan = normalize_steps(steps, _width(initial))
+    call = _Call(normalize_steps(steps, _width(initial)), random.Random(seed).getrandbits)
     root = (init_thresholds, [_UNGROWN] * len(init_items),
-            [(None, state) for state in init_items], None, -1)
-    draw = random.Random(seed).getrandbits
+            [(None, call.intern(state)) for state in init_items], None, -1)
+    draw = call.draw
     for _ in range(shots):
         node = root
         while True:
@@ -415,44 +422,94 @@ def iter_sample(
                 break
             node = child
         leaf = child[1]
-        yield _grow(node, k, plan, draw) if leaf is None else leaf
+        yield call.grow(node, k) if leaf is None else leaf
 
 
-def _grow(node: tuple, k: int, plan: Sequence[tuple], draw) -> tuple:
-    """Finish a shot that drew the ungrown slot k of ``node``: grow the
-    nodes on the rest of its path, drawing at each as the walk would, and
-    return the transcript of the leaf it ends on.
+class _Call:
+    """The steps, draws and tables of one ``iter_sample`` call, and the
+    room left in its tree.  The states it reaches are interned to small
+    ints, and each (step, state id) reached has one table, built from
+    ``_draw_table`` with its pieces' ids: the items and thresholds of the
+    tree nodes at that pair, and of the walk past the tree."""
 
-    A node keeps no prefix: its link is (parent's link, parent's step,
-    outcome drawn there), or None below the root, so the prefix is rebuilt
-    once per ``_grow`` and then extended step by step; a path of any depth
-    costs time linear in its length."""
-    _, slots, items, link, step = node
-    s, state = items[k]
-    acc: list[Optional[int]] = [None] * step
-    cell = link
-    while cell is not None:
-        cell, at, outcome = cell
-        acc[at] = outcome
-    if step >= 0:
-        acc.append(s)
-        link = (link, step, s)
-    i, end = step + 1, len(plan)
-    while True:
-        while i < end and not _condition_met(plan[i][1], acc):
-            acc.append(None)
+    def __init__(self, plan: list[tuple], draw):
+        # a step is (point, condition, its tables: a state id to the
+        # (outcome, next id) items and their thresholds)
+        self.plan = [(point, cond, {}) for point, cond in plan]
+        self.draw = draw
+        self.room = _TREE_NODES
+        self.ids: dict[State, int] = {}
+        self.states: list[State] = []
+
+    def intern(self, state: State) -> int:
+        sid = self.ids.get(state)
+        if sid is None:
+            sid = self.ids[state] = len(self.states)
+            self.states.append(state)
+        return sid
+
+    def table(self, i: int, sid: int) -> tuple[list, list[int]]:
+        point, _, tables = self.plan[i]
+        table = tables.get(sid)
+        if table is None:
+            items, thresholds = _draw_table(self.states[sid], point)
+            table = tables[sid] = [(s, self.intern(piece)) for s, piece in items], thresholds
+        return table
+
+    def grow(self, node: tuple, k: int) -> tuple:
+        """Finish a shot that drew the ungrown slot k of ``node``: grow the
+        nodes on the rest of its path while the tree has room, drawing at
+        each as the walk would, and return the shot's transcript.
+
+        A node keeps no prefix: its link is (parent's link, parent's step,
+        outcome drawn there), or None below the root, so the prefix is
+        rebuilt once per shot that leaves the grown nodes and then extended
+        step by step; a path of any depth costs time linear in its length."""
+        plan, draw = self.plan, self.draw
+        _, slots, items, link, step = node
+        s, sid = items[k]
+        acc: list[Optional[int]] = [None] * step
+        cell = link
+        while cell is not None:
+            cell, at, outcome = cell
+            acc[at] = outcome
+        if step >= 0:
+            acc.append(s)
+            link = (link, step, s)
+        i, end = step + 1, len(plan)
+        while self.room:
+            while i < end and not _condition_met(plan[i][1], acc):
+                acc.append(None)
+                i += 1
+            self.room -= 1
+            if i == end:
+                leaf = slots[k] = (None, tuple(acc))
+                return leaf[1]
+            items, thresholds = self.table(i, sid)
+            child = slots[k] = (thresholds, [_UNGROWN] * len(items), items, link, i)
+            slots = child[1]
+            k = bisect_right(thresholds, draw(64))
+            s, sid = items[k]
+            acc.append(s)
+            link = (link, i, s)
             i += 1
-        if i == end:
-            leaf = slots[k] = (None, tuple(acc))
-            return leaf[1]
-        items, thresholds = _draw_table(state, plan[i][0])
-        child = slots[k] = (thresholds, [_UNGROWN] * len(items), items, link, i)
-        slots = child[1]
-        k = bisect_right(thresholds, draw(64))
-        s, state = items[k]
-        acc.append(s)
-        link = (link, i, s)
-        i += 1
+        return self.walk(acc, sid, i)
+
+    def walk(self, acc: list[Optional[int]], sid: int, i: int) -> tuple:
+        """Finish a shot at state id ``sid`` from step i, its outcomes so
+        far in ``acc``, growing nothing."""
+        draw = self.draw
+        for _, cond, tables in self.plan[i:]:
+            if cond is not None and not _condition_met(cond, acc):
+                acc.append(None)
+                continue
+            table = tables.get(sid)
+            if table is None:
+                table = self.table(len(acc), sid)
+            items, thresholds = table
+            s, sid = items[bisect_right(thresholds, draw(64))]
+            acc.append(s)
+        return tuple(acc)
 
 
 # -- JSON ---------------------------------------------------------------------

@@ -843,6 +843,48 @@ def test_sample_equals_the_reference_sampler():
     assert sample(plus_z, [z_point(1, 1)] * 2000, seed=0, shots=200) == [(0,) * 2000] * 200
 
 
+def test_sample_past_a_full_tree_equals_the_reference_sampler(monkeypatch):
+    # once a call's tree is full, a shot that leaves it finishes step by
+    # step; whatever node it leaves from, conditional, lifted and mixed
+    # circuits draw the same transcripts
+    gen = random.Random(3738)
+    quarter = FieldElem(Fraction(1, 4))
+    a, b = cnc_vertices(2)[5], enumerate_family()[0]
+    lifted, lsteps = _conditional_lifted_circuit()
+    cases = [
+        ([(ONE, T_STATE)], _seeded_steps(gen, 1, 8)),
+        ([(quarter, a), (HALF, b), (quarter, pickle.loads(pickle.dumps(a)))],
+         _seeded_steps(gen, 2, 6)),
+        ([(ONE, T_T)], _seeded_steps(gen, 2, 5)),
+        ([(ONE, lifted)], lsteps),
+    ]
+    want = [_reference_sample(init, steps, seed=i, shots=150) for i, (init, steps) in enumerate(cases)]
+    for room in (0, 1, 2, 7, 40):
+        monkeypatch.setattr(simulate, "_TREE_NODES", room)
+        for i, (init, steps) in enumerate(cases):
+            assert sample(init, steps, seed=i, shots=150) == want[i]
+
+
+def test_sample_memory_does_not_grow_with_shots():
+    # T under alternating X and Z measurements: nearly every shot takes a
+    # path no earlier shot took, so past the tree's bound a call keeps only
+    # its tables, and four times the shots peak no higher
+    import tracemalloc
+
+    init = decompose_known(T_STATE)
+    steps = [(x_point if i % 2 else z_point)(1, 1) for i in range(40)]
+    for _ in iter_sample(init, steps, seed=1, shots=50):
+        pass
+    peaks = []
+    for shots in (1500, 6000):
+        tracemalloc.start()
+        for _ in iter_sample(init, steps, seed=2, shots=shots):
+            pass
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] < 1.2 * peaks[0]
+
+
 @st.composite
 def member_mixtures(draw):
     """An exact convex mixture of one to four members on one qubit (cnc
