@@ -38,24 +38,16 @@ c_i of a law (they sum to exactly 1: the initial weights pass
 u < ceil(x) exactly when u < x, and the ceiling is computed
 exactly (floor(r*sqrt(2)) = isqrt(2 r**2)), so every draw is the exact
 comparison in Q(sqrt(2)) with no float.  Draw tables are memoized on
-(state, axis), as the updates are.  Within a call, the shots grow an
-outcome tree: a node is one executed step at one (transcript prefix,
-state), holding that step's table and one slot per child, filled by
-the first shot that draws it; unmet conditions are resolved when a node
-is grown, and a leaf is a finished transcript that every shot ending
-there shares.  A shot on grown nodes makes one draw, one bisection and
-one index per executed step.  The tree stops growing at ``_TREE_NODES``
-nodes; a shot that leaves it then finishes step by step, on one table
-per (step, state) reached, its states interned to small ints, so what
-a call holds is bounded by the tree's size and its distinct (step,
-state) pairs, not by its shot count.
+(state, axis), as the updates are, and the shots of one call share a
+bounded outcome tree (``iter_sample``).
 
 Sequences are lists of steps; a step is a Pauli point, or a
 ``(point, condition)`` tuple where the condition maps earlier step
 indices to required outcomes 0 or 1 (a decision table); unmet
 conditions skip the step, recorded as None in the transcript.  Any other
-step, a point whose qubit count is not the state's, or a condition
-naming the step itself or a later one, is rejected before any step runs.
+step, a point whose qubit count is not the state's, the identity point,
+or a condition naming the step itself or a later one, is rejected before
+any step runs; so is an operator initial state that is not a member.
 """
 
 from __future__ import annotations
@@ -175,9 +167,9 @@ def member_state(op: QOperator) -> QOperator:
 
 
 def normalize_steps(steps: Sequence, n: int) -> list[tuple[PauliPoint, Optional[dict]]]:
-    """(point, condition) pairs; raises ValueError unless every step is an
-    n-qubit point or a (point, condition) tuple, the condition a mapping
-    or None, and every condition maps indices of earlier steps to
+    """(point, condition) pairs; raises ValueError unless every step is a
+    nonzero n-qubit point or a (point, condition) tuple, the condition a
+    mapping or None, and every condition maps indices of earlier steps to
     outcomes 0 or 1."""
     out = []
     for i, step in enumerate(steps):
@@ -189,6 +181,8 @@ def normalize_steps(steps: Sequence, n: int) -> list[tuple[PauliPoint, Optional[
         point, cond = step
         if point.n != n:
             raise ValueError(f"step {i}: {point.label()} is on {point.n} qubits, the state on {n}")
+        if point.is_zero():
+            raise ValueError(f"step {i}: the identity {point.label()} is not a measurement axis")
         for idx, want in (cond or {}).items():
             if not (isinstance(idx, int) and not isinstance(idx, bool) and 0 <= idx < i):
                 raise ValueError(
@@ -247,10 +241,16 @@ def _law(roots: Sequence[tuple], steps: Sequence, n: int, branch) -> dict[tuple,
 
 def _width(weighted: Sequence[tuple]) -> int:
     """The qubit count of the states of a nonempty weighted list;
-    ValueError if one is not a state or their counts differ."""
+    ValueError if one is not a state, an operator among them or inside
+    their lifts is not a member (``member_state``), or their counts
+    differ."""
     for _, state in weighted:
         if not isinstance(state, _STATE_TYPES):
             raise ValueError(f"unknown descriptor {type(state).__name__}")
+        while isinstance(state, LiftState):
+            state = state.inner
+        if isinstance(state, QOperator):
+            member_state(state)
     widths = {state.n for _, state in weighted}
     if len(widths) != 1:
         raise ValueError(f"the initial states differ in qubit count: {sorted(widths)}")
@@ -269,8 +269,6 @@ def _born_branch(node: tuple, a: PauliPoint) -> list[tuple[int, FieldElem, tuple
     rho, owed = node
     if owed is not None:
         rho = rho.project(*owed)
-    if a.is_zero():
-        raise ValueError("projection axis must be nonzero")
     w = (ONE + rho.coeff(a) / rho.trace()) * HALF
     return [(0, w, (rho, (a, 0))), (1, ONE - w, (rho, (a, 1)))]
 
@@ -359,11 +357,8 @@ def sample(
     A draw takes u = ``rng.getrandbits(64)`` and returns the first item
     whose threshold ``ceil(2**64 * c_i)`` exceeds u, c_i the cumulative
     weight.  For an integer u, u < ceil(x) exactly when u < x, so this is
-    the exact comparison u / 2**64 < c_i made on integers only.  Each call
-    grows an outcome tree, up to ``_TREE_NODES`` nodes, as its shots reach
-    new (transcript prefix, state) nodes, so a shot that stays on grown
-    nodes makes one draw, one bisection and one index per executed step;
-    past the tree a shot makes int lookups on per-(step, state) tables.
+    the exact comparison u / 2**64 < c_i made on integers only.  The
+    shots of a call share an outcome tree, described in ``iter_sample``.
     """
     return list(iter_sample(initial, steps, seed, shots))
 
@@ -396,12 +391,17 @@ def iter_sample(
     The shots walk an outcome tree grown within the call.  A node is one
     executed step at one (transcript prefix, state): a tuple (thresholds,
     slots, items, link, step) whose slots hold, per (outcome, next state)
-    item of the step's table, the child the first shot to draw it grew
-    (``_Call.grow``).  A leaf is (None, transcript), shared by every shot
-    that ends there; unmet conditions are resolved when a node is grown,
-    so the walk checks none.  The root is the initial table, at step -1.
-    The tree stops growing at ``_TREE_NODES`` nodes; a shot that leaves
-    it then finishes step by step (``_Call.walk``).
+    item of the step's table, the child the first shot to draw it grew.
+    A leaf is (None, transcript), shared by every shot that ends there;
+    unmet conditions are resolved when a node is grown, so a shot on
+    grown nodes checks none and makes one draw, one bisection and one
+    index per executed step.  The root is the initial table, at step -1.
+    A shot that draws an ungrown slot is finished by ``_Call.finish``,
+    which grows the nodes of its path until the tree holds
+    ``_TREE_NODES`` nodes, leaves included, and draws the rest on the
+    same tables: one per (step, state) reached, its states interned to
+    small ints.  So what a call holds is bounded by the tree's size and
+    its distinct (step, state) pairs, not by its shot count.
     """
     if not isinstance(shots, int) or isinstance(shots, bool) or shots < 1:
         raise ValueError(f"shots must be a positive int, got {shots!r}")
@@ -422,15 +422,14 @@ def iter_sample(
                 break
             node = child
         leaf = child[1]
-        yield call.grow(node, k) if leaf is None else leaf
+        yield call.finish(node, k) if leaf is None else leaf
 
 
 class _Call:
     """The steps, draws and tables of one ``iter_sample`` call, and the
-    room left in its tree.  The states it reaches are interned to small
-    ints, and each (step, state id) reached has one table, built from
-    ``_draw_table`` with its pieces' ids: the items and thresholds of the
-    tree nodes at that pair, and of the walk past the tree."""
+    room left in its tree (see ``iter_sample``).  Each (step, state id)
+    reached has one table, built from ``_draw_table`` with its pieces'
+    ids and read by the tree's nodes and the draws past it alike."""
 
     def __init__(self, plan: list[tuple], draw):
         # a step is (point, condition, its tables: a state id to the
@@ -456,16 +455,17 @@ class _Call:
             table = tables[sid] = [(s, self.intern(piece)) for s, piece in items], thresholds
         return table
 
-    def grow(self, node: tuple, k: int) -> tuple:
-        """Finish a shot that drew the ungrown slot k of ``node``: grow the
-        nodes on the rest of its path while the tree has room, drawing at
-        each as the walk would, and return the shot's transcript.
+    def finish(self, node: tuple, k: int) -> tuple:
+        """The transcript of a shot that drew the ungrown slot k of
+        ``node``.  Each executed step of the rest of its path makes one
+        draw on its (step, state id) table and, while the tree has room,
+        grows the node there; the leaf is grown last, if room is left.
 
         A node keeps no prefix: its link is (parent's link, parent's step,
         outcome drawn there), or None below the root, so the prefix is
         rebuilt once per shot that leaves the grown nodes and then extended
         step by step; a path of any depth costs time linear in its length."""
-        plan, draw = self.plan, self.draw
+        draw, room = self.draw, self.room
         _, slots, items, link, step = node
         s, sid = items[k]
         acc: list[Optional[int]] = [None] * step
@@ -476,40 +476,28 @@ class _Call:
         if step >= 0:
             acc.append(s)
             link = (link, step, s)
-        i, end = step + 1, len(plan)
-        while self.room:
-            while i < end and not _condition_met(plan[i][1], acc):
-                acc.append(None)
-                i += 1
-            self.room -= 1
-            if i == end:
-                leaf = slots[k] = (None, tuple(acc))
-                return leaf[1]
-            items, thresholds = self.table(i, sid)
-            child = slots[k] = (thresholds, [_UNGROWN] * len(items), items, link, i)
-            slots = child[1]
-            k = bisect_right(thresholds, draw(64))
-            s, sid = items[k]
-            acc.append(s)
-            link = (link, i, s)
-            i += 1
-        return self.walk(acc, sid, i)
-
-    def walk(self, acc: list[Optional[int]], sid: int, i: int) -> tuple:
-        """Finish a shot at state id ``sid`` from step i, its outcomes so
-        far in ``acc``, growing nothing."""
-        draw = self.draw
-        for _, cond, tables in self.plan[i:]:
+        for _, cond, tables in self.plan[step + 1:]:
             if cond is not None and not _condition_met(cond, acc):
                 acc.append(None)
                 continue
-            table = tables.get(sid)
-            if table is None:
-                table = self.table(len(acc), sid)
-            items, thresholds = table
-            s, sid = items[bisect_right(thresholds, draw(64))]
+            items, thresholds = tables.get(sid) or self.table(len(acc), sid)
+            if room:
+                room -= 1
+                i = len(acc)
+                child = slots[k] = (thresholds, [_UNGROWN] * len(items), items, link, i)
+                slots = child[1]
+                k = bisect_right(thresholds, draw(64))
+                s, sid = items[k]
+                link = (link, i, s)
+            else:
+                s, sid = items[bisect_right(thresholds, draw(64))]
             acc.append(s)
-        return tuple(acc)
+        transcript = tuple(acc)
+        if room:
+            room -= 1
+            slots[k] = (None, transcript)
+        self.room = room
+        return transcript
 
 
 # -- JSON ---------------------------------------------------------------------

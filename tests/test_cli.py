@@ -480,6 +480,19 @@ def test_simulate_rejects_bad_conditions(tmp_path, capsys):
         assert code == 1 and "ValueError" in json.loads(out)["diagnostics"]
 
 
+def test_simulate_refuses_a_zero_axis_step_in_both_modes(tmp_path, capsys):
+    # the identity is measured only when step 0 reads 1; no seed gets past it
+    circ = {"n": 1, "initial": {"type": "stabilizer", "generators": ["+X"]},
+            "steps": [{"measure": "Z"}, {"measure": "I", "if": {"0": 1}}]}
+    path = write_json(tmp_path / "circ.json", circ)
+    modes = [["--exact"]] + [["--shots", "1", "--seed", str(seed)] for seed in range(4)]
+    for mode in modes:
+        code, out = run(capsys, "simulate", path, *mode)
+        assert code == 1 and json.loads(out) == {
+            "status": "error", "payload": None,
+            "diagnostics": "ValueError: step 1: the identity I is not a measurement axis"}
+
+
 @pytest.mark.parametrize("key", ["+0", " 0 ", "0_0", "\u0660", "1_0", "01"])
 def test_simulate_refuses_condition_keys_that_are_not_plain_indices(tmp_path, capsys, key):
     stab = {"type": "stabilizer", "generators": ["+Z"]}

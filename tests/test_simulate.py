@@ -859,10 +859,38 @@ def test_sample_past_a_full_tree_equals_the_reference_sampler(monkeypatch):
         ([(ONE, lifted)], lsteps),
     ]
     want = [_reference_sample(init, steps, seed=i, shots=150) for i, (init, steps) in enumerate(cases)]
-    for room in (0, 1, 2, 7, 40):
+    for room in (0, 1, 2, 7, 40, *(len(steps) + d for _, steps in cases for d in (0, 1))):
         monkeypatch.setattr(simulate, "_TREE_NODES", room)
         for i, (init, steps) in enumerate(cases):
             assert sample(init, steps, seed=i, shots=150) == want[i]
+
+
+def test_sample_grows_each_node_and_leaf_once(monkeypatch):
+    # a shot leaves the grown nodes exactly when its path, leaf included,
+    # did not fit: counted as the calls that finish a shot
+    finished = []
+    finish = simulate._Call.finish
+    monkeypatch.setattr(simulate._Call, "finish",
+                        lambda call, node, k: finished.append(k) or finish(call, node, k))
+    plus_z = descriptor_from_json({"type": "stabilizer", "generators": ["+Z"]})
+    z, x = z_point(1, 1), x_point(1, 1)
+    # one path: three executed steps, each after the first right after a
+    # skipped one, then the leaf
+    steps = [z, (x, {0: 1}), z, (x, {2: 1}), z]
+    for room, calls in ((4, 1), (9, 1), (3, 20), (2, 20), (1, 20), (0, 20)):
+        monkeypatch.setattr(simulate, "_TREE_NODES", room)
+        finished.clear()
+        assert sample(plus_z, steps, seed=0, shots=20) == [(0, None, 0, None, 0)] * 20
+        assert len(finished) == calls
+    # eight paths of three steps: 7 nodes and 8 leaves; one unit short, the
+    # shots of one path all leave the tree
+    steps = [x, z, x]
+    for room, fits in ((15, True), (14, False)):
+        monkeypatch.setattr(simulate, "_TREE_NODES", room)
+        finished.clear()
+        got = sample(plus_z, steps, seed=1, shots=200)
+        assert got == _reference_sample(plus_z, steps, seed=1, shots=200) and len(set(got)) == 8
+        assert (len(finished) == 8) == fits and len(finished) >= 8
 
 
 def test_sample_memory_does_not_grow_with_shots():
@@ -1060,6 +1088,45 @@ def test_member_states_refuse_what_is_not_a_member():
     for law in (exact_distribution, lambda init, steps: sample(init, steps, seed=1)):
         with pytest.raises(ValueError, match="unknown descriptor PauliPoint"):
             law([(ONE, x_point(1, 1))], [z_point(1, 1)])
+
+
+def test_a_zero_axis_step_is_refused_before_any_step_runs():
+    # the identity, measured only when step 0 reads 1: every law and every
+    # seed refuses it before a step runs, not just the shots that reach it
+    init = descriptor_from_json({"type": "stabilizer", "generators": ["+X"]})
+    steps = [z_point(1, 1), (PauliPoint.zero(1), {0: 1})]
+    runs = [lambda: exact_distribution(init, steps),
+            lambda: born_distribution(init[0][1].operator(), steps),
+            lambda: next(iter_sample(init, steps, seed=3))]
+    runs += [lambda seed=seed: sample(init, steps, seed=seed, shots=1) for seed in range(10)]
+    for run in runs:
+        with pytest.raises(ValueError, match="^step 1: the identity I is not a measurement axis$"):
+            run()
+
+
+def test_a_non_member_operator_initial_state_is_refused_in_every_mode():
+    # a mixture, plain or lifted (nested lifts too), whose second state is
+    # a non-member operator: refused whichever state a seed draws first,
+    # and with no steps at all
+    bad = QOperator.from_labels(1, {"I": 1, "X": 3})
+    facet = re.escape(membership(bad).violation)
+    want = f"^the operator is not a polytope member: violated facet {facet}$"
+    tail = Assignment.from_pairs([(z_point(1, 1), 0)])
+    inner = ReductionEngine(2, 1, embed_tail_assignment(tail, 2, 1))
+    outer = ReductionEngine(3, 2, embed_tail_assignment(tail, 3, 2))
+    good = cnc_vertices(1)[0]
+    for mixed, n in (([(HALF, good), (HALF, bad)], 1),
+                     ([(HALF, LiftState(inner, good)), (HALF, LiftState(inner, bad))], 2),
+                     ([(HALF, LiftState(outer, LiftState(inner, good))),
+                       (HALF, LiftState(outer, LiftState(inner, bad)))], 3)):
+        for steps in ([], [z_point(n, 1)]):
+            runs = [lambda: exact_distribution(mixed, steps),
+                    lambda: next(iter_sample(mixed, steps, seed=0))]
+            runs += [lambda seed=seed: sample(mixed, steps, seed=seed, shots=1)
+                     for seed in range(6)]
+            for run in runs:
+                with pytest.raises(ValueError, match=want):
+                    run()
 
 
 def test_a_family_member_draws_the_same_shots_as_operator_or_orbit():
