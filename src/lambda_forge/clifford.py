@@ -19,6 +19,7 @@ Aaronson and Gottesman, PRA 70, 052328 (2004)): O(n) per image for a gate.
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
 from typing import Mapping, Sequence
@@ -45,10 +46,12 @@ def _qubit(n: int, qubit: int) -> int:
     return qubit - 1
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class CliffordTableau:
     """Signed Pauli action of a Clifford unitary."""
 
-    __slots__ = ("n", "_keys")
+    n: int
+    _keys: tuple[tuple[int, int], ...]
 
     def __init__(self, n: int, images: Sequence[tuple[PauliPoint, int]]):
         if len(images) != 2 * n:
@@ -66,12 +69,6 @@ class CliffordTableau:
         object.__setattr__(t, "n", n)
         object.__setattr__(t, "_keys", keys)
         return t
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CliffordTableau is immutable")
-
-    def __reduce__(self):
-        return (CliffordTableau, (self.n, self.images))
 
     @property
     def images(self) -> tuple[tuple[PauliPoint, int], ...]:
@@ -207,13 +204,6 @@ class CliffordTableau:
         n, keys = self.n, [k for k, _ in self._keys]
         pairs = ((i, j) for i in range(2 * n) for j in range(i + 1, 2 * n))
         return all(key_form(keys[i], keys[j], n) == (j == i + n) for i, j in pairs)
-
-    def __eq__(self, other):
-        # 2n images: equal images mean equal n
-        return isinstance(other, CliffordTableau) and self._keys == other._keys
-
-    def __hash__(self):
-        return hash((self.n, self._keys))
 
     def __repr__(self):
         body = ", ".join(f"{name}->{image}" for name, image in self.to_json().items())

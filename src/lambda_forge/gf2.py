@@ -13,6 +13,7 @@ and hash equal.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -25,26 +26,20 @@ _PAULI_CHARS = {(0, 0): "I", (0, 1): "X", (1, 0): "Z", (1, 1): "Y"}
 _CHAR_BITS = {"I": (0, 0), "X": (0, 1), "Z": (1, 0), "Y": (1, 1)}
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class PauliPoint:
     """A point (v_Z, v_X) of E_n, hashable and immutable."""
 
-    __slots__ = ("n", "z", "x")
+    n: int
+    z: int
+    x: int
 
-    def __init__(self, n: int, z: int, x: int):
-        if n < 1:
+    def __post_init__(self):
+        if self.n < 1:
             raise ValueError("qubit count must be positive")
-        mask = (1 << n) - 1
-        if z & ~mask or x & ~mask:
+        mask = (1 << self.n) - 1
+        if self.z & ~mask or self.x & ~mask:
             raise ValueError("bit pattern exceeds qubit count")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "x", x)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PauliPoint is immutable")
-
-    def __reduce__(self):
-        return (PauliPoint, (self.n, self.z, self.x))
 
     @staticmethod
     def zero(n: int) -> "PauliPoint":
@@ -92,17 +87,6 @@ class PauliPoint:
         return PauliPoint(self.n, self.z ^ other.z, self.x ^ other.x)
 
     __add__ = __xor__  # addition in E_n is bitwise xor
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PauliPoint)
-            and self.n == other.n
-            and self.z == other.z
-            and self.x == other.x
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.z, self.x))
 
     def __repr__(self):
         return f"PauliPoint({self.label()!r})"
@@ -223,20 +207,16 @@ def affine_solutions(rows: Sequence[int], rhs: Sequence[int], width: int) -> lis
     return [particular ^ h for h in xor_sums(null_basis[::-1])]
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class Subspace:
-    """A linear subspace of E_n in canonical reduced echelon form."""
+    """A linear subspace of E_n in canonical reduced echelon form: the
+    packed rows given are reduced by ``rref`` on construction."""
 
-    __slots__ = ("n", "rows")
+    n: int
+    rows: tuple[int, ...]
 
-    def __init__(self, n: int, rows: Iterable[int]):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "rows", rref(rows))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Subspace is immutable")
-
-    def __reduce__(self):
-        return (Subspace, (self.n, self.rows))
+    def __post_init__(self):
+        object.__setattr__(self, "rows", rref(self.rows))
 
     @property
     def dim(self) -> int:
@@ -274,14 +254,6 @@ class Subspace:
         """The symplectic complement {v : [v, w] = 0 for all w here}."""
         swapped = [swap_halves(r, self.n) for r in self.rows]
         return Subspace(self.n, solve_affine(swapped, [0] * self.dim, 2 * self.n)[1])
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Subspace) and self.n == other.n and self.rows == other.rows
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.rows))
 
     def __repr__(self):
         gens = ",".join(p.label() for p in self.basis_points()) or "0"

@@ -36,6 +36,7 @@ give FieldElems.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
@@ -55,20 +56,15 @@ _new = object.__new__
 _set = object.__setattr__
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class PhasedPauli:
     """i^phase * T_point with phase in Z_4; Hermitian iff phase is even."""
 
-    __slots__ = ("point", "phase")
+    point: PauliPoint
+    phase: int = 0
 
-    def __init__(self, point: PauliPoint, phase: int = 0):
-        object.__setattr__(self, "point", point)
-        object.__setattr__(self, "phase", phase & 3)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PhasedPauli is immutable")
-
-    def __reduce__(self):
-        return (PhasedPauli, (self.point, self.phase))
+    def __post_init__(self):
+        object.__setattr__(self, "phase", self.phase & 3)
 
     def is_hermitian(self) -> bool:
         return self.phase % 2 == 0
@@ -78,16 +74,6 @@ class PhasedPauli:
         if not self.is_hermitian():
             raise ValueError("phase is imaginary; no real sign")
         return 1 if self.phase == 0 else -1
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PhasedPauli)
-            and self.point == other.point
-            and self.phase == other.phase
-        )
-
-    def __hash__(self):
-        return hash((self.point, self.phase))
 
     def __repr__(self):
         pref = ["+", "+i", "-", "-i"][self.phase]

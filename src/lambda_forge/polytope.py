@@ -203,11 +203,11 @@ class FacetCertificate:
     value, per distinct sum and share it across the labels that have it.
     """
 
-    __slots__ = ("operator", "active", "violation", "_xs", "_ys", "_den", "_values")
+    __slots__ = ("operator", "violation", "_active", "_xs", "_ys", "_den", "_values")
 
     def __init__(self, operator, xs, ys, den, active, violation):
         self.operator = operator
-        self.active = active  # labels with value exactly 0
+        self._active = active  # indices of the facets with value exactly 0
         self.violation = violation  # first violating label, or None
         self._xs = xs  # rational sums, in facet_table order
         self._ys = ys  # sqrt(2) sums, or None
@@ -244,14 +244,13 @@ class FacetCertificate:
         return self._values
 
     @property
+    def active(self) -> list[str]:
+        """The labels of the facets with value exactly 0, in facet order."""
+        return list(map(_facet_labels(self.operator.n).__getitem__, self._active))
+
+    @property
     def is_member(self) -> bool:
         return self.violation is None
-
-    def _zeros(self) -> Iterator[bool]:
-        """Per facet, in facet_table order: is its value 0?"""
-        if self._ys is None:
-            return map(not_, self._xs)
-        return map(not_, map(or_, self._xs, self._ys))
 
     def to_json(self) -> dict:
         facet_values = self._by_label(_json_value, in_sorted_order=True)
@@ -289,11 +288,11 @@ def membership(X: QOperator) -> FacetCertificate:
     labels = _facet_labels(n)
     violation = None
     if ys is None:
-        active = list(compress(labels, map(not_, xs)))
+        active = list(compress(count(), map(not_, xs)))
         if min(xs) < 0:
             violation = next(compress(labels, map((0).__gt__, xs)))
     else:
-        active = list(compress(labels, map(not_, map(or_, xs, ys))))
+        active = list(compress(count(), map(not_, map(or_, xs, ys))))
         if min(xs) < 0 or min(ys) < 0:
             # a value is negative only where one of its parts is
             violation = next(
@@ -390,7 +389,7 @@ def is_vertex(X: QOperator, cert: Optional[FacetCertificate] = None) -> tuple[bo
     n = X.n
     rows = _active_rows(n, cert)  # ValueError for a non-member
     width = (1 << (2 * n)) - 1
-    active = list(compress(count(), cert._zeros()))
+    active = cert._active
     if len(active) >= width:
         isotropics = list(map(rshift, active, repeat(n)))
         first = [True, *map(ne, isotropics[1:], isotropics)]
@@ -406,12 +405,8 @@ def _active_rows(n: int, cert: FacetCertificate) -> Iterator[dict[int, int]]:
     as they are read.  The certificate must be a member's."""
     if not cert.is_member:
         raise ValueError("vertex test requires a polytope member")
-    active = set(cert.active)
-    return (
-        _facet_row(plus, minus)
-        for label, plus, minus in facet_table(n)
-        if label in active
-    )
+    table = facet_table(n)
+    return (_facet_row(*table[f][1:]) for f in cert._active)
 
 
 def _int_rref(

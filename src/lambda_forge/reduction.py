@@ -19,13 +19,16 @@ Observables, sigma and the conjugator's generator images are read as
 packed keys (``PauliPoint.key()``); a coin step takes g among sigma's
 canonical rows, where sigma(g) is the row value.
 
-The engine below performs one such rewriting pass; it is immutable, so
-branching over coin outcomes is cheap, and it compares and hashes by
-value, so equal frames reached along different paths share memo entries.
-``reduce_static`` runs one pass for a fixed coin assignment.  The exact
-law of the reduced run is ``simulate.reduced_distribution``: the
-simulator's lifted branch rule (fixed, coin, head) with the Born rule on
-the head, over its branch-tree walker.
+The engine below performs one such rewriting pass.  ``process`` returns
+the step alone: a fixed or head step leaves the frame as it is, and a
+coin step carries the frame's image of the observable, which
+``resolve_coin(coin, c)`` folds into a new engine.  An engine is
+immutable, so branching over coin outcomes is cheap, and it compares and
+hashes by value, so equal frames reached along different paths share memo
+entries.  ``reduce_static`` runs one pass for a fixed coin assignment.
+The exact law of the reduced run is ``simulate.reduced_distribution``:
+the simulator's lifted branch rule (fixed, coin, head) with the Born rule
+on the head, over its branch-tree walker.
 """
 
 from __future__ import annotations
@@ -57,7 +60,10 @@ class MeasureStep:
 
 @dataclass(frozen=True)
 class CoinStep:
-    """The outcome is a fair coin; resolve it to continue."""
+    """The outcome is a fair coin; ``resolve_coin`` folds it into the frame."""
+
+    key: int  # the frame's image of the observable, as ``PauliPoint.key()``
+    sign: int  # the image's sign bit
 
 
 Step = Union[FixedStep, MeasureStep, CoinStep]
@@ -73,12 +79,12 @@ def embed_tail_assignment(sigma: Assignment, n: int, m: int) -> Assignment:
 class ReductionEngine:
     """One rewriting pass over a measurement sequence.
 
-    ``process`` classifies the next observable; when it returns a
-    ``CoinStep`` the caller chooses the coin value and continues on the
-    engine returned by ``resolve_coin``.
+    ``process`` classifies the next observable; a fixed or head step
+    leaves the frame as it is, and a ``CoinStep`` is folded into it by
+    ``resolve_coin``, which returns the engine to continue with.
     """
 
-    __slots__ = ("n", "m", "sigma", "conj", "_pending", "_hash")
+    __slots__ = ("n", "m", "sigma", "conj", "_hash")
 
     def __init__(
         self, n: int, m: int, sigma: Assignment, unitary: Optional[CliffordTableau] = None
@@ -90,7 +96,7 @@ class ReductionEngine:
         if unitary is not None and unitary.n != n:
             raise ValueError(f"the tableau u acts on {unitary.n} qubits, the state on {n}")
         conj = CliffordTableau.identity(n) if unitary is None else unitary.invert()
-        self._fill(n, m, sigma, conj, None)
+        self._fill(n, m, sigma, conj)
 
     def __setattr__(self, name, value):
         raise AttributeError("ReductionEngine is immutable; use the returned copies")
@@ -99,20 +105,17 @@ class ReductionEngine:
         # rebuilt through _fill, so the cached hash is not carried over
         return (ReductionEngine._from_parts, self._key())
 
-    def _fill(self, n, m, sigma, conj, pending) -> "ReductionEngine":
-        for name, value in zip(self.__slots__, (n, m, sigma, conj, pending, None)):
+    def _fill(self, n, m, sigma, conj) -> "ReductionEngine":
+        for name, value in zip(self.__slots__, (n, m, sigma, conj, None)):
             object.__setattr__(self, name, value)
         return self
 
     @staticmethod
-    def _from_parts(n, m, sigma, conj, pending) -> "ReductionEngine":
-        return ReductionEngine.__new__(ReductionEngine)._fill(n, m, sigma, conj, pending)
-
-    def _with(self, conj: CliffordTableau, pending=None) -> "ReductionEngine":
-        return ReductionEngine._from_parts(self.n, self.m, self.sigma, conj, pending)
+    def _from_parts(n, m, sigma, conj) -> "ReductionEngine":
+        return ReductionEngine.__new__(ReductionEngine)._fill(n, m, sigma, conj)
 
     def _key(self) -> tuple:
-        return (self.n, self.m, self.sigma, self.conj, self._pending)
+        return (self.n, self.m, self.sigma, self.conj)
 
     def __eq__(self, other):
         return isinstance(other, ReductionEngine) and self._key() == other._key()
@@ -125,12 +128,11 @@ class ReductionEngine:
 
     # -- classification ----------------------------------------------------
 
-    def process(self, a: PauliPoint) -> tuple[Step, "ReductionEngine"]:
+    def process(self, a: PauliPoint) -> Step:
         """Classify measuring T_a on the current frame.
 
-        Returns the step kind and the engine to continue with (for a
-        coin step, continue instead with ``resolve_coin`` on the
-        returned engine).
+        A fixed or head step leaves the frame as it is; a coin step
+        carries the frame's image of T_a for ``resolve_coin``.
         """
         if a.is_zero() or a.n != self.n:
             raise ValueError("observable must be a nonzero n-qubit point")
@@ -139,16 +141,17 @@ class ReductionEngine:
         eps = phase >> 1
         sign = self.sigma._key_value(b & _tail_bits(n, m))
         if sign is None:
-            return CoinStep(), self._with(self.conj, pending=(b, eps))
+            return CoinStep(b, eps)
         head = _restrict_key(b, n, 0, m)
         if not head:
-            return FixedStep(sign ^ eps), self
-        return MeasureStep(PauliPoint.from_key(m, head), sign ^ eps), self
+            return FixedStep(sign ^ eps)
+        return MeasureStep(PauliPoint.from_key(m, head), sign ^ eps)
 
-    def resolve_coin(self, c: int) -> "ReductionEngine":
-        """Fold the correction for a coin step with outcome c.
+    def resolve_coin(self, coin: CoinStep, c: int) -> "ReductionEngine":
+        """The engine after the coin step ``process`` returned here, with
+        outcome c.
 
-        With (b, eps) the pending image, the frame state rho is measured
+        With (b, eps) the coin's image, the frame state rho is measured
         along b' = (-1)^{c+eps} T_b.  The first basis row g of sigma with
         [g, b] = 1 (one exists, as the tail of b lies outside sigma) gives a
         stabilizer g' = (-1)^{sigma(g)} T_g of rho that anticommutes with
@@ -160,9 +163,9 @@ class ReductionEngine:
         -e when it anticommutes with both, and (-1)^{[e,g]} e g' b'
         otherwise.
         """
-        if self._pending is None:
-            raise ValueError("no coin step awaiting resolution")
-        b, eps = self._pending
+        if not isinstance(coin, CoinStep):
+            raise ValueError(f"only a coin step is resolved, got {coin!r}")
+        b, eps = coin.key, coin.sign
         n = self.n
         b_swapped = swap_halves(b, n)
         # sigma(g) of a canonical row g is its row value: one row folds to 0
@@ -181,7 +184,8 @@ class ReductionEngine:
             else:
                 phase = 2 * (s + fg) + gb_phase + key_phase(k, gb, n)
                 images.append((k ^ gb, (phase & 3) >> 1))
-        return self._with(CliffordTableau._from_keys(n, tuple(images)))
+        conj = CliffordTableau._from_keys(n, tuple(images))
+        return ReductionEngine._from_parts(n, self.m, self.sigma, conj)
 
 
 def reduce_static(
@@ -202,11 +206,11 @@ def reduce_static(
     used = []
     it = iter(coins)
     for idx, a in enumerate(sequence):
-        step, engine = engine.process(a)
+        step = engine.process(a)
         if isinstance(step, CoinStep):
             c = next(it, 0)
             used.append({"step": idx, "outcome": c})
-            engine = engine.resolve_coin(c)
+            engine = engine.resolve_coin(step, c)
             steps.append({"kind": "coin", "step": idx, "outcome": c})
         elif isinstance(step, FixedStep):
             steps.append({"kind": "fixed", "step": idx, "outcome": step.outcome})

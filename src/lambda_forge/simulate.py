@@ -141,11 +141,11 @@ def _lift_branch(engine: ReductionEngine, head, a: PauliPoint, head_branch) -> l
     at weight 1/2 per side, or the children of ``head_branch`` on the head
     with the outcome flipped by the tail sign (a stable sort, so each
     outcome keeps its pieces' order)."""
-    step, engine = engine.process(a)
+    step = engine.process(a)
     if isinstance(step, FixedStep):
         return [(step.outcome, ONE, (engine, head))]
     if isinstance(step, CoinStep):
-        return [(c, HALF, (engine.resolve_coin(c), head)) for c in (0, 1)]
+        return [(c, HALF, (engine.resolve_coin(step, c), head)) for c in (0, 1)]
     children = [(s ^ step.flip, w, (engine, nxt)) for s, w, nxt in head_branch(head, step.point)]
     return sorted(children, key=itemgetter(0))
 

@@ -14,6 +14,7 @@ read costs one step per row, never a table over the 2^dim points.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -34,25 +35,20 @@ def check_bit(value, what: str) -> int:
     return value
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class Assignment:
     """A consistent value assignment on an isotropic subspace."""
 
-    __slots__ = ("subspace", "row_values")
+    subspace: Subspace
+    row_values: tuple[int, ...]
 
-    def __init__(self, subspace: Subspace, row_values: Sequence[int]):
-        if len(row_values) != subspace.dim:
+    def __post_init__(self):
+        if len(self.row_values) != self.subspace.dim:
             raise ValueError("need one value per basis row")
-        if not subspace.is_isotropic():
+        if not self.subspace.is_isotropic():
             raise ValueError("assignments live on isotropic subspaces")
-        object.__setattr__(self, "subspace", subspace)
-        values = tuple(check_bit(v, "assignment values") for v in row_values)
+        values = tuple(check_bit(v, "assignment values") for v in self.row_values)
         object.__setattr__(self, "row_values", values)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Assignment is immutable")
-
-    def __reduce__(self):
-        return (Assignment, (self.subspace, self.row_values))
 
     @staticmethod
     def zero(subspace: Subspace) -> "Assignment":
@@ -111,16 +107,6 @@ class Assignment:
         for r, v in zip(self.subspace.rows, self.row_values):
             items += [(k ^ r, s ^ v ^ (key_phase(k, r, n) >> 1)) for k, s in items]
         return iter(items)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Assignment)
-            and self.subspace == other.subspace
-            and self.row_values == other.row_values
-        )
-
-    def __hash__(self):
-        return hash((self.subspace, self.row_values))
 
     def __repr__(self):
         gens = " ".join(

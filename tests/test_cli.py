@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from lambda_forge import cli
 from lambda_forge.cli import main
+from lambda_forge.clifford import CliffordTableau
 from lambda_forge.field import FieldElem
 from lambda_forge.gf2 import PauliPoint
 from lambda_forge.pauli import QOperator
@@ -902,6 +903,113 @@ def test_json_readers_return_or_raise_value_error(reading):
         reader(doc)
     except ValueError:
         pass
+
+
+# -- property: initial states at their boundaries, read alike in both simulate modes --
+
+STATE_LEAVES = [
+    ({"type": "stabilizer", "generators": ["-Y"]}, 1),
+    ({"type": "operator", **T_STATE}, 1),
+    ({"type": "cnc", **CNC_SET}, 2),
+    ({"type": "orbit", "coeffs": ALPHA0["coeffs"]}, 2),
+    ({"type": "operator", **ALPHA0}, 2),
+]
+TAILS = [["+Z"], ["-X"], ["+ZI", "-IX"], ["+XX", "-ZZ"]]
+MIXTURE_WEIGHTS = ["1", "1/2", "1/3", "2/3", "0", "-1/2", "3/2", 1, {"a": "0", "b": "1/2"}]
+
+
+def _tableau_json(n):
+    """A Clifford tableau on n qubits, as ``CliffordTableau.to_json`` writes it."""
+    u = CliffordTableau.hadamard(n, 1)
+    return (u if n == 1 else u.compose(CliffordTableau.cnot(n, 1, n))).to_json()
+
+
+@st.composite
+def boundary_descriptors(draw, depth=2):
+    """(descriptor, the qubit count it was built for): a fixture state, or
+    a lift or a mixture of drawn descriptors, nested up to depth.  A lift
+    may carry a tableau of the wrong width; a mixture's weights sum to 1
+    or to anything else, a negative or irrational weight included, and its
+    states may differ in width."""
+    kind = draw(st.sampled_from(["leaf", "lift", "mixture"] if depth else ["leaf"]))
+    if kind == "leaf":
+        return draw(st.sampled_from(STATE_LEAVES))
+    if kind == "lift":
+        inner, m = draw(boundary_descriptors(depth - 1))
+        tail = draw(st.sampled_from(TAILS))
+        n = m + len(tail[0]) - 1
+        doc = {"type": "lift", "sigma": {"generators": tail}, "inner": inner}
+        width = draw(st.sampled_from([None, n, n, n + 1]))
+        if width:
+            doc["u"] = _tableau_json(width)
+        return doc, n
+    drawn = draw(st.lists(boundary_descriptors(depth - 1), min_size=1, max_size=3))
+    if draw(st.booleans()):  # keep the terms on the first one's width
+        drawn = [term for term in drawn if term[1] == drawn[0][1]]
+    if draw(st.booleans()):
+        weights = [f"1/{len(drawn)}"] * len(drawn)
+    else:
+        weights = draw(st.lists(st.sampled_from(MIXTURE_WEIGHTS),
+                                min_size=len(drawn), max_size=len(drawn)))
+    terms = [{"weight": w, "state": doc} for w, (doc, _) in zip(weights, drawn)]
+    return {"type": "mixture", "terms": terms}, drawn[0][1]
+
+
+@st.composite
+def boundary_circuits(draw):
+    """A circuit on a drawn descriptor, with at times a lift's inner state
+    or a mixture term's state, or one field inside it, deleted or
+    replaced, and
+    one to three steps whose axes are mostly on the descriptor's width,
+    at times on another width or the identity."""
+    doc, n = draw(boundary_descriptors())
+    doc = json.loads(json.dumps(doc))  # a fresh copy: the fixtures are shared
+    nested = [path for path in field_paths(doc) if {"inner", "state"} & set(path)]
+    if nested and not draw(st.integers(0, 2)):
+        path = draw(st.sampled_from(nested))
+        parent = field_value(doc, path[:-1])
+        if draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(REPLACEMENTS)
+    axes = st.integers(0, 9).flatmap(lambda i: (
+        st.just("I" * n) if i == 0
+        else st.text("IXYZ", min_size=1, max_size=n + 1) if i == 1
+        else st.integers(1, 4**n - 1).map(lambda k: PauliPoint.from_key(n, k).label())))
+    steps = [{"measure": label} for label in draw(st.lists(axes, min_size=1, max_size=3))]
+    return {"n": n, "initial": doc, "steps": steps}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(boundary_circuits())
+def test_boundary_initial_states_are_read_alike_in_both_simulate_modes(circuit):
+    """A drawn descriptor is read or refused with ValueError; CLI
+    ``simulate --exact`` and ``--shots 8`` accept the same circuits,
+    refuse the others with one diagnostic, and every sampled transcript
+    has positive exact probability."""
+    try:
+        descriptor_from_json(circuit["initial"])
+    except ValueError:
+        pass
+    docs = []
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "circuit.json")
+        with open(path, "w") as fh:
+            json.dump(circuit, fh)
+        for mode in (["--exact"], ["--shots", "8"]):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(["simulate", path, *mode])
+            docs.append((code, json.loads(out.getvalue())))
+    (exact_code, exact), (sample_code, sampled) = docs
+    assert exact_code == sample_code
+    if exact_code:
+        assert exact["diagnostics"].startswith("ValueError: ")
+        assert exact == sampled
+    else:
+        support = {",".join("-" if v is None else str(v) for v in entry["outcomes"])
+                   for entry in exact["payload"]["distribution"]}
+        assert set(sampled["payload"]["counts"]) <= support
 
 
 # -- property: operator documents read exactly as their labels and values say --

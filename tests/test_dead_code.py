@@ -1,6 +1,7 @@
 """Every module-level private function or class of the package, every
 private method and every method of a private class is read somewhere in
-the package outside its own definition."""
+the package outside its own definition; every dataclass field and every
+``__slots__`` entry of a package class is read as an attribute."""
 
 import ast
 from collections import Counter
@@ -84,3 +85,57 @@ def test_package_private_definitions_are_all_read():
     trees = {p.name: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
     assert trees
     assert unread_private_definitions(trees) == []
+
+
+def _is_dataclass(node) -> bool:
+    return any(
+        isinstance(d, ast.Name) and d.id == "dataclass"
+        or isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "dataclass"
+        for d in node.decorator_list
+    )
+
+
+def _fields(tree):
+    """(line, Class.field) of each field of the module's top-level
+    classes: an annotated name in a dataclass's body, or a ``__slots__``
+    entry."""
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for stmt in node.body:
+            if (_is_dataclass(node) and isinstance(stmt, ast.AnnAssign)
+                    and isinstance(stmt.target, ast.Name)):
+                yield stmt.lineno, node.name, stmt.target.id
+            elif isinstance(stmt, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__slots__" for t in stmt.targets):
+                for name in ast.literal_eval(stmt.value):
+                    yield stmt.lineno, node.name, name
+
+
+def unread_fields(trees: dict) -> list[tuple[str, int, str]]:
+    """(module, line, Class.field) of each field (as ``_fields`` lists it)
+    that no code in the {module: tree} map reads as an attribute; a read
+    is matched by name alone, and a store does not count."""
+    reads = {n.attr for tree in trees.values() for n in ast.walk(tree)
+             if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    return [(module, line, f"{cls}.{name}")
+            for module, tree in trees.items()
+            for line, cls, name in _fields(tree) if name not in reads]
+
+
+def test_unread_fields_are_detected():
+    a = (
+        "@dataclass(frozen=True)\nclass Step:\n    kept: int\n    stale: int\n"
+        "@dataclass\nclass Bare:\n    gone: int\n    shown: int = 0\n"
+        "class Engine:\n    __slots__ = ('n', '_pending')\n"
+        "    def __init__(self):\n        self.n = self._pending = 0\n"
+        "    def size(self, step):\n        return self.n + step.kept + Bare().shown\n"
+        "class Plain:\n    label: str\n"
+    )
+    assert unread_fields({"a": ast.parse(a)}) == [
+        ("a", 4, "Step.stale"), ("a", 7, "Bare.gone"), ("a", 10, "Engine._pending")]
+
+
+def test_package_fields_are_all_read():
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    assert unread_fields(trees) == []

@@ -495,12 +495,12 @@ def membership_by_facet(X: QOperator) -> FacetCertificate:
     sums = []
     active = []
     violation = None
-    for label, plus, minus in facet_table(n):
+    for f, (label, plus, minus) in enumerate(facet_table(n)):
         x = sum(map(get_x, plus)) - sum(map(get_x, minus))
         y = sum(map(get_y, plus)) - sum(map(get_y, minus)) if irrational else 0
         sums.append((x, y))
         if not (x or y):
-            active.append(label)
+            active.append(f)
         elif violation is None and sqrt2_sign(x, y) < 0:
             violation = label
     xs, ys = [x for x, _ in sums], [y for _, y in sums]

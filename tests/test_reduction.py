@@ -44,26 +44,26 @@ def sigma_z_plus(n=2, m=1):
 
 def test_case_one_in_stabilizer():
     eng = ReductionEngine(2, 1, sigma_z_plus())
-    step, _ = eng.process(x_point(2, 1) ^ z_point(2, 2))
+    step = eng.process(x_point(2, 1) ^ z_point(2, 2))
     assert step == MeasureStep(x_point(1, 1), 0)
     # opposite tail sign flips the outcome
     sig = embed_tail_assignment(Assignment.from_pairs([(z_point(1, 1), 1)]), 2, 1)
-    step, _ = ReductionEngine(2, 1, sig).process(x_point(2, 1) ^ z_point(2, 2))
+    step = ReductionEngine(2, 1, sig).process(x_point(2, 1) ^ z_point(2, 2))
     assert step == MeasureStep(x_point(1, 1), 1)
 
 
 def test_tail_only_observable_is_fixed():
     eng = ReductionEngine(2, 1, sigma_z_plus())
-    step, _ = eng.process(z_point(2, 2))
+    step = eng.process(z_point(2, 2))
     assert step == FixedStep(0)
 
 
 def test_case_two_coin():
     eng = ReductionEngine(2, 1, sigma_z_plus())
-    step, pend = eng.process(x_point(2, 1) ^ x_point(2, 2))
+    step = eng.process(x_point(2, 1) ^ x_point(2, 2))
     assert isinstance(step, CoinStep)
     for c in (0, 1):
-        nxt = pend.resolve_coin(c)
+        nxt = eng.resolve_coin(step, c)
         assert nxt.conj.is_valid()
     with pytest.raises(ValueError):
         eng.process(x_point(2, 2) ^ x_point(2, 2))  # zero point
@@ -76,17 +76,16 @@ def test_engines_compare_by_value():
     coin, head = x_point(3, 2), x_point(3, 1) ^ z_point(3, 3)
 
     def walk():
-        step, eng = ReductionEngine(3, 1, sig, u).process(coin)
+        eng = ReductionEngine(3, 1, sig, u)
+        step = eng.process(coin)
         assert isinstance(step, CoinStep)
-        return eng
+        return eng, step
 
-    e1, e2 = walk(), walk()
+    (e1, s1), (e2, s2) = walk(), walk()
     assert e1 is not e2 and e1 == e2 and hash(e1) == hash(e2)
-    # a pending coin is part of the value
-    assert e1 != ReductionEngine(3, 1, sig, u)
-    r1, r2 = e1.resolve_coin(1), e2.resolve_coin(1)
+    r1, r2 = e1.resolve_coin(s1, 1), e2.resolve_coin(s2, 1)
     assert r1 == r2 and hash(r1) == hash(r2)
-    assert r1 != e1.resolve_coin(0)
+    assert r1 != e1.resolve_coin(s1, 0)
     # lifted states over equal engines share their updates
     inner = cnc_vertices(1)[3]
     L1, L2 = LiftState(r1, inner), LiftState(r2, inner)
@@ -98,23 +97,22 @@ def test_engines_compare_by_value():
 
 
 def test_engines_and_lifted_states_pickle():
-    # a pickle round trip rebuilds an equal engine, its pending coin
-    # included, with an equal hash (the cached hash is not carried over)
+    # a pickle round trip rebuilds an equal engine with an equal hash
+    # (the cached hash is not carried over)
     tail = Assignment.from_pairs([(z_point(2, 1), 0), (z_point(2, 2), 1)])
     plain = ReductionEngine(2, 1, embed_tail_assignment(
         Assignment.from_pairs([(z_point(1, 1), 1)]), 2, 1))
-    step, pending = ReductionEngine(
-        3, 1, embed_tail_assignment(tail, 3, 1), CliffordTableau.cnot(3, 1, 2)
-    ).process(x_point(3, 2))
+    framed = ReductionEngine(
+        3, 1, embed_tail_assignment(tail, 3, 1), CliffordTableau.cnot(3, 1, 2))
+    step = framed.process(x_point(3, 2))
     assert isinstance(step, CoinStep)
-    for eng in (plain, pending, pending.resolve_coin(1)):
+    for eng in (plain, framed, framed.resolve_coin(step, 1)):
         hash(eng)
         again = pickle.loads(pickle.dumps(eng))
         assert again == eng and again is not eng and again._hash is None
         assert hash(again) == hash(eng)
-        assert again._pending == eng._pending
-    assert pickle.loads(pickle.dumps(pending)).resolve_coin(0) == pending.resolve_coin(0)
-    for eng in (pending, pending.resolve_coin(1)):
+    assert pickle.loads(pickle.dumps(framed)).resolve_coin(step, 0) == framed.resolve_coin(step, 0)
+    for eng in (framed, framed.resolve_coin(step, 1)):
         state = LiftState(eng, cnc_vertices(1)[3])
         again = pickle.loads(pickle.dumps(state))
         assert again == state and hash(again) == hash(state)
@@ -122,8 +120,17 @@ def test_engines_and_lifted_states_pickle():
 
 def test_resolve_without_pending():
     eng = ReductionEngine(2, 1, sigma_z_plus())
-    with pytest.raises(ValueError):
-        eng.resolve_coin(0)
+    with pytest.raises(ValueError, match="only a coin step"):
+        eng.resolve_coin(None, 0)
+
+
+def test_resolve_refuses_fixed_and_measure_steps():
+    eng = ReductionEngine(2, 1, sigma_z_plus())
+    fixed, head = eng.process(z_point(2, 2)), eng.process(x_point(2, 1) ^ z_point(2, 2))
+    assert (type(fixed), type(head)) == (FixedStep, MeasureStep)
+    for step in (fixed, head):
+        with pytest.raises(ValueError, match="only a coin step"):
+            eng.resolve_coin(step, 0)
 
 
 def test_sigma_must_be_tail_supported():
@@ -230,12 +237,12 @@ def test_coin_frame_is_the_projected_state():
                     inner = CncSet.from_assignment(s)
                 rho = state_operator(LiftState(eng, inner))
                 a = next(p for p in local.sample(points, len(points))
-                         if isinstance(eng.process(p)[0], CoinStep))
-                pending = eng.process(a)[1]
+                         if isinstance(eng.process(p), CoinStep))
+                coin = eng.process(a)
                 for c in (0, 1):
                     projected = rho.project(a, c)
                     assert projected.trace() == HALF
-                    after = state_operator(LiftState(pending.resolve_coin(c), inner))
+                    after = state_operator(LiftState(eng.resolve_coin(coin, c), inner))
                     assert after == projected.scale(ONE / HALF)
 
 
@@ -291,7 +298,7 @@ def _reference_process(engine, a):
         if head.is_zero():
             return FixedStep(lam), None
         return MeasureStep(head, lam), None
-    return CoinStep(), (b, eps)
+    return CoinStep(b.key(), eps), (b, eps)
 
 
 def _reference_resolve_coin(engine, pending, c):
@@ -342,18 +349,15 @@ def test_engine_matches_reference_on_seeded_frames():
             eng = ReductionEngine(3, m, embed_tail_assignment(local.choice(tails)[1], 3, m), U)
             for _ in range(8):
                 a = local.choice(points)
-                step, nxt = eng.process(a)
+                step = eng.process(a)
                 want, pending = _reference_process(eng, a)
                 assert step == want
                 kinds.add(type(step))
                 if pending is None:
-                    assert nxt is eng
                     continue
-                b, eps = pending
-                assert nxt._pending == (b.key(), eps)
                 for c in (0, 1):
-                    assert nxt.resolve_coin(c).conj == _reference_resolve_coin(nxt, pending, c)
-                eng = nxt.resolve_coin(local.randint(0, 1))
+                    assert eng.resolve_coin(step, c).conj == _reference_resolve_coin(eng, pending, c)
+                eng = eng.resolve_coin(step, local.randint(0, 1))
     assert kinds == {FixedStep, MeasureStep, CoinStep}
 
 
@@ -388,7 +392,7 @@ def test_wide_tail_lift_reduces_to_its_head():
     engine = ReductionEngine(n, m, embed_tail_assignment(tail, n, m))
     circuit = _wide_tail_circuit(local, n, m, 6)
     steps = [a for a, _, _ in circuit]
-    assert {type(engine.process(a)[0]) for a in steps} == {FixedStep, MeasureStep}
+    assert {type(engine.process(a)) for a in steps} == {FixedStep, MeasureStep}
 
     head_steps = [h for _, h, _ in circuit if not h.is_zero()]
     flips = [sum(signs[q] for q in t) & 1 for _, _, t in circuit]
