@@ -19,11 +19,11 @@ Aaronson and Gottesman, PRA 70, 052328 (2004)): O(n) per image for a gate.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
 from typing import Mapping, Sequence
 
+from .field import value_type
 from .gf2 import (
     PauliPoint,
     Subspace,
@@ -46,7 +46,7 @@ def _qubit(n: int, qubit: int) -> int:
     return qubit - 1
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False)
+@value_type(init=False, repr=False)
 class CliffordTableau:
     """Signed Pauli action of a Clifford unitary."""
 

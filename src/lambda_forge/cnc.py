@@ -46,10 +46,11 @@ on the keys; ``.omega`` and ``.gamma`` are ``PauliPoint`` views.
 
 from __future__ import annotations
 
+from dataclasses import field
 from types import MappingProxyType
 from typing import Collection, Iterable, Mapping, Optional
 
-from .field import HALF, ONE, FieldElem
+from .field import HALF, ONE, FieldElem, value_type
 from .gf2 import (
     PauliPoint,
     affine_solutions,
@@ -140,10 +141,14 @@ def is_maximal_cnc(omega: Iterable[PauliPoint]) -> bool:
     return len(keys) == center * (2 * (n - dim) + 2)
 
 
+@value_type(init=False)
 class CncSet:
     """A closed noncontextual set with a consistent value assignment, on int keys."""
 
-    __slots__ = ("n", "_vals", "_items")
+    n: int
+    _vals: dict[int, int] = field(compare=False)
+    # a frozenset keeps its hash, so memo lookups hash each state once
+    _items: frozenset[tuple[int, int]]
 
     def __init__(self, omega: Iterable[PauliPoint], gamma: Mapping[PauliPoint, int]):
         pts = frozenset(omega)
@@ -171,17 +176,10 @@ class CncSet:
         return object.__new__(CncSet)._fill(n, vals)
 
     def _fill(self, n: int, vals: dict[int, int]) -> "CncSet":
-        # a frozenset keeps its hash, so memo lookups hash each state once
         _set(self, "n", n)
         _set(self, "_vals", vals)
         _set(self, "_items", frozenset(vals.items()))
         return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CncSet is immutable")
-
-    def __reduce__(self):
-        return (CncSet._from_keys, (self.n, self._vals))
 
     @property
     def omega(self) -> frozenset[PauliPoint]:
@@ -229,9 +227,6 @@ class CncSet:
                 if outside:
                     out[k ^ ka] = b ^ s ^ (key_phase(k, ka, n) >> 1)
         return [(HALF if outside else ONE, CncSet._from_keys(n, out))]
-
-    def __eq__(self, other):
-        return isinstance(other, CncSet) and self.n == other.n and self._items == other._items
 
     def __hash__(self):
         return hash(self._items)

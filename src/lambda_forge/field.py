@@ -12,6 +12,7 @@ the field; anything else (a float, a string) is a ValueError.
 
 from __future__ import annotations
 
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -81,6 +82,29 @@ def _json_rational(v, obj) -> tuple[int, int]:
     return f.numerator, f.denominator
 
 
+def _immutable(self, name, *value):
+    raise FrozenInstanceError(f"{type(self).__name__} is immutable")
+
+
+def value_type(**options):
+    """Declare a class as an immutable value: ``dataclass(frozen=True,
+    slots=True, **options)``, whose setting and deleting of any name,
+    field or not, raises ``FrozenInstanceError`` (an AttributeError).
+
+    The refusal that ``dataclass`` writes for a frozen class names the
+    class before its slots copy, so on the copy it raises TypeError for a
+    name that is not a field; this one refusal holds for every name.
+    Trusted builders and ``__post_init__`` write fields with
+    ``object.__setattr__``."""
+
+    def declare(cls):
+        cls = dataclass(frozen=True, slots=True, **options)(cls)
+        cls.__setattr__ = cls.__delattr__ = _immutable
+        return cls
+
+    return declare
+
+
 _new = object.__new__
 _set = object.__setattr__
 
@@ -94,6 +118,7 @@ def _make(p: int, q: int, d: int) -> "FieldElem":
     return x
 
 
+@value_type(init=False, eq=False)
 class FieldElem:
     """An element (p + q*sqrt(2)) / d with integers p, q and d > 0,
     gcd(p, q, d) = 1.
@@ -107,7 +132,9 @@ class FieldElem:
     oracles hash hold shared Fractions, not one fresh Fraction per read.
     """
 
-    __slots__ = ("p", "q", "d")
+    p: int
+    q: int
+    d: int
 
     def __init__(self, a=0, b=0):
         an, ad = _rational(a)
@@ -130,12 +157,6 @@ class FieldElem:
             q //= g
             d //= g
         return _make(p, q, d)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FieldElem is immutable")
-
-    def __reduce__(self):
-        return (FieldElem, (self.a, self.b))
 
     @property
     def a(self) -> Fraction:

@@ -13,9 +13,10 @@ and hash equal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Iterator, Optional, Sequence
+
+from .field import value_type
 
 #: Cap for the maximal-isotropic enumeration, and so for the stabilizer
 #: states and polytope membership; everything in this package is
@@ -26,7 +27,7 @@ _PAULI_CHARS = {(0, 0): "I", (0, 1): "X", (1, 0): "Z", (1, 1): "Y"}
 _CHAR_BITS = {"I": (0, 0), "X": (0, 1), "Z": (1, 0), "Y": (1, 1)}
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@value_type(repr=False)
 class PauliPoint:
     """A point (v_Z, v_X) of E_n, hashable and immutable."""
 
@@ -207,7 +208,7 @@ def affine_solutions(rows: Sequence[int], rhs: Sequence[int], width: int) -> lis
     return [particular ^ h for h in xor_sums(null_basis[::-1])]
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@value_type(repr=False)
 class Subspace:
     """A linear subspace of E_n in canonical reduced echelon form: the
     packed rows given are reduced by ``rref`` on construction."""

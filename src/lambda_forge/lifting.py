@@ -26,10 +26,9 @@ the shift keeps the rows' pivot order and every product sign.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
-from .field import FieldElem, ZERO
+from .field import FieldElem, ZERO, value_type
 from .clifford import CliffordTableau, tableau_for_projector_pair
 from .gf2 import Subspace, span, x_point
 from .pauli import QOperator
@@ -72,7 +71,7 @@ def is_tail_supported(J: Subspace, m: int) -> bool:
     return all(r & tail == r for r in J.rows)
 
 
-@dataclass(frozen=True)
+@value_type()
 class LiftParams:
     """A lift destination: subspace J (dim n-m), assignment r, and a
     tableau carrying the reference tail projector onto Pi_{J,r}."""

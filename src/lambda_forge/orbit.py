@@ -47,20 +47,20 @@ of stabilizer facets of the isotropic plane that coset spans with a.
 member's integers, as the Freudenthal (Kuhn) chain decomposition of
 that cube point: at most four corners, ordered by ascending |x|, exactly
 in Q(sqrt(2)); on one qubit it is the stabilizer state {0, a} alone.
-``measure_update`` runs it on a family member's cached operator.  On
-the family the weights (before normalization) are (1/2,1/4,1/4),
-(1/2,1/4), (1/4) or (1/4,1/4).
+``measure_update`` runs it on the operator a family member builds on
+construction.  On the family the weights (before normalization) are
+(1/2,1/4,1/4), (1/2,1/4), (1/4) or (1/4,1/4).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import field
 from fractions import Fraction
-from functools import cached_property, cmp_to_key, lru_cache
+from functools import cmp_to_key, lru_cache
 from itertools import combinations, product
 from typing import ClassVar, Iterable, Mapping, Optional, Sequence
 
-from .field import FieldElem, ONE, sqrt2_sign
+from .field import FieldElem, ONE, sqrt2_sign, value_type
 from .clifford import coefficient_orbit
 from .cnc import CncSet
 from .gf2 import (
@@ -188,7 +188,7 @@ def _sign_solutions(gamma: Assignment, keys: Sequence[int]) -> list[int]:
 # -- the vertices ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@value_type()
 class OrbitVertex:
     """One member of the family, with its full parameter set.
 
@@ -202,8 +202,19 @@ class OrbitVertex:
     collection: frozenset[Subspace]
     omega: frozenset[PauliPoint]
     gamma_p: tuple[tuple[PauliPoint, int], ...]
+    _operator: QOperator = field(init=False, compare=False, repr=False)
 
     n: ClassVar[int] = 2
+
+    def __post_init__(self):
+        # the member's operator: over D = 2, the numerators are 2 at the
+        # identity, (-1)^gamma 2 on I and (-1)^gamma' on Omega
+        num = {k: (-2, 0) if g else (2, 0) for k, g in self.gamma.key_items()}
+        for p, b in self.gamma_p:
+            if not p.is_zero():
+                num[p.key()] = (-1, 0) if b else (1, 0)  # constant, shared pairs
+        # odd numerators on Omega's nonzero points: canonical over 2
+        object.__setattr__(self, "_operator", QOperator._of(2, 2, num))
 
     @staticmethod
     def build(
@@ -224,23 +235,6 @@ class OrbitVertex:
         return OrbitVertex(
             I, gamma, collection, omega, tuple(sorted(gp.items(), key=lambda kv: kv[0].key()))
         )
-
-    @cached_property
-    def _operator(self) -> QOperator:
-        """The member's operator, built once: over D = 2, the numerators are
-        2 at the identity, (-1)^gamma 2 on I and (-1)^gamma' on Omega."""
-        num = {k: (-2, 0) if g else (2, 0) for k, g in self.gamma.key_items()}
-        for p, b in self.gamma_p:
-            if not p.is_zero():
-                num[p.key()] = (-1, 0) if b else (1, 0)  # constant, shared pairs
-        # odd numerators on Omega's nonzero points: canonical over 2
-        return QOperator._of(2, 2, num)
-
-    def __getstate__(self):
-        # the cached operator is derived: pickle the parameters only
-        state = dict(self.__dict__)
-        state.pop("_operator", None)
-        return state
 
     def operator(self) -> QOperator:
         return self._operator

@@ -30,13 +30,12 @@ JSON, equality, hashing and the Clifford, lift, polytope, simplex and
 family code run on them, reading form and phase off whole keys
 (``gf2.key_form``, ``key_phase``).  ``QOperator(n, {PauliPoint: c})``
 validates; ``coeff``, ``trace`` and ``.coeffs``, a read-only view built
-on first read (the oracles ``product`` and ``dense_matrix`` use it),
+on each read (only the oracles ``product`` and ``dense_matrix`` read it),
 give FieldElems.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
@@ -44,7 +43,7 @@ from math import gcd, lcm
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, Optional
 
-from .field import ZERO, FieldElem, _fraction, _ratio_str
+from .field import ZERO, FieldElem, _fraction, _ratio_str, value_type
 from .gf2 import PauliPoint, swap_halves, symplectic_form
 
 if TYPE_CHECKING:
@@ -56,7 +55,7 @@ _new = object.__new__
 _set = object.__setattr__
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@value_type(repr=False)
 class PhasedPauli:
     """i^phase * T_point with phase in Z_4; Hermitian iff phase is even."""
 
@@ -135,6 +134,7 @@ def beta(v: PauliPoint, w: PauliPoint) -> int:
     return product_phase(v, w) >> 1
 
 
+@value_type(init=False)
 class QOperator:
     """Exact Hermitian operator A = (1/2^n) sum_v alpha_v T_v.
 
@@ -143,27 +143,24 @@ class QOperator:
     docstring for the integers inside).
     """
 
-    __slots__ = ("n", "_den", "_num", "_view")
+    n: int
+    _den: int
+    _num: dict[int, tuple[int, int]]
 
-    def __new__(cls, n: int, coeffs: Optional[Mapping[PauliPoint, FieldElem]] = None):
+    def __init__(self, n: int, coeffs: Optional[Mapping[PauliPoint, FieldElem]] = None):
         elems: dict[int, FieldElem] = {}
         for point, c in (coeffs or {}).items():
             if point.n != n:
                 raise ValueError("coefficient point has wrong qubit count")
             elems[point.key()] = FieldElem.coerce(c)
-        return _over_lcm(n, elems)
+        _fill(self, n, *_over_lcm(elems))
 
     @staticmethod
     def _of(n: int, den: int, num: dict[int, tuple[int, int]]) -> "QOperator":
         """The operator with coefficient (p + q*sqrt(2)) / den at each key
         of num, which must already be canonical: keys that fit n qubits,
         den > 0, no pair (0, 0), and gcd(den, every p and q) = 1."""
-        A = _new(QOperator)
-        _set(A, "n", n)
-        _set(A, "_den", den)
-        _set(A, "_num", num)
-        _set(A, "_view", None)
-        return A
+        return _fill(_new(QOperator), n, den, num)
 
     @staticmethod
     def _reduced(n: int, den: int, num: dict[int, tuple[int, int]]) -> "QOperator":
@@ -175,22 +172,13 @@ class QOperator:
             den, num = den // g, {k: (p // g, q // g) for k, (p, q) in num.items()}
         return QOperator._of(n, den, num)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("QOperator is immutable")
-
-    def __reduce__(self):
-        return (QOperator, (self.n, dict(self.coeffs)))
-
     @property
     def coeffs(self) -> Mapping[PauliPoint, FieldElem]:
-        """The coefficients keyed by ``PauliPoint``, read-only."""
-        view = self._view
-        if view is None:
-            n, den = self.n, self._den
-            view = MappingProxyType({PauliPoint.from_key(n, k): FieldElem._reduced(p, q, den)
-                                     for k, (p, q) in self._num.items()})
-            _set(self, "_view", view)
-        return view
+        """The coefficients keyed by ``PauliPoint``, read-only; built on
+        each read."""
+        n, den = self.n, self._den
+        return MappingProxyType({PauliPoint.from_key(n, k): FieldElem._reduced(p, q, den)
+                                 for k, (p, q) in self._num.items()})
 
     # -- constructors --------------------------------------------------
 
@@ -227,11 +215,6 @@ class QOperator:
 
     def is_zero(self) -> bool:
         return not self._num
-
-    def __eq__(self, other):
-        if not isinstance(other, QOperator):
-            return False
-        return self.n == other.n and self._den == other._den and self._num == other._num
 
     def __hash__(self):
         return hash((self.n, self._den, frozenset(self._num.items())))
@@ -425,16 +408,24 @@ class QOperator:
                 first = next(k for k in coeffs if _label_key(k) == (n, key))
                 raise ValueError(f"Pauli labels {first!r} and {label!r} name the same point")
             elems[key] = FieldElem.from_json(val)
-        return _over_lcm(n, elems)
+        return QOperator._of(n, *_over_lcm(elems))
 
 
-def _over_lcm(n: int, elems: dict[int, FieldElem]) -> QOperator:
-    """The operator of canonical field elements by key over D = lcm(d): no
-    gcd is needed, as a prime's full power in D divides some d, so not p, q."""
+def _fill(A: QOperator, n: int, den: int, num: dict[int, tuple[int, int]]) -> QOperator:
+    """A with its fields written: the one write of ``__init__`` and ``_of``."""
+    _set(A, "n", n)
+    _set(A, "_den", den)
+    _set(A, "_num", num)
+    return A
+
+
+def _over_lcm(elems: dict[int, FieldElem]) -> tuple[int, dict[int, tuple[int, int]]]:
+    """(D, numerators) of canonical field elements by key over D = lcm(d):
+    no gcd is needed, as a prime's full power in D divides some d, so not
+    p, q."""
     elems = {k: c for k, c in elems.items() if c.p or c.q}
     den = lcm(*(c.d for c in elems.values()))
-    num = {k: (c.p * (den // c.d), c.q * (den // c.d)) for k, c in elems.items()}
-    return QOperator._of(n, den, num)
+    return den, {k: (c.p * (den // c.d), c.q * (den // c.d)) for k, c in elems.items()}
 
 
 @lru_cache(maxsize=1024)

@@ -70,7 +70,7 @@ from math import gcd
 from operator import getitem, lshift, ne, not_, or_, rshift
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .field import FieldElem, _json_value, sqrt2_sign
+from .field import FieldElem, _json_value, sqrt2_sign, value_type
 from .gf2 import ENUMERATION_BOUND, all_points
 from .pauli import QOperator
 from .simplex import solve_feasibility
@@ -194,6 +194,7 @@ def _gf3_rank(rows: Iterable[tuple[int, int]], width: int) -> int:
     return rank
 
 
+@value_type(eq=False)
 class FacetCertificate:
     """Result of evaluating one operator against every stabilizer facet.
 
@@ -203,16 +204,12 @@ class FacetCertificate:
     value, per distinct sum and share it across the labels that have it.
     """
 
-    __slots__ = ("operator", "violation", "_active", "_xs", "_ys", "_den", "_values")
-
-    def __init__(self, operator, xs, ys, den, active, violation):
-        self.operator = operator
-        self._active = active  # indices of the facets with value exactly 0
-        self.violation = violation  # first violating label, or None
-        self._xs = xs  # rational sums, in facet_table order
-        self._ys = ys  # sqrt(2) sums, or None
-        self._den = den
-        self._values = None
+    operator: QOperator
+    _xs: list[int]  # rational sums, in facet_table order
+    _ys: Optional[list[int]]  # sqrt(2) sums, or None
+    _den: int
+    _active: list[int]  # indices of the facets with value exactly 0
+    violation: Optional[str]  # first violating label, or None
 
     @property
     def _sums(self) -> list[tuple[int, int]]:
@@ -238,10 +235,8 @@ class FacetCertificate:
 
     @property
     def values(self) -> dict:
-        """label -> FieldElem facet value, built on first read."""
-        if self._values is None:
-            self._values = self._by_label(FieldElem._reduced)
-        return self._values
+        """label -> FieldElem facet value, built on each read."""
+        return self._by_label(FieldElem._reduced)
 
     @property
     def active(self) -> list[str]:
@@ -323,8 +318,6 @@ def _facet_sums(n: int, coeffs: dict[int, int]) -> list[int]:
     ints.  Sums that need lanes wider than 8 bytes are taken per facet.
     """
     F = len(_facet_labels(n))
-    if not coeffs:
-        return [0] * F
     B = sum(map(abs, coeffs.values()))
     w = 1
     while (2 * B) >> (8 * w):

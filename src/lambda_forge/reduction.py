@@ -22,35 +22,38 @@ canonical rows, where sigma(g) is the row value.
 The engine below performs one such rewriting pass.  ``process`` returns
 the step alone: a fixed or head step leaves the frame as it is, and a
 coin step carries the frame's image of the observable, which
-``resolve_coin(coin, c)`` folds into a new engine.  An engine is
-immutable, so branching over coin outcomes is cheap, and it compares and
-hashes by value, so equal frames reached along different paths share memo
-entries.  ``reduce_static`` runs one pass for a fixed coin assignment.
-The exact law of the reduced run is ``simulate.reduced_distribution``:
-the simulator's lifted branch rule (fixed, coin, head) with the Born rule
-on the head, over its branch-tree walker.
+``resolve_coin(coin, c)`` folds into a new engine.  The engine and its
+steps are ``value_type``s: setting or deleting any name on one raises,
+so branching over coin outcomes shares frames safely.  An engine
+compares by its frame and caches the frame's hash, so equal frames
+reached along different paths share memo entries.  ``reduce_static``
+runs one pass for a fixed coin assignment.  The exact law of the reduced
+run is ``simulate.reduced_distribution``: the simulator's lifted branch
+rule (fixed, coin, head) with the Born rule on the head, over its
+branch-tree walker.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import field
 from typing import Optional, Sequence, Union
 
 from .clifford import CliffordTableau
+from .field import value_type
 from .gf2 import PauliPoint, swap_halves
 from .lifting import _place_assignment, _restrict_key, _tail_bits, is_tail_supported
 from .pauli import key_phase
 from .stabilizer import Assignment, check_bit
 
 
-@dataclass(frozen=True)
+@value_type()
 class FixedStep:
     """The outcome is determined; nothing is measured."""
 
     outcome: int
 
 
-@dataclass(frozen=True)
+@value_type()
 class MeasureStep:
     """Measure the head observable; original outcome = head outcome ^ flip."""
 
@@ -58,7 +61,7 @@ class MeasureStep:
     flip: int
 
 
-@dataclass(frozen=True)
+@value_type()
 class CoinStep:
     """The outcome is a fair coin; ``resolve_coin`` folds it into the frame."""
 
@@ -76,6 +79,7 @@ def embed_tail_assignment(sigma: Assignment, n: int, m: int) -> Assignment:
     return _place_assignment(sigma, n, m)
 
 
+@value_type(init=False)
 class ReductionEngine:
     """One rewriting pass over a measurement sequence.
 
@@ -84,7 +88,12 @@ class ReductionEngine:
     ``resolve_coin``, which returns the engine to continue with.
     """
 
-    __slots__ = ("n", "m", "sigma", "conj", "_hash")
+    n: int
+    m: int
+    sigma: Assignment
+    conj: CliffordTableau
+    # cached: the engine keys the update memo of every lifted state
+    _hash: Optional[int] = field(compare=False, repr=False)
 
     def __init__(
         self, n: int, m: int, sigma: Assignment, unitary: Optional[CliffordTableau] = None
@@ -96,34 +105,11 @@ class ReductionEngine:
         if unitary is not None and unitary.n != n:
             raise ValueError(f"the tableau u acts on {unitary.n} qubits, the state on {n}")
         conj = CliffordTableau.identity(n) if unitary is None else unitary.invert()
-        self._fill(n, m, sigma, conj)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ReductionEngine is immutable; use the returned copies")
-
-    def __reduce__(self):
-        # rebuilt through _fill, so the cached hash is not carried over
-        return (ReductionEngine._from_parts, self._key())
-
-    def _fill(self, n, m, sigma, conj) -> "ReductionEngine":
-        for name, value in zip(self.__slots__, (n, m, sigma, conj, None)):
-            object.__setattr__(self, name, value)
-        return self
-
-    @staticmethod
-    def _from_parts(n, m, sigma, conj) -> "ReductionEngine":
-        return ReductionEngine.__new__(ReductionEngine)._fill(n, m, sigma, conj)
-
-    def _key(self) -> tuple:
-        return (self.n, self.m, self.sigma, self.conj)
-
-    def __eq__(self, other):
-        return isinstance(other, ReductionEngine) and self._key() == other._key()
+        _fill(self, n, m, sigma, conj)
 
     def __hash__(self):
-        # cached: the engine keys the update memo of every lifted state
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash(self._key()))
+            object.__setattr__(self, "_hash", hash((self.n, self.m, self.sigma, self.conj)))
         return self._hash
 
     # -- classification ----------------------------------------------------
@@ -153,7 +139,8 @@ class ReductionEngine:
 
         With (b, eps) the coin's image, the frame state rho is measured
         along b' = (-1)^{c+eps} T_b.  The first basis row g of sigma with
-        [g, b] = 1 (one exists, as the tail of b lies outside sigma) gives a
+        [g, b] = 1 (one exists for a coin of this frame, as the tail of b
+        lies outside sigma; any other coin is a ValueError) gives a
         stabilizer g' = (-1)^{sigma(g)} T_g of rho that anticommutes with
         b', and then 2 Pi_{b'} rho Pi_{b'} = W rho W for
         the Hermitian unitary W = (g' + b') / sqrt(2): expanding both sides
@@ -170,9 +157,12 @@ class ReductionEngine:
         b_swapped = swap_halves(b, n)
         # sigma(g) of a canonical row g is its row value: one row folds to 0
         g, sg = next(
-            (g, v) for g, v in zip(self.sigma.subspace.rows, self.sigma.row_values)
-            if (g & b_swapped).bit_count() & 1
+            ((g, v) for g, v in zip(self.sigma.subspace.rows, self.sigma.row_values)
+             if (g & b_swapped).bit_count() & 1),
+            (None, None),
         )
+        if g is None:
+            raise ValueError(f"{coin!r} commutes with all of sigma, so it is no coin of this frame")
         g_swapped, gb = swap_halves(g, n), g ^ b
         # g' b' = i^gb_phase T_{g+b}
         gb_phase = 2 * (sg + c + eps) + key_phase(g, b, n)
@@ -185,7 +175,15 @@ class ReductionEngine:
                 phase = 2 * (s + fg) + gb_phase + key_phase(k, gb, n)
                 images.append((k ^ gb, (phase & 3) >> 1))
         conj = CliffordTableau._from_keys(n, tuple(images))
-        return ReductionEngine._from_parts(n, self.m, self.sigma, conj)
+        return _fill(object.__new__(ReductionEngine), n, self.m, self.sigma, conj)
+
+
+def _fill(engine: ReductionEngine, n: int, m: int, sigma: Assignment,
+          conj: CliffordTableau) -> ReductionEngine:
+    """engine with the given frame and no cached hash; the frame is trusted."""
+    for name, value in zip(("n", "m", "sigma", "conj", "_hash"), (n, m, sigma, conj, None)):
+        object.__setattr__(engine, name, value)
+    return engine
 
 
 def reduce_static(

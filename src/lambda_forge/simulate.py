@@ -55,13 +55,12 @@ from __future__ import annotations
 import random
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from math import isqrt
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
-from .field import HALF, FieldElem, ONE, ZERO
+from .field import HALF, FieldElem, ONE, ZERO, value_type
 from .clifford import CliffordTableau
 from .cnc import CncSet, cnc_vertices
 from .gf2 import PauliPoint, Subspace
@@ -79,7 +78,7 @@ from .reduction import CoinStep, FixedStep, ReductionEngine, embed_tail_assignme
 from .stabilizer import Assignment, check_bit, state_from_json, state_to_json
 
 
-@dataclass(frozen=True)
+@value_type()
 class LiftState:
     """A lifted initial state: engine frame around an inner descriptor."""
 

@@ -14,10 +14,10 @@ read costs one step per row, never a table over the 2^dim points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
+from .field import value_type
 from .gf2 import (
     PauliPoint,
     Subspace,
@@ -35,7 +35,7 @@ def check_bit(value, what: str) -> int:
     return value
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@value_type(repr=False)
 class Assignment:
     """A consistent value assignment on an isotropic subspace."""
 

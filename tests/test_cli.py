@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lambda_forge import cli
+from lambda_forge import cli, orbit
 from lambda_forge.cli import main
 from lambda_forge.clifford import CliffordTableau
 from lambda_forge.field import FieldElem
@@ -418,6 +418,23 @@ def test_orbit_outputs(tmp_path, capsys):
     assert code == 0 and json.loads(out)["payload"] == {"count": 1920, "written": target}
     with open(target) as fh:
         assert json.load(fh) == listed
+
+
+def test_orbit_verify_updates_reports_the_sweep(monkeypatch, capsys):
+    # the sweep runs on four members, not the full 57 600 cases
+    sweep, members = orbit.verify_update_rules, orbit.enumerate_family()[:4]
+    monkeypatch.setattr(cli, "verify_update_rules", lambda: sweep(members))
+    code, out = run(capsys, "orbit", "--verify-updates")
+    doc = json.loads(out)
+    stats = doc["payload"]
+    assert code == 0 and doc["status"] == "ok"
+    assert stats["cases"] == 4 * 15 * 2 and stats["mismatches"] == 0
+    assert stats["weight_profiles"] == {
+        "1/2+1/4+1/4": 12, "": 12, "1/4+1/4": 48, "1/2+1/4": 24, "1/4": 24}
+    monkeypatch.setattr(cli, "verify_update_rules", lambda: {**sweep(members), "mismatches": 1})
+    code, out = run(capsys, "orbit", "--verify-updates")
+    doc = json.loads(out)
+    assert code == 2 and doc["status"] == "violation" and doc["payload"]["mismatches"] == 1
 
 
 def test_reduce_plan_with_a_fixed_step(tmp_path, capsys):

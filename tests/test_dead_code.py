@@ -1,7 +1,9 @@
 """Every module-level private function or class of the package, every
 private method and every method of a private class is read somewhere in
 the package outside its own definition; every dataclass field and every
-``__slots__`` entry of a package class is read as an attribute."""
+``__slots__`` entry of a package class is read as an attribute; and no
+package class hand-writes the protocol that ``field.value_type``
+declares."""
 
 import ast
 from collections import Counter
@@ -87,12 +89,14 @@ def test_package_private_definitions_are_all_read():
     assert unread_private_definitions(trees) == []
 
 
+def _decorator_names(node) -> list[str]:
+    """The names of a class's decorators, called or not."""
+    return [f.id for f in (d.func if isinstance(d, ast.Call) else d for d in node.decorator_list)
+            if isinstance(f, ast.Name)]
+
+
 def _is_dataclass(node) -> bool:
-    return any(
-        isinstance(d, ast.Name) and d.id == "dataclass"
-        or isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "dataclass"
-        for d in node.decorator_list
-    )
+    return not {"dataclass", "value_type"}.isdisjoint(_decorator_names(node))
 
 
 def _fields(tree):
@@ -131,11 +135,68 @@ def test_unread_fields_are_detected():
         "    def __init__(self):\n        self.n = self._pending = 0\n"
         "    def size(self, step):\n        return self.n + step.kept + Bare().shown\n"
         "class Plain:\n    label: str\n"
+        "@value_type(init=False)\nclass Value:\n    shown: int\n    hidden: int\n"
     )
     assert unread_fields({"a": ast.parse(a)}) == [
-        ("a", 4, "Step.stale"), ("a", 7, "Bare.gone"), ("a", 10, "Engine._pending")]
+        ("a", 4, "Step.stale"), ("a", 7, "Bare.gone"), ("a", 10, "Engine._pending"),
+        ("a", 20, "Value.hidden")]
 
 
 def test_package_fields_are_all_read():
     trees = {p.name: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
     assert unread_fields(trees) == []
+
+
+#: what ``value_type`` declares, so no package class writes it by hand
+DECLARED = frozenset((
+    "__slots__", "__setattr__", "__delattr__", "__reduce__", "__reduce_ex__",
+    "__getstate__", "__setstate__",
+))
+
+
+def hand_written_protocol(trees: dict) -> list[tuple[str, int, str]]:
+    """(module, line, what) of each class in the {module: tree} map that
+    assigns or defines a name of ``DECLARED`` (what is ``Class.name``) or
+    is decorated with ``dataclass`` itself (what is ``Class@dataclass``)."""
+    found = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            if "dataclass" in _decorator_names(node):
+                found.append((module, node.lineno, f"{node.name}@dataclass"))
+            for stmt in node.body:
+                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names = [stmt.name]
+                elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                    targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                    names = [t.id for t in targets if isinstance(t, ast.Name)]
+                else:
+                    continue
+                found += [(module, stmt.lineno, f"{node.name}.{name}")
+                          for name in names if name in DECLARED]
+    return found
+
+
+def test_hand_written_protocol_is_detected():
+    a = (
+        "@dataclass(frozen=True)\nclass Step:\n    kept: int\n"
+        "@dataclass\nclass Bare:\n    pass\n"
+        "class Engine:\n    __slots__ = ('n',)\n"
+        "    def __setattr__(self, name, value):\n        raise AttributeError(name)\n"
+        "    __delattr__ = __setattr__\n"
+        "    def __reduce__(self):\n        return (Engine, ())\n"
+        "@value_type(init=False)\nclass Value:\n    n: int\n"
+        "    def __hash__(self):\n        return self.n\n"
+        "    def _fill(self, n):\n        object.__setattr__(self, 'n', n)\n"
+        "def outer():\n    class Inner:\n        def __getstate__(self):\n            return {}\n"
+    )
+    assert hand_written_protocol({"a": ast.parse(a)}) == [
+        ("a", 2, "Step@dataclass"), ("a", 5, "Bare@dataclass"), ("a", 8, "Engine.__slots__"),
+        ("a", 9, "Engine.__setattr__"), ("a", 11, "Engine.__delattr__"),
+        ("a", 12, "Engine.__reduce__"), ("a", 23, "Inner.__getstate__")]
+
+
+def test_package_classes_declare_their_protocol():
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    assert hand_written_protocol(trees) == []

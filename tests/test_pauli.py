@@ -459,8 +459,7 @@ def test_coeffs_view_is_read_only():
         A.coeffs[PauliPoint.zero(2)] = ONE
     with pytest.raises(TypeError):
         del A.coeffs[next(iter(A.coeffs))]
-    assert A.key() == before and A.coeffs is A.coeffs
-    assert type(A.__reduce__()[1][1]) is dict
+    assert A.key() == before
 
 
 def test_dense_guard():

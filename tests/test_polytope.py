@@ -458,9 +458,10 @@ def trace_one_operators(draw):
 def test_facet_values_match_projector_overlaps(X):
     cert = membership(X)
     oracle = [(label, X.trace_inner(P)) for label, P in _facet_oracle(X.n)]
-    assert list(cert.values) == [label for label, _ in oracle]
+    values = cert.values
+    assert list(values) == [label for label, _ in oracle]
     for label, value in oracle:
-        assert cert.values[label] == value
+        assert values[label] == value
     assert cert.active == [label for label, value in oracle if value.is_zero()]
     negative = [label for label, value in oracle if value.sign() < 0]
     assert cert.violation == (negative[0] if negative else None)

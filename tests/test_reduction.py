@@ -98,7 +98,6 @@ def test_engines_compare_by_value():
 
 def test_engines_and_lifted_states_pickle():
     # a pickle round trip rebuilds an equal engine with an equal hash
-    # (the cached hash is not carried over)
     tail = Assignment.from_pairs([(z_point(2, 1), 0), (z_point(2, 2), 1)])
     plain = ReductionEngine(2, 1, embed_tail_assignment(
         Assignment.from_pairs([(z_point(1, 1), 1)]), 2, 1))
@@ -109,7 +108,7 @@ def test_engines_and_lifted_states_pickle():
     for eng in (plain, framed, framed.resolve_coin(step, 1)):
         hash(eng)
         again = pickle.loads(pickle.dumps(eng))
-        assert again == eng and again is not eng and again._hash is None
+        assert again == eng and again is not eng
         assert hash(again) == hash(eng)
     assert pickle.loads(pickle.dumps(framed)).resolve_coin(step, 0) == framed.resolve_coin(step, 0)
     for eng in (framed, framed.resolve_coin(step, 1)):
@@ -131,6 +130,10 @@ def test_resolve_refuses_fixed_and_measure_steps():
     for step in (fixed, head):
         with pytest.raises(ValueError, match="only a coin step"):
             eng.resolve_coin(step, 0)
+    # a coin whose image commutes with all of sigma is not one of this frame
+    foreign = CoinStep(PauliPoint.from_label("ZZ").key(), 0)
+    with pytest.raises(ValueError, match="no coin of this frame"):
+        eng.resolve_coin(foreign, 0)
 
 
 def test_sigma_must_be_tail_supported():

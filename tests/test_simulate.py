@@ -615,13 +615,35 @@ def lifted_states(draw):
     return LiftState(engine, draw(st.sampled_from(INNER[m])))
 
 
+CNC3_SHAPES = maximal_cnc_sets(3)
+GENERATORS2 = generator_tableaux(2)
+
+
+@st.composite
+def cnc3_vertices(draw):
+    omega = draw(st.sampled_from(CNC3_SHAPES))
+    return CncSet(omega, draw(st.sampled_from(consistent_assignments(omega))))
+
+
+@st.composite
+def moved_members(draw, X):
+    """The two-qubit operator state X moved by a word of Cliffords."""
+    for g in draw(st.lists(st.sampled_from(GENERATORS2), max_size=6)):
+        X = g.conjugate(X)
+    return X
+
+
 @st.composite
 def circuits(draw):
-    """An initial state (cnc set on n <= 2, family member, or lift to n = 3)
-    and an adaptive step list whose conditions name earlier steps."""
+    """An initial state (cnc set on n <= 3, family member, Lambda_2 member
+    operator moved by a Clifford word, or lift to n = 3) and an adaptive
+    step list whose conditions name earlier steps."""
     state = draw(st.one_of(
         st.sampled_from(cnc_vertices(1) + cnc_vertices(2)),
+        cnc3_vertices(),
         st.sampled_from(enumerate_family()),
+        moved_members(alpha0_vertex()),  # the family orbit
+        st.deferred(lambda: moved_members(OUTSIDE_HULL)),  # the second orbit, defined below
         lifted_states(),
     ))
     points = all_points(state.n, include_zero=False)
