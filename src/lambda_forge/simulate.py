@@ -39,7 +39,9 @@ u < ceil(x) exactly when u < x, and the ceiling is computed
 exactly (floor(r*sqrt(2)) = isqrt(2 r**2)), so every draw is the exact
 comparison in Q(sqrt(2)) with no float.  Draw tables are memoized on
 (state, axis), as the updates are, and the shots of one call share a
-bounded outcome tree (``iter_sample``).
+bounded outcome tree (``iter_sample``): a shot on it makes one draw, one
+bisection and one index per node, where a node also draws for the run of
+one-item steps before it.
 
 Sequences are lists of steps; a step is a Pauli point, or a
 ``(point, condition)`` tuple where the condition maps earlier step
@@ -55,6 +57,7 @@ from __future__ import annotations
 import random
 import re
 from bisect import bisect_right
+from dataclasses import field
 from functools import lru_cache, partial
 from math import isqrt
 from operator import itemgetter
@@ -84,6 +87,13 @@ class LiftState:
 
     engine: ReductionEngine
     inner: "State"
+    # cached: the state keys the draw tables and each call's interned ids
+    _hash: Optional[int] = field(default=None, init=False, compare=False, repr=False)
+
+    def __hash__(self):
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.engine, self.inner)))
+        return self._hash
 
     @property
     def n(self) -> int:
@@ -388,19 +398,28 @@ def iter_sample(
     transcript is drawn.
 
     The shots walk an outcome tree grown within the call.  A node is one
-    executed step at one (transcript prefix, state): a tuple (thresholds,
-    slots, items, link, step) whose slots hold, per (outcome, next state)
-    item of the step's table, the child the first shot to draw it grew.
-    A leaf is (None, transcript), shared by every shot that ends there;
-    unmet conditions are resolved when a node is grown, so a shot on
-    grown nodes checks none and makes one draw, one bisection and one
-    index per executed step.  The root is the initial table, at step -1.
-    A shot that draws an ungrown slot is finished by ``_Call.finish``,
-    which grows the nodes of its path until the tree holds
-    ``_TREE_NODES`` nodes, leaves included, and draws the rest on the
-    same tables: one per (step, state) reached, its states interned to
-    small ints.  So what a call holds is bounded by the tree's size and
-    its distinct (step, state) pairs, not by its shot count.
+    executed step at one (transcript prefix, state): a tuple (width,
+    thresholds, slots, items, link, step) whose slots hold, per (outcome,
+    next state) item of the step's table, the child the first shot to
+    draw it grew.  A leaf is (None, transcript), shared by every shot
+    that ends there; unmet conditions are resolved when a node is grown,
+    so a shot on grown nodes checks none and makes one draw, one
+    bisection and one index per node, where a node also draws for the
+    run of one-item steps before it.  Such a step's outcome is certain,
+    so a run of r of them grows no node of its own: the next node grown
+    on the path, or the run's own last step if none is, draws
+    ``width`` = 64 * (r + 1) bits against thresholds shifted left by 64 * r
+    (for the run's own last step, 64 * r bits against 2**(64 * r)).  A
+    wide draw is the r + 1 draws of 64 bits it replaces, lowest bits
+    first, and t * 2**(64 r) > u exactly when t > u // 2**(64 r), so
+    every transcript is the one a draw per step gives.  The root is the
+    initial table, at step -1.  A shot that draws an ungrown slot is
+    finished by ``_Call.finish``, which grows the nodes of its path until
+    the tree holds ``_TREE_NODES`` units, one per executed step and one
+    per leaf, and draws the rest on the same tables: one per (step,
+    state) reached, its states interned to small ints.  So what a call
+    holds is bounded by the tree's size and its distinct (step, state)
+    pairs, not by its shot count.
     """
     if not isinstance(shots, int) or isinstance(shots, bool) or shots < 1:
         raise ValueError(f"shots must be a positive int, got {shots!r}")
@@ -409,15 +428,17 @@ def iter_sample(
     initial = check_weights(initial)
     init_items, init_thresholds = _table(initial)
     call = _Call(normalize_steps(steps, _width(initial)), random.Random(seed).getrandbits)
-    root = (init_thresholds, [_UNGROWN] * len(init_items),
+    root = (64, init_thresholds, [_UNGROWN] * len(init_items),
             [(None, call.intern(state)) for state in init_items], None, -1)
     draw = call.draw
     for _ in range(shots):
-        node = root
+        node, width = root, 64
         while True:
-            k = bisect_right(node[0], draw(64))
-            child = node[1][k]
-            if child[0] is None:
+            k = bisect_right(node[1], draw(width))
+            child = node[2][k]
+            # a node's width is its first field, a leaf's and a slot's None
+            width = child[0]
+            if width is None:
                 break
             node = child
         leaf = child[1]
@@ -454,18 +475,33 @@ class _Call:
             table = tables[sid] = [(s, self.intern(piece)) for s, piece in items], thresholds
         return table
 
+    def end_run(self, run: int, items: list, cell: tuple, slot: tuple) -> tuple:
+        """The node of a run of ``run`` one-item steps, ``items`` the last
+        one's table and ``cell`` its link cell, with one slot holding
+        ``slot``; it draws the run's 64 * run bits, as a shot walking it
+        does, and they are always below its one threshold."""
+        link, step, _ = cell
+        width = 64 * run
+        self.draw(width)
+        return (width, [1 << width], [slot], items, link, step)
+
     def finish(self, node: tuple, k: int) -> tuple:
         """The transcript of a shot that drew the ungrown slot k of
         ``node``.  Each executed step of the rest of its path makes one
         draw on its (step, state id) table and, while the tree has room,
-        grows the node there; the leaf is grown last, if room is left.
+        takes one unit of it and grows the node there; the leaf is grown
+        last, if room is left.  A run of one-item steps is held and merged
+        into the next node grown, or, when the path ends or the room runs
+        out first, into the run's own last step, whose slot then holds the
+        leaf or stays ungrown (see ``iter_sample``).
 
-        A node keeps no prefix: its link is (parent's link, parent's step,
-        outcome drawn there), or None below the root, so the prefix is
-        rebuilt once per shot that leaves the grown nodes and then extended
-        step by step; a path of any depth costs time linear in its length."""
+        A node keeps no prefix: its link is the cell (prefix link, step,
+        outcome) of the last executed step before it, or None below the
+        root, so the prefix is rebuilt once per shot that leaves the grown
+        nodes and then extended step by step; a path of any depth costs
+        time linear in its length."""
         draw, room = self.draw, self.room
-        _, slots, items, link, step = node
+        _, _, slots, items, link, step = node
         s, sid = items[k]
         acc: list[Optional[int]] = [None] * step
         cell = link
@@ -475,6 +511,7 @@ class _Call:
         if step >= 0:
             acc.append(s)
             link = (link, step, s)
+        run = 0  # one-item steps grown since the last node
         for _, cond, tables in self.plan[step + 1:]:
             if cond is not None and not _condition_met(cond, acc):
                 acc.append(None)
@@ -483,9 +520,23 @@ class _Call:
             if room:
                 room -= 1
                 i = len(acc)
-                child = slots[k] = (thresholds, [_UNGROWN] * len(items), items, link, i)
-                slots = child[1]
-                k = bisect_right(thresholds, draw(64))
+                if len(items) == 1:
+                    # certain: drawn for by the node that ends the run
+                    run += 1
+                    s, sid = items[0]
+                    acc.append(s)
+                    link = (link, i, s)
+                    if not room:
+                        # the tree is full: the run ends here, its slot ungrown
+                        slots[k] = self.end_run(run, items, link, _UNGROWN)
+                    continue
+                width = 64 * run + 64
+                if run:
+                    thresholds = [t << width - 64 for t in thresholds]
+                    run = 0
+                child = slots[k] = (width, thresholds, [_UNGROWN] * len(items), items, link, i)
+                slots = child[2]
+                k = bisect_right(thresholds, draw(width))
                 s, sid = items[k]
                 link = (link, i, s)
             else:
@@ -494,7 +545,9 @@ class _Call:
         transcript = tuple(acc)
         if room:
             room -= 1
-            slots[k] = (None, transcript)
+            leaf = (None, transcript)
+            # a run that ends the path holds the leaf at its last step
+            slots[k] = self.end_run(run, items, link, leaf) if run else leaf
         self.room = room
         return transcript
 

@@ -652,14 +652,23 @@ def _rref_oracle(rows, width):
     return [basis[c] for c in pivots], pivots
 
 
+@lru_cache(maxsize=None)
+def _facet_rows(n):
+    """(label, facet normal) for every stabilizer state, in enumeration
+    order: the projector's coefficient 1 or -1 at key k, at column k - 1,
+    read off its integer numerators once per n (the rows are shared, and
+    no caller writes them)."""
+    out = []
+    for label, P in _facet_oracle(n):
+        assert all(q == 0 and p % P._den == 0 for p, q in P._num.values())
+        out.append((label, {k - 1: p // P._den for k, (p, _) in P._num.items() if k}))
+    return out
+
+
 def _projector_rows(X):
-    """The active facet normals of member X, read off the stabilizer
-    projectors (coefficient 1 or -1 at key k, column k - 1)."""
+    """The active facet normals of member X (``_facet_rows``)."""
     active = set(membership(X).active)
-    return [
-        {p.key() - 1: int(c.a) for p, c in P.coeffs.items() if not p.is_zero()}
-        for label, P in _facet_oracle(X.n) if label in active
-    ]
+    return [row for label, row in _facet_rows(X.n) if label in active]
 
 
 def _assert_rref_matches_oracle(rows, width):

@@ -868,7 +868,8 @@ def test_sample_equals_the_reference_sampler():
 def test_sample_past_a_full_tree_equals_the_reference_sampler(monkeypatch):
     # once a call's tree is full, a shot that leaves it finishes step by
     # step; whatever node it leaves from, conditional, lifted and mixed
-    # circuits draw the same transcripts
+    # circuits draw the same transcripts (rooms 12, 13, 15, 16 and 20 fill
+    # the tree inside a run of one-item steps)
     gen = random.Random(3738)
     quarter = FieldElem(Fraction(1, 4))
     a, b = cnc_vertices(2)[5], enumerate_family()[0]
@@ -881,7 +882,8 @@ def test_sample_past_a_full_tree_equals_the_reference_sampler(monkeypatch):
         ([(ONE, lifted)], lsteps),
     ]
     want = [_reference_sample(init, steps, seed=i, shots=150) for i, (init, steps) in enumerate(cases)]
-    for room in (0, 1, 2, 7, 40, *(len(steps) + d for _, steps in cases for d in (0, 1))):
+    for room in (0, 1, 2, 7, 12, 13, 15, 16, 20, 40,
+                 *(len(steps) + d for _, steps in cases for d in (0, 1))):
         monkeypatch.setattr(simulate, "_TREE_NODES", room)
         for i, (init, steps) in enumerate(cases):
             assert sample(init, steps, seed=i, shots=150) == want[i]
@@ -913,6 +915,74 @@ def test_sample_grows_each_node_and_leaf_once(monkeypatch):
         got = sample(plus_z, steps, seed=1, shots=200)
         assert got == _reference_sample(plus_z, steps, seed=1, shots=200) and len(set(got)) == 8
         assert (len(finished) == 8) == fits and len(finished) >= 8
+
+
+def test_a_wide_draw_is_the_64_bit_draws_it_replaces():
+    # the outcome tree draws 64 * r bits at once where a shot once made r
+    # draws of 64; seeded transcripts hold only because CPython fills a
+    # wide draw lowest word first, from the same stream
+    for seed in (0, 1, 7, 4103, 2**70 + 5, -12):
+        for r in range(1, 6):
+            wide, narrow = random.Random(seed), random.Random(seed)
+            parts = [narrow.getrandbits(64) for _ in range(r)]
+            assert wide.getrandbits(64 * r) == sum(u << 64 * j for j, u in enumerate(parts))
+            assert wide.getrandbits(64) == narrow.getrandbits(64)
+
+
+def _runs_of_certain_steps():
+    """Circuits whose paths hold runs of one-item steps: at the start, in
+    the middle and at the end of a path, with skipped steps inside a run,
+    on a stabilizer state, a mixture of cnc sets and a lift with fixed
+    steps and a coin."""
+    plus_z = descriptor_from_json({"type": "stabilizer", "generators": ["+Z"]})
+    z, x = z_point(1, 1), x_point(1, 1)
+    tail = Assignment.from_pairs([(z_point(1, 1), 0)])
+    lifted = LiftState(ReductionEngine(2, 1, embed_tail_assignment(tail, 2, 1)), T_STATE)
+    fixed, coin = z_point(2, 2), x_point(2, 2)
+    head_x, head_z = x_point(2, 1), z_point(2, 1)
+    return [
+        (plus_z, [z, z, x, x, x, z, z, z, x, x, x]),
+        (plus_z, [x, x, (z, {0: 1}), x, (z, {1: 1}), x, z, (x, {6: 0}), z, z]),
+        (decompose_known(T_STATE), [z, z, x, z, z, (x, {2: 1}), z, x, x]),
+        ([(ONE, lifted)], [fixed, fixed, head_x, fixed, head_x, head_z, coin, coin,
+                           (fixed, {6: 0}), head_z, fixed]),
+    ]
+
+
+def test_runs_of_certain_steps_draw_as_the_reference_sampler(monkeypatch):
+    # a run of one-item steps is merged into the node after it, or into its
+    # own last step; at every tree size, the run cut short by a full tree
+    # among them, each shot draws the reference transcript from as many
+    # bits as one 64-bit draw per executed step, and wide draws occur
+    cases = _runs_of_certain_steps()
+    want = [_reference_sample(init, steps, seed=i, shots=150) for i, (init, steps) in enumerate(cases)]
+    widths = []
+
+    class Counted(random.Random):
+        def getrandbits(self, k):
+            widths.append(k)
+            return super().getrandbits(k)
+
+    ends = []
+    end_run = simulate._Call.end_run
+
+    def counted_end(call, run, items, cell, slot):
+        ends.append((run, slot is simulate._UNGROWN))
+        return end_run(call, run, items, cell, slot)
+
+    monkeypatch.setattr(simulate.random, "Random", Counted)
+    monkeypatch.setattr(simulate._Call, "end_run", counted_end)
+    for room in (*range(40), 1 << 12):
+        monkeypatch.setattr(simulate, "_TREE_NODES", room)
+        for i, (init, steps) in enumerate(cases):
+            widths.clear()
+            got = sample(init, steps, seed=i, shots=150)
+            assert got == want[i]
+            assert sum(widths) == 64 * sum(1 + len(t) - t.count(None) for t in got)
+            assert room < 3 or max(widths) > 64
+    # runs of two steps or more ended the path, and were cut short
+    assert {(run > 1, cut) for run, cut in ends} == {(True, True), (True, False),
+                                                      (False, True), (False, False)}
 
 
 def test_sample_memory_does_not_grow_with_shots():
