@@ -6,15 +6,17 @@ closed-form measurement updates:
 * cnc sets (including all stabilizer states), by the cnc update
   theorem, which covers every axis and every cnc set;
 * members of Lambda_1 and Lambda_2, each a state in its own right (a
-  trace-1 ``QOperator`` on n <= 2 that passes ``membership``), and the
-  family's orbit vertices, by the Freudenthal chain of the projected
-  member over the cnc sets on the commutant of the axis
-  (``orbit.member_update``; on one qubit, the stabilizer state {0, a});
+  ``MemberState``, certified once by ``member_state``), and the family's
+  orbit vertices, by the Freudenthal chain of the projected member over
+  the cnc sets on the commutant of the axis (``orbit.member_update``; on
+  one qubit, the stabilizer state {0, a});
 * lifted descriptors U (inner (x) Pi_sigma) U^dagger, handled by
   rewriting the measurement sequence down to the inner register.
 
-An ``operator`` descriptor is read as that one member state, with no
-pool and no simplex; a non-member is refused by its violated facet.
+An ``operator`` descriptor is read as that one member state, certified
+once on decode, with no pool and no simplex; a non-member is refused by
+its violated facet.  A bare ``QOperator``, plain or lifted, is certified
+once on entry to a law or the sampler, and by ``update_state`` per call.
 No update goes through exact projection: ``QOperator.project`` appears
 here only in the Born branch rule.  Updates of every state kind are
 memoized on (state, axis), one entry holding the children of both
@@ -49,7 +51,7 @@ indices to required outcomes 0 or 1 (a decision table); unmet
 conditions skip the step, recorded as None in the transcript.  Any other
 step, a point whose qubit count is not the state's, the identity point,
 or a condition naming the step itself or a later one, is rejected before
-any step runs; so is an operator initial state that is not a member.
+any step runs; so is a bare operator initial state that is not a member.
 """
 
 from __future__ import annotations
@@ -82,6 +84,20 @@ from .stabilizer import Assignment, check_bit, state_from_json, state_to_json
 
 
 @value_type()
+class MemberState:
+    """A member of Lambda_1 or Lambda_2 as a state: a trace-1 operator on
+    n <= 2 that passed ``membership``, built only by ``member_state``."""
+    op: QOperator
+
+    @property
+    def n(self) -> int:
+        return self.op.n
+
+    def operator(self) -> QOperator:
+        return self.op
+
+
+@value_type()
 class LiftState:
     """A lifted initial state: engine frame around an inner descriptor."""
 
@@ -100,13 +116,13 @@ class LiftState:
         return self.engine.n
 
 
-State = Union[CncSet, OrbitVertex, QOperator, LiftState]
+State = Union[CncSet, OrbitVertex, MemberState, LiftState]
 
 
-def state_operator(state: State) -> QOperator:
+def state_operator(state: Union[State, QOperator]) -> QOperator:
     if isinstance(state, QOperator):
         return state
-    if isinstance(state, (CncSet, OrbitVertex)):
+    if not isinstance(state, LiftState):
         return state.operator()
     sig = state.engine.sigma
     # the engine's conjugator is the inverse of the preparing unitary
@@ -116,14 +132,15 @@ def state_operator(state: State) -> QOperator:
 
 
 #: the state kinds with closed-form updates
-_STATE_TYPES = (CncSet, OrbitVertex, QOperator, LiftState)
+_STATE_TYPES = (CncSet, OrbitVertex, MemberState, LiftState)
 
 
 def update_state(state: State, a: PauliPoint, s: int) -> list[tuple[FieldElem, State]]:
     """Pieces (weight, new state) with weights summing to the outcome
-    probability; exact at every branch."""
+    probability; exact at every branch.  A bare ``QOperator`` is certified
+    (``member_state``) on every call."""
     if not isinstance(state, _STATE_TYPES):
-        raise ValueError(f"unknown descriptor {type(state).__name__}")
+        state = _enter(state)  # not a lift: a certified QOperator, or ValueError
     check_bit(s, "outcome")
     return [(w, piece) for t, w, piece in _cached_branch(state, a) if t == s]
 
@@ -131,7 +148,8 @@ def update_state(state: State, a: PauliPoint, s: int) -> list[tuple[FieldElem, S
 @lru_cache(maxsize=1 << 16)
 def _cached_branch(state: State, a: PauliPoint) -> tuple[tuple[int, FieldElem, State], ...]:
     """The (outcome, weight, piece) children of both outcomes, outcome 0
-    first; memoized, since branch trees and shots revisit (state, axis)."""
+    first; memoized, since branch trees and shots revisit (state, axis).
+    A member state runs the chain unchecked: its type is its certificate."""
     if isinstance(state, LiftState):
         children = _lift_branch(state.engine, state.inner, a, _update_branch)
         return tuple((s, w, LiftState(*node)) for s, w, node in children)
@@ -140,7 +158,7 @@ def _cached_branch(state: State, a: PauliPoint) -> tuple[tuple[int, FieldElem, S
     elif isinstance(state, OrbitVertex):
         rule = partial(orbit_update, state)
     else:
-        rule = partial(member_update, member_state(state))
+        rule = partial(member_update, state.op)
     return tuple((s, w, piece) for s in (0, 1) for w, piece in rule(a, s))
 
 
@@ -159,9 +177,9 @@ def _lift_branch(engine: ReductionEngine, head, a: PauliPoint, head_branch) -> l
     return sorted(children, key=itemgetter(0))
 
 
-def member_state(op: QOperator) -> QOperator:
-    """op itself, a state, when it is a trace-1 member on n <= 2;
-    ValueError otherwise, naming the first violated facet."""
+def member_state(op: QOperator) -> MemberState:
+    """op as a ``MemberState``, built nowhere else, when it is a trace-1
+    member on n <= 2; ValueError otherwise, naming the first violated facet."""
     if op.trace() != ONE:
         raise ValueError(f"an operator initial state needs trace 1, got {op.trace()}")
     if op.n > 2:
@@ -169,7 +187,7 @@ def member_state(op: QOperator) -> QOperator:
     violation = membership(op).violation
     if violation is not None:
         raise ValueError(f"the operator is not a polytope member: violated facet {violation}")
-    return op
+    return MemberState(op)
 
 
 # -- sequences ----------------------------------------------------------------
@@ -248,22 +266,26 @@ def _law(roots: Sequence[tuple], steps: Sequence, n: int, branch) -> dict[tuple,
     return out
 
 
-def _width(weighted: Sequence[tuple]) -> int:
-    """The qubit count of the states of a nonempty weighted list;
-    ValueError if one is not a state, an operator among them or inside
-    their lifts is not a member (``member_state``), or their counts
-    differ."""
-    for _, state in weighted:
-        if not isinstance(state, _STATE_TYPES):
-            raise ValueError(f"unknown descriptor {type(state).__name__}")
-        while isinstance(state, LiftState):
-            state = state.inner
-        if isinstance(state, QOperator):
-            member_state(state)
-    widths = {state.n for _, state in weighted}
+def _entered(initial: Iterable[tuple]) -> tuple[list[tuple[FieldElem, State]], int]:
+    """The initial pairs with their weights checked and states entered
+    (``_enter``), and the states' qubit count; ValueError if they differ."""
+    entered = [(w, _enter(state)) for w, state in check_weights(initial)]
+    widths = {state.n for _, state in entered}
     if len(widths) != 1:
         raise ValueError(f"the initial states differ in qubit count: {sorted(widths)}")
-    return widths.pop()
+    return entered, widths.pop()
+
+
+def _enter(state) -> State:
+    """The state, a bare ``QOperator`` certified (``member_state``), or a
+    lift rebuilt only if its inner changed; ValueError on a non-state."""
+    if isinstance(state, QOperator):
+        return member_state(state)
+    if not isinstance(state, _STATE_TYPES):
+        raise ValueError(f"unknown descriptor {type(state).__name__}")
+    if isinstance(state, LiftState) and (inner := _enter(state.inner)) is not state.inner:
+        return LiftState(state.engine, inner)
+    return state
 
 
 def _update_branch(state: State, a: PauliPoint) -> list[tuple[int, FieldElem, State]]:
@@ -288,8 +310,8 @@ def exact_distribution(
 ) -> dict[tuple, FieldElem]:
     """Exact joint outcome distribution (None marks skipped steps).  The
     initial weights must pass ``check_weights``; states and steps share n."""
-    initial = check_weights(initial)
-    return _law(initial, steps, _width(initial), _update_branch)
+    initial, n = _entered(initial)
+    return _law(initial, steps, n, _update_branch)
 
 
 def born_distribution(rho: QOperator, steps: Sequence) -> dict[tuple, FieldElem]:
@@ -425,9 +447,9 @@ def iter_sample(
         raise ValueError(f"shots must be a positive int, got {shots!r}")
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise ValueError(f"seed must be an int, got {seed!r}")
-    initial = check_weights(initial)
+    initial, n = _entered(initial)
     init_items, init_thresholds = _table(initial)
-    call = _Call(normalize_steps(steps, _width(initial)), random.Random(seed).getrandbits)
+    call = _Call(normalize_steps(steps, n), random.Random(seed).getrandbits)
     root = (64, init_thresholds, [_UNGROWN] * len(init_items),
             [(None, call.intern(state)) for state in init_items], None, -1)
     draw = call.draw
@@ -560,8 +582,8 @@ def state_to_descriptor_json(state: State) -> dict:
         return {"type": "cnc", **state.to_json()}
     if isinstance(state, OrbitVertex):
         return {"type": "orbit", "coeffs": state.operator().to_json()["coeffs"]}
-    if isinstance(state, QOperator):
-        return {"type": "operator", **state.to_json()}
+    if isinstance(state, MemberState):
+        return {"type": "operator", **state.op.to_json()}
     n, m, sig = state.engine.n, state.engine.m, state.engine.sigma
     # the row shift back to the tail keeps sigma's row values
     tail = Subspace(n - m, [_restrict_key(r, n, m, n - m) for r in sig.subspace.rows])
@@ -601,12 +623,9 @@ def descriptor_from_json(obj: Mapping) -> list[tuple[FieldElem, State]]:
         terms = obj.get("terms")
         if not isinstance(terms, list) or not all(isinstance(t, Mapping) for t in terms):
             raise ValueError("mixture terms must be a list of objects")
-        out = []
-        for w, term in check_weights((FieldElem.from_json(t.get("weight")), t) for t in terms):
-            for w2, st in descriptor_from_json(term.get("state")):
-                out.append((w * w2, st))
-        _width(out)
-        return out
+        terms = check_weights((FieldElem.from_json(t.get("weight")), t) for t in terms)
+        return _entered((w * w2, st) for w, term in terms
+                        for w2, st in descriptor_from_json(term.get("state")))[0]
     if kind == "operator":
         return [(ONE, member_state(QOperator.from_json(obj)))]
     raise ValueError(f"unknown initial-state descriptor type {kind!r}")

@@ -43,6 +43,7 @@ from lambda_forge.simulate import (
     distribution_to_json,
     exact_distribution,
     iter_sample,
+    member_state,
     normalize_steps,
     reduced_distribution,
     sample,
@@ -1044,7 +1045,7 @@ def test_outside_hull_vertex_is_a_member_no_known_pool_holds():
     with pytest.raises(ValueError, match=r"over the cnc vertices; simulate takes"):
         decompose_known(QOperator.from_labels(1, {"I": 1, "X": 3}))
     assert descriptor_from_json({"type": "operator", **OUTSIDE_HULL.to_json()}) == [
-        (ONE, OUTSIDE_HULL)]
+        (ONE, member_state(OUTSIDE_HULL))]
 
 
 def test_outside_hull_vertex_has_a_second_orbit_of_half_integer_vertices():
@@ -1147,11 +1148,71 @@ def test_member_states_read_and_run_without_a_pool_or_simplex(monkeypatch):
 
 
 def test_member_state_json_round_trips():
+    def round_trip(doc):
+        return descriptor_from_json(json.loads(json.dumps(doc)))
+
+    tail = Assignment.from_pairs([(z_point(1, 1), 1)])
+    third = FieldElem(Fraction(1, 3))
     for X in (T_STATE, T_T, OUTSIDE_HULL):
-        doc = state_to_descriptor_json(X)
+        state, n = member_state(X), X.n
+        doc = state_to_descriptor_json(state)
         assert doc == {"type": "operator", **X.to_json()}
-        assert descriptor_from_json(json.loads(json.dumps(doc))) == [(ONE, X)]
-        assert state_operator(X) is X
+        assert round_trip(doc) == [(ONE, state)]
+        assert state_operator(state) is X
+        # inside a mixture, as a lift inner and inside a nested lift
+        other = cnc_vertices(n)[1]
+        assert round_trip({"type": "mixture", "terms": [
+            {"weight": "1/3", "state": doc},
+            {"weight": "2/3", "state": state_to_descriptor_json(other)},
+        ]}) == [(third, state), (ONE - third, other)]
+        lifted = LiftState(ReductionEngine(n + 1, n, embed_tail_assignment(tail, n + 1, n),
+                                           CliffordTableau.cnot(n + 1, 1, n + 1)), state)
+        nested = LiftState(ReductionEngine(n + 2, n + 1, embed_tail_assignment(tail, n + 2, n + 1)),
+                           lifted)
+        for L in (lifted, nested):
+            assert round_trip(state_to_descriptor_json(L)) == [(ONE, L)]
+
+
+def test_an_operator_state_is_certified_once(monkeypatch):
+    # `membership` runs once per operator state: on decode, or on entry of
+    # a bare QOperator (plain or lifted) to a law or the sampler; a memo
+    # miss on a member state runs none
+    runs = []
+    certify = simulate.membership
+    monkeypatch.setattr(simulate, "membership", lambda op: runs.append(op) or certify(op))
+    X = alpha0_vertex()
+    doc = {"type": "operator", **X.to_json()}
+    steps = [x_point(2, 1), z_point(2, 2), (y_point(2, 1), {0: 1}), x_point(2, 2)]
+    simulate._cached_branch.cache_clear()
+    simulate._draw_table.cache_clear()
+    init = descriptor_from_json(doc)
+    exact_distribution(init, steps)
+    sample(init, steps, seed=1, shots=100)
+    assert runs == [X]
+    for wrapped in ({"type": "mixture", "terms": [{"weight": 1, "state": doc}]},
+                    {"type": "lift", "sigma": {"generators": ["+X"]}, "inner": doc}):
+        runs.clear()
+        descriptor_from_json(wrapped)
+        assert runs == [X]
+    tail = Assignment.from_pairs([(z_point(1, 1), 0)])
+    inner = LiftState(ReductionEngine(3, 2, embed_tail_assignment(tail, 3, 2)), X)
+    outer = LiftState(ReductionEngine(4, 3, embed_tail_assignment(tail, 4, 3)), inner)
+    gen = random.Random(42)
+    for state in (X, inner, outer):
+        for length in (0, 1, 4):
+            steps = _seeded_steps(gen, state.n, length)
+            for law in (exact_distribution, lambda init, steps: sample(init, steps, seed=2)):
+                runs.clear()
+                law([(ONE, state)], steps)
+                assert runs == [X]
+    state = member_state(X)
+    entered = LiftState(inner.engine, state)
+    assert simulate._enter(entered) is entered
+    runs.clear()
+    simulate._cached_branch.cache_clear()
+    for a in all_points(2, include_zero=False):
+        simulate._cached_branch(state, a)
+    assert simulate._cached_branch.cache_info().misses == 15 and runs == []
 
 
 def test_member_states_refuse_what_is_not_a_member():

@@ -26,7 +26,7 @@ from lambda_forge.reduction import (
     ReductionEngine,
     embed_tail_assignment,
 )
-from lambda_forge.simulate import LiftState
+from lambda_forge.simulate import LiftState, member_state
 from lambda_forge.stabilizer import Assignment
 
 
@@ -54,6 +54,7 @@ def _values():
         make_params(2, J, Assignment(J, (1,))),
         enumerate_family()[7],
         membership(alpha0_vertex()),
+        member_state(alpha0_vertex()),
     ]
 
 
@@ -68,7 +69,7 @@ def test_every_value_type_is_covered():
         if isinstance(cls, type) and dataclasses.is_dataclass(cls)
         and cls.__module__.startswith("lambda_forge.")
     }
-    assert {type(x) for x in VALUES} == declared and len(VALUES) == 16
+    assert {type(x) for x in VALUES} == declared and len(VALUES) == 17
 
 
 @pytest.mark.parametrize("x", VALUES, ids=lambda x: type(x).__name__)
