@@ -7,10 +7,7 @@ not quantum states (one eigenvalue is negative), yet every density
 matrix is a mixture of them.
 """
 
-from fractions import Fraction
-
 from lambda_forge import (
-    FieldElem,
     INV_SQRT2,
     ONE,
     PauliPoint,
@@ -21,6 +18,7 @@ from lambda_forge import (
     membership,
     x_point,
     y_point,
+    z_point,
 )
 
 verts = enumerate_vertices_n1()
@@ -30,11 +28,16 @@ for V in verts:
     ok, rank = is_vertex(V)
     print(f"  {labels}  extremal={ok} rank={rank}")
 
-# eigenvalues show these are not density matrices
-import numpy as np
-
-eigs = np.linalg.eigvalsh(verts[0].dense_matrix())
-print(f"\neigenvalues of one vertex: {eigs}  (one is negative!)")
+# these are not density matrices: a one-qubit operator (a_0 + a.sigma)/2
+# has determinant (a_0^2 - a_x^2 - a_y^2 - a_z^2)/4, exact in Q(sqrt 2), and
+# a negative determinant means one eigenvalue is negative
+axes = (PauliPoint.zero(1), x_point(1, 1), y_point(1, 1), z_point(1, 1))
+dets = set()
+for V in verts:
+    a0, ax, ay, az = (V.coeff(p) for p in axes)
+    dets.add((a0 * a0 - ax * ax - ay * ay - az * az) / 4)
+assert all(det.sign() < 0 for det in dets)
+print(f"\ndeterminant of every vertex: {', '.join(map(str, dets))}  (one eigenvalue is negative!)")
 
 # the magic state decomposes exactly over the corners
 t_state = QOperator(

@@ -30,26 +30,20 @@ JSON, equality, hashing and the Clifford, lift, polytope, simplex and
 family code run on them, reading form and phase off whole keys
 (``gf2.key_form``, ``key_phase``).  ``QOperator(n, {PauliPoint: c})``
 validates; ``coeff``, ``trace`` and ``.coeffs``, a read-only view built
-on each read (only the oracles ``product`` and ``dense_matrix`` read it),
-give FieldElems.
+on each read (no module of the package reads it; the bench, the demos
+and the tests do), give FieldElems.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from math import gcd, lcm
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Mapping, Optional
+from typing import Mapping, Optional
 
 from .field import ZERO, FieldElem, _fraction, _ratio_str, value_type
 from .gf2 import PauliPoint, swap_halves, symplectic_form
-
-if TYPE_CHECKING:
-    import numpy as np
-
-DENSE_ORACLE_BOUND = 5
 
 _new = object.__new__
 _set = object.__setattr__
@@ -251,56 +245,6 @@ class QOperator:
 
     # -- multiplicative structure ----------------------------------------
 
-    def _complex_coeffs(self) -> dict[PauliPoint, tuple[FieldElem, FieldElem]]:
-        return {p: (c, ZERO) for p, c in self.coeffs.items()}
-
-    @staticmethod
-    def _complex_product(
-        n: int,
-        left: Mapping[PauliPoint, tuple[FieldElem, FieldElem]],
-        right: Mapping[PauliPoint, tuple[FieldElem, FieldElem]],
-    ) -> dict[PauliPoint, tuple[FieldElem, FieldElem]]:
-        half = Fraction(1, 1 << n)
-        out: dict[PauliPoint, tuple[FieldElem, FieldElem]] = {}
-        for v, (ar, ai) in left.items():
-            for w, (br, bi) in right.items():
-                u = v ^ w
-                ph = product_phase(v, w)
-                re = ar * br - ai * bi
-                im = ar * bi + ai * br
-                if ph == 1:
-                    re, im = -im, re
-                elif ph == 2:
-                    re, im = -re, -im
-                elif ph == 3:
-                    re, im = im, -re
-                cur = out.get(u)
-                if cur is None:
-                    out[u] = (re, im)
-                else:
-                    out[u] = (cur[0] + re, cur[1] + im)
-        return {
-            p: (re * half, im * half)
-            for p, (re, im) in out.items()
-            if not (re.is_zero() and im.is_zero())
-        }
-
-    def product(self, other: "QOperator") -> "QOperator":
-        """Exact operator product; raises if the result is not Hermitian."""
-        if self.n != other.n:
-            raise ValueError("qubit count mismatch")
-        mixed = QOperator._complex_product(
-            self.n, self._complex_coeffs(), other._complex_coeffs()
-        )
-        coeffs = {}
-        for p, (re, im) in mixed.items():
-            if not im.is_zero():
-                raise ValueError(
-                    "operator product is not Hermitian; cannot coerce to QOperator"
-                )
-            coeffs[p] = re
-        return QOperator(self.n, coeffs)
-
     def tensor(self, other: "QOperator") -> "QOperator":
         """Tensor product with self's qubits first."""
         m, k = self.n, other.n
@@ -362,21 +306,6 @@ class QOperator:
                 out[v] = out[u] = (p + r, q + t)
         return QOperator._reduced(n, 2 * self._den, out)
 
-    # -- dense oracle ------------------------------------------------------
-
-    def dense_matrix(self) -> np.ndarray:
-        """Explicit 2^n x 2^n complex matrix; verification oracle only, so
-        numpy, from the ``test`` extra, is imported here."""
-        import numpy as np
-
-        if self.n > DENSE_ORACLE_BOUND:
-            raise ValueError(f"dense oracle capped at n={DENSE_ORACLE_BOUND}")
-        dim = 1 << self.n
-        total = np.zeros((dim, dim), dtype=complex)
-        for p, c in self.coeffs.items():
-            total += float(c) * pauli_matrix(p)
-        return total / dim
-
     # -- JSON -----------------------------------------------------------
 
     def to_json(self) -> dict:
@@ -434,24 +363,6 @@ def _label_key(label: str) -> tuple[int, int]:
     operator files repeat the same few labels."""
     point = PauliPoint.from_label(label)
     return point.n, point.key()
-
-
-def pauli_matrix(p: PauliPoint, phase: int = 0) -> np.ndarray:
-    """Dense matrix of i^phase T_p (qubit 1 is the first tensor factor);
-    a test oracle, so numpy, from the ``test`` extra, is imported here."""
-    import numpy as np
-
-    # one-qubit matrices by (z, x) bits
-    single = {
-        (0, 0): np.eye(2, dtype=complex),
-        (0, 1): np.array([[0, 1], [1, 0]], dtype=complex),
-        (1, 0): np.array([[1, 0], [0, -1]], dtype=complex),
-        (1, 1): np.array([[0, -1j], [1j, 0]], dtype=complex),
-    }
-    mat = np.ones((1, 1), dtype=complex)
-    for i in range(p.n):
-        mat = np.kron(mat, single[((p.z >> i) & 1, (p.x >> i) & 1)])
-    return (1j ** (phase & 3)) * mat
 
 
 def pauli_projector(a: PauliPoint, s: int) -> QOperator:

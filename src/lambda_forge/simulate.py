@@ -15,8 +15,9 @@ closed-form measurement updates:
 
 An ``operator`` descriptor is read as that one member state, certified
 once on decode, with no pool and no simplex; a non-member is refused by
-its violated facet.  A bare ``QOperator``, plain or lifted, is certified
-once on entry to a law or the sampler, and by ``update_state`` per call.
+its violated facet.  A bare ``QOperator`` is certified once on entry to
+a law or the sampler, by ``update_state`` per call, and as the inner of
+a hand-built lift once per memo miss of the lift.
 No update goes through exact projection: ``QOperator.project`` appears
 here only in the Born branch rule.  Updates of every state kind are
 memoized on (state, axis), one entry holding the children of both
@@ -289,7 +290,10 @@ def _enter(state) -> State:
 
 
 def _update_branch(state: State, a: PauliPoint) -> list[tuple[int, FieldElem, State]]:
-    """The closed-form update pieces for outcome 0, then for outcome 1."""
+    """The closed-form update pieces for outcome 0, then for outcome 1; a
+    bare ``QOperator`` (the inner of a hand-built lift) is entered once."""
+    if not isinstance(state, _STATE_TYPES):
+        state = _enter(state)
     return [(s, w, piece) for s in (0, 1) for w, piece in update_state(state, a, s)]
 
 

@@ -1,20 +1,29 @@
 """Functions only the tests call, kept here as the package carries only
 what it runs: the phased Pauli product, the maximally mixed state, an
-operator's support, the extremality refuter, and the family update as
-it ran on a member's doubled coefficients before the chain was written
-for every two-qubit member.  Each is the code the package held before,
+operator's support, the extremality refuter, the family update as it
+ran on a member's doubled coefficients before the chain was written for
+every two-qubit member, and the independent oracles the closed forms
+are checked against: the complex-coefficient operator product and the
+dense 2^n x 2^n matrices.  Each is the code the package held before,
 so the golden digests that read them hold and the chain has an oracle."""
 
+from __future__ import annotations
+
 from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING, Mapping, Optional
 
 from lambda_forge.cnc import CncSet
-from lambda_forge.field import ONE, FieldElem
+from lambda_forge.field import ONE, ZERO, FieldElem
 from lambda_forge.gf2 import PauliPoint, all_points, swap_halves
 from lambda_forge.orbit import OrbitVertex
 from lambda_forge.pauli import PhasedPauli, QOperator, key_phase, product_phase
 from lambda_forge.polytope import FacetCertificate, _active_rows, _int_rref, membership
 from lambda_forge.stabilizer import check_bit
+
+if TYPE_CHECKING:
+    import numpy as np
+
+DENSE_ORACLE_BOUND = 5
 
 
 def pauli_mul(p: PhasedPauli, q: PhasedPauli) -> PhasedPauli:
@@ -114,3 +123,85 @@ def family_measure_update(
         if w:
             out.append((FieldElem._reduced(w, 0, 4 * D), CncSet._from_keys(2, dict(gamma))))
     return out
+
+
+def complex_coeffs(A: QOperator) -> dict[PauliPoint, tuple[FieldElem, FieldElem]]:
+    return {p: (c, ZERO) for p, c in A.coeffs.items()}
+
+
+def complex_product(
+    n: int,
+    left: Mapping[PauliPoint, tuple[FieldElem, FieldElem]],
+    right: Mapping[PauliPoint, tuple[FieldElem, FieldElem]],
+) -> dict[PauliPoint, tuple[FieldElem, FieldElem]]:
+    half = Fraction(1, 1 << n)
+    out: dict[PauliPoint, tuple[FieldElem, FieldElem]] = {}
+    for v, (ar, ai) in left.items():
+        for w, (br, bi) in right.items():
+            u = v ^ w
+            ph = product_phase(v, w)
+            re = ar * br - ai * bi
+            im = ar * bi + ai * br
+            if ph == 1:
+                re, im = -im, re
+            elif ph == 2:
+                re, im = -re, -im
+            elif ph == 3:
+                re, im = im, -re
+            cur = out.get(u)
+            if cur is None:
+                out[u] = (re, im)
+            else:
+                out[u] = (cur[0] + re, cur[1] + im)
+    return {
+        p: (re * half, im * half)
+        for p, (re, im) in out.items()
+        if not (re.is_zero() and im.is_zero())
+    }
+
+
+def operator_product(A: QOperator, B: QOperator) -> QOperator:
+    """Exact operator product; raises if the result is not Hermitian."""
+    if A.n != B.n:
+        raise ValueError("qubit count mismatch")
+    mixed = complex_product(A.n, complex_coeffs(A), complex_coeffs(B))
+    coeffs = {}
+    for p, (re, im) in mixed.items():
+        if not im.is_zero():
+            raise ValueError(
+                "operator product is not Hermitian; cannot coerce to QOperator"
+            )
+        coeffs[p] = re
+    return QOperator(A.n, coeffs)
+
+
+def dense_matrix(A: QOperator) -> np.ndarray:
+    """Explicit 2^n x 2^n complex matrix; numpy, from the ``test`` extra,
+    is imported here, so the tests that use no dense oracle run without it."""
+    import numpy as np
+
+    if A.n > DENSE_ORACLE_BOUND:
+        raise ValueError(f"dense oracle capped at n={DENSE_ORACLE_BOUND}")
+    dim = 1 << A.n
+    total = np.zeros((dim, dim), dtype=complex)
+    for p, c in A.coeffs.items():
+        total += float(c) * pauli_matrix(p)
+    return total / dim
+
+
+def pauli_matrix(p: PauliPoint, phase: int = 0) -> np.ndarray:
+    """Dense matrix of i^phase T_p (qubit 1 is the first tensor factor);
+    numpy is imported here, as in ``dense_matrix``."""
+    import numpy as np
+
+    # one-qubit matrices by (z, x) bits
+    single = {
+        (0, 0): np.eye(2, dtype=complex),
+        (0, 1): np.array([[0, 1], [1, 0]], dtype=complex),
+        (1, 0): np.array([[1, 0], [0, -1]], dtype=complex),
+        (1, 1): np.array([[0, -1j], [1j, 0]], dtype=complex),
+    }
+    mat = np.ones((1, 1), dtype=complex)
+    for i in range(p.n):
+        mat = np.kron(mat, single[((p.z >> i) & 1, (p.x >> i) & 1)])
+    return (1j ** (phase & 3)) * mat

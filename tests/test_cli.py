@@ -1103,7 +1103,7 @@ def test_operator_documents_read_as_the_oracle_builds_them(doc):
 
 
 def test_commands_run_without_numpy(tmp_path):
-    # numpy is a test extra: only the dense oracles import it
+    # numpy is a test extra: only the dense oracles, in tests/helpers.py, import it
     operator = write_json(tmp_path / "a.json", ALPHA0)
     circuit = write_json(tmp_path / "c.json", CIRCUITS[1])
     argvs = [["vertex", operator], ["simulate", "--exact", circuit], ["orbit", "--count"]]

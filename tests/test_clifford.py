@@ -31,7 +31,7 @@ from lambda_forge.stabilizer import (
     enumerate_stabilizer_states,
     stabilizer_projector,
 )
-from helpers import maximally_mixed, pauli_mul
+from helpers import dense_matrix, maximally_mixed, pauli_mul
 
 rng = random.Random(3)
 
@@ -101,8 +101,8 @@ def test_dense_conjugation_oracle():
     for U, t, n in ((Hm, H, 1), (Sm, S, 1), (Cm, CX, 2)):
         for _ in range(4):
             A = rand_op(n)
-            got = t.conjugate(A).dense_matrix()
-            assert np.allclose(got, U @ A.dense_matrix() @ U.conj().T, atol=1e-12)
+            got = dense_matrix(t.conjugate(A))
+            assert np.allclose(got, U @ dense_matrix(A) @ U.conj().T, atol=1e-12)
 
 
 def test_compose_invert_group_laws():

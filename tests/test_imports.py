@@ -68,3 +68,68 @@ def test_cli_main_maps_exactly_the_user_errors():
             names = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
             caught += [name.id for name in names]
     assert sorted(caught) == ["OSError", "UsageError", "ValueError"]
+
+
+#: the dense and complex-product oracles, which live in tests/helpers.py
+TOP_ORACLES = {"pauli_matrix", "DENSE_ORACLE_BOUND"}
+QOPERATOR_ORACLES = {"product", "dense_matrix", "_complex_product", "_complex_coeffs"}
+
+
+def bound_names(body):
+    """(line, name) of each def, class or assigned name in a block."""
+    found = []
+    for stmt in body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((stmt.lineno, stmt.name))
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            found += [(stmt.lineno, t.id) for t in targets if isinstance(t, ast.Name)]
+    return found
+
+
+def oracle_leaks(tree):
+    """(line, what) of each numpy import anywhere in a module (top level,
+    in a function or under TYPE_CHECKING), each top-level oracle name and
+    each oracle method of a ``QOperator`` class."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, "numpy") for alias in node.names
+                      if alias.name.split(".")[0] == "numpy"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
+            found.append((node.lineno, "numpy"))
+    found += [(line, name) for line, name in bound_names(tree.body) if name in TOP_ORACLES]
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name == "QOperator":
+            found += [(line, f"QOperator.{name}") for line, name in bound_names(node.body)
+                      if name in QOPERATOR_ORACLES]
+    return sorted(found)
+
+
+def test_oracle_leaks_are_detected():
+    source = (
+        "from typing import TYPE_CHECKING\n"
+        "if TYPE_CHECKING:\n"
+        "    import numpy as np\n"
+        "DENSE_ORACLE_BOUND = 5\n"
+        "class QOperator:\n"
+        "    def dense_matrix(self):\n"
+        "        from numpy.linalg import eigvalsh\n"
+        "    def tensor(self):\n"
+        "        import os, numpy\n"
+        "def pauli_matrix(p):\n"
+        "    return p\n"
+    )
+    assert oracle_leaks(ast.parse(source)) == [
+        (3, "numpy"), (4, "DENSE_ORACLE_BOUND"), (6, "QOperator.dense_matrix"),
+        (7, "numpy"), (9, "numpy"), (10, "pauli_matrix"),
+    ]
+    assert oracle_leaks(ast.parse("import numbers\nclass QOperator:\n    n: int\n")) == []
+
+
+def test_package_holds_no_oracle_and_imports_no_numpy():
+    # the dense and complex-product oracles are test code, in tests/helpers.py
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    leaks = {p.name: found for p in modules if (found := oracle_leaks(ast.parse(p.read_text())))}
+    assert leaks == {}

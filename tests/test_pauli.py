@@ -30,13 +30,20 @@ from lambda_forge.pauli import (
     QOperator,
     beta,
     key_phase,
-    pauli_matrix,
     pauli_projector,
     product_phase,
 )
 from lambda_forge.lifting import lift_tensor
 from lambda_forge.stabilizer import Assignment, stabilizer_projector
-from helpers import maximally_mixed, pauli_mul
+from helpers import (
+    complex_coeffs,
+    complex_product,
+    dense_matrix,
+    maximally_mixed,
+    operator_product,
+    pauli_matrix,
+    pauli_mul,
+)
 
 rng = random.Random(0)
 
@@ -134,30 +141,30 @@ def test_beta_cocycle():
 
 
 def test_identity_and_mixed():
-    assert np.allclose(QOperator.identity(2).dense_matrix(), np.eye(4))
+    assert np.allclose(dense_matrix(QOperator.identity(2)), np.eye(4))
     A = rand_op(2)
-    assert A.product(QOperator.identity(2)) == A
+    assert operator_product(A, QOperator.identity(2)) == A
     assert maximally_mixed(1).trace() == ONE
 
 
 def test_product_dense_homomorphism():
     for _ in range(8):
         A, B = rand_op(2), rand_op(2, sqrt2=True)
-        M = QOperator._complex_product(2, A._complex_coeffs(), B._complex_coeffs())
+        M = complex_product(2, complex_coeffs(A), complex_coeffs(B))
         dense = np.zeros((4, 4), dtype=complex)
         for p, (re, im) in M.items():
             dense += (float(re) + 1j * float(im)) * pauli_matrix(p)
         dense /= 4
-        assert np.allclose(dense, A.dense_matrix() @ B.dense_matrix(), atol=1e-12)
+        assert np.allclose(dense, dense_matrix(A) @ dense_matrix(B), atol=1e-12)
 
 
 def test_product_hermitian_coercion():
     p0 = pauli_projector(z_point(1, 1), 0)
     p1 = pauli_projector(z_point(1, 1), 1)
-    assert p0.product(p1).is_zero()
-    assert p0.product(p0) == p0
+    assert operator_product(p0, p1).is_zero()
+    assert operator_product(p0, p0) == p0
     with pytest.raises(ValueError):
-        pauli_projector(z_point(1, 1), 0).product(pauli_projector(x_point(1, 1), 0))
+        operator_product(pauli_projector(z_point(1, 1), 0), pauli_projector(x_point(1, 1), 0))
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -173,7 +180,7 @@ def test_pauli_projector_refuses_the_zero_point(n):
     for a in all_points(n, include_zero=False):
         for s in (0, 1):
             P = pauli_projector(a, s)
-            assert P.product(P) == P and P.trace() == half
+            assert operator_product(P, P) == P and P.trace() == half
             assert P.coeff(a) == (-half if s else half)
 
 
@@ -182,7 +189,7 @@ def test_tensor():
     AA = A0.tensor(A0)
     assert len(AA.coeffs) == 16
     assert np.allclose(
-        AA.dense_matrix(), np.kron(A0.dense_matrix(), A0.dense_matrix())
+        dense_matrix(AA), np.kron(dense_matrix(A0), dense_matrix(A0))
     )
     assert A0.tensor(maximally_mixed(1)).coeffs == {
         PauliPoint(2, p.z, p.x): c for p, c in A0.coeffs.items()
@@ -195,7 +202,7 @@ def test_trace_inner_properties():
     assert (A + B).trace_inner(C) == A.trace_inner(C) + B.trace_inner(C)
     assert A.trace_inner(QOperator.identity(2)) == A.trace()
     got = A.trace_inner(B)
-    want = np.trace(A.dense_matrix() @ B.dense_matrix()).real
+    want = np.trace(dense_matrix(A) @ dense_matrix(B)).real
     assert abs(float(got) - want) < 1e-12
 
 
@@ -218,17 +225,17 @@ def test_bell_overlap_value():
     bell = QOperator.from_labels(2, {"II": 1, "ZZ": -1, "XX": -1, "YY": -1})
     value = A0.tensor(A0).trace_inner(bell)
     assert value == FieldElem(Fraction(-1, 2))
-    dense = bell.dense_matrix()
+    dense = dense_matrix(bell)
     assert np.allclose(dense @ dense, dense)
 
 
 def product_projection(A, a, s):
     """Pi A Pi by two complex-coefficient products: the independent oracle
     for the closed-form ``project`` (Pi A alone need not be Hermitian, so
-    ``product`` cannot build it)."""
-    proj = pauli_projector(a, s)._complex_coeffs()
-    mid = QOperator._complex_product(A.n, proj, A._complex_coeffs())
-    out = QOperator._complex_product(A.n, mid, proj)
+    ``operator_product`` cannot build it)."""
+    proj = complex_coeffs(pauli_projector(a, s))
+    mid = complex_product(A.n, proj, complex_coeffs(A))
+    out = complex_product(A.n, mid, proj)
     assert all(im.is_zero() for _, im in out.values())
     return QOperator(A.n, {p: re for p, (re, _) in out.items()})
 
@@ -254,14 +261,14 @@ def test_project_matches_dense_and_idempotent():
         assert len({c.d for c in A.coeffs.values()}) > 1
         assert any(c.q for c in A.coeffs.values())
     for A in ops + mixed:
-        Ad = A.dense_matrix()
+        Ad = dense_matrix(A)
         for a in all_points(A.n, include_zero=False):
             for s in (0, 1):
                 P = A.project(a, s)
                 assert P == product_projection(A, a, s)
                 assert P == P.project(a, s)
-                Pd = pauli_projector(a, s).dense_matrix()
-                assert np.allclose(P.dense_matrix(), Pd @ Ad @ Pd, atol=1e-12)
+                Pd = dense_matrix(pauli_projector(a, s))
+                assert np.allclose(dense_matrix(P), Pd @ Ad @ Pd, atol=1e-12)
     with pytest.raises(ValueError):
         rand_op(2).project(PauliPoint.zero(2), 0)
     with pytest.raises(ValueError):
@@ -337,7 +344,7 @@ def assert_matches(op, n, ref, dense=None):
     zero, and its matrix is ``dense`` when that is given."""
     assert_canonical(op)
     if dense is not None:
-        assert np.allclose(op.dense_matrix(), dense, atol=1e-12)
+        assert np.allclose(dense_matrix(op), dense, atol=1e-12)
     ref = ref_clean(ref)
     assert op.n == n and op.coeffs == ref
     assert all(not c.is_zero() for c in op.coeffs.values())
@@ -385,11 +392,11 @@ def conjugated(n, word, A):
     """(tableau, U A U^dagger) for the gates of word applied in order, the
     operator from two complex-coefficient products per gate."""
     tableau = CliffordTableau.identity(n)
-    coeffs = A._complex_coeffs()
+    coeffs = complex_coeffs(A)
     for kind, q in word:
         t, U, Ud = gate(n, kind, q)
         tableau = t.compose(tableau)
-        coeffs = QOperator._complex_product(n, QOperator._complex_product(n, U, coeffs), Ud)
+        coeffs = complex_product(n, complex_product(n, U, coeffs), Ud)
     assert all(im.is_zero() for _, im in coeffs.values())
     return tableau, QOperator(n, {p: re for p, (re, _) in coeffs.items()})
 
@@ -400,7 +407,7 @@ def test_int_keyed_operator_matches_reference(data):
     n = data.draw(st.integers(1, 3))
     RA, RB = data.draw(ref_operators(n)), data.draw(ref_operators(n))
     A, B = QOperator(n, RA), QOperator(n, RB)
-    Ad, Bd = A.dense_matrix(), B.dense_matrix()
+    Ad, Bd = dense_matrix(A), dense_matrix(B)
     assert_matches(A, n, RA, Ad)
     assert_matches(A + B, n, ref_add(RA, RB), Ad + Bd)
     assert_matches(A - B, n, ref_add(RA, RB, -1), Ad - Bd)
@@ -418,7 +425,7 @@ def test_int_keyed_operator_matches_reference(data):
     s = data.draw(st.integers(0, 1))
     P = A.project(a, s)
     RP = ref_project(RA, a, s)
-    Pd = pauli_projector(a, s).dense_matrix()
+    Pd = dense_matrix(pauli_projector(a, s))
     assert_matches(P, n, RP, Pd @ Ad @ Pd)
     assert P == product_projection(A, a, s)
     # the opposite projector annihilates the projection: every pair cancels
@@ -442,14 +449,14 @@ def test_int_keyed_operator_matches_reference(data):
             for v, c in RA.items()
             for w, d in RC.items()
         }
-        assert_matches(A.tensor(C), n + m, tensor, np.kron(Ad, C.dense_matrix()))
+        assert_matches(A.tensor(C), n + m, tensor, np.kron(Ad, dense_matrix(C)))
         # the lift onto a tail stabilizer state is the tensor with its projector
         tail = span([z_point(m, q) for q in range(1, m + 1)], m)
         values = data.draw(st.lists(st.integers(0, 1), min_size=m, max_size=m))
         proj = stabilizer_projector(tail, Assignment(tail, values))
         J = span([PauliPoint(n + m, p.z << n, 0) for p in tail.basis_points()], n + m)
         lifted = lift_tensor(A, J, Assignment(J, values))
-        assert_matches(lifted, n + m, dict(A.tensor(proj).coeffs), np.kron(Ad, proj.dense_matrix()))
+        assert_matches(lifted, n + m, dict(A.tensor(proj).coeffs), np.kron(Ad, dense_matrix(proj)))
 
 
 def test_coeffs_view_is_read_only():
@@ -464,12 +471,12 @@ def test_coeffs_view_is_read_only():
 
 def test_dense_guard():
     with pytest.raises(ValueError):
-        maximally_mixed(6).dense_matrix()
+        dense_matrix(maximally_mixed(6))
 
 
 def test_eigenvalues_of_qubit_vertex():
     A0 = QOperator.from_labels(1, {"I": 1, "X": 1, "Y": 1, "Z": 1})
-    eig = sorted(np.linalg.eigvalsh(A0.dense_matrix()))
+    eig = sorted(np.linalg.eigvalsh(dense_matrix(A0)))
     assert np.allclose(eig, [(1 - np.sqrt(3)) / 2, (1 + np.sqrt(3)) / 2])
 
 

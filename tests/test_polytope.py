@@ -41,7 +41,7 @@ from lambda_forge.stabilizer import (
     stabilizer_projector,
     state_to_json,
 )
-from helpers import extremality_refuter, maximally_mixed, pauli_mul
+from helpers import dense_matrix, extremality_refuter, maximally_mixed, pauli_mul
 
 from test_golden import _lift_to_three, certificate_inputs
 
@@ -109,7 +109,7 @@ def test_density_matrices_are_members():
     assert membership(T_STATE).is_member
     lifted = T_STATE.tensor(stabilizer_projector(span([z_point(1, 1)]), [0]))
     assert membership(lifted).is_member
-    M = lifted.dense_matrix()
+    M = dense_matrix(lifted)
     assert np.allclose(M, M.conj().T) and np.allclose(np.trace(M), 1)
     assert np.linalg.eigvalsh(M).min() > -1e-12
 

@@ -1205,6 +1205,16 @@ def test_an_operator_state_is_certified_once(monkeypatch):
                 runs.clear()
                 law([(ONE, state)], steps)
                 assert runs == [X]
+    # update_state on a hand-built lift of a bare operator enters the inner
+    # once per head-step miss: never twice in one call, never on a memo hit
+    simulate._cached_branch.cache_clear()
+    per_call = []
+    for s in (0, 1):
+        for a in all_points(3, include_zero=False):
+            runs.clear()
+            simulate.update_state(inner, a, s)
+            per_call.append(len(runs))
+    assert max(per_call) == 1 and sum(per_call[:63]) == 30 and sum(per_call[63:]) == 0
     state = member_state(X)
     entered = LiftState(inner.engine, state)
     assert simulate._enter(entered) is entered

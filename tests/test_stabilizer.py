@@ -19,6 +19,7 @@ from lambda_forge.stabilizer import (
     state_to_json,
     stabilizer_projector,
 )
+from helpers import dense_matrix, operator_product
 
 rng = random.Random(1)
 
@@ -32,7 +33,7 @@ def test_state_counts():
 def test_projectors_idempotent_unit_trace():
     for I, s in enumerate_stabilizer_states(2):
         P = stabilizer_projector(I, s)
-        assert P.product(P) == P
+        assert operator_product(P, P) == P
         assert P.trace() == ONE
 
 
@@ -46,14 +47,14 @@ def test_dense_ranks():
     assert stabilizer_projector(span([], n=2), []) == QOperator.identity(2)
     # <z1> at n=1 with sign 0: |0><0|
     P = stabilizer_projector(span([z_point(1, 1)]), [0])
-    assert np.allclose(P.dense_matrix(), [[1, 0], [0, 0]])
+    assert np.allclose(dense_matrix(P), [[1, 0], [0, 0]])
     # maximal at n=2: rank 1
     I, s = enumerate_stabilizer_states(2)[17]
-    assert np.linalg.matrix_rank(stabilizer_projector(I, s).dense_matrix()) == 1
+    assert np.linalg.matrix_rank(dense_matrix(stabilizer_projector(I, s))) == 1
     # one-dimensional at n=2: rank 2
     J = span([x_point(2, 1)])
     P = stabilizer_projector(J, [1])
-    assert np.linalg.matrix_rank(P.dense_matrix()) == 2
+    assert np.linalg.matrix_rank(dense_matrix(P)) == 2
 
 
 def test_assignment_consistency_by_construction():
