@@ -19,16 +19,18 @@ four six-member ones give |Omega| = 7, and the sign system solved by
 (I, gamma, collection), every one extremal: 15 * 4 * 4 * 8 = 1920.
 ``enumerate_family`` makes each member straight from these rule outputs;
 ``OrbitVertex.build`` validates parameters from outside with the same
-rule code (the collection must be one of ``enumerate_collections(I)``,
-gamma' one of the sign-system solutions); ``classify_operator`` accepts
-members only, reading twice each coefficient (2p/D) off the operator's
-integers and looking the key mask of Omega up among the six-member
-collections at I.  The check that the family equals the Clifford orbit
+rule code (the collection must be one of the six-member collections at
+I, gamma' one of the sign-system solutions); ``classify_operator``
+accepts members only, reading twice each coefficient (2p/D) off the
+operator's integers and looking the key mask of Omega up among the
+six-member collections at I.  The three make an ``OrbitVertex`` through
+one builder, ``_member``, and nothing else can, so every instance is a
+member.  The check that the family equals the Clifford orbit
 of ``ALPHA0_TABLE`` compares sorted (key, coefficient times 2) int pairs
 (``family_operator_keys``, ``clifford_orbit_keys``).  The test suite
 checks that every candidate from the 8- and 10-member collections fails
-membership or extremality and is refused by ``classify_operator``, and
-rebuilds and reclassifies every member.
+membership or extremality and is refused by ``classify_operator`` and
+``build``, and rebuilds and reclassifies every member.
 
 The covering rule is linear over Z_2.  Every nonzero point of E_2 lies
 in exactly three maximal isotropics, so a collection covers it 0, 1, 2
@@ -54,13 +56,13 @@ construction.  On the family the weights (before normalization) are
 
 from __future__ import annotations
 
-from dataclasses import field
+from dataclasses import field, fields
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
 from itertools import combinations, product
 from typing import ClassVar, Iterable, Mapping, Optional, Sequence
 
-from .field import FieldElem, ONE, sqrt2_sign, value_type
+from .field import FieldElem, sqrt2_sign, value_type
 from .clifford import coefficient_orbit
 from .cnc import CncSet
 from .gf2 import (
@@ -188,13 +190,14 @@ def _sign_solutions(gamma: Assignment, keys: Sequence[int]) -> list[int]:
 # -- the vertices ------------------------------------------------------------
 
 
-@value_type()
+@value_type(init=False)
 class OrbitVertex:
     """One member of the family, with its full parameter set.
 
-    ``enumerate_family`` constructs members directly from the rule
-    outputs; ``build`` is the validating constructor for parameters
-    from outside.
+    It has no constructor: ``enumerate_family``, ``classify_operator``
+    and ``build`` (the validating constructor for parameters from
+    outside) make it through ``_member``, so every instance is one of the
+    1920 members.
     """
 
     I: Subspace
@@ -202,19 +205,9 @@ class OrbitVertex:
     collection: frozenset[Subspace]
     omega: frozenset[PauliPoint]
     gamma_p: tuple[tuple[PauliPoint, int], ...]
-    _operator: QOperator = field(init=False, compare=False, repr=False)
+    _operator: QOperator = field(compare=False, repr=False)
 
     n: ClassVar[int] = 2
-
-    def __post_init__(self):
-        # the member's operator: over D = 2, the numerators are 2 at the
-        # identity, (-1)^gamma 2 on I and (-1)^gamma' on Omega
-        num = {k: (-2, 0) if g else (2, 0) for k, g in self.gamma.key_items()}
-        for p, b in self.gamma_p:
-            if not p.is_zero():
-                num[p.key()] = (-1, 0) if b else (1, 0)  # constant, shared pairs
-        # odd numerators on Omega's nonzero points: canonical over 2
-        object.__setattr__(self, "_operator", QOperator._of(2, 2, num))
 
     @staticmethod
     def build(
@@ -224,17 +217,15 @@ class OrbitVertex:
         gamma_p: Mapping[PauliPoint, int],
     ) -> "OrbitVertex":
         collection = frozenset(collection)
-        if collection not in enumerate_collections(I):
-            raise ValueError("collection is not one of the rule-satisfying collections at I")
-        omega = omega_from_collection(collection)
+        omega = next((om for C, om in _family_collections(I).values() if C == collection), None)
+        if omega is None:
+            raise ValueError("collection is not one of the six-member collections at I")
         if not omega.issubset(gamma_p):
             raise ValueError("gamma' must give a bit on every point of Omega")
-        gp = {p: check_bit(gamma_p[p], "gamma' values") for p in omega}
+        gp = {p: check_bit(gamma_p[p], "gamma' values") for p in sorted(omega, key=PauliPoint.key)}
         if gp not in assignment_solutions(I, gamma, omega):
             raise ValueError("gamma' violates the sign rules")
-        return OrbitVertex(
-            I, gamma, collection, omega, tuple(sorted(gp.items(), key=lambda kv: kv[0].key()))
-        )
+        return _member(I, gamma, collection, omega, tuple(gp.items()))
 
     def operator(self) -> QOperator:
         return self._operator
@@ -285,8 +276,25 @@ def classify_operator(V: QOperator) -> OrbitVertex:
     nz = sorted(gp)[1:]
     if sum(gp[k] << i for i, k in enumerate(nz)) not in _sign_solutions(gamma, nz):
         raise ValueError("gamma' violates the sign rules")
-    gamma_p = tuple((PauliPoint.from_key(2, k), gp[k]) for k in sorted(gp))
-    return OrbitVertex(I, gamma, *found, gamma_p)
+    return _member(I, gamma, *found, tuple((PauliPoint.from_key(2, k), gp[k]) for k in sorted(gp)))
+
+
+def _member(I: Subspace, gamma: Assignment, collection: frozenset[Subspace],
+            omega: frozenset[PauliPoint], gamma_p: tuple) -> OrbitVertex:
+    """The family member of checked rule outputs, gamma' as (point, bit)
+    pairs in ascending key order: the one builder of an ``OrbitVertex``."""
+    # the member's operator: over D = 2, the numerators are 2 at the
+    # identity, (-1)^gamma 2 on I and (-1)^gamma' on Omega
+    num = {k: (-2, 0) if g else (2, 0) for k, g in gamma.key_items()}
+    for p, b in gamma_p:
+        if not p.is_zero():
+            num[p.key()] = (-1, 0) if b else (1, 0)  # constant, shared pairs
+    # odd numerators on Omega's nonzero points: canonical over 2
+    values = (I, gamma, collection, omega, gamma_p, QOperator._of(2, 2, num))
+    vertex = object.__new__(OrbitVertex)
+    for f, value in zip(fields(OrbitVertex), values):
+        object.__setattr__(vertex, f.name, value)
+    return vertex
 
 
 @lru_cache(maxsize=1)
@@ -298,7 +306,7 @@ def enumerate_family() -> tuple[OrbitVertex, ...]:
         for gamma in all_assignments(I):
             for C, omega in _family_collections(I).values():
                 for gp in assignment_solutions(I, gamma, omega):
-                    out.append(OrbitVertex(I, gamma, C, omega, tuple(gp.items())))
+                    out.append(_member(I, gamma, C, omega, tuple(gp.items())))
     return tuple(out)
 
 
@@ -445,11 +453,8 @@ def verify_update_rules(vertices: Optional[Sequence[OrbitVertex]] = None) -> dic
 
 
 def _qubit_vertex(alpha: Mapping[PauliPoint, int]) -> QOperator:
-    coeffs = {PauliPoint.zero(1): ONE}
-    for p, b in alpha.items():
-        if not p.is_zero():
-            coeffs[p] = ONE if b == 0 else -ONE
-    return QOperator(1, coeffs)
+    zero = PauliPoint.zero(1)
+    return CncSet([zero, *alpha], {zero: 0, **alpha}).operator()
 
 
 def mixture_identities_report() -> dict[str, int]:
@@ -457,7 +462,6 @@ def mixture_identities_report() -> dict[str, int]:
     qubit for every admissible parameter choice; returns failure counts
     (all zero) keyed by identity name."""
     pts = all_points(1, include_zero=False)
-    zero = PauliPoint.zero(1)
     report = {f"identity-{k}": 0 for k in range(1, 6)}
     checked = {f"identity-{k}": 0 for k in range(1, 6)}
 

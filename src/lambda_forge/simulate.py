@@ -6,21 +6,22 @@ closed-form measurement updates:
 * cnc sets (including all stabilizer states), by the cnc update
   theorem, which covers every axis and every cnc set;
 * members of Lambda_1 and Lambda_2, each a state in its own right (a
-  ``MemberState``, certified once by ``member_state``), and the family's
-  orbit vertices, by the Freudenthal chain of the projected member over
-  the cnc sets on the commutant of the axis (``orbit.member_update``; on
-  one qubit, the stabilizer state {0, a});
+  ``MemberState``), and the family's orbit vertices, by the Freudenthal
+  chain of the projected member over the cnc sets on the commutant of
+  the axis (``orbit.member_update``; on one qubit, the stabilizer state
+  {0, a});
 * lifted descriptors U (inner (x) Pi_sigma) U^dagger, handled by
   rewriting the measurement sequence down to the inner register.
 
-An ``operator`` descriptor is read as that one member state, certified
-once on decode, with no pool and no simplex; a non-member is refused by
-its violated facet.  A bare ``QOperator`` is certified once on entry to
-a law or the sampler, by ``update_state`` per call, and as the inner of
-a hand-built lift once per memo miss of the lift.
-No update goes through exact projection: ``QOperator.project`` appears
-here only in the Born branch rule.  Updates of every state kind are
-memoized on (state, axis), one entry holding the children of both
+A state type is its own certificate, checked when built, so no update
+checks a state again: a ``MemberState`` passed ``membership`` (a
+non-member is refused by its violated facet), an ``OrbitVertex`` is one
+of the 1920 family members, and a ``LiftState`` holds a state on its m
+head qubits (a bare ``QOperator`` inner made a ``MemberState``).  An
+``operator`` descriptor is read as one member state, with no pool and no
+simplex.  No update goes through exact projection: ``QOperator.project``
+appears here only in the Born branch rule.  Updates of every state kind
+are memoized on (state, axis), one entry holding the children of both
 outcomes; lifted states compare and hash by value (engine frame and
 inner state), so they share entries.  A lifted step is written once
 (``_lift_branch``): fixed at weight 1, a fair coin, or the head's own
@@ -71,13 +72,7 @@ from .clifford import CliffordTableau
 from .cnc import CncSet, cnc_vertices
 from .gf2 import PauliPoint, Subspace
 from .lifting import _restrict_key, lift_tensor
-from .orbit import (
-    OrbitVertex,
-    classify_operator,
-    enumerate_family,
-    measure_update as orbit_update,
-    member_update,
-)
+from .orbit import OrbitVertex, classify_operator, enumerate_family, member_update
 from .pauli import QOperator
 from .polytope import decompose, membership
 from .reduction import CoinStep, FixedStep, ReductionEngine, embed_tail_assignment
@@ -87,8 +82,18 @@ from .stabilizer import Assignment, check_bit, state_from_json, state_to_json
 @value_type()
 class MemberState:
     """A member of Lambda_1 or Lambda_2 as a state: a trace-1 operator on
-    n <= 2 that passed ``membership``, built only by ``member_state``."""
+    n <= 2 that passed ``membership`` when built; ValueError otherwise,
+    naming the first violated facet."""
     op: QOperator
+
+    def __post_init__(self):
+        if self.op.trace() != ONE:
+            raise ValueError(f"an operator initial state needs trace 1, got {self.op.trace()}")
+        if self.n > 2:
+            raise ValueError(f"operator initial states are taken only for n <= 2, got n = {self.n}")
+        violation = membership(self.op).violation
+        if violation is not None:
+            raise ValueError(f"the operator is not a polytope member: violated facet {violation}")
 
     @property
     def n(self) -> int:
@@ -100,12 +105,18 @@ class MemberState:
 
 @value_type()
 class LiftState:
-    """A lifted initial state: engine frame around an inner descriptor."""
+    """A lifted initial state: engine frame around an inner state on its m
+    head qubits, checked when built (a bare ``QOperator`` is entered)."""
 
     engine: ReductionEngine
     inner: "State"
     # cached: the state keys the draw tables and each call's interned ids
     _hash: Optional[int] = field(default=None, init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "inner", _enter(self.inner))
+        if self.inner.n != self.engine.m:
+            raise ValueError(f"the inner is on {self.inner.n} qubits, the head on {self.engine.m}")
 
     def __hash__(self):
         if self._hash is None:
@@ -139,9 +150,9 @@ _STATE_TYPES = (CncSet, OrbitVertex, MemberState, LiftState)
 def update_state(state: State, a: PauliPoint, s: int) -> list[tuple[FieldElem, State]]:
     """Pieces (weight, new state) with weights summing to the outcome
     probability; exact at every branch.  A bare ``QOperator`` is certified
-    (``member_state``) on every call."""
+    (``MemberState``) on every call."""
     if not isinstance(state, _STATE_TYPES):
-        state = _enter(state)  # not a lift: a certified QOperator, or ValueError
+        state = _enter(state)  # a bare QOperator certified, or ValueError
     check_bit(s, "outcome")
     return [(w, piece) for t, w, piece in _cached_branch(state, a) if t == s]
 
@@ -150,16 +161,13 @@ def update_state(state: State, a: PauliPoint, s: int) -> list[tuple[FieldElem, S
 def _cached_branch(state: State, a: PauliPoint) -> tuple[tuple[int, FieldElem, State], ...]:
     """The (outcome, weight, piece) children of both outcomes, outcome 0
     first; memoized, since branch trees and shots revisit (state, axis).
-    A member state runs the chain unchecked: its type is its certificate."""
+    A member state or family vertex runs the chain unchecked: its type is
+    its certificate."""
     if isinstance(state, LiftState):
         children = _lift_branch(state.engine, state.inner, a, _update_branch)
         return tuple((s, w, LiftState(*node)) for s, w, node in children)
-    if isinstance(state, CncSet):
-        rule = state.measure_update
-    elif isinstance(state, OrbitVertex):
-        rule = partial(orbit_update, state)
-    else:
-        rule = partial(member_update, state.op)
+    rule = (state.measure_update if isinstance(state, CncSet)
+            else partial(member_update, state.operator()))
     return tuple((s, w, piece) for s in (0, 1) for w, piece in rule(a, s))
 
 
@@ -176,19 +184,6 @@ def _lift_branch(engine: ReductionEngine, head, a: PauliPoint, head_branch) -> l
         return [(c, HALF, (engine.resolve_coin(step, c), head)) for c in (0, 1)]
     children = [(s ^ step.flip, w, (engine, nxt)) for s, w, nxt in head_branch(head, step.point)]
     return sorted(children, key=itemgetter(0))
-
-
-def member_state(op: QOperator) -> MemberState:
-    """op as a ``MemberState``, built nowhere else, when it is a trace-1
-    member on n <= 2; ValueError otherwise, naming the first violated facet."""
-    if op.trace() != ONE:
-        raise ValueError(f"an operator initial state needs trace 1, got {op.trace()}")
-    if op.n > 2:
-        raise ValueError(f"operator initial states are taken only for n <= 2, got n = {op.n}")
-    violation = membership(op).violation
-    if violation is not None:
-        raise ValueError(f"the operator is not a polytope member: violated facet {violation}")
-    return MemberState(op)
 
 
 # -- sequences ----------------------------------------------------------------
@@ -278,22 +273,16 @@ def _entered(initial: Iterable[tuple]) -> tuple[list[tuple[FieldElem, State]], i
 
 
 def _enter(state) -> State:
-    """The state, a bare ``QOperator`` certified (``member_state``), or a
-    lift rebuilt only if its inner changed; ValueError on a non-state."""
+    """The state, or a bare ``QOperator`` as a ``MemberState``; ValueError on a non-state."""
     if isinstance(state, QOperator):
-        return member_state(state)
+        return MemberState(state)
     if not isinstance(state, _STATE_TYPES):
         raise ValueError(f"unknown descriptor {type(state).__name__}")
-    if isinstance(state, LiftState) and (inner := _enter(state.inner)) is not state.inner:
-        return LiftState(state.engine, inner)
     return state
 
 
 def _update_branch(state: State, a: PauliPoint) -> list[tuple[int, FieldElem, State]]:
-    """The closed-form update pieces for outcome 0, then for outcome 1; a
-    bare ``QOperator`` (the inner of a hand-built lift) is entered once."""
-    if not isinstance(state, _STATE_TYPES):
-        state = _enter(state)
+    """The closed-form update pieces for outcome 0, then for outcome 1."""
     return [(s, w, piece) for s in (0, 1) for w, piece in update_state(state, a, s)]
 
 
@@ -439,13 +428,14 @@ def iter_sample(
     wide draw is the r + 1 draws of 64 bits it replaces, lowest bits
     first, and t * 2**(64 r) > u exactly when t > u // 2**(64 r), so
     every transcript is the one a draw per step gives.  The root is the
-    initial table, at step -1.  A shot that draws an ungrown slot is
-    finished by ``_Call.finish``, which grows the nodes of its path until
-    the tree holds ``_TREE_NODES`` units, one per executed step and one
-    per leaf, and draws the rest on the same tables: one per (step,
-    state) reached, its states interned to small ints.  So what a call
-    holds is bounded by the tree's size and its distinct (step, state)
-    pairs, not by its shot count.
+    initial table, at step -1; a one-item root is a one-item step too,
+    never drawn, and the shots start at its one slot.  A shot that draws
+    an ungrown slot is finished by ``_Call.finish``, which grows the
+    nodes of its path until the tree holds ``_TREE_NODES`` units, one per
+    executed step and one per leaf, and draws the rest on the same
+    tables: one per (step, state) reached, its states interned to small
+    ints.  So what a call holds is bounded by the tree's size and its
+    distinct (step, state) pairs, not by its shot count.
     """
     if not isinstance(shots, int) or isinstance(shots, bool) or shots < 1:
         raise ValueError(f"shots must be a positive int, got {shots!r}")
@@ -454,11 +444,16 @@ def iter_sample(
     initial, n = _entered(initial)
     init_items, init_thresholds = _table(initial)
     call = _Call(normalize_steps(steps, n), random.Random(seed).getrandbits)
-    root = (64, init_thresholds, [_UNGROWN] * len(init_items),
+    # a certain root has no width: the first shot grows its one slot
+    certain = len(init_items) == 1 and call.room
+    root = (None if certain else 64, init_thresholds, [_UNGROWN] * len(init_items),
             [(None, call.intern(state)) for state in init_items], None, -1)
-    draw = call.draw
+    if certain:
+        yield call.finish(root, 0)
+        root, shots = root[2][0], shots - 1
+    draw, top = call.draw, root[0]
     for _ in range(shots):
-        node, width = root, 64
+        node, width = root, top
         while True:
             k = bisect_right(node[1], draw(width))
             child = node[2][k]
@@ -506,19 +501,20 @@ class _Call:
         one's table and ``cell`` its link cell, with one slot holding
         ``slot``; it draws the run's 64 * run bits, as a shot walking it
         does, and they are always below its one threshold."""
-        link, step, _ = cell
+        link, step, _ = cell or (None, -1, None)  # None: a run of the root alone
         width = 64 * run
         self.draw(width)
         return (width, [1 << width], [slot], items, link, step)
 
     def finish(self, node: tuple, k: int) -> tuple:
         """The transcript of a shot that drew the ungrown slot k of
-        ``node``.  Each executed step of the rest of its path makes one
-        draw on its (step, state id) table and, while the tree has room,
-        takes one unit of it and grows the node there; the leaf is grown
-        last, if room is left.  A run of one-item steps is held and merged
-        into the next node grown, or, when the path ends or the room runs
-        out first, into the run's own last step, whose slot then holds the
+        ``node``, or took the one slot of an undrawn root (width None).
+        Each executed step of the rest of its path makes one draw on its
+        (step, state id) table and, while the tree has room, takes one
+        unit of it and grows the node there; the leaf is grown last, if
+        room is left.  A run of one-item steps is held and merged into the
+        next node grown, or, when the path ends or the room runs out
+        first, into the run's own last step, whose slot then holds the
         leaf or stays ungrown (see ``iter_sample``).
 
         A node keeps no prefix: its link is the cell (prefix link, step,
@@ -527,7 +523,8 @@ class _Call:
         nodes and then extended step by step; a path of any depth costs
         time linear in its length."""
         draw, room = self.draw, self.room
-        _, _, slots, items, link, step = node
+        width, _, slots, items, link, step = node
+        run = int(width is None)  # one-item steps held since the last node
         s, sid = items[k]
         acc: list[Optional[int]] = [None] * step
         cell = link
@@ -537,7 +534,6 @@ class _Call:
         if step >= 0:
             acc.append(s)
             link = (link, step, s)
-        run = 0  # one-item steps grown since the last node
         for _, cond, tables in self.plan[step + 1:]:
             if cond is not None and not _condition_met(cond, acc):
                 acc.append(None)
@@ -631,7 +627,7 @@ def descriptor_from_json(obj: Mapping) -> list[tuple[FieldElem, State]]:
         return _entered((w * w2, st) for w, term in terms
                         for w2, st in descriptor_from_json(term.get("state")))[0]
     if kind == "operator":
-        return [(ONE, member_state(QOperator.from_json(obj)))]
+        return [(ONE, MemberState(QOperator.from_json(obj)))]
     raise ValueError(f"unknown initial-state descriptor type {kind!r}")
 
 

@@ -5,7 +5,10 @@ ran on a member's doubled coefficients before the chain was written for
 every two-qubit member, and the independent oracles the closed forms
 are checked against: the complex-coefficient operator product and the
 dense 2^n x 2^n matrices.  Each is the code the package held before,
-so the golden digests that read them hold and the chain has an oracle."""
+so the golden digests that read them hold and the chain has an oracle.
+One more, ``candidate_operator``, writes the family's rule operator for
+a collection of any size, member or not, which ``OrbitVertex`` cannot
+hold."""
 
 from __future__ import annotations
 
@@ -80,6 +83,15 @@ def twice_coeffs(vertex: OrbitVertex) -> dict[int, int]:
         if not p.is_zero():
             coeffs[p.key()] = -1 if b else 1
     return coeffs
+
+
+def candidate_operator(gamma, omega, gamma_p: Mapping[PauliPoint, int]) -> QOperator:
+    """Pi_{I,gamma} + (1/4) (A_Omega^{gamma'} - A_Omega^{gamma''}) for
+    gamma an assignment on I, by its Pauli expectations: 1 at the
+    identity, (-1)^gamma on I and (-1)^gamma' / 2 on Omega's other points."""
+    coeffs = {p: Fraction((-1) ** gamma.value(p)) for p in gamma.subspace.points()}
+    coeffs.update((p, Fraction((-1) ** gamma_p[p], 2)) for p in omega if not p.is_zero())
+    return QOperator(2, coeffs)
 
 
 def family_measure_update(

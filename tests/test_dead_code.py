@@ -3,7 +3,7 @@ private method and every method of a private class is read somewhere in
 the package outside its own definition; every dataclass field and every
 ``__slots__`` entry of a package class is read as an attribute; no
 package class hand-writes the protocol that ``field.value_type``
-declares; and only ``simulate.member_state`` builds a ``MemberState``."""
+declares."""
 
 import ast
 from collections import Counter
@@ -200,44 +200,3 @@ def test_hand_written_protocol_is_detected():
 def test_package_classes_declare_their_protocol():
     trees = {p.name: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
     assert hand_written_protocol(trees) == []
-
-
-def built_outside(trees: dict, cls: str, builder: str) -> list[tuple[str, int]]:
-    """(module, line) of each call in the {module: tree} map that builds a
-    ``cls`` outside a function named ``builder``: a call of ``cls`` itself,
-    or any call but ``isinstance`` that takes the class as an argument
-    (``object.__new__(cls)``, ``partial(cls, ...)``)."""
-    found = []
-    for module, tree in trees.items():
-        inside = [(node.lineno, node.end_lineno) for node in ast.walk(tree)
-                  if isinstance(node, ast.FunctionDef) and node.name == builder]
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func.id if isinstance(node.func, ast.Name) else getattr(
-                node.func, "attr", None)
-            passed = any(isinstance(arg, ast.Name) and arg.id == cls for arg in node.args)
-            if (func == cls or passed and func != "isinstance") and not any(
-                    start <= node.lineno <= end for start, end in inside):
-                found.append((module, node.lineno))
-    return sorted(found)
-
-
-def test_building_outside_the_builder_is_detected():
-    a = (
-        "def member_state(op):\n    return MemberState(op)\n"
-        "def sneak(op):\n    return MemberState(op)\n"
-        "x = object.__new__(MemberState)\n"
-        "y = isinstance(x, MemberState) and simulate.MemberState(1)\n"
-        "z = partial(MemberState)\n"
-    )
-    assert built_outside({"a": ast.parse(a)}, "MemberState", "member_state") == [
-        ("a", 4), ("a", 5), ("a", 6), ("a", 7)]
-
-
-def test_a_member_state_is_built_only_by_member_state():
-    # holding a MemberState is the certificate that `membership` passed
-    trees = {p.name: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
-    assert built_outside(trees, "MemberState", "member_state") == []
-    # and the one call inside it is seen
-    assert [module for module, _ in built_outside(trees, "MemberState", "")] == ["simulate.py"]

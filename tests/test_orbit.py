@@ -36,7 +36,7 @@ from lambda_forge.field import FieldElem
 from lambda_forge.pauli import QOperator
 from lambda_forge.polytope import is_vertex, membership
 from lambda_forge.stabilizer import all_assignments
-from helpers import family_measure_update
+from helpers import candidate_operator, family_measure_update
 
 rng = random.Random(31)
 
@@ -131,6 +131,11 @@ def test_build_validation():
         bad_gp[x_point(2, 1)] = bad
         with pytest.raises(ValueError, match="gamma' values must be the ints 0 or 1"):
             OrbitVertex.build(V.I, V.gamma, V.collection, bad_gp)
+    # the class has no constructor: with the gamma' bit of YI flipped it
+    # would hold a non-member, whose law on [YI, XI] has mass 5/4
+    flipped = tuple((p, b ^ (p.label() == "YI")) for p, b in V.gamma_p)
+    with pytest.raises(TypeError, match="takes no arguments"):
+        OrbitVertex(V.I, V.gamma, V.collection, V.omega, flipped)
 
 
 def test_classify_rejects_trace_zero():
@@ -142,6 +147,8 @@ def test_classify_rejects_trace_zero():
 def test_every_member_round_trips_through_build():
     for V in enumerate_family():
         assert OrbitVertex.build(V.I, V.gamma, V.collection, dict(V.gamma_p)) == V
+        # the test-side rule operator agrees on every member
+        assert candidate_operator(V.gamma, V.omega, dict(V.gamma_p)) == V.operator()
 
 
 def test_classify_recovers_every_member_and_clifford_moves():
@@ -165,8 +172,9 @@ def test_classify_recovers_every_member_and_clifford_moves():
 
 
 def test_classify_refuses_operators_outside_the_family():
-    """Every candidate of an 8- or 10-member collection is refused, and so
-    is a member with one of its unit coefficients on I set to 0."""
+    """Every candidate of an 8- or 10-member collection is refused, by
+    ``classify_operator`` and ``build`` alike, and so is a member with one
+    of its unit coefficients on I set to 0."""
     refused = Counter()
     for I in enumerate_maximal_isotropics(2):
         for gamma in all_assignments(I):
@@ -175,9 +183,10 @@ def test_classify_refuses_operators_outside_the_family():
                     continue
                 omega = omega_from_collection(C)
                 for gp in assignment_solutions(I, gamma, omega):
-                    op = OrbitVertex(I, gamma, C, omega, tuple(gp.items())).operator()
                     with pytest.raises(ValueError, match="not a member of the two-qubit family"):
-                        classify_operator(op)
+                        classify_operator(candidate_operator(gamma, omega, gp))
+                    with pytest.raises(ValueError, match="not one of the six-member collections"):
+                        OrbitVertex.build(I, gamma, C, gp)
                     refused[len(C)] += 1
     assert refused == {8: 3840, 10: 240}
     table = dict(ALPHA0_TABLE, YY=0)  # YY is the third point of I
@@ -277,7 +286,7 @@ def test_dropped_collections_give_no_vertices():
             for C in dropped:
                 for gp in assignment_solutions(I, gamma, omega_from_collection(C)):
                     sizes[len(C)] = sizes.get(len(C), 0) + 1
-                    op = OrbitVertex.build(I, gamma, C, gp).operator()
+                    op = candidate_operator(gamma, omega_from_collection(C), gp)
                     cert = membership(op)
                     assert not (cert.is_member and is_vertex(op, cert)[0])
     assert sizes == {8: 3840, 10: 240}

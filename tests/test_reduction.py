@@ -327,12 +327,15 @@ def test_tail_embedding_matches_reference():
     equals the solve over all points, and the lift descriptor shifts it
     back to the tail state."""
     cases = 0
+    # an inner state on the m head qubits: the stabilizer state +Z...Z
+    heads = {m: CncSet.from_assignment(Assignment.from_pairs(
+        [(z_point(m, q), 0) for q in range(1, m + 1)])) for m in (1, 2, 3)}
     for n in (2, 3, 4):
         for m in range(1, n):
             for I, s in enumerate_stabilizer_states(n - m):
                 embedded = embed_tail_assignment(s, n, m)
                 assert embedded == _reference_embed_tail_assignment(s, n, m)
-                state = LiftState(ReductionEngine(n, m, embedded), cnc_vertices(1)[0])
+                state = LiftState(ReductionEngine(n, m, embedded), heads[m])
                 assert state_to_descriptor_json(state)["sigma"] == state_to_json(I, s)
                 cases += 1
     assert cases == 1218

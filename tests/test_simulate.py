@@ -32,6 +32,7 @@ from lambda_forge.polytope import decompose, enumerate_vertices_n1, is_vertex, m
 from lambda_forge.reduction import ReductionEngine, embed_tail_assignment
 from lambda_forge.simulate import (
     LiftState,
+    MemberState,
     _condition_met,
     _table,
     _threshold,
@@ -43,7 +44,6 @@ from lambda_forge.simulate import (
     distribution_to_json,
     exact_distribution,
     iter_sample,
-    member_state,
     normalize_steps,
     reduced_distribution,
     sample,
@@ -986,6 +986,31 @@ def test_runs_of_certain_steps_draw_as_the_reference_sampler(monkeypatch):
                                                       (False, True), (False, False)}
 
 
+def test_a_certain_root_is_drawn_for_by_the_first_node(monkeypatch):
+    # a one-item initial table starts the run of one-item steps after it:
+    # +Z under three Z steps, or under none, draws once per shot; a root of
+    # two items still draws on its own, then once for the run after it
+    widths = []
+
+    class Counted(random.Random):
+        def getrandbits(self, k):
+            widths.append(k)
+            return super().getrandbits(k)
+
+    monkeypatch.setattr(simulate.random, "Random", Counted)
+    plus_z = descriptor_from_json({"type": "stabilizer", "generators": ["+Z"]})
+    z = z_point(1, 1)
+    for steps in ([z, z, z], []):
+        widths.clear()
+        assert sample(plus_z, steps, seed=5, shots=1000) == [(0,) * len(steps)] * 1000
+        assert widths == [64 + 64 * len(steps)] * 1000
+    init = decompose_known(T_STATE)
+    want = _reference_sample(init, [z], 5, 1000)
+    widths.clear()
+    assert sample(init, [z], seed=5, shots=1000) == want
+    assert widths == [64] * 2000
+
+
 def test_sample_memory_does_not_grow_with_shots():
     # T under alternating X and Z measurements: nearly every shot takes a
     # path no earlier shot took, so past the tree's bound a call keeps only
@@ -1045,7 +1070,7 @@ def test_outside_hull_vertex_is_a_member_no_known_pool_holds():
     with pytest.raises(ValueError, match=r"over the cnc vertices; simulate takes"):
         decompose_known(QOperator.from_labels(1, {"I": 1, "X": 3}))
     assert descriptor_from_json({"type": "operator", **OUTSIDE_HULL.to_json()}) == [
-        (ONE, member_state(OUTSIDE_HULL))]
+        (ONE, MemberState(OUTSIDE_HULL))]
 
 
 def test_outside_hull_vertex_has_a_second_orbit_of_half_integer_vertices():
@@ -1154,7 +1179,7 @@ def test_member_state_json_round_trips():
     tail = Assignment.from_pairs([(z_point(1, 1), 1)])
     third = FieldElem(Fraction(1, 3))
     for X in (T_STATE, T_T, OUTSIDE_HULL):
-        state, n = member_state(X), X.n
+        state, n = MemberState(X), X.n
         doc = state_to_descriptor_json(state)
         assert doc == {"type": "operator", **X.to_json()}
         assert round_trip(doc) == [(ONE, state)]
@@ -1174,9 +1199,10 @@ def test_member_state_json_round_trips():
 
 
 def test_an_operator_state_is_certified_once(monkeypatch):
-    # `membership` runs once per operator state: on decode, or on entry of
-    # a bare QOperator (plain or lifted) to a law or the sampler; a memo
-    # miss on a member state runs none
+    # `membership` runs once per operator state, when its MemberState is
+    # built: on decode, on building a lift of a bare QOperator, or on entry
+    # of a bare QOperator to a law or the sampler; a law, a draw or a memo
+    # miss on a built state runs none
     runs = []
     certify = simulate.membership
     monkeypatch.setattr(simulate, "membership", lambda op: runs.append(op) or certify(op))
@@ -1195,8 +1221,10 @@ def test_an_operator_state_is_certified_once(monkeypatch):
         descriptor_from_json(wrapped)
         assert runs == [X]
     tail = Assignment.from_pairs([(z_point(1, 1), 0)])
+    runs.clear()
     inner = LiftState(ReductionEngine(3, 2, embed_tail_assignment(tail, 3, 2)), X)
     outer = LiftState(ReductionEngine(4, 3, embed_tail_assignment(tail, 4, 3)), inner)
+    assert runs == [X] and isinstance(inner.inner, MemberState) and inner.inner.op is X
     gen = random.Random(42)
     for state in (X, inner, outer):
         for length in (0, 1, 4):
@@ -1204,18 +1232,15 @@ def test_an_operator_state_is_certified_once(monkeypatch):
             for law in (exact_distribution, lambda init, steps: sample(init, steps, seed=2)):
                 runs.clear()
                 law([(ONE, state)], steps)
-                assert runs == [X]
-    # update_state on a hand-built lift of a bare operator enters the inner
-    # once per head-step miss: never twice in one call, never on a memo hit
+                assert runs == ([X] if state is X else [])
+    # update_state on the hand-built lift never certifies its inner again
     simulate._cached_branch.cache_clear()
-    per_call = []
+    runs.clear()
     for s in (0, 1):
         for a in all_points(3, include_zero=False):
-            runs.clear()
             simulate.update_state(inner, a, s)
-            per_call.append(len(runs))
-    assert max(per_call) == 1 and sum(per_call[:63]) == 30 and sum(per_call[63:]) == 0
-    state = member_state(X)
+    assert runs == []
+    state = MemberState(X)
     entered = LiftState(inner.engine, state)
     assert simulate._enter(entered) is entered
     runs.clear()
@@ -1253,6 +1278,32 @@ def test_member_states_refuse_what_is_not_a_member():
             law([(ONE, x_point(1, 1))], [z_point(1, 1)])
 
 
+def test_a_state_refuses_what_it_cannot_hold_when_built(monkeypatch):
+    # a non-member operator, an inner of the wrong width and an inner that
+    # is not a state: each is refused by the constructor, before any law
+    # could disagree with the sampler about it
+    X = QOperator.from_labels(1, {"I": 1, "X": 3})
+    with pytest.raises(ValueError, match="^the operator is not a polytope member"):
+        MemberState(X)
+    tail = Assignment.from_pairs([(z_point(2, 1), 0), (z_point(2, 2), 0)])
+    engine = ReductionEngine(3, 1, embed_tail_assignment(tail, 3, 1))
+    with pytest.raises(ValueError, match="^the inner is on 2 qubits, the head on 1$"):
+        LiftState(engine, cnc_vertices(2)[0])
+    with pytest.raises(ValueError, match="^unknown descriptor PauliPoint$"):
+        LiftState(engine, x_point(1, 1))
+    # a pickled state is already certified: loading it certifies nothing
+    runs = []
+    certify = simulate.membership
+    monkeypatch.setattr(simulate, "membership", lambda op: runs.append(op) or certify(op))
+    lifted = LiftState(engine, T_STATE)
+    states = [MemberState(T_T), lifted, classify_operator(alpha0_vertex())]
+    runs.clear()
+    for state in states:
+        copy = pickle.loads(pickle.dumps(state))
+        assert copy == state and hash(copy) == hash(state)
+    assert isinstance(lifted.inner, MemberState) and lifted.inner.op is T_STATE and runs == []
+
+
 def test_a_zero_axis_step_is_refused_before_any_step_runs():
     # the identity, measured only when step 0 reads 1: every law and every
     # seed refuses it before a step runs, not just the shots that reach it
@@ -1278,18 +1329,22 @@ def test_a_non_member_operator_initial_state_is_refused_in_every_mode():
     inner = ReductionEngine(2, 1, embed_tail_assignment(tail, 2, 1))
     outer = ReductionEngine(3, 2, embed_tail_assignment(tail, 3, 2))
     good = cnc_vertices(1)[0]
-    for mixed, n in (([(HALF, good), (HALF, bad)], 1),
-                     ([(HALF, LiftState(inner, good)), (HALF, LiftState(inner, bad))], 2),
-                     ([(HALF, LiftState(outer, LiftState(inner, good))),
-                       (HALF, LiftState(outer, LiftState(inner, bad)))], 3)):
+    # each mixture is built inside the refused call: a lift refuses the
+    # non-member when it is built
+    for mixed, n in ((lambda: [(HALF, good), (HALF, bad)], 1),
+                     (lambda: [(HALF, LiftState(inner, good)), (HALF, LiftState(inner, bad))], 2),
+                     (lambda: [(HALF, LiftState(outer, LiftState(inner, good))),
+                               (HALF, LiftState(outer, LiftState(inner, bad)))], 3)):
         for steps in ([], [z_point(n, 1)]):
-            runs = [lambda: exact_distribution(mixed, steps),
-                    lambda: next(iter_sample(mixed, steps, seed=0))]
-            runs += [lambda seed=seed: sample(mixed, steps, seed=seed, shots=1)
+            runs = [lambda: exact_distribution(mixed(), steps),
+                    lambda: next(iter_sample(mixed(), steps, seed=0))]
+            runs += [lambda seed=seed: sample(mixed(), steps, seed=seed, shots=1)
                      for seed in range(6)]
             for run in runs:
                 with pytest.raises(ValueError, match=want):
                     run()
+    with pytest.raises(ValueError, match=want):
+        LiftState(inner, bad)
 
 
 def test_a_family_member_draws_the_same_shots_as_operator_or_orbit():

@@ -26,7 +26,7 @@ from lambda_forge.reduction import (
     ReductionEngine,
     embed_tail_assignment,
 )
-from lambda_forge.simulate import LiftState, member_state
+from lambda_forge.simulate import LiftState, MemberState
 from lambda_forge.stabilizer import Assignment
 
 
@@ -54,7 +54,7 @@ def _values():
         make_params(2, J, Assignment(J, (1,))),
         enumerate_family()[7],
         membership(alpha0_vertex()),
-        member_state(alpha0_vertex()),
+        MemberState(alpha0_vertex()),
     ]
 
 
