@@ -11,6 +11,16 @@ numbers are exact (rational strings, or {a, b} pairs for values with a
 sqrt(2) part); --float renders decimals for human reading only.  The DOT
 text of ``poset --dot`` is the one payload written as is, and the
 ``orbit --out`` file keeps its indented layout.
+
+Each command's arguments are defined once, in ``_COMMANDS``.  An argv
+whose first word is a command is parsed by that command's parser alone
+(prog ``lambda-forge <command>``, built on first use); any other argv (a
+leading --float, --help, a missing or unknown command) goes through the
+top-level parser, which holds one subparser per command built from the
+same table.  Both routes write the same document for the same argv: an
+argument the command does not take is refused in the top-level parser's
+words.  The subparsers define no ``float``, since argparse copies a
+subparser's namespace over its parent's.
 """
 
 from __future__ import annotations
@@ -323,6 +333,44 @@ def cmd_decompose(args):
     return "ok", payload, ""
 
 
+#: each command: (help, handler, arguments), an argument as (name,
+#: ``add_argument`` options); every command's only definition
+_COMMANDS = {
+    "membership": ("facet certificate for an operator", cmd_membership,
+                   [("operator", {}), ("--vertex", {"action": "store_true"})]),
+    "vertex": ("extremality certificate", cmd_vertex, [("operator", {})]),
+    "enumerate-stabilizers": ("all stabilizer states", cmd_enumerate_stabilizers,
+                              [("n", {"type": int}), ("--counts-only", {"action": "store_true"})]),
+    "cnc": ("inspect or update a cnc set", cmd_cnc,
+            [("cncset", {}), ("--update", {"metavar": "AXIS"}),
+             ("--outcome", {"type": int, "default": 0, "choices": (0, 1)})]),
+    "orbit": ("the 1920-member two-qubit family", cmd_orbit,
+              [("--count", {"action": "store_true"}), ("--out", {}),
+               ("--verify-updates", {"action": "store_true"})]),
+    "phi": ("lift an operator through a stabilizer tail", cmd_phi,
+            [("operator", {}), ("--n", {"type": int, "required": True}),
+             ("--j", {"required": True, "help": "comma-separated tail generators"}),
+             ("--r", {"required": True, "help": "one sign bit (0/1) per generator"}),
+             ("--tableau", {})]),
+    "reduce": ("rewrite a lifted-run measurement sequence", cmd_reduce,
+               [("circuit", {}),
+                ("--coins", {"help": "0/1 coin outcomes to substitute, e.g. 0110"})]),
+    "simulate": ("exact or sampling simulation", cmd_simulate,
+                 [("circuit", {}), ("--exact", {"action": "store_true"}),
+                  ("--shots", {"type": int, "default": 1024}),
+                  ("--seed", {"type": int, "default": 0})]),
+    "poset": ("isotropic-subspace containment poset", cmd_poset,
+              [("--dot", {"action": "store_true"})]),
+    "lemma-check": ("run the exact identity suites", cmd_lemma_check,
+                    [("--trials", {"type": int, "default": 20}),
+                     ("--seed", {"type": int, "default": 0})]),
+    "decompose": ("convex decomposition over known vertices", cmd_decompose,
+                  [("operator", {})]),
+}
+
+_PROG = "lambda-forge"
+
+
 class UsageError(Exception):
     """A command line that the parser cannot read."""
 
@@ -337,74 +385,23 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
+def _with_arguments(parser: _Parser, command: str) -> _Parser:
+    for name, options in _COMMANDS[command][2]:
+        parser.add_argument(name, **options)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The whole command line: --float, then one subparser per command."""
     parser = _Parser(
-        prog="lambda-forge",
+        prog=_PROG,
         description="exact polytope membership, vertex construction, and "
         "measurement simulation for stabilizer-overlap polytopes",
     )
     parser.add_argument("--float", action="store_true", help="render decimals")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("membership", help="facet certificate for an operator")
-    p.add_argument("operator")
-    p.add_argument("--vertex", action="store_true")
-    p.set_defaults(func=cmd_membership)
-
-    p = sub.add_parser("vertex", help="extremality certificate")
-    p.add_argument("operator")
-    p.set_defaults(func=cmd_vertex)
-
-    p = sub.add_parser("enumerate-stabilizers", help="all stabilizer states")
-    p.add_argument("n", type=int)
-    p.add_argument("--counts-only", action="store_true")
-    p.set_defaults(func=cmd_enumerate_stabilizers)
-
-    p = sub.add_parser("cnc", help="inspect or update a cnc set")
-    p.add_argument("cncset")
-    p.add_argument("--update", metavar="AXIS")
-    p.add_argument("--outcome", type=int, default=0, choices=(0, 1))
-    p.set_defaults(func=cmd_cnc)
-
-    p = sub.add_parser("orbit", help="the 1920-member two-qubit family")
-    p.add_argument("--count", action="store_true")
-    p.add_argument("--out")
-    p.add_argument("--verify-updates", action="store_true")
-    p.set_defaults(func=cmd_orbit)
-
-    p = sub.add_parser("phi", help="lift an operator through a stabilizer tail")
-    p.add_argument("operator")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--j", required=True, help="comma-separated tail generators")
-    p.add_argument("--r", required=True, help="one sign bit (0/1) per generator")
-    p.add_argument("--tableau")
-    p.set_defaults(func=cmd_phi)
-
-    p = sub.add_parser("reduce", help="rewrite a lifted-run measurement sequence")
-    p.add_argument("circuit")
-    p.add_argument("--coins", help="0/1 coin outcomes to substitute, e.g. 0110")
-    p.set_defaults(func=cmd_reduce)
-
-    p = sub.add_parser("simulate", help="exact or sampling simulation")
-    p.add_argument("circuit")
-    p.add_argument("--exact", action="store_true")
-    p.add_argument("--shots", type=int, default=1024)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("poset", help="isotropic-subspace containment poset")
-    p.add_argument("--dot", action="store_true")
-    p.set_defaults(func=cmd_poset)
-
-    p = sub.add_parser("lemma-check", help="run the exact identity suites")
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_lemma_check)
-
-    p = sub.add_parser("decompose", help="convex decomposition over known vertices")
-    p.add_argument("operator")
-    p.set_defaults(func=cmd_decompose)
-
+    for command, (text, _, _) in _COMMANDS.items():
+        _with_arguments(sub.add_parser(command, help=text), command)
     return parser
 
 
@@ -414,12 +411,25 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+@lru_cache(maxsize=None)
+def _command_parser(command: str) -> argparse.ArgumentParser:
+    """The parser `build_parser` gives the command, built alone."""
+    return _with_arguments(_Parser(prog=f"{_PROG} {command}"), command)
+
+
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     as_float = False
     try:
-        args = _parser().parse_args(argv)
-        as_float = args.float
-        status, payload, diagnostics = args.func(args)
+        if argv and argv[0] in _COMMANDS:
+            command = argv[0]
+            args, extra = _command_parser(command).parse_known_args(argv[1:])
+            if extra:  # refused in the words of the whole command line's parser
+                raise UsageError(f"{_PROG}: unrecognized arguments: {' '.join(extra)}")
+        else:
+            args = _parser().parse_args(argv)
+            command, as_float = args.command, args.float
+        status, payload, diagnostics = _COMMANDS[command][1](args)
     except UsageError as exc:
         status, payload, diagnostics = "error", None, f"usage: {exc}"
     except OSError as exc:

@@ -194,10 +194,10 @@ def _sign_solutions(gamma: Assignment, keys: Sequence[int]) -> list[int]:
 class OrbitVertex:
     """One member of the family, with its full parameter set.
 
-    It has no constructor: ``enumerate_family``, ``classify_operator``
-    and ``build`` (the validating constructor for parameters from
-    outside) make it through ``_member``, so every instance is one of the
-    1920 members.
+    Its constructor refuses every call (TypeError): ``enumerate_family``,
+    ``classify_operator`` and ``build`` (the validating constructor for
+    parameters from outside) make it through ``_member``, so every
+    instance is one of the 1920 members.
     """
 
     I: Subspace
@@ -208,6 +208,11 @@ class OrbitVertex:
     _operator: QOperator = field(compare=False, repr=False)
 
     n: ClassVar[int] = 2
+
+    def __init__(self, *args, **kwargs):
+        raise TypeError(
+            "an OrbitVertex is made by enumerate_family, classify_operator or OrbitVertex.build"
+        )
 
     @staticmethod
     def build(

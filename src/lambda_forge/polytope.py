@@ -18,11 +18,13 @@ digits v_f + B in base 2^(8w) once 2B < 2^(8w), w the least such power
 of two.  The digits are read off the integer's bytes as native unsigned
 ints.  So one operator costs a multiply-add per nonzero coefficient on
 ints of F * w bytes (F facets: 60, 1080 and 36720 for n = 2, 3, 4), not
-a Python step per facet.  One table of columns is kept per n, the
-widest built so far, which serves every narrower need (`_lane_columns`);
-it holds 4^n * F * w bytes, per lane byte 69 KB at n = 3 and 9.4 MB at
-n = 4.  Lanes are at most 8 bytes wide: a sum that needs wider ones
-(2B >= 2^64) is taken facet by facet, and no table is kept for it.
+a Python step per facet.  One table of columns is kept per n, the widest
+built so far, which serves every narrower need (`_lane_columns`); it
+holds 4^n * F * w bytes, per lane byte 69 KB at n = 3 and 9.4 MB at
+n = 4.  It is filled one 2^n-byte slice per (isotropic, point), the
+signs of that point on the isotropic's 2^n consecutive facets.  Lanes
+are at most 8 bytes wide: a sum that needs wider ones (2B >= 2^64) is
+taken facet by facet, and no table is kept for it.
 
 The certificate keeps the sums as two int lists, the rational parts xs
 and the sqrt(2) parts ys, with ys None when the operator has no sqrt(2)
@@ -48,17 +50,20 @@ fraction-free integer reduction that reads the active facets in facet
 order and stops reading rows once they span the space; so every rank
 reported below full is exact.
 
-The lane columns and the rank read one table per qubit count,
-`facet_table`: for each stabilizer state, the packed keys
-(``PauliPoint.key()``) of the points where its sign is +1 and where it
-is -1.  It is built per maximal isotropic, whose point values each
-state on it flips by a parity of its row values.  A facet's normal is
-built from those keys as a sparse row only when the exact rank reads
-it; an n = 3 normal has 7 nonzeros out of 63 columns, so the reduction
-works on {column: int} rows.  The GF(3) masks are built once per qubit
-count, `_gf3_rows`, in facet order.  The simplex of `decompose` keeps
-its own dense integer rows, the revised basis block of `simplex`: it
-has few rows (17 on two qubits), and they fill in after a few pivots.
+The labels, the lane columns and the rank read one table per qubit
+count, `_FacetData`, kept per maximal isotropic: its point keys
+(``PauliPoint.key()``) and its first state's values, which each state
+on it flips by a parity of its row values, with the facet labels and
+the 2^n parity flips.  What the rank reads of a facet is built from
+that table on the facet's first read and kept per qubit count: its plus
+and minus keys (the points where its sign is +1 and -1, `_facet_keys`),
+from which the exact rank builds a sparse row (an n = 3 normal has 7
+nonzeros out of 63 columns, so the reduction works on {column: int}
+rows), and its GF(3) masks (`_gf3_rows`).  The six n = 3 vertices of
+one `certify` benchmark run read 241 of the 1080 n = 3 masks.  The
+simplex of `decompose` keeps its own dense integer rows, the revised
+basis block of `simplex`: it has few rows (17 on two qubits), and they
+fill in after a few pivots.
 """
 
 from __future__ import annotations
@@ -67,7 +72,7 @@ import sys
 from functools import lru_cache
 from itertools import chain, compress, count, product, repeat
 from math import gcd
-from operator import getitem, lshift, ne, not_, or_, rshift
+from operator import lshift, ne, not_, or_, rshift
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .field import FieldElem, _json_value, sqrt2_sign, value_type
@@ -77,61 +82,96 @@ from .simplex import solve_feasibility
 from .stabilizer import enumerate_stabilizer_states
 
 
-@lru_cache(maxsize=8)
-def facet_table(n: int) -> tuple:
-    """Per-state evaluation data, in enumeration order: (label, plus,
-    minus).  plus and minus hold the keys of the points of I where the
-    state's sign is +1 and -1, in ``Subspace.points()`` order.
+@value_type()
+class _FacetData:
+    """One qubit count's facets, read off ``enumerate_stabilizer_states(n)``:
+    facet f is the state f mod 2^n of maximal isotropic f >> n, both in
+    enumeration order.
 
-    The keys and values are read once per I, as the ``key_items`` of its
-    first state, the values as a mask (point m at bit m, m the mask of
-    the rows summing to it).  Row values that differ from the first
-    state's by v (row i at bit i) flip the value of point m by
-    parity(m & v), so a state's mask is the first one's xor a parity
-    mask.  Each distinct mask is turned into selectors of the plus and
-    minus points once."""
+    ``isotropics`` holds, per isotropic, the keys of its points
+    (``PauliPoint.key()``, in ``Subspace.points()`` order) and the value
+    mask of its first state, whose row values are all 0 (point m at bit
+    m, m the mask of the rows summing to it).  A state whose row values
+    are v (row i at bit i) flips the value of point m by parity(m & v),
+    so its mask is the first one's xor ``flips[j]``, j its index on the
+    isotropic.  A point is a plus key of the state where its value is 0
+    and a minus key where it is 1."""
+
+    labels: tuple[str, ...]
+    isotropics: tuple[tuple[tuple[int, ...], int], ...]
+    flips: tuple[int, ...]
+
+
+@lru_cache(maxsize=8)
+def _facet_data(n: int) -> _FacetData:
+    """The facets of n qubits, one table per qubit count."""
     size = 1 << n
     signed = [("+" + p.label(), "-" + p.label()) for p in all_points(n)]
-    parities = {}  # row values -> their parity mask, bit m = parity(m & v)
-    for values in product((0, 1), repeat=n):
+    flips = []
+    for values in product((0, 1), repeat=n):  # the order of the states on an isotropic
         v = sum(map(lshift, values, range(n)))
-        parities[values] = sum(((m & v).bit_count() & 1) << m for m in range(size))
-    selectors = {}  # mask of the points with value 1 -> (plus, minus) selectors
-    table, I = [], None
-    for J, s in enumerate_stabilizer_states(n):
-        flip = parities[s.row_values]
-        if J is not I:
-            I, rows = J, [signed[r] for r in J.rows]
-            keys, values = zip(*s.key_items())
-            first = sum(map(lshift, values, range(size))) ^ flip
-        mask = first ^ flip
-        pick = selectors.get(mask)
-        if pick is None:
-            ones = [mask >> m & 1 for m in range(size)]
-            pick = selectors[mask] = (list(map(not_, ones)), ones)
-        table.append(
-            (
-                ",".join(map(getitem, rows, s.row_values)),
-                tuple(compress(keys, pick[0])),
-                tuple(compress(keys, pick[1])),
-            )
-        )
-    return tuple(table)
-
-
-@lru_cache(maxsize=8)
-def _facet_labels(n: int) -> tuple[str, ...]:
-    """The labels of `facet_table`, in its order."""
-    return tuple(label for label, _, _ in facet_table(n))
+        flips.append(sum(((m & v).bit_count() & 1) << m for m in range(size)))
+    labels, isotropics = [], []
+    for I, s in enumerate_stabilizer_states(n)[::size]:
+        labels += map(",".join, product(*[signed[r] for r in I.rows]))
+        keys, values = zip(*s.key_items())
+        isotropics.append((keys, sum(map(lshift, values, range(size)))))
+    return _FacetData(tuple(labels), tuple(isotropics), tuple(flips))
 
 
 @lru_cache(maxsize=8)
 def _sorted_facets(n: int) -> tuple[tuple[str, ...], tuple[int, ...]]:
-    """The labels of `facet_table` in sorted order, and each one's index
-    in the table."""
-    labels = _facet_labels(n)
+    """The facet labels in sorted order, and each one's facet index."""
+    labels = _facet_data(n).labels
     order = tuple(sorted(range(len(labels)), key=labels.__getitem__))
     return tuple(map(labels.__getitem__, order)), order
+
+
+def _signed_keys(n: int, f: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(plus, minus): the keys of the points where facet f's sign is +1
+    and where it is -1, in ``Subspace.points()`` order, read off its
+    isotropic's keys and its state's value mask (see `_FacetData`)."""
+    data = _facet_data(n)
+    keys, first = data.isotropics[f >> n]
+    mask = first ^ data.flips[f & ((1 << n) - 1)]
+    plus, minus = [], []
+    for m, k in enumerate(keys):
+        (minus if mask >> m & 1 else plus).append(k)
+    return tuple(plus), tuple(minus)
+
+
+def _gf3_row(n: int, f: int) -> tuple[int, int]:
+    """Facet f's normal bit-sliced over GF(3): (ones, twos), the masks of
+    the columns (key k at bit k - 1) whose entry is 1 and those whose
+    entry is -1 = 2.  The keys of a state are distinct, so summing their
+    bits ors them; the shift drops key 0."""
+    bit = (1).__lshift__
+    plus, minus = _facet_keys(n)[f]
+    return sum(map(bit, plus)) >> 1, sum(map(bit, minus)) >> 1
+
+
+class _ByFacet(dict):
+    """facet f -> build(n, f), built on the first read of f, so a warm
+    read is one dict lookup."""
+
+    def __init__(self, build, n: int):
+        self.build, self.n = build, n
+
+    def __missing__(self, f: int):
+        value = self[f] = self.build(self.n, f)
+        return value
+
+
+@lru_cache(maxsize=8)
+def _facet_keys(n: int) -> _ByFacet:
+    """Each facet's `_signed_keys`, one table per qubit count."""
+    return _ByFacet(_signed_keys, n)
+
+
+@lru_cache(maxsize=8)
+def _gf3_rows(n: int) -> _ByFacet:
+    """Each facet's `_gf3_row`, one table per qubit count."""
+    return _ByFacet(_gf3_row, n)
 
 
 def _facet_row(plus: Sequence[int], minus: Sequence[int]) -> dict[int, int]:
@@ -140,19 +180,6 @@ def _facet_row(plus: Sequence[int], minus: Sequence[int]) -> dict[int, int]:
     row = {k - 1: 1 for k in plus if k}
     row.update({k - 1: -1 for k in minus})
     return row
-
-
-@lru_cache(maxsize=8)
-def _gf3_rows(n: int) -> tuple[tuple[int, int], ...]:
-    """Each facet normal of `facet_table` bit-sliced over GF(3), in its
-    order: (ones, twos), the masks of the columns (key k at bit k - 1)
-    whose entry is 1 and those whose entry is -1 = 2.  The keys of a state
-    are distinct, so summing their bits ors them; the shift drops key 0."""
-    bit = (1).__lshift__
-    return tuple(
-        (sum(map(bit, plus)) >> 1, sum(map(bit, minus)) >> 1)
-        for _, plus, minus in facet_table(n)
-    )
 
 
 def _gf3_rank(rows: Iterable[tuple[int, int]], width: int) -> int:
@@ -198,14 +225,14 @@ def _gf3_rank(rows: Iterable[tuple[int, int]], width: int) -> int:
 class FacetCertificate:
     """Result of evaluating one operator against every stabilizer facet.
 
-    Holds `membership`'s integer facet sums: facet i of ``facet_table(n)``
+    Holds `membership`'s integer facet sums: facet i (see `_FacetData`)
     has the value (xs[i] + ys[i]*sqrt(2)) / den, with ys None when every
     y is 0.  ``values`` and ``to_json`` build one FieldElem, or one JSON
     value, per distinct sum and share it across the labels that have it.
     """
 
     operator: QOperator
-    _xs: list[int]  # rational sums, in facet_table order
+    _xs: list[int]  # rational sums, in facet order
     _ys: Optional[list[int]]  # sqrt(2) sums, or None
     _den: int
     _active: list[int]  # indices of the facets with value exactly 0
@@ -213,7 +240,7 @@ class FacetCertificate:
 
     @property
     def _sums(self) -> list[tuple[int, int]]:
-        """(x, y) per facet, in facet_table order."""
+        """(x, y) per facet, in facet order."""
         ys = self._ys
         return list(zip(self._xs, repeat(0) if ys is None else ys))
 
@@ -229,7 +256,7 @@ class FacetCertificate:
             keys = self._sums
             shared = {xy: convert(*xy, den) for xy in set(keys)}
         if not in_sorted_order:
-            return dict(zip(_facet_labels(self.operator.n), map(shared.__getitem__, keys)))
+            return dict(zip(_facet_data(self.operator.n).labels, map(shared.__getitem__, keys)))
         labels, order = _sorted_facets(self.operator.n)
         return dict(zip(labels, map(shared.__getitem__, map(keys.__getitem__, order))))
 
@@ -241,7 +268,7 @@ class FacetCertificate:
     @property
     def active(self) -> list[str]:
         """The labels of the facets with value exactly 0, in facet order."""
-        return list(map(_facet_labels(self.operator.n).__getitem__, self._active))
+        return list(map(_facet_data(self.operator.n).labels.__getitem__, self._active))
 
     @property
     def is_member(self) -> bool:
@@ -280,7 +307,7 @@ def membership(X: QOperator) -> FacetCertificate:
     xs = _facet_sums(n, {key: p for key, (p, _) in num.items() if p})
     irrational = {key: q for key, (_, q) in num.items() if q}
     ys = _facet_sums(n, irrational) if irrational else None
-    labels = _facet_labels(n)
+    labels = _facet_data(n).labels
     violation = None
     if ys is None:
         active = list(compress(count(), map(not_, xs)))
@@ -306,7 +333,7 @@ _LANE_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 def _facet_sums(n: int, coeffs: dict[int, int]) -> list[int]:
-    """Per facet of ``facet_table(n)``, in its order, the sum of the ints
+    """Per facet of n qubits, in facet order, the sum of the ints
     coeffs[k] over its plus keys k minus the sum over its minus keys.
 
     With B = sum |coeffs[k]|, every sum v_f lies in [-B, B], so v_f + B
@@ -317,14 +344,17 @@ def _facet_sums(n: int, coeffs: dict[int, int]) -> list[int]:
     digit with no carry, read off the integer's bytes as native unsigned
     ints.  Sums that need lanes wider than 8 bytes are taken per facet.
     """
-    F = len(_facet_labels(n))
+    F = len(_facet_data(n).labels)
     B = sum(map(abs, coeffs.values()))
     w = 1
     while (2 * B) >> (8 * w):
         w *= 2
     if w > 8:
         get = [coeffs.get(k, 0) for k in range(1 << (2 * n))].__getitem__
-        return [sum(map(get, plus)) - sum(map(get, minus)) for _, plus, minus in facet_table(n)]
+        return [
+            sum(map(get, plus)) - sum(map(get, minus))
+            for plus, minus in map(_signed_keys, repeat(n, F), range(F))
+        ]
     w, columns = _lane_columns(n, w)
     ones = int.from_bytes((b"\x01" + bytes(w - 1)) * F, "little")
     total = (B - sum(coeffs.values())) * ones
@@ -343,22 +373,29 @@ _LANES: dict[int, tuple[int, tuple[int, ...]]] = {}
 def _lane_columns(n: int, w: int) -> tuple[int, tuple[int, ...]]:
     """(v, columns), v >= w: `_LANES[n]`, replaced by a w-byte table when
     narrower.  Lane f of column k (its digit of 2^(8vf)) is 1 + s(k, f),
-    s(k, f) = +1 / -1 / 0 as k is a plus / minus / no key of facet f of
-    ``facet_table(n)``.  Each column is filled one byte per facet, then
-    spread into its w-byte lanes (little-endian: the byte is the lane's
-    low one) by extended-slice assignment, so the fill and the memory
-    beside the columns stay at one byte per facet and key."""
+    s(k, f) = +1 / -1 / 0 as k is a plus / minus / no key of facet f.
+    Each column is filled one byte per facet, one 2^n-byte slice per
+    (isotropic, key): the 2^n states of an isotropic are consecutive
+    facets, and point m's bytes on them are 2 - 2 * (its value), so they
+    are one of two slices per m, as m's value in the first state is 0 or
+    1.  Each column is then spread into its w-byte lanes (little-endian:
+    the byte is the lane's low one) by extended-slice assignment, so the
+    fill and the memory beside the columns stay at one byte per facet and
+    key."""
     if n in _LANES and _LANES[n][0] >= w:
         return _LANES[n]
     _LANES.pop(n, None)  # a narrower table is freed before this one is built
-    table = facet_table(n)
-    F = len(table)
+    data = _facet_data(n)
+    size = 1 << n
+    F = len(data.labels)
+    slices = [
+        [bytes(2 - 2 * (value ^ flip >> m & 1) for flip in data.flips) for value in (0, 1)]
+        for m in range(size)
+    ]
     signs = [bytearray(b"\x01" * F) for _ in range(1 << (2 * n))]
-    for f, (_, plus, minus) in enumerate(table):
-        for k in plus:
-            signs[k][f] = 2
-        for k in minus:
-            signs[k][f] = 0
+    for f, (keys, first) in zip(count(0, size), data.isotropics):
+        for m, k in enumerate(keys):
+            signs[k][f:f + size] = slices[m][first >> m & 1]
     lanes = bytearray(F * w)
     columns = []
     for column in signs:
@@ -398,8 +435,8 @@ def _active_rows(n: int, cert: FacetCertificate) -> Iterator[dict[int, int]]:
     as they are read.  The certificate must be a member's."""
     if not cert.is_member:
         raise ValueError("vertex test requires a polytope member")
-    table = facet_table(n)
-    return (_facet_row(*table[f][1:]) for f in cert._active)
+    keys = _facet_keys(n)
+    return (_facet_row(*keys[f]) for f in cert._active)
 
 
 def _int_rref(

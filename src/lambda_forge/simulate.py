@@ -81,12 +81,14 @@ from .stabilizer import Assignment, check_bit, state_from_json, state_to_json
 
 @value_type()
 class MemberState:
-    """A member of Lambda_1 or Lambda_2 as a state: a trace-1 operator on
-    n <= 2 that passed ``membership`` when built; ValueError otherwise,
-    naming the first violated facet."""
+    """A member of Lambda_1 or Lambda_2 as a state: a trace-1 ``QOperator``
+    on n <= 2 that passed ``membership`` when built; ValueError otherwise,
+    naming the first violated facet or the type that is not a QOperator."""
     op: QOperator
 
     def __post_init__(self):
+        if not isinstance(self.op, QOperator):
+            raise ValueError(f"a member state holds a QOperator, got {type(self.op).__name__}")
         if self.op.trace() != ONE:
             raise ValueError(f"an operator initial state needs trace 1, got {self.op.trace()}")
         if self.n > 2:

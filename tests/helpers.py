@@ -8,11 +8,16 @@ dense 2^n x 2^n matrices.  Each is the code the package held before,
 so the golden digests that read them hold and the chain has an oracle.
 One more, ``candidate_operator``, writes the family's rule operator for
 a collection of any size, member or not, which ``OrbitVertex`` cannot
-hold."""
+hold.  ``facet_table`` is the facet table the package built per state
+before it kept its facet data per maximal isotropic, the oracle that
+data is checked against."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from itertools import compress, product
+from operator import getitem, lshift, not_
 from typing import TYPE_CHECKING, Mapping, Optional
 
 from lambda_forge.cnc import CncSet
@@ -21,7 +26,7 @@ from lambda_forge.gf2 import PauliPoint, all_points, swap_halves
 from lambda_forge.orbit import OrbitVertex
 from lambda_forge.pauli import PhasedPauli, QOperator, key_phase, product_phase
 from lambda_forge.polytope import FacetCertificate, _active_rows, _int_rref, membership
-from lambda_forge.stabilizer import check_bit
+from lambda_forge.stabilizer import check_bit, enumerate_stabilizer_states
 
 if TYPE_CHECKING:
     import numpy as np
@@ -217,3 +222,45 @@ def pauli_matrix(p: PauliPoint, phase: int = 0) -> np.ndarray:
     for i in range(p.n):
         mat = np.kron(mat, single[((p.z >> i) & 1, (p.x >> i) & 1)])
     return (1j ** (phase & 3)) * mat
+
+
+@lru_cache(maxsize=8)
+def facet_table(n: int) -> tuple:
+    """Per-state evaluation data, in enumeration order: (label, plus,
+    minus).  plus and minus hold the keys of the points of I where the
+    state's sign is +1 and -1, in ``Subspace.points()`` order.
+
+    The keys and values are read once per I, as the ``key_items`` of its
+    first state, the values as a mask (point m at bit m, m the mask of
+    the rows summing to it).  Row values that differ from the first
+    state's by v (row i at bit i) flip the value of point m by
+    parity(m & v), so a state's mask is the first one's xor a parity
+    mask.  Each distinct mask is turned into selectors of the plus and
+    minus points once."""
+    size = 1 << n
+    signed = [("+" + p.label(), "-" + p.label()) for p in all_points(n)]
+    parities = {}  # row values -> their parity mask, bit m = parity(m & v)
+    for values in product((0, 1), repeat=n):
+        v = sum(map(lshift, values, range(n)))
+        parities[values] = sum(((m & v).bit_count() & 1) << m for m in range(size))
+    selectors = {}  # mask of the points with value 1 -> (plus, minus) selectors
+    table, I = [], None
+    for J, s in enumerate_stabilizer_states(n):
+        flip = parities[s.row_values]
+        if J is not I:
+            I, rows = J, [signed[r] for r in J.rows]
+            keys, values = zip(*s.key_items())
+            first = sum(map(lshift, values, range(size))) ^ flip
+        mask = first ^ flip
+        pick = selectors.get(mask)
+        if pick is None:
+            ones = [mask >> m & 1 for m in range(size)]
+            pick = selectors[mask] = (list(map(not_, ones)), ones)
+        table.append(
+            (
+                ",".join(map(getitem, rows, s.row_values)),
+                tuple(compress(keys, pick[0])),
+                tuple(compress(keys, pick[1])),
+            )
+        )
+    return tuple(table)

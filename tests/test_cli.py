@@ -279,6 +279,88 @@ LIFT_CIRCUIT = {
 }
 
 
+class _TopLevelOnly(dict):
+    """The command table with no command that `main` parses alone: every
+    argv goes through the top-level parser."""
+
+    def __contains__(self, command):
+        return False
+
+
+def _surface_argvs(tmp_path):
+    """One argv per case the command tests run, over every command, with
+    refusals and usage errors; the 1920-member family is written by
+    `test_orbit_outputs` alone (0.3-0.4 s a run)."""
+    op = write_json(tmp_path / "a.json", ALPHA0)
+    aa = write_json(tmp_path / "aa.json", A0A0)
+    t = write_json(tmp_path / "t.json", T_STATE)
+    cnc = write_json(tmp_path / "c.json", {"omega": ["II", "XI", "YI", "ZI"],
+                                          "gamma": {"II": 0, "XI": 0, "YI": 1, "ZI": 0}})
+    lift = write_json(tmp_path / "lift.json", LIFT_CIRCUIT)
+    circ = write_json(tmp_path / "circ.json", {"n": 1, "initial": {"type": "operator", **T_STATE},
+                                               "steps": [{"measure": "X"}]})
+    return [
+        ["membership", op], ["membership", op, "--vertex"], ["membership", "/nonexistent/op.json"],
+        ["membership", str(tmp_path)], ["vertex", op], ["vertex", t], ["vertex", aa],
+        ["enumerate-stabilizers", "2", "--counts-only"], ["enumerate-stabilizers", "1"],
+        ["enumerate-stabilizers", "0", "--counts-only"],
+        ["cnc", cnc], ["cnc", cnc, "--update", "XI", "--outcome", "0"],
+        ["cnc", cnc, "--update", "ZI", "--outcome", "5"],
+        ["orbit", "--count"],
+        ["phi", op, "--n", "2", "--j", "IZ", "--r", "1"],
+        ["phi", op, "--n", "3", "--j", "IIZ", "--r", "0"],
+        ["reduce", lift], ["reduce", lift, "--coins", "10"], ["reduce", lift, "--coins", "x"],
+        ["simulate", circ, "--exact"], ["simulate", circ, "--shots", "64", "--seed", "11"],
+        ["simulate", circ, "--shots", "abc"],
+        ["poset"], ["poset", "--dot"],
+        ["lemma-check", "--trials", "2"], ["lemma-check", "--trials", "0"],
+        ["decompose", t], ["decompose", op], ["decompose", aa],
+        ["decompose", write_json(tmp_path / "outside.json", OUTSIDE_HULL)],
+        ["vertex"], ["frobnicate", op], ["membership", op, "--bogus"], [],
+        ["vertex", "--float", op],
+    ]
+
+
+def test_both_parse_routes_write_the_same_documents(tmp_path, capsys, monkeypatch):
+    # main parses an argv that names a command with that command's parser
+    # alone and any other through the top-level parser: both write the
+    # same bytes and exit codes, and a leading --float reaches the command
+    argvs = _surface_argvs(tmp_path)
+    alone = [run(capsys, *argv) for argv in argvs]
+    floated = [run(capsys, "--float", *argv) for argv in argvs]
+    helps = []
+    for argv in (["vertex", "--help"], ["simulate", "-h"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        helps.append((exc.value.code, capsys.readouterr().out))
+    monkeypatch.setattr(cli, "_COMMANDS", _TopLevelOnly(cli._COMMANDS))
+    assert [run(capsys, *argv) for argv in argvs] == alone
+    for argv, want in zip((["vertex", "--help"], ["simulate", "-h"]), helps):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert (exc.value.code, capsys.readouterr().out) == want
+    for argv, (code, out), (float_code, float_out) in zip(argvs, alone, floated):
+        assert float_code == code, argv
+        if argv[:2] == ["poset", "--dot"]:
+            assert float_out == out
+            continue
+        doc = json.loads(out)
+        doc["payload"] = cli._floatify(doc["payload"])
+        assert float_out == json.dumps(doc, sort_keys=True) + "\n", argv
+    refused = json.loads(alone[-1][1])
+    assert alone[-1][0] == 1 and refused["diagnostics"] == (
+        "usage: lambda-forge: unrecognized arguments: --float")
+    assert {code for code, _ in alone} == {0, 1, 2, 3}
+
+
+def test_main_reads_sys_argv(tmp_path, capsys, monkeypatch):
+    path = write_json(tmp_path / "a.json", ALPHA0)
+    for argv in (["vertex", path], ["--float", "membership", path], ["vertex"]):
+        want = run(capsys, *argv)
+        monkeypatch.setattr(sys, "argv", ["lambda-forge", *argv])
+        assert (main(), capsys.readouterr().out) == want
+
+
 def test_reduce_command(tmp_path, capsys):
     path = write_json(tmp_path / "lift.json", LIFT_CIRCUIT)
     code, out = run(capsys, "reduce", path, "--coins", "10")

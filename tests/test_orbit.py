@@ -131,10 +131,11 @@ def test_build_validation():
         bad_gp[x_point(2, 1)] = bad
         with pytest.raises(ValueError, match="gamma' values must be the ints 0 or 1"):
             OrbitVertex.build(V.I, V.gamma, V.collection, bad_gp)
-    # the class has no constructor: with the gamma' bit of YI flipped it
-    # would hold a non-member, whose law on [YI, XI] has mass 5/4
+    # the class's constructor refuses every call: with the gamma' bit of
+    # YI flipped it would hold a non-member, whose law on [YI, XI] has
+    # mass 5/4
     flipped = tuple((p, b ^ (p.label() == "YI")) for p, b in V.gamma_p)
-    with pytest.raises(TypeError, match="takes no arguments"):
+    with pytest.raises(TypeError, match="made by enumerate_family, classify_operator or"):
         OrbitVertex(V.I, V.gamma, V.collection, V.omega, flipped)
 
 

@@ -1,9 +1,13 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,7 +36,6 @@ from lambda_forge.polytope import (
     _int_rref,
     decompose,
     enumerate_vertices_n1,
-    facet_table,
     is_vertex,
     membership,
 )
@@ -41,7 +44,13 @@ from lambda_forge.stabilizer import (
     stabilizer_projector,
     state_to_json,
 )
-from helpers import dense_matrix, extremality_refuter, maximally_mixed, pauli_mul
+from helpers import (
+    dense_matrix,
+    extremality_refuter,
+    facet_table,
+    maximally_mixed,
+    pauli_mul,
+)
 
 from test_golden import _lift_to_three, certificate_inputs
 
@@ -220,7 +229,7 @@ def test_certificate_json_writes_facet_values_in_sorted_order():
         doc = membership(X).to_json()
         assert doc["member"] is member
         labels = list(doc["facet_values"])
-        assert labels == sorted(labels) and len(labels) == len(polytope._facet_labels(X.n))
+        assert labels == sorted(labels) and len(labels) == len(polytope._facet_data(X.n).labels)
         values = doc["facet_values"]
         assert json.dumps(values) == json.dumps(values, sort_keys=True)
     assert {X.n for X, _ in operators} == {1, 2, 3}
@@ -317,14 +326,47 @@ def test_gf3_rank_of_shuffled_active_facets():
             assert _gf3_rank(map(_gf3_slice, rows), width) == want
 
 
+def _gf3_normals(n):
+    """The facet normals `_gf3_rows` holds, per facet: column c at 1 in
+    the ones mask, -1 in the twos mask."""
+    rows = _gf3_rows(n)
+    normals = []
+    for f in range(len(_facet_oracle(n))):
+        ones, twos = rows[f]
+        assert not ones & twos
+        normals.append({c: 1 - 2 * (twos >> c & 1)
+                        for c in range(4**n - 1) if (ones | twos) >> c & 1})
+    return normals
+
+
+def _lane_normals(w):
+    """The facet normals a w-byte `_lane_columns` table holds: lane f of
+    column k is 1 + the sign of key k on facet f, key 0 a plus key of
+    every facet; the table is built for the call and dropped after."""
+
+    def normals(n):
+        polytope._LANES.pop(n, None)
+        width, columns = polytope._lane_columns(n, w)
+        polytope._LANES.pop(n)
+        F = len(_facet_oracle(n))
+        assert width == w and len(columns) == 4**n
+        lanes = [column.to_bytes(F * w, "little") for column in columns]
+        assert all(not any(lane[f * w + 1:(f + 1) * w]) for lane in lanes for f in range(F))
+        assert set(lanes[0][::w]) == {2}
+        return [{k - 1: lanes[k][f * w] - 1 for k in range(1, 4**n) if lanes[k][f * w] != 1}
+                for f in range(F)]
+
+    return normals
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_gf3_rows_are_the_facet_normals(n):
-    rows = _gf3_rows(n)
-    assert len(rows) == len(facet_table(n))
-    for i, (label, P) in enumerate(_facet_oracle(n)):
-        assert facet_table(n)[i][0] == label
-        normal = {p.key() - 1: int(c.a) for p, c in P.coeffs.items() if not p.is_zero()}
-        assert rows[i] == _gf3_slice(normal)
+    # the GF(3) rows and the 1- and 2-byte lane columns hold each
+    # projector's signs, in the order of the oracle's facets
+    want = [{p.key() - 1: int(c.a) for p, c in P.coeffs.items() if not p.is_zero()}
+            for _, P in _facet_oracle(n)]
+    for read in (_gf3_normals, _lane_normals(1), _lane_normals(2)):
+        assert read(n) == want
 
 
 def _vertex_test_inputs():
@@ -599,10 +641,19 @@ def test_lanes_match_the_per_facet_loop_on_four_qubits():
         _assert_lanes_match_the_loop(X)
 
 
+def _package_facets(n):
+    """The package's facet data laid out as `facet_table`: (label, plus,
+    minus) per facet."""
+    labels = polytope._facet_data(n).labels
+    keys = polytope._facet_keys(n)
+    return tuple((label, *keys[f]) for f, label in enumerate(labels))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_facet_table_matches_per_point_signs(n):
-    # each point's sign from the product of the signed generators it sums
-    # over, taken in row order; the points in Subspace.points() order
+    # the oracle's table and the package's facet data: each point's sign
+    # from the product of the signed generators it sums over, taken in row
+    # order; the points in Subspace.points() order
     want = []
     for I, s in enumerate_stabilizer_states(n):
         gens = [PhasedPauli(p, 2 * v) for p, v in zip(I.basis_points(), s.row_values)]
@@ -615,14 +666,44 @@ def test_facet_table_matches_per_point_signs(n):
             assert acc.point == point
             (plus if acc.sign() > 0 else minus).append(point.key())
         want.append((_state_label(I, s), tuple(plus), tuple(minus)))
-    assert list(facet_table(n)) == want
+    for table in (facet_table, _package_facets):
+        assert list(table(n)) == want
 
 
 def test_facet_table_n4_digest():
     # the per-point oracle above runs to n = 3; the n = 4 table (36 720
-    # facets) is pinned by digest
-    digest = hashlib.sha256(repr(facet_table(4)).encode()).hexdigest()
-    assert digest == "fad72615c2f23d9ca5a17b55d276f0978ffb91d4c6610d7040aacca0cf67cc5d"
+    # facets) is pinned by digest, the oracle's and the package's
+    for table in (facet_table, _package_facets):
+        digest = hashlib.sha256(repr(table(4)).encode()).hexdigest()
+        assert digest == "fad72615c2f23d9ca5a17b55d276f0978ffb91d4c6610d7040aacca0cf67cc5d"
+
+
+def test_a_cli_vertex_enumerates_the_states_once(tmp_path):
+    # a fresh interpreter's vertex certificate of a three-qubit operator
+    # reads its facet labels, lane table and GF(3) rows off one
+    # enumeration of the stabilizer states
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps(certificate_inputs()["lifted_vertices"][0].to_json()))
+    code = (
+        "import contextlib, io, sys\n"
+        "from lambda_forge import cli, stabilizer\n"
+        "real, calls = stabilizer.enumerate_stabilizer_states, []\n"
+        "def counted(n):\n"
+        "    calls.append(n)\n"
+        "    return real(n)\n"
+        "for name, module in list(sys.modules.items()):\n"
+        "    if name.startswith('lambda_forge') and "
+        "getattr(module, 'enumerate_stabilizer_states', None) is real:\n"
+        "        module.enumerate_stabilizer_states = counted\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        f"    status = cli.main(['vertex', {str(path)!r}])\n"
+        "sys.stderr.write(repr((status, '\"vertex\": true' in out.getvalue(), calls)))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": src})
+    assert done.stderr == repr((0, True, [3]))
 
 
 def _rref_oracle(rows, width):

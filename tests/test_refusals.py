@@ -1,5 +1,6 @@
 """Public refusals that no other test reaches: each input below is one a
-caller can pass, and each is refused with its own message."""
+caller can pass, and each is refused with its own message, as a
+ValueError unless its case names another type."""
 
 import re
 from fractions import Fraction
@@ -9,10 +10,10 @@ import pytest
 from lambda_forge.clifford import CliffordTableau
 from lambda_forge.gf2 import span, x_point, z_point
 from lambda_forge.lifting import LiftParams, make_params
-from lambda_forge.orbit import ALPHA0_TABLE, classify_operator
+from lambda_forge.orbit import ALPHA0_TABLE, OrbitVertex, classify_operator
 from lambda_forge.pauli import QOperator
 from lambda_forge.polytope import decompose
-from lambda_forge.simulate import steps_from_json
+from lambda_forge.simulate import MemberState, steps_from_json
 from lambda_forge.stabilizer import Assignment
 
 Z1 = span([z_point(1, 1)])
@@ -59,11 +60,17 @@ REFUSALS = {
     "a span of points of two widths":
         (lambda: span([x_point(1, 1), x_point(2, 1)]),
          "qubit count mismatch: points on 1 and 2 qubits"),
+    "a family member built from no parameters":
+        (lambda: OrbitVertex(),
+         "an OrbitVertex is made by enumerate_family, classify_operator or OrbitVertex.build",
+         TypeError),
+    "a member state of an int":
+        (lambda: MemberState(5), "a member state holds a QOperator, got int"),
 }
 
 
 @pytest.mark.parametrize("case", REFUSALS)
 def test_public_inputs_are_refused_with_their_message(case):
-    call, message = REFUSALS[case]
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+    call, message, *error = REFUSALS[case]
+    with pytest.raises(error[0] if error else ValueError, match=f"^{re.escape(message)}$"):
         call()

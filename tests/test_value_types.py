@@ -18,7 +18,7 @@ from lambda_forge.gf2 import PauliPoint, span, x_point, z_point
 from lambda_forge.lifting import make_params
 from lambda_forge.orbit import alpha0_vertex, enumerate_family
 from lambda_forge.pauli import PhasedPauli
-from lambda_forge.polytope import FacetCertificate, membership
+from lambda_forge.polytope import FacetCertificate, _facet_data, membership
 from lambda_forge.reduction import (
     CoinStep,
     FixedStep,
@@ -55,6 +55,7 @@ def _values():
         enumerate_family()[7],
         membership(alpha0_vertex()),
         MemberState(alpha0_vertex()),
+        _facet_data(1),
     ]
 
 
@@ -69,7 +70,7 @@ def test_every_value_type_is_covered():
         if isinstance(cls, type) and dataclasses.is_dataclass(cls)
         and cls.__module__.startswith("lambda_forge.")
     }
-    assert {type(x) for x in VALUES} == declared and len(VALUES) == 17
+    assert {type(x) for x in VALUES} == declared and len(VALUES) == 18
 
 
 @pytest.mark.parametrize("x", VALUES, ids=lambda x: type(x).__name__)
