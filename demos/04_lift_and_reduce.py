@@ -9,6 +9,7 @@ into a computation on the small register plus fair coin flips.
 import random
 
 from lambda_forge import (
+    ONE,
     CliffordTableau,
     QOperator,
     enumerate_vertices_n1,
@@ -23,7 +24,7 @@ from lambda_forge import (
 from lambda_forge.clifford import generator_tableaux
 from lambda_forge.gf2 import all_points, x_point, z_point
 from lambda_forge.reduction import ReductionEngine, embed_tail_assignment, reduce_static
-from lambda_forge.simulate import born_distribution, reduced_distribution
+from lambda_forge.simulate import LiftState, born_distribution, exact_distribution
 from lambda_forge.stabilizer import Assignment, enumerate_stabilizer_states
 
 rng = random.Random(4)
@@ -54,7 +55,8 @@ for step in plan["steps"]:
     print("  ", step)
 
 full = born_distribution(U.conjugate(lift_tensor(X, sigma.subspace, sigma)), seq)
-red = reduced_distribution(X, ReductionEngine(n, m, sigma, U), seq)
+# the simulator runs the lifted state on its one-qubit head, with coins
+red = exact_distribution([(ONE, LiftState(ReductionEngine(n, m, sigma, U), X))], seq)
 print("\nreduced joint law equals the full three-qubit law:", full == red)
 print("outcome probabilities:")
 for key in sorted(full, key=lambda k: tuple(k)):

@@ -34,6 +34,6 @@ from .cnc import CncSet, cnc_vertices, is_cnc, is_maximal_cnc
 from .lifting import LiftParams, lift, lift_tensor, make_params, tail_overlap, unlift
 from .orbit import OrbitVertex, alpha0_vertex, enumerate_family
 from .reduction import ReductionEngine
-from .simulate import born_distribution, exact_distribution, reduced_distribution, sample
+from .simulate import born_distribution, exact_distribution, sample
 
 __version__ = "0.1.0"

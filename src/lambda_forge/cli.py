@@ -210,8 +210,10 @@ def cmd_reduce(args):
     steps = steps_from_json(doc.get("steps"), engine.n)
     if any(cond for _, cond in steps):
         raise ValueError("reduce handles non-adaptive sequences")
-    coins = [int(b) for b in args.coins] if args.coins else []
-    return "ok", reduce_static(engine, [p for p, _ in steps], coins), ""
+    coins = args.coins or ""
+    if not set(coins) <= {"0", "1"}:
+        raise ValueError(f"--coins takes one ASCII digit 0 or 1 per coin, got {coins!r}")
+    return "ok", reduce_static(engine, [p for p, _ in steps], list(map(int, coins))), ""
 
 
 #: how ``simulate --shots`` writes a transcript entry: "-" for a skipped step

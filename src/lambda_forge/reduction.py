@@ -27,10 +27,9 @@ steps are ``value_type``s: setting or deleting any name on one raises,
 so branching over coin outcomes shares frames safely.  An engine
 compares by its frame and caches the frame's hash, so equal frames
 reached along different paths share memo entries.  ``reduce_static``
-runs one pass for a fixed coin assignment.  The exact law of the reduced
-run is ``simulate.reduced_distribution``: the simulator's lifted branch
-rule (fixed, coin, head) with the Born rule on the head, over its
-branch-tree walker.
+runs one pass for a fixed coin assignment.  The simulator runs a lifted
+state along ``process`` and ``resolve_coin`` (``simulate._cached_branch``:
+fixed, coin, or the inner's own update on the head step).
 """
 
 from __future__ import annotations

@@ -23,17 +23,16 @@ simplex.  No update goes through exact projection: ``QOperator.project``
 appears here only in the Born branch rule.  Updates of every state kind
 are memoized on (state, axis), one entry holding the children of both
 outcomes; lifted states compare and hash by value (engine frame and
-inner state), so they share entries.  A lifted step is written once
-(``_lift_branch``): fixed at weight 1, a fair coin, or the head's own
-branch rule with the outcome flipped by the tail sign.
+inner state), so they share entries.  A lifted step is written once, in
+``_cached_branch``: fixed at weight 1, a fair coin, or the inner's own
+update with the outcome flipped by the tail sign.
 
 One walker, ``_law``, expands a branch tree with exact weights and sums
-its leaves by transcript; each law is a branch rule listing a node's
-children: the closed-form updates (``exact_distribution``), the Born
-rule on the exact operator, weighted from two coefficients and projected
-only where it branches again (``born_distribution``, the independent
-ground truth used by the test suite), and the reduction engine's fixed,
-coin and head-Born steps on a lifted state (``reduced_distribution``).
+its leaves by transcript; a law is one of two branch rules listing a
+node's children: the closed-form updates (``exact_distribution``), or
+the Born rule on the exact operator, weighted from two coefficients and
+projected only where it branches again (``born_distribution``, the
+independent ground truth used by the test suite).
 ``sample`` draws one trajectory per shot along the update rule,
 deterministic for a fixed seed.  A draw is one 64-bit integer u compared
 against integer thresholds ceil(2**64 * c_i) over the cumulative weights
@@ -71,7 +70,7 @@ from .field import HALF, FieldElem, ONE, ZERO, value_type
 from .clifford import CliffordTableau
 from .cnc import CncSet, cnc_vertices
 from .gf2 import PauliPoint, Subspace
-from .lifting import _restrict_key, lift_tensor
+from .lifting import _restrict_key
 from .orbit import OrbitVertex, classify_operator, enumerate_family, member_update
 from .pauli import QOperator
 from .polytope import decompose, membership
@@ -133,18 +132,6 @@ class LiftState:
 State = Union[CncSet, OrbitVertex, MemberState, LiftState]
 
 
-def state_operator(state: Union[State, QOperator]) -> QOperator:
-    if isinstance(state, QOperator):
-        return state
-    if not isinstance(state, LiftState):
-        return state.operator()
-    sig = state.engine.sigma
-    # the engine's conjugator is the inverse of the preparing unitary
-    return state.engine.conj.invert().conjugate(
-        lift_tensor(state_operator(state.inner), sig.subspace, sig)
-    )
-
-
 #: the state kinds with closed-form updates
 _STATE_TYPES = (CncSet, OrbitVertex, MemberState, LiftState)
 
@@ -164,28 +151,24 @@ def _cached_branch(state: State, a: PauliPoint) -> tuple[tuple[int, FieldElem, S
     """The (outcome, weight, piece) children of both outcomes, outcome 0
     first; memoized, since branch trees and shots revisit (state, axis).
     A member state or family vertex runs the chain unchecked: its type is
-    its certificate."""
+    its certificate.  A lifted state takes the engine's step: a fixed
+    step at weight 1, a coin at weight 1/2 per side on the resolved frame,
+    or the inner's update children on the head axis with the outcome
+    flipped by the tail sign (a stable sort, so each outcome keeps its
+    pieces' order)."""
     if isinstance(state, LiftState):
-        children = _lift_branch(state.engine, state.inner, a, _update_branch)
-        return tuple((s, w, LiftState(*node)) for s, w, node in children)
+        engine, inner = state.engine, state.inner
+        step = engine.process(a)
+        if isinstance(step, FixedStep):
+            return ((step.outcome, ONE, state),)
+        if isinstance(step, CoinStep):
+            return tuple((c, HALF, LiftState(engine.resolve_coin(step, c), inner)) for c in (0, 1))
+        children = [(s ^ step.flip, w, LiftState(engine, nxt))
+                    for s, w, nxt in _update_branch(inner, step.point)]
+        return tuple(sorted(children, key=itemgetter(0)))
     rule = (state.measure_update if isinstance(state, CncSet)
             else partial(member_update, state.operator()))
     return tuple((s, w, piece) for s in (0, 1) for w, piece in rule(a, s))
-
-
-def _lift_branch(engine: ReductionEngine, head, a: PauliPoint, head_branch) -> list[tuple]:
-    """The (outcome, weight, (engine, head)) children of measuring ``a``
-    on a lifted node, in outcome order: a fixed step at weight 1, a coin
-    at weight 1/2 per side, or the children of ``head_branch`` on the head
-    with the outcome flipped by the tail sign (a stable sort, so each
-    outcome keeps its pieces' order)."""
-    step = engine.process(a)
-    if isinstance(step, FixedStep):
-        return [(step.outcome, ONE, (engine, head))]
-    if isinstance(step, CoinStep):
-        return [(c, HALF, (engine.resolve_coin(step, c), head)) for c in (0, 1)]
-    children = [(s ^ step.flip, w, (engine, nxt)) for s, w, nxt in head_branch(head, step.point)]
-    return sorted(children, key=itemgetter(0))
 
 
 # -- sequences ----------------------------------------------------------------
@@ -316,25 +299,6 @@ def born_distribution(rho: QOperator, steps: Sequence) -> dict[tuple, FieldElem]
     if rho.trace() != ONE:
         raise ValueError(f"a Born law needs an operator of trace 1, got {rho.trace()}")
     return _law([(ONE, (rho, None))], steps, rho.n, _born_branch)
-
-
-def reduced_distribution(
-    X: QOperator,
-    engine: ReductionEngine,
-    sequence: Sequence,
-) -> dict[tuple, FieldElem]:
-    """Exact joint outcome distribution of the reduced run of ``sequence``
-    (steps as in ``exact_distribution``) on U (X (x) Pi_sigma) U^dagger.
-
-    Coins branch uniformly; head measurements branch by the polytope
-    Born weights on the evolving head operator.  Equals the outcome
-    distribution of the full lifted run, exactly.  ``X`` must be a
-    trace-1 operator on ``engine.m`` qubits.
-    """
-    if X.n != engine.m or X.trace() != ONE:
-        raise ValueError(f"the head must have trace 1 on {engine.m} qubits, got {X!r}")
-    return _law([(ONE, (engine, (X, None)))], sequence, engine.n,
-                lambda node, a: _lift_branch(*node, a, _born_branch))
 
 
 # -- sampling -----------------------------------------------------------------
@@ -657,9 +621,9 @@ def _known_pool(n: int, family: bool) -> tuple[tuple[State, ...], tuple[QOperato
     if family:
         cnc, ops = _known_pool(n, False)
         members = enumerate_family()
-        return cnc + members, ops + tuple(map(state_operator, members))
+        return cnc + members, ops + tuple(m.operator() for m in members)
     cnc = tuple(cnc_vertices(n))
-    return cnc, tuple(map(state_operator, cnc))
+    return cnc, tuple(c.operator() for c in cnc)
 
 
 #: a condition key: a step index in plain ASCII decimal, so each index has

@@ -122,11 +122,13 @@ def all_assignments(subspace: Subspace) -> Iterator[Assignment]:
 
 
 def _assignments(subspace: Subspace) -> Iterator[Assignment]:
-    """`all_assignments` on a subspace known to be isotropic, unchecked."""
+    """`all_assignments` on a subspace known to be isotropic, unchecked;
+    the slots are written through their member descriptors."""
+    set_subspace, set_values = Assignment.subspace.__set__, Assignment.row_values.__set__
     for bits in product((0, 1), repeat=subspace.dim):
         asg = object.__new__(Assignment)
-        object.__setattr__(asg, "subspace", subspace)
-        object.__setattr__(asg, "row_values", bits)
+        set_subspace(asg, subspace)
+        set_values(asg, bits)
         yield asg
 
 

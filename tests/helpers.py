@@ -10,7 +10,11 @@ One more, ``candidate_operator``, writes the family's rule operator for
 a collection of any size, member or not, which ``OrbitVertex`` cannot
 hold.  ``facet_table`` is the facet table the package built per state
 before it kept its facet data per maximal isotropic, the oracle that
-data is checked against."""
+data is checked against.  ``state_operator`` writes any state, a lift
+included, as its exact operator, and ``reduced_distribution`` is the
+law of a lifted run walked along the reduction engine with its own
+fixed, coin and head-projection rule, so it shares no branch rule with
+the simulator's lifted step it is compared with."""
 
 from __future__ import annotations
 
@@ -18,14 +22,17 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, product
 from operator import getitem, lshift, not_
-from typing import TYPE_CHECKING, Mapping, Optional
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from lambda_forge.cnc import CncSet
-from lambda_forge.field import ONE, ZERO, FieldElem
+from lambda_forge.field import HALF, ONE, ZERO, FieldElem
 from lambda_forge.gf2 import PauliPoint, all_points, swap_halves
+from lambda_forge.lifting import lift_tensor
 from lambda_forge.orbit import OrbitVertex
 from lambda_forge.pauli import PhasedPauli, QOperator, key_phase, product_phase
 from lambda_forge.polytope import FacetCertificate, _active_rows, _int_rref, membership
+from lambda_forge.reduction import CoinStep, FixedStep, ReductionEngine
+from lambda_forge.simulate import LiftState, normalize_steps
 from lambda_forge.stabilizer import check_bit, enumerate_stabilizer_states
 
 if TYPE_CHECKING:
@@ -264,3 +271,60 @@ def facet_table(n: int) -> tuple:
             )
         )
     return tuple(table)
+
+
+def state_operator(state) -> QOperator:
+    """The exact operator of a state: its own ``operator()``, a bare
+    ``QOperator`` itself, or, for a lift, U (inner (x) Pi_sigma) U^dagger."""
+    if isinstance(state, QOperator):
+        return state
+    if not isinstance(state, LiftState):
+        return state.operator()
+    sig = state.engine.sigma
+    # the engine's conjugator is the inverse of the preparing unitary
+    return state.engine.conj.invert().conjugate(
+        lift_tensor(state_operator(state.inner), sig.subspace, sig)
+    )
+
+
+def reduced_distribution(
+    X: QOperator,
+    engine: ReductionEngine,
+    sequence: Sequence,
+) -> dict[tuple, FieldElem]:
+    """Exact joint outcome distribution of the reduced run of ``sequence``
+    (steps as in ``exact_distribution``) on U (X (x) Pi_sigma) U^dagger.
+
+    Each executed step is the engine's: a fixed step keeps its outcome at
+    weight 1, a coin gives 1/2 to each outcome c on ``resolve_coin(step,
+    c)``, and a head step of axis a gives outcome s ^ flip the weight
+    Tr(rho.project(a, s)) / Tr(rho), rho the unnormalized head operator,
+    which the child keeps projected.  An explicit stack, so any depth
+    runs.  ``X`` must be a trace-1 operator on ``engine.m`` qubits."""
+    if X.n != engine.m or X.trace() != ONE:
+        raise ValueError(f"the head must have trace 1 on {engine.m} qubits, got {X!r}")
+    steps = normalize_steps(sequence, engine.n)
+    out: dict[tuple, FieldElem] = {}
+    stack = [(0, engine, X, ONE, ())]
+    while stack:
+        i, eng, rho, prob, acc = stack.pop()
+        if i == len(steps):
+            out[acc] = out.get(acc, ZERO) + prob
+            continue
+        point, cond = steps[i]
+        if any(acc[j] != want for j, want in (cond or {}).items()):
+            stack.append((i + 1, eng, rho, prob, acc + (None,)))
+            continue
+        step = eng.process(point)
+        if isinstance(step, FixedStep):
+            children = [(step.outcome, ONE, eng, rho)]
+        elif isinstance(step, CoinStep):
+            children = [(c, HALF, eng.resolve_coin(step, c), rho) for c in (0, 1)]
+        else:
+            projected = [rho.project(step.point, s) for s in (0, 1)]
+            children = [(s ^ step.flip, part.trace() / rho.trace(), eng, part)
+                        for s, part in enumerate(projected)]
+        for s, w, nxt, part in children:
+            if w.sign() > 0:
+                stack.append((i + 1, nxt, part, prob * w, acc + (s,)))
+    return out

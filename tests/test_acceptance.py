@@ -40,7 +40,6 @@ from lambda_forge.simulate import (
     born_distribution,
     decompose_known,
     exact_distribution,
-    reduced_distribution,
     sample,
 )
 from lambda_forge.stabilizer import (
@@ -55,7 +54,7 @@ from lambda_forge.lifting import (
     tail_overlap,
     tail_subspace,
 )
-from helpers import support
+from helpers import reduced_distribution, support
 
 
 def report(number: int, ok: bool, elapsed: float, budget: float, detail: str):

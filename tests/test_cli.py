@@ -384,7 +384,8 @@ def test_reduce_takes_a_lift_of_an_operator_inner(tmp_path, capsys):
 
 def test_reduce_rejects_coins_other_than_0_or_1(tmp_path, capsys):
     path = write_json(tmp_path / "lift.json", LIFT_CIRCUIT)
-    for coins in ("9", "19", "2"):
+    # non-ASCII digits that int() would read as 1
+    for coins in ("9", "19", "2", "\u0661", "\U0001d7cf", "0\u0661"):
         code, out = run(capsys, "reduce", path, "--coins", coins)
         doc = json.loads(out)
         assert code == 1 and doc["status"] == "error" and "0 or 1" in doc["diagnostics"]

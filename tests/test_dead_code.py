@@ -1,15 +1,18 @@
 """Every module-level private function or class of the package, every
 private method and every method of a private class is read somewhere in
-the package outside its own definition; every dataclass field and every
-``__slots__`` entry of a package class is read as an attribute; no
-package class hand-writes the protocol that ``field.value_type``
-declares."""
+the package outside its own definition; every public one is read there
+too, exported by ``lambda_forge``, read by the bench or a demo, or named
+in README; every dataclass field and every ``__slots__`` entry of a
+package class is read as an attribute; no package class hand-writes the
+protocol that ``field.value_type`` declares."""
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "lambda_forge"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "lambda_forge"
 
 
 def _reads(node) -> Counter:
@@ -25,13 +28,17 @@ def _private(name: str) -> bool:
     return name.startswith("_") and not name.startswith("__")
 
 
+def _is_private(qualname: str) -> bool:
+    """A private definition: a private name, or a method of a private class."""
+    return any(map(_private, qualname.split(".")))
+
+
 def _definitions(tree, classes: set):
     """(line, name, node) of each top-level function or class of a module,
-    then, named Class.method, of each method of its top-level classes
-    that is private or whose class is.  Dunder methods are read
-    implicitly, and a class with a base outside ``classes`` (the
-    package's) may have its methods called from there, so both are left
-    out."""
+    then, named Class.method, of each method of its top-level classes.
+    Dunder methods are read implicitly, and a class with a base outside
+    ``classes`` (the package's) may have its methods called from there,
+    so both are left out."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             yield node.lineno, node.name, node
@@ -39,8 +46,7 @@ def _definitions(tree, classes: set):
                 isinstance(base, ast.Name) and base.id in classes for base in node.bases):
             for method in node.body:
                 if (isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
-                        and not method.name.startswith("__")
-                        and (_private(node.name) or _private(method.name))):
+                        and not method.name.startswith("__")):
                     yield method.lineno, f"{node.name}.{method.name}", method
 
 
@@ -56,7 +62,7 @@ def unread_private_definitions(trees: dict) -> list[tuple[str, int, str]]:
     for module, tree in trees.items():
         for line, qualname, node in _definitions(tree, classes):
             name = node.name
-            if (_private(name) or "." in qualname) and reads[name] == _reads(node)[name]:
+            if _is_private(qualname) and reads[name] == _reads(node)[name]:
                 found.append((module, line, qualname))
     return found
 
@@ -87,6 +93,62 @@ def test_package_private_definitions_are_all_read():
     trees = {p.name: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
     assert trees
     assert unread_private_definitions(trees) == []
+
+
+def unread_public_definitions(trees: dict, outside: Counter, readme: str) -> list[tuple]:
+    """(module, line, name) of each public definition in the {module: tree}
+    map (a top-level function or class, or a public method of a public
+    class, as ``_definitions`` lists them) that no code in the map reads
+    outside its own definition, that ``__init__.py`` does not import (a
+    top-level name), that ``outside`` (the reads of the bench and the
+    demos) does not count, and that no backticked span of ``readme``
+    names as a word.  Reads are matched by name alone."""
+    reads = sum(map(_reads, trees.values()), Counter())
+    classes = {node.name for tree in trees.values() for node in tree.body
+               if isinstance(node, ast.ClassDef)}
+    exported = {alias.asname or alias.name for node in trees["__init__.py"].body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    named = {word for span in re.findall(r"`([^`\n]+)`", readme) for word in re.findall(r"\w+", span)}
+    found = []
+    for module, tree in trees.items():
+        for line, qualname, node in _definitions(tree, classes):
+            name = node.name
+            if _is_private(qualname) or reads[name] > _reads(node)[name]:
+                continue
+            if (name in exported and "." not in qualname) or outside[name] or name in named:
+                continue
+            found.append((module, line, qualname))
+    return found
+
+
+def test_unread_public_definitions_are_detected():
+    a = (
+        "def used():\n    return 1\n\ndef stale():\n    return stale()\n"
+        "def exported():\n    pass\ndef benched():\n    pass\ndef cited():\n    pass\n"
+        "class Open:\n    def shown(self):\n        return 1\n"
+        "    def hidden(self):\n        return 2\n    def _kept(self):\n        return 3\n"
+        "    def exported(self):\n        return 4\n"
+        "class Parser(argparse.ArgumentParser):\n    def error(self, message):\n"
+        "        raise ValueError(message)\n"
+    )
+    b = "from a import Open, used\n\nx = used() + Open().shown()\n"
+    init = "from .a import Parser, exported\n"
+    outside = _reads(ast.parse("import a\na.benched()\n"))
+    readme = "`a.cited()` names one; stale, hidden and used outside backticks name none.\n"
+    trees = {"__init__.py": ast.parse(init), "a": ast.parse(a), "b": ast.parse(b)}
+    # an exported class does not cover its methods, nor an export a method of that name
+    assert unread_public_definitions(trees, outside, readme) == [
+        ("a", 4, "stale"), ("a", 15, "Open.hidden"), ("a", 19, "Open.exported")]
+
+
+def test_package_public_definitions_are_all_read():
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    outside = sum((_reads(ast.parse(p.read_text()))
+                   for folder in ("bench", "demos") for p in sorted((ROOT / folder).rglob("*.py"))),
+                  Counter())
+    assert trees and outside
+    readme = (ROOT / "README.md").read_text()
+    assert unread_public_definitions(trees, outside, readme) == []
 
 
 def _decorator_names(node) -> list[str]:

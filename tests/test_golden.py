@@ -34,7 +34,6 @@ from lambda_forge.simulate import (
     born_distribution,
     decompose_known,
     distribution_to_json,
-    reduced_distribution,
     sample,
     state_to_descriptor_json,
     update_state,
@@ -44,7 +43,7 @@ from lambda_forge.stabilizer import (
     enumerate_stabilizer_states,
     stabilizer_projector,
 )
-from helpers import extremality_refuter, maximally_mixed
+from helpers import extremality_refuter, maximally_mixed, reduced_distribution
 
 
 def _digest(obj) -> str:
@@ -273,8 +272,9 @@ def _adaptive_circuit(rng, n, length):
 def born_laws():
     """Seeded laws of the two projection-based rules: `born_distribution`
     on cnc vertices, family members, T and T (x) T, and on lifted n = 3
-    operators, with `reduced_distribution` of the same lifted runs from
-    their heads.  The circuits skip steps and meet outcomes of zero
+    operators, with the tests' `reduced_distribution` (tests/helpers.py:
+    the engine's steps with head projections) of the same lifted runs
+    from their heads.  The circuits skip steps and meet outcomes of zero
     probability."""
     rng = random.Random(2424)
     t = _t_state()

@@ -1,11 +1,12 @@
 import pickle
 import random
+from fractions import Fraction
 
 import pytest
 
 from lambda_forge.clifford import CliffordTableau, generator_tableaux
-from lambda_forge.field import HALF, ONE
-from lambda_forge.gf2 import PauliPoint, all_points, span, symplectic_form, x_point, z_point
+from lambda_forge.field import HALF, INV_SQRT2, ONE, FieldElem
+from lambda_forge.gf2 import PauliPoint, all_points, span, symplectic_form, x_point, y_point, z_point
 from lambda_forge.lifting import lift, lift_tensor, make_params
 from lambda_forge.polytope import enumerate_vertices_n1
 from lambda_forge.reduction import (
@@ -21,17 +22,16 @@ from lambda_forge.pauli import PhasedPauli, QOperator
 from lambda_forge.orbit import enumerate_family
 from lambda_forge.simulate import (
     LiftState,
+    MemberState,
     born_distribution,
     descriptor_from_json,
     exact_distribution,
-    reduced_distribution,
     sample,
-    state_operator,
     state_to_descriptor_json,
     update_state,
 )
 from lambda_forge.stabilizer import Assignment, enumerate_stabilizer_states, state_to_json
-from helpers import pauli_mul
+from helpers import pauli_mul, reduced_distribution, state_operator
 
 rng = random.Random(37)
 
@@ -420,6 +420,72 @@ def test_wide_tail_lift_reduces_to_its_head():
         "inner": {"type": "orbit", "coeffs": member.operator().to_json()["coeffs"]},
     }
     assert exact_distribution(descriptor_from_json(doc), steps) == want
+
+
+def _wide_lift_case(local, n, m, coins):
+    """A seeded engine on n qubits, a tail of seeded Z signs under a frame
+    of 4n generator gates, and steps built from the images they take on
+    one path: ``coins`` coin steps, two or three head steps and one or two
+    fixed steps, in seeded order; that path meets each step as the kind
+    it was built for.  A step may be conditioned on up to two earlier coin
+    or fixed outcomes of that path, so the path runs every step."""
+    tail = Assignment.from_pairs(
+        [(z_point(n - m, q), local.randint(0, 1)) for q in range(1, n - m + 1)])
+    U = CliffordTableau.identity(n)
+    for _ in range(4 * n):
+        q, r = local.sample(range(1, n + 1), 2)
+        U = local.choice([CliffordTableau.hadamard(n, q), CliffordTableau.phase_gate(n, q),
+                          CliffordTableau.cnot(n, q, r)]).compose(U)
+    engine = eng = ReductionEngine(n, m, embed_tail_assignment(tail, n, m), U)
+    kinds = [CoinStep] * coins + [MeasureStep] * local.randint(2, 3) + [FixedStep] * local.randint(1, 2)
+    local.shuffle(kinds)
+    steps, met, path = [], [], []
+    for i, kind in enumerate(kinds):
+        # the image: a Z string in sigma's group on the tail, a head point
+        # but for a fixed step, and an X on one tail qubit for a coin
+        z = sum(1 << (m + q) for q in local.sample(range(n - m), local.randint(1, n - m)))
+        head = PauliPoint.zero(m) if kind is FixedStep else local.choice(all_points(m, include_zero=False))
+        x = head.x | (1 << (m + local.randrange(n - m)) if kind is CoinStep else 0)
+        a = eng.conj.invert().apply_point(PauliPoint(n, head.z | z, x)).point
+        cond = dict(local.sample(path, min(len(path), local.randint(0, 2))))
+        steps.append((a, cond or None))
+        step = eng.process(a)
+        met.append(type(step))
+        if isinstance(step, CoinStep):
+            c = local.randint(0, 1)
+            eng = eng.resolve_coin(step, c)
+            path.append((i, c))
+        elif isinstance(step, FixedStep):
+            path.append((i, step.outcome))
+    assert met == kinds
+    return engine, steps
+
+
+def test_wide_lifts_match_the_independent_reduced_law():
+    """Lifts to n = 16, 32 and 64 with one- and two-qubit heads (cnc,
+    family, member and mixture inners) under frames of 4n generator gates,
+    with coin, head and fixed steps, some conditional: the simulator's law
+    equals the tests' reduced law, which walks the engine with its own
+    fixed, coin and head-projection rule, and every sampled transcript
+    lies in it.  The Born law on the explicit lift stops at n <= 4."""
+    local = random.Random(4616)
+    t = QOperator(1, {PauliPoint.zero(1): ONE, x_point(1, 1): INV_SQRT2, y_point(1, 1): INV_SQRT2})
+    pools = {1: [cnc_vertices(1), [MemberState(t)]],
+             2: [cnc_vertices(2), enumerate_family(), [MemberState(t.tensor(t))]]}
+    weights = {2: (Fraction(1, 3), Fraction(2, 3)), 3: (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6))}
+    for n in (16, 32, 64):
+        for m in (1, 2):
+            # one inner of each pool, then a mixture of one from each
+            for inners in [[(ONE, local.choice(pool))] for pool in pools[m]] + [
+                    [(FieldElem(w), local.choice(pool)) for w, pool in zip(weights[m + 1], pools[m])]]:
+                engine, steps = _wide_lift_case(local, n, m, local.randint(4, 8))
+                init = [(w, LiftState(engine, inner)) for w, inner in inners]
+                head = QOperator.zero(m)
+                for w, inner in inners:
+                    head = head + inner.operator().scale(w)
+                law = exact_distribution(init, steps)
+                assert law == reduced_distribution(head, engine, steps)
+                assert set(sample(init, steps, seed=n + m, shots=32)) <= set(law)
 
 
 def test_key_value_matches_the_signed_generator_products():

@@ -45,13 +45,12 @@ from lambda_forge.simulate import (
     exact_distribution,
     iter_sample,
     normalize_steps,
-    reduced_distribution,
     sample,
-    state_operator,
     state_to_descriptor_json,
     steps_from_json,
 )
 from lambda_forge.stabilizer import Assignment, enumerate_stabilizer_states
+from helpers import reduced_distribution, state_operator
 
 rng = random.Random(41)
 
