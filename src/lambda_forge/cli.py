@@ -3,14 +3,20 @@
 Each ``cmd_*`` returns its document as (status, payload, diagnostics);
 ``main`` alone writes it, applies --float and picks the exit code: 0 ok,
 1 error, 2 facet violation / non-member, 3 infeasible.  A document is one
-line of JSON with sorted keys and no indentation, which the C encoder
-writes (it cannot indent); ``python -m json.tool`` lays it out for
-reading.  Every refusal (a usage error, an unreadable path, input the
-program cannot honour) is an error: exit 1 with a JSON diagnostic.  All
-numbers are exact (rational strings, or {a, b} pairs for values with a
-sqrt(2) part); --float renders decimals for human reading only.  The DOT
-text of ``poset --dot`` is the one payload written as is, and the
-``orbit --out`` file keeps its indented layout.
+line of JSON with sorted keys and no indentation, as ``json.dumps(...,
+sort_keys=True)`` writes it; ``python -m json.tool`` lays it out for
+reading.  The C encoder writes every document but those that carry a
+facet table (``membership``, and ``vertex`` and ``decompose`` of a
+non-member): their payload is the certificate's own JSON text
+(`FacetCertificate.json_text`, one value text per distinct facet sum),
+spliced into the document as it is, and under --float read back and
+rendered like any other payload.  Every refusal (a usage error, an
+unreadable path, input the program cannot honour) is an error: exit 1
+with a JSON diagnostic.  All numbers are exact (rational strings, or
+{a, b} pairs for values with a sqrt(2) part); --float renders decimals
+for human reading only.  The DOT text of ``poset --dot`` is the one
+payload written without a document, and the ``orbit --out`` file keeps
+its indented layout.
 
 Each command's arguments are defined once, in ``_COMMANDS``.  An argv
 whose first word is a command is parsed by that command's parser alone
@@ -60,9 +66,21 @@ from .stabilizer import Assignment, enumerate_stabilizer_states, state_to_json
 EXIT_CODES = {"ok": 0, "error": 1, "violation": 2, "infeasible": 3}
 
 
+class _JsonText(str):
+    """A payload already written as JSON text, spliced into its document
+    as it is (`FacetCertificate.json_text`)."""
+
+
 def _emit(status: str, payload, diagnostics: str, as_float: bool) -> int:
     """Write one command's document to stdout and return its exit code."""
-    if isinstance(payload, str):  # the DOT text of poset --dot
+    if isinstance(payload, _JsonText) and as_float:
+        payload = json.loads(payload)  # --float rewrites its values
+    if isinstance(payload, _JsonText):
+        # the document's three keys in sorted order, as json.dumps writes them
+        text = '{"diagnostics": %s, "payload": %s, "status": %s}' % (
+            json.dumps(diagnostics), payload, json.dumps(status)
+        )
+    elif isinstance(payload, str):  # the DOT text of poset --dot
         text = payload
     else:
         if as_float:
@@ -74,18 +92,28 @@ def _emit(status: str, payload, diagnostics: str, as_float: bool) -> int:
 
 
 def _floatify(obj):
-    if isinstance(obj, dict):
-        if set(obj) == {"a", "b"}:
-            return float(FieldElem.from_json(obj))
-        return {k: _floatify(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_floatify(v) for v in obj]
-    if isinstance(obj, str):
-        try:
-            return float(Fraction(obj))
-        except ValueError:
-            return obj
-    return obj
+    """obj with each exact number (a rational string or an {a, b} object)
+    as a float; each distinct string is converted once, since a facet
+    table's values take a handful of distinct strings."""
+    floats = {}
+
+    def walk(obj):
+        if isinstance(obj, dict):
+            if set(obj) == {"a", "b"}:
+                return float(FieldElem.from_json(obj))
+            return {k: walk(v) for k, v in obj.items()}
+        if isinstance(obj, list):
+            return [walk(v) for v in obj]
+        if isinstance(obj, str):
+            if obj not in floats:
+                try:
+                    floats[obj] = float(Fraction(obj))
+                except ValueError:
+                    floats[obj] = obj
+            return floats[obj]
+        return obj
+
+    return walk(obj)
 
 
 def _load_json(path: str) -> dict:
@@ -116,14 +144,14 @@ def cmd_membership(args):
     X = _load_operator(args.operator)
     cert, fields = _certify(X) if args.vertex else (membership(X), {})
     if not cert.is_member:
-        return "violation", cert.to_json(), f"violated facet {cert.violation}"
-    return "ok", {**cert.to_json(), **fields}, ""
+        return "violation", _JsonText(cert.json_text()), f"violated facet {cert.violation}"
+    return "ok", _JsonText(cert.json_text(**fields)), ""
 
 
 def cmd_vertex(args):
     cert, fields = _certify(_load_operator(args.operator))
     if not cert.is_member:
-        return "violation", cert.to_json(), f"not a member: facet {cert.violation}"
+        return "violation", _JsonText(cert.json_text()), f"not a member: facet {cert.violation}"
     return "ok", {**fields, "active_facets": cert.active}, ""
 
 
@@ -321,7 +349,7 @@ def cmd_decompose(args):
     X = _load_operator(args.operator)
     cert = membership(X)
     if not cert.is_member:
-        return "violation", cert.to_json(), "not a polytope member"
+        return "violation", _JsonText(cert.json_text()), "not a polytope member"
     try:
         terms = decompose_known(X)
     except ValueError as exc:

@@ -316,6 +316,5 @@ def enumerate_maximal_isotropics(n: int) -> list[Subspace]:
             # the z_i packed n bits apart; b_ij = b_ji = 1 adds e_{p_j} to z_i, e_{p_i} to z_j
             forms = [tops[j] << n * i | tops[i] << n * j for i in range(k) for j in range(i, k)]
             for zs in xor_sums(forms):
-                found.append(rref([(zs >> n * i & mask) << n | x for i, x in enumerate(xs)] + perp))
-    return [Subspace(n, rows) for rows in sorted(found)]
-
+                found.append([(zs >> n * i & mask) << n | x for i, x in enumerate(xs)] + perp)
+    return sorted((Subspace(n, rows) for rows in found), key=lambda s: s.rows)

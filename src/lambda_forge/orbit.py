@@ -284,6 +284,10 @@ def classify_operator(V: QOperator) -> OrbitVertex:
     return _member(I, gamma, *found, tuple((PauliPoint.from_key(2, k), gp[k]) for k in sorted(gp)))
 
 
+#: the slot setters of an OrbitVertex, in field order, which `_member` writes
+_SLOT_SETTERS = tuple(getattr(OrbitVertex, f.name).__set__ for f in fields(OrbitVertex))
+
+
 def _member(I: Subspace, gamma: Assignment, collection: frozenset[Subspace],
             omega: frozenset[PauliPoint], gamma_p: tuple) -> OrbitVertex:
     """The family member of checked rule outputs, gamma' as (point, bit)
@@ -297,8 +301,8 @@ def _member(I: Subspace, gamma: Assignment, collection: frozenset[Subspace],
     # odd numerators on Omega's nonzero points: canonical over 2
     values = (I, gamma, collection, omega, gamma_p, QOperator._of(2, 2, num))
     vertex = object.__new__(OrbitVertex)
-    for f, value in zip(fields(OrbitVertex), values):
-        object.__setattr__(vertex, f.name, value)
+    for put, value in zip(_SLOT_SETTERS, values):
+        put(vertex, value)
     return vertex
 
 

@@ -30,6 +30,12 @@ The certificate keeps the sums as two int lists, the rational parts xs
 and the sqrt(2) parts ys, with ys None when the operator has no sqrt(2)
 part; the active facets and the first violation are read off them by
 ``compress``/``map``, and the (x, y) pairs are built only when read.
+It writes its own JSON as text (``FacetCertificate.json_text``): the
+JSON text of every facet label is built once per qubit count
+(`_label_texts`), and a certificate writes one value text per distinct
+facet sum (an n = 3 non-member's 1080 values take a handful) and joins
+them with the label texts in sorted label order, byte for byte what
+``json.dumps(..., sort_keys=True)`` writes of the same object.
 
 The rank is certified in two passes.  The first reduces the active
 normals over GF(3), each row bit-sliced as two int masks (the columns
@@ -68,11 +74,12 @@ fill in after a few pivots.
 
 from __future__ import annotations
 
+import json
 import sys
 from functools import lru_cache
 from itertools import chain, compress, count, product, repeat
 from math import gcd
-from operator import lshift, ne, not_, or_, rshift
+from operator import itemgetter, lshift, ne, not_, or_, rshift
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .field import FieldElem, _json_value, sqrt2_sign, value_type
@@ -120,11 +127,19 @@ def _facet_data(n: int) -> _FacetData:
 
 
 @lru_cache(maxsize=8)
-def _sorted_facets(n: int) -> tuple[tuple[str, ...], tuple[int, ...]]:
-    """The facet labels in sorted order, and each one's facet index."""
+def _label_texts(n: int) -> tuple[tuple[str, ...], itemgetter]:
+    """The JSON text of the facet labels, built once per qubit count: the
+    pieces of the facet_values object in sorted label order, each label's
+    key text (``"label": ``, after ``, `` but the first) followed by a
+    slot for its value text; and a getter of a facet-order list's items
+    in that order.  A label is ASCII from ``+-,IXYZ``, so
+    ``'"%s"' % label`` is its JSON."""
     labels = _facet_data(n).labels
-    order = tuple(sorted(range(len(labels)), key=labels.__getitem__))
-    return tuple(map(labels.__getitem__, order)), order
+    order = sorted(range(len(labels)), key=labels.__getitem__)
+    keys = [', "%s": ' % labels[f] for f in order]
+    keys[0] = keys[0][2:]
+    pieces = tuple(chain.from_iterable(zip(keys, repeat(""))))
+    return pieces, itemgetter(*order)
 
 
 def _signed_keys(n: int, f: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -227,8 +242,10 @@ class FacetCertificate:
 
     Holds `membership`'s integer facet sums: facet i (see `_FacetData`)
     has the value (xs[i] + ys[i]*sqrt(2)) / den, with ys None when every
-    y is 0.  ``values`` and ``to_json`` build one FieldElem, or one JSON
-    value, per distinct sum and share it across the labels that have it.
+    y is 0.  ``values`` builds one FieldElem per distinct sum and shares
+    it across the labels that have it; ``json_text``, the one writer of
+    the certificate's JSON, writes one value text per distinct sum and
+    splices it beside each label's key text (`_label_texts`).
     """
 
     operator: QOperator
@@ -244,26 +261,22 @@ class FacetCertificate:
         ys = self._ys
         return list(zip(self._xs, repeat(0) if ys is None else ys))
 
-    def _by_label(self, convert, in_sorted_order: bool = False) -> dict:
-        """label -> convert(x, y, den) of the label's sums, convert called
-        once per distinct pair; in facet order, or in sorted label order,
-        the order ``json.dumps(..., sort_keys=True)`` writes them in."""
+    def _shared(self, convert) -> tuple[list, dict]:
+        """(sums, shared): each facet's sum in facet order (x, or (x, y)
+        when there is a sqrt(2) part), and convert(x, y, den) per distinct
+        sum."""
         den = self._den
         if self._ys is None:
-            keys = self._xs
-            shared = {x: convert(x, 0, den) for x in set(keys)}
-        else:
-            keys = self._sums
-            shared = {xy: convert(*xy, den) for xy in set(keys)}
-        if not in_sorted_order:
-            return dict(zip(_facet_data(self.operator.n).labels, map(shared.__getitem__, keys)))
-        labels, order = _sorted_facets(self.operator.n)
-        return dict(zip(labels, map(shared.__getitem__, map(keys.__getitem__, order))))
+            sums = self._xs
+            return sums, {x: convert(x, 0, den) for x in set(sums)}
+        sums = self._sums
+        return sums, {xy: convert(*xy, den) for xy in set(sums)}
 
     @property
     def values(self) -> dict:
         """label -> FieldElem facet value, built on each read."""
-        return self._by_label(FieldElem._reduced)
+        sums, shared = self._shared(FieldElem._reduced)
+        return dict(zip(_facet_data(self.operator.n).labels, map(shared.__getitem__, sums)))
 
     @property
     def active(self) -> list[str]:
@@ -274,15 +287,40 @@ class FacetCertificate:
     def is_member(self) -> bool:
         return self.violation is None
 
-    def to_json(self) -> dict:
-        facet_values = self._by_label(_json_value, in_sorted_order=True)
-        return {
-            "member": self.is_member,
-            "violation": self.violation,
-            "violation_value": facet_values[self.violation] if self.violation else None,
-            "active_facets": list(self.active),
-            "facet_values": facet_values,
+    def json_text(self, **fields) -> str:
+        """The certificate's JSON object, with the given fields beside its
+        own, as ``json.dumps(..., sort_keys=True)`` writes it: its own
+        fields are member, violation, violation_value (the violated
+        facet's value), active_facets (labels, in facet order) and
+        facet_values (label -> exact value, in sorted label order).  A
+        value is written once per distinct facet sum."""
+        n = self.operator.n
+        pieces, in_sorted_order = _label_texts(n)
+        sums, shared = self._shared(_value_text)
+        facet_values = list(pieces)
+        facet_values[1::2] = map(shared.__getitem__, in_sorted_order(sums))
+        violation = "null"
+        if self.violation is not None:
+            violation = shared[sums[_facet_data(n).labels.index(self.violation)]]
+        active = self.active  # quoted, a label is its JSON (`_label_texts`)
+        texts = {
+            "active_facets": '["%s"]' % '", "'.join(active) if active else "[]",
+            "facet_values": "{%s}" % "".join(facet_values),
+            "member": json.dumps(self.is_member),
+            "violation": json.dumps(self.violation),
+            "violation_value": violation,
         }
+        texts.update((key, json.dumps(value, sort_keys=True)) for key, value in fields.items())
+        return "{%s}" % ", ".join(json.dumps(key) + ": " + text for key, text in sorted(texts.items()))
+
+    def to_json(self) -> dict:
+        """The certificate's JSON object, read back from `json_text`."""
+        return json.loads(self.json_text())
+
+
+def _value_text(x: int, y: int, den: int) -> str:
+    """The JSON text of the facet value (x + y*sqrt(2)) / den."""
+    return json.dumps(_json_value(x, y, den), sort_keys=True)
 
 
 def membership(X: QOperator) -> FacetCertificate:

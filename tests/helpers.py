@@ -10,7 +10,9 @@ One more, ``candidate_operator``, writes the family's rule operator for
 a collection of any size, member or not, which ``OrbitVertex`` cannot
 hold.  ``facet_table`` is the facet table the package built per state
 before it kept its facet data per maximal isotropic, the oracle that
-data is checked against.  ``state_operator`` writes any state, a lift
+data is checked against, and ``certificate_json`` the certificate's
+JSON object as the package built it before the certificate wrote its
+own JSON text.  ``state_operator`` writes any state, a lift
 included, as its exact operator, and ``reduced_distribution`` is the
 law of a lifted run walked along the reduction engine with its own
 fixed, coin and head-projection rule, so it shares no branch rule with
@@ -25,12 +27,18 @@ from operator import getitem, lshift, not_
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from lambda_forge.cnc import CncSet
-from lambda_forge.field import HALF, ONE, ZERO, FieldElem
+from lambda_forge.field import HALF, ONE, ZERO, FieldElem, _json_value
 from lambda_forge.gf2 import PauliPoint, all_points, swap_halves
 from lambda_forge.lifting import lift_tensor
 from lambda_forge.orbit import OrbitVertex
 from lambda_forge.pauli import PhasedPauli, QOperator, key_phase, product_phase
-from lambda_forge.polytope import FacetCertificate, _active_rows, _int_rref, membership
+from lambda_forge.polytope import (
+    FacetCertificate,
+    _active_rows,
+    _facet_data,
+    _int_rref,
+    membership,
+)
 from lambda_forge.reduction import CoinStep, FixedStep, ReductionEngine
 from lambda_forge.simulate import LiftState, normalize_steps
 from lambda_forge.stabilizer import check_bit, enumerate_stabilizer_states
@@ -271,6 +279,25 @@ def facet_table(n: int) -> tuple:
             )
         )
     return tuple(table)
+
+
+def certificate_json(cert: FacetCertificate) -> dict:
+    """The certificate's JSON object as ``FacetCertificate.to_json`` built
+    it before the certificate wrote its own JSON text: one JSON value per
+    distinct facet sum, shared by the labels that have it, and the facet
+    values in sorted label order."""
+    labels = _facet_data(cert.operator.n).labels
+    sums = cert._sums
+    shared = {xy: _json_value(*xy, cert._den) for xy in set(sums)}
+    order = sorted(range(len(labels)), key=labels.__getitem__)
+    facet_values = {labels[f]: shared[sums[f]] for f in order}
+    return {
+        "member": cert.is_member,
+        "violation": cert.violation,
+        "violation_value": facet_values[cert.violation] if cert.violation else None,
+        "active_facets": list(cert.active),
+        "facet_values": facet_values,
+    }
 
 
 def state_operator(state) -> QOperator:

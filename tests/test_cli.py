@@ -17,8 +17,10 @@ from lambda_forge.clifford import CliffordTableau
 from lambda_forge.field import FieldElem
 from lambda_forge.gf2 import PauliPoint
 from lambda_forge.pauli import QOperator
-from lambda_forge.polytope import membership
+from lambda_forge.polytope import enumerate_vertices_n1, is_vertex, membership
 from lambda_forge.simulate import descriptor_from_json, sample, steps_from_json
+from helpers import certificate_json
+from test_golden import certificate_inputs
 
 
 def run(capsys, *argv):
@@ -84,6 +86,82 @@ def test_documents_are_one_line_of_sorted_json(tmp_path, capsys):
         code, out = run(capsys, *argv)
         assert code == want
         assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
+
+
+def _floats(obj):
+    """obj with each exact number as a float, converted value by value:
+    what --float did before it converted each distinct string once."""
+    if isinstance(obj, dict):
+        if set(obj) == {"a", "b"}:
+            return float(FieldElem.from_json(obj))
+        return {k: _floats(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_floats(v) for v in obj]
+    if isinstance(obj, str):
+        try:
+            return float(Fraction(obj))
+        except ValueError:
+            return obj
+    return obj
+
+
+def _oracle_document(argv, X):
+    """The document the CLI wrote for a certificate command before the
+    certificate wrote its own JSON text: the payload from
+    `certificate_json`, laid out by ``json.dumps(..., sort_keys=True)``,
+    its values rendered by `_floats` under --float."""
+    as_float = argv[0] == "--float"
+    command, flags = argv[as_float], argv[as_float + 1:]
+    cert = membership(X)
+    payload, status, fields = certificate_json(cert), "violation", {}
+    if cert.is_member and (command == "vertex" or "--vertex" in flags):
+        ok, rank = is_vertex(X, cert)
+        fields = {"vertex": ok, "active_rank": rank}
+    if cert.is_member:
+        status, diagnostics = "ok", ""
+        payload = {**fields, "active_facets": cert.active} if command == "vertex" else {**payload, **fields}
+    else:
+        diagnostics = {
+            "membership": f"violated facet {cert.violation}",
+            "vertex": f"not a member: facet {cert.violation}",
+            "decompose": "not a polytope member",
+        }[command]
+    if as_float:
+        payload = _floats(payload)
+    doc = {"status": status, "payload": payload, "diagnostics": diagnostics}
+    return cli.EXIT_CODES[status], json.dumps(doc, sort_keys=True) + "\n"
+
+
+def test_certificate_documents_equal_the_oracle_documents(tmp_path, capsys):
+    # every document that carries a facet table is written from the
+    # certificate's own JSON text; byte for byte, it is the document the
+    # dict oracle and json.dumps wrote, with and without --float
+    inputs = certificate_inputs()
+    qubit = enumerate_vertices_n1()
+    t = QOperator.from_json(T_STATE)
+    past_t = QOperator.from_json({"n": 1, "coeffs": {"I": "1", "X": {"a": "0", "b": "1"}}})
+    v0, v1 = inputs["lifted_vertices"][:2]
+    mix3 = v0.scale(FieldElem(Fraction(3, 8))) + v1.scale(FieldElem(Fraction(5, 8)))
+    operators = [
+        qubit[0], t, past_t, QOperator.from_labels(1, {"I": 1, "X": 3}),
+        qubit[2].scale(FieldElem(Fraction(1, 4))) + qubit[5].scale(FieldElem(Fraction(3, 4))),
+        *inputs["bad"][:2], *inputs["members"][:2], *inputs["mixtures"][:2], *inputs["t_t"],
+        past_t.tensor(t),
+        v0, v1, *inputs["lifted_bad"][:2], mix3, t.tensor(t).tensor(t),
+        inputs["bad"][0].tensor(past_t),
+    ]
+    kinds = set()
+    for i, X in enumerate(operators):
+        path = write_json(tmp_path / f"op{i}.json", X.to_json())
+        cert = membership(X)
+        kinds.add((X.n, cert.is_member, cert._ys is not None))
+        argvs = [["membership", path], ["membership", "--vertex", path], ["vertex", path]]
+        if not cert.is_member:
+            argvs.append(["decompose", path])
+        for argv in argvs + [["--float", *argv] for argv in argvs]:
+            assert run(capsys, *argv) == _oracle_document(argv, X), argv
+    assert kinds == {(n, member, irrational) for n in (1, 2, 3)
+                     for member in (True, False) for irrational in (True, False)}
 
 
 def test_malformed_input(tmp_path, capsys):

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from lambda_forge.gf2 import (
     PauliPoint,
+    Subspace,
     all_points,
     enumerate_maximal_isotropics,
     solve_affine,
@@ -121,6 +122,19 @@ def test_maximal_isotropics_match_bfs_oracle(n):
     assert got == _isotropics_oracle(n)
     assert all(I.is_isotropic() for I in got)
     assert not span([x_point(n, 1), z_point(n, 1)]).is_isotropic()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_enumerated_isotropics_are_built_as_subspace_builds_them(n):
+    # the enumeration reduces each subspace once, in Subspace itself; each
+    # equals the Subspace built again from its rows, with equal hash, and
+    # they come in ascending row order
+    for I in enumerate_maximal_isotropics(n):
+        built = Subspace(I.n, I.rows)
+        assert type(I) is Subspace and I == built and hash(I) == hash(built)
+        assert type(I.rows) is tuple and I.rows == built.rows and I.n == n
+    rows = [I.rows for I in enumerate_maximal_isotropics(n)]
+    assert rows == sorted(set(rows))
 
 
 def test_maximal_isotropics_n4_digest():

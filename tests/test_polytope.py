@@ -45,6 +45,7 @@ from lambda_forge.stabilizer import (
     state_to_json,
 )
 from helpers import (
+    certificate_json,
     dense_matrix,
     extremality_refuter,
     facet_table,
@@ -562,6 +563,10 @@ def test_certificate_json_is_the_field_elements_json(X):
     assert doc["active_facets"] == cert.active
     want = cert.values[cert.violation].to_json() if cert.violation else None
     assert doc["violation_value"] == want
+    # the one writer of the facet table writes, byte for byte, what
+    # json.dumps with sort_keys writes of the dict oracle
+    assert doc == certificate_json(cert)
+    assert cert.json_text() == json.dumps(certificate_json(cert), sort_keys=True)
 
 
 def _assert_lanes_match_the_loop(X):

@@ -29,7 +29,7 @@ from lambda_forge.orbit import (
 )
 from lambda_forge.pauli import QOperator
 from lambda_forge.polytope import decompose, enumerate_vertices_n1, is_vertex, membership
-from lambda_forge.reduction import ReductionEngine, embed_tail_assignment
+from lambda_forge.reduction import MeasureStep, ReductionEngine, embed_tail_assignment
 from lambda_forge.simulate import (
     LiftState,
     MemberState,
@@ -690,10 +690,42 @@ def _with_n3_cnc_examples(test):
     return test
 
 
+def _flipped_head_circuits(gen, count):
+    """Seeded lifts to n = 3 whose first step is a head step with flip 1 on
+    an axis where the inner's outcome is not fair, so that the tail sign
+    changes the law, then four seeded adaptive steps."""
+    out = []
+    while len(out) < count:
+        m = gen.choice((1, 2))
+        tail = gen.choice(enumerate_stabilizer_states(3 - m))[1]
+        U = CliffordTableau.identity(3)
+        for _ in range(6):
+            U = gen.choice(GENERATORS3).compose(U)
+        engine = ReductionEngine(3, m, embed_tail_assignment(tail, 3, m), U)
+        inner = gen.choice(INNER[m])
+        rho = state_operator(inner)
+        for a in all_points(3, include_zero=False):
+            step = engine.process(a)
+            if (isinstance(step, MeasureStep) and step.flip
+                    and born_distribution(rho, [step.point]).get((0,), ZERO) != HALF):
+                rest = [(p, cond and {j + 1: b for j, b in cond.items()})
+                        for p, cond in _seeded_steps(gen, 3, 4)]
+                out.append((LiftState(engine, inner), [(a, None), *rest]))
+                break
+    return out
+
+
+def _with_flipped_head_examples(test):
+    for i, circuit in enumerate(_flipped_head_circuits(random.Random(47), 6)):
+        test = example(circuit=circuit, seed=i)(test)
+    return test
+
+
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(circuit=circuits(), seed=st.integers(0, 2**32))
 @example(circuit=_conditional_lifted_circuit(), seed=5)
 @_with_n3_cnc_examples
+@_with_flipped_head_examples
 def test_laws_agree_on_adaptive_circuits(circuit, seed):
     state, steps = circuit
     rho = state_operator(state)
