@@ -16,7 +16,11 @@ where V is the head projection of I cap (E_m + J) and sigma the induced
 assignment sigma(v) = s(v + u) + r(u).  When I cap (E_m + J) splits as
 (I cap E_m) + (I cap J) this reduces to the restriction form with
 Pi_{I cap E_m, s|}; the projection form is the one that holds for every
-maximal isotropic I.
+maximal isotropic I.  It is the paper's closed form for a lift's facet
+values, kept as API; the package does not call it.  The test suite
+checks it against the built lift, and checks ``averaged_head_operator``
+(Y~) by the averaged-trace identity Tr(Y Pi_{J+I', r*s'}) =
+Tr(Y~ Pi_{I', s'}) (acceptance criterion 7).
 
 Points are packed keys (``PauliPoint.key()``) split into head and tail by
 ``_restrict_key`` and ``_place_key``.  An assignment moves between the
@@ -201,15 +205,3 @@ def averaged_head_operator(Y: QOperator, J: Subspace, r: Assignment) -> QOperato
             x, y = out.get(v, (0, 0))
             out[v] = (x - p, y - q) if negate else (x + p, y + q)
     return QOperator._reduced(m, Y._den * J.size(), out)
-
-
-def averaged_trace_identity(
-    Y: QOperator, J: Subspace, r: Assignment, I1: Subspace, s1: Assignment
-) -> tuple[FieldElem, FieldElem]:
-    """Both sides of Tr(Y Pi_{J+I', r*s'}) = Tr(Y~ Pi_{I', s'}) for a
-    maximal isotropic I' of the head space; they agree exactly.  J is on the
-    tail, so Pi_{J+I', r*s'} = Pi_{I',s'} (x) Pi_{J,r} = lift_tensor(Pi_{I',s'}, J, r)."""
-    head = stabilizer_projector(I1, s1)
-    lhs = Y.trace_inner(lift_tensor(head, J, r))
-    rhs = averaged_head_operator(Y, J, r).trace_inner(head)
-    return lhs, rhs

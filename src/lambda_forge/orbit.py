@@ -51,7 +51,9 @@ that cube point: at most four corners, ordered by ascending |x|, exactly
 in Q(sqrt(2)); on one qubit it is the stabilizer state {0, a} alone.
 ``measure_update`` runs it on the operator a family member builds on
 construction.  On the family the weights (before normalization) are
-(1/2,1/4,1/4), (1/2,1/4), (1/4) or (1/4,1/4).
+(1/2,1/4,1/4), (1/2,1/4), (1/4) or (1/4,1/4); the test suite's sweep
+(acceptance criterion 8) checks the update against exact projection on
+every member, axis and outcome, 57 600 cases.
 """
 
 from __future__ import annotations
@@ -59,8 +61,8 @@ from __future__ import annotations
 from dataclasses import field, fields
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
-from itertools import combinations, product
-from typing import ClassVar, Iterable, Mapping, Optional, Sequence
+from itertools import combinations
+from typing import ClassVar, Iterable, Mapping, Sequence
 
 from .field import FieldElem, sqrt2_sign, value_type
 from .clifford import coefficient_orbit
@@ -76,7 +78,7 @@ from .gf2 import (
     swap_halves,
     xor_sums,
 )
-from .pauli import QOperator, key_phase, pauli_projector
+from .pauli import QOperator, key_phase
 from .stabilizer import Assignment, all_assignments, check_bit
 
 #: Pauli expectations of the flagship vertex, row order II..YY.
@@ -425,112 +427,6 @@ def member_update(X: QOperator, a: PauliPoint, s: int) -> list[tuple[FieldElem, 
 
 #: the chain order: |x_r| = z + y*sqrt(2) ascending, exactly, ties by key r
 _ascending = cmp_to_key(lambda u, v: sqrt2_sign(u[0] - v[0], u[1] - v[1]) or u[2] - v[2])
-
-
-def verify_update_rules(vertices: Optional[Sequence[OrbitVertex]] = None) -> dict:
-    """Exhaustive oracle sweep: every vertex, axis, and outcome; compares
-    the closed-form mixture against exact operator projection."""
-    if vertices is None:
-        vertices = enumerate_family()
-    cases = mismatches = zero_cases = 0
-    profiles: dict[tuple, int] = {}
-    axes = all_points(2, include_zero=False)
-    for vert in vertices:
-        op = vert.operator()
-        for a in axes:
-            for s in (0, 1):
-                cases += 1
-                pieces = measure_update(vert, a, s)
-                total = QOperator.zero(2)
-                for w, piece in pieces:
-                    total = total + piece.operator().scale(w)
-                if total != op.project(a, s):
-                    mismatches += 1
-                if not pieces:
-                    zero_cases += 1
-                prof = tuple(sorted((w for w, _ in pieces), reverse=True))
-                profiles[prof] = profiles.get(prof, 0) + 1
-    return {
-        "cases": cases,
-        "mismatches": mismatches,
-        "zero_cases": zero_cases,
-        "weight_profiles": profiles,
-    }
-
-
-# -- single-qubit mixture identities ------------------------------------------
-
-
-def _qubit_vertex(alpha: Mapping[PauliPoint, int]) -> QOperator:
-    zero = PauliPoint.zero(1)
-    return CncSet([zero, *alpha], {zero: 0, **alpha}).operator()
-
-
-def mixture_identities_report() -> dict[str, int]:
-    """Check the five exact projector/vertex mixture identities on one
-    qubit for every admissible parameter choice; returns failure counts
-    (all zero) keyed by identity name."""
-    pts = all_points(1, include_zero=False)
-    report = {f"identity-{k}": 0 for k in range(1, 6)}
-    checked = {f"identity-{k}": 0 for k in range(1, 6)}
-
-    for v, w in product(pts, pts):
-        if v == w:
-            continue
-        u = v ^ w
-        for sv, sw, f1, f2 in product((0, 1), repeat=4):
-            proj_v = pauli_projector(v, sv)
-            proj_w0 = pauli_projector(w, sw)
-            proj_w1 = pauli_projector(w, (sw + 1) & 1)
-            # (1) projector as an even mixture, two free bits
-            a0 = {v: sv, w: f1, u: f2}
-            a1 = {v: sv, w: (f1 + 1) & 1, u: (f2 + 1) & 1}
-            lhs = proj_v
-            rhs = (_qubit_vertex(a0) + _qubit_vertex(a1)).scale(Fraction(1, 2))
-            checked["identity-1"] += 1
-            if lhs != rhs:
-                report["identity-1"] += 1
-            # (2) projector plus half a projector difference, one free bit
-            a0 = {v: sv, w: sw, u: f1}
-            a1 = {v: sv, w: sw, u: (f1 + 1) & 1}
-            lhs = proj_v + (proj_w0 - proj_w1).scale(Fraction(1, 2))
-            rhs = (_qubit_vertex(a0) + _qubit_vertex(a1)).scale(Fraction(1, 2))
-            checked["identity-2"] += 1
-            if lhs != rhs:
-                report["identity-2"] += 1
-            # (5) the (2,1,1)/4 mixture, one free bit
-            a0 = {v: sv, w: sw, u: f1}
-            a1 = {v: sv, w: sw, u: (f1 + 1) & 1}
-            a2 = {v: sv, w: (sw + 1) & 1, u: (f1 + 1) & 1}
-            lhs = proj_v + (proj_w0 - proj_w1).scale(Fraction(1, 4))
-            rhs = (
-                _qubit_vertex(a0).scale(2) + _qubit_vertex(a1) + _qubit_vertex(a2)
-            ).scale(Fraction(1, 4))
-            checked["identity-5"] += 1
-            if lhs != rhs:
-                report["identity-5"] += 1
-    for v in pts:
-        others = [w for w in pts if w != v]
-        w = others[0]
-        u = v ^ w
-        for av, aw, au in product((0, 1), repeat=3):
-            alpha = {v: av, w: aw, u: au}
-            alpha_f = {v: av, w: (aw + 1) & 1, u: (au + 1) & 1}
-            proj = pauli_projector(v, av)
-            # (3) equal thirds
-            lhs = (proj.scale(2) + _qubit_vertex(alpha)).scale(Fraction(1, 3))
-            rhs = (_qubit_vertex(alpha).scale(2) + _qubit_vertex(alpha_f)).scale(Fraction(1, 3))
-            checked["identity-3"] += 1
-            if lhs != rhs:
-                report["identity-3"] += 1
-            # (4) reflection through a projector
-            lhs = proj.scale(2) - _qubit_vertex(alpha)
-            rhs = _qubit_vertex(alpha_f)
-            checked["identity-4"] += 1
-            if lhs != rhs:
-                report["identity-4"] += 1
-    report["checked"] = sum(checked.values())
-    return report
 
 
 # -- the poset of isotropic subspaces -----------------------------------------

@@ -16,7 +16,13 @@ own JSON text.  ``state_operator`` writes any state, a lift
 included, as its exact operator, and ``reduced_distribution`` is the
 law of a lifted run walked along the reduction engine with its own
 fixed, coin and head-projection rule, so it shares no branch rule with
-the simulator's lifted step it is compared with."""
+the simulator's lifted step it is compared with.  Last come the paper's
+identity sweeps, which acceptance criteria 7-9 run and no command does:
+``verify_update_rules`` (every family member, axis and outcome, the
+closed-form update against exact projection),
+``mixture_identities_report`` (the five one-qubit mixture identities)
+and ``averaged_trace_identity`` (both sides of the averaged-trace
+identity of a lift)."""
 
 from __future__ import annotations
 
@@ -28,10 +34,10 @@ from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from lambda_forge.cnc import CncSet
 from lambda_forge.field import HALF, ONE, ZERO, FieldElem, _json_value
-from lambda_forge.gf2 import PauliPoint, all_points, swap_halves
-from lambda_forge.lifting import lift_tensor
-from lambda_forge.orbit import OrbitVertex
-from lambda_forge.pauli import PhasedPauli, QOperator, key_phase, product_phase
+from lambda_forge.gf2 import PauliPoint, Subspace, all_points, swap_halves
+from lambda_forge.lifting import averaged_head_operator, lift_tensor
+from lambda_forge.orbit import OrbitVertex, enumerate_family, measure_update
+from lambda_forge.pauli import PhasedPauli, QOperator, key_phase, pauli_projector, product_phase
 from lambda_forge.polytope import (
     FacetCertificate,
     _active_rows,
@@ -41,7 +47,12 @@ from lambda_forge.polytope import (
 )
 from lambda_forge.reduction import CoinStep, FixedStep, ReductionEngine
 from lambda_forge.simulate import LiftState, normalize_steps
-from lambda_forge.stabilizer import check_bit, enumerate_stabilizer_states
+from lambda_forge.stabilizer import (
+    Assignment,
+    check_bit,
+    enumerate_stabilizer_states,
+    stabilizer_projector,
+)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -355,3 +366,127 @@ def reduced_distribution(
             if w.sign() > 0:
                 stack.append((i + 1, nxt, part, prob * w, acc + (s,)))
     return out
+
+
+# -- the family's update sweep ----------------------------------------------
+
+
+def verify_update_rules(vertices: Optional[Sequence[OrbitVertex]] = None) -> dict:
+    """Exhaustive oracle sweep: every vertex, axis, and outcome; compares
+    the closed-form mixture against exact operator projection."""
+    if vertices is None:
+        vertices = enumerate_family()
+    cases = mismatches = zero_cases = 0
+    profiles: dict[tuple, int] = {}
+    axes = all_points(2, include_zero=False)
+    for vert in vertices:
+        op = vert.operator()
+        for a in axes:
+            for s in (0, 1):
+                cases += 1
+                pieces = measure_update(vert, a, s)
+                total = QOperator.zero(2)
+                for w, piece in pieces:
+                    total = total + piece.operator().scale(w)
+                if total != op.project(a, s):
+                    mismatches += 1
+                if not pieces:
+                    zero_cases += 1
+                prof = tuple(sorted((w for w, _ in pieces), reverse=True))
+                profiles[prof] = profiles.get(prof, 0) + 1
+    return {
+        "cases": cases,
+        "mismatches": mismatches,
+        "zero_cases": zero_cases,
+        "weight_profiles": profiles,
+    }
+
+
+# -- single-qubit mixture identities ------------------------------------------
+
+
+def _qubit_vertex(alpha: Mapping[PauliPoint, int]) -> QOperator:
+    zero = PauliPoint.zero(1)
+    return CncSet([zero, *alpha], {zero: 0, **alpha}).operator()
+
+
+def mixture_identities_report() -> dict[str, int]:
+    """Check the five exact projector/vertex mixture identities on one
+    qubit for every admissible parameter choice; returns failure counts
+    (all zero) keyed by identity name."""
+    pts = all_points(1, include_zero=False)
+    report = {f"identity-{k}": 0 for k in range(1, 6)}
+    checked = {f"identity-{k}": 0 for k in range(1, 6)}
+
+    for v, w in product(pts, pts):
+        if v == w:
+            continue
+        u = v ^ w
+        for sv, sw, f1, f2 in product((0, 1), repeat=4):
+            proj_v = pauli_projector(v, sv)
+            proj_w0 = pauli_projector(w, sw)
+            proj_w1 = pauli_projector(w, (sw + 1) & 1)
+            # (1) projector as an even mixture, two free bits
+            a0 = {v: sv, w: f1, u: f2}
+            a1 = {v: sv, w: (f1 + 1) & 1, u: (f2 + 1) & 1}
+            lhs = proj_v
+            rhs = (_qubit_vertex(a0) + _qubit_vertex(a1)).scale(Fraction(1, 2))
+            checked["identity-1"] += 1
+            if lhs != rhs:
+                report["identity-1"] += 1
+            # (2) projector plus half a projector difference, one free bit
+            a0 = {v: sv, w: sw, u: f1}
+            a1 = {v: sv, w: sw, u: (f1 + 1) & 1}
+            lhs = proj_v + (proj_w0 - proj_w1).scale(Fraction(1, 2))
+            rhs = (_qubit_vertex(a0) + _qubit_vertex(a1)).scale(Fraction(1, 2))
+            checked["identity-2"] += 1
+            if lhs != rhs:
+                report["identity-2"] += 1
+            # (5) the (2,1,1)/4 mixture, one free bit
+            a0 = {v: sv, w: sw, u: f1}
+            a1 = {v: sv, w: sw, u: (f1 + 1) & 1}
+            a2 = {v: sv, w: (sw + 1) & 1, u: (f1 + 1) & 1}
+            lhs = proj_v + (proj_w0 - proj_w1).scale(Fraction(1, 4))
+            rhs = (
+                _qubit_vertex(a0).scale(2) + _qubit_vertex(a1) + _qubit_vertex(a2)
+            ).scale(Fraction(1, 4))
+            checked["identity-5"] += 1
+            if lhs != rhs:
+                report["identity-5"] += 1
+    for v in pts:
+        others = [w for w in pts if w != v]
+        w = others[0]
+        u = v ^ w
+        for av, aw, au in product((0, 1), repeat=3):
+            alpha = {v: av, w: aw, u: au}
+            alpha_f = {v: av, w: (aw + 1) & 1, u: (au + 1) & 1}
+            proj = pauli_projector(v, av)
+            # (3) equal thirds
+            lhs = (proj.scale(2) + _qubit_vertex(alpha)).scale(Fraction(1, 3))
+            rhs = (_qubit_vertex(alpha).scale(2) + _qubit_vertex(alpha_f)).scale(Fraction(1, 3))
+            checked["identity-3"] += 1
+            if lhs != rhs:
+                report["identity-3"] += 1
+            # (4) reflection through a projector
+            lhs = proj.scale(2) - _qubit_vertex(alpha)
+            rhs = _qubit_vertex(alpha_f)
+            checked["identity-4"] += 1
+            if lhs != rhs:
+                report["identity-4"] += 1
+    report["checked"] = sum(checked.values())
+    return report
+
+
+# -- the averaged-trace identity of a lift ----------------------------------
+
+
+def averaged_trace_identity(
+    Y: QOperator, J: Subspace, r: Assignment, I1: Subspace, s1: Assignment
+) -> tuple[FieldElem, FieldElem]:
+    """Both sides of Tr(Y Pi_{J+I', r*s'}) = Tr(Y~ Pi_{I', s'}) for a
+    maximal isotropic I' of the head space; they agree exactly.  J is on the
+    tail, so Pi_{J+I', r*s'} = Pi_{I',s'} (x) Pi_{J,r} = lift_tensor(Pi_{I',s'}, J, r)."""
+    head = stabilizer_projector(I1, s1)
+    lhs = Y.trace_inner(lift_tensor(head, J, r))
+    rhs = averaged_head_operator(Y, J, r).trace_inner(head)
+    return lhs, rhs

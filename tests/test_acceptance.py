@@ -29,9 +29,7 @@ from lambda_forge.orbit import (
     clifford_orbit_keys,
     enumerate_family,
     family_operator_keys,
-    mixture_identities_report,
     omega_from_collection,
-    verify_update_rules,
 )
 from lambda_forge.pauli import QOperator
 from lambda_forge.polytope import enumerate_vertices_n1, is_vertex, membership
@@ -49,12 +47,17 @@ from lambda_forge.stabilizer import (
     stabilizer_projector,
 )
 from lambda_forge.lifting import (
-    averaged_trace_identity,
     lift_tensor,
     tail_overlap,
     tail_subspace,
 )
-from helpers import reduced_distribution, support
+from helpers import (
+    averaged_trace_identity,
+    mixture_identities_report,
+    reduced_distribution,
+    support,
+    verify_update_rules,
+)
 
 
 def report(number: int, ok: bool, elapsed: float, budget: float, detail: str):

@@ -70,12 +70,13 @@ def test_cli_main_maps_exactly_the_user_errors():
     assert sorted(caught) == ["OSError", "UsageError", "ValueError"]
 
 
-#: the dense and complex-product oracles, the state operators and the
-#: reduced law, which live in tests/helpers.py, and the lifted rule the
-#: reduced law once shared with the simulator (a lifted step is written
-#: only in ``simulate._cached_branch``)
+#: the dense and complex-product oracles, the state operators, the
+#: reduced law and the identity sweeps, which live in tests/helpers.py,
+#: and the lifted rule the reduced law once shared with the simulator (a
+#: lifted step is written only in ``simulate._cached_branch``)
 TOP_ORACLES = {
     "pauli_matrix", "DENSE_ORACLE_BOUND", "state_operator", "reduced_distribution", "_lift_branch",
+    "verify_update_rules", "mixture_identities_report", "_qubit_vertex", "averaged_trace_identity",
 }
 QOPERATOR_ORACLES = {"product", "dense_matrix", "_complex_product", "_complex_coeffs"}
 
@@ -94,15 +95,19 @@ def bound_names(body):
 
 def oracle_leaks(tree):
     """(line, what) of each numpy import anywhere in a module (top level,
-    in a function or under TYPE_CHECKING), each top-level oracle name and
-    each oracle method of a ``QOperator`` class."""
+    in a function or under TYPE_CHECKING), each top-level oracle name,
+    each import of an oracle name and each oracle method of a
+    ``QOperator`` class."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             found += [(node.lineno, "numpy") for alias in node.names
                       if alias.name.split(".")[0] == "numpy"]
-        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
-            found.append((node.lineno, "numpy"))
+        elif isinstance(node, ast.ImportFrom):
+            if (node.module or "").split(".")[0] == "numpy":
+                found.append((node.lineno, "numpy"))
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if alias.name in TOP_ORACLES]
     found += [(line, name) for line, name in bound_names(tree.body) if name in TOP_ORACLES]
     for node in tree.body:
         if isinstance(node, ast.ClassDef) and node.name == "QOperator":
@@ -123,11 +128,11 @@ def test_oracle_leaks_are_detected():
         "    def tensor(self):\n"
         "        import os, numpy\n"
         "def pauli_matrix(p):\n"
-        "    return p\n"
+        "    from .orbit import enumerate_family, verify_update_rules\n"
     )
     assert oracle_leaks(ast.parse(source)) == [
         (3, "numpy"), (4, "DENSE_ORACLE_BOUND"), (6, "QOperator.dense_matrix"),
-        (7, "numpy"), (9, "numpy"), (10, "pauli_matrix"),
+        (7, "numpy"), (9, "numpy"), (10, "pauli_matrix"), (11, "verify_update_rules"),
     ]
     assert oracle_leaks(ast.parse("import numbers\nclass QOperator:\n    n: int\n")) == []
 

@@ -16,7 +16,6 @@ from lambda_forge.gf2 import (
 from lambda_forge.lifting import (
     LiftParams,
     averaged_head_operator,
-    averaged_trace_identity,
     lift,
     lift_tensor,
     make_params,
@@ -34,7 +33,7 @@ from lambda_forge.stabilizer import (
     enumerate_stabilizer_states,
     stabilizer_projector,
 )
-from helpers import maximally_mixed, support
+from helpers import averaged_trace_identity, maximally_mixed, support
 
 rng = random.Random(21)
 

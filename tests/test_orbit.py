@@ -28,7 +28,6 @@ from lambda_forge.orbit import (
     isotropic_poset,
     measure_update,
     member_update,
-    mixture_identities_report,
     omega_from_collection,
     poset_dot,
 )
@@ -36,7 +35,7 @@ from lambda_forge.field import FieldElem
 from lambda_forge.pauli import QOperator
 from lambda_forge.polytope import is_vertex, membership
 from lambda_forge.stabilizer import all_assignments
-from helpers import candidate_operator, family_measure_update
+from helpers import candidate_operator, family_measure_update, mixture_identities_report
 
 rng = random.Random(31)
 

@@ -1132,7 +1132,7 @@ def test_outside_hull_vertex_has_a_second_orbit_of_half_integer_vertices():
 def test_member_updates_are_projections_on_named_members():
     # the 432 two-qubit cnc vertices, T (x) T, the outside-hull vertex, and
     # on one qubit the eight corners and T; the 1 920 family members update
-    # by the same chain in the sweep of `orbit.verify_update_rules`
+    # by the same chain in the sweep of `helpers.verify_update_rules`
     for X in [*MEMBERS[2][0], T_T, OUTSIDE_HULL, *enumerate_vertices_n1(), T_STATE]:
         _assert_updates_are_projections(X)
 
