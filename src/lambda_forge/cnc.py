@@ -38,10 +38,11 @@ cnc update theorem of the same paper):
   because a is not in the closed set Omega.
 
 A ``CncSet`` is one dict {``PauliPoint.key()``: gamma bit}; Omega is its
-keys.  Equality and hashing use the frozenset of its items.  The operator,
-the update rules and the one GF(2) consistency system (read by
-``is_closed``, ``consistent_assignments``, ``is_cnc`` and ``CncSet``) run
-on the keys; ``.omega`` and ``.gamma`` are ``PauliPoint`` views.
+keys.  Equality compares (n, dict); the hash, of the frozenset of its
+items, is computed on first use and kept.  The operator, the update rules
+and the one GF(2) consistency system (read by ``is_closed``,
+``consistent_assignments``, ``is_cnc`` and ``CncSet``) run on the keys;
+``.omega`` and ``.gamma`` are ``PauliPoint`` views.
 """
 
 from __future__ import annotations
@@ -146,9 +147,10 @@ class CncSet:
     """A closed noncontextual set with a consistent value assignment, on int keys."""
 
     n: int
-    _vals: dict[int, int] = field(compare=False)
-    # a frozenset keeps its hash, so memo lookups hash each state once
-    _items: frozenset[tuple[int, int]]
+    _vals: dict[int, int]
+    # cached on first use: memo lookups hash each state once, and a set
+    # that no memo keys never pays for it
+    _hash: Optional[int] = field(compare=False, repr=False)
 
     def __init__(self, omega: Iterable[PauliPoint], gamma: Mapping[PauliPoint, int]):
         pts = frozenset(omega)
@@ -178,7 +180,7 @@ class CncSet:
     def _fill(self, n: int, vals: dict[int, int]) -> "CncSet":
         _set(self, "n", n)
         _set(self, "_vals", vals)
-        _set(self, "_items", frozenset(vals.items()))
+        _set(self, "_hash", None)
         return self
 
     @property
@@ -229,7 +231,9 @@ class CncSet:
         return [(HALF if outside else ONE, CncSet._from_keys(n, out))]
 
     def __hash__(self):
-        return hash(self._items)
+        if self._hash is None:
+            _set(self, "_hash", hash(frozenset(self._vals.items())))
+        return self._hash
 
     def __repr__(self):
         n = self.n

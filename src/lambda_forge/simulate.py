@@ -111,7 +111,7 @@ class LiftState:
 
     engine: ReductionEngine
     inner: "State"
-    # cached: the state keys the draw tables and each call's interned ids
+    # cached: the state keys the update memos and each call's draw tables
     _hash: Optional[int] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -318,11 +318,12 @@ def _threshold(x: FieldElem) -> int:
     return (num_a + floor_b) // d + 1
 
 
-def _table(weighted: Iterable[tuple[FieldElem, object]]) -> tuple[list, list[int]]:
+def _table(weighted: Iterable[tuple[FieldElem, object]]) -> tuple[tuple, tuple[int, ...]]:
     """Items and integer thresholds t_i = ceil(2**64 * c_i), c_i the
     cumulative weight, from nonnegative weights summing exactly to 1 (the
     last threshold is then 2**64); RuntimeError on any other mass, which
-    no law gives."""
+    no law gives.  Both are tuples, so a memoized table cannot be changed
+    by a caller that shares it."""
     items, thresholds = [], []
     acc = ZERO
     for w, item in weighted:
@@ -331,7 +332,7 @@ def _table(weighted: Iterable[tuple[FieldElem, object]]) -> tuple[list, list[int
         thresholds.append(_threshold(acc))
     if acc != ONE:
         raise RuntimeError(f"a draw table's weights sum to {acc}, not 1")
-    return items, thresholds
+    return tuple(items), tuple(thresholds)
 
 
 def sample(
@@ -354,7 +355,7 @@ def sample(
 
 
 @lru_cache(maxsize=1 << 16)
-def _draw_table(state: State, a: PauliPoint) -> tuple[list, list[int]]:
+def _draw_table(state: State, a: PauliPoint) -> tuple[tuple, tuple[int, ...]]:
     """The (outcome, piece) children of positive weight of measuring ``a``
     on ``state``, with their thresholds (``_table``); memoized on (state,
     axis), as ``_cached_branch`` is."""
@@ -399,21 +400,22 @@ def iter_sample(
     an ungrown slot is finished by ``_Call.finish``, which grows the
     nodes of its path until the tree holds ``_TREE_NODES`` units, one per
     executed step and one per leaf, and draws the rest on the same
-    tables: one per (step, state) reached, its states interned to small
-    ints.  So what a call holds is bounded by the tree's size and its
-    distinct (step, state) pairs, not by its shot count.
+    tables: one per (step, state) reached, keyed by the state, each the
+    memoized ``_draw_table`` itself, shared and never copied.  So what a
+    call holds is bounded by the tree's size and its distinct (step,
+    state) pairs, not by its shot count.
     """
     if not isinstance(shots, int) or isinstance(shots, bool) or shots < 1:
         raise ValueError(f"shots must be a positive int, got {shots!r}")
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise ValueError(f"seed must be an int, got {seed!r}")
     initial, n = _entered(initial)
-    init_items, init_thresholds = _table(initial)
+    init_items, init_thresholds = _table((w, (None, state)) for w, state in initial)
     call = _Call(normalize_steps(steps, n), random.Random(seed).getrandbits)
     # a certain root has no width: the first shot grows its one slot
     certain = len(init_items) == 1 and call.room
     root = (None if certain else 64, init_thresholds, [_UNGROWN] * len(init_items),
-            [(None, call.intern(state)) for state in init_items], None, -1)
+            init_items, None, -1)
     if certain:
         yield call.finish(root, 0)
         root, shots = root[2][0], shots - 1
@@ -434,35 +436,19 @@ def iter_sample(
 
 class _Call:
     """The steps, draws and tables of one ``iter_sample`` call, and the
-    room left in its tree (see ``iter_sample``).  Each (step, state id)
-    reached has one table, built from ``_draw_table`` with its pieces'
-    ids and read by the tree's nodes and the draws past it alike."""
+    room left in its tree (see ``iter_sample``).  Each (step, state)
+    reached has one table, ``_draw_table``'s own, keyed by the state (so
+    equal states that are other objects share it) and read by the tree's
+    nodes and the draws past it alike."""
 
     def __init__(self, plan: list[tuple], draw):
-        # a step is (point, condition, its tables: a state id to the
-        # (outcome, next id) items and their thresholds)
+        # a step is (point, condition, its tables: a state to the
+        # (outcome, next state) items and their thresholds)
         self.plan = [(point, cond, {}) for point, cond in plan]
         self.draw = draw
         self.room = _TREE_NODES
-        self.ids: dict[State, int] = {}
-        self.states: list[State] = []
 
-    def intern(self, state: State) -> int:
-        sid = self.ids.get(state)
-        if sid is None:
-            sid = self.ids[state] = len(self.states)
-            self.states.append(state)
-        return sid
-
-    def table(self, i: int, sid: int) -> tuple[list, list[int]]:
-        point, _, tables = self.plan[i]
-        table = tables.get(sid)
-        if table is None:
-            items, thresholds = _draw_table(self.states[sid], point)
-            table = tables[sid] = [(s, self.intern(piece)) for s, piece in items], thresholds
-        return table
-
-    def end_run(self, run: int, items: list, cell: tuple, slot: tuple) -> tuple:
+    def end_run(self, run: int, items: tuple, cell: tuple, slot: tuple) -> tuple:
         """The node of a run of ``run`` one-item steps, ``items`` the last
         one's table and ``cell`` its link cell, with one slot holding
         ``slot``; it draws the run's 64 * run bits, as a shot walking it
@@ -476,7 +462,7 @@ class _Call:
         """The transcript of a shot that drew the ungrown slot k of
         ``node``, or took the one slot of an undrawn root (width None).
         Each executed step of the rest of its path makes one draw on its
-        (step, state id) table and, while the tree has room, takes one
+        (step, state) table and, while the tree has room, takes one
         unit of it and grows the node there; the leaf is grown last, if
         room is left.  A run of one-item steps is held and merged into the
         next node grown, or, when the path ends or the room runs out
@@ -491,7 +477,7 @@ class _Call:
         draw, room = self.draw, self.room
         width, _, slots, items, link, step = node
         run = int(width is None)  # one-item steps held since the last node
-        s, sid = items[k]
+        s, state = items[k]
         acc: list[Optional[int]] = [None] * step
         cell = link
         while cell is not None:
@@ -500,18 +486,19 @@ class _Call:
         if step >= 0:
             acc.append(s)
             link = (link, step, s)
-        for _, cond, tables in self.plan[step + 1:]:
+        for point, cond, tables in self.plan[step + 1:]:
             if cond is not None and not _condition_met(cond, acc):
                 acc.append(None)
                 continue
-            items, thresholds = tables.get(sid) or self.table(len(acc), sid)
+            items, thresholds = tables.get(state) or tables.setdefault(
+                state, _draw_table(state, point))
             if room:
                 room -= 1
                 i = len(acc)
                 if len(items) == 1:
                     # certain: drawn for by the node that ends the run
                     run += 1
-                    s, sid = items[0]
+                    s, state = items[0]
                     acc.append(s)
                     link = (link, i, s)
                     if not room:
@@ -525,10 +512,10 @@ class _Call:
                 child = slots[k] = (width, thresholds, [_UNGROWN] * len(items), items, link, i)
                 slots = child[2]
                 k = bisect_right(thresholds, draw(width))
-                s, sid = items[k]
+                s, state = items[k]
                 link = (link, i, s)
             else:
-                s, sid = items[bisect_right(thresholds, draw(64))]
+                s, state = items[bisect_right(thresholds, draw(64))]
             acc.append(s)
         transcript = tuple(acc)
         if room:

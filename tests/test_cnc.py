@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction
@@ -26,6 +28,7 @@ from lambda_forge.gf2 import (
     y_point,
     z_point,
 )
+from lambda_forge.orbit import alpha0_vertex, enumerate_family, member_update
 from lambda_forge.pauli import QOperator
 from lambda_forge.polytope import is_vertex, membership
 from lambda_forge.stabilizer import enumerate_stabilizer_states, stabilizer_projector
@@ -140,6 +143,61 @@ def test_key_valued_views_and_identity():
     one, two = (CncSet([PauliPoint.zero(n), x_point(n, 1)],
                        {PauliPoint.zero(n): 0, x_point(n, 1): 0}) for n in (1, 2))
     assert one != two and one.operator() != two.operator()
+
+
+def _twins(c: CncSet) -> list[CncSet]:
+    """c rebuilt as other objects: from its views, from its keys and by pickle."""
+    return [CncSet(c.omega, c.gamma), CncSet._from_keys(c.n, dict(c._vals)),
+            pickle.loads(pickle.dumps(c))]
+
+
+def test_equal_sets_from_every_builder_compare_and_hash_equal():
+    # a cnc set is its one dict: every builder gives an equal value with an
+    # equal hash, and sets that differ in a value, a point or n differ
+    groups = []
+    for _, s in enumerate_stabilizer_states(2)[:6]:
+        c = CncSet.from_assignment(s)
+        # on an isotropic set an axis of Omega with its own value keeps Omega
+        a = next(p for p in c.omega if not p.is_zero())
+        [(weight, kept)] = c.measure_update(a, c.gamma[a])
+        assert weight == 1 and kept is not c
+        groups.append([c, kept, *_twins(c)])
+    for c in cnc_vertices(2)[::40]:
+        groups.append([c, *_twins(c)])
+    for X in (alpha0_vertex(), enumerate_family()[7].operator()):
+        for a in all_points(2, include_zero=False)[::5]:
+            for s in (0, 1):
+                for _, corner in member_update(X, a, s):
+                    groups.append([corner, *_twins(corner)])
+    groups.append([CncSet([PauliPoint.zero(2)], {PauliPoint.zero(2): 0}),
+                   CncSet._from_keys(2, {0: 0})])
+    firsts = []
+    for group in groups:
+        for x in group:
+            assert type(x) is CncSet and x == group[0] and hash(x) == hash(group[0])
+        if group[0] not in firsts:
+            firsts.append(group[0])
+    assert len(firsts) > 30 and len(set(firsts)) == len(firsts)
+    c = cnc_vertices(2)[100]
+    flipped = CncSet._from_keys(2, {k: b ^ (k == max(c._vals)) for k, b in c._vals.items()})
+    assert flipped != c and CncSet._from_keys(1, {0: 0}) != CncSet._from_keys(2, {0: 0})
+
+
+def test_the_hash_is_computed_on_first_use_and_kept():
+    assert [(f.name, f.compare, f.repr) for f in dataclasses.fields(CncSet)] == \
+        [("n", True, True), ("_vals", True, True), ("_hash", False, False)]
+    assert CncSet.__slots__ == ("n", "_vals", "_hash")
+    c = cnc_vertices(2)[7]  # built fresh on every call
+    twin = CncSet(c.omega, c.gamma)
+    assert c._hash is None and twin._hash is None
+    # comparing and pickling do not hash
+    before = pickle.loads(pickle.dumps(c))
+    assert c == twin and before == c and c._hash is None and before._hash is None
+    h = hash(c)
+    assert c._hash == h == hash(frozenset(c._vals.items())) and hash(c) == h
+    after = pickle.loads(pickle.dumps(c))
+    assert after._hash == h and after == c and after is not c
+    assert hash(before) == hash(after) == hash(twin) == h and twin._hash == h
 
 
 def test_cnc_vertices_are_polytope_vertices():

@@ -355,8 +355,8 @@ def test_iter_sample_checks_before_the_first_shot():
 
 
 def test_sampling_equal_states_that_are_not_the_same_objects():
-    # tables are keyed by interned ids: a state equal to one already
-    # reached, but another object, must draw the same transcripts
+    # a call keys its tables by the state, compared by value: a state equal
+    # to one already reached, but another object, draws the same transcripts
     init = decompose_known(T_STATE)
     copies = [(w, pickle.loads(pickle.dumps(c))) for w, c in init]
     assert all(c == d and c is not d for (_, c), (_, d) in zip(init, copies))
@@ -442,7 +442,7 @@ def test_table_never_draws_zero_weight(weights, r):
     items, thresholds = _table((w, i) for i, w in enumerate(weights))
     assert thresholds[-1] == SCALE
     cumulative = [sum(weights[: i + 1], ZERO) for i in range(len(weights))]
-    assert thresholds == [_threshold(c) for c in cumulative]
+    assert thresholds == tuple(_threshold(c) for c in cumulative)
     for u in {0, r, SCALE - 1, *(t for t in thresholds if t < SCALE)}:
         assert weights[items[bisect_right(thresholds, u)]].sign() > 0
 
@@ -453,7 +453,7 @@ def test_table_refuses_a_mass_other_than_one():
                      [(INV_SQRT2, 0), (INV_SQRT2, 1)]):
         with pytest.raises(RuntimeError, match="not 1"):
             _table(weighted)
-    assert _table([(ZERO, 0), (ONE, 1), (ZERO, 2)]) == ([0, 1, 2], [0, SCALE, SCALE])
+    assert _table([(ZERO, 0), (ONE, 1), (ZERO, 2)]) == ((0, 1, 2), (0, SCALE, SCALE))
 
 
 def test_mixture_initial():
@@ -1015,6 +1015,34 @@ def test_runs_of_certain_steps_draw_as_the_reference_sampler(monkeypatch):
     # runs of two steps or more ended the path, and were cut short
     assert {(run > 1, cut) for run, cut in ends} == {(True, True), (True, False),
                                                       (False, True), (False, False)}
+
+
+def test_sampling_never_changes_a_memoized_table(monkeypatch):
+    # a call's nodes and draws read ``_draw_table``'s own tuples: at every
+    # tree size, each (state, axis) entry stays the object it was, with the
+    # items and thresholds it had
+    seen = {}
+    memo = simulate._draw_table
+
+    def recorded(state, a):
+        table = memo(state, a)
+        assert seen.setdefault((state, a), table) is table
+        return table
+
+    monkeypatch.setattr(simulate, "_draw_table", recorded)
+    lifted, lsteps = _conditional_lifted_circuit()
+    cases = _runs_of_certain_steps() + [([(ONE, lifted)], lsteps)]
+    want = [sample(init, steps, seed=i, shots=150) for i, (init, steps) in enumerate(cases)]
+    snapshot = {key: (list(items), list(thresholds)) for key, (items, thresholds) in seen.items()}
+    for room in (*range(40), 1 << 12):
+        monkeypatch.setattr(simulate, "_TREE_NODES", room)
+        for i, (init, steps) in enumerate(cases):
+            assert sample(init, steps, seed=i, shots=150) == want[i]
+    assert seen.keys() == snapshot.keys() and len(seen) > 20
+    for key, (items, thresholds) in seen.items():
+        assert type(items) is tuple and type(thresholds) is tuple
+        assert (list(items), list(thresholds)) == snapshot[key]
+        assert memo(*key) == (items, thresholds) and memo(*key)[0] is items
 
 
 def test_a_certain_root_is_drawn_for_by_the_first_node(monkeypatch):

@@ -92,3 +92,21 @@ def test_value_types_are_immutable_and_pickle_by_value(x):
         assert back.to_json() == json_before
     else:
         assert back == x and hash(back) == hash_before
+
+
+def test_a_cached_hash_is_no_part_of_the_value():
+    # CncSet, ReductionEngine and LiftState keep their hash in a ``_hash``
+    # slot, None until the first hash() and kept after; it is neither
+    # compared nor shown, and a pickle taken before or after it is filled
+    # gives an equal value with the same hash
+    cached = [x for x in _values() if "_hash" in type(x).__slots__]
+    assert {type(x).__name__ for x in cached} == {"CncSet", "ReductionEngine", "LiftState"}
+    for x in cached:
+        field = next(f for f in dataclasses.fields(x) if f.name == "_hash")
+        assert not field.compare and not field.repr
+        assert x._hash is None
+        before = pickle.loads(pickle.dumps(x))
+        h = hash(x)
+        assert x._hash == h and hash(x) == h
+        after = pickle.loads(pickle.dumps(x))
+        assert before == x == after and hash(before) == hash(after) == h
