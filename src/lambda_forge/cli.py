@@ -23,15 +23,9 @@ for human reading only.  The DOT text of ``poset --dot`` is the one
 payload written without a document, and the ``orbit --out`` file keeps
 its indented layout.
 
-Each command's arguments are defined once, in ``_COMMANDS``.  An argv
-whose first word is a command is parsed by that command's parser alone
-(prog ``lambda-forge <command>``, built on first use); any other argv (a
-leading --float, --help, a missing or unknown command) goes through the
-top-level parser, which holds one subparser per command built from the
-same table.  Both routes write the same document for the same argv: an
-argument the command does not take is refused in the top-level parser's
-words.  The subparsers define no ``float``, since argparse copies a
-subparser's namespace over its parent's.
+Each command's arguments are defined once, in ``_COMMANDS``, and read
+by one parser per command (prog ``lambda-forge <command>``, built on
+first use), which parses whatever follows the command word.
 """
 
 from __future__ import annotations
@@ -48,6 +42,7 @@ from .field import FieldElem
 from .clifford import CliffordTableau
 from .cnc import CncSet, is_maximal_cnc
 from .gf2 import PauliPoint, span
+from .lifting import lift, make_params
 from .orbit import (
     clifford_orbit_keys,
     enumerate_family,
@@ -57,11 +52,15 @@ from .orbit import (
 )
 from .pauli import QOperator
 from .polytope import is_vertex, membership
+from .reduction import reduce_static
 from .simulate import (
+    LiftState,
+    decompose_known,
     descriptor_from_json,
     distribution_to_json,
     exact_distribution,
     iter_sample,
+    state_to_descriptor_json,
     steps_from_json,
 )
 from .stabilizer import Assignment, enumerate_stabilizer_states, state_to_json
@@ -201,8 +200,6 @@ def cmd_orbit(args):
 
 
 def cmd_phi(args):
-    from .lifting import lift, make_params
-
     X = _load_operator(args.operator)
     gens = [PauliPoint.from_label(lbl) for lbl in args.j.split(",")]
     J = span(gens)
@@ -226,9 +223,6 @@ def cmd_phi(args):
 
 
 def cmd_reduce(args):
-    from .reduction import reduce_static
-    from .simulate import LiftState
-
     doc = _load_json(args.circuit)
     init = descriptor_from_json(doc.get("initial"))
     if len(init) != 1 or not isinstance(init[0][1], LiftState):
@@ -282,8 +276,6 @@ def cmd_poset(args):
 
 
 def cmd_decompose(args):
-    from .simulate import decompose_known, state_to_descriptor_json
-
     X = _load_operator(args.operator)
     cert = membership(X)
     if not cert.is_member:
@@ -351,14 +343,11 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-def _with_arguments(parser: _Parser, command: str) -> _Parser:
-    for name, options in _COMMANDS[command][2]:
-        parser.add_argument(name, **options)
-    return parser
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """The whole command line: --float, then one subparser per command."""
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The command line up to the command word: --float, -h, and one
+    subparser per command that holds only its help text.  parse_args
+    keeps no state between calls, so one parser serves them all."""
     parser = _Parser(
         prog=_PROG,
         description="exact polytope membership, vertex construction, and "
@@ -367,34 +356,34 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--float", action="store_true", help="render decimals")
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (text, _, _) in _COMMANDS.items():
-        _with_arguments(sub.add_parser(command, help=text), command)
+        sub.add_parser(command, help=text, add_help=False)
     return parser
-
-
-@lru_cache(maxsize=1)
-def _parser() -> argparse.ArgumentParser:
-    # parse_args keeps no state between calls, so one parser serves them all
-    return build_parser()
 
 
 @lru_cache(maxsize=None)
 def _command_parser(command: str) -> argparse.ArgumentParser:
-    """The parser `build_parser` gives the command, built alone."""
-    return _with_arguments(_Parser(prog=f"{_PROG} {command}"), command)
+    """The command's arguments, the only parser that holds them."""
+    parser = _Parser(prog=f"{_PROG} {command}")
+    for name, options in _COMMANDS[command][2]:
+        parser.add_argument(name, **options)
+    return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    as_float = False
+    as_float, unknown = False, []
     try:
         if argv and argv[0] in _COMMANDS:
-            command = argv[0]
-            args, extra = _command_parser(command).parse_known_args(argv[1:])
-            if extra:  # refused in the words of the whole command line's parser
-                raise UsageError(f"{_PROG}: unrecognized arguments: {' '.join(extra)}")
+            command, rest = argv[0], argv[1:]
         else:
-            args = _parser().parse_args(argv)
-            command, as_float = args.command, args.float
+            # the top-level parser reads the options before the command
+            # word, the first word that is no option, and the word itself
+            at = next((i for i, word in enumerate(argv) if not word.startswith("-")), len(argv))
+            top, unknown = _parser().parse_known_args(argv[:at + 1])
+            command, as_float, rest = top.command, top.float, argv[at + 1:]
+        args, extra = _command_parser(command).parse_known_args(rest)
+        if unknown or extra:  # refused in the words of the whole command line
+            raise UsageError(f"{_PROG}: unrecognized arguments: {' '.join(unknown + extra)}")
         status, payload, diagnostics = _COMMANDS[command][1](args)
     except UsageError as exc:
         status, payload, diagnostics = "error", None, f"usage: {exc}"

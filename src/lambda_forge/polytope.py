@@ -61,15 +61,15 @@ count, `_FacetData`, kept per maximal isotropic: its point keys
 (``PauliPoint.key()``) and its first state's values, which each state
 on it flips by a parity of its row values, with the facet labels and
 the 2^n parity flips.  What the rank reads of a facet is built from
-that table on the facet's first read and kept per qubit count: its plus
-and minus keys (the points where its sign is +1 and -1, `_facet_keys`),
-from which the exact rank builds a sparse row (an n = 3 normal has 7
+that table on the facet's first read and kept in one table per qubit
+count, `_gf3_rows`: its GF(3) masks, the columns where its sign is +1
+and those where it is -1.  The GF(3) pass reads them as they are; the
+exact pass builds a sparse row from them (an n = 3 normal has 7
 nonzeros out of 63 columns, so the reduction works on {column: int}
-rows), and its GF(3) masks (`_gf3_rows`).  The six n = 3 vertices of
-one `certify` benchmark run read 241 of the 1080 n = 3 masks.  The
-simplex of `decompose` keeps its own dense integer rows, the revised
-basis block of `simplex`: it has few rows (17 on two qubits), and they
-fill in after a few pivots.
+rows).  The six n = 3 vertices of one `certify` benchmark run read 241
+of the 1080 n = 3 masks.  The simplex of `decompose` keeps its own
+dense integer rows, the revised basis block of `simplex`: it has few
+rows (17 on two qubits), and they fill in after a few pivots.
 """
 
 from __future__ import annotations
@@ -161,7 +161,7 @@ def _gf3_row(n: int, f: int) -> tuple[int, int]:
     entry is -1 = 2.  The keys of a state are distinct, so summing their
     bits ors them; the shift drops key 0."""
     bit = (1).__lshift__
-    plus, minus = _facet_keys(n)[f]
+    plus, minus = _signed_keys(n, f)
     return sum(map(bit, plus)) >> 1, sum(map(bit, minus)) >> 1
 
 
@@ -178,22 +178,21 @@ class _ByFacet(dict):
 
 
 @lru_cache(maxsize=8)
-def _facet_keys(n: int) -> _ByFacet:
-    """Each facet's `_signed_keys`, one table per qubit count."""
-    return _ByFacet(_signed_keys, n)
-
-
-@lru_cache(maxsize=8)
 def _gf3_rows(n: int) -> _ByFacet:
     """Each facet's `_gf3_row`, one table per qubit count."""
     return _ByFacet(_gf3_row, n)
 
 
-def _facet_row(plus: Sequence[int], minus: Sequence[int]) -> dict[int, int]:
-    """A facet's integer normal over the nonzero points as a sparse row:
-    key k at column k - 1."""
-    row = {k - 1: 1 for k in plus if k}
-    row.update({k - 1: -1 for k in minus})
+def _facet_row(ones: int, twos: int) -> dict[int, int]:
+    """A facet's integer normal over the nonzero points as a sparse row,
+    read off its GF(3) masks (`_gf3_row`): column c holds 1 where bit c
+    of ones is set and -1 where bit c of twos is, key k at column k - 1."""
+    row = {}
+    for mask, entry in ((ones, 1), (twos, -1)):
+        while mask:
+            c = mask.bit_length() - 1
+            row[c] = entry
+            mask ^= 1 << c
     return row
 
 
@@ -255,12 +254,6 @@ class FacetCertificate:
     _active: list[int]  # indices of the facets with value exactly 0
     violation: Optional[str]  # first violating label, or None
 
-    @property
-    def _sums(self) -> list[tuple[int, int]]:
-        """(x, y) per facet, in facet order."""
-        ys = self._ys
-        return list(zip(self._xs, repeat(0) if ys is None else ys))
-
     def _shared(self, convert) -> tuple[list, dict]:
         """(sums, shared): each facet's sum in facet order (x, or (x, y)
         when there is a sqrt(2) part), and convert(x, y, den) per distinct
@@ -269,7 +262,7 @@ class FacetCertificate:
         if self._ys is None:
             sums = self._xs
             return sums, {x: convert(x, 0, den) for x in set(sums)}
-        sums = self._sums
+        sums = list(zip(self._xs, self._ys))
         return sums, {xy: convert(*xy, den) for xy in set(sums)}
 
     @property
@@ -473,8 +466,8 @@ def _active_rows(n: int, cert: FacetCertificate) -> Iterator[dict[int, int]]:
     as they are read.  The certificate must be a member's."""
     if not cert.is_member:
         raise ValueError("vertex test requires a polytope member")
-    keys = _facet_keys(n)
-    return (_facet_row(*keys[f]) for f in cert._active)
+    rows = _gf3_rows(n)
+    return (_facet_row(*rows[f]) for f in cert._active)
 
 
 def _int_rref(

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, product
+from itertools import compress, product, repeat
 from operator import getitem, lshift, not_
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
@@ -292,13 +292,19 @@ def facet_table(n: int) -> tuple:
     return tuple(table)
 
 
+def certificate_sums(cert: FacetCertificate) -> list[tuple[int, int]]:
+    """(x, y) per facet of the certificate, in facet order: y is 0 where
+    the certificate keeps no sqrt(2) sums."""
+    return list(zip(cert._xs, repeat(0) if cert._ys is None else cert._ys))
+
+
 def certificate_json(cert: FacetCertificate) -> dict:
     """The certificate's JSON object as ``FacetCertificate.to_json`` built
     it before the certificate wrote its own JSON text: one JSON value per
     distinct facet sum, shared by the labels that have it, and the facet
     values in sorted label order."""
     labels = _facet_data(cert.operator.n).labels
-    sums = cert._sums
+    sums = certificate_sums(cert)
     shared = {xy: _json_value(*xy, cert._den) for xy in set(sums)}
     order = sorted(range(len(labels)), key=labels.__getitem__)
     facet_values = {labels[f]: shared[sums[f]] for f in order}

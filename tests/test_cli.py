@@ -374,7 +374,8 @@ class _TopLevelOnly(dict):
 
 def _surface_argvs(tmp_path):
     """One argv per case the command tests run, over every command, with
-    refusals and usage errors; the 1920-member family is written by
+    refusals, usage errors and help texts, and the argvs that only the
+    top-level parser reads; the 1920-member family is written by
     `test_orbit_outputs` alone (0.3-0.4 s a run)."""
     op = write_json(tmp_path / "a.json", ALPHA0)
     aa = write_json(tmp_path / "aa.json", A0A0)
@@ -403,31 +404,39 @@ def _surface_argvs(tmp_path):
         ["decompose", t], ["decompose", op], ["decompose", aa],
         ["decompose", write_json(tmp_path / "outside.json", OUTSIDE_HULL)],
         ["vertex"], ["frobnicate", op], ["membership", op, "--bogus"], [],
+        ["vertex", "--help"], ["simulate", "-h"],
+        # an abbreviated or repeated --float, an unknown option before the
+        # command word, and a help, a missing operand or a negative
+        # option value after it
+        ["--fl", "vertex", op], ["--float", "--float", "vertex", op], ["--bogus", "vertex", op],
+        ["--float", "vertex", "-h"], ["--float", "vertex"],
+        ["--float", "cnc", cnc, "--update", "XI", "--outcome", "-1"],
         ["vertex", "--float", op],
     ]
 
 
+def _outcome(capsys, *argv):
+    """(exit code, stdout) of main(argv), a help text's exit included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().out
+
+
 def test_both_parse_routes_write_the_same_documents(tmp_path, capsys, monkeypatch):
-    # main parses an argv that names a command with that command's parser
-    # alone and any other through the top-level parser: both write the
-    # same bytes and exit codes, and a leading --float reaches the command
+    # main gives what follows an argv's first word, when it is a command,
+    # to that command's parser, and reads any other argv up to its command
+    # word with the top-level parser first: both write the same bytes and
+    # exit codes, and a leading --float reaches the command
     argvs = _surface_argvs(tmp_path)
-    alone = [run(capsys, *argv) for argv in argvs]
-    floated = [run(capsys, "--float", *argv) for argv in argvs]
-    helps = []
-    for argv in (["vertex", "--help"], ["simulate", "-h"]):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        helps.append((exc.value.code, capsys.readouterr().out))
+    alone = [_outcome(capsys, *argv) for argv in argvs]
+    floated = [_outcome(capsys, "--float", *argv) for argv in argvs]
     monkeypatch.setattr(cli, "_COMMANDS", _TopLevelOnly(cli._COMMANDS))
-    assert [run(capsys, *argv) for argv in argvs] == alone
-    for argv, want in zip((["vertex", "--help"], ["simulate", "-h"]), helps):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert (exc.value.code, capsys.readouterr().out) == want
+    assert [_outcome(capsys, *argv) for argv in argvs] == alone
     for argv, (code, out), (float_code, float_out) in zip(argvs, alone, floated):
         assert float_code == code, argv
-        if argv[:2] == ["poset", "--dot"]:
+        if not out.startswith("{"):  # the DOT text of poset --dot, a help text
             assert float_out == out
             continue
         doc = json.loads(out)
@@ -437,6 +446,22 @@ def test_both_parse_routes_write_the_same_documents(tmp_path, capsys, monkeypatc
     assert alone[-1][0] == 1 and refused["diagnostics"] == (
         "usage: lambda-forge: unrecognized arguments: --float")
     assert {code for code, _ in alone} == {0, 1, 2, 3}
+    # --float in any spelling reaches the command, an unknown option
+    # before the command word is refused, and what follows the command
+    # word is read by the command's parser
+    outcomes = {tuple(argv): outcome for argv, outcome in zip(argvs, alone)}
+    op, cnc = str(tmp_path / "a.json"), str(tmp_path / "c.json")
+    assert outcomes["--fl", "vertex", op] == floated[argvs.index(["vertex", op])]
+    assert outcomes["--float", "--float", "vertex", op] == outcomes["--fl", "vertex", op]
+    assert outcomes["--float", "vertex", "-h"] == outcomes["vertex", "--help"]
+    assert outcomes["--float", "vertex"] == outcomes["vertex",]
+    for argv, diagnostics in (
+        (("--bogus", "vertex", op), "lambda-forge: unrecognized arguments: --bogus"),
+        (("--float", "cnc", cnc, "--update", "XI", "--outcome", "-1"),
+         "lambda-forge cnc: argument --outcome: invalid choice: -1 (choose from 0, 1)"),
+    ):
+        code, out = outcomes[argv]
+        assert code == 1 and json.loads(out)["diagnostics"] == "usage: " + diagnostics
 
 
 def test_main_reads_sys_argv(tmp_path, capsys, monkeypatch):

@@ -30,10 +30,12 @@ from lambda_forge.pauli import PhasedPauli, QOperator
 from lambda_forge.polytope import (
     FacetCertificate,
     _active_rows,
+    _facet_row,
     _facet_sums,
     _gf3_rank,
     _gf3_rows,
     _int_rref,
+    _signed_keys,
     decompose,
     enumerate_vertices_n1,
     is_vertex,
@@ -46,6 +48,7 @@ from lambda_forge.stabilizer import (
 )
 from helpers import (
     certificate_json,
+    certificate_sums,
     dense_matrix,
     extremality_refuter,
     facet_table,
@@ -368,6 +371,12 @@ def test_gf3_rows_are_the_facet_normals(n):
             for _, P in _facet_oracle(n)]
     for read in (_gf3_normals, _lane_normals(1), _lane_normals(2)):
         assert read(n) == want
+    # the exact pass's sparse rows, read off the GF(3) masks, against the
+    # rows the oracle's plus and minus keys give (key k at column k - 1)
+    rows = _gf3_rows(n)
+    for f, (_, plus, minus) in enumerate(facet_table(n)):
+        oracle = {k - 1: 1 for k in plus if k} | {k - 1: -1 for k in minus}
+        assert _facet_row(*rows[f]) == oracle
 
 
 def _vertex_test_inputs():
@@ -572,7 +581,7 @@ def test_certificate_json_is_the_field_elements_json(X):
 def _assert_lanes_match_the_loop(X):
     """`membership` (byte lanes) against the per-facet loop it replaced."""
     cert, want = membership(X), membership_by_facet(X)
-    assert cert._sums == want._sums
+    assert certificate_sums(cert) == certificate_sums(want)
     assert cert._den == want._den
     assert cert.active == want.active
     assert cert.violation == want.violation
@@ -650,8 +659,7 @@ def _package_facets(n):
     """The package's facet data laid out as `facet_table`: (label, plus,
     minus) per facet."""
     labels = polytope._facet_data(n).labels
-    keys = polytope._facet_keys(n)
-    return tuple((label, *keys[f]) for f, label in enumerate(labels))
+    return tuple((label, *_signed_keys(n, f)) for f, label in enumerate(labels))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
