@@ -379,6 +379,9 @@ def main(argv=None) -> int:
             # the top-level parser reads the options before the command
             # word, the first word that is no option, and the word itself
             at = next((i for i, word in enumerate(argv) if not word.startswith("-")), len(argv))
+            if at and argv[at - 1] == "--":  # it ends the options: argv[at] is the command
+                at -= 1
+                del argv[at]
             top, unknown = _parser().parse_known_args(argv[:at + 1])
             command, as_float, rest = top.command, top.float, argv[at + 1:]
         args, extra = _command_parser(command).parse_known_args(rest)

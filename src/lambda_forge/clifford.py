@@ -51,7 +51,7 @@ class CliffordTableau:
     """Signed Pauli action of a Clifford unitary."""
 
     n: int
-    _keys: tuple[tuple[int, int], ...]
+    _keys: tuple[tuple[int, int], ...]  # (``PauliPoint.key()``, sign bit) per image
 
     def __init__(self, n: int, images: Sequence[tuple[PauliPoint, int]]):
         if len(images) != 2 * n:
@@ -61,14 +61,6 @@ class CliffordTableau:
                 raise ValueError(f"a generator image has {p.n} qubits, the tableau {n}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_keys", tuple((p.key(), s & 1) for p, s in images))
-
-    @staticmethod
-    def _from_keys(n: int, keys: tuple[tuple[int, int], ...]) -> "CliffordTableau":
-        """Trusted constructor: keys are (``PauliPoint.key()``, sign bit)."""
-        t = object.__new__(CliffordTableau)
-        object.__setattr__(t, "n", n)
-        object.__setattr__(t, "_keys", keys)
-        return t
 
     @property
     def images(self) -> tuple[tuple[PauliPoint, int], ...]:
@@ -80,7 +72,7 @@ class CliffordTableau:
     @staticmethod
     def _moved(n: int, to: Mapping[int, int]) -> "CliffordTableau":
         """The identity action with generator i sent to key to[i], sign +."""
-        return CliffordTableau._from_keys(n, tuple((to.get(i, 1 << i), 0) for i in range(2 * n)))
+        return CliffordTableau._of(n, tuple((to.get(i, 1 << i), 0) for i in range(2 * n)))
 
     @staticmethod
     def identity(n: int) -> "CliffordTableau":
@@ -113,7 +105,7 @@ class CliffordTableau:
 
     def _signed(self, u: int) -> "CliffordTableau":
         """Conjugation by T_u after this action: each image e gains [u, e]."""
-        return CliffordTableau._from_keys(
+        return CliffordTableau._of(
             self.n, tuple((k, s ^ key_form(u, k, self.n)) for k, s in self._keys)
         )
 
@@ -181,7 +173,7 @@ class CliffordTableau:
                     assert not phase & 1, "Clifford image of a Hermitian Pauli must be Hermitian"
                 k, s = k ^ m ^ key, s ^ (phase >> 1 & 1)
             imgs.append((k, s))
-        return CliffordTableau._from_keys(n, tuple(imgs))
+        return CliffordTableau._of(n, tuple(imgs))
 
     def invert(self) -> "CliffordTableau":
         n = self.n
@@ -196,7 +188,7 @@ class CliffordTableau:
             if key != 1 << i:
                 raise ValueError("images do not define a symplectic action")
             imgs.append((pre, phase >> 1))
-        return CliffordTableau._from_keys(n, tuple(imgs))
+        return CliffordTableau._of(n, tuple(imgs))
 
     def is_valid(self) -> bool:
         """The images keep the generators' pairwise forms ([x_q, z_q] = 1, every
@@ -272,7 +264,7 @@ def enumerate_action(n: int) -> list[CliffordTableau]:
             if all(key_form(k, q, n) == (j == i - n) for j, (q, _) in enumerate(images))
             for s in (0, 1)
         ]
-    return [CliffordTableau._from_keys(n, images) for images in actions]
+    return [CliffordTableau._of(n, images) for images in actions]
 
 
 def coefficient_orbit(n: int, coeffs: Mapping[int, object]) -> set:
@@ -347,7 +339,7 @@ def complete_symplectic_map(
     for i in range(2 * n):
         image, _ = solve_affine(rows, [key_form(s, 1 << i, n) for s in srcs], 2 * n)
         imgs.append((image, 0))
-    t = CliffordTableau._from_keys(n, tuple(imgs))
+    t = CliffordTableau._of(n, tuple(imgs))
     assert t.is_valid()
     return t
 

@@ -39,10 +39,10 @@ cnc update theorem of the same paper):
 
 A ``CncSet`` is one dict {``PauliPoint.key()``: gamma bit}; Omega is its
 keys.  Equality compares (n, dict); the hash, of the frozenset of its
-items, is computed on first use and kept.  The operator, the update rules
-and the one GF(2) consistency system (read by ``is_closed``,
-``consistent_assignments``, ``is_cnc`` and ``CncSet``) run on the keys;
-``.omega`` and ``.gamma`` are ``PauliPoint`` views.
+items, is computed on first use and kept by ``value_type``.  The
+operator, the update rules and the one GF(2) consistency system (read by
+``is_closed``, ``consistent_assignments``, ``is_cnc`` and ``CncSet``) run
+on the keys; ``.omega`` and ``.gamma`` are ``PauliPoint`` views.
 """
 
 from __future__ import annotations
@@ -64,8 +64,6 @@ from .gf2 import (
 )
 from .pauli import QOperator, key_phase
 from .stabilizer import Assignment, check_bit
-
-_set = object.__setattr__
 
 
 def _consistency_system(n: int, keys: Collection[int]) -> Optional[tuple[list[int], ...]]:
@@ -147,10 +145,10 @@ class CncSet:
     """A closed noncontextual set with a consistent value assignment, on int keys."""
 
     n: int
-    _vals: dict[int, int]
-    # cached on first use: memo lookups hash each state once, and a set
-    # that no memo keys never pays for it
-    _hash: Optional[int] = field(compare=False, repr=False)
+    _vals: dict[int, int]  # {``PauliPoint.key()``: gamma bit}
+    # kept by ``value_type`` on first use: memo lookups hash each state
+    # once, and a set that no memo keys never pays for it
+    _hash: Optional[int] = field(default=None, compare=False, repr=False)
 
     def __init__(self, omega: Iterable[PauliPoint], gamma: Mapping[PauliPoint, int]):
         pts = frozenset(omega)
@@ -169,19 +167,9 @@ class CncSet:
         bits = sum(vals[k] << i for i, k in enumerate(nz))
         if any((row & bits).bit_count() & 1 != b for row, b in zip(rows, rhs)):
             raise ValueError("value assignment is inconsistent")
-        self._fill(n, vals)
-
-    @staticmethod
-    def _from_keys(n: int, vals: dict[int, int]) -> "CncSet":
-        """The cnc set of gamma bits keyed by ``PauliPoint.key()`` that are
-        already checked (a cnc set with its consistent assignment)."""
-        return object.__new__(CncSet)._fill(n, vals)
-
-    def _fill(self, n: int, vals: dict[int, int]) -> "CncSet":
-        _set(self, "n", n)
-        _set(self, "_vals", vals)
-        _set(self, "_hash", None)
-        return self
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_vals", vals)
+        object.__setattr__(self, "_hash", None)
 
     @property
     def omega(self) -> frozenset[PauliPoint]:
@@ -196,7 +184,7 @@ class CncSet:
     @staticmethod
     def from_assignment(s: Assignment) -> "CncSet":
         """The cnc set of an isotropic subspace with its assignment."""
-        return CncSet._from_keys(s.subspace.n, dict(s.key_items()))
+        return CncSet._of(s.subspace.n, dict(s.key_items()))
 
     def operator(self) -> QOperator:
         return QOperator._of(self.n, 1, {k: (-1 if b else 1, 0) for k, b in self._vals.items()})
@@ -228,12 +216,10 @@ class CncSet:
                 out[k] = b
                 if outside:
                     out[k ^ ka] = b ^ s ^ (key_phase(k, ka, n) >> 1)
-        return [(HALF if outside else ONE, CncSet._from_keys(n, out))]
+        return [(HALF if outside else ONE, CncSet._of(n, out))]
 
     def __hash__(self):
-        if self._hash is None:
-            _set(self, "_hash", hash(frozenset(self._vals.items())))
-        return self._hash
+        return hash(frozenset(self._vals.items()))
 
     def __repr__(self):
         n = self.n
@@ -316,5 +302,5 @@ def cnc_vertices(n: int) -> list[CncSet]:
     out = []
     for omega in maximal_cnc_sets(n):
         for vals in consistent_assignments(omega):
-            out.append(CncSet._from_keys(n, {p.key(): b for p, b in vals.items()}))
+            out.append(CncSet._of(n, {p.key(): b for p, b in vals.items()}))
     return out

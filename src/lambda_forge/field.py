@@ -12,7 +12,7 @@ the field; anything else (a float, a string) is a ValueError.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -86,6 +86,9 @@ def _immutable(self, name, *value):
     raise FrozenInstanceError(f"{type(self).__name__} is immutable")
 
 
+_set = object.__setattr__
+
+
 def value_type(**options):
     """Declare a class as an immutable value: ``dataclass(frozen=True,
     slots=True, **options)``, whose setting and deleting of any name,
@@ -94,28 +97,56 @@ def value_type(**options):
     The refusal that ``dataclass`` writes for a frozen class names the
     class before its slots copy, so on the copy it raises TypeError for a
     name that is not a field; this one refusal holds for every name.
-    Trusted builders and ``__post_init__`` write fields with
-    ``object.__setattr__``."""
+
+    Every declared class gets one trusted builder, ``Cls._of(<fields in
+    declaration order>)``, with the fields' defaults: it writes each field
+    through its slot and runs no ``__init__`` and no ``__post_init__``, so
+    its caller vouches for the values.  Validating constructors write
+    their own fields with ``object.__setattr__``.  A class that declares
+    a ``_hash`` field (compare=False, repr=False, default None) has its
+    hash kept: its own ``__hash__``, written in the class or generated
+    from the compared fields, runs on first use and is stored there."""
 
     def declare(cls):
         cls = dataclass(frozen=True, slots=True, **options)(cls)
         cls.__setattr__ = cls.__delattr__ = _immutable
+        cls._of = _builder(cls)
+        if "_hash" in cls.__slots__:
+            cls.__hash__ = _kept(cls.__hash__)
         return cls
 
     return declare
 
 
-_new = object.__new__
-_set = object.__setattr__
+def _builder(cls):
+    """``cls._of``, generated once per class as ``dataclass`` writes
+    ``__init__``: one slot write per field, with no loop."""
+    env = {"_new": object.__new__, "_cls": cls}
+    params, writes = [], []
+    for f in fields(cls):
+        env[f"_set_{f.name}"] = getattr(cls, f.name).__set__
+        params.append(f.name)
+        if f.default is not MISSING:
+            env[f"_default_{f.name}"] = f.default
+            params[-1] += f"=_default_{f.name}"
+        writes.append(f"    _set_{f.name}(self, {f.name})\n")
+    exec(f"def _of({', '.join(params)}):\n    self = _new(_cls)\n{''.join(writes)}"
+         f"    return self\n", env)
+    return staticmethod(env["_of"])
 
 
-def _make(p: int, q: int, d: int) -> "FieldElem":
-    """The FieldElem of a triple that is already canonical."""
-    x = _new(FieldElem)
-    _set(x, "p", p)
-    _set(x, "q", q)
-    _set(x, "d", d)
-    return x
+def _kept(own):
+    """A ``__hash__`` that runs ``own`` on first use and keeps the value
+    in the ``_hash`` slot."""
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = own(self)
+            _set(self, "_hash", h)
+        return h
+
+    return __hash__
 
 
 @value_type(init=False, eq=False)
@@ -156,7 +187,7 @@ class FieldElem:
             p //= g
             q //= g
             d //= g
-        return _make(p, q, d)
+        return FieldElem._of(p, q, d)
 
     @property
     def a(self) -> Fraction:
@@ -177,7 +208,7 @@ class FieldElem:
         if isinstance(x, FieldElem):
             return x
         n, d = _rational(x)
-        return _make(n, 0, d)
+        return FieldElem._of(n, 0, d)
 
     # -- arithmetic --------------------------------------------------
 
@@ -205,7 +236,7 @@ class FieldElem:
         return FieldElem.coerce(other) - self
 
     def __neg__(self):
-        return _make(-self.p, -self.q, self.d)
+        return FieldElem._of(-self.p, -self.q, self.d)
 
     def __mul__(self, other):
         other = FieldElem.coerce(other)
@@ -333,7 +364,7 @@ def _read_json(obj) -> FieldElem:
     # both components are in lowest terms, so over the lcm of their
     # denominators the triple is canonical
     d = lcm(ad, bd)
-    return _make(an * (d // ad), bn * (d // bd), d)
+    return FieldElem._of(an * (d // ad), bn * (d // bd), d)
 
 
 @lru_cache(maxsize=1024, typed=True)

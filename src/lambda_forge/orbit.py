@@ -58,7 +58,7 @@ every member, axis and outcome, 57 600 cases.
 
 from __future__ import annotations
 
-from dataclasses import field, fields
+from dataclasses import field
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
 from itertools import combinations
@@ -286,10 +286,6 @@ def classify_operator(V: QOperator) -> OrbitVertex:
     return _member(I, gamma, *found, tuple((PauliPoint.from_key(2, k), gp[k]) for k in sorted(gp)))
 
 
-#: the slot setters of an OrbitVertex, in field order, which `_member` writes
-_SLOT_SETTERS = tuple(getattr(OrbitVertex, f.name).__set__ for f in fields(OrbitVertex))
-
-
 def _member(I: Subspace, gamma: Assignment, collection: frozenset[Subspace],
             omega: frozenset[PauliPoint], gamma_p: tuple) -> OrbitVertex:
     """The family member of checked rule outputs, gamma' as (point, bit)
@@ -301,11 +297,7 @@ def _member(I: Subspace, gamma: Assignment, collection: frozenset[Subspace],
         if not p.is_zero():
             num[p.key()] = (-1, 0) if b else (1, 0)  # constant, shared pairs
     # odd numerators on Omega's nonzero points: canonical over 2
-    values = (I, gamma, collection, omega, gamma_p, QOperator._of(2, 2, num))
-    vertex = object.__new__(OrbitVertex)
-    for put, value in zip(_SLOT_SETTERS, values):
-        put(vertex, value)
-    return vertex
+    return OrbitVertex._of(I, gamma, collection, omega, gamma_p, QOperator._of(2, 2, num))
 
 
 @lru_cache(maxsize=1)
@@ -421,7 +413,7 @@ def member_update(X: QOperator, a: PauliPoint, s: int) -> list[tuple[FieldElem, 
         (z0, y0), (z1, y1) = zs[i], zs[i + 1]
         if z1 != z0 or y1 != y0:
             out.append((FieldElem._reduced(z1 - z0, y1 - y0, 4 * D),
-                        CncSet._from_keys(n, dict(gamma))))
+                        CncSet._of(n, dict(gamma))))
     return out
 
 

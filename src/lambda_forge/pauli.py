@@ -45,9 +45,6 @@ from typing import Mapping, Optional
 from .field import ZERO, FieldElem, _fraction, _ratio_str, value_type
 from .gf2 import PauliPoint, swap_halves, symplectic_form
 
-_new = object.__new__
-_set = object.__setattr__
-
 
 @value_type(repr=False)
 class PhasedPauli:
@@ -134,7 +131,10 @@ class QOperator:
 
     ``QOperator(n, {PauliPoint: c})`` checks every point and coefficient;
     ``.coeffs`` is the read-only ``PauliPoint``-keyed view (see the module
-    docstring for the integers inside).
+    docstring for the integers inside).  The trusted ``QOperator._of(n,
+    den, num)`` takes coefficient (p + q*sqrt(2)) / den at each key of
+    num, already canonical: keys that fit n qubits, den > 0, no pair
+    (0, 0), and gcd(den, every p and q) = 1.
     """
 
     n: int
@@ -147,14 +147,10 @@ class QOperator:
             if point.n != n:
                 raise ValueError("coefficient point has wrong qubit count")
             elems[point.key()] = FieldElem.coerce(c)
-        _fill(self, n, *_over_lcm(elems))
-
-    @staticmethod
-    def _of(n: int, den: int, num: dict[int, tuple[int, int]]) -> "QOperator":
-        """The operator with coefficient (p + q*sqrt(2)) / den at each key
-        of num, which must already be canonical: keys that fit n qubits,
-        den > 0, no pair (0, 0), and gcd(den, every p and q) = 1."""
-        return _fill(_new(QOperator), n, den, num)
+        den, num = _over_lcm(elems)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_num", num)
 
     @staticmethod
     def _reduced(n: int, den: int, num: dict[int, tuple[int, int]]) -> "QOperator":
@@ -338,14 +334,6 @@ class QOperator:
                 raise ValueError(f"Pauli labels {first!r} and {label!r} name the same point")
             elems[key] = FieldElem.from_json(val)
         return QOperator._of(n, *_over_lcm(elems))
-
-
-def _fill(A: QOperator, n: int, den: int, num: dict[int, tuple[int, int]]) -> QOperator:
-    """A with its fields written: the one write of ``__init__`` and ``_of``."""
-    _set(A, "n", n)
-    _set(A, "_den", den)
-    _set(A, "_num", num)
-    return A
 
 
 def _over_lcm(elems: dict[int, FieldElem]) -> tuple[int, dict[int, tuple[int, int]]]:

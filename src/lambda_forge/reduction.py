@@ -25,7 +25,7 @@ coin step carries the frame's image of the observable, which
 ``resolve_coin(coin, c)`` folds into a new engine.  The engine and its
 steps are ``value_type``s: setting or deleting any name on one raises,
 so branching over coin outcomes shares frames safely.  An engine
-compares by its frame and caches the frame's hash, so equal frames
+compares by its frame, whose hash ``value_type`` keeps, so equal frames
 reached along different paths share memo entries.  ``reduce_static``
 runs one pass for a fixed coin assignment.  The simulator runs a lifted
 state along ``process`` and ``resolve_coin`` (``simulate._cached_branch``:
@@ -91,8 +91,9 @@ class ReductionEngine:
     m: int
     sigma: Assignment
     conj: CliffordTableau
-    # cached: the engine keys the update memo of every lifted state
-    _hash: Optional[int] = field(compare=False, repr=False)
+    # kept by ``value_type``: the engine keys the update memo of every
+    # lifted state
+    _hash: Optional[int] = field(default=None, compare=False, repr=False)
 
     def __init__(
         self, n: int, m: int, sigma: Assignment, unitary: Optional[CliffordTableau] = None
@@ -104,12 +105,8 @@ class ReductionEngine:
         if unitary is not None and unitary.n != n:
             raise ValueError(f"the tableau u acts on {unitary.n} qubits, the state on {n}")
         conj = CliffordTableau.identity(n) if unitary is None else unitary.invert()
-        _fill(self, n, m, sigma, conj)
-
-    def __hash__(self):
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.n, self.m, self.sigma, self.conj)))
-        return self._hash
+        for name, value in zip(("n", "m", "sigma", "conj", "_hash"), (n, m, sigma, conj, None)):
+            object.__setattr__(self, name, value)
 
     # -- classification ----------------------------------------------------
 
@@ -173,16 +170,7 @@ class ReductionEngine:
             else:
                 phase = 2 * (s + fg) + gb_phase + key_phase(k, gb, n)
                 images.append((k ^ gb, (phase & 3) >> 1))
-        conj = CliffordTableau._from_keys(n, tuple(images))
-        return _fill(object.__new__(ReductionEngine), n, self.m, self.sigma, conj)
-
-
-def _fill(engine: ReductionEngine, n: int, m: int, sigma: Assignment,
-          conj: CliffordTableau) -> ReductionEngine:
-    """engine with the given frame and no cached hash; the frame is trusted."""
-    for name, value in zip(("n", "m", "sigma", "conj", "_hash"), (n, m, sigma, conj, None)):
-        object.__setattr__(engine, name, value)
-    return engine
+        return ReductionEngine._of(n, self.m, self.sigma, CliffordTableau._of(n, tuple(images)))
 
 
 def reduce_static(

@@ -111,18 +111,14 @@ class LiftState:
 
     engine: ReductionEngine
     inner: "State"
-    # cached: the state keys the update memos and each call's draw tables
+    # kept by ``value_type``: the state keys the update memos and each
+    # call's draw tables
     _hash: Optional[int] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "inner", _enter(self.inner))
         if self.inner.n != self.engine.m:
             raise ValueError(f"the inner is on {self.inner.n} qubits, the head on {self.engine.m}")
-
-    def __hash__(self):
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.engine, self.inner)))
-        return self._hash
 
     @property
     def n(self) -> int:
@@ -161,10 +157,12 @@ def _cached_branch(state: State, a: PauliPoint) -> tuple[tuple[int, FieldElem, S
         step = engine.process(a)
         if isinstance(step, FixedStep):
             return ((step.outcome, ONE, state),)
+        # the children's engines and inner states were checked with the parent
         if isinstance(step, CoinStep):
-            return tuple((c, HALF, LiftState(engine.resolve_coin(step, c), inner)) for c in (0, 1))
-        children = [(s ^ step.flip, w, LiftState(engine, nxt))
-                    for s, w, nxt in _update_branch(inner, step.point)]
+            return tuple((c, HALF, LiftState._of(engine.resolve_coin(step, c), inner))
+                         for c in (0, 1))
+        children = [(s ^ step.flip, w, LiftState._of(engine, nxt))
+                    for s, w, nxt in _cached_branch(inner, step.point)]
         return tuple(sorted(children, key=itemgetter(0)))
     rule = (state.measure_update if isinstance(state, CncSet)
             else partial(member_update, state.operator()))

@@ -122,14 +122,9 @@ def all_assignments(subspace: Subspace) -> Iterator[Assignment]:
 
 
 def _assignments(subspace: Subspace) -> Iterator[Assignment]:
-    """`all_assignments` on a subspace known to be isotropic, unchecked;
-    the slots are written through their member descriptors."""
-    set_subspace, set_values = Assignment.subspace.__set__, Assignment.row_values.__set__
+    """`all_assignments` on a subspace known to be isotropic, unchecked."""
     for bits in product((0, 1), repeat=subspace.dim):
-        asg = object.__new__(Assignment)
-        set_subspace(asg, subspace)
-        set_values(asg, bits)
-        yield asg
+        yield Assignment._of(subspace, bits)
 
 
 def stabilizer_projector(J: Subspace, s: Assignment | Sequence[int]) -> QOperator:

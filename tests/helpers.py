@@ -164,7 +164,7 @@ def family_measure_update(
             gamma[r ^ ka] ^= 1
         w = zs[i + 1] - zs[i]
         if w:
-            out.append((FieldElem._reduced(w, 0, 4 * D), CncSet._from_keys(2, dict(gamma))))
+            out.append((FieldElem._reduced(w, 0, 4 * D), CncSet._of(2, dict(gamma))))
     return out
 
 

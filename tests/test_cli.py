@@ -211,6 +211,7 @@ def test_usage_errors_exit_1_with_json(tmp_path, capsys):
         (("frobnicate", path), "invalid choice: 'frobnicate'"),
         (("membership", path, "--bogus"), "unrecognized arguments: --bogus"),
         ((), "required: command"),
+        (("--",), "required: command"),
         # the identity sweeps are tier-1 tests (acceptance criteria 7-9), not commands
         (("lemma-check",), "invalid choice: 'lemma-check'"),
         (("orbit", "--verify-updates"), "unrecognized arguments: --verify-updates"),
@@ -411,6 +412,10 @@ def _surface_argvs(tmp_path):
         ["--fl", "vertex", op], ["--float", "--float", "vertex", op], ["--bogus", "vertex", op],
         ["--float", "vertex", "-h"], ["--float", "vertex"],
         ["--float", "cnc", cnc, "--update", "XI", "--outcome", "-1"],
+        # a `--` before the command word ends the top-level options (each
+        # argv here also runs after a leading --float), and alone it names
+        # no command
+        ["--", "vertex", op], ["--"],
         ["vertex", "--float", op],
     ]
 
@@ -455,6 +460,10 @@ def test_both_parse_routes_write_the_same_documents(tmp_path, capsys, monkeypatc
     assert outcomes["--float", "--float", "vertex", op] == outcomes["--fl", "vertex", op]
     assert outcomes["--float", "vertex", "-h"] == outcomes["vertex", "--help"]
     assert outcomes["--float", "vertex"] == outcomes["vertex",]
+    ended = argvs.index(["--", "vertex", op])
+    assert alone[ended] == alone[argvs.index(["vertex", op])]
+    assert floated[ended] == floated[argvs.index(["vertex", op])]
+    assert outcomes["--",] == outcomes[()] and outcomes[()][0] == 1
     for argv, diagnostics in (
         (("--bogus", "vertex", op), "lambda-forge: unrecognized arguments: --bogus"),
         (("--float", "cnc", cnc, "--update", "XI", "--outcome", "-1"),

@@ -231,7 +231,7 @@ def dense_compose(t, u):
     for k, s in u._keys:
         key, phase = t._apply_key(k)
         imgs.append((key, s ^ (phase >> 1)))
-    return CliffordTableau._from_keys(t.n, tuple(imgs))
+    return CliffordTableau._of(t.n, tuple(imgs))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])

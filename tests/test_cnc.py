@@ -147,7 +147,7 @@ def test_key_valued_views_and_identity():
 
 def _twins(c: CncSet) -> list[CncSet]:
     """c rebuilt as other objects: from its views, from its keys and by pickle."""
-    return [CncSet(c.omega, c.gamma), CncSet._from_keys(c.n, dict(c._vals)),
+    return [CncSet(c.omega, c.gamma), CncSet._of(c.n, dict(c._vals)),
             pickle.loads(pickle.dumps(c))]
 
 
@@ -170,7 +170,7 @@ def test_equal_sets_from_every_builder_compare_and_hash_equal():
                 for _, corner in member_update(X, a, s):
                     groups.append([corner, *_twins(corner)])
     groups.append([CncSet([PauliPoint.zero(2)], {PauliPoint.zero(2): 0}),
-                   CncSet._from_keys(2, {0: 0})])
+                   CncSet._of(2, {0: 0})])
     firsts = []
     for group in groups:
         for x in group:
@@ -179,8 +179,8 @@ def test_equal_sets_from_every_builder_compare_and_hash_equal():
             firsts.append(group[0])
     assert len(firsts) > 30 and len(set(firsts)) == len(firsts)
     c = cnc_vertices(2)[100]
-    flipped = CncSet._from_keys(2, {k: b ^ (k == max(c._vals)) for k, b in c._vals.items()})
-    assert flipped != c and CncSet._from_keys(1, {0: 0}) != CncSet._from_keys(2, {0: 0})
+    flipped = CncSet._of(2, {k: b ^ (k == max(c._vals)) for k, b in c._vals.items()})
+    assert flipped != c and CncSet._of(1, {0: 0}) != CncSet._of(2, {0: 0})
 
 
 def test_the_hash_is_computed_on_first_use_and_kept():

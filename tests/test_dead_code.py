@@ -4,7 +4,8 @@ the package outside its own definition; every public one is read there
 too, exported by ``lambda_forge``, read by the bench or a demo, or named
 in README; every dataclass field and every ``__slots__`` entry of a
 package class is read as an attribute; no package class hand-writes the
-protocol that ``field.value_type`` declares."""
+protocol that ``field.value_type`` declares, and only ``field.py`` builds an
+instance past its class's constructors (``object.__new__``)."""
 
 import ast
 import re
@@ -212,7 +213,7 @@ def test_package_fields_are_all_read():
 #: what ``value_type`` declares, so no package class writes it by hand
 DECLARED = frozenset((
     "__slots__", "__setattr__", "__delattr__", "__reduce__", "__reduce_ex__",
-    "__getstate__", "__setstate__",
+    "__getstate__", "__setstate__", "_of",
 ))
 
 
@@ -252,13 +253,41 @@ def test_hand_written_protocol_is_detected():
         "    def __hash__(self):\n        return self.n\n"
         "    def _fill(self, n):\n        object.__setattr__(self, 'n', n)\n"
         "def outer():\n    class Inner:\n        def __getstate__(self):\n            return {}\n"
+        "@value_type()\nclass Built:\n    n: int\n    @staticmethod\n    def _of(n):\n"
+        "        return Built(n)\n"
     )
     assert hand_written_protocol({"a": ast.parse(a)}) == [
         ("a", 2, "Step@dataclass"), ("a", 5, "Bare@dataclass"), ("a", 8, "Engine.__slots__"),
         ("a", 9, "Engine.__setattr__"), ("a", 11, "Engine.__delattr__"),
-        ("a", 12, "Engine.__reduce__"), ("a", 23, "Inner.__getstate__")]
+        ("a", 12, "Engine.__reduce__"), ("a", 29, "Built._of"), ("a", 23, "Inner.__getstate__")]
 
 
 def test_package_classes_declare_their_protocol():
     trees = {p.name: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
     assert hand_written_protocol(trees) == []
+
+
+def object_new_reads(trees: dict) -> list[tuple[str, int]]:
+    """(module, line) of each read of ``object.__new__`` in the {module:
+    tree} map, a call or an alias: each is an instance built past its
+    class's constructors."""
+    return sorted((module, node.lineno) for module, tree in trees.items()
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "__new__"
+                  and isinstance(node.value, ast.Name) and node.value.id == "object")
+
+
+def test_object_new_reads_are_detected():
+    a = (
+        "_new = object.__new__\n"
+        "class Engine:\n    def fork(self):\n        return object.__new__(Engine)\n"
+        "def build(cls):\n    return cls.__new__(cls) if cls else super().__new__(cls)\n"
+    )
+    assert object_new_reads({"a": ast.parse(a)}) == [("a", 1), ("a", 4)]
+
+
+def test_only_value_type_builds_past_a_constructor():
+    # ``field.value_type`` writes each class's trusted ``_of``, the one
+    # place an instance is made without its constructor
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    assert {module for module, _ in object_new_reads(trees)} == {"field.py"}

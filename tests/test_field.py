@@ -174,7 +174,7 @@ def _from_json_oracle(obj) -> FieldElem:
     an, ad = field._json_rational(parts.get("a", 0), obj)
     bn, bd = field._json_rational(parts.get("b", 0), obj)
     d = math.lcm(ad, bd)
-    return field._make(an * (d // ad), bn * (d // bd), d)
+    return field.FieldElem._of(an * (d // ad), bn * (d // bd), d)
 
 
 def _read(reader, obj):

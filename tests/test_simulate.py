@@ -772,32 +772,35 @@ def test_lifted_memo_classifies_each_state_and_axis_once(monkeypatch):
         kinds.add(type(step).__name__)
         return step
 
+    cached = simulate._cached_branch
+
     def counting_branch(state, a):
+        # every read of the memo: a law's nodes and a lifted head step's inner
         asked.append((state, a))
-        return _update_branch(state, a)
+        return cached(state, a)
 
     monkeypatch.setattr(ReductionEngine, "process", counting_process)
-    monkeypatch.setattr(simulate, "_update_branch", counting_branch)
+    monkeypatch.setattr(simulate, "_cached_branch", counting_branch)
     for state, steps in _seeded_lifted_laws(random.Random(3633), 6):
-        simulate._cached_branch.cache_clear()
+        cached.cache_clear()
         processed.clear()
         asked.clear()
         dist = exact_distribution([(ONE, state)], steps)
         assert dist == born_distribution(state_operator(state), steps)
         pairs = set(asked)
         lifted = Counter((s.engine, a) for s, a in pairs if isinstance(s, LiftState))
-        info = simulate._cached_branch.cache_info()
+        info = cached.cache_info()
         assert info.currsize == info.misses == len(pairs)
         assert Counter(processed) == lifted and len(processed) > 0
         # children come in outcome order, a head step's flip included, so
         # seeded draws read the tables in the order they always have
         for pair in pairs:
-            outcomes = [s for s, _, _ in simulate._cached_branch(*pair)]
+            outcomes = [s for s, _, _ in cached(*pair)]
             assert outcomes == sorted(outcomes)
         # later reads of any pair are hits, and run no `process`
         again = exact_distribution([(ONE, state)], steps)
         assert again == dist and Counter(processed) == lifted
-        assert simulate._cached_branch.cache_info().currsize == len(pairs)
+        assert cached.cache_info().currsize == len(pairs)
     assert kinds == {"FixedStep", "CoinStep", "MeasureStep"}
 
 

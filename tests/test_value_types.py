@@ -1,6 +1,7 @@
 """Every value type of the package is declared with ``field.value_type``:
-setting or deleting any name raises AttributeError, and a pickle round
-trip gives back an equal value with an equal hash."""
+setting or deleting any name raises AttributeError, a pickle round trip
+gives back an equal value with an equal hash, and the trusted builder
+``_of`` rebuilds a value from its fields."""
 
 import dataclasses
 import importlib
@@ -110,3 +111,33 @@ def test_a_cached_hash_is_no_part_of_the_value():
         assert x._hash == h and hash(x) == h
         after = pickle.loads(pickle.dumps(x))
         assert before == x == after and hash(before) == hash(after) == h
+
+
+def _rebuilt(x):
+    """x built again by its type's trusted ``_of`` from its fields, in
+    declaration order."""
+    return type(x)._of(*(getattr(x, f.name) for f in dataclasses.fields(x)))
+
+
+@pytest.mark.parametrize("x", VALUES, ids=lambda x: type(x).__name__)
+def test_of_rebuilds_every_value_from_its_fields(x):
+    back = _rebuilt(x)
+    assert type(back) is type(x) and back is not x and repr(back) == repr(x)
+    if isinstance(x, FacetCertificate):
+        # eq=False: a certificate is equal only to itself, so compare its document
+        assert back.to_json() == x.to_json()
+    else:
+        assert back == x and hash(back) == hash(x)
+
+
+def test_a_kept_hash_is_filled_on_first_use():
+    # ``_of`` writes the ``_hash`` it is given, None from an unhashed
+    # value; the first hash() fills it with the class's own hash: the
+    # frozenset of a cnc set's items, or the hash of the compared fields
+    for x in (x for x in _values() if "_hash" in type(x).__slots__):
+        back = _rebuilt(x)
+        assert x._hash is None and back._hash is None
+        own = (hash(frozenset(x._vals.items())) if type(x).__name__ == "CncSet" else
+               hash(tuple(getattr(x, f.name) for f in dataclasses.fields(x) if f.compare)))
+        assert hash(back) == own and back._hash == own
+        assert x._hash is None and hash(x) == own == x._hash
