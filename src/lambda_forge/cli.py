@@ -377,11 +377,16 @@ def main(argv=None) -> int:
             command, rest = argv[0], argv[1:]
         else:
             # the top-level parser reads the options before the command
-            # word, the first word that is no option, and the word itself
-            at = next((i for i, word in enumerate(argv) if not word.startswith("-")), len(argv))
+            # word, the first word that is no option or follows a `--`,
+            # and the word itself
+            at = next((i for i, word in enumerate(argv)
+                       if not word.startswith("-") or i and argv[i - 1] == "--"), len(argv))
             if at and argv[at - 1] == "--":  # it ends the options: argv[at] is the command
                 at -= 1
                 del argv[at]
+                if argv[at:] and argv[at].startswith("-"):  # argparse reads it as an option
+                    _parser().error(f"argument command: invalid choice: {argv[at]!r} "
+                                    f"(choose from {', '.join(map(repr, _COMMANDS))})")
             top, unknown = _parser().parse_known_args(argv[:at + 1])
             command, as_float, rest = top.command, top.float, argv[at + 1:]
         args, extra = _command_parser(command).parse_known_args(rest)

@@ -267,7 +267,7 @@ def enumerate_action(n: int) -> list[CliffordTableau]:
     return [CliffordTableau._of(n, images) for images in actions]
 
 
-def coefficient_orbit(n: int, coeffs: Mapping[int, object]) -> set:
+def coefficient_orbit(n: int, coeffs: Mapping[int, object]) -> frozenset:
     """The Clifford orbit of the map {``PauliPoint.key()``: value}, values
     closed under negation, by breadth-first search: each member is the
     sorted tuple of its (key, value) pairs.  Every generator acts as a
@@ -304,7 +304,9 @@ def coefficient_orbit(n: int, coeffs: Mapping[int, object]) -> set:
                 seen.add(nxt)
                 queue.append(nxt)
     items = [(k, d) for k in range(1 << (2 * n)) for d in values]
-    return {tuple([items[e] for e in member]) for member in seen}
+    # each member is decoded as its codes are dropped, so the orbit is
+    # never held twice
+    return frozenset(tuple([items[e] for e in seen.pop()]) for _ in range(len(seen)))
 
 
 def complete_symplectic_map(

@@ -25,9 +25,12 @@ accepts members only, reading twice each coefficient (2p/D) off the
 operator's integers and looking the key mask of Omega up among the
 six-member collections at I.  The three make an ``OrbitVertex`` through
 one builder, ``_member``, and nothing else can, so every instance is a
-member.  The check that the family equals the Clifford orbit
-of ``ALPHA0_TABLE`` compares sorted (key, coefficient times 2) int pairs
-(``family_operator_keys``, ``clifford_orbit_keys``).  The test suite
+member.  The members share their pieces: ``enumerate_family`` keeps one
+(point, bit) pair per key and bit for every gamma', and builds the
+numerators on I once per (I, gamma).  The check that the family equals
+the Clifford orbit of ``ALPHA0_TABLE`` compares sorted (key, coefficient
+times 2) int pairs (``family_operator_keys``, ``clifford_orbit_keys``);
+both sets are built per call and kept by no cache.  The test suite
 checks that every candidate from the 8- and 10-member collections fails
 membership or extremality and is refused by ``classify_operator`` and
 ``build``, and rebuilds and reclassifies every member.
@@ -199,7 +202,9 @@ class OrbitVertex:
     Its constructor refuses every call (TypeError): ``enumerate_family``,
     ``classify_operator`` and ``build`` (the validating constructor for
     parameters from outside) make it through ``_member``, so every
-    instance is one of the 1920 members.
+    instance is one of the 1920 members.  The ``gamma_p`` pairs of
+    different members may be one shared object; they are immutable, so
+    equality, hashes and pickles are those of unshared pairs.
     """
 
     I: Subspace
@@ -232,7 +237,7 @@ class OrbitVertex:
         gp = {p: check_bit(gamma_p[p], "gamma' values") for p in sorted(omega, key=PauliPoint.key)}
         if gp not in assignment_solutions(I, gamma, omega):
             raise ValueError("gamma' violates the sign rules")
-        return _member(I, gamma, collection, omega, tuple(gp.items()))
+        return _member(I, gamma, collection, omega, tuple(gp.items()), _anchor_numerators(gamma))
 
     def operator(self) -> QOperator:
         return self._operator
@@ -283,49 +288,62 @@ def classify_operator(V: QOperator) -> OrbitVertex:
     nz = sorted(gp)[1:]
     if sum(gp[k] << i for i, k in enumerate(nz)) not in _sign_solutions(gamma, nz):
         raise ValueError("gamma' violates the sign rules")
-    return _member(I, gamma, *found, tuple((PauliPoint.from_key(2, k), gp[k]) for k in sorted(gp)))
+    gamma_p = tuple((PauliPoint.from_key(2, k), gp[k]) for k in sorted(gp))
+    return _member(I, gamma, *found, gamma_p, _anchor_numerators(gamma))
+
+
+def _anchor_numerators(gamma: Assignment) -> dict[int, tuple[int, int]]:
+    """A member's numerators over D = 2 on I: 2 at the identity and
+    (-1)^gamma 2 on the rest, the same for every member at (I, gamma)."""
+    return {k: (-2, 0) if g else (2, 0) for k, g in gamma.key_items()}
 
 
 def _member(I: Subspace, gamma: Assignment, collection: frozenset[Subspace],
-            omega: frozenset[PauliPoint], gamma_p: tuple) -> OrbitVertex:
+            omega: frozenset[PauliPoint], gamma_p: tuple,
+            on_I: dict[int, tuple[int, int]]) -> OrbitVertex:
     """The family member of checked rule outputs, gamma' as (point, bit)
-    pairs in ascending key order: the one builder of an ``OrbitVertex``."""
-    # the member's operator: over D = 2, the numerators are 2 at the
-    # identity, (-1)^gamma 2 on I and (-1)^gamma' on Omega
-    num = {k: (-2, 0) if g else (2, 0) for k, g in gamma.key_items()}
+    pairs in ascending key order and ``_anchor_numerators(gamma)``: the
+    one builder of an ``OrbitVertex``."""
+    # the member's operator: on_I, and (-1)^gamma' on Omega's nonzero
+    # points, odd numerators and so canonical over 2
+    num = dict(on_I)
     for p, b in gamma_p:
         if not p.is_zero():
             num[p.key()] = (-1, 0) if b else (1, 0)  # constant, shared pairs
-    # odd numerators on Omega's nonzero points: canonical over 2
     return OrbitVertex._of(I, gamma, collection, omega, gamma_p, QOperator._of(2, 2, num))
 
 
 @lru_cache(maxsize=1)
 def enumerate_family() -> tuple[OrbitVertex, ...]:
     """All 1920 members: every (I, gamma, six-member collection, sign
-    solution), in that nesting order."""
+    solution), in that nesting order.  Their gamma' pairs are shared, one
+    (point, bit) pair per key and bit, and the numerators on I are built
+    once per (I, gamma)."""
+    pairs = [((p, 0), (p, 1)) for p in (PauliPoint.from_key(2, k) for k in range(16))]
     out = []
     for I in enumerate_maximal_isotropics(2):
         for gamma in all_assignments(I):
-            for C, omega in _family_collections(I).values():
-                for gp in assignment_solutions(I, gamma, omega):
-                    out.append(_member(I, gamma, C, omega, tuple(gp.items())))
+            on_I = _anchor_numerators(gamma)
+            for mask, (C, omega) in _family_collections(I).items():
+                keys = [k for k in range(1, 16) if mask >> k & 1]
+                for sol in _sign_solutions(gamma, keys):  # as assignment_solutions
+                    gamma_p = (pairs[0][0], *(pairs[k][sol >> i & 1] for i, k in enumerate(keys)))
+                    out.append(_member(I, gamma, C, omega, gamma_p, on_I))
     return tuple(out)
 
 
-@lru_cache(maxsize=1)
 def family_operator_keys() -> frozenset:
     """Each member as the sorted (key, coefficient times 2) int pairs, the
-    numerators of its operator over 2."""
+    numerators of its operator over 2; equal pairs are one object."""
+    shared: dict = {}
     keys = (sorted((k, p) for k, (p, _) in v.operator()._num.items()) for v in enumerate_family())
-    return frozenset(map(tuple, keys))
+    return frozenset(tuple(shared.setdefault(kp, kp) for kp in member) for member in keys)
 
 
-@lru_cache(maxsize=1)
 def clifford_orbit_keys() -> frozenset:
     """The flagship's BFS Clifford orbit, from ``ALPHA0_TABLE``, as ``family_operator_keys``."""
     twice = {PauliPoint.from_label(lbl).key(): int(2 * c) for lbl, c in ALPHA0_TABLE.items() if c}
-    return frozenset(coefficient_orbit(2, twice))
+    return coefficient_orbit(2, twice)
 
 
 # -- measurement updates -----------------------------------------------------

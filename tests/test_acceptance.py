@@ -70,9 +70,9 @@ def report(number: int, ok: bool, elapsed: float, budget: float, detail: str):
     assert elapsed < budget, f"criterion {number} exceeded its time budget"
 
 
-# enumerate_family / clifford_orbit_keys are cached module-level; the
-# first criterion to need them pays the construction cost inside its own
-# timed window.
+# enumerate_family is cached module-level, and the first criterion to
+# need it pays the construction cost inside its own timed window;
+# family_operator_keys and clifford_orbit_keys are built on every call.
 
 
 def test_criterion_01_single_qubit_vertices():

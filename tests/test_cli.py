@@ -416,6 +416,9 @@ def _surface_argvs(tmp_path):
         # argv here also runs after a leading --float), and alone it names
         # no command
         ["--", "vertex", op], ["--"],
+        # and the word after it is the command word, even one that looks
+        # like an option
+        ["--", "-h"], ["--", "--float", "vertex", op],
         ["vertex", "--float", op],
     ]
 
@@ -464,6 +467,11 @@ def test_both_parse_routes_write_the_same_documents(tmp_path, capsys, monkeypatc
     assert alone[ended] == alone[argvs.index(["vertex", op])]
     assert floated[ended] == floated[argvs.index(["vertex", op])]
     assert outcomes["--",] == outcomes[()] and outcomes[()][0] == 1
+    frobnicate = json.loads(outcomes["frobnicate", op][1])["diagnostics"]
+    for argv, word in ((("--", "-h"), "'-h'"), (("--", "--float", "vertex", op), "'--float'")):
+        code, out = outcomes[argv]
+        assert code == 1
+        assert json.loads(out)["diagnostics"] == frobnicate.replace("'frobnicate'", word)
     for argv, diagnostics in (
         (("--bogus", "vertex", op), "lambda-forge: unrecognized arguments: --bogus"),
         (("--float", "cnc", cnc, "--update", "XI", "--outcome", "-1"),

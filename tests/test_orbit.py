@@ -437,11 +437,31 @@ def test_int_keys_are_the_member_operators():
 
 def test_orbit_keys_refuse_one_flipped_half_coefficient():
     seeded = random.Random(2801)
-    orbit_keys = clifford_orbit_keys()
+    orbit_keys, family_keys = clifford_orbit_keys(), family_operator_keys()
     for v in seeded.sample(enumerate_family(), 12):
         member = tuple(sorted((k, p) for k, (p, _) in v.operator()._num.items()))
         assert member in orbit_keys
         halves = [i for i, (_, c) in enumerate(member) if abs(c) == 1]
         i = seeded.choice(halves)
         flipped = member[:i] + ((member[i][0], -member[i][1]),) + member[i + 1 :]
-        assert flipped not in orbit_keys and flipped not in family_operator_keys()
+        assert flipped not in orbit_keys and flipped not in family_keys
+
+
+def test_members_and_check_keys_share_their_pairs():
+    # counted by object, not by memory: the family keeps one (point, bit)
+    # pair per key and bit and one point per key, and the check's key set
+    # one (key, twice) pair per distinct value
+    family = enumerate_family()
+    pairs = [pair for v in family for pair in v.gamma_p]
+    assert len({id(pair) for pair in pairs}) <= 32 and len({id(p) for p, _ in pairs}) <= 16
+    held = [pair for member in family_operator_keys() for pair in member]
+    assert len({id(pair) for pair in held}) == len(set(held))
+    # the shared pairs are the sign system's solutions, in the nesting order
+    rebuilt = [
+        (I, gamma, C, omega_from_collection(C), tuple(gp.items()))
+        for I in enumerate_maximal_isotropics(2)
+        for gamma in all_assignments(I)
+        for C in enumerate_collections(I) if len(C) == 6
+        for gp in assignment_solutions(I, gamma, omega_from_collection(C))
+    ]
+    assert [(v.I, v.gamma, v.collection, v.omega, v.gamma_p) for v in family] == rebuilt
